@@ -27,7 +27,7 @@ from .exactnum import (
     roots_with_multiplicity,
     scalar,
 )
-from .linalg import ExactMatrix, SpanBasis
+from .linalg import ExactMatrix, SpanBasis, solve_in_span
 from .monodromy import (
     ModuleSpec,
     MonodromyPencil,
@@ -160,15 +160,8 @@ def bethe_vector(
     return bethe_vector_eps(spec, t, pencil)
 
 
-def bethe_vector_eps(
-    spec: ModuleSpec,
-    roots: Sequence,
-    pencil: Optional[MonodromyPencil] = None,
-) -> BetheVector:
-    """Bhat via the regularization extension t_i -> t_i + i*eps at eps -> 0."""
-    t = [scalar(v) for v in roots]
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
+def eps_components(t: Sequence[Fraction], pencil: MonodromyPencil) -> tuple[list[Poly], list]:
+    """The points t_i + i*eps and the components of Bhat over them, before eps -> 0."""
     t12 = pencil.entry(1, 2)
     # perturbation directions c_i = i, distinct integers for reproducibility
     points = [Poly((ti, i + 1)) for i, ti in enumerate(t)]
@@ -179,10 +172,21 @@ def bethe_vector_eps(
     for i in range(len(t)):
         for j in range(i + 1, len(t)):
             pref = pref / RatFun(Poly((t[j] - t[i] + 1, j - i)))
-    out = []
+    return points, [pref * comp for comp in vec]
+
+
+def bethe_vector_eps(
+    spec: ModuleSpec,
+    roots: Sequence,
+    pencil: Optional[MonodromyPencil] = None,
+) -> BetheVector:
+    """Bhat via the regularization extension t_i -> t_i + i*eps at eps -> 0."""
+    t = [scalar(v) for v in roots]
+    if pencil is None:
+        pencil = tensor_monodromy(spec)
+    _, comps = eps_components(t, pencil)
     try:
-        for comp in vec:
-            out.append(eps_limit(pref * comp))
+        out = [eps_limit(c) for c in comps]
     except NonRemovableSingularity as exc:
         raise ValueError("Bethe vector undefined at this configuration") from exc
     return BetheVector(tuple(out), tuple(sorted(t)), True, True)
@@ -312,34 +316,16 @@ class CompletenessReport:
 
 def restrict_operator(m: ExactMatrix, basis: Sequence[Sequence[Fraction]]) -> ExactMatrix:
     """Matrix of m on the invariant span of the given basis vectors."""
-    span = SpanBasis(m.ncols)
-    for v in basis:
-        span.add(v)
     # coordinates are taken w.r.t. the original (non-echelonized) basis
     cols = []
     mat_basis = ExactMatrix.from_columns(list(basis), m.nrows)
     for v in basis:
         image = m.apply(list(v))
-        coords = _solve_in_span(mat_basis, image)
+        coords = solve_in_span(mat_basis, image)
         if coords is None:
             raise ValueError("subspace is not invariant under the operator")
         cols.append(coords)
     return ExactMatrix.from_columns(cols, len(basis))
-
-
-def _solve_in_span(basis_matrix: ExactMatrix, vec: Sequence[Fraction]):
-    aug = ExactMatrix(basis_matrix.nrows, basis_matrix.ncols + 1)
-    for i, j, v in basis_matrix.entries():
-        aug.put(i, j, v)
-    for i, v in enumerate(vec):
-        aug.put(i, basis_matrix.ncols, v)
-    red, pivots = aug.rref()
-    if basis_matrix.ncols in pivots:
-        return None
-    coords = [Fraction(0)] * basis_matrix.ncols
-    for r, pc in enumerate(pivots):
-        coords[pc] = red.get(r, basis_matrix.ncols)
-    return coords
 
 
 def level_weight(spec: ModuleSpec, level: int) -> Weight:
@@ -405,7 +391,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
         spaces = joint_generalized_eigenspaces(ops, chars) if divisors else []
         for dv, ev, (eig_basis, gen_basis) in zip(divisors, eigs, spaces):
             res = verify_on_shell(spec, dv, pencil)
-            bcoords = _solve_in_span(ExactMatrix.from_columns(basis, pencil.dim), list(res.bethe.vector))
+            bcoords = solve_in_span(ExactMatrix.from_columns(basis, pencil.dim), res.bethe.vector)
             spans = False
             if bcoords is not None and len(eig_basis) == 1 and not res.bethe.is_zero():
                 span = SpanBasis(dim)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand, roots_with_multiplicity
@@ -292,16 +293,10 @@ def spectral_analysis(fam: CoefficientFamily, divisors: Sequence[Divisor]) -> li
     for dv, (eig, gen) in zip(divisors, spaces):
         expected = 1
         for r, m in roots_with_multiplicity(gamma) or []:
-            expected *= _binom(m, dv.mult(r))
+            expected *= comb(m, dv.mult(r))
         cyc = _generalized_cyclic(mats, gen)
         out.append(SpectralEntry(dv, len(eig), len(gen), expected, cyc))
     return out
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def _generalized_cyclic(algebra_mats: Sequence[ExactMatrix], gen_basis: Sequence[Sequence[Fraction]]) -> bool:

@@ -47,7 +47,10 @@ def parse_scalar(s: str) -> Fraction:
     s = s.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"scalar string must be decimal-free: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_scalar(x: ScalarLike) -> str:
@@ -122,9 +125,6 @@ class Poly:
 
     def coeff(self, d: int) -> Fraction:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     # -- ring operations ----------------------------------------------
 
@@ -342,11 +342,6 @@ class RatFun:
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self!r} is not a polynomial")
-        return self.num
 
     # -- field operations -------------------------------------------------
 

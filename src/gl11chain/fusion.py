@@ -45,15 +45,12 @@ def symmetrizers(m: int) -> tuple[ExactMatrix, ExactMatrix]:
         raise ValueError("m must be positive")
     space = SuperSpace.tensor_power(m)
     action = symmetric_group_action(space)
-    fact = 1
-    for i in range(2, m + 1):
-        fact *= i
     a = ExactMatrix(space.dim, space.dim)
     h = ExactMatrix(space.dim, space.dim)
     for perm, mat in action.items():
         h = h + mat
         a = a + mat * permutation_sign(perm)
-    return a * Fraction(1, fact), h * Fraction(1, fact)
+    return a * Fraction(1, len(action)), h * Fraction(1, len(action))
 
 
 # ---------------------------------------------------------------------------
@@ -93,28 +90,31 @@ def _rat_identity(dim: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def higher_transfer_supertrace(pencil: MonodromyPencil, twist, m: int) -> ExactMatrix:
-    """Route A: signed partial trace of A_m Q T(x) Q T(x-1) ... over m legs."""
+def higher_transfer_supertrace(
+    pencil: MonodromyPencil, twist, m: int, projector: ExactMatrix
+) -> ExactMatrix:
+    """Route A: signed partial trace of P Q T(x) Q T(x-1) ... over m legs.
+
+    P is one of the projectors from symmetrizers(m): A_m gives the m-th
+    transfer matrix T_m, H_m its symmetric analog.
+    """
     q = (scalar(twist[0]), scalar(twist[1]))
-    aux = SuperSpace.tensor_power(m)
     module = pencil.space
     full = SuperSpace([SuperSpace.standard_leg()] * m + [module.parities])
-    dim_full = full.dim
     dmod = module.dim
-    a_m, _ = symmetrizers(m)
-    prod = _lift_leading(a_m, dmod).map_entries(lambda v: RatFun(Poly((v,))))
+    prod = _lift_leading(projector, dmod).map_entries(lambda v: RatFun(Poly((v,))))
     qmat = ExactMatrix(2, 2)
     qmat.put(0, 0, q[0])
     qmat.put(1, 1, q[1])
     for leg in range(m):
-        tleg = ExactMatrix(dim_full, dim_full)
+        tleg = ExactMatrix(full.dim, full.dim)
         for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
             tm = t_entry_matrix(pencil, a, b, leg)
             par = E_PARITY[(a, b)]
             tleg = tleg + kron_signed(full, {leg: (e_matrix(a, b), par), m: (tm, par)})
         qleg = kron_signed(full, {leg: (qmat, EVEN)})
         prod = prod @ qleg @ tleg
-    return partial_supertrace(prod, aux, dmod)
+    return partial_supertrace(prod, SuperSpace.tensor_power(m), dmod)
 
 
 def _lift_leading(block: ExactMatrix, rest_dim: int) -> ExactMatrix:
@@ -164,7 +164,7 @@ def higher_transfer(spec: ModuleSpec, m: int, pencil: Optional[MonodromyPencil] 
     """m-th transfer matrix; hard failure when the two routes disagree."""
     if pencil is None:
         pencil = tensor_monodromy(spec)
-    via_trace = higher_transfer_supertrace(pencil, spec.twist, m)
+    via_trace = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[0])
     via_expansion = higher_transfer_expansion(pencil, spec.twist, m)
     if via_trace != via_expansion:
         diff = via_trace - via_expansion
@@ -376,28 +376,6 @@ def expansion_matches_routes(spec: ModuleSpec, order: int, pencil: Optional[Mono
     return out
 
 
-def hm_supertrace(pencil: MonodromyPencil, twist, m: int) -> ExactMatrix:
-    """Symmetrizer analog of route A for the m-th symmetric transfer matrix."""
-    q = (scalar(twist[0]), scalar(twist[1]))
-    module = pencil.space
-    full = SuperSpace([SuperSpace.standard_leg()] * m + [module.parities])
-    dmod = module.dim
-    _, h_m = symmetrizers(m)
-    prod = _lift_leading(h_m, dmod).map_entries(lambda v: RatFun(Poly((v,))))
-    qmat = ExactMatrix(2, 2)
-    qmat.put(0, 0, q[0])
-    qmat.put(1, 1, q[1])
-    for leg in range(m):
-        tleg = ExactMatrix(full.dim, full.dim)
-        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            tm = t_entry_matrix(pencil, a, b, leg)
-            par = E_PARITY[(a, b)]
-            tleg = tleg + kron_signed(full, {leg: (e_matrix(a, b), par), m: (tm, par)})
-        qleg = kron_signed(full, {leg: (qmat, EVEN)})
-        prod = prod @ qleg @ tleg
-    return partial_supertrace(prod, SuperSpace.tensor_power(m), dmod)
-
-
 def transfer_relation_check(spec: ModuleSpec, m: int, pencil: Optional[MonodromyPencil] = None) -> list[FusionCheck]:
     """Both product identities relating T_m, H_m to the first transfer matrix.
 
@@ -424,7 +402,7 @@ def transfer_relation_check(spec: ModuleSpec, m: int, pencil: Optional[Monodromy
         rhs = rhs @ transfer_ratfun(pencil, spec.twist, i - 1)
     out.append(FusionCheck(lhs == rhs, f"antisymmetric transfer relation m={m}"))
 
-    hm = hm_supertrace(pencil, spec.twist, m)
+    hm = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[1])
     scal_h = RatFun(Poly((1,)))
     berprod = RatFun(Poly((1,)))
     for i in range(1, m):

@@ -27,10 +27,6 @@ class ExactMatrix:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zeros(nrows: int, ncols: int) -> "ExactMatrix":
-        return ExactMatrix(nrows, ncols)
-
-    @staticmethod
     def identity(n: int, one=Fraction(1)) -> "ExactMatrix":
         return ExactMatrix(n, n, {i: {i: one} for i in range(n)})
 
@@ -367,6 +363,22 @@ class SpanBasis:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def solve_in_span(basis_matrix: ExactMatrix, vec: Sequence):
+    """Coordinates x with basis_matrix @ x = vec, or None when vec is outside the column span."""
+    aug = ExactMatrix(basis_matrix.nrows, basis_matrix.ncols + 1)
+    for i, j, v in basis_matrix.entries():
+        aug.put(i, j, v)
+    for i, v in enumerate(vec):
+        aug.put(i, basis_matrix.ncols, v)
+    red, pivots = aug.rref()
+    if basis_matrix.ncols in pivots:
+        return None
+    coords = [Fraction(0)] * basis_matrix.ncols
+    for r, pc in enumerate(pivots):
+        coords[pc] = red.get(r, basis_matrix.ncols)
+    return coords
 
 
 def intersect_kernels(mats: Iterable[ExactMatrix]) -> list[Vector]:

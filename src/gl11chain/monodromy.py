@@ -90,11 +90,21 @@ class ModuleSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModuleSpec":
-        return ModuleSpec(
-            tuple(Weight(scalar(w[0]), scalar(w[1])) for w in d["weights"]),
-            tuple(scalar(p) for p in d["points"]),
-            (scalar(d["twist"][0]), scalar(d["twist"][1])),
-        )
+        """Parse a chain-file object; a malformed one raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("chain file must be a JSON object")
+        weights, points, twist = d["weights"], d["points"], d["twist"]
+        if not all(isinstance(v, list) for v in (weights, points, twist)):
+            raise ValueError("weights, points and twist must be lists")
+        for w in weights:
+            if not (isinstance(w, list) and len(w) == 2 and all(type(a) is int for a in w)):
+                raise ValueError(f"each weight must be a pair of integers, got {w!r}")
+        for v in points + twist:
+            if type(v) is not int and not isinstance(v, str):
+                raise ValueError(f'points and twist entries must be integers or "p/q" strings, got {v!r}')
+        if len(twist) != 2:
+            raise ValueError(f"twist must have exactly two entries, got {len(twist)}")
+        return make_spec(weights, points, twist)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -275,13 +285,6 @@ class MonodromyPencil:
 
     def entry(self, i: int, j: int) -> OpPoly:
         return self.entries[(i, j)]
-
-    def entry_parity(self, i: int, j: int) -> int:
-        return E_PARITY[(i, j)]
-
-    def t_ratfun(self, i: int, j: int) -> ExactMatrix:
-        """Unnormalized T_ij(x) as a RatFun-entry matrix."""
-        return self.entries[(i, j)].as_ratfun_matrix(self.normalizer)
 
     @property
     def dim(self) -> int:

@@ -35,7 +35,7 @@ from .exactnum import (
 from .linalg import ExactMatrix
 from .monodromy import ModuleSpec, MonodromyPencil, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
-from .bethe import Divisor, bethe_vector, char_pair
+from .bethe import Divisor, bethe_vector, char_pair, eps_components
 
 
 def r_matrix(wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
@@ -216,7 +216,7 @@ def norm_check(spec: ModuleSpec, y: Divisor, pencil: Optional[MonodromyPencil] =
         for t in y.root_list():
             prod *= wr(t) / yprime(t)
     else:
-        lhs, prod = _norm_eps(spec, y, pencil, gram, wr)
+        lhs, prod = _norm_eps(y, pencil, gram, wr)
         if lhs is None:
             return NormRecord(y, Fraction(0), None, Fraction(0), False, True)
     stated = (q2 / q1) ** level * prod
@@ -224,39 +224,19 @@ def norm_check(spec: ModuleSpec, y: Divisor, pencil: Optional[MonodromyPencil] =
     return NormRecord(y, lhs, stated, resolved, lhs == resolved, repeated)
 
 
-def _norm_eps(spec, y, pencil, gram, wr):
+def _norm_eps(y, pencil, gram, wr):
     """Both norm sides as eps -> 0 limits at a repeated-root divisor."""
-    roots = y.root_list()
-    points = [Poly((t, i + 1)) for i, t in enumerate(roots)]
-    t12 = pencil.entry(1, 2)
-    vec: list = [Fraction(0)] * pencil.dim
-    vec[0] = Fraction(1)
-    for pt in reversed(points):
-        vec = t12(pt).apply(vec)
-    pref = RatFun(Poly((1,)))
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            pref = pref / RatFun(Poly((roots[j] - roots[i] + 1, j - i)))
-    bval = [pref * c for c in vec]
-    lhs_rf = RatFun(Poly())
-    for i in range(pencil.dim):
-        if not bval[i]:
-            continue
-        for j in range(pencil.dim):
-            g = gram.get(i, j)
-            if g and bval[j]:
-                lhs_rf = lhs_rf + bval[i] * g * bval[j]
+    points, bval = eps_components(y.root_list(), pencil)
     # rhs: same perturbation applied to the divisor polynomial
-    yeps_roots = points
     prod_rf = RatFun(Poly((1,)))
-    for idx, pt in enumerate(yeps_roots):
+    for idx, pt in enumerate(points):
         dy = Poly((1,))
-        for jdx, other in enumerate(yeps_roots):
+        for jdx, other in enumerate(points):
             if jdx != idx:
                 dy = dy * (pt - other)
         prod_rf = prod_rf * RatFun(wr(pt)) / RatFun(dy)
     try:
-        return eps_limit(lhs_rf), eps_limit(prod_rf)
+        return eps_limit(form_value(gram, bval, bval)), eps_limit(prod_rf)
     except NonRemovableSingularity:
         return None, None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional
+from typing import Optional
 
 from .exactnum import roots_with_multiplicity
 from . import bethe, bethealg, fusion, monodromy, shapoform, weylspace
@@ -389,14 +389,8 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
     return items
 
 
-SUITES: dict[str, Callable[..., list[SuiteItem]]] = {
-    "rtt": run_rtt_suite,
-    "bethe": run_bethe_suite,
-    "algebra": run_algebra_suite,
-    "norms": run_norms_suite,
-    "fusion": run_fusion_suite,
-    "weyl": run_weyl_suite,
-}
+# Suite names in the order `verify --suite all` runs them; run_suite dispatches on them.
+SUITES = ("rtt", "bethe", "algebra", "norms", "fusion", "weyl")
 
 
 def run_suite(name: str, max_k: int = 3, max_n: int = 4, max_m: int = 3,

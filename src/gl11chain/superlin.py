@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactnum import format_scalar, scalar
 from .linalg import ExactMatrix
@@ -142,38 +142,6 @@ def kron_signed(
                     sign = -sign
         out.add_to(space.index(rows), space.index(cols), sign * val)
     return out
-
-
-def koszul_apply(
-    leg_ops: Sequence[Optional[tuple[ExactMatrix, int]]],
-    space: SuperSpace,
-    vector: Sequence,
-) -> list:
-    """Apply a tensor product of per-leg operators to a vector.
-
-    leg_ops has one entry per leg; None means identity.  Operators without a
-    declared parity must be passed as (matrix, parity); a parity-inhomogeneous
-    operator has no well-defined Koszul sign and is rejected upstream.
-    """
-    if len(leg_ops) != space.nlegs():
-        raise ValueError("leg count does not match tensor factors")
-    mat = kron_signed(space, {s: op for s, op in enumerate(leg_ops) if op is not None})
-    return mat.apply(vector)
-
-
-@dataclass
-class SuperOperator:
-    """A matrix with a declared parity (zero matrices stay unambiguous)."""
-
-    matrix: ExactMatrix
-    parity: int
-
-    def check_parity_support(self, space: SuperSpace) -> bool:
-        """Matrix support must connect basis vectors of parity difference |op|."""
-        for i, j, _ in self.matrix.entries():
-            if (space.parity(i) + space.parity(j)) % 2 != self.parity % 2:
-                return False
-        return True
 
 
 def e_matrix(i: int, j: int, dim: int = 2) -> ExactMatrix:
@@ -335,15 +303,24 @@ def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], ExactMatr
     is a group homomorphism because the graded flips satisfy the braid and
     involution relations.
     """
-    n = space.nlegs()
-    flips = [kron_signed_adjacent_flip(space, i) for i in range(n - 1)]
+    flips = [kron_signed_adjacent_flip(space, i) for i in range(space.nlegs() - 1)]
+    return permutation_closure(flips, space.dim)
+
+
+def permutation_closure(adjacent: Sequence[ExactMatrix], dim: int) -> dict[tuple[int, ...], ExactMatrix]:
+    """All products of the matrices of the adjacent transpositions s_1 .. s_{n-1}.
+
+    Breadth-first over words in the generators; keys as in
+    symmetric_group_action.  With no generators the group is trivial (n = 1).
+    """
+    n = len(adjacent) + 1
     gens = []
-    for i in range(n - 1):
+    for i, m in enumerate(adjacent):
         p = list(range(n))
         p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append((tuple(p), flips[i]))
+        gens.append((tuple(p), m))
     ident = tuple(range(n))
-    action = {ident: ExactMatrix.identity(space.dim)}
+    action = {ident: ExactMatrix.identity(dim)}
     frontier = [ident]
     while frontier:
         nxt = []

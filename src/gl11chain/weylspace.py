@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactnum import Poly, q_pochhammer_inverse, scalar, series_mul
-from .linalg import ExactMatrix, SpanBasis
+from .exactnum import q_pochhammer_inverse, scalar, series_mul
+from .linalg import ExactMatrix, SpanBasis, solve_in_span
 from .monodromy import lax_blocks, lax_oppoly, make_spec, tensor_monodromy
-from .superlin import SuperSpace
+from .superlin import SuperSpace, permutation_closure
 
 
 class MPoly:
@@ -128,16 +128,6 @@ class MPoly:
                 out[key] = out.get(key, Fraction(0)) + sign * c
         return MPoly(self.n, out)
 
-    def eval(self, values: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for p, v in zip(e, values):
-                if p:
-                    term *= v**p
-            total += term
-        return total
-
     def __repr__(self):
         return f"MPoly({self.terms})"
 
@@ -184,7 +174,6 @@ class Coords:
     """Coordinate chart on (weight-l component of V) tensor polynomials <= d."""
 
     n: int
-    degree_cap: int
     components: list[int]
     monomials: list[tuple[int, ...]]
     index: dict[tuple[int, tuple[int, ...]], int]
@@ -202,7 +191,7 @@ class Coords:
         for ci, c in enumerate(comps):
             for mi, m in enumerate(monos):
                 index[(c, m)] = ci * len(monos) + mi
-        return Coords(n, d, comps, monos, index)
+        return Coords(n, comps, monos, index)
 
     @property
     def dim(self) -> int:
@@ -228,16 +217,21 @@ class Coords:
 
     def matrix_of(self, fn: Callable[[dict], dict]) -> ExactMatrix:
         """Matrix of a degree-respecting map in these coordinates."""
-        m = ExactMatrix(self.dim, self.dim)
+        return self.matrix_into(self, fn)
+
+    def matrix_into(self, dst: "Coords", fn: Callable[[dict], dict]) -> ExactMatrix:
+        """Matrix of a map from these coordinates into dst."""
+        m = ExactMatrix(dst.dim, self.dim)
         nm = len(self.monomials)
         for ci, c in enumerate(self.components):
             for mi, e in enumerate(self.monomials):
                 image = fn({c: MPoly(self.n, {e: Fraction(1)})})
                 for cc, p in image.items():
                     for ee, coef in p.terms.items():
-                        if sum(ee) > self.degree_cap:
-                            raise ValueError("map leaves the degree cap")
-                        m.add_to(self.index[(cc, ee)], ci * nm + mi, coef)
+                        row = dst.index.get((cc, ee))
+                        if row is None:
+                            raise ValueError("map leaves the target coordinates")
+                        m.add_to(row, ci * nm + mi, coef)
         return m
 
 
@@ -332,30 +326,6 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> bool:
     return True
 
 
-def _group_matrices(mats: list[ExactMatrix], dim: int) -> list[ExactMatrix]:
-    """All products of the generator matrices (the full permutation action)."""
-    n = len(mats) + 1
-    gens = []
-    for i, m in enumerate(mats):
-        p = list(range(n))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append((tuple(p), m))
-    ident = tuple(range(n))
-    seen = {ident: ExactMatrix.identity(dim)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for sigma in frontier:
-            ms = seen[sigma]
-            for gp, gm in gens:
-                tau = tuple(sigma[gp[r]] for r in range(n))
-                if tau not in seen:
-                    seen[tau] = ms @ gm
-                    nxt.append(tau)
-        frontier = nxt
-    return list(seen.values())
-
-
 def _trace(m: ExactMatrix) -> Fraction:
     total = Fraction(0)
     for i, row in m.rows.items():
@@ -383,12 +353,12 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
             coords.matrix_of(lambda f, i=i: modified_action(space, i, f))
             for i in range(n - 1)
         ]
-        group = _group_matrices(mats, coords.dim) if mats else [ExactMatrix.identity(coords.dim)]
+        group = list(permutation_closure(mats, coords.dim).values())
         proj = None
         if singular_only:
             up_coords = Coords.build(n, level + 1, delta)
-            raise_m = _cross_matrix(space, coords, up_coords, lambda f: current_action(space, 2, 1, 0, f))
-            lower_m = _cross_matrix(space, up_coords, coords, lambda f: current_action(space, 1, 2, 0, f))
+            raise_m = coords.matrix_into(up_coords, lambda f: current_action(space, 2, 1, 0, f))
+            lower_m = up_coords.matrix_into(coords, lambda f: current_action(space, 1, 2, 0, f))
             proj = (lower_m @ raise_m) * Fraction(1, n)
         total = Fraction(0)
         for g in group:
@@ -397,18 +367,6 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
         assert dim.denominator == 1
         filtered.append(int(dim))
     return [filtered[0]] + [filtered[i] - filtered[i - 1] for i in range(1, d + 1)]
-
-
-def _cross_matrix(space: SuperSpace, src: Coords, dst: Coords, fn) -> ExactMatrix:
-    m = ExactMatrix(dst.dim, src.dim)
-    nm = len(src.monomials)
-    for ci, c in enumerate(src.components):
-        for mi, e in enumerate(src.monomials):
-            image = fn({c: MPoly(src.n, {e: Fraction(1)})})
-            for cc, p in image.items():
-                for ee, coef in p.terms.items():
-                    m.add_to(dst.index[(cc, ee)], ci * nm + mi, coef)
-    return m
 
 
 def character_series(n: int, level: int, d: int, singular_only: bool) -> list[int]:
@@ -604,7 +562,7 @@ def modified_invariant_basis(n: int, level: int, d: int) -> list[dict]:
         return []
     target = sum(invariant_dimensions(n, level, d, False))
     mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
-    group = _group_matrices(mats, coords.dim) if mats else [ExactMatrix.identity(coords.dim)]
+    group = list(permutation_closure(mats, coords.dim).values())
     av = ExactMatrix(coords.dim, coords.dim)
     for g in group:
         av = av + g
@@ -708,7 +666,7 @@ class _QuotientLevel:
 
     def class_coords(self, f: dict):
         red = self.ideal.reduce(self.coords.to_vector(f))
-        return _solve(self.rep_matrix, red)
+        return solve_in_span(self.rep_matrix, red)
 
 
 def specialization_check(n: int, points: Sequence) -> SpecializationResult:
@@ -745,8 +703,8 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
         total += q.dim
     level_shift = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
 
-    def q_apply(key, f_reps):
-        """Apply an entry coefficient to a quotient vector (per-level reps)."""
+    def q_apply(key, f):
+        """Apply an entry coefficient to a quotient vector."""
         (i, j, d) = key
         c = blocks[(i, j)].coeff(d)
         out = [Fraction(0)] * total
@@ -754,7 +712,8 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
             tgt = lv + level_shift[(i, j)]
             if not (0 <= tgt <= n) or levels[tgt].dim == 0:
                 continue
-            for ri, coef in enumerate(f_reps[lv]):
+            for ri in range(q.dim):
+                coef = f[offsets[lv] + ri]
                 if not coef:
                     continue
                 img = _apply_mpoly_matrix(space, c, q.reps[ri], n)
@@ -786,22 +745,17 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
     while frontier and span.dim < total:
         nxt = []
         for qu, vu in frontier:
-            qreps = [[qu[offsets[lv] + i] for i in range(levels[lv].dim)] for lv in range(n + 1)]
             for key in keys:
-                qi = q_apply(key, qreps)
+                qi = q_apply(key, qu)
                 vi = vmats[key].apply(vu)
                 if span.add(qi):
                     pairs.append((qi, vi))
                     nxt.append((qi, vi))
                 else:
-                    coords = _solve(ExactMatrix.from_columns([p[0] for p in pairs], total), qi)
+                    coords = solve_in_span(ExactMatrix.from_columns([p[0] for p in pairs], total), qi)
                     if coords is None:
                         return SpecializationResult(False, "span bookkeeping failure")
-                    recon = [Fraction(0)] * (2**n)
-                    for cf, (_, vv) in zip(coords, pairs):
-                        if cf:
-                            recon = [r + cf * w for r, w in zip(recon, vv)]
-                    if recon != vi:
+                    if ExactMatrix.from_columns([p[1] for p in pairs], 2**n).apply(coords) != vi:
                         return SpecializationResult(False, "relation mismatch between the models")
         frontier = nxt
     if span.dim != total:
@@ -812,22 +766,10 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
         return SpecializationResult(False, "correspondence not invertible")
     # intertwining on the generated basis: M X_Q = X_V M
     for key in keys:
-        for idx, (qu, vu) in enumerate(pairs):
-            qreps = [[qu[offsets[lv] + i] for i in range(levels[lv].dim)] for lv in range(n + 1)]
-            qi = q_apply(key, qreps)
-            coords = _solve(qmat, qi)
+        for qu, vu in pairs:
+            coords = solve_in_span(qmat, q_apply(key, qu))
             if coords is None:
                 return SpecializationResult(False, "image escapes the generated span")
-            recon = [Fraction(0)] * (2**n)
-            for cf, (_, vv) in zip(coords, pairs):
-                if cf:
-                    recon = [r + cf * w for r, w in zip(recon, vv)]
-            if recon != vmats[key].apply(vu):
+            if vmat.apply(coords) != vmats[key].apply(vu):
                 return SpecializationResult(False, f"intertwining fails on {key}")
     return SpecializationResult(True, "isomorphic")
-
-
-def _solve(matrix: ExactMatrix, vec: Sequence[Fraction]):
-    from .bethe import _solve_in_span
-
-    return _solve_in_span(matrix, list(vec))

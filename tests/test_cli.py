@@ -52,6 +52,25 @@ class TestSpectrum:
         p.write_text('{"weights": [[1,0]], "points": ["0"], "twist": ["0","1"]}')
         assert main(["spectrum", "--spec", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"weights": [[1]], "points": ["0"], "twist": ["1","1"]}',
+            '{"weights": [[1,0]], "points": [0.5], "twist": ["1","1"]}',
+            '{"weights": [[1,0]], "points": ["0"], "twist": ["1"]}',
+            "[1,2]",
+            '{"weights": [[true,0]], "points": ["0"], "twist": ["1","1"]}',
+            '{"weights": [[1,0]], "points": ["1/0"], "twist": ["1","1"]}',
+        ],
+        ids=["short-weight", "float-point", "short-twist", "top-level-list", "bool-weight", "zero-denominator"],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["spectrum", "--spec", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip()) > len("error:")
+
     def test_missing_file_exits_2(self):
         assert main(["spectrum", "--spec", "/nonexistent/chain.json"]) == 2
 

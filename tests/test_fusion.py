@@ -61,7 +61,8 @@ class TestSymmetrizers:
 class TestHigherTransfer:
     def test_m1_is_transfer(self):
         pen = tensor_monodromy(E1)
-        assert higher_transfer_supertrace(pen, E1.twist, 1) == transfer_ratfun(pen, E1.twist)
+        a1, _ = symmetrizers(1)
+        assert higher_transfer_supertrace(pen, E1.twist, 1, a1) == transfer_ratfun(pen, E1.twist)
 
     def test_hand_value_single_site(self):
         # second transfer matrix on the highest vector of one site at 0:

@@ -95,12 +95,12 @@ class TestModifiedAction:
 
 
 class TestInvariantDimensions:
-    @pytest.mark.parametrize("n,l", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,l", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)])
     def test_match_series(self, n, l):
         d = 4
         assert invariant_dimensions(n, l, d, False) == character_series(n, l, d, False)
 
-    @pytest.mark.parametrize("n,l", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
     def test_singular_match_series(self, n, l):
         d = 4
         assert invariant_dimensions(n, l, d, True) == character_series(n, l, d, True)
