@@ -8,7 +8,7 @@ Without arguments the built-in benchmark chains are surveyed.
 import sys
 
 from gl11chain.exactnum import format_scalar, roots_with_multiplicity
-from gl11chain.monodromy import ModuleSpec, cyclicity_and_irreducibility, tensor_monodromy
+from gl11chain.monodromy import ModuleSpec, cyclicity_and_irreducibility
 from gl11chain.bethe import char_pair, completeness_report
 from gl11chain.shapoform import norm_check
 from gl11chain.suites import suite_specs
@@ -40,12 +40,11 @@ def survey(name, spec):
         print("   gamma does not split over the rationals; no divisor survey")
         return
     rep = completeness_report(spec)
-    pencil = tensor_monodromy(spec)
     for lv in rep.levels:
         print(f"   level {lv.level}: dim {lv.subspace_dim}, "
               f"diagonalizable={lv.diagonalizable}, complete={lv.complete}")
         for e in lv.entries:
-            rec = norm_check(spec, e.divisor, pencil)
+            rec = norm_check(spec, e.divisor)
             print(f"      y = {poly_str(e.divisor.poly):<24s} E = {poly_str(e.eigenvalue):<24s} "
                   f"eig/gen = {e.eigen_dim}/{e.generalized_dim}  "
                   f"norm = {format_scalar(rec.lhs)} (formula {format_scalar(rec.rhs_resolved)}, equal={rec.equal})")

@@ -135,17 +135,12 @@ def _vacuum(dim: int) -> list[Fraction]:
     return v
 
 
-def bethe_vector(
-    spec: ModuleSpec,
-    roots: Sequence,
-    pencil: Optional[MonodromyPencil] = None,
-) -> BetheVector:
+def bethe_vector(spec: ModuleSpec, roots: Sequence) -> BetheVector:
     """Normalized Bethe vector Bhat at the given root configuration."""
     t = [scalar(v) for v in roots]
     if len(t) > spec.k:
         raise ValueError("level exceeds the number of chain sites")
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
+    pencil = tensor_monodromy(spec)
     t12 = pencil.entry(1, 2)
     for order in (t, list(reversed(t)), sorted(t), sorted(t, reverse=True)):
         if _pair_factors_ok(order):
@@ -157,7 +152,7 @@ def bethe_vector(
                 for j in range(i + 1, len(order)):
                     pref /= order[j] - order[i] + 1
             return BetheVector(tuple(v * pref for v in vec), tuple(sorted(t)), True, False)
-    return bethe_vector_eps(spec, t, pencil)
+    return bethe_vector_eps(spec, t)
 
 
 def eps_components(t: Sequence[Fraction], pencil: MonodromyPencil) -> tuple[list[Poly], list]:
@@ -175,16 +170,10 @@ def eps_components(t: Sequence[Fraction], pencil: MonodromyPencil) -> tuple[list
     return points, [pref * comp for comp in vec]
 
 
-def bethe_vector_eps(
-    spec: ModuleSpec,
-    roots: Sequence,
-    pencil: Optional[MonodromyPencil] = None,
-) -> BetheVector:
+def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> BetheVector:
     """Bhat via the regularization extension t_i -> t_i + i*eps at eps -> 0."""
     t = [scalar(v) for v in roots]
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
-    _, comps = eps_components(t, pencil)
+    _, comps = eps_components(t, tensor_monodromy(spec))
     try:
         out = [eps_limit(c) for c in comps]
     except NonRemovableSingularity as exc:
@@ -213,23 +202,17 @@ class OnShellResult:
         return self.ok
 
 
-def verify_on_shell(
-    spec: ModuleSpec,
-    y: Union[Divisor, Sequence],
-    pencil: Optional[MonodromyPencil] = None,
-) -> OnShellResult:
+def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellResult:
     """Check y(x) * That_Q(x) Bhat = y(x-1) * gamma(x) * Bhat exactly.
 
     Accepts a Divisor or a raw root sequence (the latter supports off-shell
     negative controls).  On failure the witness is (x-degree, component).
     """
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
     roots = y.root_list() if isinstance(y, Divisor) else tuple(scalar(v) for v in y)
     ypoly = y.poly if isinstance(y, Divisor) else Poly.from_roots(roots)
-    bv = bethe_vector(spec, roots, pencil)
+    bv = bethe_vector(spec, roots)
     gamma = char_pair(spec).gamma
-    tq = transfer_pencil(pencil, spec.twist)
+    tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
     lhs = tq.scale(ypoly)  # y(x) * That_Q(x)
     rhs = ypoly.shift(1) * gamma
     eig = None
@@ -390,7 +373,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
             chars.append([ev.coeff(d) for d in range(spec.k + 1)])
         spaces = joint_generalized_eigenspaces(ops, chars) if divisors else []
         for dv, ev, (eig_basis, gen_basis) in zip(divisors, eigs, spaces):
-            res = verify_on_shell(spec, dv, pencil)
+            res = verify_on_shell(spec, dv)
             bcoords = solve_in_span(ExactMatrix.from_columns(basis, pencil.dim), res.bethe.vector)
             spans = False
             if bcoords is not None and len(eig_basis) == 1 and not res.bethe.is_zero():

@@ -40,7 +40,6 @@ def cmd_spectrum(args) -> int:
     doc = report.to_dict()
     if args.level is not None:
         doc["levels"] = [lv for lv in doc["levels"] if lv["level"] == args.level]
-    pencil = monodromy.tensor_monodromy(spec)
     # norm table for split chains
     if report.split:
         cp = bethe.char_pair(spec)
@@ -49,12 +48,12 @@ def cmd_spectrum(args) -> int:
             if args.level is not None and level != args.level:
                 continue
             for dv in bethe.enumerate_divisors(cp.gamma, level):
-                norms.append(shapoform.norm_check(spec, dv, pencil).to_dict())
+                norms.append(shapoform.norm_check(spec, dv).to_dict())
         doc["norms"] = norms
     # fusion block: per-m pass/fail with the first failing label
-    fusion_block = {"berezinian": bool(fusion.berezinian(spec, pencil)), "relations": []}
+    fusion_block = {"berezinian": bool(fusion.berezinian(spec)), "relations": []}
     for m in (1, 2, 3):
-        checks = fusion.transfer_relation_check(spec, m, pencil)
+        checks = fusion.transfer_relation_check(spec, m)
         bad = next((c for c in checks if not c.ok), None)
         fusion_block["relations"].append(
             {"m": m, "ok": bad is None, "first_failure": None if bad is None else bad.label}
@@ -155,6 +154,12 @@ def cmd_random_spec(args) -> int:
     return 2
 
 
+def _nonneg_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gl11chain", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -167,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
-    vp.add_argument("--max-k", type=int, default=3)
-    vp.add_argument("--max-n", type=int, default=4)
-    vp.add_argument("--max-m", type=int, default=3)
-    vp.add_argument("--degree-cap", type=int, default=4)
-    vp.add_argument("--tau-order", type=int, default=None)
+    vp.add_argument("--max-k", type=_nonneg_int, default=3)
+    vp.add_argument("--max-n", type=_nonneg_int, default=4)
+    vp.add_argument("--max-m", type=_nonneg_int, default=3)
+    vp.add_argument("--degree-cap", type=_nonneg_int, default=4)
+    vp.add_argument("--tau-order", type=_nonneg_int, default=None)
     vp.add_argument("--json", default=None)
     vp.add_argument("--inject-sign-bug", action="store_true", help="negative-control harness: flip one pencil sign")
     vp.set_defaults(func=cmd_verify)

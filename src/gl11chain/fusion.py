@@ -14,6 +14,7 @@ tau-free scalar.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -160,10 +161,13 @@ class RouteComparison:
         return self.ok
 
 
-def higher_transfer(spec: ModuleSpec, m: int, pencil: Optional[MonodromyPencil] = None) -> RouteComparison:
-    """m-th transfer matrix; hard failure when the two routes disagree."""
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
+@functools.cache
+def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
+    """m-th transfer matrix; hard failure when the two routes disagree.
+
+    Memoised per (chain, m): the result is shared and must not be mutated.
+    """
+    pencil = tensor_monodromy(spec)
     via_trace = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[0])
     via_expansion = higher_transfer_expansion(pencil, spec.twist, m)
     if via_trace != via_expansion:
@@ -295,16 +299,17 @@ class BerezinianValue:
         return self.forms_agree and self.tau_free and self.central
 
 
-def berezinian(spec: ModuleSpec, pencil: Optional[MonodromyPencil] = None) -> BerezinianValue:
+@functools.cache
+def berezinian(spec: ModuleSpec) -> BerezinianValue:
     """Berezinian of the generating operator on the chain module.
 
     Computed mechanically in the difference-operator algebra; asserts that
     only the tau^0 coefficient survives, that all four quotient expressions
     agree, that the value is the scalar (q1/q2) phi/psi, and that it
-    commutes with every pencil coefficient.
+    commutes with every pencil coefficient.  Memoised per chain: the
+    result is shared and must not be mutated.
     """
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
+    pencil = tensor_monodromy(spec)
     k = manin_entries(pencil, spec.twist)
     k11, k12, k21, k22 = k[(1, 1)], k[(1, 2)], k[(2, 1)], k[(2, 2)]
     f1 = k11.mul((k22 - k21.mul(k11.inverse_single()).mul(k12)).inverse_single())
@@ -327,10 +332,9 @@ def berezinian(spec: ModuleSpec, pencil: Optional[MonodromyPencil] = None) -> Be
     return BerezinianValue(expected if scalar_ok else RatFun(Poly()), forms_agree and scalar_ok, tau_free, central)
 
 
-def generating_oper(spec: ModuleSpec, order: int, pencil: Optional[MonodromyPencil] = None) -> DiffOp:
+def generating_oper(spec: ModuleSpec, order: int) -> DiffOp:
     """Ber(1 - Z^Q) as a tau series up to tau^order."""
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
+    pencil = tensor_monodromy(spec)
     k = manin_entries(pencil, spec.twist)
     one = DiffOp.one(pencil.dim)
     k11 = one - k[(1, 1)]
@@ -356,17 +360,15 @@ class FusionCheck:
         return self.ok
 
 
-def expansion_matches_routes(spec: ModuleSpec, order: int, pencil: Optional[MonodromyPencil] = None) -> list[FusionCheck]:
+def expansion_matches_routes(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     """Ber(1 - Z) = sum (-1)^m T_m tau^m, checked coefficient by coefficient."""
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
-    oper = generating_oper(spec, order, pencil)
+    oper = generating_oper(spec, order)
     out = []
     for m in range(order + 1):
         if m == 0:
-            want = _rat_identity(pencil.dim)
+            want = _rat_identity(oper.dim)
         else:
-            rc = higher_transfer(spec, m, pencil)
+            rc = higher_transfer(spec, m)
             if not rc.ok:
                 out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
                 continue
@@ -376,21 +378,20 @@ def expansion_matches_routes(spec: ModuleSpec, order: int, pencil: Optional[Mono
     return out
 
 
-def transfer_relation_check(spec: ModuleSpec, m: int, pencil: Optional[MonodromyPencil] = None) -> list[FusionCheck]:
+def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
     """Both product identities relating T_m, H_m to the first transfer matrix.
 
     T_m(x) prod_{i<m} (1 - Ber(x-i)) = prod_{i<=m} TransferQ(x-i+1), and the
     H_m identity with the extra Berezinian product on the right; H_m is also
     matched against the inverse tau series of the generating operator.
     """
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
+    pencil = tensor_monodromy(spec)
     out = []
-    ber = berezinian(spec, pencil)
+    ber = berezinian(spec)
     if not ber:
         return [FusionCheck(False, "berezinian inconsistent")]
     dim = pencil.dim
-    rc = higher_transfer(spec, m, pencil)
+    rc = higher_transfer(spec, m)
     if not rc.ok:
         return [FusionCheck(False, f"route disagreement at m={m}", rc.witness)]
     scal = RatFun(Poly((1,)))
@@ -412,7 +413,7 @@ def transfer_relation_check(spec: ModuleSpec, m: int, pencil: Optional[Monodromy
     rhs_h = rhs * berprod
     out.append(FusionCheck(lhs_h == rhs_h, f"symmetric transfer relation m={m}"))
 
-    oper = generating_oper(spec, m, pencil)
+    oper = generating_oper(spec, m)
     inv = oper.inverse_series(m)
     out.append(FusionCheck(inv.coeff(m) == hm, f"inverse series coefficient m={m}"))
     return out
@@ -431,9 +432,7 @@ def dy_coefficient(spec: ModuleSpec, y: Divisor, m: int) -> RatFun:
     return -val
 
 
-def oper_action_check(
-    spec: ModuleSpec, y: Divisor, order: int, pencil: Optional[MonodromyPencil] = None
-) -> list[FusionCheck]:
+def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[FusionCheck]:
     """Generating-operator action on Bhat against the scalar divisor operator.
 
     Requires a simple-root divisor and order >= 2; each tau coefficient is
@@ -443,13 +442,11 @@ def oper_action_check(
         raise ValueError("simple-root divisor required")
     if order < 2:
         raise ValueError("order must be at least 2")
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
-    bv = bethe_vector(spec, y.root_list(), pencil)
+    bv = bethe_vector(spec, y.root_list())
     vec = [RatFun(Poly((v,))) for v in bv.vector]
     out = []
     for m in range(1, order + 1):
-        rc = higher_transfer(spec, m, pencil)
+        rc = higher_transfer(spec, m)
         if not rc.ok:
             out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
             continue
@@ -461,21 +458,20 @@ def oper_action_check(
     return out
 
 
-def universal_oper_check(spec: ModuleSpec, order: int, pencil: Optional[MonodromyPencil] = None) -> list[FusionCheck]:
+def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     """The two universal quotient forms reproduce the generating operator.
 
     Needs Ber - 1 invertible as a rational function, i.e. a nonzero
     characteristic polynomial.
     """
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
-    ber = berezinian(spec, pencil)
+    pencil = tensor_monodromy(spec)
+    ber = berezinian(spec)
     if not ber:
         return [FusionCheck(False, "berezinian inconsistent")]
     if not (ber.value - 1):
         raise ValueError("Ber - 1 not invertible for this chain")
     dim = pencil.dim
-    oper = generating_oper(spec, order, pencil)
+    oper = generating_oper(spec, order)
     tq = transfer_ratfun(pencil, spec.twist)
     bm1 = ber.value - 1
     one = DiffOp.one(dim)

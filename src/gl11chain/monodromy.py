@@ -14,6 +14,7 @@ Spec files are JSON with fields
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -361,8 +362,12 @@ def _combine(first: MonodromyPencil, rest: MonodromyPencil) -> MonodromyPencil:
     )
 
 
+@functools.cache
 def tensor_monodromy(spec: ModuleSpec) -> MonodromyPencil:
-    """Iterated-coproduct pencil on the full chain module."""
+    """Iterated-coproduct pencil on the full chain module.
+
+    Memoised per chain: the pencil is shared and must not be mutated.
+    """
     pencils = [evaluation_monodromy(wt, b) for wt, b in zip(spec.weights, spec.points)]
     out = pencils[-1]
     for p in reversed(pencils[:-1]):

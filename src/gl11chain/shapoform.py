@@ -20,6 +20,7 @@ no sign; norm_check records both values instead of resolving silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,7 +34,7 @@ from .exactnum import (
     scalar,
 )
 from .linalg import ExactMatrix
-from .monodromy import ModuleSpec, MonodromyPencil, tensor_monodromy
+from .monodromy import ModuleSpec, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
 from .bethe import Divisor, bethe_vector, char_pair, eps_components
 
@@ -119,8 +120,12 @@ def _embed_two_site(space: SuperSpace, i: int, j: int, r4: ExactMatrix) -> Exact
     return out
 
 
+@functools.cache
 def form_matrix(spec: ModuleSpec) -> ExactMatrix:
-    """Gram matrix of the contravariant form on the chain module."""
+    """Gram matrix of the contravariant form on the chain module.
+
+    Memoised per chain: the matrix is shared and must not be mutated.
+    """
     return _tensor_form(spec) @ r_product(spec)
 
 
@@ -141,12 +146,11 @@ def iota_sign(i: int, j: int) -> int:
     return -1 if ((i == 2) * (j == 2) + (i == 2)) % 2 else 1
 
 
-def check_iota_contract(spec: ModuleSpec, pencil: Optional[MonodromyPencil] = None, max_order: Optional[int] = None) -> bool:
+def check_iota_contract(spec: ModuleSpec, max_order: Optional[int] = None) -> bool:
     """Contravariance of the form for the series coefficients up to k+1."""
     from .monodromy import t_coefficient
 
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
+    pencil = tensor_monodromy(spec)
     gram = form_matrix(spec)
     space = pencil.space
     rmax = max_order if max_order is not None else spec.k + 1
@@ -195,28 +199,26 @@ class NormRecord:
         }
 
 
-def norm_check(spec: ModuleSpec, y: Divisor, pencil: Optional[MonodromyPencil] = None) -> NormRecord:
+def norm_check(spec: ModuleSpec, y: Divisor) -> NormRecord:
     """Square norm of the on-shell vector against the Wronskian product.
 
     Simple roots are evaluated directly; repeated roots through the
     regularization extension on both sides, with the record flagged.
     """
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
     gram = form_matrix(spec)
     q1, q2 = spec.twist
     level = y.degree
     wr = wronskian(spec)
     repeated = any(m > 1 for _, m in y.roots)
     if not repeated:
-        bv = bethe_vector(spec, y.root_list(), pencil)
+        bv = bethe_vector(spec, y.root_list())
         lhs = form_value(gram, bv.vector, bv.vector)
         yprime = y.poly.derivative()
         prod = Fraction(1)
         for t in y.root_list():
             prod *= wr(t) / yprime(t)
     else:
-        lhs, prod = _norm_eps(y, pencil, gram, wr)
+        lhs, prod = _norm_eps(y, tensor_monodromy(spec), gram, wr)
         if lhs is None:
             return NormRecord(y, Fraction(0), None, Fraction(0), False, True)
     stated = (q2 / q1) ** level * prod
@@ -241,18 +243,11 @@ def _norm_eps(y, pencil, gram, wr):
         return None, None
 
 
-def orthogonality_check(
-    spec: ModuleSpec,
-    y1: Divisor,
-    y2: Divisor,
-    pencil: Optional[MonodromyPencil] = None,
-) -> bool:
+def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> bool:
     """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors."""
     if y1 == y2:
         raise ValueError("divisors must differ")
-    if pencil is None:
-        pencil = tensor_monodromy(spec)
     gram = form_matrix(spec)
-    b1 = bethe_vector(spec, y1.root_list(), pencil)
-    b2 = bethe_vector(spec, y2.root_list(), pencil)
+    b1 = bethe_vector(spec, y1.root_list())
+    b2 = bethe_vector(spec, y2.root_list())
     return form_value(gram, b1.vector, b2.vector) == 0

@@ -78,11 +78,10 @@ def test_criterion_02_transfer_eigenvalues():
         cyclic, _ = cyclicity_and_irreducibility(spec)
         if not cyclic:
             continue
-        pencil = tensor_monodromy(spec)
         cp = char_pair(spec)
         for level in range(cp.gamma.degree + 1):
             for dv in enumerate_divisors(cp.gamma, level):
-                if not verify_on_shell(spec, dv, pencil).ok:
+                if not verify_on_shell(spec, dv).ok:
                     ok = False
     # frozen eigenvalue sets for the two reference chains
     e1_eigs = {
@@ -185,7 +184,6 @@ def test_criterion_06_norm_formula():
     ok = True
     ratio_records = set()
     for name, spec in SPLIT_SPECS.items():
-        pencil = tensor_monodromy(spec)
         cp = char_pair(spec)
         q1, q2 = spec.twist
         divisors = [
@@ -194,7 +192,7 @@ def test_criterion_06_norm_formula():
             for dv in enumerate_divisors(cp.gamma, level)
         ]
         for dv in divisors:
-            rec = shapoform.norm_check(spec, dv, pencil)
+            rec = shapoform.norm_check(spec, dv)
             if not rec.equal:
                 ok = False
             if not rec.repeated_roots:
@@ -203,7 +201,7 @@ def test_criterion_06_norm_formula():
                     ratio_records.add(rec.lhs / rec.rhs_stated == (-1) ** dv.degree * (q1 / q2) ** dv.degree)
         for a in range(len(divisors)):
             for b in range(a + 1, len(divisors)):
-                if not shapoform.orthogonality_check(spec, divisors[a], divisors[b], pencil):
+                if not shapoform.orthogonality_check(spec, divisors[a], divisors[b]):
                     ok = False
     report(6, "norm formula and orthogonality (prefactor resolved: (-1)^l)", ok and ratio_records == {True})
 
@@ -214,18 +212,16 @@ def test_criterion_07_fusion_relations():
     for name in ("E1", "E2", "E4", "E5", "E6"):
         spec = SPECS[name]
         assert spec.n <= 4
-        pencil = tensor_monodromy(spec)
         for m in (1, 2, 3):
-            checks = fusion.transfer_relation_check(spec, m, pencil)
+            checks = fusion.transfer_relation_check(spec, m)
             if not all(c.ok for c in checks):
                 ok = False
-        for c in fusion.expansion_matches_routes(spec, 3, pencil):
+        for c in fusion.expansion_matches_routes(spec, 3):
             if not c.ok:
                 ok = False
     # the hand-derived single-site m=2 product
-    pencil = tensor_monodromy(SPECS["E1"])
-    rc = fusion.higher_transfer(SPECS["E1"], 2, pencil)
-    ber = fusion.berezinian(SPECS["E1"], pencil)
+    rc = fusion.higher_transfer(SPECS["E1"], 2)
+    ber = fusion.berezinian(SPECS["E1"])
     lhs = rc.matrix * (1 - ber.value.shift(1))
     want = RatFun(Poly((2, 1)) * Poly((1, 1)), Poly((0, 1)) * Poly((-1, 1)))
     hand = rc.ok and lhs.get(0, 0) == want
@@ -253,17 +249,16 @@ def test_criterion_09_oper_action():
     for name, spec in SPLIT_SPECS.items():
         if spec.k > 2:
             continue
-        pencil = tensor_monodromy(spec)
         cp = char_pair(spec)
         for level in range(cp.gamma.degree + 1):
             for dv in enumerate_divisors(cp.gamma, level):
                 if any(m > 1 for _, m in dv.roots):
                     continue
-                for c in fusion.oper_action_check(spec, dv, 3, pencil):
+                for c in fusion.oper_action_check(spec, dv, 3):
                     if not c.ok:
                         ok = False
         order = int(spec.n) + 2
-        for c in fusion.universal_oper_check(spec, order, pencil):
+        for c in fusion.universal_oper_check(spec, order):
             if not c.ok:
                 ok = False
     report(9, "difference-operator action", ok)

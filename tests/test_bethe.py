@@ -86,17 +86,15 @@ class TestBetheVector:
         assert bv.vector == (0, -1)  # proportional to the lowered vector
 
     def test_symmetric_in_roots(self):
-        pen = tensor_monodromy(E3)
         vals = [F(3), F(-1)]
-        ref = bethe_vector(E3, vals, pen).vector
+        ref = bethe_vector(E3, vals).vector
         for perm in permutations(vals):
-            assert bethe_vector(E3, list(perm), pen).vector == ref
+            assert bethe_vector(E3, list(perm)).vector == ref
 
     def test_eps_route_matches_direct(self):
-        pen = tensor_monodromy(E3)
         for roots in ([F(-1, 2)], [F(-1, 2), F(-1, 2)], [F(0), F(2)]):
-            a = bethe_vector(E3, roots, pen)
-            b = bethe_vector_eps(E3, roots, pen)
+            a = bethe_vector(E3, roots)
+            b = bethe_vector_eps(E3, roots)
             assert a.vector == b.vector
 
     def test_double_root_nonzero(self):
@@ -106,10 +104,9 @@ class TestBetheVector:
     def test_hazard_ordering_handled(self):
         # consecutive roots differing by 1 hit the pair-factor pole in one
         # ordering; the construction must still produce the symmetric vector
-        pen = tensor_monodromy(E3)
-        a = bethe_vector(E3, [F(1), F(0)], pen)
-        b = bethe_vector(E3, [F(0), F(1)], pen)
-        c = bethe_vector_eps(E3, [F(1), F(0)], pen)
+        a = bethe_vector(E3, [F(1), F(0)])
+        b = bethe_vector(E3, [F(0), F(1)])
+        c = bethe_vector_eps(E3, [F(1), F(0)])
         assert a.vector == b.vector == c.vector
 
     def test_level_cap(self):
@@ -136,10 +133,9 @@ class TestOnShell:
     @pytest.mark.parametrize("spec", [E1, E2, E3, E4], ids=["E1", "E2", "E3", "E4"])
     def test_all_divisors_pass(self, spec):
         cp = char_pair(spec)
-        pen = tensor_monodromy(spec)
         for level in range(cp.gamma.degree + 1):
             for dv in enumerate_divisors(cp.gamma, level):
-                assert verify_on_shell(spec, dv, pen).ok
+                assert verify_on_shell(spec, dv).ok
 
     def test_off_shell_fails(self):
         res = verify_on_shell(E2, [F(7)])
@@ -162,7 +158,7 @@ class TestOnShell:
                     chars = [[ev.coeff(d) for d in range(spec.k + 1)]]
                     (eig, _), = joint_generalized_eigenspaces(ops, chars)
                     assert len(eig) == 1
-                    bv = bethe_vector(spec, dv.root_list(), pen)
+                    bv = bethe_vector(spec, dv.root_list())
                     # embed the eigenvector and compare up to scale
                     emb = [F(0)] * pen.dim
                     for coef, vec in zip(eig[0], basis):

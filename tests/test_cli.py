@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,28 @@ class TestVerify:
         failures = doc["suites"]["rtt"]["failures"]
         assert failures and "witness" in failures[0]["detail"]
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--suite", "fusion", "--max-n", "2", "--max-m", "1"], 0),
+            (["--suite", "fusion", "--max-n", "2", "--max-m", "0"], 0),
+            (["--suite", "fusion", "--max-m", "-1"], 2),
+            (["--suite", "weyl", "--max-n", "2", "--degree-cap", "-1"], 2),
+            (["--suite", "fusion", "--tau-order", "-1"], 2),
+            (["--suite", "rtt", "--max-k", "-1"], 2),
+            (["--suite", "rtt", "--max-n", "-1"], 2),
+        ],
+        ids=["max-m-1", "max-m-0", "neg-max-m", "neg-degree-cap", "neg-tau-order", "neg-max-k", "neg-max-n"],
+    )
+    def test_cap_exit_codes(self, tmp_path, capsys, argv, code):
+        try:
+            got = main(["verify", *argv, "--json", str(tmp_path / "verify.json")])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        if code == 2:
+            assert "non-negative" in capsys.readouterr().err
+
     def test_verify_json_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -141,3 +167,17 @@ class TestRandomSpec:
         assert spec.is_twisted()
         gamma = char_pair(spec).gamma
         assert roots_with_multiplicity(gamma) is not None
+
+
+def test_spectral_survey_script():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "spectral_survey.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("== ") for line in lines) == 7
+    assert sum("equal=True" in line for line in lines) == 25
+    assert "equal=False" not in proc.stdout

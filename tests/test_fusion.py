@@ -77,8 +77,7 @@ class TestHigherTransfer:
         assert higher_transfer(spec, m).ok
 
     def test_mutual_commutativity(self):
-        pen = tensor_monodromy(E2)
-        mats = [higher_transfer(E2, m, pen).matrix for m in (1, 2)]
+        mats = [higher_transfer(E2, m).matrix for m in (1, 2)]
         polys = [ratfun_matrix_to_oppoly(m)[0] for m in mats]
         for a in range(polys[0].degree + 1):
             for b in range(polys[1].degree + 1):
@@ -173,9 +172,8 @@ class TestTransferRelations:
         # vector: (q1(x-a+1)-q2(x-a))(q1(x-a)-q2(x-a-1))/((x-a)(x-a-1))
         checks = transfer_relation_check(E1, 2)
         assert all(c.ok for c in checks)
-        pen = tensor_monodromy(E1)
-        rc = higher_transfer(E1, 2, pen)
-        ber = berezinian(E1, pen)
+        rc = higher_transfer(E1, 2)
+        ber = berezinian(E1)
         lhs = rc.matrix * (1 - ber.value.shift(1))
         want = rat(Poly((2, 1)) * Poly((1, 1)), Poly((0, 1)) * Poly((-1, 1)))
         assert lhs.get(0, 0) == want
@@ -237,8 +235,7 @@ class TestUniversalOper:
         # the generating operator applied to each on-shell vector matches the
         # scalar divisor operator coefficient by coefficient
         spec = E4
-        pen = tensor_monodromy(spec)
-        oper = generating_oper(spec, 3, pen)
+        oper = generating_oper(spec, 3)
         cp = char_pair(spec)
         from gl11chain.bethe import bethe_vector
 
@@ -246,7 +243,7 @@ class TestUniversalOper:
             for dv in enumerate_divisors(cp.gamma, level):
                 if any(m > 1 for _, m in dv.roots):
                     continue
-                bv = bethe_vector(spec, dv.root_list(), pen)
+                bv = bethe_vector(spec, dv.root_list())
                 vec = [RatFun(Poly((v,))) for v in bv.vector]
                 for m in range(4):
                     got = oper.coeff(m).apply(vec)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -146,8 +147,8 @@ class TestLax:
 class TestRttOracle:
     def test_negative_control(self):
         pen = tensor_monodromy(E2)
-        pen.entries[(2, 1)] = -pen.entries[(2, 1)]
-        res = verify_rtt(pen)
+        bad = replace(pen, entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
+        res = verify_rtt(bad)
         assert not res.ok and res.witness is not None
 
     @settings(max_examples=5, deadline=None)

@@ -32,15 +32,14 @@ def test_generated_chain_full_pipeline(generated_spec):
     spec = generated_spec
     cyclic, irreducible = cyclicity_and_irreducibility(spec)
     assert cyclic
-    pencil = tensor_monodromy(spec)
-    assert verify_rtt(pencil).ok
+    assert verify_rtt(tensor_monodromy(spec)).ok
     cp = char_pair(spec)
     gram = form_matrix(spec)
     assert gram == gram.transpose() and gram.get(0, 0) == 1
     for level in range(cp.gamma.degree + 1):
         for dv in enumerate_divisors(cp.gamma, level):
-            assert verify_on_shell(spec, dv, pencil).ok
-            assert norm_check(spec, dv, pencil).equal
+            assert verify_on_shell(spec, dv).ok
+            assert norm_check(spec, dv).equal
     rep = completeness_report(spec)
     assert all(
         lv.subspace_dim == sum(e.generalized_dim for e in lv.entries) for lv in rep.levels
@@ -54,9 +53,8 @@ def test_generated_twisted_chain(tmp_path):
     assert main(["random-spec", "--seed", "4", "--k", "3", "--split", "--twisted", "--out", str(out)]) == 0
     spec = ModuleSpec.from_file(out)
     assert spec.is_twisted()
-    pencil = tensor_monodromy(spec)
-    assert verify_rtt(pencil).ok
+    assert verify_rtt(tensor_monodromy(spec)).ok
     cp = char_pair(spec)
     for level in range(cp.gamma.degree + 1):
         for dv in enumerate_divisors(cp.gamma, level):
-            assert verify_on_shell(spec, dv, pencil).ok
+            assert verify_on_shell(spec, dv).ok

@@ -162,14 +162,13 @@ class TestNorms:
         # both sides computed through unrelated code paths must agree for
         # every simple-root divisor of the twisted chain
         cp = char_pair(E4)
-        pen = tensor_monodromy(E4)
         gram = form_matrix(E4)
         wr = wronskian(E4)
         for level in range(cp.gamma.degree + 1):
             for dv in enumerate_divisors(cp.gamma, level):
-                bv = bethe_vector(E4, dv.root_list(), pen)
+                bv = bethe_vector(E4, dv.root_list())
                 direct = form_value(gram, bv.vector, bv.vector)
-                rec = norm_check(E4, dv, pen)
+                rec = norm_check(E4, dv)
                 assert rec.lhs == direct and rec.equal
 
     def test_repeated_root_flagged(self):

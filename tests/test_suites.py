@@ -1,8 +1,11 @@
 import pytest
 
+from gl11chain import cli
 from gl11chain.suites import run_suite, suite_specs
-from gl11chain.monodromy import cyclicity_and_irreducibility
+from gl11chain.fusion import berezinian, higher_transfer
+from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
 from gl11chain.bethe import char_pair
+from gl11chain.shapoform import form_matrix
 
 
 def test_suite_specs_cover_the_cases():
@@ -42,3 +45,24 @@ def test_weyl_suite_small_caps():
 def test_injected_bug_caught():
     items = run_suite("rtt", inject_sign_bug=True)
     assert any(not it.ok for it in items)
+
+
+def test_injected_bug_leaves_shared_pencils_intact():
+    # the corrupted pencil is a copy: a clean run in the same process still passes
+    injected = run_suite("rtt", inject_sign_bug=True)
+    clean = run_suite("rtt")
+    assert any(not it.ok for it in injected)
+    assert not [it for it in clean if not it.ok]
+
+
+def test_derived_objects_built_once_per_chain(tmp_path):
+    builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer)
+    for fn in builders:
+        fn.cache_clear()
+    chain = tmp_path / "e4.json"
+    chain.write_text(suite_specs()["E4"].to_json())
+    assert cli.main(["spectrum", "--spec", str(chain), "--json", str(tmp_path / "report.json")]) == 0
+    assert [fn.cache_info().misses for fn in builders] == [1, 1, 1, 3]
+    form_matrix.cache_clear()
+    run_suite("norms")
+    assert form_matrix.cache_info().misses == len(suite_specs())
