@@ -57,9 +57,11 @@ def char_pair(spec: ModuleSpec) -> CharPair:
     norm = spec.normalizer()
     cp = CharPair(phi, psi, gamma, RatFun(phi, norm), RatFun(psi, norm))
     if spec.is_twisted():
-        assert gamma.degree == spec.k and gamma.leading() == q1 - q2
+        deg, lead = spec.k, q1 - q2
     else:
-        assert gamma.degree == spec.k - 1 and gamma.leading() == q1 * spec.n
+        deg, lead = spec.k - 1, q1 * spec.n
+    if gamma.degree != deg or gamma.leading() != lead:
+        raise ArithmeticError(f"gamma = {gamma!r}, expected degree {deg} and lead {lead}")
     return cp
 
 

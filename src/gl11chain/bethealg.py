@@ -289,10 +289,11 @@ def spectral_analysis(fam: CoefficientFamily, divisors: Sequence[Divisor]) -> li
     chars = [divisor_character(fam, dv) for dv in divisors]
     spaces = joint_generalized_eigenspaces(fam.ops, chars)
     _, mats = algebra_dimension(fam)
+    roots = roots_with_multiplicity(gamma) or []
     out = []
     for dv, (eig, gen) in zip(divisors, spaces):
         expected = 1
-        for r, m in roots_with_multiplicity(gamma) or []:
+        for r, m in roots:
             expected *= comb(m, dv.mult(r))
         cyc = _generalized_cyclic(mats, gen)
         out.append(SpectralEntry(dv, len(eig), len(gen), expected, cyc))

@@ -22,7 +22,6 @@ through the usual arithmetic operators.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -89,14 +88,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def const(c: ScalarLike) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
 
     @staticmethod
     def from_roots(roots: Iterable[ScalarLike]) -> "Poly":
@@ -255,11 +246,6 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
@@ -487,7 +473,7 @@ def laurent_expand(f: Union[RatFun, Poly], order: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Factorization over the rationals
+# Rational roots and the split test
 # ---------------------------------------------------------------------------
 
 
@@ -540,107 +526,27 @@ def _rational_roots(p: Poly) -> list[Fraction]:
     return roots
 
 
-def _int_poly(coeffs: list[int]) -> Poly:
-    return Poly([Fraction(c) for c in coeffs])
+def roots_with_multiplicity(p: Poly) -> "list[tuple[Fraction, int]] | None":
+    """Sorted (root, multiplicity) pairs, or None when p does not split.
 
-
-def _kronecker_factor(p: Poly) -> "Poly | None":
-    """A nontrivial monic factor of a squarefree p with no rational roots.
-
-    Degree-bounded trial factorization: interpolate integer candidate
-    factors through divisor tuples of values at small integer points.
-    Returns None when p is irreducible over the rationals.
-    """
-    deg = p.degree
-    if deg <= 3:
-        return None  # no rational roots implies irreducible
-    ints = _int_poly(_to_primitive_int(p))
-    points = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3)]
-    for r in range(2, deg // 2 + 1):
-        pts = points[: r + 1]
-        value_divisors = []
-        for a in pts:
-            va = ints(a)
-            assert va != 0  # no rational roots
-            divs = _divisors(int(va))
-            value_divisors.append([Fraction(d) for d in divs] + [Fraction(-d) for d in divs])
-        for combo in itertools.product(*value_divisors):
-            cand = _lagrange(pts, list(combo))
-            if cand.degree != r:
-                continue
-            cand = cand.monic()
-            if cand.divides(p):
-                return cand
-    return None
-
-
-def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> Poly:
-    total = Poly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        term = Poly((yi,))
-        for j, xj in enumerate(xs):
-            if i != j:
-                term = term * Poly((-xj, 1)) * (1 / (xi - xj))
-        total = total + term
-    return total
-
-
-def _factor_squarefree(p: Poly) -> list[Poly]:
-    """Monic irreducible factors of a monic squarefree polynomial."""
-    if p.degree == 0:
-        return []
-    out = []
-    rest = p
-    for r in _rational_roots(p):
-        out.append(Poly((-r, 1)))
-        rest = rest // Poly((-r, 1))
-    stack = [rest] if rest.degree > 0 else []
-    while stack:
-        q = stack.pop()
-        f = _kronecker_factor(q)
-        if f is None:
-            out.append(q.monic())
-        else:
-            stack.append(f)
-            stack.append(q // f)
-    return sorted(out, key=lambda f: (f.degree, f.coeffs))
-
-
-def factor_over_rationals(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """Factor p = lead * prod(f_i ** m_i) with monic irreducible distinct f_i.
-
+    Peels each rational root off p as often as it divides; p splits over
+    the rationals exactly when the cofactor left is a constant.
     Raises ValueError("zero input") for the zero polynomial.
     """
     if p.is_zero():
         raise ValueError("zero input")
-    lead = p.leading()
-    mon = p.monic()
-    radical = mon // Poly.gcd(mon, mon.derivative()) if mon.degree > 0 else mon
-    factors = []
-    for f in _factor_squarefree(radical):
-        mult = 0
-        rest = mon
-        while True:
-            q, r = divmod(rest, f)
-            if not r.is_zero():
-                break
-            mult += 1
-            rest = q
-        factors.append((f, mult))
-    return lead, factors
-
-
-def roots_with_multiplicity(p: Poly) -> "list[tuple[Fraction, int]] | None":
-    """Sorted (root, multiplicity) pairs, or None when p does not split."""
-    lead, factors = factor_over_rationals(p)
+    rest = p.monic()
     out = []
-    for f, m in factors:
-        if f.degree != 1:
-            return None
-        out.append((-f.coeff(0), m))
-    return sorted(out)
+    for r in _rational_roots(rest):
+        m = 0
+        while True:
+            q, rem = divmod(rest, Poly((-r, 1)))
+            if not rem.is_zero():
+                break
+            rest = q
+            m += 1
+        out.append((r, m))
+    return sorted(out) if rest.degree == 0 else None
 
 
 def elementary_symmetric(values: Sequence[Fraction]) -> list[Fraction]:

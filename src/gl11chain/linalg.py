@@ -98,7 +98,8 @@ class ExactMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
         out = self.copy()
         for i, j, v in other.entries():
             out.add_to(i, j, v)
@@ -122,7 +123,8 @@ class ExactMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.ncols == other.nrows, "shape mismatch"
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         out = ExactMatrix(self.nrows, other.ncols)
         orows = other.rows
         for i, row in self.rows.items():
@@ -143,7 +145,8 @@ class ExactMatrix:
         return out
 
     def pow(self, n: int) -> "ExactMatrix":
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
         out = ExactMatrix.identity(self.nrows)
         base = self
         while n:
@@ -185,7 +188,8 @@ class ExactMatrix:
         out = ExactMatrix(sum(b.nrows for b in blocks), ncols)
         base = 0
         for b in blocks:
-            assert b.ncols == ncols
+            if b.ncols != ncols:
+                raise ValueError(f"vstack blocks have {b.ncols} and {ncols} columns")
             for i, j, v in b.entries():
                 out.put(base + i, j, v)
             base += b.nrows
@@ -261,7 +265,8 @@ class ExactMatrix:
         return basis
 
     def inverse(self) -> "ExactMatrix":
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
         n = self.nrows
         m = self.to_dense()
         aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
@@ -283,7 +288,8 @@ class ExactMatrix:
         return ExactMatrix.from_dense([row[n:] for row in aug])
 
     def det(self):
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
         n = self.nrows
         m = self.to_dense()
         det = Fraction(1)
@@ -403,14 +409,16 @@ def joint_generalized_eigenspaces(
         raise ValueError("empty operator family")
     n = ops[0].nrows
     for op in ops:
-        assert op.nrows == op.ncols == n, "operators must be square on one space"
+        if not op.nrows == op.ncols == n:
+            raise ValueError("operators must be square on one space")
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             if not ops[i].commutes_with(ops[j]):
                 raise ValueError("family not commutative")
     out = []
     for ch in chars:
-        assert len(ch) == len(ops), "character length mismatch"
+        if len(ch) != len(ops):
+            raise ValueError("character length mismatch")
         shifted = [op - ExactMatrix.identity(n, Fraction(1)) * c for op, c in zip(ops, ch)]
         eig = intersect_kernels(shifted)
         gen = intersect_kernels([s.pow(n) for s in shifted])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactnum import (
     NonRemovableSingularity,
@@ -146,15 +146,14 @@ def iota_sign(i: int, j: int) -> int:
     return -1 if ((i == 2) * (j == 2) + (i == 2)) % 2 else 1
 
 
-def check_iota_contract(spec: ModuleSpec, max_order: Optional[int] = None) -> bool:
+def check_iota_contract(spec: ModuleSpec) -> bool:
     """Contravariance of the form for the series coefficients up to k+1."""
     from .monodromy import t_coefficient
 
     pencil = tensor_monodromy(spec)
     gram = form_matrix(spec)
     space = pencil.space
-    rmax = max_order if max_order is not None else spec.k + 1
-    for r in range(1, rmax + 1):
+    for r in range(1, spec.k + 2):
         for (i, j) in ((1, 1), (1, 2), (2, 1), (2, 2)):
             x = t_coefficient(pencil, i, j, r)
             ix = t_coefficient(pencil, j, i, r) * iota_sign(i, j)

@@ -120,7 +120,8 @@ def kron_signed(
     for s in range(nlegs):
         if s in slot_ops:
             mat, _par = slot_ops[s]
-            assert mat.nrows == mat.ncols == space.dims[s], "leg dimension mismatch"
+            if not mat.nrows == mat.ncols == space.dims[s]:
+                raise ValueError("leg dimension mismatch")
             per_leg.append([(i, j, v) for i, j, v in mat.entries()])
         else:
             per_leg.append([(i, i, None) for i in range(space.dims[s])])
@@ -180,7 +181,8 @@ def leg_generator(wt: Weight, i: int, j: int) -> ExactMatrix:
 
 def gl_generator(space: SuperSpace, leg_weights: Sequence[Weight], i: int, j: int) -> ExactMatrix:
     """Diagonal action of e_ij on a tensor product of weight modules."""
-    assert len(leg_weights) == space.nlegs()
+    if len(leg_weights) != space.nlegs():
+        raise ValueError(f"{len(leg_weights)} leg weights for {space.nlegs()} legs")
     total = ExactMatrix(space.dim, space.dim)
     par = E_PARITY[(i, j)]
     for s, wt in enumerate(leg_weights):
@@ -248,7 +250,8 @@ def singular_subspace(
 
 def supertrace(m: ExactMatrix, space: SuperSpace):
     """Signed trace: diagonal entries weighted by (-1)^parity."""
-    assert m.nrows == m.ncols == space.dim
+    if not m.nrows == m.ncols == space.dim:
+        raise ValueError(f"{m.nrows}x{m.ncols} matrix on a space of dimension {space.dim}")
     total = Fraction(0)
     for i in range(space.dim):
         v = m.get(i, i)
@@ -263,7 +266,8 @@ def partial_supertrace(m: ExactMatrix, aux: SuperSpace, rest_dim: int) -> ExactM
     Valid for globally even operators, where only even-even blocks hit the
     diagonal and the naive signed block sum is exact.
     """
-    assert m.nrows == m.ncols == aux.dim * rest_dim
+    if not m.nrows == m.ncols == aux.dim * rest_dim:
+        raise ValueError(f"{m.nrows}x{m.ncols} matrix on a space of dimension {aux.dim * rest_dim}")
     out = ExactMatrix(rest_dim, rest_dim)
     for i, j, v in m.entries():
         a, r = divmod(i, rest_dim)

@@ -364,7 +364,8 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
         for g in group:
             total += _trace(proj @ g) if proj is not None else _trace(g)
         dim = total / len(group)
-        assert dim.denominator == 1
+        if dim.denominator != 1:
+            raise ArithmeticError(f"invariant dimension {dim} at degree {delta} is not an integer")
         filtered.append(int(dim))
     return [filtered[0]] + [filtered[i] - filtered[i - 1] for i in range(1, d + 1)]
 
@@ -388,7 +389,8 @@ def character_series(n: int, level: int, d: int, singular_only: bool) -> list[in
     out = [0] * (d + 1)
     for i, c in enumerate(series):
         if i + shift <= d:
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise ArithmeticError(f"character coefficient {c} at degree {i + shift} is not an integer")
             out[i + shift] = int(c)
     return out
 
@@ -575,7 +577,8 @@ def modified_invariant_basis(n: int, level: int, d: int) -> list[dict]:
             out.append(coords.from_vector(col))
             if len(out) == target:
                 break
-    assert len(out) == target
+    if len(out) != target:
+        raise ArithmeticError(f"averaging spans {len(out)} invariants, trace formula gives {target}")
     return out
 
 

@@ -10,7 +10,6 @@ from gl11chain.exactnum import (
     RatFun,
     elementary_symmetric,
     eps_limit,
-    factor_over_rationals,
     format_scalar,
     laurent_expand,
     parse_scalar,
@@ -82,55 +81,74 @@ class TestRatFun:
         assert r.shift(2) == RatFun(Poly((1,)), Poly((-2, 1)))
 
 
-class TestFactor:
-    def test_double_root_with_leading(self):
-        # 3x^2 + 3x + 3/4 = 3 (x + 1/2)^2
-        lead, facs = factor_over_rationals(Poly((F(3, 4), 3, 3)))
-        assert lead == 3
-        assert facs == [(Poly((F(1, 2), 1)), 2)]
+def x_minus(r):
+    return Poly((-r, 1))
 
-    def test_linear(self):
-        lead, facs = factor_over_rationals(Poly((2, 1)))
-        assert lead == 1 and facs == [(Poly((2, 1)), 1)]
 
-    def test_irreducible_marker(self):
-        lead, facs = factor_over_rationals(Poly((1, 0, 1)))
-        assert facs == [(Poly((1, 0, 1)), 1)]
-        assert roots_with_multiplicity(Poly((1, 0, 1))) is None
+class TestSplit:
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            # 3x^2 + 3x + 3/4 = 3 (x + 1/2)^2
+            pytest.param(Poly((F(3, 4), 3, 3)), [(F(-1, 2), 2)], id="double_root_lead_3"),
+            pytest.param(Poly((2, 1)), [(F(-2), 1)], id="linear"),
+            pytest.param(Poly((1, 0, 1)), None, id="x2_plus_1"),
+            pytest.param(Poly((1, 0, 1)) * Poly((2, 0, 1)) * 5, None, id="two_irreducible_quadratics"),
+            pytest.param(x_minus(1) ** 2 * Poly((1, 0, 1)), None, id="double_root_times_x2_plus_1"),
+            pytest.param(Poly((-2, 0, 1)) * x_minus(3), None, id="x2_minus_2_times_root_3"),
+            pytest.param(Poly((F(-7, 2),)), [], id="constant"),
+            # (x^3 + x + 1001)(x^3 - 2x + 9973)
+            pytest.param(Poly((1001, 1, 0, 1)) * Poly((9973, -2, 0, 1)), None, id="two_irreducible_cubics"),
+        ],
+    )
+    def test_table(self, p, expected):
+        assert roots_with_multiplicity(p) == expected
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero input"):
-            factor_over_rationals(Poly())
-
-    def test_quartic_product_of_irreducible_quadratics(self):
-        p = Poly((1, 0, 1)) * Poly((2, 0, 1)) * 5
-        lead, facs = factor_over_rationals(p)
-        assert lead == 5
-        assert sorted(f.coeffs for f, _ in facs) == [(1, 0, 1), (2, 0, 1)]
+            roots_with_multiplicity(Poly())
 
     @given(st.lists(rationals, min_size=0, max_size=3), st.lists(rationals, min_size=0, max_size=3))
     @settings(max_examples=25, deadline=None)
     def test_multiset_union(self, roots_a, roots_b):
         p = Poly.from_roots(roots_a) * 2
         q = Poly.from_roots(roots_b) * F(1, 3)
-        la, fa = factor_over_rationals(p)
-        lb, fb = factor_over_rationals(q)
-        lab, fab = factor_over_rationals(p * q)
-        assert lab == la * lb
         merged: dict = {}
-        for f, m in fa + fb:
-            merged[f.coeffs] = merged.get(f.coeffs, 0) + m
-        assert {f.coeffs: m for f, m in fab} == merged
+        for r, m in roots_with_multiplicity(p) + roots_with_multiplicity(q):
+            merged[r] = merged.get(r, 0) + m
+        assert roots_with_multiplicity(p * q) == sorted(merged.items())
 
     @given(st.lists(rationals, min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_reconstruction(self, roots):
         p = Poly.from_roots(roots) * F(7, 3)
-        lead, facs = factor_over_rationals(p)
-        recon = Poly((lead,))
-        for f, m in facs:
-            recon = recon * f**m
+        recon = Poly((p.leading(),))
+        for r, m in roots_with_multiplicity(p):
+            recon = recon * x_minus(r) ** m
         assert recon == p
+
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 4)), max_size=4),
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=3, max_size=4).filter(lambda cs: cs[-1] != 0),
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_factor_list(self, linear, others):
+        sympy = pytest.importorskip("sympy")
+        p = Poly((1,))
+        for b, a in linear:
+            p = p * Poly((b, a))
+        for cs in others:
+            p = p * Poly(cs)
+        x = sympy.Symbol("x")
+        _, factors = sympy.Poly([int(c) for c in reversed(p.coeffs)], x).factor_list()
+        if all(f.degree() == 1 for f, _ in factors):
+            expected = sorted((F(-int(f.nth(0)), int(f.nth(1))), m) for f, m in factors)
+        else:
+            expected = None
+        assert roots_with_multiplicity(p) == expected
 
 
 class TestLaurent:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +53,16 @@ class TestExactMatrix:
         assert (m @ m.inverse()).to_dense() == [[1, 0], [0, 1]]
         assert m.det() == 1
         assert dense([[1, 2], [2, 4]]).det() == 0
+
+    def test_shape_mismatch_raises_under_optimize(self):
+        # invariants are exceptions, not asserts, so they hold under python -O
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "from gl11chain.linalg import ExactMatrix as M; M.from_dense([[1, 2]]) @ M.from_dense([[1, 2]])"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+        )
+        assert "ValueError: shape mismatch" in proc.stderr, proc.stderr
 
     def test_polynomial_entries(self):
         x = Poly((0, 1))
