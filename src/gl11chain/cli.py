@@ -36,6 +36,10 @@ def cmd_spectrum(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    cyclic, _ = monodromy.cyclicity_and_irreducibility(spec)
+    if not cyclic:
+        print("error: chain is not cyclic (some b_j = b_i + l2_i + l1_j with i < j)", file=sys.stderr)
+        return 2
     report = bethe.completeness_report(spec)
     doc = report.to_dict()
     if args.level is not None:

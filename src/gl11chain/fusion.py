@@ -1,11 +1,15 @@
 """Higher transfer matrices, Berezinian, and the difference-operator algebra.
 
-Working representation: operators on the chain module are sparse matrices
-with RatFun entries; a DiffOp is a finite dict {tau power: matrix} under
-the twisted product tau f(x) = f(x - 1) tau.  Inverses are exact for a
-single-term operator and truncated geometric series when the tau^0 part is
-invertible; all identities checked here are decidable equalities between
-RatFun coefficient matrices.
+Working representation: an operator on the chain module is a FracMatrix, a
+sparse matrix with Poly entries over one monic scalar Poly denominator.
+Every monodromy entry T_ij(x - a) is That_ij(x - a) / N(x - a), with N the
+normalizer prod_s (x - b_s), so products only multiply numerators and
+denominators, sums put both sides over the lcm of the two denominators, and
+equality is decided by cross-multiplying; no entry is canonicalised until
+to_ratfun() at the boundary.  A DiffOp is a finite dict {tau power:
+FracMatrix} under the twisted product tau f(x) = f(x - 1) tau.  Inverses are
+exact for a single-term operator and truncated geometric series when the
+tau^0 part is invertible; a matrix inverse goes through RatFun elimination.
 
 The Manin-matrix entries of the generating operator are K_ij = q_j T_ji(x) tau,
 so that the Berezinian K_11 (K_22 - K_21 K_11^{-1} K_12)^{-1} collapses to a
@@ -21,7 +25,7 @@ from typing import Optional
 
 from .exactnum import Poly, RatFun, scalar
 from .linalg import ExactMatrix
-from .monodromy import ModuleSpec, MonodromyPencil, tensor_monodromy
+from .monodromy import ModuleSpec, MonodromyPencil, tensor_monodromy, transfer_pencil
 from .superlin import (
     E_PARITY,
     EVEN,
@@ -55,35 +59,115 @@ def symmetrizers(m: int) -> tuple[ExactMatrix, ExactMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# RatFun matrices of the monodromy entries
+# numerator matrices over one scalar denominator
 # ---------------------------------------------------------------------------
 
 
-def t_entry_matrix(pencil: MonodromyPencil, i: int, j: int, shift: int = 0) -> ExactMatrix:
-    """T_ij(x - shift) as a RatFun-entry matrix on the module."""
-    ent = pencil.entry(i, j)
-    if shift:
-        ent = ent.shift(shift)
-    den = Poly((1,))
-    for b in pencil.points:
-        den = den * Poly((-b - shift, 1))
-    return ent.as_ratfun_matrix(den)
+_ONE = Poly((1,))
 
 
-def transfer_ratfun(pencil: MonodromyPencil, twist, shift: int = 0) -> ExactMatrix:
-    """TransferQ(x - shift) as a RatFun-entry matrix."""
-    q1, q2 = scalar(twist[0]), scalar(twist[1])
-    return t_entry_matrix(pencil, 1, 1, shift) * q1 - t_entry_matrix(pencil, 2, 2, shift) * q2
+class FracMatrix:
+    """Matrix num / den: num has Poly entries, den is one monic Poly."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: ExactMatrix, den: Poly = _ONE):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def identity(dim: int) -> "FracMatrix":
+        return FracMatrix(ExactMatrix.identity(dim, _ONE))
+
+    @staticmethod
+    def from_ratfun(m: ExactMatrix) -> "FracMatrix":
+        """Clear denominators: entries (RatFun, Poly or scalar) over their lcm."""
+        ents = [(i, j, v if isinstance(v, RatFun) else RatFun(v)) for i, j, v in m.entries()]
+        den = _ONE
+        for _, _, v in ents:
+            if den % v.den:
+                den = Poly.lcm(den, v.den)
+        num = ExactMatrix(m.nrows, m.ncols)
+        for i, j, v in ents:
+            num.put(i, j, v.num if v.den == den else v.num * (den // v.den))
+        return FracMatrix(num, den)
+
+    def to_ratfun(self) -> ExactMatrix:
+        """RatFun-entry matrix, each entry canonicalised once."""
+        return self.num.map_entries(lambda p: RatFun(p, self.den))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
+        return FracMatrix(self.num @ other.num, self.den * other.den)
+
+    def __add__(self, other: "FracMatrix") -> "FracMatrix":
+        if self.den == other.den:
+            return FracMatrix(self.num + other.num, self.den)
+        g = Poly.gcd(self.den, other.den)
+        mine, theirs = other.den // g, self.den // g
+        return FracMatrix(self.num * mine + other.num * theirs, self.den * mine)
+
+    def __neg__(self) -> "FracMatrix":
+        return FracMatrix(-self.num, self.den)
+
+    def scale(self, c) -> "FracMatrix":
+        """Multiply by a scalar, Poly or RatFun."""
+        if isinstance(c, RatFun):
+            return FracMatrix(self.num * c.num, self.den * c.den)
+        return FracMatrix(self.num * c, self.den)
+
+    def shift(self, a) -> "FracMatrix":
+        """Return M(x - a)."""
+        if not a:
+            return self
+        return FracMatrix(self.num.map_entries(lambda p: p.shift(a)), self.den.shift(a))
+
+    def inverse(self) -> "FracMatrix":
+        return FracMatrix.from_ratfun(self.to_ratfun().inverse())
+
+    def first_difference(self, other: "FracMatrix") -> "tuple[int, int] | None":
+        """Smallest (i, j) where the two matrices differ, by cross-multiplying."""
+        keys = {(i, j) for i, j, _ in self.num.entries()} | {(i, j) for i, j, _ in other.num.entries()}
+        same_den = self.den == other.den
+        for i, j in sorted(keys):
+            a, b = self.num.get(i, j), other.num.get(i, j)
+            if not same_den:
+                a, b = a * other.den, b * self.den
+            if a != b:
+                return i, j
+        return None
+
+    def __eq__(self, other):
+        if not isinstance(other, FracMatrix):
+            return NotImplemented
+        return self.first_difference(other) is None
+
+    __hash__ = None
+
+    def coefficients(self) -> list[ExactMatrix]:
+        """x^d coefficient matrices of the numerator, d = 0, 1, ..."""
+        out: list[ExactMatrix] = []
+        for i, j, p in self.num.entries():
+            for d, c in enumerate(p.coeffs):
+                while len(out) <= d:
+                    out.append(ExactMatrix(self.num.nrows, self.num.ncols))
+                out[d].put(i, j, c)
+        return out
+
+    def __repr__(self):
+        return f"FracMatrix({self.num!r} / {self.den!r})"
 
 
-def _shift_matrix(m: ExactMatrix, a: int) -> ExactMatrix:
-    if a == 0:
-        return m
-    return m.map_entries(lambda r: r.shift(a) if isinstance(r, RatFun) else RatFun(Poly((r,))).shift(a))
+def t_entry(pencil: MonodromyPencil, i: int, j: int, shift: int = 0) -> FracMatrix:
+    """T_ij(x - shift) = That_ij(x - shift) / N(x - shift)."""
+    return FracMatrix(pencil.entry(i, j).poly_matrix(), pencil.normalizer).shift(shift)
 
 
-def _rat_identity(dim: int) -> ExactMatrix:
-    return ExactMatrix.identity(dim, RatFun(Poly((1,))))
+def transfer(pencil: MonodromyPencil, twist, shift: int = 0) -> FracMatrix:
+    """TransferQ(x - shift) = q1 T_11(x - shift) - q2 T_22(x - shift)."""
+    return FracMatrix(transfer_pencil(pencil, twist).poly_matrix(), pencil.normalizer).shift(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +177,7 @@ def _rat_identity(dim: int) -> ExactMatrix:
 
 def higher_transfer_supertrace(
     pencil: MonodromyPencil, twist, m: int, projector: ExactMatrix
-) -> ExactMatrix:
+) -> FracMatrix:
     """Route A: signed partial trace of P Q T(x) Q T(x-1) ... over m legs.
 
     P is one of the projectors from symmetrizers(m): A_m gives the m-th
@@ -103,19 +187,20 @@ def higher_transfer_supertrace(
     module = pencil.space
     full = SuperSpace([SuperSpace.standard_leg()] * m + [module.parities])
     dmod = module.dim
-    prod = _lift_leading(projector, dmod).map_entries(lambda v: RatFun(Poly((v,))))
+    prod = FracMatrix(_lift_leading(projector, dmod).map_entries(lambda v: Poly((v,))))
     qmat = ExactMatrix(2, 2)
     qmat.put(0, 0, q[0])
     qmat.put(1, 1, q[1])
     for leg in range(m):
+        # the four entries of T(x - leg) share the denominator N(x - leg)
         tleg = ExactMatrix(full.dim, full.dim)
         for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            tm = t_entry_matrix(pencil, a, b, leg)
             par = E_PARITY[(a, b)]
+            tm = t_entry(pencil, a, b, leg).num
             tleg = tleg + kron_signed(full, {leg: (e_matrix(a, b), par), m: (tm, par)})
         qleg = kron_signed(full, {leg: (qmat, EVEN)})
-        prod = prod @ qleg @ tleg
-    return partial_supertrace(prod, SuperSpace.tensor_power(m), dmod)
+        prod = prod @ FracMatrix(qleg @ tleg, pencil.normalizer.shift(leg))
+    return FracMatrix(partial_supertrace(prod.num, SuperSpace.tensor_power(m), dmod), prod.den)
 
 
 def _lift_leading(block: ExactMatrix, rest_dim: int) -> ExactMatrix:
@@ -126,29 +211,28 @@ def _lift_leading(block: ExactMatrix, rest_dim: int) -> ExactMatrix:
     return out
 
 
-def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> ExactMatrix:
+def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> FracMatrix:
     """Route B: the explicit entrywise expansion of the m-th transfer matrix."""
     q1, q2 = scalar(twist[0]), scalar(twist[1])
-    dim = pencil.dim
     if m == 1:
-        return transfer_ratfun(pencil, twist)
-    t22 = [t_entry_matrix(pencil, 2, 2, i) for i in range(m)]
+        return transfer(pencil, twist)
+    t22 = [t_entry(pencil, 2, 2, i) for i in range(m)]
 
-    def t22_range(lo: int, hi: int) -> ExactMatrix:
-        out = _rat_identity(dim)
+    def t22_range(lo: int, hi: int) -> FracMatrix:
+        out = FracMatrix.identity(pencil.dim)
         for i in range(lo, hi + 1):
             out = out @ t22[i]
         return out
 
-    tilde = -(transfer_ratfun(pencil, twist) @ t22_range(1, m - 1))
+    tilde = -(transfer(pencil, twist) @ t22_range(1, m - 1))
     for s in range(1, m):
-        term = t_entry_matrix(pencil, 1, 2, 0) * q1
+        term = t_entry(pencil, 1, 2, 0).scale(q1)
         term = term @ t22_range(1, s - 1)
-        term = term @ t_entry_matrix(pencil, 2, 1, s)
+        term = term @ t_entry(pencil, 2, 1, s)
         term = term @ t22_range(s + 1, m - 1)
         tilde = tilde + term
     sign = Fraction(-1) ** m
-    return tilde * (sign * q2 ** (m - 1))
+    return tilde.scale(sign * q2 ** (m - 1))
 
 
 @dataclass
@@ -170,11 +254,10 @@ def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
     pencil = tensor_monodromy(spec)
     via_trace = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[0])
     via_expansion = higher_transfer_expansion(pencil, spec.twist, m)
-    if via_trace != via_expansion:
-        diff = via_trace - via_expansion
-        i, j, _ = next(diff.entries())
-        return RouteComparison(False, via_expansion, (m, i, j))
-    return RouteComparison(True, via_expansion)
+    diff = via_trace.first_difference(via_expansion)
+    if diff is not None:
+        return RouteComparison(False, via_expansion.to_ratfun(), (m, *diff))
+    return RouteComparison(True, via_expansion.to_ratfun())
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +267,33 @@ def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
 
 @dataclass
 class DiffOp:
-    """Finite tau-polynomial with RatFun-matrix coefficients."""
+    """Finite tau-polynomial with matrix coefficients.
+
+    Coefficients are stored as FracMatrix; the constructor also takes
+    RatFun-entry matrices, and coeff(p) returns one.
+    """
 
     dim: int
-    coeffs: dict[int, ExactMatrix]
+    coeffs: dict[int, FracMatrix]
 
     def __post_init__(self):
-        self.coeffs = {p: c for p, c in self.coeffs.items() if not c.is_zero()}
+        fracs = {p: c if isinstance(c, FracMatrix) else FracMatrix.from_ratfun(c) for p, c in self.coeffs.items()}
+        self.coeffs = {p: c for p, c in fracs.items() if not c.is_zero()}
 
     @staticmethod
     def scalar_term(dim: int, power: int, value: RatFun) -> "DiffOp":
-        return DiffOp(dim, {power: _rat_identity(dim) * value})
+        return DiffOp(dim, {power: FracMatrix.identity(dim).scale(value)})
 
     @staticmethod
     def one(dim: int) -> "DiffOp":
-        return DiffOp(dim, {0: _rat_identity(dim)})
+        return DiffOp(dim, {0: FracMatrix.identity(dim)})
+
+    def frac_coeff(self, p: int) -> FracMatrix:
+        return self.coeffs.get(p) or FracMatrix(ExactMatrix(self.dim, self.dim))
 
     def coeff(self, p: int) -> ExactMatrix:
-        return self.coeffs.get(p, ExactMatrix(self.dim, self.dim))
+        """The tau^p coefficient as a RatFun-entry matrix."""
+        return self.frac_coeff(p).to_ratfun()
 
     def powers(self) -> list[int]:
         return sorted(self.coeffs)
@@ -216,11 +308,11 @@ class DiffOp:
         return self + other.scale(Fraction(-1))
 
     def scale(self, v) -> "DiffOp":
-        return DiffOp(self.dim, {p: c * v for p, c in self.coeffs.items()})
+        return DiffOp(self.dim, {p: c.scale(v) for p, c in self.coeffs.items()})
 
     def mul(self, other: "DiffOp", hi: Optional[int] = None, lo: Optional[int] = None) -> "DiffOp":
         """Product with the tau-shift rule, truncated to powers in [lo, hi]."""
-        out: dict[int, ExactMatrix] = {}
+        out: dict[int, FracMatrix] = {}
         for p, a in self.coeffs.items():
             for q, b in other.coeffs.items():
                 r = p + q
@@ -228,7 +320,7 @@ class DiffOp:
                     continue
                 if lo is not None and r < lo:
                     continue
-                term = a @ _shift_matrix(b, p)
+                term = a @ b.shift(p)
                 out[r] = out[r] + term if r in out else term
         return DiffOp(self.dim, out)
 
@@ -237,17 +329,15 @@ class DiffOp:
         if len(self.coeffs) != 1:
             raise ValueError("inverse_single needs a single tau power")
         (p, a), = self.coeffs.items()
-        ainv = _shift_matrix(a.inverse(), -p)
-        return DiffOp(self.dim, {-p: ainv})
+        return DiffOp(self.dim, {-p: a.inverse().shift(-p)})
 
     def inverse_series(self, hi: int) -> "DiffOp":
         """Inverse up to tau^hi of c0 + (positive tau powers), c0 invertible."""
         if any(p < 0 for p in self.coeffs):
             raise ValueError("inverse_series expects nonnegative powers")
-        c0 = self.coeff(0)
-        if c0.is_zero():
+        if 0 not in self.coeffs:
             raise ValueError("non-invertible constant term")
-        c0inv = DiffOp(self.dim, {0: c0.inverse()})
+        c0inv = DiffOp(self.dim, {0: self.coeffs[0].inverse()})
         rest = DiffOp(self.dim, {p: c for p, c in self.coeffs.items() if p > 0})
         nil = c0inv.mul(rest, hi=hi)
         out = DiffOp.one(self.dim)
@@ -259,10 +349,18 @@ class DiffOp:
             out = out + power
         return out.mul(c0inv, hi=hi)
 
+    def first_difference(self, other: "DiffOp") -> "tuple[int, int, int] | None":
+        """(tau power, i, j) of the first differing coefficient entry, or None."""
+        for p in sorted(self.coeffs.keys() | other.coeffs.keys()):
+            diff = self.frac_coeff(p).first_difference(other.frac_coeff(p))
+            if diff is not None:
+                return (p, *diff)
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
+        return self.dim == other.dim and self.first_difference(other) is None
 
     __hash__ = None
 
@@ -279,7 +377,7 @@ def manin_entries(pencil: MonodromyPencil, twist) -> dict[tuple[int, int], DiffO
     out = {}
     for i in (1, 2):
         for j in (1, 2):
-            out[(i, j)] = DiffOp(pencil.dim, {1: t_entry_matrix(pencil, j, i) * q[j - 1]})
+            out[(i, j)] = DiffOp(pencil.dim, {1: t_entry(pencil, j, i).scale(q[j - 1])})
     return out
 
 
@@ -297,6 +395,10 @@ class BerezinianValue:
 
     def __bool__(self):
         return self.forms_agree and self.tau_free and self.central
+
+    def failed(self) -> str:
+        """Names of the failed conditions, comma-separated."""
+        return ", ".join(f for f in ("forms_agree", "tau_free", "central") if not getattr(self, f))
 
 
 @functools.cache
@@ -318,17 +420,13 @@ def berezinian(spec: ModuleSpec) -> BerezinianValue:
     f4 = (k11 + k21.mul(k22.inverse_single()).mul(k12)).mul(k22.inverse_single())
     forms_agree = f1 == f2 == f3 == f4
     tau_free = f1.powers() == [0]
-    mat = f1.coeff(0)
+    mat = f1.frac_coeff(0)
     cp = char_pair(spec)
     q1, q2 = spec.twist
     expected = RatFun(cp.phi * q1, cp.psi * q2)
-    scalar_ok = mat == _rat_identity(pencil.dim) * expected
-    central = True
-    for (i, j), ent in pencil.entries.items():
-        for c in ent.coeffs:
-            lifted = c.map_entries(lambda v: RatFun(Poly((v,))))
-            if not mat.commutes_with(lifted):
-                central = False
+    scalar_ok = mat == FracMatrix.identity(pencil.dim).scale(expected)
+    # den is a scalar, so mat commutes with a matrix exactly when its numerator does
+    central = all(mat.num.commutes_with(c) for ent in pencil.entries.values() for c in ent.coeffs)
     return BerezinianValue(expected if scalar_ok else RatFun(Poly()), forms_agree and scalar_ok, tau_free, central)
 
 
@@ -360,21 +458,26 @@ class FusionCheck:
         return self.ok
 
 
+def _equality_check(lhs, rhs, label: str) -> FusionCheck:
+    """lhs == rhs for two FracMatrix or two DiffOp; the witness is the first differing entry."""
+    diff = lhs.first_difference(rhs)
+    return FusionCheck(diff is None, label, diff)
+
+
 def expansion_matches_routes(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     """Ber(1 - Z) = sum (-1)^m T_m tau^m, checked coefficient by coefficient."""
     oper = generating_oper(spec, order)
     out = []
     for m in range(order + 1):
         if m == 0:
-            want = _rat_identity(oper.dim)
+            want = FracMatrix.identity(oper.dim)
         else:
             rc = higher_transfer(spec, m)
             if not rc.ok:
                 out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
                 continue
-            want = rc.matrix * (Fraction(-1) ** m)
-        got = oper.coeff(m)
-        out.append(FusionCheck(got == want, f"tau^{m} coefficient of the generating operator"))
+            want = FracMatrix.from_ratfun(rc.matrix).scale(Fraction(-1) ** m)
+        out.append(_equality_check(oper.frac_coeff(m), want, f"tau^{m} coefficient of the generating operator"))
     return out
 
 
@@ -390,18 +493,17 @@ def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
     ber = berezinian(spec)
     if not ber:
         return [FusionCheck(False, "berezinian inconsistent")]
-    dim = pencil.dim
     rc = higher_transfer(spec, m)
     if not rc.ok:
         return [FusionCheck(False, f"route disagreement at m={m}", rc.witness)]
     scal = RatFun(Poly((1,)))
     for i in range(1, m):
         scal = scal * (1 - ber.value.shift(i))
-    lhs = rc.matrix * scal
-    rhs = _rat_identity(dim)
-    for i in range(1, m + 1):
-        rhs = rhs @ transfer_ratfun(pencil, spec.twist, i - 1)
-    out.append(FusionCheck(lhs == rhs, f"antisymmetric transfer relation m={m}"))
+    lhs = FracMatrix.from_ratfun(rc.matrix).scale(scal)
+    rhs = transfer(pencil, spec.twist)
+    for i in range(2, m + 1):
+        rhs = rhs @ transfer(pencil, spec.twist, i - 1)
+    out.append(_equality_check(lhs, rhs, f"antisymmetric transfer relation m={m}"))
 
     hm = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[1])
     scal_h = RatFun(Poly((1,)))
@@ -409,14 +511,25 @@ def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
     for i in range(1, m):
         scal_h = scal_h * (ber.value.shift(i) - 1)
         berprod = berprod * ber.value.shift(i)
-    lhs_h = hm * scal_h
-    rhs_h = rhs * berprod
-    out.append(FusionCheck(lhs_h == rhs_h, f"symmetric transfer relation m={m}"))
+    out.append(_equality_check(hm.scale(scal_h), rhs.scale(berprod), f"symmetric transfer relation m={m}"))
 
     oper = generating_oper(spec, m)
     inv = oper.inverse_series(m)
-    out.append(FusionCheck(inv.coeff(m) == hm, f"inverse series coefficient m={m}"))
+    out.append(_equality_check(inv.frac_coeff(m), hm, f"inverse series coefficient m={m}"))
     return out
+
+
+def higher_family_commutes(spec: ModuleSpec) -> FusionCheck:
+    """Every x-coefficient of T_1 commutes with every x-coefficient of T_2.
+
+    On failure the witness is the first non-commuting coefficient pair (a, b).
+    """
+    t1, t2 = (FracMatrix.from_ratfun(higher_transfer(spec, m).matrix).coefficients() for m in (1, 2))
+    for a, ca in enumerate(t1):
+        for b, cb in enumerate(t2):
+            if not ca.commutes_with(cb):
+                return FusionCheck(False, "higher family commutes", (a, b))
+    return FusionCheck(True, "higher family commutes")
 
 
 def dy_coefficient(spec: ModuleSpec, y: Divisor, m: int) -> RatFun:
@@ -453,8 +566,8 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[FusionCh
         lhs = rc.matrix.apply(vec)
         scalar_coeff = dy_coefficient(spec, y, m) * (Fraction(-1) ** m)
         rhs = [scalar_coeff * v for v in vec]
-        ok = all(a == b for a, b in zip(lhs, rhs))
-        out.append(FusionCheck(ok, f"oper action tau^{m} on divisor {y.label()}"))
+        bad = next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+        out.append(FusionCheck(bad is None, f"oper action tau^{m} on divisor {y.label()}", bad))
     return out
 
 
@@ -472,18 +585,18 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
         raise ValueError("Ber - 1 not invertible for this chain")
     dim = pencil.dim
     oper = generating_oper(spec, order)
-    tq = transfer_ratfun(pencil, spec.twist)
+    tq = transfer(pencil, spec.twist)
     bm1 = ber.value - 1
     one = DiffOp.one(dim)
-    n1 = one - DiffOp(dim, {1: tq * (ber.value / bm1)})
-    n2 = one - DiffOp(dim, {1: tq * (1 / bm1)})
+    n1 = one - DiffOp(dim, {1: tq.scale(ber.value / bm1)})
+    n2 = one - DiffOp(dim, {1: tq.scale(1 / bm1)})
     rhs1 = n1.mul(n2.inverse_series(order), hi=order)
-    checks = [FusionCheck(oper == rhs1.truncate(order), "universal oper, first form")]
+    checks = [_equality_check(oper, rhs1.truncate(order), "universal oper, first form")]
     shifted = ber.value.shift(-1)
-    m1 = DiffOp.scalar_term(dim, 0, 1 - shifted) + DiffOp(dim, {1: tq * ber.value})
+    m1 = DiffOp.scalar_term(dim, 0, 1 - shifted) + DiffOp(dim, {1: tq.scale(ber.value)})
     m2 = DiffOp.scalar_term(dim, 0, 1 - shifted) + DiffOp(dim, {1: tq})
     rhs2 = m1.mul(m2.inverse_series(order), hi=order)
-    checks.append(FusionCheck(oper == rhs2.truncate(order), "universal oper, second form"))
+    checks.append(_equality_check(oper, rhs2.truncate(order), "universal oper, second form"))
     return checks
 
 

@@ -241,37 +241,19 @@ class OpPoly:
     def entry_poly(self, i: int, j: int) -> Poly:
         return Poly([c.get(i, j) for c in self.coeffs])
 
-    def as_ratfun_matrix(self, den: Poly) -> ExactMatrix:
-        """Matrix of RatFun entries That/den."""
+    def poly_matrix(self) -> ExactMatrix:
+        """The same operator as one matrix with Poly entries."""
+        polys: dict[tuple[int, int], list] = {}
+        for d, c in enumerate(self.coeffs):
+            for i, j, v in c.entries():
+                polys.setdefault((i, j), [0] * len(self.coeffs))[d] = v
         out = ExactMatrix(self.dim, self.dim)
-        seen = set()
-        for c in self.coeffs:
-            for i, j, _ in c.entries():
-                seen.add((i, j))
-        for i, j in seen:
-            r = RatFun(self.entry_poly(i, j), den)
-            if r:
-                out.put(i, j, r)
+        for (i, j), cs in polys.items():
+            out.put(i, j, Poly(cs))
         return out
 
     def __repr__(self):
         return f"OpPoly(degree={self.degree}, dim={self.dim})"
-
-
-def ratfun_matrix_to_oppoly(m: ExactMatrix) -> tuple[OpPoly, Poly]:
-    """Clear denominators: m = OpPoly / den with den the entrywise lcm."""
-    den = Poly((1,))
-    for _, _, v in m.entries():
-        den = Poly.lcm(den, v.den)
-    coeffs: list[ExactMatrix] = []
-    for i, j, v in m.entries():
-        p = v.num * (den // v.den)
-        for d, c in enumerate(p.coeffs):
-            while len(coeffs) <= d:
-                coeffs.append(ExactMatrix(m.nrows, m.ncols))
-            if c:
-                coeffs[d].add_to(i, j, c)
-    return OpPoly(coeffs, m.nrows), den
 
 
 @dataclass
@@ -541,15 +523,8 @@ def t_coefficient(pencil: MonodromyPencil, i: int, j: int, r: int) -> ExactMatri
     from .exactnum import laurent_expand
 
     out = ExactMatrix(pencil.dim, pencil.dim)
-    ent = pencil.entry(i, j)
-    den = pencil.normalizer
-    seen = set()
-    for c in ent.coeffs:
-        for a, b, _ in c.entries():
-            seen.add((a, b))
-    for a, b in seen:
-        p = ent.entry_poly(a, b)
-        coeffs = laurent_expand(RatFun(p, den), r)
+    for a, b, p in pencil.entry(i, j).poly_matrix().entries():
+        coeffs = laurent_expand(RatFun(p, pencil.normalizer), r)
         if coeffs[r]:
             out.put(a, b, coeffs[r])
     return out

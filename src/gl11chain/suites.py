@@ -310,7 +310,8 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
     for name, spec in fusion_specs.items():
         if spec.n > max_n:
             continue
-        items.append(_item(f"berezinian {name}", bool(fusion.berezinian(spec))))
+        ber = fusion.berezinian(spec)
+        items.append(_item(f"berezinian {name}", bool(ber), f"failed: {ber.failed()}"))
         items.append(_item(f"berezinian twist independence {name}", fusion.ber_twist_independence(spec)))
         order = tau_order if tau_order is not None else int(spec.n) + 2
         for c in fusion.expansion_matches_routes(spec, min(order, max_m)):
@@ -318,15 +319,8 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
         for m in range(1, max_m + 1):
             for c in fusion.transfer_relation_check(spec, m):
                 items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
-        # mutual commutativity of the higher family
-        mats = [fusion.higher_transfer(spec, m).matrix for m in (1, 2)]
-        polys = [monodromy.ratfun_matrix_to_oppoly(m)[0] for m in mats]
-        comm = all(
-            polys[0].coeff(a).commutes_with(polys[1].coeff(b))
-            for a in range(polys[0].degree + 1)
-            for b in range(polys[1].degree + 1)
-        )
-        items.append(_item(f"higher family commutes {name}", comm))
+        comm = fusion.higher_family_commutes(spec)
+        items.append(_item(f"higher family commutes {name}", comm.ok, f"coefficient pair {comm.witness}"))
         cp = bethe.char_pair(spec)
         # oper_action_check needs order >= 2
         if max_m >= 2 and roots_with_multiplicity(cp.gamma) is not None:
@@ -341,8 +335,11 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
                 items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
     for m in range(1, 5):
         a, h = fusion.symmetrizers(m)
-        ok = (a @ a) == a and (h @ h) == h and a.rank() == 2 and h.rank() == 2
-        items.append(_item(f"symmetrizer ranks m={m}", ok))
+        idempotent = (a @ a) == a and (h @ h) == h
+        ranks = (a.rank(), h.rank())
+        items.append(
+            _item(f"symmetrizer ranks m={m}", idempotent and ranks == (2, 2), f"ranks {ranks}, idempotent {idempotent}")
+        )
     return items
 
 

@@ -65,8 +65,12 @@ class TestSpectrum:
             "[1,2]",
             '{"weights": [[true,0]], "points": ["0"], "twist": ["1","1"]}',
             '{"weights": [[1,0]], "points": ["1/0"], "twist": ["1","1"]}',
+            '{"weights": [[1,0],[1,0]], "points": ["0","1"], "twist": ["1","1"]}',
         ],
-        ids=["short-weight", "float-point", "short-twist", "top-level-list", "bool-weight", "zero-denominator"],
+        ids=[
+            "short-weight", "float-point", "short-twist", "top-level-list", "bool-weight", "zero-denominator",
+            "non-cyclic",
+        ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"

@@ -1,24 +1,31 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix, SpanBasis
-from gl11chain.monodromy import make_spec, ratfun_matrix_to_oppoly, tensor_monodromy
+from gl11chain.monodromy import make_spec, tensor_monodromy
 from gl11chain.superlin import graded_flip
 from gl11chain.bethe import char_pair, enumerate_divisors
 from gl11chain.fusion import (
+    BerezinianValue,
     DiffOp,
+    FracMatrix,
     ber_twist_independence,
     berezinian,
     dy_coefficient,
     expansion_matches_routes,
     generating_oper,
+    higher_family_commutes,
     higher_transfer,
+    higher_transfer_expansion,
     higher_transfer_supertrace,
     oper_action_check,
     symmetrizers,
-    transfer_ratfun,
+    transfer,
     transfer_relation_check,
     universal_oper_check,
 )
@@ -58,11 +65,73 @@ class TestSymmetrizers:
         assert (a2 @ h2).is_zero()
 
 
+# denominators are products of shifted linear factors, as in the monodromy entries
+_POINTS = (F(0), F(1, 2), F(-3, 2))
+_dens = st.lists(st.tuples(st.sampled_from(_POINTS), st.integers(0, 2)), max_size=2).map(
+    lambda fs: Poly.from_roots(b + s for b, s in fs)
+)
+_ratfuns = st.builds(RatFun, st.lists(st.integers(-3, 3), max_size=3).map(Poly), _dens)
+
+
+@st.composite
+def ratfun_matrices(draw, dim):
+    m = ExactMatrix(dim, dim)
+    for i in range(dim):
+        for j in range(dim):
+            if draw(st.booleans()):
+                m.put(i, j, draw(_ratfuns))
+    return m
+
+
+class TestFracMatrix:
+    """The numerator/denominator path against the RatFun-matrix path."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_ratfun_matrices(self, data):
+        dim = data.draw(st.integers(1, 3))
+        a = data.draw(ratfun_matrices(dim))
+        b = data.draw(ratfun_matrices(dim))
+        c = data.draw(_ratfuns)
+        s = data.draw(st.integers(-2, 2))
+        fa, fb = FracMatrix.from_ratfun(a), FracMatrix.from_ratfun(b)
+        assert fa.to_ratfun() == a
+        assert (fa @ fb).to_ratfun() == a @ b
+        assert (fa + fb).to_ratfun() == a + b
+        assert fa.scale(c).to_ratfun() == a * c
+        assert fa.shift(s).to_ratfun() == a.map_entries(lambda r: r.shift(s))
+        assert (fa == fb) == (a == b)
+        try:
+            inv = a.inverse()
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                fa.inverse()
+        else:
+            assert fa.inverse().to_ratfun() == inv
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equality_cross_multiplies(self, data):
+        dim = data.draw(st.integers(1, 3))
+        a = data.draw(ratfun_matrices(dim))
+        fa = FracMatrix.from_ratfun(a)
+        extra = data.draw(_dens)
+        # the same matrix over a larger denominator
+        assert FracMatrix(fa.num * extra, fa.den * extra) == fa
+        i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+        perturbed = a.copy()
+        perturbed.add_to(i, j, data.draw(_ratfuns.filter(bool)))
+        fp = FracMatrix.from_ratfun(perturbed)
+        assert (perturbed == a) is False
+        assert FracMatrix(fp.num * extra, fp.den * extra) != fa
+        assert fp.first_difference(fa) == (i, j)
+
+
 class TestHigherTransfer:
     def test_m1_is_transfer(self):
         pen = tensor_monodromy(E1)
         a1, _ = symmetrizers(1)
-        assert higher_transfer_supertrace(pen, E1.twist, 1, a1) == transfer_ratfun(pen, E1.twist)
+        assert higher_transfer_supertrace(pen, E1.twist, 1, a1) == transfer(pen, E1.twist)
 
     def test_hand_value_single_site(self):
         # second transfer matrix on the highest vector of one site at 0:
@@ -77,11 +146,18 @@ class TestHigherTransfer:
         assert higher_transfer(spec, m).ok
 
     def test_mutual_commutativity(self):
-        mats = [higher_transfer(E2, m).matrix for m in (1, 2)]
-        polys = [ratfun_matrix_to_oppoly(m)[0] for m in mats]
-        for a in range(polys[0].degree + 1):
-            for b in range(polys[1].degree + 1):
-                assert polys[0].coeff(a).commutes_with(polys[1].coeff(b))
+        assert higher_family_commutes(E2).ok
+
+    def test_sign_flip_breaks_route_agreement(self):
+        # negative control: a corrupted copy of the pencil must disagree
+        pen = tensor_monodromy(E2)
+        bad = replace(pen, entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
+        a2 = symmetrizers(2)[0]
+        want = higher_transfer_expansion(pen, E2.twist, 2)
+        assert higher_transfer_supertrace(pen, E2.twist, 2, a2) == want
+        got = higher_transfer_supertrace(bad, E2.twist, 2, a2)
+        assert got != want
+        assert got.first_difference(want) is not None
 
 
 class TestBerezinian:
@@ -106,6 +182,9 @@ class TestBerezinian:
     @pytest.mark.parametrize("spec", [E1, E2, E4], ids=["E1", "E2", "E4"])
     def test_twist_independence(self, spec):
         assert ber_twist_independence(spec)
+
+    def test_failed_names_the_conditions(self):
+        assert BerezinianValue(rat(Poly()), True, False, False).failed() == "tau_free, central"
 
     def test_trivial_module_value(self):
         # one-dimensional site with zero action: the quotient collapses to
@@ -183,6 +262,26 @@ class TestTransferRelations:
     def test_both_identities(self, spec, m):
         for c in transfer_relation_check(spec, m):
             assert c.ok, c.label
+
+    def test_gcd_budget_on_cold_chain(self, monkeypatch):
+        # each entry is canonicalised once, at the end; RatFun-matrix
+        # products, which canonicalise every entry of every product, made
+        # 10133 gcd calls here
+        for fn in (tensor_monodromy, berezinian, higher_transfer):
+            fn.cache_clear()
+        calls = 0
+        gcd = Poly.gcd
+
+        def counting_gcd(a, b):
+            nonlocal calls
+            calls += 1
+            return gcd(a, b)
+
+        monkeypatch.setattr(Poly, "gcd", staticmethod(counting_gcd))
+        spec = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
+        for m in (1, 2, 3):
+            assert all(transfer_relation_check(spec, m))
+        assert calls <= 2000
 
 
 class TestOperAction:
