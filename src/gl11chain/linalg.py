@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 from .exactnum import Scalar
 
 Vector = list
+_ZERO = Fraction(0)
 
 
 class ExactMatrix:
@@ -319,52 +320,79 @@ class ExactMatrix:
 
 
 class SpanBasis:
-    """Incremental echelonized basis of a span of vectors (field entries)."""
+    """Incremental echelonized basis of a span of vectors (field entries).
+
+    Vectors come and go dense; the stored rows are sparse {col: value} dicts
+    in reduced row echelon form.  Row i is 1 at pivots[i], its first nonzero
+    column, and 0 at every other row's pivot.  Reducing a vector therefore
+    subtracts, once each, the rows whose pivots it touches, so its cost is
+    the nonzeros of those rows, not the vector length.
+    """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: list[Vector] = []
+        self.rows: list[dict] = []
         self.pivots: list[int] = []
+        self._row_at: dict[int, dict] = {}  # pivot column -> its row
+
+    def copy(self) -> "SpanBasis":
+        out = SpanBasis(self.length)
+        for row, p in zip(self.rows, self.pivots):
+            out.rows.append(dict(row))
+            out.pivots.append(p)
+            out._row_at[p] = out.rows[-1]
+        return out
+
+    def _reduced(self, vec: Sequence) -> dict:
+        """The reduction of vec as {col: value}, zeros dropped."""
+        v = {j: a for j, a in enumerate(vec) if a}
+        row_at = self._row_at
+        for p in [j for j in v if j in row_at]:
+            f = v.pop(p)
+            for j, b in row_at[p].items():
+                if j != p:
+                    a = v.get(j, 0) - f * b
+                    if a:
+                        v[j] = a
+                    else:
+                        del v[j]
+        return v
 
     def reduce(self, vec: Sequence) -> Vector:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        v = self._reduced(vec)
+        return [v.get(j, _ZERO) for j in range(len(vec))]
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; returns True when it was independent."""
-        v = self.reduce(vec)
-        p = next((i for i, a in enumerate(v) if a), None)
-        if p is None:
+        v = self._reduced(vec)
+        if not v:
             return False
+        p = min(v)
         inv = v[p]
-        v = [a / inv for a in v]
-        for i, (row, q) in enumerate(zip(self.rows, self.pivots)):
-            if row[p]:
-                f = row[p]
-                self.rows[i] = [a - f * b for a, b in zip(row, v)]
+        v = {j: a / inv for j, a in v.items()}
+        for row in self.rows:
+            f = row.get(p)
+            if f:
+                for j, b in v.items():
+                    a = row.get(j, 0) - f * b
+                    if a:
+                        row[j] = a
+                    else:
+                        del row[j]
         self.rows.append(v)
         self.pivots.append(p)
+        self._row_at[p] = v
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return all(not a for a in self.reduce(vec))
+        return not self._reduced(vec)
 
     def coordinates(self, vec: Sequence) -> "Vector | None":
         """Coefficients expressing vec in the stored basis, or None."""
-        v = list(vec)
-        coords = [Fraction(0)] * len(self.rows)
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            if v[p]:
-                f = v[p]
-                coords[i] = f
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
+        if self._reduced(vec):
             return None
-        return coords
+        # every other row is 0 at a row's pivot, so its coefficient is vec there
+        return [vec[p] or _ZERO for p in self.pivots]
 
     @property
     def dim(self) -> int:

@@ -361,23 +361,16 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
                 items.append(_item(f"model n={n} l={level}: {c.label}", c.ok))
     items.append(_item("entry action commutes with modified action", weylspace.gamma_commutes_with_modified(2, 2)))
     items.append(_item("vacuum generates by degree", weylspace.cyclicity_by_degree(2, 3)))
-    items.append(_item("specialization n=1", weylspace.specialization_check(1, [Fraction(0)]).ok))
-    items.append(
-        _item("specialization n=2", weylspace.specialization_check(2, [Fraction(1, 2), Fraction(0)]).ok)
-    )
-    items.append(
-        _item(
-            "specialization ordering rejected",
-            not weylspace.specialization_check(2, [Fraction(0), Fraction(1)]).ok,
-        )
-    )
+    cases = [
+        ("specialization n=1", [Fraction(0)], True),
+        ("specialization n=2", [Fraction(1, 2), Fraction(0)], True),
+        ("specialization ordering rejected", [Fraction(0), Fraction(1)], False),
+    ]
     if max_n >= 3:
-        items.append(
-            _item(
-                "specialization n=3",
-                weylspace.specialization_check(3, [Fraction(1, 2), Fraction(0), Fraction(-2)]).ok,
-            )
-        )
+        cases.append(("specialization n=3", [Fraction(1, 2), Fraction(0), Fraction(-2)], True))
+    for name, points, expect in cases:
+        res = weylspace.specialization_check(len(points), points)
+        items.append(_item(name, res.ok == expect, res.detail))
     return items
 
 

@@ -1,8 +1,9 @@
 """Polynomial-coefficient model: the vector power tensored with C[z_1..z_n].
 
 Vectors are dicts {basis index of the n-fold vector power: MPoly}, where
-MPoly is a sparse exact multivariate polynomial over Fraction.  Two
-symmetric-group actions matter:
+MPoly is a sparse exact multivariate polynomial (Fraction coefficients,
+or int where every coefficient is known to be integral).  Two symmetric-group
+actions matter:
 
   standard   s_i = graded flip composed with the z_i <-> z_{i+1} swap;
   modified   shat_i = standard + divided difference (exact, degree-lowering).
@@ -10,10 +11,16 @@ symmetric-group actions matter:
 The divided difference (f - f^swap)/(z_i - z_{i+1}) is computed termwise
 from the factored geometric sum, so no generic polynomial division occurs.
 
-Invariant dimensions use the averaging projector over the modified action
-(the relations are verified separately), and the singular refinement uses
-the projector raise . lower / n, exact because raise-lower + lower-raise
-acts by the scalar n on the whole space.
+Invariant dimensions come from the trace of the averaging projector,
+(1/n!) sum_g tr(g).  A trace is a class function, so the sum runs over the
+cycle types of S_n: one word in the s_i per type (a k-cycle on positions
+a..a+k-1 is s_a s_{a+1} ... s_{a+k-2}), weighted by the class size n!/z.
+Only diagonal coefficients are read.  The singular refinement composes
+with the projector e12[0] e21[0] / n (raise, then lower), exact because
+raise-lower + lower-raise acts by the scalar n on the whole space.
+Neither the modified action nor the zero-mode currents raise degree, so
+one pass over the monomials of degree <= d sorts the diagonal into every
+graded dimension up to d.
 """
 
 from __future__ import annotations
@@ -21,9 +28,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import comb, factorial
 from typing import Callable, Optional, Sequence
 
-from .exactnum import q_pochhammer_inverse, scalar, series_mul
+from .exactnum import elementary_symmetric, q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis, solve_in_span
 from .monodromy import lax_blocks, lax_oppoly, make_spec, tensor_monodromy
 from .superlin import SuperSpace, permutation_closure
@@ -72,7 +81,7 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MPoly(self.n, out)
 
     __radd__ = __add__
@@ -97,7 +106,7 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return MPoly(self.n, out)
 
     __rmul__ = __mul__
@@ -125,7 +134,7 @@ class MPoly:
                 le[i] = lo + u
                 le[j] = lo + (hi - lo - 1 - u)
                 key = tuple(le)
-                out[key] = out.get(key, Fraction(0)) + sign * c
+                out[key] = out.get(key, 0) + sign * c
         return MPoly(self.n, out)
 
     def __repr__(self):
@@ -326,48 +335,77 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> bool:
     return True
 
 
-def _trace(m: ExactMatrix) -> Fraction:
-    total = Fraction(0)
-    for i, row in m.rows.items():
-        v = row.get(i)
-        if v:
-            total += v
-    return total
+def _class_words(n: int) -> list[tuple[list[int], int]]:
+    """One word in s_0 .. s_{n-2} per cycle type of S_n, with the class size.
+
+    A part k placed on positions a .. a+k-1 is the k-cycle s_a s_{a+1} ...
+    s_{a+k-2}; the class of cycle type lambda has n!/z_lambda elements, with
+    z_lambda = prod_k k^(m_k) m_k! for m_k parts equal to k.
+    """
+    out = []
+
+    def rec(prefix: list[int], rest: int, largest: int) -> None:
+        if rest == 0:
+            word: list[int] = []
+            z = 1
+            a = 0
+            for k in prefix:
+                word.extend(range(a, a + k - 1))
+                a += k
+            for k in set(prefix):
+                m = prefix.count(k)
+                z *= k**m * factorial(m)
+            out.append((word, factorial(n) // z))
+            return
+        for k in range(min(rest, largest), 0, -1):
+            rec(prefix + [k], rest - k, k)
+
+    rec([], n, n)
+    return out
 
 
 def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> list[int]:
     """Graded dimensions (degrees 0..d) of the modified-action invariants.
 
-    Uses the exact group-averaging trace formula; the singular part composes
-    with the projector raise.lower/n.  Filtered dimensions are converted to
-    graded ones by differencing.
+    The invariants have dimension tr(averaging projector) = (1/n!) sum_g
+    tr(g), and tr(g) depends only on the cycle type of g: each word from
+    _class_words counts for its whole class.  For the singular part the
+    projector e12[0] e21[0] / n (raise, then lower) follows g.  Only the
+    diagonal is read: each word is applied to each basis vector (c, z^e) of
+    the degree-<=d chart, and the coefficient of (c, z^e) in the image goes
+    to the bucket of degree |e|.  The modified action is the standard action
+    plus a divided difference that strictly lowers degree, and the zero-mode
+    currents keep degree, so every operator here is triangular for the
+    degree filtration.  Its trace on the degree-delta graded piece is the
+    sum of its diagonal entries at degree-delta monomials, so one pass at
+    degree d gives every graded dimension up to d.
     """
     space = SuperSpace.tensor_power(n)
-    filtered = []
-    for delta in range(d + 1):
-        coords = Coords.build(n, level, delta)
-        if coords.dim == 0:
-            filtered.append(0)
-            continue
-        mats = [
-            coords.matrix_of(lambda f, i=i: modified_action(space, i, f))
-            for i in range(n - 1)
-        ]
-        group = list(permutation_closure(mats, coords.dim).values())
-        proj = None
-        if singular_only:
-            up_coords = Coords.build(n, level + 1, delta)
-            raise_m = coords.matrix_into(up_coords, lambda f: current_action(space, 2, 1, 0, f))
-            lower_m = up_coords.matrix_into(coords, lambda f: current_action(space, 1, 2, 0, f))
-            proj = (lower_m @ raise_m) * Fraction(1, n)
-        total = Fraction(0)
-        for g in group:
-            total += _trace(proj @ g) if proj is not None else _trace(g)
-        dim = total / len(group)
-        if dim.denominator != 1:
-            raise ArithmeticError(f"invariant dimension {dim} at degree {delta} is not an integer")
-        filtered.append(int(dim))
-    return [filtered[0]] + [filtered[i] - filtered[i - 1] for i in range(1, d + 1)]
+    coords = Coords.build(n, level, d)
+    totals = [0] * (d + 1)
+    for word, size in _class_words(n):
+        for c in coords.components:
+            for e in coords.monomials:
+                # an int unit keeps every coefficient an int: the actions have
+                # integer coefficients and the division by n! comes last
+                f = {c: MPoly(n, {e: 1})}
+                for i in reversed(word):
+                    f = modified_action(space, i, f)
+                if singular_only:
+                    f = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, f))
+                diag = f[c].terms.get(e) if c in f else None
+                if diag:
+                    totals[sum(e)] += size * diag
+    norm = factorial(n) * (n if singular_only else 1)
+    out = []
+    for delta, total in enumerate(totals):
+        dim, rem = divmod(total, norm)
+        if rem:
+            raise ArithmeticError(
+                f"invariant dimension {Fraction(total, norm)} at degree {delta} is not an integer"
+            )
+        out.append(dim)
+    return out
 
 
 def character_series(n: int, level: int, d: int, singular_only: bool) -> list[int]:
@@ -653,23 +691,34 @@ class _QuotientLevel:
                     continue
                 self.ideal.add(self.coords.to_vector({c: shifter * p for c, p in w.items()}))
         self.reps: list[dict] = []
-        probe = SpanBasis(self.coords.dim)
-        for row in self.ideal.rows:
-            probe.add(row)
+        probe = self.ideal.copy()
         for w in modified_invariant_basis(n, level, dcap):
             if probe.add(self.coords.to_vector(w)):
                 self.reps.append(w)
+        r = len(self.reps)
         self.rep_matrix = ExactMatrix.from_columns(
             [self.ideal.reduce(self.coords.to_vector(w)) for w in self.reps], self.coords.dim
         )
+        # the reps are independent modulo the ideal, so rep_matrix has full
+        # column rank: solve on r independent rows, once per level
+        rows = SpanBasis(r)
+        self._solve_rows = []
+        for i in sorted(self.rep_matrix.rows):
+            if rows.dim == r:
+                break
+            if rows.add([self.rep_matrix.get(i, j) for j in range(r)]):
+                self._solve_rows.append(i)
+        self._solve_inv = self.rep_matrix.submatrix(self._solve_rows, range(r)).inverse()
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def class_coords(self, f: dict):
+        """Coordinates of f's class in the reps, or None when f is outside their span."""
         red = self.ideal.reduce(self.coords.to_vector(f))
-        return solve_in_span(self.rep_matrix, red)
+        x = self._solve_inv.apply([red[i] for i in self._solve_rows])
+        return x if self.rep_matrix.apply(x) == red else None
 
 
 def specialization_check(n: int, points: Sequence) -> SpecializationResult:
@@ -686,10 +735,6 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
             if a[i] == a[j] + 1:
                 return SpecializationResult(False, "ordering precondition violated")
     space = SuperSpace.tensor_power(n)
-    from math import comb
-
-    from .exactnum import elementary_symmetric
-
     sig_vals = elementary_symmetric(a)
     spec = make_spec([(1, 0)] * n, [str(v) for v in a], (1, 1))
     pencil = tensor_monodromy(spec)
@@ -705,26 +750,32 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
         offsets.append(total)
         total += q.dim
     level_shift = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
+    @cache
+    def rep_image(key, lv, ri):
+        """Class coordinates of an entry coefficient applied to a rep, None for 0."""
+        (i, j, d) = key
+        img = _apply_mpoly_matrix(space, blocks[(i, j)].coeff(d), levels[lv].reps[ri], n)
+        if not img:
+            return None
+        sol = levels[lv + level_shift[(i, j)]].class_coords(img)
+        if sol is None:
+            raise ValueError("action does not preserve the quotient")
+        return sol
 
     def q_apply(key, f):
         """Apply an entry coefficient to a quotient vector."""
-        (i, j, d) = key
-        c = blocks[(i, j)].coeff(d)
         out = [Fraction(0)] * total
         for lv, q in enumerate(levels):
-            tgt = lv + level_shift[(i, j)]
+            tgt = lv + level_shift[key[:2]]
             if not (0 <= tgt <= n) or levels[tgt].dim == 0:
                 continue
             for ri in range(q.dim):
                 coef = f[offsets[lv] + ri]
                 if not coef:
                     continue
-                img = _apply_mpoly_matrix(space, c, q.reps[ri], n)
-                if not img:
-                    continue
-                sol = levels[tgt].class_coords(img)
+                sol = rep_image(key, lv, ri)
                 if sol is None:
-                    raise ValueError("action does not preserve the quotient")
+                    continue
                 for pos, v in enumerate(sol):
                     out[offsets[tgt] + pos] += coef * v
         return out

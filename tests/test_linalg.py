@@ -74,7 +74,83 @@ class TestExactMatrix:
         assert sq.get(1, 1) == (x + 1) * (x + 1)
 
 
+class DenseEchelon:
+    """Reference span: dense rows in reduced echelon form, first-nonzero pivots."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        p = next((i for i, a in enumerate(v) if a), None)
+        if p is None:
+            return False
+        v = [a / v[p] for a in v]
+        for i, row in enumerate(self.rows):
+            if row[p]:
+                self.rows[i] = [a - row[p] * b for a, b in zip(row, v)]
+        self.rows.append(v)
+        self.pivots.append(p)
+        return True
+
+
+small = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 3), F(-5, 2)])
+
+
+@st.composite
+def vector_streams(draw):
+    """Short vectors, with zero, repeated and dependent ones mixed in."""
+    length = draw(st.integers(1, 5))
+    fresh = st.lists(small, min_size=length, max_size=length)
+    vecs = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            v = [F(0)] * length
+        elif kind == "fresh" or not vecs:
+            v = draw(fresh)
+        elif kind == "repeat":
+            v = list(draw(st.sampled_from(vecs)))
+        else:
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            ca, cb = draw(rationals), draw(rationals)
+            v = [ca * x + cb * y for x, y in zip(a, b)]
+        vecs.append(v)
+    return length, vecs, draw(st.lists(fresh, max_size=3))
+
+
 class TestSpanBasis:
+    @given(vector_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_echelon(self, stream):
+        length, vecs, probes = stream
+        sparse, ref = SpanBasis(length), DenseEchelon()
+        for v in vecs:
+            assert sparse.add(v) == ref.add(v)
+            assert sparse.dim == len(ref.rows)
+            assert sparse.pivots == ref.pivots
+            assert [[r.get(j, 0) for j in range(length)] for r in sparse.rows] == ref.rows
+        for w in vecs + probes:
+            red = ref.reduce(w)
+            assert sparse.reduce(w) == red
+            assert sparse.contains(w) == (not any(red))
+            assert sparse.copy().reduce(w) == red
+            coords = sparse.coordinates(w)
+            if any(red):
+                assert coords is None
+            else:
+                rows = sparse.rows
+                assert [sum(c * r.get(j, 0) for c, r in zip(coords, rows)) for j in range(length)] == w
+
     def test_add_and_contains(self):
         s = SpanBasis(3)
         assert s.add([F(1), F(0), F(1)])

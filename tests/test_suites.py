@@ -1,11 +1,12 @@
 import pytest
 
-from gl11chain import cli
+from gl11chain import cli, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
 from gl11chain.bethe import char_pair
 from gl11chain.shapoform import form_matrix
+from gl11chain.weylspace import SpecializationResult
 
 
 def test_suite_specs_cover_the_cases():
@@ -40,6 +41,15 @@ def test_weyl_suite_small_caps():
     items = run_suite("weyl", max_n=2, degree_cap=3)
     bad = [it for it in items if not it.ok]
     assert not bad, bad
+
+
+def test_specialization_items_carry_the_detail(monkeypatch):
+    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(False, "x"))
+    items = {it.name: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
+    for name in ("specialization n=1", "specialization n=2", "specialization n=3"):
+        assert not items[name].ok and items[name].detail == "x"
+    rejected = items["specialization ordering rejected"]
+    assert rejected.ok and rejected.detail == ""
 
 
 def test_injected_bug_caught():

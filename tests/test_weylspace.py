@@ -1,11 +1,14 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl11chain.linalg import SpanBasis
-from gl11chain.superlin import SuperSpace
+from gl11chain import weylspace
+from gl11chain.exactnum import elementary_symmetric
+from gl11chain.linalg import ExactMatrix, SpanBasis
+from gl11chain.superlin import SuperSpace, permutation_closure
 from gl11chain.weylspace import (
     Coords,
     MPoly,
@@ -33,6 +36,34 @@ def count_pairs_of_partitions(l, m, d):
         return sum(count(parts_max - 1, total - parts_max * j) for j in range(total // parts_max + 1))
 
     return sum(count(l, a) * count(m, d - a) for a in range(d + 1))
+
+
+def _trace(m: ExactMatrix) -> F:
+    return sum((row.get(i, F(0)) for i, row in m.rows.items()), F(0))
+
+
+def group_averaging_dimensions(n, level, d, singular_only):
+    """Graded invariant dimensions from all n! group matrices (oracle).
+
+    For each filtered degree delta <= d: the matrices of the modified action
+    on the degree-<=delta chart, their closure to the whole group, and the
+    average of tr(g), or of tr(proj @ g) with the singular projector
+    lower . raise / n.  Graded dimensions are differences of the filtered ones.
+    """
+    space = SuperSpace.tensor_power(n)
+    filtered = []
+    for delta in range(d + 1):
+        coords = Coords.build(n, level, delta)
+        mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
+        group = list(permutation_closure(mats, coords.dim).values())
+        if singular_only:
+            up = Coords.build(n, level + 1, delta)
+            raise_m = coords.matrix_into(up, lambda f: current_action(space, 2, 1, 0, f))
+            lower_m = up.matrix_into(coords, lambda f: current_action(space, 1, 2, 0, f))
+            proj = (lower_m @ raise_m) * F(1, n)
+            group = [proj @ g for g in group]
+        filtered.append(sum((_trace(g) for g in group), F(0)) / factorial(n))
+    return [filtered[0]] + [filtered[i] - filtered[i - 1] for i in range(1, d + 1)]
 
 
 class TestMPoly:
@@ -104,6 +135,36 @@ class TestInvariantDimensions:
     def test_singular_match_series(self, n, l):
         d = 4
         assert invariant_dimensions(n, l, d, True) == character_series(n, l, d, True)
+
+    @pytest.mark.parametrize("singular_only", [False, True])
+    @pytest.mark.parametrize(
+        "n,l", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
+    )
+    def test_class_traces_match_group_averaging(self, n, l, singular_only):
+        for d in range(4):
+            want = group_averaging_dimensions(n, l, d, singular_only)
+            assert invariant_dimensions(n, l, d, singular_only) == want
+
+    def test_class_traces_build_no_group(self, monkeypatch):
+        # one word per cycle type, applied to basis vectors: no group
+        # matrices, no products of matrices
+        calls = {"permutation_closure": 0, "matmul": 0}
+        closure = weylspace.permutation_closure
+        matmul = ExactMatrix.__matmul__
+
+        def counting_closure(*args):
+            calls["permutation_closure"] += 1
+            return closure(*args)
+
+        def counting_matmul(self, other):
+            calls["matmul"] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(weylspace, "permutation_closure", counting_closure)
+        monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
+        got = invariant_dimensions(4, 2, 4, True)
+        assert calls == {"permutation_closure": 0, "matmul": 0}
+        assert got == character_series(4, 2, 4, True)
 
     def test_frozen_values(self):
         assert invariant_dimensions(2, 1, 3, False) == [1, 2, 3, 4]
@@ -179,6 +240,16 @@ class TestGammaInteraction:
 
 
 class TestSpecialization:
+    def test_class_coords_outside_span(self):
+        # the quotient's classes are spanned by invariants; the (0, 1)
+        # component alone is not invariant, since s_0 moves it to (1, 0)
+        sp = SuperSpace.tensor_power(2)
+        q = weylspace._QuotientLevel(2, 1, elementary_symmetric([F(1, 2), F(0)]), 1)
+        assert q.dim == 2
+        assert q.class_coords({sp.index((0, 1)): MPoly.const(2, 1)}) is None
+        for ri, rep in enumerate(q.reps):
+            assert q.class_coords(rep) == [F(int(ri == j)) for j in range(q.dim)]
+
     def test_trivial(self):
         assert specialization_check(1, [F(0)]).ok
 
