@@ -13,6 +13,7 @@ regularization extension t_i -> t_i + i*eps and specialized at eps = 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,21 +42,32 @@ from .superlin import Weight, singular_subspace, weight_spaces
 
 @dataclass(frozen=True)
 class CharPair:
-    """Vacuum polynomials and the characteristic polynomial gamma."""
+    """Vacuum polynomials and the characteristic polynomial gamma.
+
+    The vacuum eigenvalue ratios zeta1 = phi / normalizer and
+    zeta2 = psi / normalizer are built on first use: the split search reads
+    only gamma.
+    """
 
     phi: Poly
     psi: Poly
     gamma: Poly
-    zeta1: RatFun
-    zeta2: RatFun
+    spec: ModuleSpec = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def zeta1(self) -> RatFun:
+        return RatFun(self.phi, self.spec.normalizer())
+
+    @functools.cached_property
+    def zeta2(self) -> RatFun:
+        return RatFun(self.psi, self.spec.normalizer())
 
 
 def char_pair(spec: ModuleSpec) -> CharPair:
     phi, psi = phi_psi(spec)
     q1, q2 = spec.twist
     gamma = phi * q1 - psi * q2
-    norm = spec.normalizer()
-    cp = CharPair(phi, psi, gamma, RatFun(phi, norm), RatFun(psi, norm))
+    cp = CharPair(phi, psi, gamma, spec)
     if spec.is_twisted():
         deg, lead = spec.k, q1 - q2
     else:

@@ -117,6 +117,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random_spec(args) -> int:
+    if args.k < 1:
+        print(f"error: --k must be a positive integer, got {args.k}", file=sys.stderr)
+        return 2
+    if args.weight_budget < args.k:
+        print(
+            f"error: --weight-budget {args.weight_budget} is below --k {args.k}; every site needs l1 >= 1",
+            file=sys.stderr,
+        )
+        return 2
     rng = random.Random(args.seed)
     cands = [Fraction(n, d) for d in (1, 2, 3) for n in range(-9, 10)]
     for _ in range(20000):

@@ -23,6 +23,7 @@ through the usual arithmetic operators.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Fraction
@@ -267,10 +268,6 @@ class Poly:
         """Coefficient array, lowest degree first, as "p/q" strings."""
         return [format_scalar(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_strings(items: Sequence[str]) -> "Poly":
-        return Poly(tuple(parse_scalar(s) for s in items))
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"
@@ -492,8 +489,6 @@ def _divisors(m: int) -> list[int]:
 
 def _to_primitive_int(p: Poly) -> list[int]:
     """Scale to a primitive integer coefficient list (content removed)."""
-    from math import gcd, lcm
-
     den = 1
     for c in p.coeffs:
         den = lcm(den, c.denominator)
@@ -504,49 +499,104 @@ def _to_primitive_int(p: Poly) -> list[int]:
     return [v // g for v in ints]
 
 
-def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p, without multiplicity."""
-    ints = _to_primitive_int(p)
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        # x = 0 handled by the caller via constant-term check
-    roots = []
-    if p.coeff(0) == 0:
-        roots.append(Fraction(0))
-    if not ints:
-        return roots
-    a0, ad = ints[0], ints[-1]
-    seen = set(roots)
-    for pn in _divisors(a0):
-        for qn in _divisors(ad):
-            for cand in (Fraction(pn, qn), Fraction(-pn, qn)):
-                if cand not in seen and p(cand) == 0:
-                    roots.append(cand)
-                    seen.add(cand)
-    return roots
+# Small primes for the early rejection in roots_with_multiplicity.
+_SIEVE_PRIMES = (5, 7, 11, 13)
+
+
+def _root_count_mod(ints: Sequence[int], ell: int) -> int:
+    """Roots in F_ell, with multiplicity, of an integer list (lowest first).
+
+    The leading coefficient must be a unit mod ell.
+    """
+    cs = [c % ell for c in ints]
+    count = 0
+    for r in range(ell):
+        while len(cs) > 1:
+            # synthetic division by (x - r) over F_ell
+            quot = [0] * (len(cs) - 1)
+            acc = cs[-1]
+            for i in range(len(cs) - 2, -1, -1):
+                quot[i] = acc
+                acc = (acc * r + cs[i]) % ell
+            if acc:
+                break
+            cs = quot
+            count += 1
+    return count
+
+
+def _peel(ints: list[int], p: int, q: int) -> "list[int] | None":
+    """Exact quotient of an integer list by (q x - p), or None if inexact.
+
+    For a primitive integer polynomial and a reduced p/q, the quotient is
+    integral exactly when p/q is a root (Gauss's lemma), so a single
+    inexact step proves p/q is not one.
+    """
+    d = len(ints) - 1
+    quot = [0] * d
+    b, rem = divmod(ints[d], q)
+    if rem:
+        return None
+    for k in range(d - 1, 0, -1):
+        quot[k] = b
+        b, rem = divmod(ints[k] + p * b, q)
+        if rem:
+            return None
+    quot[0] = b
+    return quot if -p * b == ints[0] else None
 
 
 def roots_with_multiplicity(p: Poly) -> "list[tuple[Fraction, int]] | None":
     """Sorted (root, multiplicity) pairs, or None when p does not split.
 
-    Peels each rational root off p as often as it divides; p splits over
-    the rationals exactly when the cofactor left is a constant.
-    Raises ValueError("zero input") for the zero polynomial.
+    Works on the primitive integer form a_d x^d + ... + a_0 of p, after
+    x = 0 is stripped with its multiplicity.
+
+    Sieve: for each prime l in _SIEVE_PRIMES with l not dividing a_d, count
+    the roots of p mod l in F_l with multiplicity; fewer than deg p proves
+    that p does not split.  Sound because a split primitive p is, by
+    Gauss's lemma, +-prod(q_i x - p_i) with each factor primitive, so
+    a_d = +-prod q_i and l divides no q_i; mod l, p is then a_d prod(x - r_i)
+    with r_i = p_i / q_i in F_l, which has deg p roots with multiplicity.
+    No discriminant condition is needed, since multiplicity is counted.
+
+    Peel: each candidate u/v in lowest terms with u | a_0 and v | a_d
+    (rational root theorem) is divided out exactly in Z[x] by (v x - u) as
+    often as it divides; p splits exactly when the cofactor left is a
+    constant.  Raises ValueError("zero input") for the zero polynomial.
     """
     if p.is_zero():
         raise ValueError("zero input")
-    rest = p.monic()
-    out = []
-    for r in _rational_roots(rest):
+    ints = _to_primitive_int(p)
+    zeros = 0
+    while ints[zeros] == 0:
+        zeros += 1
+    ints = ints[zeros:]
+    deg = len(ints) - 1
+    for ell in _SIEVE_PRIMES:
+        if ints[-1] % ell and _root_count_mod(ints, ell) < deg:
+            return None
+    out = [(Fraction(0), zeros)] if zeros else []
+    cands = [
+        (sign * u, v)
+        for u in _divisors(ints[0])
+        for v in _divisors(ints[-1])
+        if gcd(u, v) == 1
+        for sign in (1, -1)
+    ]
+    for num, den in cands:
         m = 0
-        while True:
-            q, rem = divmod(rest, Poly((-r, 1)))
-            if not rem.is_zero():
+        while len(ints) > 1 and ints[0] % num == 0 and ints[-1] % den == 0:
+            quot = _peel(ints, num, den)
+            if quot is None:
                 break
-            rest = q
+            ints = quot
             m += 1
-        out.append((r, m))
-    return sorted(out) if rest.degree == 0 else None
+        if m:
+            out.append((Fraction(num, den), m))
+        if len(ints) == 1:
+            return sorted(out)
+    return None
 
 
 def elementary_symmetric(values: Sequence[Fraction]) -> list[Fraction]:

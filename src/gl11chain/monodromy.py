@@ -494,14 +494,19 @@ def reduce_lambda2(spec: ModuleSpec) -> tuple[ModuleSpec, RatFun]:
 
 
 def cyclicity_and_irreducibility(spec: ModuleSpec) -> tuple[bool, bool]:
-    """(cyclic, irreducible) from the arithmetic conditions on the points."""
+    """(cyclic, irreducible) from the arithmetic conditions on the points.
+
+    Irreducible means gcd(phi, psi) = 1.  Both are products of known linear
+    factors (see phi_psi), with roots b_s - l1_s and b_s + l2_s, so they are
+    coprime exactly when the two root sets are disjoint.
+    """
     cyclic = True
     for i in range(spec.k):
         for j in range(i + 1, spec.k):
             if spec.points[j] == spec.points[i] + spec.weights[i].l2 + spec.weights[j].l1:
                 cyclic = False
-    phi, psi = phi_psi(spec)
-    irreducible = Poly.gcd(phi, psi).degree == 0
+    phi_roots = {b - wt.l1 for wt, b in zip(spec.weights, spec.points)}
+    irreducible = phi_roots.isdisjoint(b + wt.l2 for wt, b in zip(spec.weights, spec.points))
     return cyclic, irreducible
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .exactnum import roots_with_multiplicity
+from .exactnum import format_scalar, roots_with_multiplicity
 from . import bethe, bethealg, fusion, monodromy, shapoform, weylspace
 from .monodromy import ModuleSpec, make_spec
 from .superlin import gl_generator
@@ -50,6 +50,14 @@ class SuiteItem:
 
 def _item(name: str, ok: bool, detail: str = "") -> SuiteItem:
     return SuiteItem(name, bool(ok), detail if not ok else "")
+
+
+def _vectors_item(name: str, a, b) -> SuiteItem:
+    """Item for the equality of two vectors; on failure, the first differing index."""
+    if a == b:
+        return _item(name, True)
+    i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    return _item(name, False, f"first differing index {i}: {format_scalar(a[i])} vs {format_scalar(b[i])}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +193,17 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
     e2 = suite_specs()["E2"]
     bd = bethe.bethe_vector(e2, [Fraction(-1, 4)])
     be = bethe.bethe_vector_eps(e2, [Fraction(-1, 4)])
-    items.append(_item("regularized route agrees", bd.vector == be.vector))
+    items.append(_vectors_item("regularized route agrees", bd.vector, be.vector))
     e3 = suite_specs()["E3"]
     bd3 = bethe.bethe_vector(e3, [Fraction(-1, 2), Fraction(-1, 2)])
     be3 = bethe.bethe_vector_eps(e3, [Fraction(-1, 2), Fraction(-1, 2)])
-    items.append(_item("regularized route agrees (double root)", bd3.vector == be3.vector and not bd3.is_zero()))
+    if bd3.is_zero():
+        items.append(_item("regularized route agrees (double root)", False, "direct vector is zero"))
+    else:
+        items.append(_vectors_item("regularized route agrees (double root)", bd3.vector, be3.vector))
     perm = bethe.bethe_vector(e3, [Fraction(0), Fraction(1)])
     perm2 = bethe.bethe_vector(e3, [Fraction(1), Fraction(0)])
-    items.append(_item("root permutation symmetry", perm.vector == perm2.vector))
+    items.append(_vectors_item("root permutation symmetry", perm.vector, perm2.vector))
     # equal twist entries force singular on-shell vectors
     for name in ("E2", "E3", "E6"):
         spec = suite_specs()[name]

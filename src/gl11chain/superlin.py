@@ -97,10 +97,6 @@ class SuperSpace:
     def parity(self, idx: int) -> int:
         return self.parities[idx]
 
-    def basis_label(self, idx: int) -> str:
-        """Bit-string label, digits 1/2 per standard leg."""
-        return "".join(str(i + 1) for i in self.multi_index(idx))
-
     def concat(self, other: "SuperSpace") -> "SuperSpace":
         return SuperSpace(self.legs + other.legs)
 
@@ -248,18 +244,6 @@ def singular_subspace(
     return basis
 
 
-def supertrace(m: ExactMatrix, space: SuperSpace):
-    """Signed trace: diagonal entries weighted by (-1)^parity."""
-    if not m.nrows == m.ncols == space.dim:
-        raise ValueError(f"{m.nrows}x{m.ncols} matrix on a space of dimension {space.dim}")
-    total = Fraction(0)
-    for i in range(space.dim):
-        v = m.get(i, i)
-        if v:
-            total = total + (v if space.parity(i) == EVEN else -v)
-    return total
-
-
 def partial_supertrace(m: ExactMatrix, aux: SuperSpace, rest_dim: int) -> ExactMatrix:
     """Supertrace over the leading aux factor of an even operator.
 
@@ -274,29 +258,6 @@ def partial_supertrace(m: ExactMatrix, aux: SuperSpace, rest_dim: int) -> ExactM
         b, c = divmod(j, rest_dim)
         if a == b:
             out.add_to(r, c, v if aux.parity(a) == EVEN else -v)
-    return out
-
-
-def supertranspose(m: ExactMatrix, space: SuperSpace) -> ExactMatrix:
-    """(A^st)[i, j] = (-1)^{|i||j| + |j|} A[j, i] on basis parities."""
-    out = ExactMatrix(m.ncols, m.nrows)
-    for i, j, v in m.entries():
-        pi, pj = space.parity(i), space.parity(j)
-        sign = -1 if (pi * pj + pi) % 2 else 1
-        out.put(j, i, sign * v)
-    return out
-
-
-def graded_flip() -> ExactMatrix:
-    """The two-leg flip P: v (x) w -> (-1)^{|v||w|} w (x) v on standard legs."""
-    space = SuperSpace([(EVEN, ODD), (EVEN, ODD)])
-    out = ExactMatrix(space.dim, space.dim)
-    for a in range(2):
-        for b in range(2):
-            src = space.index((a, b))
-            dst = space.index((b, a))
-            sign = -1 if (space.legs[0][a] and space.legs[1][b]) else 1
-            out.put(dst, src, Fraction(sign))
     return out
 
 

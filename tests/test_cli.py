@@ -162,6 +162,26 @@ class TestRandomSpec:
             spec = ModuleSpec.from_file(p)
             assert cyclicity_and_irreducibility(spec)[0]
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--k", "0"], 2, "--k must be a positive integer"),
+            (["--k", "-1"], 2, "--k must be a positive integer"),
+            (["--k", "2", "--weight-budget", "-3"], 2, "below --k"),
+            (["--k", "3", "--weight-budget", "2"], 2, "below --k"),
+            (["--k", "2", "--weight-budget", "2"], 0, ""),
+        ],
+        ids=["k-0", "k-negative", "budget-negative", "budget-below-k", "budget-equals-k"],
+    )
+    def test_argument_contract(self, capsys, argv, code, message):
+        assert main(["random-spec", "--seed", "1", *argv]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+        else:
+            weights = json.loads(captured.out)["weights"]
+            assert sum(l1 + l2 for l1, l2 in weights) <= 2
+
     def test_split_mode(self, tmp_path):
         from gl11chain.bethe import char_pair
 

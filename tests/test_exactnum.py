@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl11chain.exactnum import (
+    _SIEVE_PRIMES,
     NonRemovableSingularity,
     Poly,
     RatFun,
+    _divisors,
+    _root_count_mod,
+    _to_primitive_int,
     elementary_symmetric,
     eps_limit,
     format_scalar,
@@ -59,7 +63,7 @@ class TestPoly:
 
     def test_strings_roundtrip(self):
         p = Poly((F(1, 2), F(-3), F(0), F(2)))
-        assert Poly.from_strings(p.to_strings()) == p
+        assert Poly(parse_scalar(c) for c in p.to_strings()) == p
 
 
 class TestRatFun:
@@ -85,6 +89,39 @@ def x_minus(r):
     return Poly((-r, 1))
 
 
+def fraction_peel(p):
+    """Reference split test: rational-root candidates tried by Fraction Horner.
+
+    Peels each rational root off the monic form as often as it divides;
+    kept as the oracle for the integer sieve and peel in roots_with_multiplicity.
+    """
+    rest = p.monic()
+    ints = _to_primitive_int(p)
+    while ints[0] == 0:
+        ints = ints[1:]
+    cands = [F(0)] if p.coeff(0) == 0 else []
+    for pn in _divisors(ints[0]):
+        for qn in _divisors(ints[-1]):
+            for cand in (F(pn, qn), F(-pn, qn)):
+                if cand not in cands and p(cand) == 0:
+                    cands.append(cand)
+    out = []
+    for r in cands:
+        m = 0
+        while True:
+            q, rem = divmod(rest, x_minus(r))
+            if not rem.is_zero():
+                break
+            rest = q
+            m += 1
+        out.append((r, m))
+    return sorted(out) if rest.degree == 0 else None
+
+
+# products of rational linear factors (a x - b), with repeats
+linear_factors = st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 12)), min_size=1, max_size=4)
+
+
 class TestSplit:
     @pytest.mark.parametrize(
         "p, expected",
@@ -99,6 +136,13 @@ class TestSplit:
             pytest.param(Poly((F(-7, 2),)), [], id="constant"),
             # (x^3 + x + 1001)(x^3 - 2x + 9973)
             pytest.param(Poly((1001, 1, 0, 1)) * Poly((9973, -2, 0, 1)), None, id="two_irreducible_cubics"),
+            # leading coefficients divisible by sieve primes, which the sieve must skip
+            pytest.param(Poly((-1, 5005)), [(F(1, 5005), 1)], id="lead_5005"),
+            pytest.param(Poly((-1, 5)) * Poly((-2, 7)), [(F(1, 5), 1), (F(2, 7), 1)], id="lead_35"),
+            pytest.param(Poly((-1, 5005)) ** 2 * x_minus(3), [(F(1, 5005), 2), (F(3), 1)], id="lead_5005_squared"),
+            pytest.param(Poly((0, 0, 2, 0, -2)), [(F(-1), 1), (F(0), 2), (F(1), 1)], id="root_zero_twice"),
+            # x^2 - 2 has no roots mod 5 or 13: the sieve rejects it
+            pytest.param(Poly((-2, 0, 1)), None, id="x2_minus_2"),
         ],
     )
     def test_table(self, p, expected):
@@ -149,6 +193,35 @@ class TestSplit:
         else:
             expected = None
         assert roots_with_multiplicity(p) == expected
+
+    @given(
+        linear_factors | st.just([]),
+        st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda cs: cs[-1] != 0), max_size=2),
+        rationals.filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_peel(self, linear, others, scale):
+        p = Poly((scale,))
+        for b, a in linear:
+            p = p * Poly((-b, a))
+        for cs in others:
+            p = p * Poly(cs)
+        assert roots_with_multiplicity(p) == fraction_peel(p)
+
+    @given(linear_factors, st.integers(-5, 5).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_sieve_keeps_linear_products(self, factors, scale):
+        p = Poly((scale,))
+        for b, a in factors:
+            p = p * Poly((-b, a))
+        ints = _to_primitive_int(p)
+        while ints[0] == 0:
+            ints = ints[1:]
+        for ell in _SIEVE_PRIMES:
+            if ints[-1] % ell:
+                assert _root_count_mod(ints, ell) == len(ints) - 1
+        expected = fraction_peel(p)
+        assert expected is not None and roots_with_multiplicity(p) == expected
 
 
 class TestLaurent:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.monodromy import make_spec, tensor_monodromy
-from gl11chain.superlin import graded_flip
 from gl11chain.bethe import char_pair, enumerate_divisors
 from gl11chain.fusion import (
     BerezinianValue,
@@ -30,6 +29,8 @@ from gl11chain.fusion import (
     universal_oper_check,
 )
 
+# graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
+GRADED_FLIP = ExactMatrix.from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
 E1 = make_spec([(1, 0)], ["0"], ("2", "1"))
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
 E4 = make_spec([(1, 0), (1, 0)], ["2", "-3/2"], ("1", "2"))
@@ -45,8 +46,8 @@ class TestSymmetrizers:
         a2, h2 = symmetrizers(2)
         assert (a2 @ a2) == a2 and (h2 @ h2) == h2
         ident = ExactMatrix.identity(4)
-        assert a2 == (ident - graded_flip()) * F(1, 2)
-        assert h2 == (ident + graded_flip()) * F(1, 2)
+        assert a2 == (ident - GRADED_FLIP) * F(1, 2)
+        assert h2 == (ident + GRADED_FLIP) * F(1, 2)
         # image of the antisymmetrizer: doubly-odd and the odd combination
         span = SpanBasis(4)
         for j in range(4):

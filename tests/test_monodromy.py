@@ -230,6 +230,20 @@ class TestCyclicityIrreducibility:
         e3 = make_spec([(1, 0), (1, 0), (1, 0)], ["0", "1/2", "-1/2"], ("1", "1"))
         assert cyclicity_and_irreducibility(e3) == (True, False)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(0, 2), st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2]))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_irreducible_matches_gcd(self, sites):
+        # small half-integer points make coinciding points and root collisions common
+        spec = make_spec([(l1, l2) for l1, l2, _ in sites], [b for _, _, b in sites], ("1", "1"))
+        _, irreducible = cyclicity_and_irreducibility(spec)
+        assert irreducible == (Poly.gcd(*phi_psi(spec)).degree == 0)
+
 
 class TestStrings:
     def test_examples(self):

@@ -6,7 +6,7 @@ import pytest
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.monodromy import make_spec, tensor_monodromy, t_coefficient
-from gl11chain.superlin import Weight, graded_flip
+from gl11chain.superlin import Weight
 from gl11chain.bethe import Divisor, bethe_vector, char_pair, enumerate_divisors
 from gl11chain.shapoform import (
     check_iota_contract,
@@ -18,6 +18,8 @@ from gl11chain.shapoform import (
     wronskian,
 )
 
+# graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
+GRADED_FLIP = ExactMatrix.from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
 W10 = Weight(F(1), F(0))
 E1 = make_spec([(1, 0)], ["0"], ("2", "1"))
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -31,7 +33,7 @@ class TestRMatrix:
         # weight (1,0) on both legs: R(x) = (x + P)/(1 + x)
         for x in (F(1, 2), F(3), F(-1, 3)):
             got = r_matrix(W10, W10, x)
-            want = (ExactMatrix.identity(4) * x + graded_flip()) * (1 / (1 + x))
+            want = (ExactMatrix.identity(4) * x + GRADED_FLIP) * (1 / (1 + x))
             assert got == want
 
     def test_pole_rejected(self):

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from gl11chain import cli, weylspace
+from gl11chain import bethe, cli, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
@@ -50,6 +52,41 @@ def test_specialization_items_carry_the_detail(monkeypatch):
         assert not items[name].ok and items[name].detail == "x"
     rejected = items["specialization ordering rejected"]
     assert rejected.ok and rejected.detail == ""
+
+
+def _corrupt_component(fn, when):
+    """fn with component 1 of the returned vector shifted by 1 wherever when(roots)."""
+
+    def corrupted(spec, roots):
+        bv = fn(spec, roots)
+        if not when(roots):
+            return bv
+        vec = list(bv.vector)
+        vec[1] += 1
+        return replace(bv, vector=tuple(vec))
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "target, when, names",
+    [
+        (
+            "bethe_vector_eps",
+            lambda roots: True,
+            ["regularized route agrees", "regularized route agrees (double root)"],
+        ),
+        ("bethe_vector", lambda roots: list(roots) == [1, 0], ["root permutation symmetry"]),
+    ],
+    ids=["regularized-route", "root-permutation"],
+)
+def test_vector_items_carry_the_first_differing_index(monkeypatch, target, when, names):
+    monkeypatch.setattr(bethe, target, _corrupt_component(getattr(bethe, target), when))
+    items = run_suite("bethe", max_k=3, max_n=4)
+    bad = {it.name: it.detail for it in items if not it.ok}
+    assert sorted(bad) == sorted(names)
+    for name in names:
+        assert bad[name].startswith("first differing index 1: ")
 
 
 def test_injected_bug_caught():

@@ -4,22 +4,42 @@ from itertools import combinations
 from gl11chain.linalg import ExactMatrix
 from gl11chain.superlin import (
     E_PARITY,
+    EVEN,
     SuperSpace,
     Weight,
     basis_weights,
     e_matrix,
     gl_generator,
-    graded_flip,
     kron_signed,
+    kron_signed_adjacent_flip,
     leg_generator,
     singular_subspace,
-    supertrace,
-    supertranspose,
     symmetric_group_action,
     weight_spaces,
 )
 
 W10 = Weight(F(1), F(0))
+# graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
+GRADED_FLIP = ExactMatrix.from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
+
+
+def supertrace(m, space):
+    """Signed trace: diagonal entries weighted by (-1)^parity."""
+    return sum((m.get(i, i) if space.parity(i) == EVEN else -m.get(i, i) for i in range(space.dim)), F(0))
+
+
+def supertranspose(m, space):
+    """(A^st)[i, j] = (-1)^{|i||j| + |j|} A[j, i] on basis parities."""
+    out = ExactMatrix(m.ncols, m.nrows)
+    for i, j, v in m.entries():
+        pi, pj = space.parity(i), space.parity(j)
+        out.put(j, i, -v if (pi * pj + pi) % 2 else v)
+    return out
+
+
+def basis_label(space, idx):
+    """Bit-string label, digits 1/2 per standard leg."""
+    return "".join(str(i + 1) for i in space.multi_index(idx))
 
 
 def unit(space, multi):
@@ -119,7 +139,9 @@ class TestTraceTranspose:
 
     def test_flip_traceless(self):
         space = SuperSpace.tensor_power(2)
-        assert supertrace(graded_flip(), space) == 0
+        flip = kron_signed_adjacent_flip(space, 0)
+        assert flip == GRADED_FLIP
+        assert supertrace(flip, space) == 0
 
     def test_supertranspose_rules(self):
         space = SuperSpace([SuperSpace.standard_leg()])
@@ -173,9 +195,9 @@ class TestOperators:
 
 def test_basis_labels():
     space = SuperSpace.tensor_power(3)
-    assert space.basis_label(0) == "111"
-    assert space.basis_label(space.index((1, 0, 1))) == "212"
-    assert space.basis_label(space.dim - 1) == "222"
+    assert basis_label(space, 0) == "111"
+    assert basis_label(space, space.index((1, 0, 1))) == "212"
+    assert basis_label(space, space.dim - 1) == "222"
 
 
 def test_symmetric_group_action_is_homomorphism():
