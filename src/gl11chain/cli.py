@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactnum import roots_with_multiplicity
+from .exactnum import RootSearchTooLarge, roots_with_multiplicity
 from . import bethe, fusion, monodromy, shapoform
 from .monodromy import ModuleSpec, make_spec
 from .suites import SUITES, run_suite
@@ -33,14 +33,18 @@ def _print_json(doc: dict, path: "str | None") -> None:
 def cmd_spectrum(args) -> int:
     try:
         spec = ModuleSpec.from_file(args.spec)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cyclic, _ = monodromy.cyclicity_and_irreducibility(spec)
     if not cyclic:
         print("error: chain is not cyclic (some b_j = b_i + l2_i + l1_j with i < j)", file=sys.stderr)
         return 2
-    report = bethe.completeness_report(spec)
+    try:
+        report = bethe.completeness_report(spec)
+    except RootSearchTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     doc = report.to_dict()
     if args.level is not None:
         doc["levels"] = [lv for lv in doc["levels"] if lv["level"] == args.level]
@@ -154,8 +158,12 @@ def cmd_random_spec(args) -> int:
             continue
         if args.split:
             gamma = bethe.char_pair(spec).gamma
-            if roots_with_multiplicity(gamma) is None:
-                continue
+            try:
+                if roots_with_multiplicity(gamma) is None:
+                    continue
+            except RootSearchTooLarge as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         text = spec.to_json()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

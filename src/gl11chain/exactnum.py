@@ -6,18 +6,21 @@ Representation conventions:
 
   Scalar   fractions.Fraction (arbitrary precision, canonical reduced form).
            Serialized as decimal-free "p/q" strings, e.g. "-3/2", "5".
-  Poly     immutable univariate polynomial: tuple of Fraction coefficients,
-           lowest degree first, with the leading coefficient nonzero.  The
-           zero polynomial is the empty tuple and has degree -1.
+  Poly     immutable univariate polynomial over Q, stored as integer
+           numerators (a tuple of int, lowest degree first, no trailing
+           zero) over one positive int denominator coprime to them.  The
+           zero polynomial is ((), 1) and has degree -1.  Every operation
+           runs on the ints; `coeffs` is a read-only Fraction view.
   RatFun   quotient of two Polys kept in canonical form: denominator monic
            and coprime to the numerator.  Equality is decidable.
   EpsElem  a RatFun in an auxiliary regularization variable; eps_limit
            evaluates it at 0 when the specialization exists.
 
-Polynomial coefficients are always Fraction.  Where matrices of polynomials
-or rational functions appear elsewhere in the package, the entry type is one
-of the three classes above; they all interoperate with int and Fraction
-through the usual arithmetic operators.
+Polynomial coefficients are rational: a Poly accepts int and Fraction
+coefficients and rejects anything else (a float included) with TypeError.
+Where matrices of polynomials or rational functions appear elsewhere in the
+package, the entry type is one of the three classes above; they all
+interoperate with int and Fraction through the usual arithmetic operators.
 """
 
 from __future__ import annotations
@@ -69,31 +72,55 @@ class NonRemovableSingularity(ArithmeticError):
         self.pole_order = pole_order
 
 
-def _as_coeff(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"polynomial coefficients must be rational, got {v!r}")
+def _as_ints(coeffs: Iterable[ScalarLike]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the coefficient denominators."""
+    cs = list(coeffs)
+    den = 1
+    for c in cs:
+        if isinstance(c, Fraction):
+            den = lcm(den, c.denominator)
+        elif not isinstance(c, int):
+            raise TypeError(f"polynomial coefficients must be rational, got {c!r}")
+    return [c * den if isinstance(c, int) else c.numerator * (den // c.denominator) for c in cs], den
 
 
 class Poly:
-    """Univariate polynomial over Fraction, lowest-degree-first coefficients."""
+    """Univariate rational polynomial: integer numerators over one denominator.
 
-    __slots__ = ("coeffs",)
+    `nums` is a tuple of ints, lowest degree first, and `denom` a positive
+    int; the polynomial is sum(nums[i] x^i) / denom.  The pair is canonical:
+    no trailing zero in `nums`, gcd(denom, *nums) == 1, and the zero
+    polynomial is ((), 1).  So equality is tuple equality, and every ring
+    operation runs on ints.  `coeffs` is a read-only Fraction view, built on
+    first use; the hash is that of the view.
+    """
+
+    __slots__ = ("nums", "denom", "_fracs")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [_as_coeff(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        nums, den = _as_ints(coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
+        # den is the lcm of reduced denominators, so gcd(den, *nums) == 1
+        self.nums = tuple(nums)
+        self.denom = den
+        self._fracs = None
+
+    @staticmethod
+    def _raw(nums: tuple, den: int) -> "Poly":
+        """Wrap a pair that is already canonical."""
+        p = object.__new__(Poly)
+        p.nums = nums
+        p.denom = den
+        p._fracs = None
+        return p
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_roots(roots: Iterable[ScalarLike]) -> "Poly":
         """Monic polynomial with the given root multiset."""
-        p = Poly((1,))
+        p = _ONE
         for r in roots:
             p = p * Poly((-scalar(r), 1))
         return p
@@ -101,76 +128,108 @@ class Poly:
     # -- basic queries ------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Fraction coefficients, lowest degree first."""
+        fracs = self._fracs
+        if fracs is None:
+            den = self.denom
+            fracs = self._fracs = tuple(Fraction(n, den) for n in self.nums)
+        return fracs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coeff(self, d: int) -> Fraction:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
+        return self.coeffs[d] if 0 <= d < len(self.nums) else Fraction(0)
 
     # -- ring operations ----------------------------------------------
+
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other on a common denominator."""
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        den, db = self.denom, other.denom
+        if den != db:
+            g = gcd(den, db)
+            sa, sb = db // g, den // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            den *= sa
+        if sign < 0:
+            b = [-c for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _canon(out, den)
 
     def __add__(self, other):
         other = _poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._raw(tuple(-c for c in self.nums), self.denom)
 
     def __sub__(self, other):
         other = _poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, RatFun):
+        if isinstance(other, (int, Fraction)):
+            if not other or not self.nums:
+                return _ZERO
+            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, Poly):
             return NotImplemented
-        other = _poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            out = [v * c for v in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, cb in enumerate(b):
+                if cb:
+                    for j, ca in enumerate(a, i):
+                        out[j] += ca * cb
+        return _canon(out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly((1,))
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -179,10 +238,15 @@ class Poly:
             n >>= 1
         return out
 
+    def _scaled(self, u: int, w: int) -> "Poly":
+        """self * u / w for ints u and w != 0."""
+        return _canon([c * u for c in self.nums], self.denom * w)
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = scalar(other)
-            return Poly(tuple(v / c for v in self.coeffs))
+            if not other:
+                raise ZeroDivisionError("polynomial division by zero")
+            return self._scaled(other.denominator, other.numerator)
         if isinstance(other, Poly):
             return RatFun(self, other)
         return NotImplemented
@@ -191,7 +255,7 @@ class Poly:
         other = _poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.denom == other.denom
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -199,48 +263,80 @@ class Poly:
     # -- evaluation and reshaping ---------------------------------------
 
     def __call__(self, v):
-        """Evaluate by Horner; v may be a Fraction, Poly or RatFun."""
-        if not self.coeffs:
-            return Fraction(0) if isinstance(v, (int, Fraction)) else 0 * v
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        """Evaluate by Horner; v may be an int, Fraction, Poly or RatFun."""
+        nums = self.nums
+        if isinstance(v, (int, Fraction)):
+            if not nums:
+                return Fraction(0)
+            # p(u/w) = sum n_i u^i w^(d-i) / (denom w^d)
+            u, w = v.numerator, v.denominator
+            acc, wpow = nums[-1], 1
+            for c in nums[-2::-1]:
+                wpow *= w
+                acc = acc * u + c * wpow
+            return Fraction(acc, self.denom * wpow)
+        if not nums:
+            return 0 * v
+        if isinstance(v, Poly):
+            acc = Poly._raw(nums[-1:], 1)
+            for c in nums[-2::-1]:
+                acc = acc * v + c
+            return acc._scaled(1, self.denom)
+        cs = self.coeffs
+        acc = cs[-1]
+        for c in cs[-2::-1]:
             acc = acc * v + c
         return acc
 
     def shift(self, a: ScalarLike) -> "Poly":
-        """Return p(x - a)."""
-        out = self(Poly((-scalar(a), 1)))
-        return out if isinstance(out, Poly) else Poly((out,))
+        """Return p(x - a), by a Taylor shift on the integer numerators.
+
+        With a = u/v and y = v x, p(x - a) = q(y - u) / (denom v^d) where
+        q(y) = sum n_i v^(d-i) y^i, so only integers are shifted.
+        """
+        if not isinstance(a, (int, Fraction)):
+            a = scalar(a)
+        cs = list(self.nums)
+        d = len(cs) - 1
+        if not a or d < 1:
+            return self
+        u, v = a.numerator, a.denominator
+        vpow = 1
+        if v != 1:
+            for i in range(d - 1, -1, -1):
+                vpow *= v
+                cs[i] *= vpow
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                cs[j] -= u * cs[j + 1]
+        if v != 1:
+            vk = 1
+            for k in range(1, d + 1):
+                vk *= v
+                cs[k] *= vk
+        return _canon(cs, self.denom * vpow)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _canon([i * c for i, c in enumerate(self.nums) if i], self.denom)
 
     def monic(self) -> "Poly":
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial cannot be made monic")
-        lc = self.coeffs[-1]
-        return Poly(tuple(c / lc for c in self.coeffs))
+        return _canon(list(self.nums), self.nums[-1])
 
     def __divmod__(self, other: "Poly"):
         other = _poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.nums:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        dcs = other.coeffs
-        lead = dcs[-1]
-        for i in range(dq, -1, -1):
-            f = rem[i + len(dcs) - 1] / lead
-            quot[i] = f
-            if f:
-                for j, c in enumerate(dcs):
-                    rem[i + j] -= f * c
-        return Poly(quot), Poly(rem)
+        if len(self.nums) < len(other.nums):
+            return _ZERO, self
+        s, quot, rem = _pseudo_divmod(self.nums, other.nums)
+        # s a = quot b + rem with a = denom_a p and b = denom_b q, so
+        # p = (quot denom_b / (s denom_a)) q + rem / (s denom_a)
+        den = s * self.denom
+        return _canon([c * other.denom for c in quot], den), _canon(rem, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -250,17 +346,24 @@ class Poly:
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Monic gcd (1 for coprime inputs, 0 only if both are 0)."""
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic gcd (1 for coprime inputs, 0 only if both are 0).
+
+        Euclid on primitive integer numerators: each remainder is taken of a
+        positive integer multiple of the dividend and made primitive, which
+        changes it only by a nonzero scalar.
+        """
+        x, y = _primitive(a.nums), _primitive(b.nums)
+        if len(x) < len(y):
+            x, y = y, x
+        while y:
+            x, y = y, _primitive(_pseudo_divmod(x, y)[2])
+        return _canon(x, x[-1]) if x else _ZERO
 
     @staticmethod
     def lcm(a: "Poly", b: "Poly") -> "Poly":
         if a.is_zero() or b.is_zero():
-            return Poly()
-        g = Poly.gcd(a, b)
-        return ((a * b) // g).monic()
+            return _ZERO
+        return ((a // Poly.gcd(a, b)) * b).monic()
 
     # -- serialization --------------------------------------------------
 
@@ -269,7 +372,7 @@ class Poly:
         return [format_scalar(c) for c in self.coeffs]
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "Poly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -283,12 +386,75 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _canon(nums: list, den: int) -> Poly:
+    """Canonical Poly for sum(nums[i] x^i) / den, with den a nonzero int."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _ZERO
+    if den < 0:
+        den = -den
+        nums = [-c for c in nums]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    return Poly._raw(tuple(nums), den)
+
+
+def _primitive(nums: Sequence[int]) -> list[int]:
+    """Integer list divided by the gcd of its entries (sign kept)."""
+    g = gcd(*nums)
+    return [c // g for c in nums] if g > 1 else list(nums)
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(s, quot, rem) with s a = quot b + rem over Z[x], deg rem < deg b, s > 0.
+
+    Long division of integer lists (lowest degree first, b nonzero,
+    len(a) >= len(b)); rem comes without trailing zeros.  A step whose
+    leading term is not divisible by the leading coefficient l of b first
+    scales the remainder, the quotient and s by |l| / gcd(term, l), so s is
+    1 for a monic b and the integers grow only where a step needs it.
+    """
+    rem = list(a)
+    nb = len(b) - 1
+    lead = b[-1]
+    quot = [0] * (len(a) - nb)
+    s = 1
+    for i in range(len(quot) - 1, -1, -1):
+        r = rem[i + nb]
+        if not r:
+            continue
+        f, m = divmod(r, lead)
+        if m:
+            t = abs(lead) // gcd(r, lead)
+            s *= t
+            rem = [c * t for c in rem]
+            quot = [c * t for c in quot]
+            f = rem[i + nb] // lead
+        quot[i] = f
+        for j, c in enumerate(b, i):
+            rem[j] -= f * c
+    del rem[nb:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return s, quot, rem
+
+
 def _poly(v):
     if isinstance(v, Poly):
         return v
-    if isinstance(v, (int, Fraction)):
-        return Poly((v,))
+    if isinstance(v, int):
+        return Poly._raw((v,), 1) if v else _ZERO
+    if isinstance(v, Fraction):
+        return Poly._raw((v.numerator,), v.denominator) if v else _ZERO
     return NotImplemented
+
+
+_ZERO = Poly._raw((), 1)
+_ONE = Poly._raw((1,), 1)
 
 
 class RatFun:
@@ -296,7 +462,7 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=Poly((1,))):
+    def __init__(self, num, den=_ONE):
         num = _poly(num)
         den = _poly(den)
         if num is NotImplemented or den is NotImplemented:
@@ -304,14 +470,15 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num, self.den = Poly(), Poly((1,))
+            self.num, self.den = _ZERO, _ONE
             return
         g = Poly.gcd(num, den)
         if g.degree > 0:
             num, den = num // g, den // g
-        lc = den.leading()
-        if lc != 1:
-            num = num * (1 / lc)
+        lead, dd = den.nums[-1], den.denom
+        if lead != 1 or dd != 1:
+            # divide both parts by the leading coefficient lead / dd of den
+            num = num._scaled(dd, lead)
             den = den.monic()
         self.num, self.den = num, den
 
@@ -489,18 +656,21 @@ def _divisors(m: int) -> list[int]:
 
 def _to_primitive_int(p: Poly) -> list[int]:
     """Scale to a primitive integer coefficient list (content removed)."""
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints]
+    return _primitive(p.nums)
 
 
 # Small primes for the early rejection in roots_with_multiplicity.
 _SIEVE_PRIMES = (5, 7, 11, 13)
+
+# Largest |a_0| and |a_d| whose divisors roots_with_multiplicity enumerates.
+# _divisors takes sqrt(|m|) trial divisions: 10**14 is 10**7 of them, about
+# 1.5 s per coefficient on a 2.0 GHz Xeon vCPU (10**12 takes 0.15 s), and
+# the time grows tenfold for every two more digits.
+DIVISOR_BOUND = 10**14
+
+
+class RootSearchTooLarge(ValueError):
+    """The split test would have to enumerate divisors past DIVISOR_BOUND."""
 
 
 def _root_count_mod(ints: Sequence[int], ell: int) -> int:
@@ -563,7 +733,10 @@ def roots_with_multiplicity(p: Poly) -> "list[tuple[Fraction, int]] | None":
     Peel: each candidate u/v in lowest terms with u | a_0 and v | a_d
     (rational root theorem) is divided out exactly in Z[x] by (v x - u) as
     often as it divides; p splits exactly when the cofactor left is a
-    constant.  Raises ValueError("zero input") for the zero polynomial.
+    constant.  Raises ValueError("zero input") for the zero polynomial, and
+    RootSearchTooLarge when p passes the sieve but |a_0| or |a_d| exceeds
+    DIVISOR_BOUND, since enumerating their divisors would not end in
+    reasonable time.
     """
     if p.is_zero():
         raise ValueError("zero input")
@@ -576,6 +749,12 @@ def roots_with_multiplicity(p: Poly) -> "list[tuple[Fraction, int]] | None":
     for ell in _SIEVE_PRIMES:
         if ints[-1] % ell and _root_count_mod(ints, ell) < deg:
             return None
+    big = max(abs(ints[0]), abs(ints[-1]))
+    if big > DIVISOR_BOUND:
+        raise RootSearchTooLarge(
+            f"split test refused: a coefficient of the primitive integer form has {len(str(big))} digits, "
+            f"above the bound of {DIVISOR_BOUND:.0e}"
+        )
     out = [(Fraction(0), zeros)] if zeros else []
     cands = [
         (sign * u, v)

@@ -59,7 +59,7 @@ class ExactMatrix:
     # -- element access ---------------------------------------------------
 
     def get(self, i: int, j: int):
-        return self.rows.get(i, {}).get(j, Fraction(0))
+        return self.rows.get(i, {}).get(j, _ZERO)
 
     def put(self, i: int, j: int, v) -> None:
         if v:

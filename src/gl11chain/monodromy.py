@@ -50,10 +50,11 @@ class ModuleSpec:
         if not self.weights:
             raise ValueError("empty chain")
         for wt in self.weights:
+            text = "(" + ", ".join(wt.to_strings()) + ")"
             if not wt.is_polynomial():
-                raise ValueError(f"weight {tuple(wt)} is not polynomial")
+                raise ValueError(f"weight {text} is not polynomial")
             if not wt.is_nondegenerate():
-                raise ValueError(f"weight {tuple(wt)} is degenerate")
+                raise ValueError(f"weight {text} is degenerate")
         q1, q2 = self.twist
         if q1 == 0 or q2 == 0:
             raise ValueError("twist entries must be nonzero")
@@ -94,6 +95,9 @@ class ModuleSpec:
         """Parse a chain-file object; a malformed one raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError("chain file must be a JSON object")
+        missing = [key for key in ("weights", "points", "twist") if key not in d]
+        if missing:
+            raise ValueError(f"chain file lacks the key(s) {', '.join(missing)}")
         weights, points, twist = d["weights"], d["points"], d["twist"]
         if not all(isinstance(v, list) for v in (weights, points, twist)):
             raise ValueError("weights, points and twist must be lists")

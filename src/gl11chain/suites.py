@@ -106,8 +106,8 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
         ),
         monodromy.evaluation_monodromy(s3.weights[2], s3.points[2]),
     )
-    same = all(p_all.entry(i, j) == left.entry(i, j) for i in (1, 2) for j in (1, 2))
-    items.append(_item("coassociativity", same))
+    diff = next(((i, j) for i in (1, 2) for j in (1, 2) if p_all.entry(i, j) != left.entry(i, j)), None)
+    items.append(_item("coassociativity", diff is None, f"first differing entry {diff}"))
     # transfer family commutes and respects the diagonal symmetry
     for name, spec in suite_specs().items():
         pencil = monodromy.tensor_monodromy(spec)
@@ -129,12 +129,17 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
     # zero-mode exchange relation with the diagonal action
     e2 = suite_specs()["E2"]
     pencil = monodromy.tensor_monodromy(e2)
-    items.append(_item("zero-mode exchange", _zero_mode_check(pencil)))
+    failure = _zero_mode_failure(pencil)
+    items.append(_item("zero-mode exchange", failure is None, failure))
     return items
 
 
-def _zero_mode_check(pencil) -> bool:
-    """[T_ij^(1), That_rs(x)] from the exchange relations, all index choices."""
+def _zero_mode_failure(pencil) -> "str | None":
+    """[T_ij^(1), That_rs(x)] from the exchange relations, all index choices.
+
+    None when every relation holds, else the first failing generator, entry
+    and degree.
+    """
     from itertools import product as iproduct
 
     from .monodromy import t_coefficient
@@ -157,8 +162,8 @@ def _zero_mode_check(pencil) -> bool:
             if rhs is None:
                 rhs = m * 0
             if lhs != rhs:
-                return False
-    return True
+                return f"generator T_{i}{j}^(1) against That_{r}{s}, x^{d} coefficient"
+    return None
 
 
 def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:

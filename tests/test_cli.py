@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from gl11chain import cli
 from gl11chain.cli import main
-from gl11chain.exactnum import parse_scalar, roots_with_multiplicity
+from gl11chain.exactnum import RootSearchTooLarge, parse_scalar, roots_with_multiplicity
 from gl11chain.monodromy import ModuleSpec
 
 
@@ -57,27 +58,42 @@ class TestSpectrum:
         assert main(["spectrum", "--spec", str(p)]) == 2
 
     @pytest.mark.parametrize(
-        "text",
+        "text, needle",
         [
-            '{"weights": [[1]], "points": ["0"], "twist": ["1","1"]}',
-            '{"weights": [[1,0]], "points": [0.5], "twist": ["1","1"]}',
-            '{"weights": [[1,0]], "points": ["0"], "twist": ["1"]}',
-            "[1,2]",
-            '{"weights": [[true,0]], "points": ["0"], "twist": ["1","1"]}',
-            '{"weights": [[1,0]], "points": ["1/0"], "twist": ["1","1"]}',
-            '{"weights": [[1,0],[1,0]], "points": ["0","1"], "twist": ["1","1"]}',
+            ('{"weights": [[1]], "points": ["0"], "twist": ["1","1"]}', "pair of integers"),
+            ('{"weights": [[1,0]], "points": [0.5], "twist": ["1","1"]}', "0.5"),
+            ('{"weights": [[1,0]], "points": ["0"], "twist": ["1"]}', "exactly two"),
+            ("[1,2]", "JSON object"),
+            ('{"weights": [[true,0]], "points": ["0"], "twist": ["1","1"]}', "pair of integers"),
+            ('{"weights": [[1,0]], "points": ["1/0"], "twist": ["1","1"]}', "zero denominator"),
+            ('{"weights": [[1,0],[1,0]], "points": ["0","1"], "twist": ["1","1"]}', "not cyclic"),
+            ('{"points": ["0"], "twist": ["1","1"]}', "weights"),
+            ('{"weights": [[0,0]], "points": ["0"], "twist": ["1","2"]}', "weight (0, 0) is degenerate"),
+            ('{"weights": [[0,1]], "points": ["0"], "twist": ["1","2"]}', "weight (0, 1) is not polynomial"),
+            # gammas whose split test would enumerate divisors of 18- and 19-digit integers
+            (
+                '{"weights": [[1,0],[1,0]], "points": ["1000000000000000003","1"], "twist": ["1","1"]}',
+                "split test refused",
+            ),
+            (
+                '{"weights": [[1,0],[1,0],[1,0]], "points": ["349523/487926","-733256/756115","709067/735017"],'
+                ' "twist": ["1","1"]}',
+                "split test refused",
+            ),
         ],
         ids=[
             "short-weight", "float-point", "short-twist", "top-level-list", "bool-weight", "zero-denominator",
-            "non-cyclic",
+            "non-cyclic", "missing-key", "degenerate-weight", "non-polynomial-weight", "huge-point",
+            "six-digit-rational-points",
         ],
     )
-    def test_malformed_spec_exits_2(self, tmp_path, capsys, text):
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, text, needle):
         p = tmp_path / "bad.json"
         p.write_text(text)
         assert main(["spectrum", "--spec", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip()) > len("error:")
+        assert needle in err and "Fraction(" not in err
 
     def test_missing_file_exits_2(self):
         assert main(["spectrum", "--spec", "/nonexistent/chain.json"]) == 2
@@ -181,6 +197,15 @@ class TestRandomSpec:
         else:
             weights = json.loads(captured.out)["weights"]
             assert sum(l1 + l2 for l1, l2 in weights) <= 2
+
+    def test_refused_split_test_exits_2(self, monkeypatch, capsys):
+        def refuse(p):
+            raise RootSearchTooLarge("split test refused: stand-in")
+
+        monkeypatch.setattr(cli, "roots_with_multiplicity", refuse)
+        assert main(["random-spec", "--seed", "1", "--k", "2", "--split"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: split test refused: stand-in\n"
 
     def test_split_mode(self, tmp_path):
         from gl11chain.bethe import char_pair

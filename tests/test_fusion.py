@@ -88,7 +88,7 @@ class TestFracMatrix:
     """The numerator/denominator path against the RatFun-matrix path."""
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_ratfun_matrices(self, data):
         dim = data.draw(st.integers(1, 3))
         a = data.draw(ratfun_matrices(dim))
@@ -111,7 +111,7 @@ class TestFracMatrix:
             assert fa.inverse().to_ratfun() == inv
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_equality_cross_multiplies(self, data):
         dim = data.draw(st.integers(1, 3))
         a = data.draw(ratfun_matrices(dim))

@@ -33,7 +33,7 @@ class TestExactMatrix:
         assert m.apply(v) == [0, 0, 0]
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=2, max_size=4))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_rank_plus_nullity(self, rows):
         m = dense(rows)
         assert m.rank() + len(m.kernel()) == m.ncols
@@ -130,7 +130,7 @@ def vector_streams(draw):
 
 class TestSpanBasis:
     @given(vector_streams())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_matches_dense_echelon(self, stream):
         length, vecs, probes = stream
         sparse, ref = SpanBasis(length), DenseEchelon()

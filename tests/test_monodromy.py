@@ -151,7 +151,7 @@ class TestRttOracle:
         res = verify_rtt(bad)
         assert not res.ok and res.witness is not None
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5)
     @given(st.tuples(rationals := st.builds(F, st.integers(-6, 6), st.integers(1, 3)), rationals))
     def test_pointwise_oracle(self, pts):
         # independent check of the exchange identity at random numeric points
@@ -237,7 +237,7 @@ class TestCyclicityIrreducibility:
             max_size=4,
         )
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_irreducible_matches_gcd(self, sites):
         # small half-integer points make coinciding points and root collisions common
         spec = make_spec([(l1, l2) for l1, l2, _ in sites], [b for _, _, b in sites], ("1", "1"))

@@ -1,8 +1,9 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from gl11chain import bethe, cli, weylspace
+from gl11chain import bethe, cli, monodromy, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
@@ -52,6 +53,36 @@ def test_specialization_items_carry_the_detail(monkeypatch):
         assert not items[name].ok and items[name].detail == "x"
     rejected = items["specialization ordering rejected"]
     assert rejected.ok and rejected.detail == ""
+
+
+def _negate_entry(pencil, entry):
+    return replace(pencil, entries={**pencil.entries, entry: -pencil.entries[entry]})
+
+
+def test_coassociativity_item_names_the_entry(monkeypatch):
+    real = monodromy.tensor_monodromy
+    coassociativity_points = (0, Fraction(3, 2), -1)
+
+    def corrupted(spec):
+        pencil = real(spec)
+        return _negate_entry(pencil, (1, 2)) if spec.points == coassociativity_points else pencil
+
+    monkeypatch.setattr(monodromy, "tensor_monodromy", corrupted)
+    bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
+    assert bad == {"coassociativity": "first differing entry (1, 2)"}
+
+
+def test_zero_mode_item_names_the_generator(monkeypatch):
+    real = monodromy.t_coefficient
+
+    def corrupted(pencil, i, j, r):
+        out = real(pencil, i, j, r)
+        return out * 2 if (i, j) == (2, 1) else out
+
+    monkeypatch.setattr(monodromy, "t_coefficient", corrupted)
+    bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
+    assert list(bad) == ["zero-mode exchange"]
+    assert bad["zero-mode exchange"].startswith("generator T_21^(1) against That_")
 
 
 def _corrupt_component(fn, when):

@@ -78,7 +78,7 @@ class TestMPoly:
         assert p.divided_difference(0).is_zero()
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-5, 5)), max_size=5))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_divided_difference_identity(self, terms):
         p = MPoly(2, {})
         for a, b, c in terms:
