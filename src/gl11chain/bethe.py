@@ -32,6 +32,7 @@ from .linalg import ExactMatrix, SpanBasis, solve_in_span
 from .monodromy import (
     ModuleSpec,
     MonodromyPencil,
+    coefficient_matrices,
     cyclicity_and_irreducibility,
     phi_psi,
     tensor_monodromy,
@@ -160,7 +161,7 @@ def bethe_vector(spec: ModuleSpec, roots: Sequence) -> BetheVector:
         if _pair_factors_ok(order):
             vec = _vacuum(pencil.dim)
             for ti in reversed(order):
-                vec = t12(ti).apply(vec)
+                vec = t12.map_entries(lambda p: p(ti)).apply(vec)
             pref = Fraction(1)
             for i in range(len(order)):
                 for j in range(i + 1, len(order)):
@@ -176,7 +177,7 @@ def eps_components(t: Sequence[Fraction], pencil: MonodromyPencil) -> tuple[list
     points = [Poly((ti, i + 1)) for i, ti in enumerate(t)]
     vec: list = _vacuum(pencil.dim)
     for pt in reversed(points):
-        vec = t12(pt).apply(vec)
+        vec = t12.map_entries(lambda p: p(pt)).apply(vec)
     pref = RatFun(Poly((1,)))
     for i in range(len(t)):
         for j in range(i + 1, len(t)):
@@ -227,19 +228,15 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellRes
     bv = bethe_vector(spec, roots)
     gamma = char_pair(spec).gamma
     tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
-    lhs = tq.scale(ypoly)  # y(x) * That_Q(x)
     rhs = ypoly.shift(1) * gamma
     eig = None
     if (gamma % ypoly).is_zero() if not ypoly.is_zero() else False:
         eig = eigenvalue_pencil(ypoly, spec)
     vec = list(bv.vector)
-    for d in range(max(lhs.degree, rhs.degree) + 1):
-        want = [rhs.coeff(d) * v for v in vec]
-        got = lhs.coeff(d).apply(vec)
-        for comp, (a, b) in enumerate(zip(got, want)):
-            if a != b:
-                return OnShellResult(False, bv, eig, (d, comp))
-    return OnShellResult(True, bv, eig)
+    # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side
+    diffs = [a - rhs * v for a, v in zip((tq * ypoly).apply(vec), vec)]
+    bad = [(min(d for d, c in enumerate(p.nums) if c), comp) for comp, p in enumerate(diffs) if p]
+    return OnShellResult(not bad, bv, eig, min(bad) if bad else None)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +365,15 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
     from .linalg import joint_generalized_eigenspaces
 
     singular_only = not spec.is_twisted()
-    tq = transfer_pencil(pencil, spec.twist)
+    tq = coefficient_matrices(transfer_pencil(pencil, spec.twist))
+    tq += [ExactMatrix(pencil.dim, pencil.dim)] * (spec.k + 1 - len(tq))
     for level in range(spec.k + 1):
         basis = level_subspace(spec, level, singular_only)
         dim = len(basis)
         divisors = enumerate_divisors(cp.gamma, level) if level <= cp.gamma.degree else []
         if dim == 0 and not divisors:
             continue
-        ops = [restrict_operator(tq.coeff(d), basis) for d in range(spec.k + 1)]
+        ops = [restrict_operator(tq[d], basis) for d in range(spec.k + 1)]
         entries = []
         eig_total = 0
         gen_total = 0

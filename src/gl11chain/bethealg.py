@@ -79,12 +79,8 @@ def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> Coe
     norm = spec.normalizer()
     dim = pencil.dim
     bmats = [ExactMatrix(dim, dim) for _ in range(n + 1)]
-    seen = set()
-    for c in tq.coeffs:
-        for i, j, _ in c.entries():
-            seen.add((i, j))
-    for i, j in seen:
-        coeffs = _laurent_family(tq.entry_poly(i, j), astr, norm, n)
+    for i, j, entry in tq.entries():
+        coeffs = _laurent_family(entry, astr, norm, n)
         for d in range(n + 1):
             if coeffs[d]:
                 bmats[d].put(i, j, coeffs[d])

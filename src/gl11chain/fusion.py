@@ -3,13 +3,16 @@
 Working representation: an operator on the chain module is a FracMatrix, a
 sparse matrix with Poly entries over one monic scalar Poly denominator.
 Every monodromy entry T_ij(x - a) is That_ij(x - a) / N(x - a), with N the
-normalizer prod_s (x - b_s), so products only multiply numerators and
-denominators, sums put both sides over the lcm of the two denominators, and
-equality is decided by cross-multiplying; no entry is canonicalised until
-to_ratfun() at the boundary.  A DiffOp is a finite dict {tau power:
-FracMatrix} under the twisted product tau f(x) = f(x - 1) tau.  Inverses are
-exact for a single-term operator and truncated geometric series when the
-tau^0 part is invertible; a matrix inverse goes through RatFun elimination.
+normalizer prod_s (x - b_s); the pencil already stores That_ij as a
+Poly-entry matrix, so t_entry wraps it as it is.  Products only multiply
+numerators and denominators, sums put both sides over the lcm of the two
+denominators, and equality is decided by cross-multiplying.  No entry is
+canonicalised until to_ratfun() at the boundary: a matrix inverse, which
+goes through RatFun elimination, and the action on a RatFun vector in
+oper_action_check.  higher_transfer keeps route B's FracMatrix as it is.
+A DiffOp is a finite dict {tau power: FracMatrix} under the twisted product
+tau f(x) = f(x - 1) tau.  Inverses are exact for a single-term operator and
+truncated geometric series when the tau^0 part is invertible.
 
 The Manin-matrix entries of the generating operator are K_ij = q_j T_ji(x) tau,
 so that the Berezinian K_11 (K_22 - K_21 K_11^{-1} K_12)^{-1} collapses to a
@@ -25,7 +28,13 @@ from typing import Optional
 
 from .exactnum import Poly, RatFun, scalar
 from .linalg import ExactMatrix
-from .monodromy import ModuleSpec, MonodromyPencil, tensor_monodromy, transfer_pencil
+from .monodromy import (
+    ModuleSpec,
+    MonodromyPencil,
+    coefficient_matrices,
+    tensor_monodromy,
+    transfer_pencil,
+)
 from .superlin import (
     E_PARITY,
     EVEN,
@@ -146,28 +155,18 @@ class FracMatrix:
 
     __hash__ = None
 
-    def coefficients(self) -> list[ExactMatrix]:
-        """x^d coefficient matrices of the numerator, d = 0, 1, ..."""
-        out: list[ExactMatrix] = []
-        for i, j, p in self.num.entries():
-            for d, c in enumerate(p.coeffs):
-                while len(out) <= d:
-                    out.append(ExactMatrix(self.num.nrows, self.num.ncols))
-                out[d].put(i, j, c)
-        return out
-
     def __repr__(self):
         return f"FracMatrix({self.num!r} / {self.den!r})"
 
 
 def t_entry(pencil: MonodromyPencil, i: int, j: int, shift: int = 0) -> FracMatrix:
     """T_ij(x - shift) = That_ij(x - shift) / N(x - shift)."""
-    return FracMatrix(pencil.entry(i, j).poly_matrix(), pencil.normalizer).shift(shift)
+    return FracMatrix(pencil.entry(i, j), pencil.normalizer).shift(shift)
 
 
 def transfer(pencil: MonodromyPencil, twist, shift: int = 0) -> FracMatrix:
     """TransferQ(x - shift) = q1 T_11(x - shift) - q2 T_22(x - shift)."""
-    return FracMatrix(transfer_pencil(pencil, twist).poly_matrix(), pencil.normalizer).shift(shift)
+    return FracMatrix(transfer_pencil(pencil, twist), pencil.normalizer).shift(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> FracMat
 @dataclass
 class RouteComparison:
     ok: bool
-    matrix: ExactMatrix
+    matrix: FracMatrix
     witness: "tuple | None" = None
 
     def __bool__(self):
@@ -249,15 +248,14 @@ class RouteComparison:
 def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
     """m-th transfer matrix; hard failure when the two routes disagree.
 
-    Memoised per (chain, m): the result is shared and must not be mutated.
+    The matrix is route B's.  Memoised per (chain, m): the result is shared
+    and must not be mutated.
     """
     pencil = tensor_monodromy(spec)
     via_trace = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[0])
     via_expansion = higher_transfer_expansion(pencil, spec.twist, m)
     diff = via_trace.first_difference(via_expansion)
-    if diff is not None:
-        return RouteComparison(False, via_expansion.to_ratfun(), (m, *diff))
-    return RouteComparison(True, via_expansion.to_ratfun())
+    return RouteComparison(diff is None, via_expansion, None if diff is None else (m, *diff))
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +265,13 @@ def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
 
 @dataclass
 class DiffOp:
-    """Finite tau-polynomial with matrix coefficients.
-
-    Coefficients are stored as FracMatrix; the constructor also takes
-    RatFun-entry matrices, and coeff(p) returns one.
-    """
+    """Finite tau-polynomial with FracMatrix coefficients."""
 
     dim: int
     coeffs: dict[int, FracMatrix]
 
     def __post_init__(self):
-        fracs = {p: c if isinstance(c, FracMatrix) else FracMatrix.from_ratfun(c) for p, c in self.coeffs.items()}
-        self.coeffs = {p: c for p, c in fracs.items() if not c.is_zero()}
+        self.coeffs = {p: c for p, c in self.coeffs.items() if not c.is_zero()}
 
     @staticmethod
     def scalar_term(dim: int, power: int, value: RatFun) -> "DiffOp":
@@ -290,10 +283,6 @@ class DiffOp:
 
     def frac_coeff(self, p: int) -> FracMatrix:
         return self.coeffs.get(p) or FracMatrix(ExactMatrix(self.dim, self.dim))
-
-    def coeff(self, p: int) -> ExactMatrix:
-        """The tau^p coefficient as a RatFun-entry matrix."""
-        return self.frac_coeff(p).to_ratfun()
 
     def powers(self) -> list[int]:
         return sorted(self.coeffs)
@@ -426,7 +415,9 @@ def berezinian(spec: ModuleSpec) -> BerezinianValue:
     expected = RatFun(cp.phi * q1, cp.psi * q2)
     scalar_ok = mat == FracMatrix.identity(pencil.dim).scale(expected)
     # den is a scalar, so mat commutes with a matrix exactly when its numerator does
-    central = all(mat.num.commutes_with(c) for ent in pencil.entries.values() for c in ent.coeffs)
+    central = all(
+        mat.num.commutes_with(c) for ent in pencil.entries.values() for c in coefficient_matrices(ent)
+    )
     return BerezinianValue(expected if scalar_ok else RatFun(Poly()), forms_agree and scalar_ok, tau_free, central)
 
 
@@ -476,7 +467,7 @@ def expansion_matches_routes(spec: ModuleSpec, order: int) -> list[FusionCheck]:
             if not rc.ok:
                 out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
                 continue
-            want = FracMatrix.from_ratfun(rc.matrix).scale(Fraction(-1) ** m)
+            want = rc.matrix.scale(Fraction(-1) ** m)
         out.append(_equality_check(oper.frac_coeff(m), want, f"tau^{m} coefficient of the generating operator"))
     return out
 
@@ -499,7 +490,7 @@ def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
     scal = RatFun(Poly((1,)))
     for i in range(1, m):
         scal = scal * (1 - ber.value.shift(i))
-    lhs = FracMatrix.from_ratfun(rc.matrix).scale(scal)
+    lhs = rc.matrix.scale(scal)
     rhs = transfer(pencil, spec.twist)
     for i in range(2, m + 1):
         rhs = rhs @ transfer(pencil, spec.twist, i - 1)
@@ -522,9 +513,13 @@ def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
 def higher_family_commutes(spec: ModuleSpec) -> FusionCheck:
     """Every x-coefficient of T_1 commutes with every x-coefficient of T_2.
 
-    On failure the witness is the first non-commuting coefficient pair (a, b).
+    The coefficients are those of the numerators over route B's scalar
+    denominators.  Multiplying a numerator by a nonzero scalar polynomial
+    keeps the span of its coefficients, so the verdict does not depend on
+    the denominator.  On failure the witness is the first non-commuting
+    coefficient pair (a, b).
     """
-    t1, t2 = (FracMatrix.from_ratfun(higher_transfer(spec, m).matrix).coefficients() for m in (1, 2))
+    t1, t2 = (coefficient_matrices(higher_transfer(spec, m).matrix.num) for m in (1, 2))
     for a, ca in enumerate(t1):
         for b, cb in enumerate(t2):
             if not ca.commutes_with(cb):
@@ -563,7 +558,7 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[FusionCh
         if not rc.ok:
             out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
             continue
-        lhs = rc.matrix.apply(vec)
+        lhs = rc.matrix.to_ratfun().apply(vec)
         scalar_coeff = dy_coefficient(spec, y, m) * (Fraction(-1) ** m)
         rhs = [scalar_coeff * v for v in vec]
         bad = next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)

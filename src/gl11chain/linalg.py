@@ -72,7 +72,8 @@ class ExactMatrix:
                     del self.rows[i]
 
     def add_to(self, i: int, j: int, v) -> None:
-        self.put(i, j, self.get(i, j) + v)
+        row = self.rows.get(i)
+        self.put(i, j, row[j] + v if row and j in row else v)
 
     def entries(self):
         for i, row in self.rows.items():

@@ -3,8 +3,9 @@
 A chain is a ModuleSpec: polynomial non-degenerate weights, rational
 evaluation points and an invertible diagonal twist.  The monodromy entries
 are kept pole-free: the pencil stores That_ij(x) = prod_s(x - b_s) T_ij(x)
-as operator-valued polynomials (OpPoly), normalized so the x^k coefficient
-of That_ij is delta_ij times the identity.
+as one matrix with Poly entries, normalized so the x^k coefficient of
+That_ij is delta_ij times the identity.  coefficient_matrices gives the x^d
+coefficient matrices of such a matrix, for the checks that read them.
 
 Spec files are JSON with fields
   weights = [[l1, l2], ...]   (nonnegative integers)
@@ -19,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exactnum import Poly, RatFun, format_scalar, scalar
 from .linalg import ExactMatrix
@@ -143,134 +144,17 @@ def phi_psi(spec: ModuleSpec) -> tuple[Poly, Poly]:
     return phi, psi
 
 
-class OpPoly:
-    """Operator-valued polynomial: list of ExactMatrix coefficients in x."""
-
-    __slots__ = ("coeffs", "dim")
-
-    def __init__(self, coeffs: Sequence[ExactMatrix], dim: "int | None" = None):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        if dim is None:
-            if not cs:
-                raise ValueError("dimension required for the zero OpPoly")
-            dim = cs[0].nrows
-        self.coeffs = cs
-        self.dim = dim
-
-    @staticmethod
-    def zero(dim: int) -> "OpPoly":
-        return OpPoly([], dim)
-
-    @staticmethod
-    def constant(m: ExactMatrix) -> "OpPoly":
-        return OpPoly([m], m.nrows)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, d: int) -> ExactMatrix:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return ExactMatrix(self.dim, self.dim)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "OpPoly") -> "OpPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OpPoly([self.coeff(d) + other.coeff(d) for d in range(n)], self.dim)
-
-    def __sub__(self, other: "OpPoly") -> "OpPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OpPoly([self.coeff(d) - other.coeff(d) for d in range(n)], self.dim)
-
-    def __neg__(self) -> "OpPoly":
-        return OpPoly([-c for c in self.coeffs], self.dim)
-
-    def __matmul__(self, other: "OpPoly") -> "OpPoly":
-        if self.is_zero() or other.is_zero():
-            return OpPoly.zero(self.dim)
-        out = [ExactMatrix(self.dim, self.dim) for _ in range(self.degree + other.degree + 1)]
-        for a, ca in enumerate(self.coeffs):
-            if ca.is_zero():
-                continue
-            for b, cb in enumerate(other.coeffs):
-                if not cb.is_zero():
-                    out[a + b] = out[a + b] + (ca @ cb)
-        return OpPoly(out, self.dim)
-
-    def scale(self, p: Union[Poly, Fraction, int]) -> "OpPoly":
-        """Multiply by a scalar polynomial or scalar."""
-        if isinstance(p, (int, Fraction)):
-            p = Poly((p,))
-        out = [ExactMatrix(self.dim, self.dim) for _ in range(self.degree + p.degree + 1)] if not (self.is_zero() or p.is_zero()) else []
-        for a, ca in enumerate(self.coeffs):
-            for b, cb in enumerate(p.coeffs):
-                if cb:
-                    out[a + b] = out[a + b] + ca * cb
-        return OpPoly(out, self.dim)
-
-    def shift(self, a) -> "OpPoly":
-        """Return p(x - a)."""
-        a = scalar(a)
-        shifted = OpPoly.zero(self.dim)
-        base = Poly((-a, 1))
-        for d, cd in enumerate(self.coeffs):
-            if not cd.is_zero():
-                shifted = shifted + OpPoly.constant(cd).scale(base**d)
-        return shifted
-
-    def __call__(self, v):
-        """Evaluate at a scalar or Poly point; entries follow the point type."""
-        out = ExactMatrix(self.dim, self.dim)
-        power = Fraction(1) if isinstance(v, (int, Fraction)) else Poly((1,))
-        for cd in self.coeffs:
-            if not cd.is_zero():
-                out = out + cd.map_entries(lambda e: e * power)
-            power = power * v
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, OpPoly):
-            return NotImplemented
-        return self.dim == other.dim and len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def entry_poly(self, i: int, j: int) -> Poly:
-        return Poly([c.get(i, j) for c in self.coeffs])
-
-    def poly_matrix(self) -> ExactMatrix:
-        """The same operator as one matrix with Poly entries."""
-        polys: dict[tuple[int, int], list] = {}
-        for d, c in enumerate(self.coeffs):
-            for i, j, v in c.entries():
-                polys.setdefault((i, j), [0] * len(self.coeffs))[d] = v
-        out = ExactMatrix(self.dim, self.dim)
-        for (i, j), cs in polys.items():
-            out.put(i, j, Poly(cs))
-        return out
-
-    def __repr__(self):
-        return f"OpPoly(degree={self.degree}, dim={self.dim})"
-
-
 @dataclass
 class MonodromyPencil:
-    """Normalized 2x2 pencil That_ij(x) on a chain module."""
+    """Normalized 2x2 pencil That_ij(x) on a chain module, as Poly-entry matrices."""
 
     space: SuperSpace
     leg_weights: tuple[Weight, ...]
     points: tuple[Fraction, ...]
-    entries: dict[tuple[int, int], OpPoly]
+    entries: dict[tuple[int, int], ExactMatrix]
     normalizer: Poly
 
-    def entry(self, i: int, j: int) -> OpPoly:
+    def entry(self, i: int, j: int) -> ExactMatrix:
         return self.entries[(i, j)]
 
     @property
@@ -288,15 +172,25 @@ def evaluation_monodromy(wt: Weight, b) -> MonodromyPencil:
     trivial = not wt.is_nondegenerate()
     dim = 1 if trivial else 2
     space = SuperSpace([(0,)] if trivial else [SuperSpace.standard_leg()])
-    ident = ExactMatrix.identity(dim)
-    xminusb = OpPoly([ident * (-b), ident])
-    entries: dict[tuple[int, int], OpPoly] = {}
+    xminusb = Poly((-b, 1))
+    entries: dict[tuple[int, int], ExactMatrix] = {}
     # That_ij(x) = delta_ij (x - b) + (-1)^{|j|} e_ji
     for i, j in product((1, 2), repeat=2):
         sign = -1 if j == 2 else 1
-        eji = leg_generator(wt, j, i) * sign
-        entries[(i, j)] = (xminusb if i == j else OpPoly.zero(dim)) + OpPoly.constant(eji)
-    return MonodromyPencil(space, (wt,), (b,), entries, Poly((-b, 1)))
+        eji = leg_generator(wt, j, i).map_entries(lambda v: Poly((v * sign,)))
+        entries[(i, j)] = ExactMatrix.identity(dim, xminusb) + eji if i == j else eji
+    return MonodromyPencil(space, (wt,), (b,), entries, xminusb)
+
+
+def coefficient_matrices(m: ExactMatrix) -> list[ExactMatrix]:
+    """x^d coefficient matrices of a Poly-entry matrix, d = 0 up to its degree."""
+    out: list[ExactMatrix] = []
+    for i, j, p in m.entries():
+        for d, c in enumerate(p.coeffs):
+            while len(out) <= d:
+                out.append(ExactMatrix(m.nrows, m.ncols))
+            out[d].put(i, j, c)
+    return out
 
 
 def _pair_tensor(
@@ -306,36 +200,21 @@ def _pair_tensor(
     dim_w = space_w.dim
     out = ExactMatrix(space_u.dim * dim_w, space_u.dim * dim_w)
     for u, up, av in amat.entries():
-        sign = -1 if (parity_b and space_u.parity(up)) else 1
+        if parity_b and space_u.parity(up):
+            av = -av
         for w, wp, bv in bmat.entries():
-            out.add_to(u * dim_w + w, up * dim_w + wp, sign * av * bv)
+            out.add_to(u * dim_w + w, up * dim_w + wp, av * bv)
     return out
-
-
-def _oppoly_pair_tensor(
-    a: OpPoly, b: OpPoly, space_u: SuperSpace, space_w: SuperSpace, parity_b: int
-) -> OpPoly:
-    dim = space_u.dim * space_w.dim
-    if a.is_zero() or b.is_zero():
-        return OpPoly.zero(dim)
-    out = [ExactMatrix(dim, dim) for _ in range(a.degree + b.degree + 1)]
-    for da, ca in enumerate(a.coeffs):
-        if ca.is_zero():
-            continue
-        for db, cb in enumerate(b.coeffs):
-            if not cb.is_zero():
-                out[da + db] = out[da + db] + _pair_tensor(ca, cb, space_u, space_w, parity_b)
-    return OpPoly(out, dim)
 
 
 def _combine(first: MonodromyPencil, rest: MonodromyPencil) -> MonodromyPencil:
     """Coproduct of two pencils: first factor receives T_rj, second T_ir."""
     space = first.space.concat(rest.space)
-    entries: dict[tuple[int, int], OpPoly] = {}
+    entries: dict[tuple[int, int], ExactMatrix] = {}
     for i, j in product((1, 2), repeat=2):
-        acc = OpPoly.zero(space.dim)
+        acc = ExactMatrix(space.dim, space.dim)
         for r in (1, 2):
-            acc = acc + _oppoly_pair_tensor(
+            acc = acc + _pair_tensor(
                 first.entry(r, j), rest.entry(i, r), first.space, rest.space, E_PARITY[(i, r)]
             )
         entries[(i, j)] = acc
@@ -361,8 +240,8 @@ def tensor_monodromy(spec: ModuleSpec) -> MonodromyPencil:
     return out
 
 
-def lax_oppoly(points: Sequence) -> tuple[OpPoly, SuperSpace]:
-    """Product (x - z_n + P^(0,n)) ... (x - z_1 + P^(0,1)) on aux (x) V.
+def lax_product(points: Sequence) -> tuple[list[ExactMatrix], SuperSpace]:
+    """x-coefficients of (x - z_n + P^(0,n)) ... (x - z_1 + P^(0,1)) on aux (x) V.
 
     Site parameters may be Fractions or symbolic ring elements (anything the
     matrix entries can multiply), so the same product serves the numeric
@@ -373,7 +252,7 @@ def lax_oppoly(points: Sequence) -> tuple[OpPoly, SuperSpace]:
     full = SuperSpace([SuperSpace.standard_leg()]).concat(vspace)
     dim_full = full.dim
     ident = ExactMatrix.identity(dim_full)
-    lax = OpPoly.constant(ident)
+    lax = [ident]
     for site in range(n, 0, -1):
         flip = ExactMatrix(dim_full, dim_full)
         for h, j in product((1, 2), repeat=2):
@@ -381,30 +260,30 @@ def lax_oppoly(points: Sequence) -> tuple[OpPoly, SuperSpace]:
             sign = -1 if j == 2 else 1
             term = kron_signed(full, {0: (e_matrix(h, j), par), site: (e_matrix(j, h), par)})
             flip = flip + term * sign
-        factor = OpPoly([flip + ident * (-points[site - 1]), ident])
-        lax = lax @ factor
+        const = flip + ident * (-points[site - 1])
+        # times (const + x): the x^d coefficient is lax_{d-1} + lax_d const
+        lax = [lax[0] @ const] + [lax[d - 1] + lax[d] @ const for d in range(1, len(lax))] + [lax[-1]]
     return lax, vspace
 
 
-def lax_blocks(lax: OpPoly, dim_v: int) -> dict[tuple[int, int], OpPoly]:
-    """Normalized entries from the global product; (1,2) carries a sign.
+def lax_blocks(lax: Sequence[ExactMatrix], dim_v: int) -> dict[tuple[int, int], list[ExactMatrix]]:
+    """x-coefficients of the normalized entries from the global product.
 
-    Global aux-major blocks equal (-1)^{(|i|+|j|)|j|} T_ij.
+    Global aux-major blocks equal (-1)^{(|i|+|j|)|j|} T_ij, so the (1,2)
+    block carries a sign.  Each list ends at the entry's degree.
     """
-    entries: dict[tuple[int, int], OpPoly] = {}
-    for i, j in product((1, 2), repeat=2):
-        coeffs = []
-        for c in lax.coeffs:
-            block = ExactMatrix(dim_v, dim_v)
-            for gi, gj, v in c.entries():
-                ai, vi = divmod(gi, dim_v)
-                aj, vj = divmod(gj, dim_v)
-                if ai == i - 1 and aj == j - 1:
-                    block.put(vi, vj, v)
-            if (i, j) == (1, 2):
-                block = -block
-            coeffs.append(block)
-        entries[(i, j)] = OpPoly(coeffs, dim_v)
+    entries: dict[tuple[int, int], list[ExactMatrix]] = {key: [] for key in product((1, 2), repeat=2)}
+    for c in lax:
+        blocks = {key: ExactMatrix(dim_v, dim_v) for key in entries}
+        for gi, gj, v in c.entries():
+            ai, vi = divmod(gi, dim_v)
+            aj, vj = divmod(gj, dim_v)
+            blocks[(ai + 1, aj + 1)].put(vi, vj, -v if (ai, aj) == (0, 1) else v)
+        for key, block in blocks.items():
+            entries[key].append(block)
+    for coeffs in entries.values():
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
     return entries
 
 
@@ -414,8 +293,13 @@ def lax_monodromy(points: Sequence) -> MonodromyPencil:
     Equals tensor_monodromy of n weight-(1,0) sites at the same points.
     """
     pts = [scalar(a) for a in points]
-    lax, vspace = lax_oppoly(pts)
-    entries = lax_blocks(lax, vspace.dim)
+    lax, vspace = lax_product(pts)
+    entries: dict[tuple[int, int], ExactMatrix] = {}
+    for key, coeffs in lax_blocks(lax, vspace.dim).items():
+        m = ExactMatrix(vspace.dim, vspace.dim)
+        for d, c in enumerate(coeffs):
+            m = m + c.map_entries(lambda v: Poly([0] * d + [v]))
+        entries[key] = m
     return MonodromyPencil(
         vspace,
         tuple(Weight(1, 0) for _ in pts),
@@ -444,17 +328,21 @@ def verify_rtt(pencil: MonodromyPencil) -> RttResult:
     with respect to the entry parities.  On mismatch the witness carries
     (i, j, r, s, deg_x1, deg_x2).
     """
-    deg = max(p.degree for p in pencil.entries.values())
+    coeffs = {e: coefficient_matrices(m) for e, m in pencil.entries.items()}
+    deg = max(len(cs) for cs in coeffs.values()) - 1
+    zero = ExactMatrix(pencil.dim, pencil.dim)
     cache: dict[tuple, ExactMatrix] = {}
+
+    def coeff(e, d):
+        return coeffs[e][d] if d < len(coeffs[e]) else zero
 
     def prod(e1, d1, e2, d2):
         key = (e1, d1, e2, d2)
         if key not in cache:
-            cache[key] = pencil.entries[e1].coeff(d1) @ pencil.entries[e2].coeff(d2)
+            cache[key] = coeff(e1, d1) @ coeff(e2, d2)
         return cache[key]
 
     par = lambda i, j: E_PARITY[(i, j)]
-    zero = ExactMatrix(pencil.dim, pencil.dim)
     for i, j, r, s in product((1, 2), repeat=4):
         pa, pb = par(i, j), par(r, s)
         sigma = -1 if pa and pb else 1
@@ -476,10 +364,10 @@ def verify_rtt(pencil: MonodromyPencil) -> RttResult:
     return RttResult(True)
 
 
-def transfer_pencil(pencil: MonodromyPencil, twist) -> OpPoly:
-    """Twisted transfer pencil q1 That_11 - q2 That_22."""
+def transfer_pencil(pencil: MonodromyPencil, twist) -> ExactMatrix:
+    """Twisted transfer pencil q1 That_11 - q2 That_22, a Poly-entry matrix."""
     q1, q2 = scalar(twist[0]), scalar(twist[1])
-    return pencil.entry(1, 1).scale(q1) - pencil.entry(2, 2).scale(q2)
+    return pencil.entry(1, 1) * q1 - pencil.entry(2, 2) * q2
 
 
 def reduce_lambda2(spec: ModuleSpec) -> tuple[ModuleSpec, RatFun]:
@@ -532,7 +420,7 @@ def t_coefficient(pencil: MonodromyPencil, i: int, j: int, r: int) -> ExactMatri
     from .exactnum import laurent_expand
 
     out = ExactMatrix(pencil.dim, pencil.dim)
-    for a, b, p in pencil.entry(i, j).poly_matrix().entries():
+    for a, b, p in pencil.entry(i, j).entries():
         coeffs = laurent_expand(RatFun(p, pencil.normalizer), r)
         if coeffs[r]:
             out.put(a, b, coeffs[r])

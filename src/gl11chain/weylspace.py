@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .exactnum import elementary_symmetric, q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis, solve_in_span
-from .monodromy import lax_blocks, lax_oppoly, make_spec, tensor_monodromy
+from .monodromy import coefficient_matrices, lax_blocks, lax_product, make_spec, tensor_monodromy
 from .superlin import SuperSpace, permutation_closure
 
 
@@ -556,14 +556,14 @@ class SpecializationResult:
         return self.ok
 
 
-def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], "OpPoly"]:
+def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], list[ExactMatrix]]:
     """x-coefficients of the symbolic Lax entries as maps on vectors."""
     points = [MPoly.var(n, i) for i in range(n)]
-    lax, vspace = lax_oppoly(points)
+    lax, vspace = lax_product(points)
     return lax_blocks(lax, vspace.dim)
 
 
-def _apply_mpoly_matrix(space: SuperSpace, mat: ExactMatrix, f: dict, n: int) -> dict:
+def _mpoly_apply(space: SuperSpace, mat: ExactMatrix, f: dict, n: int) -> dict:
     out: dict = {}
     for i, row in mat.rows.items():
         acc = MPoly(n, {})
@@ -620,15 +620,19 @@ def modified_invariant_basis(n: int, level: int, d: int) -> list[dict]:
     return out
 
 
-def cyclicity_by_degree(n: int, d: int) -> bool:
-    """Span growth from the vacuum under the entry coefficients fills each degree."""
+def cyclicity_by_degree(n: int, d: int) -> SpecializationResult:
+    """Span growth from the vacuum under the entry coefficients fills each degree.
+
+    On failure the detail names the first level whose span falls short, with
+    its spanned dimension and the invariant count.
+    """
     space = SuperSpace.tensor_power(n)
     blocks = gamma_coefficient_ops(n)
     cap = d
     coords_all = [Coords.build(n, lv, cap) for lv in range(n + 1)]
     ops = []
     for (i, j), op in blocks.items():
-        for c in op.coeffs:
+        for c in op:
             ops.append((i, j, c))
     # generate within the degree cap, then compare against invariant dims
     frontier = [vacuum_vector(n)]
@@ -638,7 +642,7 @@ def cyclicity_by_degree(n: int, d: int) -> bool:
         nxt = []
         for f in frontier:
             for i, j, c in ops:
-                g = _apply_mpoly_matrix(space, c, f, n)
+                g = _mpoly_apply(space, c, f, n)
                 if not g:
                     continue
                 deg = max(p.degree() for p in g.values())
@@ -651,27 +655,33 @@ def cyclicity_by_degree(n: int, d: int) -> bool:
     for lv in range(n + 1):
         want = sum(invariant_dimensions(n, lv, cap, False))
         if spans[lv].dim != want:
-            return False
-    return True
+            detail = f"level {lv}: spanned dimension {spans[lv].dim}, invariant count {want}"
+            return SpecializationResult(False, detail)
+    return SpecializationResult(True, "")
 
 
-def gamma_commutes_with_modified(n: int, d: int) -> bool:
-    """The entry coefficients commute with the modified action on degrees <= d."""
+def gamma_commutes_with_modified(n: int, d: int) -> SpecializationResult:
+    """The entry coefficients commute with the modified action on degrees <= d.
+
+    On failure the detail names the first failing leg, entry (i, j),
+    x-degree, component and monomial.
+    """
     space = SuperSpace.tensor_power(n)
     blocks = gamma_coefficient_ops(n)
     coords = Coords.build(n, None, d + n)
     small = Coords.build(n, None, d)
     for i_leg in range(n - 1):
         for (i, j), op in blocks.items():
-            for c in op.coeffs:
-                for ci, comp in enumerate(small.components):
+            for deg, c in enumerate(op):
+                for comp in small.components:
                     for e in small.monomials:
                         f = {comp: MPoly(n, {e: Fraction(1)})}
-                        a = modified_action(space, i_leg, _apply_mpoly_matrix(space, c, f, n))
-                        b = _apply_mpoly_matrix(space, c, modified_action(space, i_leg, f), n)
+                        a = modified_action(space, i_leg, _mpoly_apply(space, c, f, n))
+                        b = _mpoly_apply(space, c, modified_action(space, i_leg, f), n)
                         if coords.to_vector(a) != coords.to_vector(b):
-                            return False
-    return True
+                            where = f"leg {i_leg}, entry ({i}, {j}), x^{deg}"
+                            return SpecializationResult(False, f"{where}, component {comp}, monomial {e}")
+    return SpecializationResult(True, "")
 
 
 class _QuotientLevel:
@@ -754,7 +764,7 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
     def rep_image(key, lv, ri):
         """Class coordinates of an entry coefficient applied to a rep, None for 0."""
         (i, j, d) = key
-        img = _apply_mpoly_matrix(space, blocks[(i, j)].coeff(d), levels[lv].reps[ri], n)
+        img = _mpoly_apply(space, blocks[(i, j)][d], levels[lv].reps[ri], n)
         if not img:
             return None
         sol = levels[lv + level_shift[(i, j)]].class_coords(img)
@@ -780,11 +790,9 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
                     out[offsets[tgt] + pos] += coef * v
         return out
 
-    keys = [(i, j, d) for (i, j) in blocks for d in range(blocks[(i, j)].degree + 1)]
+    keys = [(i, j, d) for (i, j), op in blocks.items() for d in range(len(op))]
     vmats = {
-        (i, j, d): pencil.entry(i, j).coeff(d)
-        for (i, j) in pencil.entries
-        for d in range(n + 1)
+        (i, j, d): c for (i, j), m in pencil.entries.items() for d, c in enumerate(coefficient_matrices(m))
     }
     # lockstep generation from the two vacua
     q_vac = [Fraction(0)] * total

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from gl11chain.exactnum import Poly
-from gl11chain.linalg import joint_generalized_eigenspaces
-from gl11chain.monodromy import make_spec, tensor_monodromy, transfer_pencil
+from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
+from gl11chain.monodromy import coefficient_matrices, make_spec, tensor_monodromy, transfer_pencil
 from gl11chain.bethe import (
     Divisor,
     bethe_vector,
@@ -147,12 +147,13 @@ class TestOnShell:
         # character; the Bethe vector must span it
         for spec in (E1, E2):
             pen = tensor_monodromy(spec)
-            tq = transfer_pencil(pen, spec.twist)
+            tq = coefficient_matrices(transfer_pencil(pen, spec.twist))
+            tq += [ExactMatrix(pen.dim, pen.dim)] * (spec.k + 1 - len(tq))
             cp = char_pair(spec)
             singular = not spec.is_twisted()
             for level in range(cp.gamma.degree + 1):
                 basis = level_subspace(spec, level, singular)
-                ops = [restrict_operator(tq.coeff(d), basis) for d in range(spec.k + 1)]
+                ops = [restrict_operator(tq[d], basis) for d in range(spec.k + 1)]
                 for dv in enumerate_divisors(cp.gamma, level):
                     ev = eigenvalue_pencil(dv, spec)
                     chars = [[ev.coeff(d) for d in range(spec.k + 1)]]

@@ -139,7 +139,7 @@ class TestHigherTransfer:
         # -q2 (q1 (x+1) - q2 x)/x with twist (2, 1)
         rc = higher_transfer(E1, 2)
         assert rc.ok
-        assert rc.matrix.get(0, 0) == rat(Poly((-2, -1)), Poly((0, 1)))
+        assert rc.matrix.to_ratfun().get(0, 0) == rat(Poly((-2, -1)), Poly((0, 1)))
 
     @pytest.mark.parametrize("spec", [E1, E2, E4, E6], ids=["E1", "E2", "E4", "E6"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -199,23 +199,23 @@ class TestBerezinian:
         k11, k12, k21, k22 = k[(1, 1)], k[(1, 2)], k[(2, 1)], k[(2, 2)]
         ber = k11.mul((k22 - k21.mul(k11.inverse_single()).mul(k12)).inverse_single())
         assert ber.powers() == [0]
-        assert ber.coeff(0).get(0, 0) == rat(Poly((F(5, 2),)))
+        assert ber.frac_coeff(0).to_ratfun().get(0, 0) == rat(Poly((F(5, 2),)))
 
 
 class TestDiffOp:
     def test_shift_rule(self):
         dim = 1
         x = rat(Poly((0, 1)))
-        f = DiffOp(dim, {0: ExactMatrix.from_dense([[x]])})
+        f = DiffOp(dim, {0: FracMatrix.from_ratfun(ExactMatrix.from_dense([[x]]))})
         tau = DiffOp.scalar_term(dim, 1, rat(Poly((1,))))
         left = tau.mul(f)
         # tau f(x) = f(x-1) tau
-        assert left.coeff(1).get(0, 0) == rat(Poly((-1, 1)))
+        assert left.frac_coeff(1).to_ratfun().get(0, 0) == rat(Poly((-1, 1)))
 
     def test_single_inverse(self):
         dim = 2
         m = ExactMatrix.from_dense([[rat(Poly((1, 1))), rat(Poly())], [rat(Poly()), rat(Poly((2,)))]])
-        d = DiffOp(dim, {1: m})
+        d = DiffOp(dim, {1: FracMatrix.from_ratfun(m)})
         inv = d.inverse_single()
         assert d.mul(inv) == DiffOp.one(dim)
         assert inv.mul(d) == DiffOp.one(dim)
@@ -226,7 +226,7 @@ class TestDiffOp:
         inv = d.inverse_series(3)
         assert d.mul(inv, hi=3) == DiffOp.one(dim)
         # geometric coefficients x(x-1)...(x-m+1)
-        assert inv.coeff(2).get(0, 0) == rat(Poly((0, 1)) * Poly((-1, 1)))
+        assert inv.frac_coeff(2).to_ratfun().get(0, 0) == rat(Poly((0, 1)) * Poly((-1, 1)))
 
 
 class TestGeneratingOper:
@@ -239,7 +239,7 @@ class TestGeneratingOper:
         oper = generating_oper(E2, 2)
         dim = 4
         ident = ExactMatrix.identity(dim, rat(Poly((1,))))
-        assert oper.coeff(0) == ident
+        assert oper.frac_coeff(0).to_ratfun() == ident
 
 
 class TestTransferRelations:
@@ -254,7 +254,7 @@ class TestTransferRelations:
         assert all(c.ok for c in checks)
         rc = higher_transfer(E1, 2)
         ber = berezinian(E1)
-        lhs = rc.matrix * (1 - ber.value.shift(1))
+        lhs = rc.matrix.to_ratfun() * (1 - ber.value.shift(1))
         want = rat(Poly((2, 1)) * Poly((1, 1)), Poly((0, 1)) * Poly((-1, 1)))
         assert lhs.get(0, 0) == want
 
@@ -346,6 +346,6 @@ class TestUniversalOper:
                 bv = bethe_vector(spec, dv.root_list())
                 vec = [RatFun(Poly((v,))) for v in bv.vector]
                 for m in range(4):
-                    got = oper.coeff(m).apply(vec)
+                    got = oper.frac_coeff(m).to_ratfun().apply(vec)
                     want = [dy_coefficient(spec, dv, m) * v for v in vec]
                     assert got == want

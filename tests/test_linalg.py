@@ -73,6 +73,24 @@ class TestExactMatrix:
         assert sq.get(0, 0) == x * x
         assert sq.get(1, 1) == (x + 1) * (x + 1)
 
+    def test_add_to_empty_cell_stores_the_entry(self):
+        x = Poly((F(1, 2), 1))
+        m = ExactMatrix(2, 2)
+        m.add_to(0, 1, x)
+        assert m.get(0, 1) is x
+        m.add_to(0, 1, x)
+        assert m.get(0, 1) == x * 2
+
+        class Unsummable:
+            """An entry that refuses to be added to the zero placeholder."""
+
+            def __radd__(self, other):
+                raise TypeError(f"{other!r} + entry")
+
+        e = Unsummable()
+        m.add_to(1, 0, e)
+        assert m.get(1, 0) is e
+
 
 class DenseEchelon:
     """Reference span: dense rows in reduced echelon form, first-nonzero pivots."""

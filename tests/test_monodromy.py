@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun
+from gl11chain.linalg import ExactMatrix
 from gl11chain.monodromy import (
     ModuleSpec,
+    coefficient_matrices,
     cyclicity_and_irreducibility,
     evaluation_monodromy,
     lax_monodromy,
@@ -54,17 +56,17 @@ class TestEvaluation:
     def test_one_site_values(self):
         pen = evaluation_monodromy(Weight(F(1), F(0)), F(0))
         # That_11 v1 = (x+1) v1, That_22 v1 = x v1
-        assert pen.entry(1, 1).entry_poly(0, 0) == Poly((1, 1))
-        assert pen.entry(2, 2).entry_poly(0, 0) == Poly((0, 1))
+        assert pen.entry(1, 1).get(0, 0) == Poly((1, 1))
+        assert pen.entry(2, 2).get(0, 0) == Poly((0, 1))
         # twisted combination on the lowered vector: q1 x - q2 (x-1)
-        t = pen.entry(1, 1).entry_poly(1, 1) * 2 - pen.entry(2, 2).entry_poly(1, 1)
+        t = pen.entry(1, 1).get(1, 1) * 2 - pen.entry(2, 2).get(1, 1)
         assert t == Poly((1, 1))
 
     def test_trivial_weight(self):
         pen = evaluation_monodromy(Weight(F(0), F(0)), F(3))
         for i, j in product((1, 2), repeat=2):
             want = Poly((-3, 1)) if i == j else Poly()
-            assert pen.entry(i, j).entry_poly(0, 0) == want
+            assert pen.entry(i, j).get(0, 0) == want
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -79,9 +81,10 @@ class TestTensor:
         pen = tensor_monodromy(E2)
         phi, psi = phi_psi(E2)
         v = vac(pen)
+        c11, c22 = coefficient_matrices(pen.entry(1, 1)), coefficient_matrices(pen.entry(2, 2))
         for d in range(3):
-            got11 = pen.entry(1, 1).coeff(d).apply(v)
-            got22 = pen.entry(2, 2).coeff(d).apply(v)
+            got11 = c11[d].apply(v)
+            got22 = c22[d].apply(v)
             assert got11[0] == phi.coeff(d) and all(x == 0 for x in got11[1:])
             assert got22[0] == psi.coeff(d) and all(x == 0 for x in got22[1:])
 
@@ -89,12 +92,12 @@ class TestTensor:
         spec = make_spec([(2, 1), (1, 0)], ["0", "3"], ("1", "1"))
         pen = tensor_monodromy(spec)
         for i, j in product((1, 2), repeat=2):
-            ent = pen.entry(i, j)
-            assert ent.degree <= spec.k
+            ent = coefficient_matrices(pen.entry(i, j))
+            assert len(ent) - 1 <= spec.k
             if i == j:
-                assert ent.coeff(spec.k).to_dense() == [[1 if a == b else 0 for b in range(4)] for a in range(4)]
+                assert ent[spec.k].to_dense() == [[1 if a == b else 0 for b in range(4)] for a in range(4)]
             else:
-                assert ent.degree < spec.k
+                assert len(ent) - 1 < spec.k
 
     def test_single_site_reduces_to_evaluation(self):
         spec = make_spec([(2, 1)], ["1/3"], ("1", "1"))
@@ -137,11 +140,46 @@ class TestLax:
     def test_degree_bound_and_leading(self):
         lx = lax_monodromy(["0", "1", "2"])
         for i, j in product((1, 2), repeat=2):
-            assert lx.entry(i, j).degree <= 3
-        assert lx.entry(1, 1).coeff(3) == lx.entry(2, 2).coeff(3)
+            assert len(coefficient_matrices(lx.entry(i, j))) - 1 <= 3
+        assert coefficient_matrices(lx.entry(1, 1))[3] == coefficient_matrices(lx.entry(2, 2))[3]
+
+    def test_four_sites_all_entries(self):
+        pts = ["1/3", "-5/2", "2/7", "4"]
+        lx = lax_monodromy(pts)
+        tn = tensor_monodromy(make_spec([(1, 0)] * 4, pts, ("1", "1")))
+        for i, j in product((1, 2), repeat=2):
+            assert lx.entry(i, j) == tn.entry(i, j)
 
     def test_rtt_n4(self):
         assert verify_rtt(lax_monodromy(["0", "1/2", "-1", "3"])).ok
+
+
+_fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices of size 1-4 with Poly entries of degree at most 4."""
+    n = draw(st.integers(1, 4))
+    m = ExactMatrix(n, n)
+    for i, j in product(range(n), repeat=2):
+        m.put(i, j, Poly(draw(st.lists(_fracs, max_size=5))))
+    return m
+
+
+class TestCoefficientMatrices:
+    @settings(max_examples=40, deadline=None)
+    @given(poly_matrices(), _fracs)
+    def test_rebuild_and_evaluate(self, m, t):
+        cms = coefficient_matrices(m)
+        assert not cms or not cms[-1].is_zero()
+        rebuilt = ExactMatrix(m.nrows, m.ncols)
+        value = ExactMatrix(m.nrows, m.ncols)
+        for d, c in enumerate(cms):
+            rebuilt = rebuilt + c.map_entries(lambda v: Poly([0] * d + [v]))
+            value = value + c * t**d
+        assert rebuilt == m
+        assert value == m.map_entries(lambda p: p(t))
 
 
 class TestRttOracle:
@@ -157,8 +195,8 @@ class TestRttOracle:
         # independent check of the exchange identity at random numeric points
         x1, x2 = pts
         pen = tensor_monodromy(E2)
-        mats1 = {(i, j): pen.entry(i, j)(x1) for i in (1, 2) for j in (1, 2)}
-        mats2 = {(i, j): pen.entry(i, j)(x2) for i in (1, 2) for j in (1, 2)}
+        mats1 = {(i, j): pen.entry(i, j).map_entries(lambda p: p(x1)) for i in (1, 2) for j in (1, 2)}
+        mats2 = {(i, j): pen.entry(i, j).map_entries(lambda p: p(x2)) for i in (1, 2) for j in (1, 2)}
         for i, j, r, s in product((1, 2), repeat=4):
             pa, pb = (i + j) % 2, (r + s) % 2
             sigma = -1 if pa and pb else 1
@@ -172,27 +210,27 @@ class TestTransfer:
     def test_e1_values(self):
         spec = make_spec([(1, 0)], ["0"], ("2", "1"))
         tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
-        assert tq.entry_poly(0, 0) == Poly((2, 1))  # x + 2 on the highest vector
-        assert tq.entry_poly(1, 1) == Poly((1, 1))  # x + 1 on the lowered vector
+        assert tq.get(0, 0) == Poly((2, 1))  # x + 2 on the highest vector
+        assert tq.get(1, 1) == Poly((1, 1))  # x + 1 on the lowered vector
 
     def test_vacuum_gamma(self):
-        tq = transfer_pencil(tensor_monodromy(E2), E2.twist)
+        tq = coefficient_matrices(transfer_pencil(tensor_monodromy(E2), E2.twist))
         v = vac(tensor_monodromy(E2))
-        assert [tq.coeff(d).apply(v)[0] for d in range(2)] == [F(1, 2), F(2)]
+        assert [tq[d].apply(v)[0] for d in range(2)] == [F(1, 2), F(2)]
 
     def test_bivariate_commutativity(self):
         spec = make_spec([(2, 1), (1, 0)], ["0", "3"], ("3", "1"))
-        tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
-        for a in range(tq.degree + 1):
-            for b in range(tq.degree + 1):
-                assert tq.coeff(a).commutes_with(tq.coeff(b))
+        tq = coefficient_matrices(transfer_pencil(tensor_monodromy(spec), spec.twist))
+        for a in range(len(tq)):
+            for b in range(len(tq)):
+                assert tq[a].commutes_with(tq[b])
 
     def test_leading_coefficient(self):
         spec = make_spec([(1, 0), (1, 0)], ["2", "-3/2"], ("1", "2"))
-        tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
-        assert tq.degree == 2
+        tq = coefficient_matrices(transfer_pencil(tensor_monodromy(spec), spec.twist))
+        assert len(tq) - 1 == 2
         ident = [[F(-1) if a == b else F(0) for b in range(4)] for a in range(4)]
-        assert tq.coeff(2).to_dense() == ident
+        assert tq[2].to_dense() == ident
 
 
 class TestReduce:

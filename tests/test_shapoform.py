@@ -131,13 +131,12 @@ class TestFormMatrix:
         assert check_iota_contract(spec)
 
     def test_transfer_self_adjoint(self):
-        from gl11chain.monodromy import transfer_pencil
+        from gl11chain.monodromy import coefficient_matrices, transfer_pencil
 
         gram = form_matrix(E4)
         pen = tensor_monodromy(E4)
-        tq = transfer_pencil(pen, E4.twist)
-        for d in range(tq.degree + 1):
-            assert (tq.coeff(d).transpose() @ gram) == (gram @ tq.coeff(d))
+        for c in coefficient_matrices(transfer_pencil(pen, E4.twist)):
+            assert (c.transpose() @ gram) == (gram @ c)
 
 
 class TestNorms:

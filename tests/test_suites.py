@@ -8,6 +8,7 @@ from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
 from gl11chain.bethe import char_pair
+from gl11chain.linalg import ExactMatrix
 from gl11chain.shapoform import form_matrix
 from gl11chain.weylspace import SpecializationResult
 
@@ -53,6 +54,33 @@ def test_specialization_items_carry_the_detail(monkeypatch):
         assert not items[name].ok and items[name].detail == "x"
     rejected = items["specialization ordering rejected"]
     assert rejected.ok and rejected.detail == ""
+
+
+def test_entry_action_item_names_the_witness(monkeypatch):
+    real = weylspace.gamma_coefficient_ops
+
+    def corrupted(n):
+        # x^0 coefficient of That_11 replaced by multiplication by z_1
+        blocks = real(n)
+        times_z1 = ExactMatrix.identity(2**n, weylspace.MPoly.var(n, 0))
+        return {**blocks, (1, 1): [times_z1] + blocks[(1, 1)][1:]}
+
+    monkeypatch.setattr(weylspace, "gamma_coefficient_ops", corrupted)
+    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
+    item = items["entry action commutes with modified action"]
+    assert not item.ok
+    assert item.detail == "leg 0, entry (1, 1), x^0, component 0, monomial (0, 0)"
+
+
+def test_vacuum_generation_item_names_the_level(monkeypatch):
+    monkeypatch.setattr(weylspace, "gamma_coefficient_ops", lambda n: {})
+    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
+    item = items["vacuum generates by degree"]
+    want = sum(weylspace.invariant_dimensions(2, 0, 3, False))
+    assert not item.ok
+    assert item.detail == f"level 0: spanned dimension 1, invariant count {want}"
 
 
 def _negate_entry(pencil, entry):
