@@ -150,7 +150,7 @@ def cmd_random_spec(args) -> int:
         if not args.twisted:
             q1 = q2 = Fraction(1)
         try:
-            spec = make_spec(weights, [str(p) for p in points], (str(q1), str(q2)))
+            spec = make_spec(weights, points, (q1, q2))
         except ValueError:
             continue
         cyclic, _ = monodromy.cyclicity_and_irreducibility(spec)

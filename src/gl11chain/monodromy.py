@@ -34,6 +34,10 @@ from .superlin import (
 )
 
 
+def _weight_text(wt: Weight) -> str:
+    return "(" + ", ".join(wt.to_strings()) + ")"
+
+
 @dataclass(frozen=True)
 class ModuleSpec:
     """Weights, evaluation points and twist defining the physical chain."""
@@ -51,11 +55,10 @@ class ModuleSpec:
         if not self.weights:
             raise ValueError("empty chain")
         for wt in self.weights:
-            text = "(" + ", ".join(wt.to_strings()) + ")"
             if not wt.is_polynomial():
-                raise ValueError(f"weight {text} is not polynomial")
+                raise ValueError(f"weight {_weight_text(wt)} is not polynomial")
             if not wt.is_nondegenerate():
-                raise ValueError(f"weight {text} is degenerate")
+                raise ValueError(f"weight {_weight_text(wt)} is degenerate")
         q1, q2 = self.twist
         if q1 == 0 or q2 == 0:
             raise ValueError("twist entries must be nonzero")

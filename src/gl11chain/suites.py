@@ -361,7 +361,8 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
     items: list[SuiteItem] = []
     for n in range(2, max_n + 1):
         d = degree_cap
-        items.append(_item(f"modified action relations n={n}", weylspace.check_sn_relations(n, min(d, 3))))
+        res = weylspace.check_sn_relations(n, min(d, 3))
+        items.append(_item(f"modified action relations n={n}", res.ok, res.detail))
         for level in range(n + 1):
             got = weylspace.invariant_dimensions(n, level, d, False)
             want = weylspace.character_series(n, level, d, False)

@@ -126,18 +126,24 @@ def kron_signed(
     for combo in product(*per_leg):
         rows = [c[0] for c in combo]
         cols = [c[1] for c in combo]
-        val = Fraction(1)
+        # scalar factors go into coef and the rest (Poly, RatFun) into val,
+        # so no Fraction multiplies a polynomial from the left
+        coef = Fraction(1)
+        val = None
         for c in combo:
-            if c[2] is not None:
-                val = val * c[2]
-        sign = 1
+            x = c[2]
+            if isinstance(x, (int, Fraction)):
+                coef = coef * x
+            elif x is not None:
+                val = x if val is None else val * x
         for s in op_slots:
             par = slot_ops[s][1]
             if par:
                 passed = sum(space.legs[q][cols[q]] for q in range(s)) % 2
                 if passed:
-                    sign = -sign
-        out.add_to(space.index(rows), space.index(cols), sign * val)
+                    coef = -coef
+        entry = coef if val is None else (val if coef == 1 else val * coef)
+        out.add_to(space.index(rows), space.index(cols), entry)
     return out
 
 

@@ -15,12 +15,13 @@ Invariant dimensions come from the trace of the averaging projector,
 (1/n!) sum_g tr(g).  A trace is a class function, so the sum runs over the
 cycle types of S_n: one word in the s_i per type (a k-cycle on positions
 a..a+k-1 is s_a s_{a+1} ... s_{a+k-2}), weighted by the class size n!/z.
-Only diagonal coefficients are read.  The singular refinement composes
-with the projector e12[0] e21[0] / n (raise, then lower), exact because
-raise-lower + lower-raise acts by the scalar n on the whole space.
-Neither the modified action nor the zero-mode currents raise degree, so
-one pass over the monomials of degree <= d sorts the diagonal into every
-graded dimension up to d.
+The singular refinement composes with the projector e12[0] e21[0] / n
+(raise, then lower), exact because raise-lower + lower-raise acts by the
+scalar n on the whole space.  The divided difference strictly lowers degree
+and the zero-mode currents keep it, so each graded trace is that of the
+standard action's leading block: a signed trace on the 2^n components times
+a count of the monomials the word's variable permutation fixes.  No
+polynomial is multiplied; invariant_dimensions checks both premises.
 """
 
 from __future__ import annotations
@@ -314,25 +315,29 @@ def vacuum_vector(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_sn_relations(n: int, d: int, level: "int | None" = None) -> bool:
-    """Involutivity, braid and distant-commutation for the modified action."""
+def check_sn_relations(n: int, d: int, level: "int | None" = None) -> "SpecializationResult":
+    """Involutivity, braid and distant-commutation for the modified action.
+
+    On failure the detail names the first broken relation: involutivity of
+    s_i, the braid relation at i, or the commutation of (i, j).
+    """
     space = SuperSpace.tensor_power(n)
     coords = Coords.build(n, level, d)
     mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
     ident = ExactMatrix.identity(coords.dim)
-    for m in mats:
+    for i, m in enumerate(mats):
         if (m @ m) != ident:
-            return False
+            return SpecializationResult(False, f"involutivity of s_{i}")
     for i in range(n - 2):
         lhs = mats[i] @ mats[i + 1] @ mats[i]
         rhs = mats[i + 1] @ mats[i] @ mats[i + 1]
         if lhs != rhs:
-            return False
+            return SpecializationResult(False, f"braid relation at {i}")
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
             if (mats[i] @ mats[j]) != (mats[j] @ mats[i]):
-                return False
-    return True
+                return SpecializationResult(False, f"commutation of ({i}, {j})")
+    return SpecializationResult(True, "")
 
 
 def _class_words(n: int) -> list[tuple[list[int], int]]:
@@ -364,38 +369,102 @@ def _class_words(n: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def _fixed_monomial_counts(n: int, word: Sequence[int], d: int) -> list[int]:
+    """Counts (degrees 0..d) of the monomials fixed by the word's variable permutation.
+
+    A fixed monomial has one exponent per cycle, so the counts are the
+    coefficients of prod over the cycles of 1/(1 - q^len).
+    """
+    perm = list(range(n))
+    for i in word:
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    counts = [1] + [0] * d
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        for delta in range(length, d + 1):
+            counts[delta] += counts[delta - length]
+    return counts
+
+
+def _check_divided_differences(n: int, d: int) -> None:
+    """Raise ArithmeticError unless each divided difference lowers the degree of each monomial up to d."""
+    for e in monomials_upto(n, d):
+        mono = MPoly(n, {e: 1})
+        for i in range(n - 1):
+            if mono.divided_difference(i).degree() >= sum(e):
+                raise ArithmeticError(f"divided difference at s_{i} does not lower the degree of {e}")
+
+
+def _zero_mode_map(space: SuperSpace, i: int, j: int, comps: Sequence[int]) -> dict[int, dict[int, int]]:
+    """e_ij[0] on the constants (c, 1) for c in comps, as {c: {image component: coefficient}}.
+
+    Raises ArithmeticError unless every image has degree 0.
+    """
+    n = space.nlegs()
+    zero = (0,) * n
+    out = {}
+    for c in comps:
+        image = current_action(space, i, j, 0, {c: MPoly(n, {zero: 1})})
+        if any(p.degree() != 0 for p in image.values()):
+            raise ArithmeticError(f"zero mode e{i}{j}[0] moves component {c} off degree 0")
+        out[c] = {cc: p.terms[zero] for cc, p in image.items()}
+    return out
+
+
 def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> list[int]:
     """Graded dimensions (degrees 0..d) of the modified-action invariants.
 
     The invariants have dimension tr(averaging projector) = (1/n!) sum_g
     tr(g), and tr(g) depends only on the cycle type of g: each word from
     _class_words counts for its whole class.  For the singular part the
-    projector e12[0] e21[0] / n (raise, then lower) follows g.  Only the
-    diagonal is read: each word is applied to each basis vector (c, z^e) of
-    the degree-<=d chart, and the coefficient of (c, z^e) in the image goes
-    to the bucket of degree |e|.  The modified action is the standard action
-    plus a divided difference that strictly lowers degree, and the zero-mode
-    currents keep degree, so every operator here is triangular for the
-    degree filtration.  Its trace on the degree-delta graded piece is the
-    sum of its diagonal entries at degree-delta monomials, so one pass at
-    degree d gives every graded dimension up to d.
+    projector e12[0] e21[0] / n (raise, then lower) follows g.
+
+    Lemma (traces from the leading block).  The modified s_i is the standard
+    s_i plus a divided difference that strictly lowers degree, and e12[0],
+    e21[0] keep degree.  So every operator here is triangular for the degree
+    filtration, and its trace on the degree-delta piece equals the trace of
+    its standard-action block.  That block is the word's signed permutation
+    of the level-`level` components (followed by e12[0] e21[0] when
+    singular_only) tensored with its permutation sigma of the variables, so
+    the trace factors: the signed trace on the components, a 2^n-sized
+    degree-0 computation, times the number of degree-delta monomials fixed by
+    sigma, the q^delta coefficient of prod over the cycles of sigma of
+    1/(1 - q^len).  No polynomial is multiplied.
+
+    Both premises are checked here: each divided difference must lower the
+    degree of every monomial of degree <= d, and e21[0], e12[0] must map
+    every constant (c, 1) they are applied to into degree 0.  A failure
+    raises ArithmeticError, as does a total that n! does not divide.
     """
     space = SuperSpace.tensor_power(n)
-    coords = Coords.build(n, level, d)
+    comps = Coords.build(n, level, 0).components
+    _check_divided_differences(n, d)
+    if singular_only:
+        raise_map = _zero_mode_map(space, 2, 1, comps)
+        lower_map = _zero_mode_map(space, 1, 2, Coords.build(n, level + 1, 0).components)
     totals = [0] * (d + 1)
     for word, size in _class_words(n):
-        for c in coords.components:
-            for e in coords.monomials:
-                # an int unit keeps every coefficient an int: the actions have
-                # integer coefficients and the division by n! comes last
-                f = {c: MPoly(n, {e: 1})}
-                for i in reversed(word):
-                    f = modified_action(space, i, f)
-                if singular_only:
-                    f = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, f))
-                diag = f[c].terms.get(e) if c in f else None
-                if diag:
-                    totals[sum(e)] += size * diag
+        trace = 0
+        for c in comps:
+            cc, sign = c, 1
+            for i in reversed(word):
+                cc, s = flip_components(space, cc, i)
+                sign *= s
+            if singular_only:
+                trace += sign * sum(a * lower_map[u].get(c, 0) for u, a in raise_map[cc].items())
+            elif cc == c:
+                trace += sign
+        if trace:
+            for delta, count in enumerate(_fixed_monomial_counts(n, word, d)):
+                totals[delta] += size * trace * count
     norm = factorial(n) * (n if singular_only else 1)
     out = []
     for delta, total in enumerate(totals):

@@ -83,6 +83,34 @@ def test_vacuum_generation_item_names_the_level(monkeypatch):
     assert item.detail == f"level 0: spanned dimension 1, invariant count {want}"
 
 
+def test_relations_item_names_the_relation(monkeypatch):
+    real = weylspace.modified_action
+
+    def doubled_s0(space, i, f):
+        out = real(space, i, f)
+        return {c: p * 2 for c, p in out.items()} if i == 0 else out
+
+    monkeypatch.setattr(weylspace, "modified_action", doubled_s0)
+    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    items = {it.name: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
+    for n in (2, 3):
+        item = items[f"modified action relations n={n}"]
+        assert not item.ok and item.detail == "involutivity of s_0"
+
+
+def test_relations_check_names_the_braid(monkeypatch):
+    # s_1 by the standard action: both generators stay involutions, but the
+    # braid relation between them breaks
+    real = weylspace.modified_action
+
+    def standard_s1(space, i, f):
+        return weylspace.standard_action(space, i, f) if i == 1 else real(space, i, f)
+
+    monkeypatch.setattr(weylspace, "modified_action", standard_s1)
+    res = weylspace.check_sn_relations(3, 2)
+    assert not res.ok and res.detail == "braid relation at 0"
+
+
 def _negate_entry(pencil, entry):
     return replace(pencil, entries={**pencil.entries, entry: -pencil.entries[entry]})
 

@@ -66,6 +66,32 @@ def group_averaging_dimensions(n, level, d, singular_only):
     return [filtered[0]] + [filtered[i] - filtered[i - 1] for i in range(1, d + 1)]
 
 
+def diagonal_class_trace_dimensions(n, level, d, singular_only):
+    """Graded invariant dimensions from the diagonal of each class word (oracle).
+
+    Applies the modified action of one word per cycle type, with full MPoly
+    arithmetic, to every basis vector (c, z^e) of the degree-<=d chart and
+    reads the coefficient of (c, z^e) in the image into the bucket of degree
+    |e|; for the singular part e12[0] e21[0] follows the word.
+    """
+    space = SuperSpace.tensor_power(n)
+    coords = Coords.build(n, level, d)
+    totals = [0] * (d + 1)
+    for word, size in weylspace._class_words(n):
+        for c in coords.components:
+            for e in coords.monomials:
+                f = {c: MPoly(n, {e: 1})}
+                for i in reversed(word):
+                    f = modified_action(space, i, f)
+                if singular_only:
+                    f = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, f))
+                diag = f[c].terms.get(e) if c in f else None
+                if diag:
+                    totals[sum(e)] += size * diag
+    norm = factorial(n) * (n if singular_only else 1)
+    return [F(total, norm) for total in totals]
+
+
 class TestMPoly:
     def test_divided_difference_exact(self):
         p = MPoly.var(2, 0, 2)  # z1^2
@@ -145,12 +171,32 @@ class TestInvariantDimensions:
             want = group_averaging_dimensions(n, l, d, singular_only)
             assert invariant_dimensions(n, l, d, singular_only) == want
 
+    @pytest.mark.parametrize("singular_only", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_leading_block_matches_diagonal_oracle(self, n, singular_only):
+        for level in range(n + 1):
+            for d in range(5):
+                want = diagonal_class_trace_dimensions(n, level, d, singular_only)
+                assert invariant_dimensions(n, level, d, singular_only) == want
+
+    @pytest.mark.parametrize("singular_only", [False, True])
+    def test_leading_block_matches_diagonal_oracle_five_sites(self, singular_only):
+        for level in range(6):
+            for d in range(3):
+                want = diagonal_class_trace_dimensions(5, level, d, singular_only)
+                assert invariant_dimensions(5, level, d, singular_only) == want
+
     def test_class_traces_build_no_group(self, monkeypatch):
-        # one word per cycle type, applied to basis vectors: no group
+        # traces come from the leading block: no modified action, no group
         # matrices, no products of matrices
-        calls = {"permutation_closure": 0, "matmul": 0}
+        calls = {"modified_action": 0, "permutation_closure": 0, "matmul": 0}
+        action = weylspace.modified_action
         closure = weylspace.permutation_closure
         matmul = ExactMatrix.__matmul__
+
+        def counting_action(*args):
+            calls["modified_action"] += 1
+            return action(*args)
 
         def counting_closure(*args):
             calls["permutation_closure"] += 1
@@ -160,11 +206,27 @@ class TestInvariantDimensions:
             calls["matmul"] += 1
             return matmul(self, other)
 
+        monkeypatch.setattr(weylspace, "modified_action", counting_action)
         monkeypatch.setattr(weylspace, "permutation_closure", counting_closure)
         monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
         got = invariant_dimensions(4, 2, 4, True)
-        assert calls == {"permutation_closure": 0, "matmul": 0}
+        assert calls == {"modified_action": 0, "permutation_closure": 0, "matmul": 0}
         assert got == character_series(4, 2, 4, True)
+
+    def test_degree_keeping_divided_difference_raises(self, monkeypatch):
+        # negative control: without the degree drop the leading block no
+        # longer carries the trace, and the premise check must say so
+        monkeypatch.setattr(MPoly, "divided_difference", lambda self, i: self)
+        with pytest.raises(ArithmeticError, match="divided difference at s_0"):
+            invariant_dimensions(3, 1, 2, False)
+
+    def test_degree_raising_zero_mode_raises(self, monkeypatch):
+        # negative control: a "zero mode" that multiplies by z_s
+        real = weylspace.current_action
+        monkeypatch.setattr(weylspace, "current_action", lambda space, i, j, r, f: real(space, i, j, 1, f))
+        assert invariant_dimensions(3, 1, 2, False) == character_series(3, 1, 2, False)
+        with pytest.raises(ArithmeticError, match="zero mode e21"):
+            invariant_dimensions(3, 1, 2, True)
 
     def test_frozen_values(self):
         assert invariant_dimensions(2, 1, 3, False) == [1, 2, 3, 4]
