@@ -3,13 +3,15 @@
 ExactMatrix stores a dict-of-rows {row: {col: entry}} and never stores zero
 entries.  Entries are duck-typed: Fraction for numeric operators, Poly or
 RatFun for operator-valued pencils.  Row reduction, kernels, inverses and
-determinants require entries from a field (Fraction or RatFun).
+determinants require entries from a field (Fraction or RatFun), and every
+one of them runs through the single sparse elimination of SpanBasis, which
+touches only nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .exactnum import Scalar
 
@@ -218,34 +220,16 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
-    # -- elimination (field entries) -----------------------------------------
+    # -- elimination (field entries), all through SpanBasis._insert ----------
 
     def rref(self) -> tuple["ExactMatrix", list[int]]:
         """Reduced row echelon form and pivot column list."""
-        m = self.to_dense()
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pr = None
-            for i in range(r, nr):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c]
-            m[r] = [v / inv for v in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return ExactMatrix.from_dense(m), pivots
+        span = SpanBasis(self.ncols)
+        for row in self.rows.values():
+            span._insert(dict(row))
+        order = sorted(range(span.dim), key=span.pivots.__getitem__)
+        red = ExactMatrix(self.nrows, self.ncols, {r: span.rows[k] for r, k in enumerate(order)})
+        return red, [span.pivots[k] for k in order]
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -267,52 +251,36 @@ class ExactMatrix:
         return basis
 
     def inverse(self) -> "ExactMatrix":
+        """Row-reduce [A | 1]; A is invertible exactly when every pivot lies in A."""
         if self.nrows != self.ncols:
             raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
         n = self.nrows
-        m = self.to_dense()
-        aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if aug[i][c]:
-                    pr = i
-                    break
-            if pr is None:
+        span = SpanBasis(2 * n)
+        for i in range(n):
+            row = dict(self.rows.get(i, ()))
+            row[n + i] = Fraction(1)
+            span._insert(row)
+            if span.pivots[-1] >= n:
                 raise ZeroDivisionError("matrix not invertible")
-            aug[c], aug[pr] = aug[pr], aug[c]
-            inv = aug[c][c]
-            aug[c] = [v / inv for v in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        return ExactMatrix.from_dense([row[n:] for row in aug])
+        out = ExactMatrix(n, n)
+        for row, p in zip(span.rows, span.pivots):
+            out.rows[p] = {j - n: a for j, a in row.items() if j >= n}
+        return out
 
     def det(self):
+        """Product of the rows' pivot values on insertion, signed by the row-to-pivot permutation."""
         if self.nrows != self.ncols:
             raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
-        n = self.nrows
-        m = self.to_dense()
+        span = SpanBasis(self.ncols)
         det = Fraction(1)
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                return Fraction(0) * det
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] / inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        for i in range(self.nrows):
+            lead = span._insert(dict(self.rows.get(i, ())))
+            if lead is None:
+                return _ZERO
+            det = lead * det
+        pivots = span.pivots
+        inversions = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:])
+        return -det if inversions % 2 else det
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +291,13 @@ class ExactMatrix:
 class SpanBasis:
     """Incremental echelonized basis of a span of vectors (field entries).
 
-    Vectors come and go dense; the stored rows are sparse {col: value} dicts
-    in reduced row echelon form.  Row i is 1 at pivots[i], its first nonzero
-    column, and 0 at every other row's pivot.  Reducing a vector therefore
-    subtracts, once each, the rows whose pivots it touches, so its cost is
-    the nonzeros of those rows, not the vector length.
+    This is the one elimination routine of the package: ExactMatrix.rref,
+    inverse and det insert their rows here.  The stored rows are sparse
+    {col: value} dicts in reduced row echelon form.  Row i is 1 at
+    pivots[i], its first nonzero column, and 0 at every other row's pivot.
+    Reducing a vector therefore subtracts, once each, the rows whose pivots
+    it touches, and inserting it subtracts it from the rows nonzero at its
+    pivot, so the cost is the nonzeros touched, not the vector length.
     """
 
     def __init__(self, length: int):
@@ -344,53 +314,46 @@ class SpanBasis:
             out._row_at[p] = out.rows[-1]
         return out
 
-    def _reduced(self, vec: Sequence) -> dict:
-        """The reduction of vec as {col: value}, zeros dropped."""
-        v = {j: a for j, a in enumerate(vec) if a}
+    def _reduced(self, v: dict) -> dict:
+        """Reduce the sparse vector v {col: value} in place and return it."""
         row_at = self._row_at
         for p in [j for j in v if j in row_at]:
-            f = v.pop(p)
-            for j, b in row_at[p].items():
-                if j != p:
-                    a = v.get(j, 0) - f * b
-                    if a:
-                        v[j] = a
-                    else:
-                        del v[j]
+            _eliminate(v, row_at[p], p)
         return v
 
+    def _insert(self, v: dict):
+        """Reduce the sparse vector v, then store it scaled to 1 at its pivot.
+
+        Returns the pivot value before scaling, or None when v reduces to 0.
+        """
+        v = self._reduced(v)
+        if not v:
+            return None
+        p = min(v)
+        lead = v[p]
+        v = {j: a / lead for j, a in v.items()}
+        for row in self.rows:
+            if p in row:
+                _eliminate(row, v, p)
+        self.rows.append(v)
+        self.pivots.append(p)
+        self._row_at[p] = v
+        return lead
+
     def reduce(self, vec: Sequence) -> Vector:
-        v = self._reduced(vec)
+        v = self._reduced(_sparse(vec))
         return [v.get(j, _ZERO) for j in range(len(vec))]
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; returns True when it was independent."""
-        v = self._reduced(vec)
-        if not v:
-            return False
-        p = min(v)
-        inv = v[p]
-        v = {j: a / inv for j, a in v.items()}
-        for row in self.rows:
-            f = row.get(p)
-            if f:
-                for j, b in v.items():
-                    a = row.get(j, 0) - f * b
-                    if a:
-                        row[j] = a
-                    else:
-                        del row[j]
-        self.rows.append(v)
-        self.pivots.append(p)
-        self._row_at[p] = v
-        return True
+        return self._insert(_sparse(vec)) is not None
 
     def contains(self, vec: Sequence) -> bool:
-        return not self._reduced(vec)
+        return not self._reduced(_sparse(vec))
 
     def coordinates(self, vec: Sequence) -> "Vector | None":
         """Coefficients expressing vec in the stored basis, or None."""
-        if self._reduced(vec):
+        if self._reduced(_sparse(vec)):
             return None
         # every other row is 0 at a row's pivot, so its coefficient is vec there
         return [vec[p] or _ZERO for p in self.pivots]
@@ -398,6 +361,23 @@ class SpanBasis:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def _sparse(vec: Sequence) -> dict:
+    return {j: a for j, a in enumerate(vec) if a}
+
+
+def _eliminate(dst: dict, row: dict, p: int) -> None:
+    """dst -= dst[p] * row for a row that is 1 at p, on sparse dicts, zeros dropped."""
+    f = dst.pop(p)
+    for j, b in row.items():
+        if j != p:
+            a = dst.get(j)
+            a = -f * b if a is None else a - f * b
+            if a:
+                dst[j] = a
+            else:
+                del dst[j]
 
 
 def solve_in_span(basis_matrix: ExactMatrix, vec: Sequence):
@@ -414,13 +394,6 @@ def solve_in_span(basis_matrix: ExactMatrix, vec: Sequence):
     for r, pc in enumerate(pivots):
         coords[pc] = red.get(r, basis_matrix.ncols)
     return coords
-
-
-def intersect_kernels(mats: Iterable[ExactMatrix]) -> list[Vector]:
-    mats = list(mats)
-    if not mats:
-        raise ValueError("empty matrix family")
-    return ExactMatrix.vstack(mats).kernel()
 
 
 def joint_generalized_eigenspaces(
@@ -449,7 +422,7 @@ def joint_generalized_eigenspaces(
         if len(ch) != len(ops):
             raise ValueError("character length mismatch")
         shifted = [op - ExactMatrix.identity(n, Fraction(1)) * c for op, c in zip(ops, ch)]
-        eig = intersect_kernels(shifted)
-        gen = intersect_kernels([s.pow(n) for s in shifted])
+        eig = ExactMatrix.vstack(shifted).kernel()
+        gen = ExactMatrix.vstack([s.pow(n) for s in shifted]).kernel()
         out.append((eig, gen))
     return out

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl11chain.exactnum import Poly
-from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
+from gl11chain.exactnum import Poly, RatFun
+from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces, solve_in_span
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 
@@ -183,6 +183,115 @@ class TestSpanBasis:
         s.add([F(1), F(-1)])
         c = s.coordinates([F(3), F(1)])
         assert c is not None
+
+
+@st.composite
+def fraction_matrices(draw, square=False):
+    """0-5 rows and columns; zero rows and combinations of earlier rows make rank deficiency."""
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if square else draw(st.integers(0, 5))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([F(0)] * ncols)
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.lists(small, min_size=ncols, max_size=ncols)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(rationals), draw(rationals)
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    m = ExactMatrix(nrows, ncols)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            m.put(i, j, v)
+    return m
+
+
+def to_sympy(sympy, m):
+    return sympy.Matrix(m.nrows, m.ncols, [sympy.Rational(v.numerator, v.denominator) for row in m.to_dense() for v in row])
+
+
+def from_sympy(rows):
+    return [[F(int(v.p), int(v.q)) for v in row] for row in rows]
+
+
+class TestSympyDifferential:
+    """Every elimination against sympy's, on exact rationals."""
+
+    @given(fraction_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_rank_kernel_solve(self, m, data):
+        sympy = pytest.importorskip("sympy")
+        sm = to_sympy(sympy, m)
+        red, pivots = m.rref()
+        sred, spivots = sm.rref()
+        assert pivots == list(spivots)
+        assert red.to_dense() == from_sympy(sred.tolist())
+        assert m.rank() == sm.rank()
+        assert m.kernel() == from_sympy([list(v) for v in sm.nullspace()])
+        inside = m.apply(data.draw(st.lists(rationals, min_size=m.ncols, max_size=m.ncols)))
+        outside = data.draw(st.lists(rationals, min_size=m.nrows, max_size=m.nrows))
+        for vec in (inside, outside):
+            coords = solve_in_span(m, vec)
+            svec = sympy.Matrix(m.nrows, 1, [sympy.Rational(v.numerator, v.denominator) for v in vec])
+            if sm.row_join(svec).rank() > sm.rank():
+                assert coords is None
+            else:
+                assert coords is not None and m.apply(coords) == vec
+                if m.ncols:
+                    sol, params = sm.gauss_jordan_solve(svec)
+                    sol = sol.subs({p: 0 for p in params})
+                    assert coords == from_sympy(sol.T.tolist())[0]
+
+    @given(fraction_matrices(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_det_inverse(self, m):
+        sympy = pytest.importorskip("sympy")
+        sm = to_sympy(sympy, m)
+        sdet = sm.det()
+        assert m.det() == F(int(sdet.p), int(sdet.q))
+        if sdet:
+            assert m.inverse().to_dense() == from_sympy(sm.inv().tolist())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+
+    @given(fraction_matrices().filter(lambda m: m.nrows != m.ncols))
+    @settings(max_examples=30)
+    def test_non_square_rejected(self, m):
+        with pytest.raises(ValueError, match="not square"):
+            m.inverse()
+        with pytest.raises(ValueError, match="not square"):
+            m.det()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ratfun_inverse_and_det(self, data):
+        """The RatFun path that FracMatrix.inverse and the Berezinian take."""
+        sympy = pytest.importorskip("sympy")
+        dim = data.draw(st.integers(1, 3))
+        coeffs = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+        dens = st.lists(st.sampled_from([F(0), F(1, 2), F(-2)]), max_size=2).map(Poly.from_roots)
+        m = ExactMatrix(dim, dim)
+        for i in range(dim):
+            for j in range(dim):
+                if data.draw(st.booleans()):
+                    m.put(i, j, RatFun(data.draw(coeffs), data.draw(dens)))
+        det = m.det()
+        det = det if isinstance(det, RatFun) else RatFun(det)
+        for t in (F(1), F(-1, 3), F(5, 2)):
+            try:
+                at_t = [[v(t) if isinstance(v, RatFun) else v for v in row] for row in m.to_dense()]
+            except ZeroDivisionError:
+                continue  # a pole of some entry
+            sdet = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in at_t]).det()
+            assert det(t) == F(int(sdet.p), int(sdet.q))
+        if det:
+            assert m @ m.inverse() == ExactMatrix.identity(dim)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
 
 
 class TestJointEigenspaces:
