@@ -28,7 +28,7 @@ from .exactnum import (
     roots_with_multiplicity,
     scalar,
 )
-from .linalg import ExactMatrix, SpanBasis, solve_in_span
+from .linalg import ExactMatrix, SpanBasis, SpanCoordinates
 from .monodromy import (
     ModuleSpec,
     MonodromyPencil,
@@ -312,10 +312,9 @@ def restrict_operator(m: ExactMatrix, basis: Sequence[Sequence[Fraction]]) -> Ex
     """Matrix of m on the invariant span of the given basis vectors."""
     # coordinates are taken w.r.t. the original (non-echelonized) basis
     cols = []
-    mat_basis = ExactMatrix.from_columns(list(basis), m.nrows)
+    span = SpanCoordinates(m.nrows, basis)
     for v in basis:
-        image = m.apply(list(v))
-        coords = solve_in_span(mat_basis, image)
+        coords = span.coordinates(m.apply(list(v)))
         if coords is None:
             raise ValueError("subspace is not invariant under the operator")
         cols.append(coords)
@@ -384,9 +383,10 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
             eigs.append(ev)
             chars.append([ev.coeff(d) for d in range(spec.k + 1)])
         spaces = joint_generalized_eigenspaces(ops, chars) if divisors else []
+        in_basis = SpanCoordinates(pencil.dim, basis)
         for dv, ev, (eig_basis, gen_basis) in zip(divisors, eigs, spaces):
             res = verify_on_shell(spec, dv)
-            bcoords = solve_in_span(ExactMatrix.from_columns(basis, pencil.dim), res.bethe.vector)
+            bcoords = in_basis.coordinates(res.bethe.vector)
             spans = False
             if bcoords is not None and len(eig_basis) == 1 and not res.bethe.is_zero():
                 span = SpanBasis(dim)

@@ -36,6 +36,9 @@ def cmd_spectrum(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.level is not None and not 0 <= args.level <= spec.k:
+        print(f"error: --level {args.level} is outside 0..{spec.k} for a chain of {spec.k} sites", file=sys.stderr)
+        return 2
     cyclic, _ = monodromy.cyclicity_and_irreducibility(spec)
     if not cyclic:
         print("error: chain is not cyclic (some b_j = b_i + l2_i + l1_j with i < j)", file=sys.stderr)

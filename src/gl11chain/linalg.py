@@ -259,8 +259,7 @@ class ExactMatrix:
         for i in range(n):
             row = dict(self.rows.get(i, ()))
             row[n + i] = Fraction(1)
-            span._insert(row)
-            if span.pivots[-1] >= n:
+            if span._insert(row, n) is None:
                 raise ZeroDivisionError("matrix not invertible")
         out = ExactMatrix(n, n)
         for row, p in zip(span.rows, span.pivots):
@@ -306,14 +305,6 @@ class SpanBasis:
         self.pivots: list[int] = []
         self._row_at: dict[int, dict] = {}  # pivot column -> its row
 
-    def copy(self) -> "SpanBasis":
-        out = SpanBasis(self.length)
-        for row, p in zip(self.rows, self.pivots):
-            out.rows.append(dict(row))
-            out.pivots.append(p)
-            out._row_at[p] = out.rows[-1]
-        return out
-
     def _reduced(self, v: dict) -> dict:
         """Reduce the sparse vector v {col: value} in place and return it."""
         row_at = self._row_at
@@ -321,15 +312,18 @@ class SpanBasis:
             _eliminate(v, row_at[p], p)
         return v
 
-    def _insert(self, v: dict):
+    def _insert(self, v: dict, end: "int | None" = None):
         """Reduce the sparse vector v, then store it scaled to 1 at its pivot.
 
-        Returns the pivot value before scaling, or None when v reduces to 0.
+        Returns the pivot value before scaling, or None, storing nothing, when
+        v reduces to 0 or when its pivot is not before column `end`.
         """
         v = self._reduced(v)
         if not v:
             return None
         p = min(v)
+        if end is not None and p >= end:
+            return None
         lead = v[p]
         v = {j: a / lead for j, a in v.items()}
         for row in self.rows:
@@ -350,13 +344,6 @@ class SpanBasis:
 
     def contains(self, vec: Sequence) -> bool:
         return not self._reduced(_sparse(vec))
-
-    def coordinates(self, vec: Sequence) -> "Vector | None":
-        """Coefficients expressing vec in the stored basis, or None."""
-        if self._reduced(_sparse(vec)):
-            return None
-        # every other row is 0 at a row's pivot, so its coefficient is vec there
-        return [vec[p] or _ZERO for p in self.pivots]
 
     @property
     def dim(self) -> int:
@@ -380,20 +367,42 @@ def _eliminate(dst: dict, row: dict, p: int) -> None:
                 del dst[j]
 
 
-def solve_in_span(basis_matrix: ExactMatrix, vec: Sequence):
-    """Coordinates x with basis_matrix @ x = vec, or None when vec is outside the column span."""
-    aug = ExactMatrix(basis_matrix.nrows, basis_matrix.ncols + 1)
-    for i, j, v in basis_matrix.entries():
-        aug.put(i, j, v)
-    for i, v in enumerate(vec):
-        aug.put(i, basis_matrix.ncols, v)
-    red, pivots = aug.rref()
-    if basis_matrix.ncols in pivots:
-        return None
-    coords = [Fraction(0)] * basis_matrix.ncols
-    for r, pc in enumerate(pivots):
-        coords[pc] = red.get(r, basis_matrix.ncols)
-    return coords
+class SpanCoordinates:
+    """Coordinates of vectors in the span of the vectors added so far.
+
+    The k-th added vector is stored as a SpanBasis row tagged with 1 in
+    column length + k, as ExactMatrix.inverse tags [A | 1], so each stored
+    row carries in its tags the combination of added vectors it equals.
+    Reducing w leaves 0 on the first `length` columns exactly when w lies in
+    the span, and then minus its coordinates in the tags.  A vector that
+    depends on earlier ones is not stored and keeps coordinate 0, so a
+    dependent family gets the solution whose dependent coordinates are 0.
+    More vectors may be added after any query.
+    """
+
+    def __init__(self, length: int, vectors: Sequence[Sequence] = ()):
+        self.length = length
+        self.count = 0
+        self._span = SpanBasis(length)
+        for vec in vectors:
+            self.add(vec)
+
+    def add(self, vec: Sequence) -> bool:
+        """Append vec; returns True when it is independent of the vectors before it."""
+        row = _sparse(vec)
+        row[self.length + self.count] = Fraction(1)
+        self.count += 1
+        return self._span._insert(row, self.length) is not None
+
+    def coordinates(self, vec: Sequence) -> "Vector | None":
+        """x with sum_k x[k] * (k-th added vector) == vec, or None when vec is outside the span."""
+        v = self._span._reduced(_sparse(vec))
+        out = [_ZERO] * self.count
+        for j, a in v.items():
+            if j < self.length:
+                return None
+            out[j - self.length] = -a
+        return out
 
 
 def joint_generalized_eigenspaces(
@@ -402,9 +411,11 @@ def joint_generalized_eigenspaces(
 ) -> list[tuple[list[Vector], list[Vector]]]:
     """Per character: (eigenspace basis, generalized eigenspace basis).
 
-    Operators must commute pairwise and be square on a common space; the
-    generalized kernel exponent is fixed at the space dimension, which always
-    suffices.  Raises ValueError("family not commutative") otherwise.
+    Operators must commute pairwise and be square on a common space.  Each
+    shifted operator s is raised only to the first power j with
+    rank(s^j) = rank(s^(j+1)): from there on the kernel of s^j no longer
+    grows (Fitting's lemma), so it is the generalized kernel, the one that
+    s^dim has.  Raises ValueError("family not commutative") otherwise.
     """
     ops = list(ops)
     if not ops:
@@ -423,6 +434,17 @@ def joint_generalized_eigenspaces(
             raise ValueError("character length mismatch")
         shifted = [op - ExactMatrix.identity(n, Fraction(1)) * c for op, c in zip(ops, ch)]
         eig = ExactMatrix.vstack(shifted).kernel()
-        gen = ExactMatrix.vstack([s.pow(n) for s in shifted]).kernel()
+        gen = ExactMatrix.vstack([_fitting_power(s) for s in shifted]).kernel()
         out.append((eig, gen))
     return out
+
+
+def _fitting_power(s: ExactMatrix) -> ExactMatrix:
+    """s^j for the first j >= 1 with rank(s^j) = rank(s^(j+1))."""
+    power, rank = s, s.rank()
+    while True:
+        nxt = power @ s
+        nxt_rank = nxt.rank()
+        if nxt_rank == rank:
+            return power
+        power, rank = nxt, nxt_rank

@@ -86,8 +86,8 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
             return items
     lax_points = ["0", "1/2", "-1", "3", "-5/2"][:max_n]
     for n in range(1, len(lax_points) + 1):
-        pencil = monodromy.lax_monodromy(lax_points[:n])
-        items.append(_item(f"rtt lax n={n}", monodromy.verify_rtt(pencil).ok))
+        res = monodromy.verify_rtt(monodromy.lax_monodromy(lax_points[:n]))
+        items.append(_item(f"rtt lax n={n}", res.ok, f"witness {res.witness}"))
     # local product against the coproduct construction
     for n in (1, 2, 3):
         if n > max_n:
@@ -95,8 +95,8 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
         pts = lax_points[:n]
         lx = monodromy.lax_monodromy(pts)
         tn = monodromy.tensor_monodromy(make_spec([(1, 0)] * n, pts, ("1", "1")))
-        same = all(lx.entry(i, j) == tn.entry(i, j) for i in (1, 2) for j in (1, 2))
-        items.append(_item(f"lax equals coproduct n={n}", same))
+        diff = _first_differing_entry(lx, tn)
+        items.append(_item(f"lax equals coproduct n={n}", diff is None, f"first differing entry {diff}"))
     # coassociativity on three factors
     s3 = make_spec([(1, 0), (2, 0), (1, 1)], ["0", "3/2", "-1"], ("1", "1"))
     p_all = monodromy.tensor_monodromy(s3)
@@ -107,28 +107,39 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
         ),
         monodromy.evaluation_monodromy(s3.weights[2], s3.points[2]),
     )
-    diff = next(((i, j) for i in (1, 2) for j in (1, 2) if p_all.entry(i, j) != left.entry(i, j)), None)
+    diff = _first_differing_entry(p_all, left)
     items.append(_item("coassociativity", diff is None, f"first differing entry {diff}"))
     # transfer family commutes and respects the diagonal symmetry
     for name, spec in suite_specs().items():
         pencil = monodromy.tensor_monodromy(spec)
         tq = monodromy.coefficient_matrices(monodromy.transfer_pencil(pencil, spec.twist))
-        comm = all(tq[a].commutes_with(tq[b]) for a in range(len(tq)) for b in range(a + 1, len(tq)))
-        items.append(_item(f"transfer pencil commutes {name}", comm))
-        space = pencil.space
+        pair = next(
+            ((a, b) for a in range(len(tq)) for b in range(a + 1, len(tq)) if not tq[a].commutes_with(tq[b])), None
+        )
+        items.append(_item(f"transfer pencil commutes {name}", pair is None, f"coefficient pair {pair}"))
         gens = [(1, 1), (2, 2)] if spec.is_twisted() else [(1, 1), (2, 2), (1, 2), (2, 1)]
-        sym = True
-        for g in gens:
-            e = gl_generator(space, list(spec.weights), *g)
-            if not all(c.commutes_with(e) for c in tq):
-                sym = False
-        items.append(_item(f"transfer pencil symmetry {name}", sym))
+        failure = _symmetry_failure(pencil.space, list(spec.weights), gens, tq)
+        items.append(_item(f"transfer pencil symmetry {name}", failure is None, failure))
     # zero-mode exchange relation with the diagonal action
     e2 = suite_specs()["E2"]
     pencil = monodromy.tensor_monodromy(e2)
     failure = _zero_mode_failure(pencil)
     items.append(_item("zero-mode exchange", failure is None, failure))
     return items
+
+
+def _first_differing_entry(p, q) -> "tuple[int, int] | None":
+    return next(((i, j) for i in (1, 2) for j in (1, 2) if p.entry(i, j) != q.entry(i, j)), None)
+
+
+def _symmetry_failure(space, weights, gens, tq) -> "str | None":
+    """None when every transfer coefficient commutes with each generator, else the first generator and degree."""
+    for g in gens:
+        e = gl_generator(space, weights, *g)
+        for d, c in enumerate(tq):
+            if not c.commutes_with(e):
+                return f"generator e_{g[0]}{g[1]}, x^{d} coefficient"
+    return None
 
 
 def _zero_mode_failure(pencil) -> "str | None":

@@ -22,6 +22,12 @@ and the zero-mode currents keep it, so each graded trace is that of the
 standard action's leading block: a signed trace on the 2^n components times
 a count of the monomials the word's variable permutation fixes.  No
 polynomial is multiplied; invariant_dimensions checks both premises.
+
+The specialization to a numeric chain uses that the invariants are free over
+the symmetric polynomials, on the generators g_D = B_{d_1} ... B_{d_l} vac
+built from the (1,2) entry.  Products sigma^e g_D that are independent and as
+many as invariant_dimensions counts are a basis, so the quotient at
+sigma(z) = sigma(a) is read off them without building the group.
 """
 
 from __future__ import annotations
@@ -29,14 +35,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Optional, Sequence
 
 from .exactnum import elementary_symmetric, q_pochhammer_inverse, scalar, series_mul
-from .linalg import ExactMatrix, SpanBasis, solve_in_span
+from .linalg import ExactMatrix, SpanBasis, SpanCoordinates
 from .monodromy import coefficient_matrices, lax_blocks, lax_product, make_spec, tensor_monodromy
-from .superlin import SuperSpace, permutation_closure
+from .superlin import SuperSpace
 
 
 class MPoly:
@@ -213,17 +218,6 @@ class Coords:
             for e, coef in p.terms.items():
                 v[self.index[(c, e)]] = coef
         return v
-
-    def from_vector(self, v: Sequence[Fraction]) -> dict:
-        nm = len(self.monomials)
-        out: dict = {}
-        for pos, coef in enumerate(v):
-            if coef:
-                c = self.components[pos // nm]
-                e = self.monomials[pos % nm]
-                out.setdefault(c, MPoly(self.n, {}))
-                out[c] = out[c] + MPoly(self.n, {e: coef})
-        return out
 
     def matrix_of(self, fn: Callable[[dict], dict]) -> ExactMatrix:
         """Matrix of a degree-respecting map in these coordinates."""
@@ -534,7 +528,7 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
     gens = {w: _apply_e21_word(space, w, v_plus) for w in words}
     cap = d + sum(range(n - level, n)) + 1
     coords = Coords.build(n, level, cap)
-    sym_monos = _symmetric_monomials(n, d)
+    sym_monos = _symmetric_monomials(n, d).values()
     span = SpanBasis(coords.dim)
     count = 0
     independent = True
@@ -586,28 +580,29 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
     return checks
 
 
-def _symmetric_monomials(n: int, d: int) -> list[MPoly]:
-    """Products of elementary symmetric polynomials of weighted degree <= d."""
+def _symmetric_monomials(n: int, d: int) -> dict[tuple[int, ...], MPoly]:
+    """sigma_1^e_1 ... sigma_n^e_n of weighted degree sum i e_i <= d, by exponents e.
+
+    Each product is one earlier product times one sigma_i; d < 0 gives none.
+    """
     base = [elementary_mpoly(n, i) for i in range(1, n + 1)]
-    out = [MPoly.const(n, 1)]
-    exps = []
-    def rec(prefix, i, budget):
+    out: dict[tuple[int, ...], MPoly] = {}
+
+    def rec(prefix: list[int], i: int, budget: int) -> None:
         if i > n:
-            exps.append(tuple(prefix))
+            e = tuple(prefix)
+            top = max((k for k in range(n) if e[k]), default=None)
+            if top is None:
+                out[e] = MPoly.const(n, 1)
+            else:
+                out[e] = out[e[:top] + (e[top] - 1,) + e[top + 1:]] * base[top]
             return
         e = 0
         while e * i <= budget:
             rec(prefix + [e], i + 1, budget - e * i)
             e += 1
+
     rec([], 1, d)
-    for e in exps:
-        if not any(e):
-            continue
-        m = MPoly.const(n, 1)
-        for i, p in enumerate(e):
-            for _ in range(p):
-                m = m * base[i]
-        out.append(m)
     return out
 
 
@@ -632,7 +627,7 @@ def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], list[ExactMatrix]]:
     return lax_blocks(lax, vspace.dim)
 
 
-def _mpoly_apply(space: SuperSpace, mat: ExactMatrix, f: dict, n: int) -> dict:
+def _mpoly_apply(mat: ExactMatrix, f: dict, n: int) -> dict:
     out: dict = {}
     for i, row in mat.rows.items():
         acc = MPoly(n, {})
@@ -649,44 +644,8 @@ def _mpoly_apply(space: SuperSpace, mat: ExactMatrix, f: dict, n: int) -> dict:
     return out
 
 
-def modified_invariant_basis_kernel(n: int, level: int, d: int) -> list[dict]:
-    """Invariant basis by direct kernel intersection (reference oracle)."""
-    space = SuperSpace.tensor_power(n)
-    coords = Coords.build(n, level, d)
-    mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
-    stacked = ExactMatrix.vstack([m - ExactMatrix.identity(coords.dim) for m in mats]) if mats else ExactMatrix(0, coords.dim)
-    return [coords.from_vector(v) for v in stacked.kernel()]
-
-
-def modified_invariant_basis(n: int, level: int, d: int) -> list[dict]:
-    """Basis of the degree-<=d invariants of the modified action.
-
-    Columns of the group-averaging projector are collected until the exact
-    trace-formula dimension is reached; much cheaper than a kernel at these
-    sizes and validated against the kernel route in the tests.
-    """
-    space = SuperSpace.tensor_power(n)
-    coords = Coords.build(n, level, d)
-    if coords.dim == 0:
-        return []
-    target = sum(invariant_dimensions(n, level, d, False))
-    mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
-    group = list(permutation_closure(mats, coords.dim).values())
-    av = ExactMatrix(coords.dim, coords.dim)
-    for g in group:
-        av = av + g
-    av = av * Fraction(1, len(group))
-    span = SpanBasis(coords.dim)
-    out: list[dict] = []
-    for j in range(coords.dim):
-        col = av.column(j)
-        if any(col) and span.add(col):
-            out.append(coords.from_vector(col))
-            if len(out) == target:
-                break
-    if len(out) != target:
-        raise ArithmeticError(f"averaging spans {len(out)} invariants, trace formula gives {target}")
-    return out
+def _degree(f: dict) -> int:
+    return max(p.degree() for p in f.values())
 
 
 def cyclicity_by_degree(n: int, d: int) -> SpecializationResult:
@@ -711,11 +670,10 @@ def cyclicity_by_degree(n: int, d: int) -> SpecializationResult:
         nxt = []
         for f in frontier:
             for i, j, c in ops:
-                g = _mpoly_apply(space, c, f, n)
+                g = _mpoly_apply(c, f, n)
                 if not g:
                     continue
-                deg = max(p.degree() for p in g.values())
-                if deg > cap:
+                if _degree(g) > cap:
                     continue
                 lv = sum(space.multi_index(next(iter(g))))
                 if spans[lv].add(coords_all[lv].to_vector(g)):
@@ -745,68 +703,68 @@ def gamma_commutes_with_modified(n: int, d: int) -> SpecializationResult:
                 for comp in small.components:
                     for e in small.monomials:
                         f = {comp: MPoly(n, {e: Fraction(1)})}
-                        a = modified_action(space, i_leg, _mpoly_apply(space, c, f, n))
-                        b = _mpoly_apply(space, c, modified_action(space, i_leg, f), n)
+                        a = modified_action(space, i_leg, _mpoly_apply(c, f, n))
+                        b = _mpoly_apply(c, modified_action(space, i_leg, f), n)
                         if coords.to_vector(a) != coords.to_vector(b):
                             where = f"leg {i_leg}, entry ({i}, {j}), x^{deg}"
                             return SpecializationResult(False, f"{where}, component {comp}, monomial {e}")
     return SpecializationResult(True, "")
 
 
-class _QuotientLevel:
-    """One weight level of the model modulo the evaluation ideal."""
+def _generators(n: int, blocks: dict) -> list[list[tuple[tuple[int, ...], dict]]]:
+    """(D, g_D) per level l for the words D = (d_1 < ... < d_l < n) with g_D != 0.
 
-    def __init__(self, n: int, level: int, sig_vals: Sequence[Fraction], dcap: int):
-        self.n = n
-        self.level = level
-        self.coords = Coords.build(n, level, dcap + n)
-        self.ideal = SpanBasis(self.coords.dim)
-        lowinv = modified_invariant_basis(n, level, dcap + n - 1)
-        for i in range(1, n + 1):
-            shifter = elementary_mpoly(n, i) - MPoly.const(n, sig_vals[i - 1])
-            for w in lowinv:
-                deg = max((p.degree() for p in w.values()), default=0)
-                if deg + i > dcap + n:
-                    continue
-                self.ideal.add(self.coords.to_vector({c: shifter * p for c, p in w.items()}))
-        self.reps: list[dict] = []
-        probe = self.ideal.copy()
-        for w in modified_invariant_basis(n, level, dcap):
-            if probe.add(self.coords.to_vector(w)):
-                self.reps.append(w)
-        r = len(self.reps)
-        self.rep_matrix = ExactMatrix.from_columns(
-            [self.ideal.reduce(self.coords.to_vector(w)) for w in self.reps], self.coords.dim
-        )
-        # the reps are independent modulo the ideal, so rep_matrix has full
-        # column rank: solve on r independent rows, once per level
-        rows = SpanBasis(r)
-        self._solve_rows = []
-        for i in sorted(self.rep_matrix.rows):
-            if rows.dim == r:
-                break
-            if rows.add([self.rep_matrix.get(i, j) for j in range(r)]):
-                self._solve_rows.append(i)
-        self._solve_inv = self.rep_matrix.submatrix(self._solve_rows, range(r)).inverse()
+    g_D = B_{d_1} ... B_{d_l} vac, B_d the x^d coefficient of the (1,2) entry.
+    """
+    out = []
+    for lv in range(n + 1):
+        level = []
+        for word in itertools.combinations(range(n), lv):
+            g = vacuum_vector(n)
+            for d in reversed(word):
+                g = _mpoly_apply(blocks[(1, 2)][d], g, n)
+            if g:
+                level.append((word, g))
+        out.append(level)
+    return out
 
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
 
-    def class_coords(self, f: dict):
-        """Coordinates of f's class in the reps, or None when f is outside their span."""
-        red = self.ideal.reduce(self.coords.to_vector(f))
-        x = self._solve_inv.apply([red[i] for i in self._solve_rows])
-        return x if self.rep_matrix.apply(x) == red else None
+def _products(n: int, gens: Sequence[dict], d: int) -> list[tuple[int, tuple[int, ...], dict]]:
+    """(k, e, sigma^e g_k) for the generators g_k and every product of degree <= d."""
+    return [
+        (k, e, {c: sym * p for c, p in g.items()})
+        for k, g in enumerate(gens)
+        for e, sym in _symmetric_monomials(n, d - _degree(g)).items()
+    ]
 
 
 def specialization_check(n: int, points: Sequence) -> SpecializationResult:
     """Quotient of the invariant model at fixed symmetric values vs the chain.
 
-    Requires the ordering a_i != a_j + 1 for i > j.  The quotient by the
-    ideal (sigma_i(z) - sigma_i(a)) is built per weight level, its dimensions
-    compared with the binomial count, and the vacuum-generated correspondence
-    with the numeric chain verified to intertwine every entry coefficient.
+    Requires the ordering a_i != a_j + 1 for i > j.  The modified-action
+    invariants W are free over the symmetric polynomials, on the generators
+    g_D = B_{d_1} ... B_{d_l} vac (d_1 < ... < d_l < n) at level l, B_d the
+    x^d coefficient of the symbolic (1,2) entry.  So the classes of the g_D
+    are a basis of the quotient W / (sigma_i(z) - sigma_i(a)), and the
+    chain's partner of g_D is the same word in the numeric (1,2)
+    coefficients applied to |0>.  Four steps, each with its witness:
+
+    1. every g_D is fixed by every modified s_i and, at each level l, the
+       nonzero g_D number C(n, l): they lie in W (witness: the generator and
+       s_i, or the level);
+    2. the products sigma^e g_D, up to the largest degree of the level's
+       images, are independent and exactly as many as the invariants of
+       that degree (invariant_dimensions).  An independent set of the right
+       size in the invariants is a basis of them, so every image has one
+       decomposition in the products, and no group is built (witness: the
+       level);
+    3. the quotient matrix Q_X of each entry coefficient X is read from the
+       decomposition of X g_D, with sigma^e evaluated at sigma(a) (witness:
+       the key and generator whose image is outside the products);
+    4. the numeric partners, as the columns of M, have rank 2^n, and
+       M Q_X = V_X M for every key X: M is an isomorphism of the quotient
+       onto the chain that intertwines every entry coefficient (witness:
+       the key).
     """
     a = [scalar(v) for v in points]
     for i in range(n):
@@ -815,92 +773,80 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
                 return SpecializationResult(False, "ordering precondition violated")
     space = SuperSpace.tensor_power(n)
     sig_vals = elementary_symmetric(a)
-    spec = make_spec([(1, 0)] * n, [str(v) for v in a], (1, 1))
-    pencil = tensor_monodromy(spec)
+    pencil = tensor_monodromy(make_spec([(1, 0)] * n, [str(v) for v in a], (1, 1)))
     blocks = gamma_coefficient_ops(n)
-    dcap = max(lv * (lv - 1) // 2 + lv * (n - lv) for lv in range(n + 1))
-    levels = [_QuotientLevel(n, lv, sig_vals, dcap) for lv in range(n + 1)]
-    for lv, q in enumerate(levels):
-        if q.dim != comb(n, lv):
-            return SpecializationResult(False, f"quotient dimension at level {lv}")
-    offsets = []
-    total = 0
-    for q in levels:
-        offsets.append(total)
-        total += q.dim
-    level_shift = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
-    @cache
-    def rep_image(key, lv, ri):
-        """Class coordinates of an entry coefficient applied to a rep, None for 0."""
-        (i, j, d) = key
-        img = _mpoly_apply(space, blocks[(i, j)][d], levels[lv].reps[ri], n)
-        if not img:
-            return None
-        sol = levels[lv + level_shift[(i, j)]].class_coords(img)
-        if sol is None:
-            raise ValueError("action does not preserve the quotient")
-        return sol
-
-    def q_apply(key, f):
-        """Apply an entry coefficient to a quotient vector."""
-        out = [Fraction(0)] * total
-        for lv, q in enumerate(levels):
-            tgt = lv + level_shift[key[:2]]
-            if not (0 <= tgt <= n) or levels[tgt].dim == 0:
-                continue
-            for ri in range(q.dim):
-                coef = f[offsets[lv] + ri]
-                if not coef:
-                    continue
-                sol = rep_image(key, lv, ri)
-                if sol is None:
-                    continue
-                for pos, v in enumerate(sol):
-                    out[offsets[tgt] + pos] += coef * v
-        return out
-
     keys = [(i, j, d) for (i, j), op in blocks.items() for d in range(len(op))]
     vmats = {
         (i, j, d): c for (i, j), m in pencil.entries.items() for d, c in enumerate(coefficient_matrices(m))
     }
-    # lockstep generation from the two vacua
-    q_vac = [Fraction(0)] * total
-    q_vac[offsets[0]] = levels[0].class_coords(vacuum_vector(n))[0]
-    v_vac = [Fraction(0)] * (2**n)
-    v_vac[0] = Fraction(1)
-    span = SpanBasis(total)
-    pairs: list[tuple[list[Fraction], list[Fraction]]] = []
-    span.add(q_vac)
-    pairs.append((q_vac, v_vac))
-    frontier = [(q_vac, v_vac)]
-    while frontier and span.dim < total:
-        nxt = []
-        for qu, vu in frontier:
-            for key in keys:
-                qi = q_apply(key, qu)
-                vi = vmats[key].apply(vu)
-                if span.add(qi):
-                    pairs.append((qi, vi))
-                    nxt.append((qi, vi))
-                else:
-                    coords = solve_in_span(ExactMatrix.from_columns([p[0] for p in pairs], total), qi)
-                    if coords is None:
-                        return SpecializationResult(False, "span bookkeeping failure")
-                    if ExactMatrix.from_columns([p[1] for p in pairs], 2**n).apply(coords) != vi:
-                        return SpecializationResult(False, "relation mismatch between the models")
-        frontier = nxt
-    if span.dim != total:
-        return SpecializationResult(False, "quotient not generated from the vacuum")
-    qmat = ExactMatrix.from_columns([p[0] for p in pairs], total)
-    vmat = ExactMatrix.from_columns([p[1] for p in pairs], 2**n)
-    if vmat.rank() != 2**n:
-        return SpecializationResult(False, "correspondence not invertible")
-    # intertwining on the generated basis: M X_Q = X_V M
+
+    # 1. the generators lie in the invariants
+    gens = _generators(n, blocks)
+    for lv, level in enumerate(gens):
+        for word, g in level:
+            for i in range(n - 1):
+                if modified_action(space, i, g) != g:
+                    return SpecializationResult(False, f"generator {word} not fixed by s_{i}")
+        if len(level) != comb(n, lv):
+            return SpecializationResult(False, f"level {lv}: {len(level)} of {comb(n, lv)} generators nonzero")
+
+    # images X g_D as (key, source level, source generator, target level, image)
+    level_shift = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
+    images = []
+    caps = [0] * (n + 1)
     for key in keys:
-        for qu, vu in pairs:
-            coords = solve_in_span(qmat, q_apply(key, qu))
-            if coords is None:
-                return SpecializationResult(False, "image escapes the generated span")
-            if vmat.apply(coords) != vmats[key].apply(vu):
-                return SpecializationResult(False, f"intertwining fails on {key}")
+        op = blocks[key[:2]][key[2]]
+        for lv, level in enumerate(gens):
+            for k, (_, g) in enumerate(level):
+                img = _mpoly_apply(op, g, n)
+                if img:
+                    tgt = lv + level_shift[key[:2]]
+                    images.append((key, lv, k, tgt, img))
+                    caps[tgt] = max(caps[tgt], _degree(img))
+
+    # 2. the products sigma^e g_D are a basis of the invariants up to the cap;
+    # each is labelled with its generator and sigma^e(a)
+    coords = [Coords.build(n, lv, caps[lv]) for lv in range(n + 1)]
+    products: list[SpanCoordinates] = []
+    labels: list[list[tuple[int, Fraction]]] = []
+    for lv, level in enumerate(gens):
+        prods = _products(n, [g for _, g in level], caps[lv])
+        span = SpanCoordinates(coords[lv].dim)
+        for _, _, f in prods:
+            if not span.add(coords[lv].to_vector(f)):
+                return SpecializationResult(False, f"level {lv}: the products sigma^e g_D are dependent")
+        want = sum(invariant_dimensions(n, lv, caps[lv], False))
+        if span.count != want:
+            detail = f"level {lv}: {span.count} products, {want} invariants up to degree {caps[lv]}"
+            return SpecializationResult(False, detail)
+        products.append(span)
+        labels.append([(k, prod((s**m for s, m in zip(sig_vals, e)), start=Fraction(1))) for k, e, _ in prods])
+
+    # 3. quotient matrices from the decompositions of the images
+    offsets = [sum(comb(n, lv) for lv in range(top)) for top in range(n + 1)]
+    qmats = {key: ExactMatrix(2**n, 2**n) for key in keys}
+    for key, lv, k, tgt, img in images:
+        x = products[tgt].coordinates(coords[tgt].to_vector(img))
+        if x is None:
+            detail = f"image of {key} on generator {gens[lv][k][0]} outside the products at level {tgt}"
+            return SpecializationResult(False, detail)
+        for pos, c in enumerate(x):
+            if c:
+                k2, value = labels[tgt][pos]
+                qmats[key].add_to(offsets[tgt] + k2, offsets[lv] + k, c * value)
+
+    # 4. the numeric partners B_{d_1} ... B_{d_l} |0> intertwine every entry coefficient
+    partners = []
+    for level in gens:
+        for word, _ in level:
+            v = [Fraction(int(c == 0)) for c in range(2**n)]
+            for d in reversed(word):
+                v = vmats[(1, 2, d)].apply(v)
+            partners.append(v)
+    mmat = ExactMatrix.from_columns(partners, 2**n)
+    if mmat.rank() != 2**n:
+        return SpecializationResult(False, "correspondence not invertible")
+    for key in keys:
+        if mmat @ qmats[key] != vmats[key] @ mmat:
+            return SpecializationResult(False, f"intertwining fails on {key}")
     return SpecializationResult(True, "isomorphic")

@@ -52,6 +52,19 @@ class TestSpectrum:
         doc = json.loads(out.read_text())
         assert [lv["level"] for lv in doc["levels"]] == [1]
 
+    @pytest.mark.parametrize("level", ["-1", "3"], ids=["negative", "above-site-count"])
+    def test_level_out_of_range_exits_2(self, e2_file, capsys, level):
+        assert main(["spectrum", "--spec", e2_file, "--level", level]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --level {level} is outside 0..2 for a chain of 2 sites\n"
+
+    def test_level_at_site_count_accepted(self, e2_file, tmp_path):
+        # E2 is untwisted: level 2 has no singular vectors, so no level is reported
+        out = tmp_path / "report.json"
+        assert main(["spectrum", "--spec", e2_file, "--level", "2", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["levels"] == []
+
     def test_malformed_twist_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"weights": [[1,0]], "points": ["0"], "twist": ["0","1"]}')

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun
-from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces, solve_in_span
+from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 
@@ -161,13 +161,11 @@ class TestSpanBasis:
             red = ref.reduce(w)
             assert sparse.reduce(w) == red
             assert sparse.contains(w) == (not any(red))
-            assert sparse.copy().reduce(w) == red
-            coords = sparse.coordinates(w)
+            coords = SpanCoordinates(length, vecs).coordinates(w)
             if any(red):
                 assert coords is None
             else:
-                rows = sparse.rows
-                assert [sum(c * r.get(j, 0) for c, r in zip(coords, rows)) for j in range(length)] == w
+                assert [sum(c * v[j] for c, v in zip(coords, vecs)) for j in range(length)] == w
 
     def test_add_and_contains(self):
         s = SpanBasis(3)
@@ -177,12 +175,31 @@ class TestSpanBasis:
         assert s.contains([F(3), F(5), F(3)])
         assert not s.contains([F(0), F(0), F(1)])
 
+
+
+class TestSpanCoordinates:
     def test_coordinates(self):
-        s = SpanBasis(2)
-        s.add([F(1), F(1)])
-        s.add([F(1), F(-1)])
-        c = s.coordinates([F(3), F(1)])
-        assert c is not None
+        s = SpanCoordinates(2, [[F(1), F(1)], [F(1), F(-1)]])
+        assert s.coordinates([F(3), F(1)]) == [F(2), F(1)]
+
+    def test_dependent_vector_keeps_coordinate_zero(self):
+        s = SpanCoordinates(3)
+        assert s.add([F(1), F(0), F(1)])
+        assert not s.add([F(2), F(0), F(2)])
+        assert s.add([F(0), F(1), F(0)])
+        assert s.coordinates([F(3), F(5), F(3)]) == [F(3), F(0), F(5)]
+        assert s.coordinates([F(0), F(0), F(1)]) is None
+
+    def test_empty_basis(self):
+        s = SpanCoordinates(3)
+        assert s.coordinates([F(0)] * 3) == []
+        assert s.coordinates([F(0), F(2), F(0)]) is None
+
+    def test_vectors_added_after_a_query(self):
+        s = SpanCoordinates(2, [[F(1), F(1)]])
+        assert s.coordinates([F(1), F(0)]) is None
+        assert s.add([F(0), F(2)])
+        assert s.coordinates([F(1), F(0)]) == [F(1), F(-1, 2)]
 
 
 @st.composite
@@ -222,6 +239,7 @@ class TestSympyDifferential:
     @given(fraction_matrices(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_rref_rank_kernel_solve(self, m, data):
+        """rref, rank, kernel; coordinates in m's columns, added in two batches with queries after each."""
         sympy = pytest.importorskip("sympy")
         sm = to_sympy(sympy, m)
         red, pivots = m.rref()
@@ -230,19 +248,30 @@ class TestSympyDifferential:
         assert red.to_dense() == from_sympy(sred.tolist())
         assert m.rank() == sm.rank()
         assert m.kernel() == from_sympy([list(v) for v in sm.nullspace()])
-        inside = m.apply(data.draw(st.lists(rationals, min_size=m.ncols, max_size=m.ncols)))
-        outside = data.draw(st.lists(rationals, min_size=m.nrows, max_size=m.nrows))
-        for vec in (inside, outside):
-            coords = solve_in_span(m, vec)
-            svec = sympy.Matrix(m.nrows, 1, [sympy.Rational(v.numerator, v.denominator) for v in vec])
-            if sm.row_join(svec).rank() > sm.rank():
-                assert coords is None
-            else:
-                assert coords is not None and m.apply(coords) == vec
-                if m.ncols:
-                    sol, params = sm.gauss_jordan_solve(svec)
-                    sol = sol.subs({p: 0 for p in params})
-                    assert coords == from_sympy(sol.T.tolist())[0]
+        cols = [m.column(j) for j in range(m.ncols)]
+        first = data.draw(st.integers(0, m.ncols))
+        span = SpanCoordinates(m.nrows, cols[:first])
+        for stop in (first, m.ncols):
+            for col in cols[span.count:stop]:
+                span.add(col)
+            sub = m.submatrix(range(m.nrows), range(stop))
+            ssub = to_sympy(sympy, sub)
+            inside = sub.apply(data.draw(st.lists(rationals, min_size=stop, max_size=stop)))
+            outside = data.draw(st.lists(rationals, min_size=m.nrows, max_size=m.nrows))
+            for vec in (inside, outside):
+                coords = span.coordinates(vec)
+                svec = sympy.Matrix(m.nrows, 1, [sympy.Rational(v.numerator, v.denominator) for v in vec])
+                if ssub.row_join(svec).rank() > ssub.rank():
+                    assert coords is None
+                else:
+                    assert coords is not None and sub.apply(coords) == vec
+                    if stop:
+                        # dependent columns are sympy's free parameters, set to 0
+                        sol, params = ssub.gauss_jordan_solve(svec)
+                        sol = sol.subs({p: 0 for p in params})
+                        assert coords == from_sympy(sol.T.tolist())[0]
+                    else:
+                        assert coords == []
 
     @given(fraction_matrices(square=True))
     @settings(max_examples=150, deadline=None)
@@ -324,3 +353,59 @@ class TestJointEigenspaces:
         chars = [[F(2), F(3)], [F(7), F(4)]]
         spaces = joint_generalized_eigenspaces([a, b], chars)
         assert sum(len(gen) for _, gen in spaces) == 3
+
+
+def pow_dim_eigenspaces(ops, chars):
+    """joint_generalized_eigenspaces with every shifted operator raised to the power dim (oracle)."""
+    n = ops[0].nrows
+    out = []
+    for ch in chars:
+        shifted = [op - ExactMatrix.identity(n) * c for op, c in zip(ops, ch)]
+        out.append((ExactMatrix.vstack(shifted).kernel(), ExactMatrix.vstack([s.pow(n) for s in shifted]).kernel()))
+    return out
+
+
+@st.composite
+def jordan_families(draw):
+    """A = P J P^-1 with Jordan blocks of size 1-4, B a polynomial in A, and characters to probe."""
+    eigenvalues = [F(0), F(1), F(-2), F(1, 2)]
+    blocks = draw(st.lists(st.tuples(st.sampled_from(eigenvalues), st.integers(1, 4)), min_size=1, max_size=3))
+    n = sum(size for _, size in blocks)
+    j = ExactMatrix(n, n)
+    start = 0
+    for lam, size in blocks:
+        for k in range(start, start + size):
+            j.put(k, k, lam)
+            if k + 1 < start + size:
+                j.put(k, k + 1, F(1))
+        start += size
+    # P = L U with unit triangular factors, so it is invertible
+    lower, upper = ExactMatrix.identity(n), ExactMatrix.identity(n)
+    for r in range(n):
+        for c in range(r):
+            lower.put(r, c, draw(small))
+            upper.put(c, r, draw(small))
+    p = lower @ upper
+    a = p @ j @ p.inverse()
+    c = draw(rationals)
+    b = a @ a - a * c
+    chars = [[lam, lam * lam - c * lam] for lam in sorted({lam for lam, _ in blocks})]
+    chars.append([draw(rationals), draw(rationals)])
+    return [a, b], chars, blocks
+
+
+class TestFittingExponent:
+    @given(jordan_families())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_power_dim(self, family):
+        ops, chars, blocks = family
+        got = joint_generalized_eigenspaces(ops, chars)
+        assert got == pow_dim_eigenspaces(ops, chars)
+        for (lam, _), (eig, gen) in zip(chars[:-1], got):
+            assert len(eig) == sum(1 for mu, _ in blocks if mu == lam)
+            assert len(gen) == sum(size for mu, size in blocks if mu == lam)
+
+    def test_nilpotent_block_of_size_four(self):
+        shift = dense([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+        (eig, gen), = joint_generalized_eigenspaces([shift], [[F(0)]])
+        assert len(eig) == 1 and len(gen) == 4

@@ -8,6 +8,7 @@ from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
 from gl11chain.bethe import char_pair
+from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.shapoform import form_matrix
 from gl11chain.weylspace import SpecializationResult
@@ -200,3 +201,59 @@ def test_derived_objects_built_once_per_chain(tmp_path):
     form_matrix.cache_clear()
     run_suite("norms")
     assert form_matrix.cache_info().misses == len(suite_specs())
+
+
+def test_rtt_lax_item_carries_the_witness(monkeypatch):
+    real = monodromy.lax_monodromy
+    monkeypatch.setattr(monodromy, "lax_monodromy", lambda points: _negate_entry(real(points), (2, 1)))
+    items = {it.name: it for it in run_suite("rtt", max_k=3, max_n=3)}
+    for n in (1, 2, 3):
+        item = items[f"rtt lax n={n}"]
+        assert not item.ok and item.detail.startswith("witness (") and item.detail != "witness None"
+
+
+def test_lax_coproduct_item_names_the_entry(monkeypatch):
+    # a diagonal gauge of the auxiliary space keeps the RTT relation but
+    # changes the off-diagonal entries
+    real = monodromy.lax_monodromy
+
+    def gauged(points):
+        pencil = real(points)
+        b, c = pencil.entries[(1, 2)], pencil.entries[(2, 1)]
+        return replace(pencil, entries={**pencil.entries, (1, 2): b * 2, (2, 1): c * Fraction(1, 2)})
+
+    monkeypatch.setattr(monodromy, "lax_monodromy", gauged)
+    bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=3) if not it.ok}
+    assert bad == {f"lax equals coproduct n={n}": "first differing entry (1, 2)" for n in (1, 2, 3)}
+
+
+def _constant_pencil(dim, coefficients):
+    """Poly-entry matrix with the given {(row, col): [x^0, x^1, ...]} entries."""
+    m = ExactMatrix(dim, dim)
+    for (i, j), coeffs in coefficients.items():
+        m.put(i, j, Poly(coeffs))
+    return m
+
+
+def test_transfer_commutes_item_names_the_pair(monkeypatch):
+    # x^0 coefficient E_01, x^1 coefficient E_10: they do not commute
+    monkeypatch.setattr(
+        monodromy, "transfer_pencil", lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1], (1, 0): [0, 1]})
+    )
+    items = {it.name: it for it in run_suite("rtt", max_k=3, max_n=4)}
+    for name in suite_specs():
+        item = items[f"transfer pencil commutes {name}"]
+        assert not item.ok and item.detail == "coefficient pair (0, 1)"
+
+
+def test_transfer_symmetry_item_names_the_generator(monkeypatch):
+    # one coefficient swapping basis vectors 0 and 1 commutes with itself but
+    # not with the diagonal generator e_11, which weighs them differently
+    monkeypatch.setattr(
+        monodromy, "transfer_pencil", lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1], (1, 0): [1]})
+    )
+    items = {it.name: it for it in run_suite("rtt", max_k=3, max_n=4)}
+    for name in suite_specs():
+        assert items[f"transfer pencil commutes {name}"].ok
+        item = items[f"transfer pencil symmetry {name}"]
+        assert not item.ok and item.detail == "generator e_11, x^0 coefficient"

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl11chain import weylspace
-from gl11chain.exactnum import elementary_symmetric
+from gl11chain import superlin, weylspace
 from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.superlin import SuperSpace, permutation_closure
 from gl11chain.weylspace import (
@@ -17,11 +16,10 @@ from gl11chain.weylspace import (
     current_action,
     current_model_checks,
     cyclicity_by_degree,
+    gamma_coefficient_ops,
     gamma_commutes_with_modified,
     invariant_dimensions,
     modified_action,
-    modified_invariant_basis,
-    modified_invariant_basis_kernel,
     specialization_check,
 )
 
@@ -90,6 +88,55 @@ def diagonal_class_trace_dimensions(n, level, d, singular_only):
                     totals[sum(e)] += size * diag
     norm = factorial(n) * (n if singular_only else 1)
     return [F(total, norm) for total in totals]
+
+
+def from_vector(coords, v):
+    """The vector {component: MPoly} with coordinates v in the chart."""
+    nm = len(coords.monomials)
+    out = {}
+    for pos, coef in enumerate(v):
+        if coef:
+            c = coords.components[pos // nm]
+            out[c] = out.get(c, MPoly(coords.n, {})) + MPoly(coords.n, {coords.monomials[pos % nm]: coef})
+    return out
+
+
+def kernel_invariant_basis(n, level, d):
+    """Invariant basis by direct kernel intersection (oracle)."""
+    space = SuperSpace.tensor_power(n)
+    coords = Coords.build(n, level, d)
+    mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
+    ident = ExactMatrix.identity(coords.dim)
+    stacked = ExactMatrix.vstack([m - ident for m in mats]) if mats else ExactMatrix(0, coords.dim)
+    return [from_vector(coords, v) for v in stacked.kernel()]
+
+
+def averaging_invariant_basis(n, level, d):
+    """Invariant basis from the columns of the group-averaging projector (oracle).
+
+    Columns are collected until the trace-formula dimension is reached.
+    """
+    space = SuperSpace.tensor_power(n)
+    coords = Coords.build(n, level, d)
+    if coords.dim == 0:
+        return []
+    target = sum(invariant_dimensions(n, level, d, False))
+    mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
+    group = list(permutation_closure(mats, coords.dim).values())
+    av = ExactMatrix(coords.dim, coords.dim)
+    for g in group:
+        av = av + g
+    av = av * F(1, len(group))
+    span = SpanBasis(coords.dim)
+    out = []
+    for j in range(coords.dim):
+        col = av.column(j)
+        if any(col) and span.add(col):
+            out.append(from_vector(coords, col))
+            if len(out) == target:
+                break
+    assert len(out) == target, f"averaging spans {len(out)} invariants, trace formula gives {target}"
+    return out
 
 
 class TestMPoly:
@@ -191,7 +238,7 @@ class TestInvariantDimensions:
         # matrices, no products of matrices
         calls = {"modified_action": 0, "permutation_closure": 0, "matmul": 0}
         action = weylspace.modified_action
-        closure = weylspace.permutation_closure
+        closure = superlin.permutation_closure
         matmul = ExactMatrix.__matmul__
 
         def counting_action(*args):
@@ -207,7 +254,7 @@ class TestInvariantDimensions:
             return matmul(self, other)
 
         monkeypatch.setattr(weylspace, "modified_action", counting_action)
-        monkeypatch.setattr(weylspace, "permutation_closure", counting_closure)
+        monkeypatch.setattr(superlin, "permutation_closure", counting_closure)
         monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
         got = invariant_dimensions(4, 2, 4, True)
         assert calls == {"modified_action": 0, "permutation_closure": 0, "matmul": 0}
@@ -258,8 +305,8 @@ class TestInvariantDimensions:
 
     def test_projector_basis_matches_kernel(self):
         for n, l, d in ((2, 1, 3), (3, 2, 3)):
-            a = modified_invariant_basis(n, l, d)
-            b = modified_invariant_basis_kernel(n, l, d)
+            a = averaging_invariant_basis(n, l, d)
+            b = kernel_invariant_basis(n, l, d)
             crd = Coords.build(n, l, d)
             span = SpanBasis(crd.dim)
             for w in b:
@@ -301,16 +348,60 @@ class TestGammaInteraction:
         assert cyclicity_by_degree(3, 3)
 
 
+def _span_of(coords, vectors):
+    span = SpanBasis(coords.dim)
+    for f in vectors:
+        span.add(coords.to_vector(f))
+    return span
+
+
 class TestSpecialization:
-    def test_class_coords_outside_span(self):
-        # the quotient's classes are spanned by invariants; the (0, 1)
-        # component alone is not invariant, since s_0 moves it to (1, 0)
-        sp = SuperSpace.tensor_power(2)
-        q = weylspace._QuotientLevel(2, 1, elementary_symmetric([F(1, 2), F(0)]), 1)
-        assert q.dim == 2
-        assert q.class_coords({sp.index((0, 1)): MPoly.const(2, 1)}) is None
-        for ri, rep in enumerate(q.reps):
-            assert q.class_coords(rep) == [F(int(ri == j)) for j in range(q.dim)]
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_products_span_the_invariants(self, n):
+        # the products sigma^e g_D are independent and span what both
+        # invariant-basis oracles span, at every level and degree
+        gens = weylspace._generators(n, gamma_coefficient_ops(n))
+        for level in range(n + 1):
+            for d in range(5):
+                coords = Coords.build(n, level, d)
+                prods = [f for _, _, f in weylspace._products(n, [g for _, g in gens[level]], d)]
+                span = _span_of(coords, prods)
+                assert span.dim == len(prods)
+                for oracle in (averaging_invariant_basis, kernel_invariant_basis):
+                    basis = oracle(n, level, d)
+                    assert len(basis) == span.dim
+                    assert all(span.contains(coords.to_vector(w)) for w in basis)
+
+    def test_builds_no_group(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(superlin, "permutation_closure", lambda *args: calls.append(args))
+        assert specialization_check(3, [F(1, 2), F(0), F(-2)]).ok
+        assert calls == []
+
+    def test_non_invariant_generator_named(self, monkeypatch):
+        # negative control: a vacuum z_1 |0> is not fixed by the modified s_0
+        monkeypatch.setattr(weylspace, "vacuum_vector", lambda n: {0: MPoly.var(n, 0)})
+        res = specialization_check(2, [F(1, 2), F(0)])
+        assert not res.ok and res.detail == "generator () not fixed by s_0"
+
+    def test_dropped_generator_names_the_level(self, monkeypatch):
+        # negative control: a zero top coefficient B_1 kills the generators g_(1) and g_(0, 1)
+        real = weylspace.gamma_coefficient_ops
+
+        def dropped(n):
+            blocks = real(n)
+            return {**blocks, (1, 2): blocks[(1, 2)][:-1] + [ExactMatrix(2**n, 2**n)]}
+
+        monkeypatch.setattr(weylspace, "gamma_coefficient_ops", dropped)
+        res = specialization_check(2, [F(1, 2), F(0)])
+        assert not res.ok and res.detail == "level 1: 1 of 2 generators nonzero"
+
+    def test_corrupted_quotient_matrix_names_the_key(self, monkeypatch):
+        # negative control: sigma^e evaluated at the wrong point corrupts Q_X
+        real = weylspace.elementary_symmetric
+        monkeypatch.setattr(weylspace, "elementary_symmetric", lambda a: [s + 1 for s in real(a)])
+        res = specialization_check(2, [F(1, 2), F(0)])
+        assert not res.ok and res.detail == "intertwining fails on (1, 1, 0)"
 
     def test_trivial(self):
         assert specialization_check(1, [F(0)]).ok
