@@ -308,17 +308,26 @@ class CompletenessReport:
         return self.split and all(lv.complete for lv in self.levels)
 
 
-def restrict_operator(m: ExactMatrix, basis: Sequence[Sequence[Fraction]]) -> ExactMatrix:
-    """Matrix of m on the invariant span of the given basis vectors."""
-    # coordinates are taken w.r.t. the original (non-echelonized) basis
-    cols = []
-    span = SpanCoordinates(m.nrows, basis)
-    for v in basis:
-        coords = span.coordinates(m.apply(list(v)))
-        if coords is None:
-            raise ValueError("subspace is not invariant under the operator")
-        cols.append(coords)
-    return ExactMatrix.from_columns(cols, len(basis))
+def restrict_operators(
+    ms: Sequence[ExactMatrix], basis: Sequence[Sequence[Fraction]]
+) -> tuple[list[ExactMatrix], SpanCoordinates]:
+    """Matrices of each m in ms (at least one) on the invariant span of the basis vectors.
+
+    Coordinates are taken w.r.t. the basis as given (not echelonized), by one
+    SpanCoordinates over it; that solver is returned too, for further
+    coordinate queries in the same basis.
+    """
+    span = SpanCoordinates(ms[0].nrows, basis)
+    ops = []
+    for m in ms:
+        cols = []
+        for v in basis:
+            coords = span.coordinates(m.apply(list(v)))
+            if coords is None:
+                raise ValueError("subspace is not invariant under the operator")
+            cols.append(coords)
+        ops.append(ExactMatrix.from_columns(cols, len(basis)))
+    return ops, span
 
 
 def level_weight(spec: ModuleSpec, level: int) -> Weight:
@@ -372,7 +381,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
         divisors = enumerate_divisors(cp.gamma, level) if level <= cp.gamma.degree else []
         if dim == 0 and not divisors:
             continue
-        ops = [restrict_operator(tq[d], basis) for d in range(spec.k + 1)]
+        ops, in_basis = restrict_operators(tq, basis)
         entries = []
         eig_total = 0
         gen_total = 0
@@ -383,7 +392,6 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
             eigs.append(ev)
             chars.append([ev.coeff(d) for d in range(spec.k + 1)])
         spaces = joint_generalized_eigenspaces(ops, chars) if divisors else []
-        in_basis = SpanCoordinates(pencil.dim, basis)
         for dv, ev, (eig_basis, gen_basis) in zip(divisors, eigs, spaces):
             res = verify_on_shell(spec, dv)
             bcoords = in_basis.coordinates(res.bethe.vector)
@@ -391,7 +399,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
             if bcoords is not None and len(eig_basis) == 1 and not res.bethe.is_zero():
                 span = SpanBasis(dim)
                 span.add(eig_basis[0])
-                spans = not span.add(bcoords)
+                spans = span.contains(bcoords)
             entries.append(
                 DivisorEntry(
                     dv,

@@ -23,6 +23,7 @@ from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from .monodromy import (
     ModuleSpec,
     cyclicity_and_irreducibility,
+    laurent_coefficients,
     reduce_lambda2,
     string_points,
     tensor_monodromy,
@@ -34,7 +35,7 @@ from .bethe import (
     eigenvalue_pencil,
     enumerate_divisors,
     level_subspace,
-    restrict_operator,
+    restrict_operators,
 )
 
 
@@ -55,10 +56,6 @@ class CoefficientFamily:
         return len(self.basis)
 
 
-def _laurent_family(entry: Poly, astr: Poly, norm: Poly, n: int) -> list[Fraction]:
-    return laurent_expand(RatFun(astr * entry, norm * Poly([0] * n + [1])), n)
-
-
 def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> CoefficientFamily:
     """B_1..B_n and C_1..C_n restricted to a level subspace.
 
@@ -76,19 +73,9 @@ def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> Coe
     astr = Poly.from_roots(strings)
     pencil = tensor_monodromy(spec)
     tq = transfer_pencil(pencil, spec.twist)
-    norm = spec.normalizer()
-    dim = pencil.dim
-    bmats = [ExactMatrix(dim, dim) for _ in range(n + 1)]
-    for i, j, entry in tq.entries():
-        coeffs = _laurent_family(entry, astr, norm, n)
-        for d in range(n + 1):
-            if coeffs[d]:
-                bmats[d].put(i, j, coeffs[d])
-    ops = []
-    names = []
-    for d in range(1, n + 1):
-        ops.append(restrict_operator(bmats[d], basis))
-        names.append(f"B{d}")
+    bmats = laurent_coefficients(tq, astr, spec.normalizer() * Poly([0] * n + [1]), n)
+    ops, _ = restrict_operators(bmats[1:], basis)
+    names = [f"B{d}" for d in range(1, n + 1)]
     sig = elementary_symmetric(list(strings))
     for d in range(1, n + 1):
         ops.append(ExactMatrix.identity(len(basis)) * sig[d - 1])
@@ -260,7 +247,7 @@ def divisor_character(fam: CoefficientFamily, dv: Divisor) -> list[Fraction]:
     n = len(fam.strings)
     astr = Poly.from_roots(fam.strings)
     ehat = eigenvalue_pencil(dv, spec)
-    coeffs = _laurent_family(ehat, astr, spec.normalizer(), n)
+    coeffs = laurent_expand(RatFun(astr * ehat, spec.normalizer() * Poly([0] * n + [1])), n)
     sig = elementary_symmetric(list(fam.strings))
     return [coeffs[d] for d in range(1, n + 1)] + list(sig)
 

@@ -5,7 +5,9 @@ evaluation points and an invertible diagonal twist.  The monodromy entries
 are kept pole-free: the pencil stores That_ij(x) = prod_s(x - b_s) T_ij(x)
 as one matrix with Poly entries, normalized so the x^k coefficient of
 That_ij is delta_ij times the identity.  coefficient_matrices gives the x^d
-coefficient matrices of such a matrix, for the checks that read them.
+coefficient matrices of such a matrix, for the checks that read them, and
+laurent_coefficients the Laurent coefficients at infinity of its product
+with a scalar rational function, from one scalar series.
 
 Spec files are JSON with fields
   weights = [[l1, l2], ...]   (nonnegative integers)
@@ -20,9 +22,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Sequence
 
-from .exactnum import Poly, RatFun, format_scalar, scalar
+from .exactnum import Poly, RatFun, format_scalar, laurent_expand, scalar
 from .linalg import ExactMatrix
 from .superlin import (
     E_PARITY,
@@ -330,41 +333,71 @@ def verify_rtt(pencil: MonodromyPencil) -> RttResult:
     is verified coefficient by coefficient, with the supercommutator taken
     with respect to the entry parities.  On mismatch the witness carries
     (i, j, r, s, deg_x1, deg_x2).
+
+    Every term of the identity is a product of two x-coefficient matrices of
+    the pencil.  The check therefore runs on the integer matrices D * C_d,
+    with D the lcm of the entries' denominators: this multiplies both sides
+    by D^2 != 0, which changes neither the verdict nor the first failing
+    index.  At each (deg_x1, deg_x2) the six signed products are summed into
+    one dict and tested for zero; a term of negative degree is skipped.
     """
-    coeffs = {e: coefficient_matrices(m) for e, m in pencil.entries.items()}
+    den = lcm(*(p.denom for m in pencil.entries.values() for _, _, p in m.entries()))
+    coeffs = {e: _integer_coefficients(m, den) for e, m in pencil.entries.items()}
     deg = max(len(cs) for cs in coeffs.values()) - 1
-    zero = ExactMatrix(pencil.dim, pencil.dim)
-    cache: dict[tuple, ExactMatrix] = {}
+    dim = pencil.dim
+    cache: dict[tuple, dict[int, int]] = {}
 
-    def coeff(e, d):
-        return coeffs[e][d] if d < len(coeffs[e]) else zero
-
-    def prod(e1, d1, e2, d2):
+    def prod(e1, d1, e2, d2) -> dict[int, int]:
+        """C_e1[d1] @ C_e2[d2] as {row * dim + col: value}, zeros allowed."""
         key = (e1, d1, e2, d2)
-        if key not in cache:
-            cache[key] = coeff(e1, d1) @ coeff(e2, d2)
-        return cache[key]
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = {}
+            a, b = coeffs[e1], coeffs[e2]
+            if d1 < len(a) and d2 < len(b):
+                brows = b[d2]
+                for i, row in a[d1].items():
+                    base = i * dim
+                    for k, x in row.items():
+                        brow = brows.get(k)
+                        if brow:
+                            for j, y in brow.items():
+                                out[base + j] = out.get(base + j, 0) + x * y
+        return out
 
-    par = lambda i, j: E_PARITY[(i, j)]
     for i, j, r, s in product((1, 2), repeat=4):
-        pa, pb = par(i, j), par(r, s)
-        sigma = -1 if pa and pb else 1
+        sigma = -1 if E_PARITY[(i, j)] and E_PARITY[(r, s)] else 1
         exp = (i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)
         sgn = -1 if exp % 2 else 1
-
-        def sc(d, e):
-            if d < 0 or e < 0:
-                return zero
-            m = prod((i, j), d, (r, s), e) - sigma * prod((r, s), e, (i, j), d)
-            return m
-
+        ij, rs, rj, is_ = (i, j), (r, s), (r, j), (i, s)
         for dd in range(deg + 2):
             for ee in range(deg + 2):
-                lhs = sc(dd - 1, ee) - sc(dd, ee - 1)
-                rhs = (prod((r, j), ee, (i, s), dd) - prod((r, j), dd, (i, s), ee)) * sgn
-                if lhs != rhs:
+                # the x1^dd x2^ee coefficient of left side minus right side
+                terms = [(-sgn, prod(rj, ee, is_, dd)), (sgn, prod(rj, dd, is_, ee))]
+                if dd:
+                    terms += [(1, prod(ij, dd - 1, rs, ee)), (-sigma, prod(rs, ee, ij, dd - 1))]
+                if ee:
+                    terms += [(-1, prod(ij, dd, rs, ee - 1)), (sigma, prod(rs, ee - 1, ij, dd))]
+                acc: dict[int, int] = {}
+                for c, p in terms:
+                    for key, v in p.items():
+                        acc[key] = acc.get(key, 0) + c * v
+                if any(acc.values()):
                     return RttResult(False, (i, j, r, s, dd, ee))
     return RttResult(True)
+
+
+def _integer_coefficients(m: ExactMatrix, den: int) -> list[dict[int, dict[int, int]]]:
+    """Rows {i: {j: v}} of den * (x^d coefficient matrix of m), for den a multiple of every entry's denom."""
+    out: list[dict[int, dict[int, int]]] = []
+    for i, j, p in m.entries():
+        scale = den // p.denom
+        for d, v in enumerate(p.nums):
+            while len(out) <= d:
+                out.append({})
+            if v:
+                out[d].setdefault(i, {})[j] = v * scale
+    return out
 
 
 def transfer_pencil(pencil: MonodromyPencil, twist) -> ExactMatrix:
@@ -418,13 +451,31 @@ def string_points(spec: ModuleSpec) -> tuple[Fraction, ...]:
     return tuple(sorted(pts, reverse=True))
 
 
+def laurent_coefficients(m: ExactMatrix, num: Poly, den: Poly, order: int) -> list[ExactMatrix]:
+    """Coefficients of x^0, x^-1, ..., x^-order at infinity of (num/den) * m.
+
+    m is a Poly-entry matrix with x^d coefficient matrices C_d.  With
+    num/den = sum_t g_t x^-t, the x^-r coefficient is sum_d g_(d+r) C_d, so
+    one scalar series serves every entry.  Raises
+    ValueError("not expandable at infinity") when an entry p of m has
+    deg(num * p) > deg den.
+    """
+    cms = coefficient_matrices(m)
+    out = [ExactMatrix(m.nrows, m.ncols) for _ in range(order + 1)]
+    if not cms:
+        return out
+    if num.degree + len(cms) - 1 > den.degree:
+        raise ValueError("not expandable at infinity")
+    series = laurent_expand(RatFun(num, den), len(cms) - 1 + order)
+    for r, acc in enumerate(out):
+        for d, c in enumerate(cms):
+            g = series[d + r]
+            if g:
+                for a, b, v in c.entries():
+                    acc.add_to(a, b, g * v)
+    return out
+
+
 def t_coefficient(pencil: MonodromyPencil, i: int, j: int, r: int) -> ExactMatrix:
     """Laurent coefficient T_ij^(r) of the unnormalized series at infinity."""
-    from .exactnum import laurent_expand
-
-    out = ExactMatrix(pencil.dim, pencil.dim)
-    for a, b, p in pencil.entry(i, j).entries():
-        coeffs = laurent_expand(RatFun(p, pencil.normalizer), r)
-        if coeffs[r]:
-            out.put(a, b, coeffs[r])
-    return out
+    return laurent_coefficients(pencil.entry(i, j), Poly((1,)), pencil.normalizer, r)[r]

@@ -34,7 +34,7 @@ from .exactnum import (
     scalar,
 )
 from .linalg import ExactMatrix
-from .monodromy import ModuleSpec, tensor_monodromy
+from .monodromy import ModuleSpec, laurent_coefficients, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
 from .bethe import Divisor, bethe_vector, char_pair, eps_components
 
@@ -146,17 +146,25 @@ def iota_sign(i: int, j: int) -> int:
     return -1 if ((i == 2) * (j == 2) + (i == 2)) % 2 else 1
 
 
-def check_iota_contract(spec: ModuleSpec) -> bool:
-    """Contravariance of the form for the series coefficients up to k+1."""
-    from .monodromy import t_coefficient
+def check_iota_contract(spec: ModuleSpec) -> "tuple[int, int, int] | None":
+    """Contravariance of the form for the series coefficients up to k+1.
 
+    Returns None when every coefficient T_ij^(r), r = 1..k+1, satisfies it,
+    else the first failing (i, j, r).
+    """
     pencil = tensor_monodromy(spec)
     gram = form_matrix(spec)
     space = pencil.space
+    one = Poly((1,))
+    series = {
+        (i, j): laurent_coefficients(pencil.entry(i, j), one, pencil.normalizer, spec.k + 1)
+        for i in (1, 2)
+        for j in (1, 2)
+    }
     for r in range(1, spec.k + 2):
         for (i, j) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            x = t_coefficient(pencil, i, j, r)
-            ix = t_coefficient(pencil, j, i, r) * iota_sign(i, j)
+            x = series[(i, j)][r]
+            ix = series[(j, i)][r] * iota_sign(i, j)
             par = E_PARITY[(i, j)]
             lhs = x.transpose() @ gram
             rhs = gram @ ix
@@ -166,8 +174,8 @@ def check_iota_contract(spec: ModuleSpec) -> bool:
                     signed.put(a, b, -v if space.parity(a) else v)
                 rhs = signed
             if lhs != rhs:
-                return False
-    return True
+                return (i, j, r)
+    return None
 
 
 def wronskian(spec: ModuleSpec) -> Poly:

@@ -157,8 +157,9 @@ def _zero_mode_failure(pencil) -> "str | None":
     def coeff(e, d):
         return coeffs[e][d] if d < len(coeffs[e]) else ExactMatrix(pencil.dim, pencil.dim)
 
+    t1s = {(i, j): t_coefficient(pencil, i, j, 1) for i, j in iproduct((1, 2), repeat=2)}
     for i, j, r, s in iproduct((1, 2), repeat=4):
-        t1 = t_coefficient(pencil, i, j, 1)
+        t1 = t1s[(i, j)]
         pa = (i + j) % 2
         pb = (r + s) % 2
         sgn = -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1
@@ -284,13 +285,15 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
             continue
         pencil = monodromy.tensor_monodromy(spec)
         gram = shapoform.form_matrix(spec)
-        items.append(_item(f"gram symmetric {name}", gram == gram.transpose()))
+        symmetric = gram == gram.transpose()
+        items.append(_item(f"gram symmetric {name}", symmetric, "" if symmetric else _asymmetry(gram)))
         items.append(_item(f"vacuum normalized {name}", gram.get(0, 0) == 1))
-        items.append(_item(f"contravariance {name}", shapoform.check_iota_contract(spec)))
+        failure = shapoform.check_iota_contract(spec)
+        items.append(_item(f"contravariance {name}", failure is None, f"first failing (i, j, r) {failure}"))
         # transfer self-adjointness
         tq = monodromy.coefficient_matrices(monodromy.transfer_pencil(pencil, spec.twist))
-        selfadj = all((c.transpose() @ gram) == (gram @ c) for c in tq)
-        items.append(_item(f"transfer self-adjoint {name}", selfadj))
+        degree = next((d for d, c in enumerate(tq) if (c.transpose() @ gram) != (gram @ c)), None)
+        items.append(_item(f"transfer self-adjoint {name}", degree is None, f"x^{degree} coefficient"))
         _, irred = monodromy.cyclicity_and_irreducibility(spec)
         if irred:
             items.append(_item(f"form non-degenerate {name}", gram.det() != 0))
@@ -327,6 +330,12 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
                     )
                 )
     return items
+
+
+def _asymmetry(gram: ExactMatrix) -> str:
+    """The first (a, b), in row order, with gram[a, b] != gram[b, a]."""
+    a, b = next((a, b) for a in range(gram.nrows) for b in range(gram.ncols) if gram.get(a, b) != gram.get(b, a))
+    return f"first asymmetric entry ({a}, {b})"
 
 
 def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = None) -> list[SuiteItem]:

@@ -24,7 +24,7 @@ from gl11chain.bethe import (
     enumerate_divisors,
     eigenvalue_pencil,
     level_subspace,
-    restrict_operator,
+    restrict_operators,
     verify_on_shell,
 )
 from gl11chain import bethealg, fusion, shapoform, weylspace
@@ -107,7 +107,7 @@ def test_criterion_02_transfer_eigenvalues():
         singular = not spec.is_twisted()
         for level in range(cp.gamma.degree + 1):
             basis = level_subspace(spec, level, singular)
-            ops = [restrict_operator(tq[d], basis) for d in range(spec.k + 1)]
+            ops, _ = restrict_operators(tq, basis)
             for dv in enumerate_divisors(cp.gamma, level):
                 ev = eigenvalue_pencil(dv, spec)
                 (eig, _), = joint_generalized_eigenspaces(

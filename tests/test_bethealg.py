@@ -3,8 +3,9 @@ from math import comb
 
 import pytest
 
-from gl11chain.exactnum import elementary_symmetric
-from gl11chain.monodromy import make_spec, string_points
+from gl11chain.exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
+from gl11chain.linalg import ExactMatrix
+from gl11chain.monodromy import make_spec, reduce_lambda2, string_points, tensor_monodromy, transfer_pencil
 from gl11chain.bethe import char_pair, enumerate_divisors
 from gl11chain.bethealg import (
     algebra_dimension,
@@ -46,6 +47,34 @@ class TestCoefficientFamily:
         for a in range(len(fam.ops)):
             for b in range(len(fam.ops)):
                 assert fam.ops[a].commutes_with(fam.ops[b])
+
+    @pytest.mark.parametrize(
+        "spec, level, singular",
+        [
+            (E2, 1, True),
+            (E3, 1, True),
+            (E4, 1, False),
+            (E5, 2, False),
+            (make_spec([(2, 1), (1, 0)], ["0", "4"]), 1, True),
+        ],
+        ids=["E2", "E3", "E4", "E5", "E6"],
+    )
+    def test_matches_per_entry_expansion(self, spec, level, singular):
+        # oracle: one RatFun and one laurent_expand per transfer-pencil element,
+        # B_d read off as x^-d coefficients; fam.ops[d-1] is B_d on the basis
+        fam = coefficient_family(spec, level, singular)
+        n = len(string_points(reduce_lambda2(spec)[0]))
+        tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
+        den = spec.normalizer() * Poly([0] * n + [1])
+        bmats = [ExactMatrix(tq.nrows, tq.ncols) for _ in range(n + 1)]
+        for a, b, p in tq.entries():
+            for d, c in enumerate(laurent_expand(RatFun(Poly.from_roots(fam.strings) * p, den), n)):
+                bmats[d].put(a, b, c)
+        for d in range(1, n + 1):
+            op = fam.ops[d - 1]
+            for col, v in enumerate(fam.basis):
+                image = [sum((op.get(row, col) * w[x] for row, w in enumerate(fam.basis)), F(0)) for x in range(len(v))]
+                assert bmats[d].apply(list(v)) == image
 
     def test_equal_twist_requires_singular(self):
         with pytest.raises(ValueError, match="singular"):

@@ -142,7 +142,7 @@ class TestVerify:
         assert code == 1
         doc = json.loads(out.read_text())
         failures = doc["suites"]["rtt"]["failures"]
-        assert failures and "witness" in failures[0]["detail"]
+        assert failures == [{"name": "rtt tensor E1", "detail": "witness (1, 2, 2, 1, 0, 1)"}]
 
     @pytest.mark.parametrize(
         "argv, code",

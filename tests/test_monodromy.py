@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl11chain.exactnum import Poly, RatFun
+from gl11chain.exactnum import Poly, RatFun, laurent_expand
 from gl11chain.linalg import ExactMatrix
 from gl11chain.monodromy import (
     ModuleSpec,
+    RttResult,
     coefficient_matrices,
     cyclicity_and_irreducibility,
     evaluation_monodromy,
+    laurent_coefficients,
     lax_monodromy,
     make_spec,
     phi_psi,
@@ -24,7 +26,7 @@ from gl11chain.monodromy import (
     verify_rtt,
     _combine,
 )
-from gl11chain.superlin import Weight
+from gl11chain.superlin import E_PARITY, Weight
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
 
@@ -180,6 +182,131 @@ class TestCoefficientMatrices:
             value = value + c * t**d
         assert rebuilt == m
         assert value == m.map_entries(lambda p: p(t))
+
+
+def verify_rtt_oracle(pencil):
+    """The exchange-relation check on Fraction coefficient matrices, one ExactMatrix per side."""
+    coeffs = {e: coefficient_matrices(m) for e, m in pencil.entries.items()}
+    deg = max(len(cs) for cs in coeffs.values()) - 1
+    zero = ExactMatrix(pencil.dim, pencil.dim)
+    cache = {}
+
+    def coeff(e, d):
+        return coeffs[e][d] if d < len(coeffs[e]) else zero
+
+    def prod(e1, d1, e2, d2):
+        key = (e1, d1, e2, d2)
+        if key not in cache:
+            cache[key] = coeff(e1, d1) @ coeff(e2, d2)
+        return cache[key]
+
+    for i, j, r, s in product((1, 2), repeat=4):
+        sigma = -1 if E_PARITY[(i, j)] and E_PARITY[(r, s)] else 1
+        sgn = -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1
+
+        def sc(d, e):
+            if d < 0 or e < 0:
+                return zero
+            return prod((i, j), d, (r, s), e) - sigma * prod((r, s), e, (i, j), d)
+
+        for dd in range(deg + 2):
+            for ee in range(deg + 2):
+                lhs = sc(dd - 1, ee) - sc(dd, ee - 1)
+                rhs = (prod((r, j), ee, (i, s), dd) - prod((r, j), dd, (i, s), ee)) * sgn
+                if lhs != rhs:
+                    return RttResult(False, (i, j, r, s, dd, ee))
+    return RttResult(True)
+
+
+@st.composite
+def chains(draw, max_k=3):
+    """Chains of 1..max_k sites with small weights, half-integer points and either twist."""
+    k = draw(st.integers(1, max_k))
+    weights = [(draw(st.integers(1, 2)), draw(st.integers(0, 1))) for _ in range(k)]
+    points = [str(F(draw(st.integers(-6, 6)), 2)) for _ in range(k)]
+    return make_spec(weights, points, draw(st.sampled_from([("1", "1"), ("2", "3")])))
+
+
+def _corrupted(pencil, draw):
+    """A copy of the pencil with one entry negated, one coefficient scaled by 3/2 or one element shifted by 1/7."""
+    e = draw(st.sampled_from(sorted(pencil.entries)))
+    kind = draw(st.sampled_from(["negate", "scale", "shift"]))
+    m = pencil.entries[e]
+    if kind == "negate":
+        return replace(pencil, entries={**pencil.entries, e: -m})
+    m = m.copy()
+    if kind == "scale":
+        a, b = draw(st.sampled_from(sorted((a, b) for a, b, _ in m.entries())))
+        coeffs = list(m.get(a, b).coeffs)
+        d = draw(st.sampled_from([d for d, c in enumerate(coeffs) if c]))
+        coeffs[d] *= F(3, 2)
+        m.put(a, b, Poly(coeffs))
+    else:
+        a, b = draw(st.integers(0, pencil.dim - 1)), draw(st.integers(0, pencil.dim - 1))
+        m.put(a, b, m.get(a, b) + Poly((F(1, 7),)))
+    return replace(pencil, entries={**pencil.entries, e: m})
+
+
+class TestRttDifferential:
+    @settings(max_examples=25)
+    @given(chains(), st.data())
+    def test_matches_oracle(self, spec, data):
+        pencil = tensor_monodromy(spec)
+        for candidate in (pencil, _corrupted(pencil, data.draw)):
+            res, want = verify_rtt(candidate), verify_rtt_oracle(candidate)
+            assert (res.ok, res.witness) == (want.ok, want.witness)
+        assert verify_rtt(pencil).ok
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lax_corruptions_match_oracle(self, n):
+        pencil = lax_monodromy(["0", "1/2", "-1"][:n])
+        for e in sorted(pencil.entries):
+            bad = replace(pencil, entries={**pencil.entries, e: pencil.entries[e] * F(3, 2)})
+            res, want = verify_rtt(bad), verify_rtt_oracle(bad)
+            assert (res.ok, res.witness) == (want.ok, want.witness)
+
+
+def _laurent_oracle(m, num, den, order):
+    """Per-entry expansion: one RatFun and one laurent_expand per matrix element."""
+    out = [ExactMatrix(m.nrows, m.ncols) for _ in range(order + 1)]
+    for a, b, p in m.entries():
+        for r, c in enumerate(laurent_expand(RatFun(num * p, den), order)):
+            out[r].put(a, b, c)
+    return out
+
+
+class TestLaurentCoefficients:
+    @settings(max_examples=60)
+    @given(poly_matrices(), st.lists(_fracs, min_size=1, max_size=3), st.lists(_fracs, min_size=1, max_size=6),
+           st.integers(0, 3))
+    def test_matches_per_entry_expansion(self, m, num, den, order):
+        num, den = Poly(num), Poly(den)
+        if not num or not den:
+            return
+        try:
+            want = _laurent_oracle(m, num, den, order)
+        except ValueError as exc:
+            assert str(exc) == "not expandable at infinity"
+            with pytest.raises(ValueError, match="not expandable at infinity"):
+                laurent_coefficients(m, num, den, order)
+            return
+        assert laurent_coefficients(m, num, den, order) == want
+
+    @settings(max_examples=15)
+    @given(chains())
+    def test_t_coefficient_matches_per_entry_expansion(self, spec):
+        pencil = tensor_monodromy(spec)
+        for i, j in product((1, 2), repeat=2):
+            want = _laurent_oracle(pencil.entry(i, j), Poly((1,)), pencil.normalizer, spec.k + 2)
+            assert [t_coefficient(pencil, i, j, r) for r in range(spec.k + 3)] == want
+
+    def test_improper_entry_raises(self):
+        pencil = tensor_monodromy(E2)
+        raised = replace(pencil, entries={**pencil.entries, (1, 2): pencil.entry(1, 2) * Poly((0, 0, 1))})
+        with pytest.raises(ValueError, match="not expandable at infinity"):
+            _laurent_oracle(raised.entry(1, 2), Poly((1,)), raised.normalizer, 1)
+        with pytest.raises(ValueError, match="not expandable at infinity"):
+            t_coefficient(raised, 1, 2, 1)
 
 
 class TestRttOracle:

@@ -1,9 +1,10 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from gl11chain import bethe, cli, monodromy, weylspace
+from gl11chain import bethe, cli, monodromy, shapoform, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
@@ -140,6 +141,75 @@ def test_zero_mode_item_names_the_generator(monkeypatch):
     bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
     assert list(bad) == ["zero-mode exchange"]
     assert bad["zero-mode exchange"].startswith("generator T_21^(1) against That_")
+
+
+def test_zero_mode_computes_each_generator_once(monkeypatch):
+    real = monodromy.t_coefficient
+    calls = []
+
+    def counted(pencil, i, j, r):
+        calls.append((i, j, r))
+        return real(pencil, i, j, r)
+
+    monkeypatch.setattr(monodromy, "t_coefficient", counted)
+    run_suite("rtt", max_k=1, max_n=1)
+    assert sorted(calls) == [(i, j, 1) for i in (1, 2) for j in (1, 2)]
+
+
+def _corrupted_gram(real):
+    """form_matrix returning a copy of the Gram matrix with 1 added at (0, 1); the memoised matrix is untouched."""
+
+    def corrupted(spec):
+        gram = real(spec).copy()
+        gram.put(0, 1, gram.get(0, 1) + 1)
+        return gram
+
+    return corrupted
+
+
+def _shifted_series(real):
+    """laurent_coefficients with 1 added at (0, 1) of every coefficient: breaks contravariance."""
+
+    def corrupted(m, num, den, order):
+        out = real(m, num, den, order)
+        for c in out:
+            c.put(0, 1, c.get(0, 1) + 1)
+        return out
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "module, attr, corrupt, prefix, detail",
+    [
+        (shapoform, "form_matrix", _corrupted_gram, "gram symmetric", "first asymmetric entry (0, 1)"),
+        (shapoform, "laurent_coefficients", _shifted_series, "contravariance", "first failing (i, j, r) ("),
+        (
+            monodromy,
+            "transfer_pencil",
+            lambda real: lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1]}),
+            "transfer self-adjoint",
+            "x^0 coefficient",
+        ),
+    ],
+    ids=["gram-symmetric", "contravariance", "transfer-self-adjoint"],
+)
+def test_norms_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefix, detail):
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    items = [it for it in run_suite("norms", max_k=2, max_n=2) if it.name.startswith(prefix)]
+    assert items
+    for item in items:
+        assert not item.ok and item.detail.startswith(detail)
+
+
+def test_norms_negative_control(monkeypatch, tmp_path):
+    out = tmp_path / "verify.json"
+    monkeypatch.setattr(shapoform, "form_matrix", _corrupted_gram(shapoform.form_matrix))
+    assert cli.main(["verify", "--suite", "norms", "--json", str(out)]) == 1
+    failures = json.loads(out.read_text())["suites"]["norms"]["failures"]
+    assert failures[0] == {"name": "gram symmetric E1", "detail": "first asymmetric entry (0, 1)"}
+    monkeypatch.undo()
+    assert not [it for it in run_suite("norms") if not it.ok]
 
 
 def _corrupt_component(fn, when):
