@@ -7,7 +7,7 @@ Without arguments the built-in benchmark chains are surveyed.
 
 import sys
 
-from gl11chain.exactnum import format_scalar, roots_with_multiplicity
+from gl11chain.exactnum import format_scalar
 from gl11chain.monodromy import ModuleSpec, cyclicity_and_irreducibility
 from gl11chain.bethe import char_pair, completeness_report
 from gl11chain.shapoform import norm_check
@@ -36,7 +36,7 @@ def survey(name, spec):
     print(f"== {name}: weights={[list(map(int, w)) for w in spec.weights]} "
           f"points={[format_scalar(b) for b in spec.points]} twist={[format_scalar(q) for q in spec.twist]}")
     print(f"   gamma = {poly_str(cp.gamma)}   cyclic={cyc} irreducible={irr}")
-    if roots_with_multiplicity(cp.gamma) is None:
+    if cp.roots is None:
         print("   gamma does not split over the rationals; no divisor survey")
         return
     rep = completeness_report(spec)

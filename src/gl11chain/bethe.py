@@ -1,7 +1,9 @@
 """Bethe ansatz: divisors, Bethe vectors, eigenvalues, completeness.
 
 A level-l solution is a monic degree-l divisor y of the characteristic
-polynomial gamma = q1*phi - q2*psi.  The normalized Bethe vector is
+polynomial gamma = q1*phi - q2*psi.  The memoised `char_pair` builds gamma's
+roots (the chain's one split test) and divisors once per chain, on first use.
+The normalized Bethe vector is
 
     Bhat(t) = prod_{i<j} (t_j - t_i + 1)^{-1} That_12(t_1) ... That_12(t_l) |0>
 
@@ -28,7 +30,7 @@ from .exactnum import (
     roots_with_multiplicity,
     scalar,
 )
-from .linalg import ExactMatrix, SpanBasis, SpanCoordinates
+from .linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
 from .monodromy import (
     ModuleSpec,
     MonodromyPencil,
@@ -45,9 +47,9 @@ from .superlin import Weight, singular_subspace, weight_spaces
 class CharPair:
     """Vacuum polynomials and the characteristic polynomial gamma.
 
-    The vacuum eigenvalue ratios zeta1 = phi / normalizer and
-    zeta2 = psi / normalizer are built on first use: the split search reads
-    only gamma.
+    zeta1 = phi / normalizer, zeta2 = psi / normalizer, gamma's roots and its
+    divisors are built on first use and shared.  A `RootSearchTooLarge` from
+    the split test is raised on every access, never cached.
     """
 
     phi: Poly
@@ -63,8 +65,26 @@ class CharPair:
     def zeta2(self) -> RatFun:
         return RatFun(self.psi, self.spec.normalizer())
 
+    @functools.cached_property
+    def roots(self) -> "list[tuple[Fraction, int]] | None":
+        """Sorted (root, multiplicity) pairs of gamma; None when gamma does not split."""
+        return roots_with_multiplicity(self.gamma)
 
+    @functools.cached_property
+    def divisors(self) -> tuple[tuple[Divisor, ...], ...]:
+        """Entry l: the monic degree-l divisors of gamma, l = 0..deg gamma, sorted by coefficients."""
+        rm = self.roots
+        if rm is None:
+            raise ValueError("requires split characteristic polynomial")
+        levels: list[list[Divisor]] = [[] for _ in range(self.gamma.degree + 1)]
+        for combo in itertools.product(*(range(m + 1) for _, m in rm)):
+            levels[sum(combo)].append(Divisor.from_roots([(r, c) for (r, _), c in zip(rm, combo) if c]))
+        return tuple(tuple(sorted(lv, key=lambda d: d.poly.coeffs)) for lv in levels)
+
+
+@functools.cache
 def char_pair(spec: ModuleSpec) -> CharPair:
+    """Memoised per chain: the result is shared and must not be mutated."""
     phi, psi = phi_psi(spec)
     q1, q2 = spec.twist
     gamma = phi * q1 - psi * q2
@@ -107,20 +127,6 @@ class Divisor:
 
     def label(self) -> str:
         return ",".join(format_scalar(r) for r in self.root_list()) or "(empty)"
-
-
-def enumerate_divisors(gamma: Poly, level: int) -> list[Divisor]:
-    """All monic degree-l divisors of a rationally split polynomial."""
-    rm = roots_with_multiplicity(gamma)
-    if rm is None:
-        raise ValueError("requires split characteristic polynomial")
-    out = []
-    ranges = [range(m + 1) for _, m in rm]
-    for combo in itertools.product(*ranges):
-        if sum(combo) == level:
-            out.append(Divisor.from_roots([(r, c) for (r, _), c in zip(rm, combo) if c]))
-    out.sort(key=lambda d: d.poly.coeffs)
-    return out
 
 
 @dataclass(frozen=True)
@@ -366,32 +372,24 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
     pencil = tensor_monodromy(spec)
     cp = char_pair(spec)
     cyclic, irred = cyclicity_and_irreducibility(spec)
-    split = roots_with_multiplicity(cp.gamma) is not None
+    split = cp.roots is not None
     report = CompletenessReport(spec, cyclic, irred, split)
     if not split:
         return report
-    from .linalg import joint_generalized_eigenspaces
-
     singular_only = not spec.is_twisted()
     tq = coefficient_matrices(transfer_pencil(pencil, spec.twist))
     tq += [ExactMatrix(pencil.dim, pencil.dim)] * (spec.k + 1 - len(tq))
     for level in range(spec.k + 1):
         basis = level_subspace(spec, level, singular_only)
         dim = len(basis)
-        divisors = enumerate_divisors(cp.gamma, level) if level <= cp.gamma.degree else []
+        divisors = cp.divisors[level] if level < len(cp.divisors) else ()
         if dim == 0 and not divisors:
             continue
         ops, in_basis = restrict_operators(tq, basis)
-        entries = []
-        eig_total = 0
-        gen_total = 0
-        chars = []
-        eigs = []
-        for dv in divisors:
-            ev = eigenvalue_pencil(dv, spec)
-            eigs.append(ev)
-            chars.append([ev.coeff(d) for d in range(spec.k + 1)])
+        eigs = [eigenvalue_pencil(dv, spec) for dv in divisors]
+        chars = [[ev.coeff(d) for d in range(spec.k + 1)] for ev in eigs]
         spaces = joint_generalized_eigenspaces(ops, chars) if divisors else []
+        entries = []
         for dv, ev, (eig_basis, gen_basis) in zip(divisors, eigs, spaces):
             res = verify_on_shell(spec, dv)
             bcoords = in_basis.coordinates(res.bethe.vector)
@@ -400,23 +398,11 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
                 span = SpanBasis(dim)
                 span.add(eig_basis[0])
                 spans = span.contains(bcoords)
-            entries.append(
-                DivisorEntry(
-                    dv,
-                    ev,
-                    bool(res),
-                    not res.bethe.is_zero(),
-                    len(eig_basis),
-                    len(gen_basis),
-                    spans,
-                )
-            )
-            eig_total += len(eig_basis)
-            gen_total += len(gen_basis)
-        complete = gen_total == dim and all(
+            nonzero = not res.bethe.is_zero()
+            entries.append(DivisorEntry(dv, ev, bool(res), nonzero, len(eig_basis), len(gen_basis), spans))
+        complete = sum(e.generalized_dim for e in entries) == dim and all(
             e.onshell and e.nonzero and e.eigen_dim == 1 and e.spans_eigenspace for e in entries
         )
-        report.levels.append(
-            LevelReport(level, level_weight(spec, level), dim, entries, complete, eig_total == dim)
-        )
+        diagonalizable = sum(e.eigen_dim for e in entries) == dim
+        report.levels.append(LevelReport(level, level_weight(spec, level), dim, entries, complete, diagonalizable))
     return report

@@ -9,16 +9,19 @@ extracted exactly from the Laurent expansion at infinity.  This module
 analyzes that family on a fixed weight or singular-weight subspace:
 dimension, commutant, regular-representation structure, the
 symmetric-function presentation of its spectrum, and joint eigenspaces.
+Each family builds its generated algebra once (`fam.algebra`); commutativity
+is tested once, by the joint eigenspace solver in `spectral_analysis`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand, roots_with_multiplicity
+from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
 from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from .monodromy import (
     ModuleSpec,
@@ -33,7 +36,6 @@ from .bethe import (
     Divisor,
     char_pair,
     eigenvalue_pencil,
-    enumerate_divisors,
     level_subspace,
     restrict_operators,
 )
@@ -54,6 +56,11 @@ class CoefficientFamily:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def algebra(self) -> tuple[ExactMatrix, ...]:
+        """Matrix basis of the unital algebra the operators generate; shared, must not be mutated."""
+        return tuple(algebra_dimension(self)[1])
 
 
 def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> CoefficientFamily:
@@ -80,12 +87,7 @@ def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> Coe
     for d in range(1, n + 1):
         ops.append(ExactMatrix.identity(len(basis)) * sig[d - 1])
         names.append(f"C{d}")
-    fam = CoefficientFamily(spec, level, singular_only, basis, ops, names, strings)
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            if not ops[a].commutes_with(ops[b]):
-                raise ValueError("family not commutative")
-    return fam
+    return CoefficientFamily(spec, level, singular_only, basis, ops, names, strings)
 
 
 def _flatten(m: ExactMatrix) -> list[Fraction]:
@@ -145,7 +147,7 @@ def commutant_dimension(fam: CoefficientFamily) -> int:
 
 def double_commutant_check(fam: CoefficientFamily) -> tuple[bool, int, int]:
     """True when the commutant of the family equals the generated algebra."""
-    adim, _ = algebra_dimension(fam)
+    adim = len(fam.algebra)
     cdim = commutant_dimension(fam)
     return adim == cdim, adim, cdim
 
@@ -172,8 +174,8 @@ def regular_rep_check(fam: CoefficientFamily) -> RegularRepResult:
     cyclic, _ = cyclicity_and_irreducibility(fam.spec)
     if not cyclic:
         return RegularRepResult(False, None, 0, fam.dim, skipped=True)
-    adim, mats = algebra_dimension(fam)
-    d = fam.dim
+    mats = fam.algebra
+    adim, d = len(mats), fam.dim
     candidates = []
     for i in range(d):
         v = [Fraction(0)] * d
@@ -208,16 +210,14 @@ def presentation_check(spec: ModuleSpec, level: int) -> PresentationResult:
     must equal lead * prod_{i<=l} (x - w_i - 1) * prod_{j>l} (x - w_j).
     """
     cp = char_pair(spec)
-    rm = roots_with_multiplicity(cp.gamma)
-    if rm is None:
-        raise ValueError("requires split characteristic polynomial")
+    divisors = cp.divisors[level] if level in range(len(cp.divisors)) else ()
     lead = cp.gamma.leading()
     q1, q2 = spec.twist
     expected_lead = (q1 - q2) if spec.is_twisted() else q1 * spec.n
     if lead != expected_lead:
         return PresentationResult(False, "leading coefficient mismatch")
     all_roots: list[Fraction] = []
-    for r, m in rm:
+    for r, m in cp.roots:
         all_roots.extend([r] * m)
     # Vieta identity pinning the epsilon parameters of the presentation
     sig = elementary_symmetric(all_roots)
@@ -227,7 +227,7 @@ def presentation_check(spec: ModuleSpec, level: int) -> PresentationResult:
         recon = recon + Poly([0] * (kk - i) + [1]) * (e if i % 2 == 0 else -e)
     if recon * lead != cp.gamma:
         return PresentationResult(False, "epsilon parameters do not reproduce gamma")
-    for dv in enumerate_divisors(cp.gamma, level):
+    for dv in divisors:
         complement = list(all_roots)
         for r in dv.root_list():
             complement.remove(r)
@@ -268,17 +268,15 @@ def spectral_analysis(fam: CoefficientFamily, divisors: Sequence[Divisor]) -> li
     oracle over root multiplicities; each generalized eigenspace is also
     checked to be cyclic over the algebra.
     """
-    gamma = char_pair(fam.spec).gamma
     chars = [divisor_character(fam, dv) for dv in divisors]
     spaces = joint_generalized_eigenspaces(fam.ops, chars)
-    _, mats = algebra_dimension(fam)
-    roots = roots_with_multiplicity(gamma) or []
+    roots = char_pair(fam.spec).roots or []
     out = []
     for dv, (eig, gen) in zip(divisors, spaces):
         expected = 1
         for r, m in roots:
             expected *= comb(m, dv.mult(r))
-        cyc = _generalized_cyclic(mats, gen)
+        cyc = _generalized_cyclic(fam.algebra, gen)
         out.append(SpectralEntry(dv, len(eig), len(gen), expected, cyc))
     return out
 

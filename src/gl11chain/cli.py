@@ -53,12 +53,11 @@ def cmd_spectrum(args) -> int:
         doc["levels"] = [lv for lv in doc["levels"] if lv["level"] == args.level]
     # norm table for split chains
     if report.split:
-        cp = bethe.char_pair(spec)
         norms = []
-        for level in range(cp.gamma.degree + 1):
+        for level, divisors in enumerate(bethe.char_pair(spec).divisors):
             if args.level is not None and level != args.level:
                 continue
-            for dv in bethe.enumerate_divisors(cp.gamma, level):
+            for dv in divisors:
                 norms.append(shapoform.norm_check(spec, dv).to_dict())
         doc["norms"] = norms
     # fusion block: per-m pass/fail with the first failing label
@@ -160,9 +159,10 @@ def cmd_random_spec(args) -> int:
         if not cyclic:
             continue
         if args.split:
-            gamma = bethe.char_pair(spec).gamma
+            # gamma of a candidate is tested once, so it is not memoised through bethe.char_pair
+            phi, psi = monodromy.phi_psi(spec)
             try:
-                if roots_with_multiplicity(gamma) is None:
+                if roots_with_multiplicity(phi * spec.twist[0] - psi * spec.twist[1]) is None:
                     continue
             except RootSearchTooLarge as exc:
                 print(f"error: {exc}", file=sys.stderr)

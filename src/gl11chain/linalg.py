@@ -415,7 +415,8 @@ def joint_generalized_eigenspaces(
     shifted operator s is raised only to the first power j with
     rank(s^j) = rank(s^(j+1)): from there on the kernel of s^j no longer
     grows (Fitting's lemma), so it is the generalized kernel, the one that
-    s^dim has.  Raises ValueError("family not commutative") otherwise.
+    s^dim has.  Raises ValueError("family not commutative: operators i and j"),
+    naming the first non-commuting pair, otherwise.
     """
     ops = list(ops)
     if not ops:
@@ -427,7 +428,7 @@ def joint_generalized_eigenspaces(
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             if not ops[i].commutes_with(ops[j]):
-                raise ValueError("family not commutative")
+                raise ValueError(f"family not commutative: operators {i} and {j}")
     out = []
     for ch in chars:
         if len(ch) != len(ops):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .exactnum import format_scalar, roots_with_multiplicity
+from .exactnum import format_scalar
 from .linalg import ExactMatrix
 from . import bethe, bethealg, fusion, monodromy, shapoform, weylspace
 from .monodromy import ModuleSpec, make_spec
@@ -184,10 +184,10 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         if spec.k > max_k or spec.n > max_n:
             continue
         cp = bethe.char_pair(spec)
-        if roots_with_multiplicity(cp.gamma) is None:
+        if cp.roots is None:
             continue
-        for level in range(cp.gamma.degree + 1):
-            for dv in bethe.enumerate_divisors(cp.gamma, level):
+        for divisors in cp.divisors:
+            for dv in divisors:
                 res = bethe.verify_on_shell(spec, dv)
                 items.append(_item(f"on-shell {name} y={dv.label()}", res.ok, str(res.witness)))
         # off-shell negative control at a non-root point
@@ -226,9 +226,8 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         spec = suite_specs()[name]
         e12 = gl_generator(spec.space(), list(spec.weights), 1, 2)
         ok = True
-        cp = bethe.char_pair(spec)
-        for level in range(cp.gamma.degree + 1):
-            for dv in bethe.enumerate_divisors(cp.gamma, level):
+        for divisors in bethe.char_pair(spec).divisors:
+            for dv in divisors:
                 bv = bethe.bethe_vector(spec, dv.root_list())
                 if any(e12.apply(list(bv.vector))):
                     ok = False
@@ -242,7 +241,7 @@ def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         if spec.k > max_k or spec.n > max_n:
             continue
         cp = bethe.char_pair(spec)
-        if roots_with_multiplicity(cp.gamma) is None:
+        if cp.roots is None:
             continue
         cyclic, _ = monodromy.cyclicity_and_irreducibility(spec)
         singular = not spec.is_twisted()
@@ -251,31 +250,43 @@ def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
             try:
                 fam = bethealg.coefficient_family(spec, level, singular)
             except ValueError:
-                continue
+                continue  # empty subspace
             expected = comb(spec.k - 1, level) if singular else comb(spec.k, level)
-            adim, _mats = bethealg.algebra_dimension(fam)
+            adim = len(fam.algebra)
             items.append(_item(f"algebra dim {name} l={level}", adim == expected, f"{adim} != {expected}"))
             eq, ad, cd = bethealg.double_commutant_check(fam)
             items.append(_item(f"double commutant {name} l={level}", eq, f"{ad} vs {cd}"))
             rr = bethealg.regular_rep_check(fam)
             if cyclic:
-                items.append(_item(f"regular representation {name} l={level}", rr.ok))
+                dims = f"algebra dim {rr.algebra_dim}, subspace dim {rr.subspace_dim}"
+                items.append(_item(f"regular representation {name} l={level}", rr.ok, dims))
             else:
                 items.append(_item(f"regular representation skipped {name} l={level}", rr.skipped))
-            items.append(_item(f"presentation {name} l={level}", bethealg.presentation_check(spec, level).ok))
-            divisors = bethe.enumerate_divisors(cp.gamma, level)
-            total_gen = 0
-            ok_dims = True
-            for entry in bethealg.spectral_analysis(fam, divisors):
-                total_gen += entry.generalized_dim
-                if entry.generalized_dim != entry.expected_generalized or not entry.cyclic_module:
-                    ok_dims = False
-                if entry.eigen_dim != 1:
-                    ok_dims = False
-            items.append(_item(f"spectral dims {name} l={level}", ok_dims))
+            pres = bethealg.presentation_check(spec, level)
+            items.append(_item(f"presentation {name} l={level}", pres.ok, pres.witness))
+            try:
+                entries = bethealg.spectral_analysis(fam, cp.divisors[level])
+            except ValueError as exc:  # the family does not commute
+                entries, failure = [], str(exc)
+            else:
+                failure = _spectral_failure(entries)
+            items.append(_item(f"spectral dims {name} l={level}", failure is None, failure))
             if cyclic:
+                total_gen = sum(e.generalized_dim for e in entries)
                 items.append(_item(f"spectral sum {name} l={level}", total_gen == fam.dim, f"{total_gen} != {fam.dim}"))
     return items
+
+
+def _spectral_failure(entries) -> "str | None":
+    """None when each divisor has a 1-dim eigenspace in a cyclic generalized one of the expected dimension.
+
+    Otherwise the first failing divisor with its dimensions and cyclicity flag.
+    """
+    for e in entries:
+        if e.eigen_dim != 1 or e.generalized_dim != e.expected_generalized or not e.cyclic_module:
+            return (f"y={e.divisor.label()}: eigen {e.eigen_dim}, generalized {e.generalized_dim}, "
+                    f"expected {e.expected_generalized}, cyclic {e.cyclic_module}")
+    return None
 
 
 def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
@@ -298,11 +309,9 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         if irred:
             items.append(_item(f"form non-degenerate {name}", gram.det() != 0))
         cp = bethe.char_pair(spec)
-        if roots_with_multiplicity(cp.gamma) is None:
+        if cp.roots is None:
             continue
-        divisors = []
-        for level in range(cp.gamma.degree + 1):
-            divisors.extend(bethe.enumerate_divisors(cp.gamma, level))
+        divisors = [dv for level in cp.divisors for dv in level]
         for dv in divisors:
             rec = shapoform.norm_check(spec, dv)
             items.append(
@@ -357,9 +366,9 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
         items.append(_item(f"higher family commutes {name}", comm.ok, f"coefficient pair {comm.witness}"))
         cp = bethe.char_pair(spec)
         # oper_action_check needs order >= 2
-        if max_m >= 2 and roots_with_multiplicity(cp.gamma) is not None:
-            for level in range(cp.gamma.degree + 1):
-                for dv in bethe.enumerate_divisors(cp.gamma, level):
+        if max_m >= 2 and cp.roots is not None:
+            for divisors in cp.divisors:
+                for dv in divisors:
                     if any(m > 1 for _, m in dv.roots):
                         continue
                     for c in fusion.oper_action_check(spec, dv, max_m):

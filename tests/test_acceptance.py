@@ -21,7 +21,6 @@ from gl11chain.monodromy import (
 from gl11chain.bethe import (
     char_pair,
     completeness_report,
-    enumerate_divisors,
     eigenvalue_pencil,
     level_subspace,
     restrict_operators,
@@ -81,20 +80,20 @@ def test_criterion_02_transfer_eigenvalues():
             continue
         cp = char_pair(spec)
         for level in range(cp.gamma.degree + 1):
-            for dv in enumerate_divisors(cp.gamma, level):
+            for dv in cp.divisors[level]:
                 if not verify_on_shell(spec, dv).ok:
                     ok = False
     # frozen eigenvalue sets for the two reference chains
     e1_eigs = {
         tuple(eigenvalue_pencil(dv, SPECS["E1"]).coeffs)
         for level in (0, 1)
-        for dv in enumerate_divisors(char_pair(SPECS["E1"]).gamma, level)
+        for dv in char_pair(SPECS["E1"]).divisors[level]
     }
     ok &= e1_eigs == {(F(2), F(1)), (F(1), F(1))}  # x+2 and x+1
     e2_eigs = {
         tuple(eigenvalue_pencil(dv, SPECS["E2"]).coeffs)
         for level in (0, 1)
-        for dv in enumerate_divisors(char_pair(SPECS["E2"]).gamma, level)
+        for dv in char_pair(SPECS["E2"]).divisors[level]
     }
     ok &= e2_eigs == {(F(1, 2), F(2)), (F(-3, 2), F(2))}  # 2x+1/2 and 2x-3/2
     # joint-eigenvalue oracle re-derivation
@@ -108,7 +107,7 @@ def test_criterion_02_transfer_eigenvalues():
         for level in range(cp.gamma.degree + 1):
             basis = level_subspace(spec, level, singular)
             ops, _ = restrict_operators(tq, basis)
-            for dv in enumerate_divisors(cp.gamma, level):
+            for dv in cp.divisors[level]:
                 ev = eigenvalue_pencil(dv, spec)
                 (eig, _), = joint_generalized_eigenspaces(
                     ops, [[ev.coeff(d) for d in range(spec.k + 1)]]
@@ -191,7 +190,7 @@ def test_criterion_06_norm_formula():
         divisors = [
             dv
             for level in range(cp.gamma.degree + 1)
-            for dv in enumerate_divisors(cp.gamma, level)
+            for dv in cp.divisors[level]
         ]
         for dv in divisors:
             rec = shapoform.norm_check(spec, dv)
@@ -253,7 +252,7 @@ def test_criterion_09_oper_action():
             continue
         cp = char_pair(spec)
         for level in range(cp.gamma.degree + 1):
-            for dv in enumerate_divisors(cp.gamma, level):
+            for dv in cp.divisors[level]:
                 if any(m > 1 for _, m in dv.roots):
                     continue
                 for c in fusion.oper_action_check(spec, dv, 3):

@@ -4,16 +4,17 @@ from math import comb
 
 import pytest
 
-from gl11chain.exactnum import Poly
+from gl11chain import bethe
+from gl11chain.exactnum import Poly, RootSearchTooLarge
 from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
 from gl11chain.monodromy import coefficient_matrices, make_spec, tensor_monodromy, transfer_pencil
 from gl11chain.bethe import (
+    CharPair,
     Divisor,
     bethe_vector,
     bethe_vector_eps,
     char_pair,
     completeness_report,
-    enumerate_divisors,
     eigenvalue_pencil,
     level_subspace,
     restrict_operators,
@@ -46,29 +47,55 @@ class TestCharPair:
         assert cp.zeta1 / cp.zeta2 == RatFun(cp.phi, cp.psi)
         assert cp.zeta1(F(3)) == cp.phi(F(3)) / E2.normalizer()(F(3))
 
+    def test_memoised_with_shared_spectral_data(self):
+        cp = char_pair(E3)
+        assert char_pair(E3) is cp
+        assert cp.roots is cp.roots == [(F(-1, 2), 2)]
+        assert cp.divisors is cp.divisors
+        assert [[d.root_list() for d in lv] for lv in cp.divisors] == [[()], [(F(-1, 2),)], [(F(-1, 2), F(-1, 2))]]
+
+    def test_search_refusal_is_not_cached(self, monkeypatch):
+        calls = []
+
+        def refuse(p):
+            calls.append(p)
+            raise RootSearchTooLarge("too large")
+
+        monkeypatch.setattr(bethe, "roots_with_multiplicity", refuse)
+        cp = CharPair(Poly(), Poly(), Poly((1, 0, 1)), None)
+        for _ in range(2):
+            with pytest.raises(RootSearchTooLarge):
+                cp.roots
+        assert len(calls) == 2
+
+
+def divisors_of(gamma: Poly) -> tuple:
+    """CharPair.divisors of a raw polynomial; the divisors read only gamma."""
+    return CharPair(Poly(), Poly(), gamma, None).divisors
+
 
 class TestDivisors:
     def test_single_root(self):
-        divs = enumerate_divisors(Poly((F(1, 4), 1)) * 2, 1)
+        divs = divisors_of(Poly((F(1, 4), 1)) * 2)[1]
         assert [d.poly for d in divs] == [Poly((F(1, 4), 1))]
 
     def test_double_root_collapses(self):
         gamma = Poly((F(1, 2), 1)) ** 2 * 3
-        assert len(enumerate_divisors(gamma, 1)) == 1
-        assert len(enumerate_divisors(gamma, 2)) == 1
+        assert len(divisors_of(gamma)[1]) == 1
+        assert len(divisors_of(gamma)[2]) == 1
 
     def test_two_simple_roots(self):
         gamma = Poly.from_roots([F(1), F(2)])
-        assert len(enumerate_divisors(gamma, 1)) == 2
+        assert len(divisors_of(gamma)[1]) == 2
 
     def test_squarefree_binomial_count(self):
         gamma = Poly.from_roots([F(1), F(2), F(-3)])
         for level in range(4):
-            assert len(enumerate_divisors(gamma, level)) == comb(3, level)
+            assert len(divisors_of(gamma)[level]) == comb(3, level)
 
     def test_nonsplit_rejected(self):
         with pytest.raises(ValueError, match="split"):
-            enumerate_divisors(Poly((1, 0, 1)), 1)
+            divisors_of(Poly((1, 0, 1)))
 
     def test_mult_accessor(self):
         d = Divisor.from_roots([(F(1), 2), (F(0), 1)])
@@ -134,7 +161,7 @@ class TestOnShell:
     def test_all_divisors_pass(self, spec):
         cp = char_pair(spec)
         for level in range(cp.gamma.degree + 1):
-            for dv in enumerate_divisors(cp.gamma, level):
+            for dv in cp.divisors[level]:
                 assert verify_on_shell(spec, dv).ok
 
     def test_off_shell_fails(self):
@@ -154,7 +181,7 @@ class TestOnShell:
             for level in range(cp.gamma.degree + 1):
                 basis = level_subspace(spec, level, singular)
                 ops, _ = restrict_operators(tq, basis)
-                for dv in enumerate_divisors(cp.gamma, level):
+                for dv in cp.divisors[level]:
                     ev = eigenvalue_pencil(dv, spec)
                     chars = [[ev.coeff(d) for d in range(spec.k + 1)]]
                     (eig, _), = joint_generalized_eigenspaces(ops, chars)

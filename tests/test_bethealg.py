@@ -6,7 +6,7 @@ import pytest
 from gl11chain.exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
 from gl11chain.linalg import ExactMatrix
 from gl11chain.monodromy import make_spec, reduce_lambda2, string_points, tensor_monodromy, transfer_pencil
-from gl11chain.bethe import char_pair, enumerate_divisors
+from gl11chain.bethe import char_pair
 from gl11chain.bethealg import (
     algebra_dimension,
     coefficient_family,
@@ -108,6 +108,11 @@ class TestAlgebraDimension:
                 for b in mats:
                     assert span.contains(flat(a @ b))
 
+    def test_family_algebra_is_the_builder_basis(self):
+        fam = coefficient_family(E5, 1, False)
+        assert fam.algebra is fam.algebra
+        assert fam.algebra == tuple(algebra_dimension(fam)[1])
+
     def test_scalar_level_zero(self):
         fam = coefficient_family(E3, 0, True)
         assert algebra_dimension(fam)[0] == 1
@@ -166,19 +171,19 @@ class TestSpectral:
     def test_jordan_binomials(self):
         cp = char_pair(E3)
         fam = coefficient_family(E3, 1, True)
-        (entry,) = spectral_analysis(fam, enumerate_divisors(cp.gamma, 1))
+        (entry,) = spectral_analysis(fam, cp.divisors[1])
         assert entry.eigen_dim == 1
         assert entry.generalized_dim == 2 == entry.expected_generalized == comb(2, 1)
         assert entry.cyclic_module
         fam2 = coefficient_family(E3, 2, True)
-        (entry2,) = spectral_analysis(fam2, enumerate_divisors(cp.gamma, 2))
+        (entry2,) = spectral_analysis(fam2, cp.divisors[2])
         assert entry2.generalized_dim == 1 == comb(2, 2)
 
     def test_squarefree_all_ones(self):
         cp = char_pair(E5)
         for level in range(cp.gamma.degree + 1):
             fam = coefficient_family(E5, level, False)
-            for entry in spectral_analysis(fam, enumerate_divisors(cp.gamma, level)):
+            for entry in spectral_analysis(fam, cp.divisors[level]):
                 assert entry.eigen_dim == entry.generalized_dim == 1
 
     def test_sums_fill_subspace(self):
@@ -187,12 +192,12 @@ class TestSpectral:
             top = spec.k - 1 if singular else spec.k
             for level in range(top + 1):
                 fam = coefficient_family(spec, level, singular)
-                entries = spectral_analysis(fam, enumerate_divisors(cp.gamma, level))
+                entries = spectral_analysis(fam, cp.divisors[level])
                 assert sum(e.generalized_dim for e in entries) == fam.dim
 
     def test_character_matches_transfer_eigenvalue(self):
         fam = coefficient_family(E2, 1, True)
-        (dv,) = enumerate_divisors(char_pair(E2).gamma, 1)
+        (dv,) = char_pair(E2).divisors[1]
         char = divisor_character(fam, dv)
         # the operators act by exactly these scalars on the 1-dim subspace
         for op, val in zip(fam.ops, char):

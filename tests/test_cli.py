@@ -191,6 +191,14 @@ class TestRandomSpec:
             spec = ModuleSpec.from_file(p)
             assert cyclicity_and_irreducibility(spec)[0]
 
+    def test_split_candidates_are_not_memoised(self, tmp_path):
+        # every rejected candidate is a fresh chain: memoising its char_pair would only grow the cache
+        from gl11chain.bethe import char_pair
+
+        char_pair.cache_clear()
+        assert main(["random-spec", "--seed", "3", "--k", "4", "--split", "--out", str(tmp_path / "c.json")]) == 0
+        assert char_pair.cache_info().currsize == 0
+
     @pytest.mark.parametrize(
         "argv, code, message",
         [

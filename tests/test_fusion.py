@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.monodromy import make_spec, tensor_monodromy
-from gl11chain.bethe import char_pair, enumerate_divisors
+from gl11chain.bethe import char_pair
 from gl11chain.fusion import (
     BerezinianValue,
     DiffOp,
@@ -290,34 +290,34 @@ class TestOperAction:
         from gl11chain.bethe import verify_on_shell
 
         cp = char_pair(E1)
-        (dv,) = enumerate_divisors(cp.gamma, 1)
+        (dv,) = cp.divisors[1]
         assert verify_on_shell(E1, dv).ok
         checks = oper_action_check(E1, dv, 2)
         assert checks[0].ok  # tau^1 coefficient is the same statement
 
     def test_e1_orders(self):
         cp = char_pair(E1)
-        (dv,) = enumerate_divisors(cp.gamma, 1)
+        (dv,) = cp.divisors[1]
         for c in oper_action_check(E1, dv, 3):
             assert c.ok, c.label
 
     def test_e2_orders(self):
         cp = char_pair(E2)
-        (dv,) = enumerate_divisors(cp.gamma, 1)
+        (dv,) = cp.divisors[1]
         for c in oper_action_check(E2, dv, 3):
             assert c.ok, c.label
 
     def test_repeated_roots_rejected(self):
         e3 = make_spec([(1, 0), (1, 0), (1, 0)], ["0", "1/2", "-1/2"], ("1", "1"))
         cp = char_pair(e3)
-        (dv,) = enumerate_divisors(cp.gamma, 2)
+        (dv,) = cp.divisors[2]
         with pytest.raises(ValueError, match="simple-root"):
             oper_action_check(e3, dv, 2)
 
     def test_scalar_coefficients_from_divisor(self):
         # independent value: tau^1 coefficient must be -(q1 z1 - q2 z2) y(x-1)/y
         cp = char_pair(E4)
-        dv = enumerate_divisors(cp.gamma, 1)[0]
+        dv = cp.divisors[1][0]
         got = dy_coefficient(E4, dv, 1)
         q1, q2 = E4.twist
         want = -(cp.zeta1 * q1 - cp.zeta2 * q2) * RatFun(dv.poly.shift(1), dv.poly)
@@ -340,7 +340,7 @@ class TestUniversalOper:
         from gl11chain.bethe import bethe_vector
 
         for level in range(cp.gamma.degree + 1):
-            for dv in enumerate_divisors(cp.gamma, level):
+            for dv in cp.divisors[level]:
                 if any(m > 1 for _, m in dv.roots):
                     continue
                 bv = bethe_vector(spec, dv.root_list())

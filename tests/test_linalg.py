@@ -342,7 +342,7 @@ class TestJointEigenspaces:
     def test_noncommuting_rejected(self):
         a = dense([[0, 1], [0, 0]])
         b = dense([[0, 0], [1, 0]])
-        with pytest.raises(ValueError, match="family not commutative"):
+        with pytest.raises(ValueError, match="family not commutative: operators 0 and 1"):
             joint_generalized_eigenspaces([a, b], [[F(0), F(0)]])
 
     def test_generalized_dims_fill_space(self):

@@ -14,7 +14,7 @@ from gl11chain.monodromy import (
     tensor_monodromy,
     verify_rtt,
 )
-from gl11chain.bethe import char_pair, completeness_report, enumerate_divisors, verify_on_shell
+from gl11chain.bethe import char_pair, completeness_report, verify_on_shell
 from gl11chain.shapoform import form_matrix, norm_check
 
 
@@ -37,7 +37,7 @@ def test_generated_chain_full_pipeline(generated_spec):
     gram = form_matrix(spec)
     assert gram == gram.transpose() and gram.get(0, 0) == 1
     for level in range(cp.gamma.degree + 1):
-        for dv in enumerate_divisors(cp.gamma, level):
+        for dv in cp.divisors[level]:
             assert verify_on_shell(spec, dv).ok
             assert norm_check(spec, dv).equal
     rep = completeness_report(spec)
@@ -56,5 +56,5 @@ def test_generated_twisted_chain(tmp_path):
     assert verify_rtt(tensor_monodromy(spec)).ok
     cp = char_pair(spec)
     for level in range(cp.gamma.degree + 1):
-        for dv in enumerate_divisors(cp.gamma, level):
+        for dv in cp.divisors[level]:
             assert verify_on_shell(spec, dv).ok

@@ -7,7 +7,7 @@ from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.monodromy import make_spec, tensor_monodromy, t_coefficient
 from gl11chain.superlin import Weight
-from gl11chain.bethe import Divisor, bethe_vector, char_pair, enumerate_divisors
+from gl11chain.bethe import Divisor, bethe_vector, char_pair
 from gl11chain.shapoform import (
     check_iota_contract,
     form_matrix,
@@ -142,7 +142,7 @@ class TestFormMatrix:
 class TestNorms:
     def test_e1_exact_values(self):
         cp = char_pair(E1)
-        (dv,) = enumerate_divisors(cp.gamma, 1)
+        (dv,) = cp.divisors[1]
         rec = norm_check(E1, dv)
         assert rec.lhs == -1 and rec.rhs_resolved == -1 and rec.equal
         # the textbook right-hand side differs by (-1)^l (q1/q2)^l here
@@ -150,7 +150,7 @@ class TestNorms:
 
     def test_e2_exact_values(self):
         cp = char_pair(E2)
-        (dv,) = enumerate_divisors(cp.gamma, 1)
+        (dv,) = cp.divisors[1]
         rec = norm_check(E2, dv)
         assert rec.lhs == F(3, 8) and rec.equal
         assert rec.rhs_stated == F(-3, 8)
@@ -166,7 +166,7 @@ class TestNorms:
         gram = form_matrix(E4)
         wr = wronskian(E4)
         for level in range(cp.gamma.degree + 1):
-            for dv in enumerate_divisors(cp.gamma, level):
+            for dv in cp.divisors[level]:
                 bv = bethe_vector(E4, dv.root_list())
                 direct = form_value(gram, bv.vector, bv.vector)
                 rec = norm_check(E4, dv)
@@ -174,7 +174,7 @@ class TestNorms:
 
     def test_repeated_root_flagged(self):
         cp = char_pair(E3)
-        (dv,) = enumerate_divisors(cp.gamma, 2)
+        (dv,) = cp.divisors[2]
         rec = norm_check(E3, dv)
         assert rec.repeated_roots and rec.equal
 
@@ -186,23 +186,23 @@ class TestNorms:
 class TestOrthogonality:
     def test_distinct_levels(self):
         cp = char_pair(E2)
-        d0 = enumerate_divisors(cp.gamma, 0)[0]
-        d1 = enumerate_divisors(cp.gamma, 1)[0]
+        d0 = cp.divisors[0][0]
+        d1 = cp.divisors[1][0]
         assert orthogonality_check(E2, d0, d1)
 
     def test_same_level_twisted(self):
         cp = char_pair(E4)
-        d1a, d1b = enumerate_divisors(cp.gamma, 1)
+        d1a, d1b = cp.divisors[1]
         assert orthogonality_check(E4, d1a, d1b)
 
     def test_same_divisor_rejected(self):
         cp = char_pair(E4)
-        (d,) = enumerate_divisors(cp.gamma, 0)
+        (d,) = cp.divisors[0]
         with pytest.raises(ValueError):
             orthogonality_check(E4, d, d)
 
     def test_norm_nonzero_for_irreducible(self):
         cp = char_pair(E4)
         for level in range(cp.gamma.degree + 1):
-            for dv in enumerate_divisors(cp.gamma, level):
+            for dv in cp.divisors[level]:
                 assert norm_check(E4, dv).lhs != 0

@@ -2,8 +2,10 @@
 
 Invariants raise exceptions instead of using `assert`, so they still hold
 under `python -O`, and the arithmetic is exact, so no float literal or
-`float` name appears anywhere in the package.  Every name the benchmark
-tracer wraps exists in the package.
+`float` name appears anywhere in the package.  The split test
+`roots_with_multiplicity` runs once per chain, inside `CharPair`; only
+`random-spec`, which tests each fresh candidate once, calls it directly.
+Every name the benchmark tracer wraps exists in the package.
 """
 
 import ast
@@ -41,6 +43,39 @@ def test_rules_catch_each_violation():
     code = "assert x\ny = 0.5\nz = float(y)\n"
     found = _violations(ast.parse(code))
     assert found == ["line 1: assert statement", "line 2: float literal 0.5", "line 3: name float"]
+
+
+# Top-level definitions allowed to call the split test, per source file.
+SPLIT_TEST_CALLERS = {"bethe.py": {"CharPair"}, "cli.py": {"cmd_random_spec"}}
+
+
+def _split_test_callers(tree: ast.Module) -> list[str]:
+    """The top-level definition around each call of roots_with_multiplicity, in source order."""
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "roots_with_multiplicity":
+                    out.append(getattr(top, "name", f"line {node.lineno}"))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_split_test_called_only_from_char_pair_and_random_spec(path):
+    callers = set(_split_test_callers(ast.parse(path.read_text(encoding="utf-8"))))
+    assert callers <= SPLIT_TEST_CALLERS.get(path.name, set())
+
+
+def test_split_test_rule_catches_a_direct_call():
+    code = (
+        "class CharPair:\n    def roots(self):\n        return roots_with_multiplicity(self.gamma)\n"
+        "def report(cp):\n    return exactnum.roots_with_multiplicity(cp.gamma) is None\n"
+        "split = roots_with_multiplicity(gamma)\n"
+    )
+    assert _split_test_callers(ast.parse(code)) == ["CharPair", "report", "line 6"]
+    assert set(_split_test_callers(ast.parse(code))) - SPLIT_TEST_CALLERS["bethe.py"] == {"report", "line 6"}
 
 
 def _tracer_targets() -> list[tuple]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gl11chain import bethe, cli, monodromy, shapoform, weylspace
+from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
@@ -327,3 +327,110 @@ def test_transfer_symmetry_item_names_the_generator(monkeypatch):
         assert items[f"transfer pencil commutes {name}"].ok
         item = items[f"transfer pencil symmetry {name}"]
         assert not item.ok and item.detail == "generator e_11, x^0 coefficient"
+
+
+def _corrupted_b1(real, target):
+    """coefficient_family whose B_1 at the target (spec, level) is a copy with 1 added at (0, 1)."""
+
+    def corrupted(spec, level, singular_only):
+        fam = real(spec, level, singular_only)
+        if (spec, level) != target:
+            return fam
+        b1 = fam.ops[0].copy()
+        b1.put(0, 1, b1.get(0, 1) + 1)
+        return replace(fam, ops=[b1] + fam.ops[1:])
+
+    return corrupted
+
+
+def test_noncommuting_family_fails_spectral_dims(monkeypatch):
+    # E4 at level 1 is 2-dimensional and B_2 is not scalar there, so the corrupted B_1 does not commute with it
+    clean = [it.name for it in run_suite("algebra")]
+    target = (suite_specs()["E4"], 1)
+    assert bethealg.coefficient_family(*target, False).dim == 2
+    monkeypatch.setattr(bethealg, "coefficient_family", _corrupted_b1(bethealg.coefficient_family, target))
+    items = run_suite("algebra")
+    assert [it.name for it in items] == clean
+    bad = {it.name: it.detail for it in items if not it.ok}
+    assert bad["spectral dims E4 l=1"] == "family not commutative: operators 0 and 1"
+    assert all(detail for detail in bad.values())
+
+
+def _shifted_eigenvalue(real):
+    return lambda y, spec: real(y, spec) + Poly((1,))
+
+
+def _identity_algebra(real):
+    return lambda fam: (1, [ExactMatrix.identity(fam.dim)])
+
+
+def _shifted_character(real):
+    return lambda fam, dv: [c + 1 for c in real(fam, dv)]
+
+
+@pytest.mark.parametrize(
+    "attr, corrupt, prefix",
+    [
+        ("eigenvalue_pencil", _shifted_eigenvalue, "presentation "),
+        ("algebra_dimension", _identity_algebra, "regular representation "),
+        ("divisor_character", _shifted_character, "spectral dims "),
+    ],
+    ids=["presentation", "regular-representation", "spectral-dims"],
+)
+def test_algebra_items_carry_the_witness(monkeypatch, attr, corrupt, prefix):
+    monkeypatch.setattr(bethealg, attr, corrupt(getattr(bethealg, attr)))
+    bad = [it for it in run_suite("algebra") if it.name.startswith(prefix) and not it.ok]
+    assert bad
+    assert all(it.detail for it in bad), bad
+
+
+def test_algebra_suite_builds_each_algebra_once(monkeypatch):
+    real = bethealg.algebra_dimension
+    calls = []
+
+    def counted(fam):
+        calls.append((fam.spec, fam.level))
+        return real(fam)
+
+    monkeypatch.setattr(bethealg, "algebra_dimension", counted)
+    families = [it for it in run_suite("algebra") if it.name.startswith("algebra dim ")]
+    assert len(calls) == len(set(calls)) == len(families) == 19
+
+
+@pytest.mark.parametrize("name", ["bethe", "algebra", "norms"])
+def test_split_test_runs_once_per_chain(monkeypatch, name):
+    bethe.char_pair.cache_clear()
+    real = exactnum.roots_with_multiplicity
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    # every module binding of the split test, as the benchmark tracer wraps them
+    for module in (exactnum, bethe, bethealg, cli, shapoform, fusion, monodromy):
+        if getattr(module, "roots_with_multiplicity", None) is real:
+            monkeypatch.setattr(module, "roots_with_multiplicity", counted)
+    run_suite(name)
+    assert 0 < len(calls) <= len(suite_specs())
+
+
+def test_fusion_negative_control(monkeypatch, tmp_path):
+    real = fusion.tensor_monodromy
+    builders = (berezinian, higher_transfer)
+    for fn in builders:
+        fn.cache_clear()
+    monkeypatch.setattr(fusion, "tensor_monodromy", lambda spec: _negate_entry(real(spec), (2, 1)))
+    out = tmp_path / "verify.json"
+    try:
+        assert cli.main(["verify", "--suite", "fusion", "--json", str(out)]) == 1
+    finally:
+        monkeypatch.undo()
+        for fn in builders:
+            fn.cache_clear()
+    failures = json.loads(out.read_text())["suites"]["fusion"]["failures"]
+    berezinian_items = [f for f in failures if f["name"] in {f"berezinian {n}" for n in suite_specs()}]
+    assert berezinian_items
+    for item in berezinian_items:
+        assert item["detail"].startswith("failed: ") and item["detail"] != "failed: "
+    assert not [it for it in run_suite("fusion") if not it.ok]
