@@ -6,10 +6,10 @@ Every monodromy entry T_ij(x - a) is That_ij(x - a) / N(x - a), with N the
 normalizer prod_s (x - b_s); the pencil already stores That_ij as a
 Poly-entry matrix, so t_entry wraps it as it is.  Products only multiply
 numerators and denominators, sums put both sides over the lcm of the two
-denominators, and equality is decided by cross-multiplying.  No entry is
-canonicalised until to_ratfun() at the boundary: a matrix inverse, which
-goes through RatFun elimination, and the action on a RatFun vector in
-oper_action_check.  higher_transfer keeps route B's FracMatrix as it is.
+denominators, and equality is decided by cross-multiplying.  Only a matrix
+inverse canonicalises entries, through RatFun elimination.  Both routes to
+T_m multiply only module-sized matrices; higher_transfer keeps route B's
+FracMatrix as it is.
 A DiffOp is a finite dict {tau power: FracMatrix} under the twisted product
 tau f(x) = f(x - 1) tau.  Inverses are exact for a single-term operator and
 truncated geometric series when the tau^0 part is invertible.
@@ -35,16 +35,7 @@ from .monodromy import (
     tensor_monodromy,
     transfer_pencil,
 )
-from .superlin import (
-    E_PARITY,
-    EVEN,
-    SuperSpace,
-    e_matrix,
-    kron_signed,
-    partial_supertrace,
-    permutation_sign,
-    symmetric_group_action,
-)
+from .superlin import SuperSpace, permutation_sign, symmetric_group_action
 from .bethe import Divisor, bethe_vector, char_pair
 
 
@@ -101,10 +92,6 @@ class FracMatrix:
             num.put(i, j, v.num if v.den == den else v.num * (den // v.den))
         return FracMatrix(num, den)
 
-    def to_ratfun(self) -> ExactMatrix:
-        """RatFun-entry matrix, each entry canonicalised once."""
-        return self.num.map_entries(lambda p: RatFun(p, self.den))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -134,7 +121,7 @@ class FracMatrix:
         return FracMatrix(self.num.map_entries(lambda p: p.shift(a)), self.den.shift(a))
 
     def inverse(self) -> "FracMatrix":
-        return FracMatrix.from_ratfun(self.to_ratfun().inverse())
+        return FracMatrix.from_ratfun(self.num.map_entries(lambda p: RatFun(p, self.den)).inverse())
 
     def first_difference(self, other: "FracMatrix") -> "tuple[int, int] | None":
         """Smallest (i, j) where the two matrices differ, by cross-multiplying."""
@@ -177,37 +164,41 @@ def transfer(pencil: MonodromyPencil, twist, shift: int = 0) -> FracMatrix:
 def higher_transfer_supertrace(
     pencil: MonodromyPencil, twist, m: int, projector: ExactMatrix
 ) -> FracMatrix:
-    """Route A: signed partial trace of P Q T(x) Q T(x-1) ... over m legs.
+    """Route A: supertrace over m aux legs of P Q T(x) Q T(x-1) ... Q T(x-m+1).
 
     P is one of the projectors from symmetrizers(m): A_m gives the m-th
-    transfer matrix T_m, H_m its symmetric analog.
+    transfer matrix T_m, H_m its symmetric analog.  The trace is taken block
+    by block on the module.  With aux multi-indices a, c in {0, 1}^m (0 the
+    even index 1, 1 the odd index 2),
+
+        str = [sum_{a,c} (-1)^|a| P_{a,c} prod_{l<m} eps_l q_{c_l} That_{c_l a_l}(x - l)]
+              / prod_{l<m} N(x - l),
+
+    the product ordered l = 0 .. m-1 from left to right.  The sign
+    eps_l = (-1)^((c_l + a_l)(a_l + sum_{q>l} c_q)) is kron_signed's rule for
+    E_{c_l a_l} on aux leg l times That_{c_l a_l} on the module slot, acting
+    on a vector whose aux legs read a_q for q < l and c_q for q > l; the
+    sum_{q<l} a_q terms of the two factors cancel.
     """
     q = (scalar(twist[0]), scalar(twist[1]))
-    module = pencil.space
-    full = SuperSpace([SuperSpace.standard_leg()] * m + [module.parities])
-    dmod = module.dim
-    prod = FracMatrix(_lift_leading(projector, dmod).map_entries(lambda v: Poly((v,))))
-    qmat = ExactMatrix(2, 2)
-    qmat.put(0, 0, q[0])
-    qmat.put(1, 1, q[1])
-    for leg in range(m):
-        # the four entries of T(x - leg) share the denominator N(x - leg)
-        tleg = ExactMatrix(full.dim, full.dim)
-        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            par = E_PARITY[(a, b)]
-            tm = t_entry(pencil, a, b, leg).num
-            tleg = tleg + kron_signed(full, {leg: (e_matrix(a, b), par), m: (tm, par)})
-        qleg = kron_signed(full, {leg: (qmat, EVEN)})
-        prod = prod @ FracMatrix(qleg @ tleg, pencil.normalizer.shift(leg))
-    return FracMatrix(partial_supertrace(prod.num, SuperSpace.tensor_power(m), dmod), prod.den)
-
-
-def _lift_leading(block: ExactMatrix, rest_dim: int) -> ExactMatrix:
-    out = ExactMatrix(block.nrows * rest_dim, block.ncols * rest_dim)
-    for i, j, v in block.entries():
-        for r in range(rest_dim):
-            out.put(i * rest_dim + r, j * rest_dim + r, v)
-    return out
+    aux = SuperSpace.tensor_power(m)
+    that = {(c, a, l): t_entry(pencil, c + 1, a + 1, l).num for c in (0, 1) for a in (0, 1) for l in range(m)}
+    num = ExactMatrix(pencil.dim, pencil.dim)
+    for ai, ci, p in projector.entries():
+        a, c = aux.multi_index(ai), aux.multi_index(ci)
+        coef = -p if aux.parity(ai) else p
+        term = None
+        for l in range(m):
+            if (c[l] + a[l]) * (a[l] + sum(c[l + 1 :])) % 2:
+                coef = -coef
+            coef = coef * q[c[l]]
+            block = that[c[l], a[l], l]
+            term = block if term is None else term @ block
+        num = num + term * coef
+    den = _ONE
+    for l in range(m):
+        den = den * pencil.normalizer.shift(l)
+    return FracMatrix(num, den)
 
 
 def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> FracMatrix:
@@ -299,15 +290,13 @@ class DiffOp:
     def scale(self, v) -> "DiffOp":
         return DiffOp(self.dim, {p: c.scale(v) for p, c in self.coeffs.items()})
 
-    def mul(self, other: "DiffOp", hi: Optional[int] = None, lo: Optional[int] = None) -> "DiffOp":
-        """Product with the tau-shift rule, truncated to powers in [lo, hi]."""
+    def mul(self, other: "DiffOp", hi: Optional[int] = None) -> "DiffOp":
+        """Product with the tau-shift rule, truncated to powers up to hi."""
         out: dict[int, FracMatrix] = {}
         for p, a in self.coeffs.items():
             for q, b in other.coeffs.items():
                 r = p + q
                 if hi is not None and r > hi:
-                    continue
-                if lo is not None and r < lo:
                     continue
                 term = a @ b.shift(p)
                 out[r] = out[r] + term if r in out else term
@@ -352,12 +341,6 @@ class DiffOp:
         return self.dim == other.dim and self.first_difference(other) is None
 
     __hash__ = None
-
-    def truncate(self, hi: int, lo: Optional[int] = None) -> "DiffOp":
-        return DiffOp(
-            self.dim,
-            {p: c for p, c in self.coeffs.items() if p <= hi and (lo is None or p >= lo)},
-        )
 
 
 def manin_entries(pencil: MonodromyPencil, twist) -> dict[tuple[int, int], DiffOp]:
@@ -431,7 +414,7 @@ def generating_oper(spec: ModuleSpec, order: int) -> DiffOp:
     k21 = DiffOp(pencil.dim, {}) - k[(2, 1)]
     k22 = one - k[(2, 2)]
     inner = k22 - k21.mul(k11.inverse_series(order), hi=order).mul(k12, hi=order)
-    return k11.mul(inner.inverse_series(order), hi=order).truncate(order)
+    return k11.mul(inner.inverse_series(order), hi=order)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +466,7 @@ def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
     out = []
     ber = berezinian(spec)
     if not ber:
-        return [FusionCheck(False, "berezinian inconsistent")]
+        return [FusionCheck(False, "berezinian inconsistent", ber.failed())]
     rc = higher_transfer(spec, m)
     if not rc.ok:
         return [FusionCheck(False, f"route disagreement at m={m}", rc.witness)]
@@ -550,18 +533,17 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[FusionCh
         raise ValueError("simple-root divisor required")
     if order < 2:
         raise ValueError("order must be at least 2")
-    bv = bethe_vector(spec, y.root_list())
-    vec = [RatFun(Poly((v,))) for v in bv.vector]
+    vec = bethe_vector(spec, y.root_list()).vector
     out = []
     for m in range(1, order + 1):
         rc = higher_transfer(spec, m)
         if not rc.ok:
             out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
             continue
-        lhs = rc.matrix.to_ratfun().apply(vec)
-        scalar_coeff = dy_coefficient(spec, y, m) * (Fraction(-1) ** m)
-        rhs = [scalar_coeff * v for v in vec]
-        bad = next((i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+        lhs, den = rc.matrix.num.apply(vec), rc.matrix.den
+        s = dy_coefficient(spec, y, m) * (Fraction(-1) ** m)
+        # lhs_i / den == s v_i, cross-multiplied
+        bad = next((i for i, (a, v) in enumerate(zip(lhs, vec)) if a * s.den != s.num * v * den), None)
         out.append(FusionCheck(bad is None, f"oper action tau^{m} on divisor {y.label()}", bad))
     return out
 
@@ -575,7 +557,7 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     pencil = tensor_monodromy(spec)
     ber = berezinian(spec)
     if not ber:
-        return [FusionCheck(False, "berezinian inconsistent")]
+        return [FusionCheck(False, "berezinian inconsistent", ber.failed())]
     if not (ber.value - 1):
         raise ValueError("Ber - 1 not invertible for this chain")
     dim = pencil.dim
@@ -586,21 +568,27 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     n1 = one - DiffOp(dim, {1: tq.scale(ber.value / bm1)})
     n2 = one - DiffOp(dim, {1: tq.scale(1 / bm1)})
     rhs1 = n1.mul(n2.inverse_series(order), hi=order)
-    checks = [_equality_check(oper, rhs1.truncate(order), "universal oper, first form")]
+    checks = [_equality_check(oper, rhs1, "universal oper, first form")]
     shifted = ber.value.shift(-1)
     m1 = DiffOp.scalar_term(dim, 0, 1 - shifted) + DiffOp(dim, {1: tq.scale(ber.value)})
     m2 = DiffOp.scalar_term(dim, 0, 1 - shifted) + DiffOp(dim, {1: tq})
     rhs2 = m1.mul(m2.inverse_series(order), hi=order)
-    checks.append(_equality_check(oper, rhs2.truncate(order), "universal oper, second form"))
+    checks.append(_equality_check(oper, rhs2, "universal oper, second form"))
     return checks
 
 
-def ber_twist_independence(spec: ModuleSpec) -> bool:
-    """Ber * q2/q1 must not depend on the twist."""
+def ber_twist_independence(spec: ModuleSpec) -> FusionCheck:
+    """Ber * q2/q1 must not depend on the twist.
+
+    The witness names the chain whose Berezinian failed, with its failed
+    conditions, or says that the two values differ.
+    """
+    label = "berezinian twist independence"
     q1, q2 = spec.twist
     other = spec.replace_twist((q1 + q2, q2))
-    b1 = berezinian(spec)
-    b2 = berezinian(other)
-    if not (b1 and b2):
-        return False
-    return b1.value * (q2 / q1) == b2.value * (other.twist[1] / other.twist[0])
+    b1, b2 = berezinian(spec), berezinian(other)
+    for which, ber in (("chain", b1), ("re-twisted chain", b2)):
+        if not ber:
+            return FusionCheck(False, label, f"{which}: {ber.failed()}")
+    same = b1.value * (q2 / q1) == b2.value * (other.twist[1] / other.twist[0])
+    return FusionCheck(same, label, None if same else "values differ")

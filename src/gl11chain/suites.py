@@ -355,7 +355,8 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
             continue
         ber = fusion.berezinian(spec)
         items.append(_item(f"berezinian {name}", bool(ber), f"failed: {ber.failed()}"))
-        items.append(_item(f"berezinian twist independence {name}", fusion.ber_twist_independence(spec)))
+        tw = fusion.ber_twist_independence(spec)
+        items.append(_item(f"berezinian twist independence {name}", tw.ok, str(tw.witness)))
         order = tau_order if tau_order is not None else int(spec.n) + 2
         for c in fusion.expansion_matches_routes(spec, min(order, max_m)):
             items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))

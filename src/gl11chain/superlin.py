@@ -126,24 +126,17 @@ def kron_signed(
     for combo in product(*per_leg):
         rows = [c[0] for c in combo]
         cols = [c[1] for c in combo]
-        # scalar factors go into coef and the rest (Poly, RatFun) into val,
-        # so no Fraction multiplies a polynomial from the left
         coef = Fraction(1)
-        val = None
         for c in combo:
-            x = c[2]
-            if isinstance(x, (int, Fraction)):
-                coef = coef * x
-            elif x is not None:
-                val = x if val is None else val * x
+            if c[2] is not None:
+                coef = coef * c[2]
         for s in op_slots:
             par = slot_ops[s][1]
             if par:
                 passed = sum(space.legs[q][cols[q]] for q in range(s)) % 2
                 if passed:
                     coef = -coef
-        entry = coef if val is None else (val if coef == 1 else val * coef)
-        out.add_to(space.index(rows), space.index(cols), entry)
+        out.add_to(space.index(rows), space.index(cols), coef)
     return out
 
 
@@ -248,23 +241,6 @@ def singular_subspace(
             full[idxs[local]] = v
         basis.append(full)
     return basis
-
-
-def partial_supertrace(m: ExactMatrix, aux: SuperSpace, rest_dim: int) -> ExactMatrix:
-    """Supertrace over the leading aux factor of an even operator.
-
-    Valid for globally even operators, where only even-even blocks hit the
-    diagonal and the naive signed block sum is exact.
-    """
-    if not m.nrows == m.ncols == aux.dim * rest_dim:
-        raise ValueError(f"{m.nrows}x{m.ncols} matrix on a space of dimension {aux.dim * rest_dim}")
-    out = ExactMatrix(rest_dim, rest_dim)
-    for i, j, v in m.entries():
-        a, r = divmod(i, rest_dim)
-        b, c = divmod(j, rest_dim)
-        if a == b:
-            out.add_to(r, c, v if aux.parity(a) == EVEN else -v)
-    return out
 
 
 def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], ExactMatrix]:

@@ -223,9 +223,9 @@ def test_criterion_07_fusion_relations():
     # the hand-derived single-site m=2 product
     rc = fusion.higher_transfer(SPECS["E1"], 2)
     ber = fusion.berezinian(SPECS["E1"])
-    lhs = rc.matrix.to_ratfun() * (1 - ber.value.shift(1))
+    lhs = RatFun(rc.matrix.num.get(0, 0), rc.matrix.den) * (1 - ber.value.shift(1))
     want = RatFun(Poly((2, 1)) * Poly((1, 1)), Poly((0, 1)) * Poly((-1, 1)))
-    hand = rc.ok and lhs.get(0, 0) == want
+    hand = rc.ok and lhs == want
     report(7, "fusion transfer relations", ok and hand)
 
 

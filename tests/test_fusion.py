@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.monodromy import make_spec, tensor_monodromy
+from gl11chain.superlin import E_PARITY, EVEN, SuperSpace, e_matrix, kron_signed
 from gl11chain.bethe import char_pair
 from gl11chain.fusion import (
     BerezinianValue,
@@ -24,6 +25,7 @@ from gl11chain.fusion import (
     higher_transfer_supertrace,
     oper_action_check,
     symmetrizers,
+    t_entry,
     transfer,
     transfer_relation_check,
     universal_oper_check,
@@ -39,6 +41,11 @@ E6 = make_spec([(2, 1), (1, 0)], ["0", "4"], ("1", "1"))
 
 def rat(p, q=Poly((1,))):
     return RatFun(p, q)
+
+
+def ratfuns(fm: FracMatrix) -> ExactMatrix:
+    """The RatFun-entry matrix num / den, each entry canonicalised."""
+    return fm.num.map_entries(lambda p: RatFun(p, fm.den))
 
 
 class TestSymmetrizers:
@@ -96,11 +103,11 @@ class TestFracMatrix:
         c = data.draw(_ratfuns)
         s = data.draw(st.integers(-2, 2))
         fa, fb = FracMatrix.from_ratfun(a), FracMatrix.from_ratfun(b)
-        assert fa.to_ratfun() == a
-        assert (fa @ fb).to_ratfun() == a @ b
-        assert (fa + fb).to_ratfun() == a + b
-        assert fa.scale(c).to_ratfun() == a * c
-        assert fa.shift(s).to_ratfun() == a.map_entries(lambda r: r.shift(s))
+        assert ratfuns(fa) == a
+        assert ratfuns(fa @ fb) == a @ b
+        assert ratfuns(fa + fb) == a + b
+        assert ratfuns(fa.scale(c)) == a * c
+        assert ratfuns(fa.shift(s)) == a.map_entries(lambda r: r.shift(s))
         assert (fa == fb) == (a == b)
         try:
             inv = a.inverse()
@@ -108,7 +115,7 @@ class TestFracMatrix:
             with pytest.raises(ZeroDivisionError):
                 fa.inverse()
         else:
-            assert fa.inverse().to_ratfun() == inv
+            assert ratfuns(fa.inverse()) == inv
 
     @given(st.data())
     @settings(max_examples=60)
@@ -128,6 +135,81 @@ class TestFracMatrix:
         assert fp.first_difference(fa) == (i, j)
 
 
+def lift_leading(block: ExactMatrix, rest_dim: int) -> ExactMatrix:
+    """block (x) identity on a trailing factor of dimension rest_dim."""
+    out = ExactMatrix(block.nrows * rest_dim, block.ncols * rest_dim)
+    for i, j, v in block.entries():
+        for r in range(rest_dim):
+            out.put(i * rest_dim + r, j * rest_dim + r, v)
+    return out
+
+
+def partial_supertrace(m: ExactMatrix, aux: SuperSpace, rest_dim: int) -> ExactMatrix:
+    """Signed block sum sum_a (-1)^|a| M_aa over the leading aux factor.
+
+    This is the partial supertrace when M is even.
+    """
+    out = ExactMatrix(rest_dim, rest_dim)
+    for i, j, v in m.entries():
+        a, r = divmod(i, rest_dim)
+        b, c = divmod(j, rest_dim)
+        if a == b:
+            out.add_to(r, c, v if aux.parity(a) == EVEN else -v)
+    return out
+
+
+def route_a_full_space(pencil, twist, m: int, projector: ExactMatrix) -> FracMatrix:
+    """Oracle for route A: the product P Q T(x) Q T(x-1) ... built on the
+    whole aux legs (x) module space with kron_signed, then the partial
+    supertrace over the aux legs."""
+    q = (F(twist[0]), F(twist[1]))
+    dmod = pencil.space.dim
+    full = SuperSpace([SuperSpace.standard_leg()] * m + [pencil.space.parities])
+    prod = FracMatrix(lift_leading(projector, dmod).map_entries(lambda v: Poly((v,))))
+    qmat = ExactMatrix(2, 2)
+    qmat.put(0, 0, q[0])
+    qmat.put(1, 1, q[1])
+    for leg in range(m):
+        tleg = ExactMatrix(full.dim, full.dim)
+        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            par = E_PARITY[(a, b)]
+            tleg = tleg + kron_signed(full, {leg: (e_matrix(a, b), par), m: (t_entry(pencil, a, b, leg).num, par)})
+        qleg = kron_signed(full, {leg: (qmat, EVEN)})
+        prod = prod @ FracMatrix(qleg @ tleg, pencil.normalizer.shift(leg))
+    return FracMatrix(partial_supertrace(prod.num, SuperSpace.tensor_power(m), dmod), prod.den)
+
+
+_CHAIN_WEIGHTS = ((1, 0), (2, 0), (1, 1), (2, 1))
+_CHAIN_POINTS = (F(0), F(1, 2), F(-3, 2), F(2), F(-1))
+
+
+@st.composite
+def chains(draw, max_k=3):
+    k = draw(st.integers(1, max_k))
+    weights = draw(st.lists(st.sampled_from(_CHAIN_WEIGHTS), min_size=k, max_size=k))
+    points = draw(st.lists(st.sampled_from(_CHAIN_POINTS), min_size=k, max_size=k))
+    twist = (draw(st.sampled_from((F(1), F(2), F(-1, 2)))), draw(st.sampled_from((F(1), F(3)))))
+    return make_spec(weights, points, twist)
+
+
+@st.composite
+def aux_operators(draw, m):
+    """(m, P): P is A_m, H_m or any integer matrix on the m aux legs.
+
+    Both forms of route A compute the same signed block sum for every P.
+    A_m and H_m only pair aux indices that are permutations of each other,
+    so only an arbitrary P tells q_{c_l} from q_{a_l}.
+    """
+    kind = draw(st.sampled_from(("A", "H", "any")))
+    if kind != "any":
+        return m, symmetrizers(m)["AH".index(kind)]
+    p = ExactMatrix(2**m, 2**m)
+    for i in range(2**m):
+        for j in range(2**m):
+            p.put(i, j, F(draw(st.integers(-2, 2))))
+    return m, p
+
+
 class TestHigherTransfer:
     def test_m1_is_transfer(self):
         pen = tensor_monodromy(E1)
@@ -139,7 +221,7 @@ class TestHigherTransfer:
         # -q2 (q1 (x+1) - q2 x)/x with twist (2, 1)
         rc = higher_transfer(E1, 2)
         assert rc.ok
-        assert rc.matrix.to_ratfun().get(0, 0) == rat(Poly((-2, -1)), Poly((0, 1)))
+        assert ratfuns(rc.matrix).get(0, 0) == rat(Poly((-2, -1)), Poly((0, 1)))
 
     @pytest.mark.parametrize("spec", [E1, E2, E4, E6], ids=["E1", "E2", "E4", "E6"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -148,6 +230,38 @@ class TestHigherTransfer:
 
     def test_mutual_commutativity(self):
         assert higher_family_commutes(E2).ok
+
+    @given(chains(), st.integers(1, 3).flatmap(aux_operators), st.booleans())
+    @settings(max_examples=60)
+    def test_module_blocks_match_full_space(self, spec, m_projector, negate):
+        # differential against the full-space oracle; the two are the same
+        # algebra, so they agree on any pencil, a corrupted one included
+        m, projector = m_projector
+        pen = tensor_monodromy(spec)
+        if negate:
+            pen = replace(pen, entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
+        got = higher_transfer_supertrace(pen, spec.twist, m, projector)
+        assert got == route_a_full_space(pen, spec.twist, m, projector)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["A3", "H3"])
+    def test_route_a_builds_no_full_space_matrix(self, monkeypatch, which):
+        # the k3 chain of the fusion benchmark; the full-space route built
+        # matrices of dimension 2^m * 2^k = 64 here
+        spec = make_spec([(1, 0), (2, 0), (2, 0)], ["4", "7/2", "3"])
+        pen = tensor_monodromy(spec)
+        projector = symmetrizers(3)[which]
+        largest = 0
+        init = ExactMatrix.__init__
+
+        def recording_init(self, nrows, ncols, rows=None):
+            nonlocal largest
+            largest = max(largest, nrows)
+            init(self, nrows, ncols, rows)
+
+        monkeypatch.setattr(ExactMatrix, "__init__", recording_init)
+        higher_transfer_supertrace(pen, spec.twist, 3, projector)
+        monkeypatch.undo()
+        assert largest <= max(pen.dim, 2**3)
 
     def test_sign_flip_breaks_route_agreement(self):
         # negative control: a corrupted copy of the pencil must disagree
@@ -199,7 +313,7 @@ class TestBerezinian:
         k11, k12, k21, k22 = k[(1, 1)], k[(1, 2)], k[(2, 1)], k[(2, 2)]
         ber = k11.mul((k22 - k21.mul(k11.inverse_single()).mul(k12)).inverse_single())
         assert ber.powers() == [0]
-        assert ber.frac_coeff(0).to_ratfun().get(0, 0) == rat(Poly((F(5, 2),)))
+        assert ratfuns(ber.frac_coeff(0)).get(0, 0) == rat(Poly((F(5, 2),)))
 
 
 class TestDiffOp:
@@ -210,7 +324,7 @@ class TestDiffOp:
         tau = DiffOp.scalar_term(dim, 1, rat(Poly((1,))))
         left = tau.mul(f)
         # tau f(x) = f(x-1) tau
-        assert left.frac_coeff(1).to_ratfun().get(0, 0) == rat(Poly((-1, 1)))
+        assert ratfuns(left.frac_coeff(1)).get(0, 0) == rat(Poly((-1, 1)))
 
     def test_single_inverse(self):
         dim = 2
@@ -226,7 +340,7 @@ class TestDiffOp:
         inv = d.inverse_series(3)
         assert d.mul(inv, hi=3) == DiffOp.one(dim)
         # geometric coefficients x(x-1)...(x-m+1)
-        assert inv.frac_coeff(2).to_ratfun().get(0, 0) == rat(Poly((0, 1)) * Poly((-1, 1)))
+        assert ratfuns(inv.frac_coeff(2)).get(0, 0) == rat(Poly((0, 1)) * Poly((-1, 1)))
 
 
 class TestGeneratingOper:
@@ -239,7 +353,7 @@ class TestGeneratingOper:
         oper = generating_oper(E2, 2)
         dim = 4
         ident = ExactMatrix.identity(dim, rat(Poly((1,))))
-        assert oper.frac_coeff(0).to_ratfun() == ident
+        assert ratfuns(oper.frac_coeff(0)) == ident
 
 
 class TestTransferRelations:
@@ -254,7 +368,7 @@ class TestTransferRelations:
         assert all(c.ok for c in checks)
         rc = higher_transfer(E1, 2)
         ber = berezinian(E1)
-        lhs = rc.matrix.to_ratfun() * (1 - ber.value.shift(1))
+        lhs = ratfuns(rc.matrix) * (1 - ber.value.shift(1))
         want = rat(Poly((2, 1)) * Poly((1, 1)), Poly((0, 1)) * Poly((-1, 1)))
         assert lhs.get(0, 0) == want
 
@@ -346,6 +460,6 @@ class TestUniversalOper:
                 bv = bethe_vector(spec, dv.root_list())
                 vec = [RatFun(Poly((v,))) for v in bv.vector]
                 for m in range(4):
-                    got = oper.frac_coeff(m).to_ratfun().apply(vec)
+                    got = ratfuns(oper.frac_coeff(m)).apply(vec)
                     want = [dy_coefficient(spec, dv, m) * v for v in vec]
                     assert got == want

@@ -433,4 +433,6 @@ def test_fusion_negative_control(monkeypatch, tmp_path):
     assert berezinian_items
     for item in berezinian_items:
         assert item["detail"].startswith("failed: ") and item["detail"] != "failed: "
+    # every failing item carries a witness
+    assert all(f["detail"] not in ("", "None") for f in failures), failures
     assert not [it for it in run_suite("fusion") if not it.ok]
