@@ -496,18 +496,28 @@ def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
 def higher_family_commutes(spec: ModuleSpec) -> FusionCheck:
     """Every x-coefficient of T_1 commutes with every x-coefficient of T_2.
 
-    The coefficients are those of the numerators over route B's scalar
-    denominators.  Multiplying a numerator by a nonzero scalar polynomial
-    keeps the span of its coefficients, so the verdict does not depend on
-    the denominator.  On failure the witness is the first non-commuting
-    coefficient pair (a, b).
+    The coefficients are those of route B's numerators, each divided by the
+    monic gcd of its entries.  T_1(x) and T_2(y) commute exactly when
+    g(x) T_1(x) and h(y) T_2(y) do, for nonzero scalar polynomials g and h,
+    so the verdict does not depend on the denominators or the contents.  On
+    failure the witness is the first non-commuting coefficient pair (a, b).
     """
-    t1, t2 = (coefficient_matrices(higher_transfer(spec, m).matrix.num) for m in (1, 2))
+    t1, t2 = (coefficient_matrices(_without_content(higher_transfer(spec, m).matrix.num)) for m in (1, 2))
     for a, ca in enumerate(t1):
         for b, cb in enumerate(t2):
             if not ca.commutes_with(cb):
                 return FusionCheck(False, "higher family commutes", (a, b))
     return FusionCheck(True, "higher family commutes")
+
+
+def _without_content(num: ExactMatrix) -> ExactMatrix:
+    """The Poly-entry matrix divided by the monic gcd of its entries."""
+    g = Poly()
+    for _, _, p in num.entries():
+        g = Poly.gcd(g, p)
+        if g.degree == 0:
+            return num
+    return num.map_entries(lambda p: p // g) if g else num
 
 
 def dy_coefficient(spec: ModuleSpec, y: Divisor, m: int) -> RatFun:

@@ -3,14 +3,17 @@
 ExactMatrix stores a dict-of-rows {row: {col: entry}} and never stores zero
 entries.  Entries are duck-typed: Fraction for numeric operators, Poly or
 RatFun for operator-valued pencils.  Row reduction, kernels, inverses and
-determinants require entries from a field (Fraction or RatFun), and every
+determinants take rational entries (Fraction) or RatFun entries, and every
 one of them runs through the single sparse elimination of SpanBasis, which
-touches only nonzero entries.
+touches only nonzero entries.  On rational entries it eliminates
+fraction-free, on primitive integer rows; RatFun entries take the field path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .exactnum import Scalar
@@ -32,19 +35,6 @@ class ExactMatrix:
     @staticmethod
     def identity(n: int, one=Fraction(1)) -> "ExactMatrix":
         return ExactMatrix(n, n, {i: {i: one} for i in range(n)})
-
-    @staticmethod
-    def from_dense(data: Sequence[Sequence]) -> "ExactMatrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        m = ExactMatrix(nrows, ncols)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                if isinstance(v, int):
-                    v = Fraction(v)
-                if v:
-                    m.put(i, j, v)
-        return m
 
     @staticmethod
     def from_columns(cols: Sequence[Vector], nrows: int) -> "ExactMatrix":
@@ -148,18 +138,6 @@ class ExactMatrix:
                 out.rows[i] = acc
         return out
 
-    def pow(self, n: int) -> "ExactMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
-        out = ExactMatrix.identity(self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base if n > 1 else base
-            n >>= 1
-        return out
-
     def commutes_with(self, other: "ExactMatrix") -> bool:
         return (self @ other) == (other @ self)
 
@@ -211,28 +189,27 @@ class ExactMatrix:
                 out[i] = acc
         return out
 
-    def column(self, j: int) -> Vector:
-        return [self.get(i, j) for i in range(self.nrows)]
-
-    def to_dense(self) -> list[list]:
-        return [[self.get(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
-    # -- elimination (field entries), all through SpanBasis._insert ----------
+    # -- elimination, all through SpanBasis._insert -----------------------------
 
-    def rref(self) -> tuple["ExactMatrix", list[int]]:
-        """Reduced row echelon form and pivot column list."""
+    def _span(self) -> "SpanBasis":
         span = SpanBasis(self.ncols)
         for row in self.rows.values():
             span._insert(dict(row))
+        return span
+
+    def rref(self) -> tuple["ExactMatrix", list[int]]:
+        """Reduced row echelon form and pivot column list."""
+        span = self._span()
+        rows = span.rows
         order = sorted(range(span.dim), key=span.pivots.__getitem__)
-        red = ExactMatrix(self.nrows, self.ncols, {r: span.rows[k] for r, k in enumerate(order)})
+        red = ExactMatrix(self.nrows, self.ncols, {r: rows[k] for r, k in enumerate(order)})
         return red, [span.pivots[k] for k in order]
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self._span().dim
 
     def kernel(self) -> list[Vector]:
         """Basis of the right kernel, in reduced echelon form."""
@@ -288,54 +265,104 @@ class ExactMatrix:
 
 
 class SpanBasis:
-    """Incremental echelonized basis of a span of vectors (field entries).
+    """Incremental echelon basis of a span of vectors.
 
     This is the one elimination routine of the package: ExactMatrix.rref,
-    inverse and det insert their rows here.  The stored rows are sparse
-    {col: value} dicts in reduced row echelon form.  Row i is 1 at
-    pivots[i], its first nonzero column, and 0 at every other row's pivot.
-    Reducing a vector therefore subtracts, once each, the rows whose pivots
-    it touches, and inserting it subtracts it from the rows nonzero at its
-    pivot, so the cost is the nonzeros touched, not the vector length.
+    inverse and det insert their rows here.  Row i is a sparse {col: value}
+    dict whose first nonzero column is pivots[i].
+
+    While every entry seen is rational (Fraction or int), rows are primitive
+    integer rows with a positive pivot, in echelon but not reduced form.  A
+    vector is cleared by the lcm of its denominators and reduced
+    fraction-free (after E. H. Bareiss, Math. Comp. 22, 1968): a heap visits
+    the pivot columns it fills in increasing order, each step v <- b v - a row
+    with a = v[p], b = row[p] and gcd(a, b) taken out.  The denominator times
+    the product of the b's is one rational scale per reduction, so pivot
+    values and coordinates equal the field elimination's, and no Fraction is
+    built in the loop.  `rows` gives the reduced rows, 1 at their pivots, by
+    one back-substitution when read.
+
+    Any other entry (RatFun, from FracMatrix.inverse) moves the span to the
+    field path for good: the rows are read once in reduced form and kept
+    reduced, so a reduction subtracts once each the rows whose pivots it
+    touches.  Either path costs the nonzeros touched, not the vector length.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: list[dict] = []
         self.pivots: list[int] = []
+        self._rows: list[dict] = []
         self._row_at: dict[int, dict] = {}  # pivot column -> its row
+        self._field = False
+        self._reduced_rows: "list[dict] | None" = None
 
-    def _reduced(self, v: dict) -> dict:
-        """Reduce the sparse vector v {col: value} in place and return it."""
+    @property
+    def rows(self) -> list[dict]:
+        """The rows in reduced echelon form, 1 at their pivots, in insertion order."""
+        if self._field:
+            return self._rows
+        if self._reduced_rows is None:
+            done: dict[int, dict] = {}
+            for p in sorted(self.pivots, reverse=True):
+                w = dict(self._row_at[p])
+                _reduce_integral(w, done)
+                done[p] = _primitive(w)
+            self._reduced_rows = [{j: Fraction(a, done[p][p]) for j, a in done[p].items()} for p in self.pivots]
+        return self._reduced_rows
+
+    def _reduced(self, v: dict) -> tuple[dict, int]:
+        """(w, s) with w / s the sparse vector v reduced against the rows.
+
+        On the integer path w has int entries and s is a positive int; on
+        the field path v is reduced in place and s is 1.
+        """
+        if not self._field:
+            if all(isinstance(a, (Fraction, int)) for a in v.values()):
+                den = lcm(*(a.denominator for a in v.values()))
+                w = {j: a.numerator * (den // a.denominator) for j, a in v.items()}
+                return w, den * _reduce_integral(w, self._row_at)
+            self._rows = self.rows
+            self._row_at = dict(zip(self.pivots, self._rows))
+            self._field = True
         row_at = self._row_at
         for p in [j for j in v if j in row_at]:
             _eliminate(v, row_at[p], p)
-        return v
+        return v, 1
+
+    def _values(self, w: dict, s: int) -> dict:
+        """The field values w / s of a reduction."""
+        return w if self._field else {j: Fraction(a, s) for j, a in w.items()}
 
     def _insert(self, v: dict, end: "int | None" = None):
-        """Reduce the sparse vector v, then store it scaled to 1 at its pivot.
+        """Reduce the sparse vector v, then store it.
 
-        Returns the pivot value before scaling, or None, storing nothing, when
-        v reduces to 0 or when its pivot is not before column `end`.
+        Returns the pivot value of the reduced vector, or None, storing
+        nothing, when v reduces to 0 or when its pivot is not before column
+        `end`.
         """
-        v = self._reduced(v)
-        if not v:
+        w, s = self._reduced(v)
+        if not w:
             return None
-        p = min(v)
+        p = min(w)
         if end is not None and p >= end:
             return None
-        lead = v[p]
-        v = {j: a / lead for j, a in v.items()}
-        for row in self.rows:
-            if p in row:
-                _eliminate(row, v, p)
-        self.rows.append(v)
+        lead = w[p]
+        if self._field:
+            w = {j: a / lead for j, a in w.items()}
+            for row in self._rows:
+                if p in row:
+                    _eliminate(row, w, p)
+        else:
+            w = _primitive(w)
+            lead = Fraction(lead, s)
+            self._reduced_rows = None
+        self._rows.append(w)
         self.pivots.append(p)
-        self._row_at[p] = v
+        self._row_at[p] = w
         return lead
 
     def reduce(self, vec: Sequence) -> Vector:
-        v = self._reduced(_sparse(vec))
+        v = self._values(*self._reduced(_sparse(vec)))
         return [v.get(j, _ZERO) for j in range(len(vec))]
 
     def add(self, vec: Sequence) -> bool:
@@ -343,11 +370,11 @@ class SpanBasis:
         return self._insert(_sparse(vec)) is not None
 
     def contains(self, vec: Sequence) -> bool:
-        return not self._reduced(_sparse(vec))
+        return not self._reduced(_sparse(vec))[0]
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
 
 def _sparse(vec: Sequence) -> dict:
@@ -365,6 +392,56 @@ def _eliminate(dst: dict, row: dict, p: int) -> None:
                 dst[j] = a
             else:
                 del dst[j]
+
+
+def _reduce_integral(v: dict, row_at: dict) -> int:
+    """Cancel, in place, the integer vector v at the pivots of the echelon rows row_at.
+
+    Pivots are visited in increasing order, each step v <- b v - a row with
+    a = v[p] and b = row[p] > 0 divided by gcd(a, b); a step fills only
+    columns after p.  Returns s, the product of the b's: v ends as s times
+    the old v minus a combination of the rows.
+    """
+    heap = [j for j in v if j in row_at]
+    heapify(heap)
+    scale = 1
+    while heap:
+        p = heappop(heap)
+        a = v.pop(p, 0)
+        if not a:
+            continue  # pushed twice, or cancelled since
+        row = row_at[p]
+        b = row[p]
+        g = gcd(a, b)
+        if g > 1:
+            a //= g
+            b //= g
+        if b > 1:
+            scale *= b
+            for j in v:
+                v[j] *= b
+        for j, x in row.items():
+            if j != p:
+                y = v.get(j)
+                if y is None:
+                    v[j] = -a * x
+                    if j in row_at:
+                        heappush(heap, j)
+                else:
+                    y -= a * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+    return scale
+
+
+def _primitive(w: dict) -> dict:
+    """The nonzero integer vector w divided by its content, signed so its first entry is positive."""
+    c = gcd(*w.values())
+    if w[min(w)] < 0:
+        c = -c
+    return w if c == 1 else {j: a // c for j, a in w.items()}
 
 
 class SpanCoordinates:
@@ -396,11 +473,11 @@ class SpanCoordinates:
 
     def coordinates(self, vec: Sequence) -> "Vector | None":
         """x with sum_k x[k] * (k-th added vector) == vec, or None when vec is outside the span."""
-        v = self._span._reduced(_sparse(vec))
+        w, s = self._span._reduced(_sparse(vec))
+        if any(j < self.length for j in w):
+            return None
         out = [_ZERO] * self.count
-        for j, a in v.items():
-            if j < self.length:
-                return None
+        for j, a in self._span._values(w, s).items():
             out[j - self.length] = -a
         return out
 

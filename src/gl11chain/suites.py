@@ -403,7 +403,7 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
     for n in (2, 3):
         for level in range(0, n + 1):
             for c in weylspace.current_model_checks(n, level, min(degree_cap, 3)):
-                items.append(_item(f"model n={n} l={level}: {c.label}", c.ok))
+                items.append(_item(f"model n={n} l={level}: {c.label}", c.ok, c.witness))
     res = weylspace.gamma_commutes_with_modified(2, 2)
     items.append(_item("entry action commutes with modified action", res.ok, res.detail))
     res = weylspace.cyclicity_by_degree(2, 3)
@@ -415,6 +415,8 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
     ]
     if max_n >= 3:
         cases.append(("specialization n=3", [Fraction(1, 2), Fraction(0), Fraction(-2)], True))
+    if max_n >= 5:
+        cases.append(("specialization n=4", [Fraction(1, 2), Fraction(0), Fraction(-2), Fraction(3)], True))
     for name, points, expect in cases:
         res = weylspace.specialization_check(len(points), points)
         items.append(_item(name, res.ok == expect, res.detail))

@@ -505,9 +505,23 @@ def character_series(n: int, level: int, d: int, singular_only: bool) -> list[in
 class ModelCheck:
     ok: bool
     label: str
+    witness: str = ""  # on failure: the level, the relation and where it fails
 
     def __bool__(self):
         return self.ok
+
+
+def _difference(crd: Coords, a: Sequence, b: Sequence) -> "str | None":
+    """The first coordinate where the vectors a and b in crd differ, or None when they are equal."""
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            comp, mono = crd.components[k // len(crd.monomials)], crd.monomials[k % len(crd.monomials)]
+            return f"coordinate {k} (component {comp}, monomial {mono}): {x} vs {y}"
+    return None
+
+
+def _model_check(level: int, label: str, diff: "str | None") -> ModelCheck:
+    return ModelCheck(diff is None, label, "" if diff is None else f"level {level}, {label}: {diff}")
 
 
 def _apply_e21_word(space: SuperSpace, rs: Sequence[int], base: dict) -> dict:
@@ -518,7 +532,11 @@ def _apply_e21_word(space: SuperSpace, rs: Sequence[int], base: dict) -> dict:
 
 
 def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
-    """Free-generator and relation checks in the standard-action model."""
+    """Free-generator and relation checks in the standard-action model.
+
+    A failed check's witness names the level of the vectors compared, the
+    relation, and the first dependent product or differing coordinate.
+    """
     space = SuperSpace.tensor_power(n)
     checks = []
     v_plus = vacuum_vector(n)
@@ -528,17 +546,15 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
     gens = {w: _apply_e21_word(space, w, v_plus) for w in words}
     cap = d + sum(range(n - level, n)) + 1
     coords = Coords.build(n, level, cap)
-    sym_monos = _symmetric_monomials(n, d).values()
+    sym_monos = _symmetric_monomials(n, d).items()
     span = SpanBasis(coords.dim)
-    count = 0
-    independent = True
+    dependent = None
     for w, g in gens.items():
-        for sm in sym_monos:
+        for e, sm in sym_monos:
             vec = {c: sm * p for c, p in g.items()}
-            count += 1
-            if not span.add(coords.to_vector(vec)):
-                independent = False
-    checks.append(ModelCheck(independent and span.dim == count, f"free generators at level {level}"))
+            if not span.add(coords.to_vector(vec)) and dependent is None:
+                dependent = f"sigma^{e} g_{w} depends on the earlier products"
+    checks.append(_model_check(level, f"free generators at level {level}", dependent))
 
     # overflow relation: e21[n] v+ = sum (-1)^(i-1) sigma_i e21[n-i] v+
     lhs = current_action(space, 2, 1, n, v_plus)
@@ -551,32 +567,33 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
             add = sig * p
             rhs[c] = rhs.get(c, MPoly(n, {})) + (add if sgn == 1 else -add)
     crd = Coords.build(n, 1, n)
-    checks.append(ModelCheck(crd.to_vector(lhs) == crd.to_vector(rhs), "overflow relation"))
+    checks.append(_model_check(1, "overflow relation", _difference(crd, crd.to_vector(lhs), crd.to_vector(rhs))))
 
     # anticommutation of the lowering modes
     if n >= 2:
         a = current_action(space, 2, 1, 1, current_action(space, 2, 1, 0, v_plus))
         b = current_action(space, 2, 1, 0, current_action(space, 2, 1, 1, v_plus))
         crd2 = Coords.build(n, 2, 2)
-        va = crd2.to_vector(a)
-        vb = crd2.to_vector(b)
-        checks.append(ModelCheck(va == [-x for x in vb], "lowering modes anticommute"))
+        diff = _difference(crd2, crd2.to_vector(a), [-x for x in crd2.to_vector(b)])
+        checks.append(_model_check(2, "lowering modes anticommute", diff))
 
     # singular generators: annihilated by the raising zero mode, eigenvalue n
     if level <= n - 1:
-        sing_words = [w for w in itertools.combinations(range(1, n), level)]
-        ok = True
-        for w in sing_words:
+        crd3 = Coords.build(n, level, cap)
+        diff = None
+        for w in itertools.combinations(range(1, n), level):
             u = _apply_e21_word(space, w, v_plus)
             wvec = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, u))
-            crd3 = Coords.build(n, level, cap)
-            if any(crd3.to_vector(current_action(space, 1, 2, 0, wvec))):
-                ok = False
+            raised = crd3.to_vector(current_action(space, 1, 2, 0, wvec))
             scaled = {c: MPoly.const(n, n) * p for c, p in wvec.items()}
             back = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, wvec))
-            if crd3.to_vector(back) != crd3.to_vector(scaled):
-                ok = False
-        checks.append(ModelCheck(ok, "singular generators"))
+            relation, diff = "raising mode", _difference(crd3, raised, [0] * crd3.dim)
+            if diff is None:
+                relation, diff = f"eigenvalue {n}", _difference(crd3, crd3.to_vector(back), crd3.to_vector(scaled))
+            if diff is not None:
+                diff = f"{relation} on the generator of {w}, {diff}"
+                break
+        checks.append(_model_check(level, "singular generators", diff))
     return checks
 
 

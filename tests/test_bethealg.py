@@ -17,6 +17,7 @@ from gl11chain.bethealg import (
     regular_rep_check,
     spectral_analysis,
 )
+from densemat import to_dense
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
 E3 = make_spec([(1, 0), (1, 0), (1, 0)], ["0", "1/2", "-1/2"], ("1", "1"))
@@ -31,7 +32,7 @@ class TestCoefficientFamily:
             fam = coefficient_family(E2, level, True)
             b1 = fam.ops[0]
             dim = fam.dim
-            assert b1.to_dense() == [[F(2) if a == b else F(0) for b in range(dim)] for a in range(dim)]
+            assert to_dense(b1) == [[F(2) if a == b else F(0) for b in range(dim)] for a in range(dim)]
 
     def test_central_scalars_are_string_symmetric_functions(self):
         fam = coefficient_family(E3, 1, True)

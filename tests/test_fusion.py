@@ -30,9 +30,10 @@ from gl11chain.fusion import (
     transfer_relation_check,
     universal_oper_check,
 )
+from densemat import column, from_dense
 
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
-GRADED_FLIP = ExactMatrix.from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
+GRADED_FLIP = from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
 E1 = make_spec([(1, 0)], ["0"], ("2", "1"))
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
 E4 = make_spec([(1, 0), (1, 0)], ["2", "-3/2"], ("1", "2"))
@@ -58,7 +59,7 @@ class TestSymmetrizers:
         # image of the antisymmetrizer: doubly-odd and the odd combination
         span = SpanBasis(4)
         for j in range(4):
-            span.add(a2.column(j))
+            span.add(column(a2, j))
         assert span.dim == 2
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -320,7 +321,7 @@ class TestDiffOp:
     def test_shift_rule(self):
         dim = 1
         x = rat(Poly((0, 1)))
-        f = DiffOp(dim, {0: FracMatrix.from_ratfun(ExactMatrix.from_dense([[x]]))})
+        f = DiffOp(dim, {0: FracMatrix.from_ratfun(from_dense([[x]]))})
         tau = DiffOp.scalar_term(dim, 1, rat(Poly((1,))))
         left = tau.mul(f)
         # tau f(x) = f(x-1) tau
@@ -328,7 +329,7 @@ class TestDiffOp:
 
     def test_single_inverse(self):
         dim = 2
-        m = ExactMatrix.from_dense([[rat(Poly((1, 1))), rat(Poly())], [rat(Poly()), rat(Poly((2,)))]])
+        m = from_dense([[rat(Poly((1, 1))), rat(Poly())], [rat(Poly()), rat(Poly((2,)))]])
         d = DiffOp(dim, {1: FracMatrix.from_ratfun(m)})
         inv = d.inverse_single()
         assert d.mul(inv) == DiffOp.one(dim)

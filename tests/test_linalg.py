@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,20 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun
+from gl11chain.fusion import FracMatrix
 from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
+from densemat import column, from_dense, matrix_power, to_dense
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 
 
 def dense(rows):
-    return ExactMatrix.from_dense(rows)
+    return from_dense(rows)
 
 
 class TestExactMatrix:
     def test_matmul_and_apply(self):
         a = dense([[1, 2], [3, 4]])
         b = dense([[0, 1], [1, 0]])
-        assert (a @ b).to_dense() == [[2, 1], [4, 3]]
+        assert to_dense(a @ b) == [[2, 1], [4, 3]]
         assert a.apply([F(1), F(1)]) == [3, 7]
 
     def test_rank_nullity(self):
@@ -50,14 +53,14 @@ class TestExactMatrix:
 
     def test_inverse_det(self):
         m = dense([[2, 1], [1, 1]])
-        assert (m @ m.inverse()).to_dense() == [[1, 0], [0, 1]]
+        assert to_dense(m @ m.inverse()) == [[1, 0], [0, 1]]
         assert m.det() == 1
         assert dense([[1, 2], [2, 4]]).det() == 0
 
     def test_shape_mismatch_raises_under_optimize(self):
         # invariants are exceptions, not asserts, so they hold under python -O
         src = Path(__file__).resolve().parent.parent / "src"
-        code = "from gl11chain.linalg import ExactMatrix as M; M.from_dense([[1, 2]]) @ M.from_dense([[1, 2]])"
+        code = "from gl11chain.linalg import ExactMatrix as M; M(1, 2) @ M(1, 2)"
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
@@ -226,7 +229,7 @@ def fraction_matrices(draw, square=False):
 
 
 def to_sympy(sympy, m):
-    return sympy.Matrix(m.nrows, m.ncols, [sympy.Rational(v.numerator, v.denominator) for row in m.to_dense() for v in row])
+    return sympy.Matrix(m.nrows, m.ncols, [sympy.Rational(v.numerator, v.denominator) for row in to_dense(m) for v in row])
 
 
 def from_sympy(rows):
@@ -245,10 +248,10 @@ class TestSympyDifferential:
         red, pivots = m.rref()
         sred, spivots = sm.rref()
         assert pivots == list(spivots)
-        assert red.to_dense() == from_sympy(sred.tolist())
+        assert to_dense(red) == from_sympy(sred.tolist())
         assert m.rank() == sm.rank()
         assert m.kernel() == from_sympy([list(v) for v in sm.nullspace()])
-        cols = [m.column(j) for j in range(m.ncols)]
+        cols = [column(m, j) for j in range(m.ncols)]
         first = data.draw(st.integers(0, m.ncols))
         span = SpanCoordinates(m.nrows, cols[:first])
         for stop in (first, m.ncols):
@@ -281,7 +284,7 @@ class TestSympyDifferential:
         sdet = sm.det()
         assert m.det() == F(int(sdet.p), int(sdet.q))
         if sdet:
-            assert m.inverse().to_dense() == from_sympy(sm.inv().tolist())
+            assert to_dense(m.inverse()) == from_sympy(sm.inv().tolist())
         else:
             with pytest.raises(ZeroDivisionError):
                 m.inverse()
@@ -311,7 +314,7 @@ class TestSympyDifferential:
         det = det if isinstance(det, RatFun) else RatFun(det)
         for t in (F(1), F(-1, 3), F(5, 2)):
             try:
-                at_t = [[v(t) if isinstance(v, RatFun) else v for v in row] for row in m.to_dense()]
+                at_t = [[v(t) if isinstance(v, RatFun) else v for v in row] for row in to_dense(m)]
             except ZeroDivisionError:
                 continue  # a pole of some entry
             sdet = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in at_t]).det()
@@ -361,7 +364,7 @@ def pow_dim_eigenspaces(ops, chars):
     out = []
     for ch in chars:
         shifted = [op - ExactMatrix.identity(n) * c for op, c in zip(ops, ch)]
-        out.append((ExactMatrix.vstack(shifted).kernel(), ExactMatrix.vstack([s.pow(n) for s in shifted]).kernel()))
+        out.append((ExactMatrix.vstack(shifted).kernel(), ExactMatrix.vstack([matrix_power(s, n) for s in shifted]).kernel()))
     return out
 
 
@@ -409,3 +412,280 @@ class TestFittingExponent:
         shift = dense([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
         (eig, gen), = joint_generalized_eigenspaces([shift], [[F(0)]])
         assert len(eig) == 1 and len(gen) == 4
+
+
+class FieldSpanBasis:
+    """SpanBasis on field entries, as it was before it went fraction-free (oracle).
+
+    The rows stay in reduced echelon form: row i is 1 at pivots[i] and 0 at
+    every other row's pivot, and each update is one Fraction operation.
+    """
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []
+        self.pivots = []
+        self._row_at = {}
+
+    def _reduced(self, v):
+        for p in [j for j in v if j in self._row_at]:
+            field_eliminate(v, self._row_at[p], p)
+        return v
+
+    def _insert(self, v, end=None):
+        v = self._reduced(v)
+        if not v:
+            return None
+        p = min(v)
+        if end is not None and p >= end:
+            return None
+        lead = v[p]
+        v = {j: a / lead for j, a in v.items()}
+        for row in self.rows:
+            if p in row:
+                field_eliminate(row, v, p)
+        self.rows.append(v)
+        self.pivots.append(p)
+        self._row_at[p] = v
+        return lead
+
+    def reduce(self, vec):
+        v = self._reduced({j: a for j, a in enumerate(vec) if a})
+        return [v.get(j, F(0)) for j in range(len(vec))]
+
+    def coordinates(self, vec, count):
+        """Minus the tags of vec reduced, when the rows carry SpanCoordinates tags after column length."""
+        v = self._reduced({j: a for j, a in enumerate(vec) if a})
+        if any(j < self.length for j in v):
+            return None
+        out = [F(0)] * count
+        for j, a in v.items():
+            out[j - self.length] = -a
+        return out
+
+
+def field_eliminate(dst, row, p):
+    f = dst.pop(p)
+    for j, b in row.items():
+        if j != p:
+            a = dst.get(j, F(0)) - f * b
+            if a:
+                dst[j] = a
+            else:
+                dst.pop(j, None)
+
+
+def field_span(m):
+    span = FieldSpanBasis(m.ncols)
+    leads = [span._insert(dict(m.rows.get(i, ()))) for i in range(m.nrows)]
+    return span, leads
+
+
+def field_rref(m):
+    span, _ = field_span(m)
+    order = sorted(range(len(span.pivots)), key=span.pivots.__getitem__)
+    return [[span.rows[k].get(j, 0) for j in range(m.ncols)] for k in order], [span.pivots[k] for k in order]
+
+
+def field_det(m):
+    span, leads = field_span(m)
+    if None in leads:
+        return F(0)
+    det = F(1)
+    for lead in leads:
+        det *= lead
+    pivots = span.pivots
+    inversions = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:])
+    return -det if inversions % 2 else det
+
+
+def field_inverse(m):
+    n = m.nrows
+    span = FieldSpanBasis(2 * n)
+    for i in range(n):
+        row = dict(m.rows.get(i, ()))
+        row[n + i] = F(1)
+        if span._insert(row, n) is None:
+            return None
+    out = [[F(0)] * n for _ in range(n)]
+    for row, p in zip(span.rows, span.pivots):
+        for j, a in row.items():
+            if j >= n:
+                out[p][j - n] = a
+    return out
+
+
+mixed = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-40, 40), st.sampled_from([1, 1, 2, 3, 4, 6, 7, 9, 12, 35])),
+)
+
+
+@st.composite
+def mixed_operations(draw):
+    """Adds and queries on vectors with mixed denominators, zero and dependent vectors among them."""
+    length = draw(st.integers(1, 7))
+    fresh = st.lists(mixed, min_size=length, max_size=length)
+    added, ops = [], []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination", "query"]))
+        if kind == "zero":
+            v = [F(0)] * length
+        elif kind == "combination" and added:
+            coefs = draw(st.lists(mixed, min_size=len(added), max_size=len(added)))
+            v = [sum((c * w[j] for c, w in zip(coefs, added)), F(0)) for j in range(length)]
+        else:
+            v = draw(fresh)
+        if kind == "query":
+            ops.append(("query", v))
+        else:
+            added.append(v)
+            ops.append(("add", v))
+    return length, ops
+
+
+@st.composite
+def mixed_matrices(draw, square=False):
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if square else draw(st.integers(0, 6))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(mixed), draw(mixed)
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+        elif kind == "zero":
+            rows.append([F(0)] * ncols)
+        else:
+            rows.append(draw(st.lists(mixed, min_size=ncols, max_size=ncols)))
+    return from_dense(rows) if rows else ExactMatrix(0, ncols)
+
+
+class TestIntegerRowsAgainstFieldOracle:
+    """The fraction-free SpanBasis against the field elimination it replaced."""
+
+    @given(mixed_operations())
+    @settings(max_examples=200, deadline=None)
+    def test_spans_and_coordinates(self, case):
+        length, ops = case
+        span, oracle = SpanBasis(length), FieldSpanBasis(length)
+        crd, tagged = SpanCoordinates(length), FieldSpanBasis(length)
+        queries = []
+        for kind, v in ops:
+            if kind == "add":
+                sparse = {j: a for j, a in enumerate(v) if a}
+                assert span._insert(dict(sparse)) == oracle._insert(dict(sparse))
+                sparse[length + crd.count] = F(1)
+                assert crd.add(v) == (tagged._insert(sparse, length) is not None)
+            else:
+                queries.append(v)
+            assert span.pivots == oracle.pivots
+            assert span.rows == oracle.rows
+            # every query so far, again after each further add
+            for w in queries:
+                assert span.reduce(w) == oracle.reduce(w)
+                assert span.contains(w) == (not any(oracle.reduce(w)))
+                assert crd.coordinates(w) == tagged.coordinates(w, crd.count)
+
+    @given(mixed_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_rank_kernel(self, m):
+        red, pivots = m.rref()
+        want, want_pivots = field_rref(m)
+        assert pivots == want_pivots
+        assert to_dense(red)[: len(pivots)] == want
+        assert m.rank() == len(want_pivots)
+        kernel = m.kernel()
+        assert len(kernel) == m.ncols - len(pivots)
+        for v in kernel:
+            assert not any(m.apply(v))
+            assert [v[p] for p in range(m.ncols) if p not in pivots].count(1) == 1
+
+    @given(mixed_matrices(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_det_inverse(self, m):
+        assert m.det() == field_det(m)
+        want = field_inverse(m)
+        if want is None:
+            with pytest.raises(ZeroDivisionError, match="matrix not invertible"):
+                m.inverse()
+        else:
+            assert to_dense(m.inverse()) == want
+
+
+class TestFractionFree:
+    @staticmethod
+    def count_fractions(monkeypatch):
+        """Count every Fraction built from here on (arithmetic results included)."""
+        built = [0]
+        real = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        if hasattr(F, "_from_coprime_ints"):
+            real_coprime = F._from_coprime_ints.__func__
+
+            def counted_coprime(cls, *args):
+                built[0] += 1
+                return real_coprime(cls, *args)
+
+            monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
+        return built
+
+    def test_integer_reduction_builds_at_most_two_fractions(self, monkeypatch):
+        rng = random.Random(16)
+        basis = [[F(rng.randint(-9, 9)) for _ in range(40)] for _ in range(30)]
+        span = SpanBasis(40)
+        for v in basis:
+            span.add(v)
+        assert span.dim == 30
+        coefs = [rng.randint(-5, 5) for _ in basis]
+        inside = [sum((c * v[j] for c, v in zip(coefs, basis)), F(0)) for j in range(40)]
+        outside = [F(rng.randint(-9, 9)) for _ in range(40)]
+        built = self.count_fractions(monkeypatch)
+        for call, vec, want in ((span.contains, inside, True), (span.contains, outside, False), (span.add, outside, True)):
+            before = built[0]
+            assert call(vec) is want
+            assert built[0] - before <= 2
+        monkeypatch.undo()
+        assert span.contains(outside) and span.dim == 31
+
+    def test_counter_sees_fraction_arithmetic(self, monkeypatch):
+        built = self.count_fractions(monkeypatch)
+        x, y = F(1, 2), F(1, 3)
+        before = built[0]
+        x * y + x
+        assert built[0] - before >= 2
+
+
+class TestMixedEntries:
+    """A span that sees rational vectors first and RatFun vectors later moves to the field path."""
+
+    def test_rational_row_before_ratfun_row(self):
+        x = RatFun(Poly((0, 1)))
+        m = ExactMatrix(2, 2, {0: {0: F(2), 1: F(1)}, 1: {1: x}})
+        assert m.det() == x * 2
+        assert m.inverse() == ExactMatrix(2, 2, {0: {0: F(1, 2), 1: -1 / (x * 2)}, 1: {1: 1 / x}})
+        assert m @ m.inverse() == ExactMatrix.identity(2)
+
+    def test_span_switches_to_the_field_path(self):
+        x = RatFun(Poly((0, 1)))
+        span, oracle = SpanBasis(3), FieldSpanBasis(3)
+        for v in ([F(1), F(2, 3), F(0)], [x, F(0), F(1)], [F(0), F(1), x + 1]):
+            assert span._insert({j: a for j, a in enumerate(v) if a}) == oracle._insert(
+                {j: a for j, a in enumerate(v) if a}
+            )
+            assert span.rows == oracle.rows
+        assert span.dim == 3 and span.contains([F(1), x, F(5)])
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_fracmatrix_with_an_empty_row_is_not_invertible(self, empty):
+        # the empty row of A inserts only its [A | 1] tag, a Fraction-only vector
+        x = Poly((0, 1))
+        num = ExactMatrix(2, 2, {1 - empty: {0: x + 1, 1: x}})
+        with pytest.raises(ZeroDivisionError, match="matrix not invertible"):
+            FracMatrix(num, x).inverse()

@@ -17,9 +17,10 @@ from gl11chain.shapoform import (
     r_matrix,
     wronskian,
 )
+from densemat import from_dense, to_dense
 
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
-GRADED_FLIP = ExactMatrix.from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
+GRADED_FLIP = from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
 W10 = Weight(F(1), F(0))
 E1 = make_spec([(1, 0)], ["0"], ("2", "1"))
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -102,18 +103,18 @@ def _embed_r(spec):
 class TestFormMatrix:
     def test_one_site_gram(self):
         gram = form_matrix(make_spec([(1, 0)], ["0"], ("1", "1")))
-        assert gram.to_dense() == [[1, 0], [0, -1]]
+        assert to_dense(gram) == [[1, 0], [0, -1]]
 
     def test_one_site_general_weight(self):
         gram = form_matrix(make_spec([(3, 1)], ["0"], ("1", "1")))
-        assert gram.to_dense() == [[1, 0], [0, -4]]
+        assert to_dense(gram) == [[1, 0], [0, -4]]
 
     def test_e2_gram_hand_value(self):
         # hand computation: diagonal tensor form diag(1,-1,-1,-1) composed
         # with R(-1/2) = 2P - 1
         gram = form_matrix(E2)
         want = [[1, 0, 0, 0], [0, 1, -2, 0], [0, -2, 1, 0], [0, 0, 0, 3]]
-        assert gram.to_dense() == [[F(v) for v in row] for row in want]
+        assert to_dense(gram) == [[F(v) for v in row] for row in want]
 
     @pytest.mark.parametrize("spec", [E1, E2, E3, E4, E6], ids=["E1", "E2", "E3", "E4", "E6"])
     def test_symmetry_and_vacuum(self, spec):

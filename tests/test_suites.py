@@ -58,6 +58,32 @@ def test_specialization_items_carry_the_detail(monkeypatch):
     assert rejected.ok and rejected.detail == ""
 
 
+def test_four_site_specialization_item_needs_max_n_five(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        weylspace, "specialization_check", lambda n, points: calls.append(points) or SpecializationResult(True, "")
+    )
+    assert "specialization n=4" not in {it.name for it in run_suite("weyl", max_n=4, degree_cap=0)}
+    items = {it.name: it for it in run_suite("weyl", max_n=5, degree_cap=0)}
+    assert items["specialization n=4"].ok
+    assert calls[-1] == [Fraction(1, 2), 0, -2, 3]
+
+
+def test_model_items_carry_the_witness(monkeypatch):
+    # negative control: sigma_n doubled in the overflow relation's right-hand side
+    real = weylspace.elementary_mpoly
+
+    def doubled(n, i):
+        return real(n, i) * weylspace.MPoly.const(n, 2) if i == n else real(n, i)
+
+    monkeypatch.setattr(weylspace, "elementary_mpoly", doubled)
+    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
+    failed = [it for name, it in items.items() if name.startswith("model ") and not it.ok]
+    assert failed and all(it.name.endswith(": overflow relation") for it in failed)
+    assert all(it.detail.startswith("level 1, overflow relation: coordinate ") for it in failed)
+
+
 def test_entry_action_item_names_the_witness(monkeypatch):
     real = weylspace.gamma_coefficient_ops
 

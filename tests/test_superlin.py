@@ -17,10 +17,11 @@ from gl11chain.superlin import (
     symmetric_group_action,
     weight_spaces,
 )
+from densemat import from_dense
 
 W10 = Weight(F(1), F(0))
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
-GRADED_FLIP = ExactMatrix.from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
+GRADED_FLIP = from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
 
 
 def supertrace(m, space):

@@ -22,6 +22,7 @@ from gl11chain.weylspace import (
     modified_action,
     specialization_check,
 )
+from densemat import column
 
 
 def count_pairs_of_partitions(l, m, d):
@@ -130,7 +131,7 @@ def averaging_invariant_basis(n, level, d):
     span = SpanBasis(coords.dim)
     out = []
     for j in range(coords.dim):
-        col = av.column(j)
+        col = column(av, j)
         if any(col) and span.add(col):
             out.append(from_vector(coords, col))
             if len(out) == target:
@@ -321,6 +322,18 @@ class TestCurrentModel:
         for c in current_model_checks(n, l, 3):
             assert c.ok, c.label
 
+    def test_failed_check_names_level_relation_and_coordinate(self, monkeypatch):
+        # negative control: sigma_n doubled in the overflow relation's right-hand side
+        real = weylspace.elementary_mpoly
+        monkeypatch.setattr(
+            weylspace, "elementary_mpoly", lambda n, i: real(n, i) * MPoly.const(n, 2) if i == n else real(n, i)
+        )
+        checks = {c.label: c for c in current_model_checks(2, 1, 3)}
+        assert [label for label, c in checks.items() if not c.ok] == ["overflow relation"]
+        want = "level 1, overflow relation: coordinate 4 (component 1, monomial (1, 1)): 0 vs -1"
+        assert checks["overflow relation"].witness == want
+        assert all(c.witness == "" for c in checks.values() if c.ok)
+
     def test_raising_lowering_scalar(self):
         # raise-lower plus lower-raise equals the site count on every vector
         n = 3
@@ -353,6 +366,9 @@ def _span_of(coords, vectors):
     for f in vectors:
         span.add(coords.to_vector(f))
     return span
+
+
+FOUR_POINTS = [F(1, 2), F(0), F(-2), F(3)]
 
 
 class TestSpecialization:
@@ -402,6 +418,40 @@ class TestSpecialization:
         monkeypatch.setattr(weylspace, "elementary_symmetric", lambda a: [s + 1 for s in real(a)])
         res = specialization_check(2, [F(1, 2), F(0)])
         assert not res.ok and res.detail == "intertwining fails on (1, 1, 0)"
+
+    def test_four_sites(self):
+        assert specialization_check(4, FOUR_POINTS).detail == "isomorphic"
+
+    @staticmethod
+    def corrupt_generator(monkeypatch, corrupt):
+        """Run specialization_check on a copy of the generator lists, changed by corrupt(n, gens)."""
+        real = weylspace._generators
+
+        def corrupted(n, blocks):
+            gens = real(n, blocks)
+            corrupt(n, gens)
+            return gens
+
+        monkeypatch.setattr(weylspace, "_generators", corrupted)
+
+    def test_corrupted_generator_at_four_sites_named(self, monkeypatch):
+        # negative control: z_1 g_(0,) is not fixed by the modified s_0
+        def times_z1(n, gens):
+            word, g = gens[1][0]
+            gens[1][0] = (word, {c: MPoly.var(n, 0) * p for c, p in g.items()})
+
+        self.corrupt_generator(monkeypatch, times_z1)
+        res = specialization_check(4, FOUR_POINTS)
+        assert not res.ok and res.detail == "generator (0,) not fixed by s_0"
+
+    def test_repeated_generator_at_four_sites_names_the_level(self, monkeypatch):
+        # negative control: g_(1,) replaced by g_(0,), so the level-1 products are dependent
+        def repeated(n, gens):
+            gens[1][1] = (gens[1][1][0], gens[1][0][1])
+
+        self.corrupt_generator(monkeypatch, repeated)
+        res = specialization_check(4, FOUR_POINTS)
+        assert not res.ok and res.detail == "level 1: the products sigma^e g_D are dependent"
 
     def test_trivial(self):
         assert specialization_check(1, [F(0)]).ok
