@@ -1,8 +1,10 @@
 """Polynomial-coefficient model: the vector power tensored with C[z_1..z_n].
 
 Vectors are dicts {basis index of the n-fold vector power: MPoly}, where
-MPoly is a sparse exact multivariate polynomial (Fraction coefficients,
-or int where every coefficient is known to be integral).  Two symmetric-group
+MPoly is a sparse exact multivariate polynomial.  Every coefficient the model
+builds is an integer, so coefficients are int; a Fraction appears only when a
+non-integral rational is multiplied in.  The chart vectors handed to SpanBasis
+and the matrices of the actions are then integer too.  Two symmetric-group
 actions matter:
 
   standard   s_i = graded flip composed with the z_i <-> z_{i+1} swap;
@@ -45,7 +47,10 @@ from .superlin import SuperSpace
 
 
 class MPoly:
-    """Sparse multivariate polynomial: {exponent tuple: Fraction}."""
+    """Sparse multivariate polynomial: {exponent tuple: int or Fraction}.
+
+    Coefficients stay int unless a non-integral Fraction enters.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -55,14 +60,16 @@ class MPoly:
 
     @staticmethod
     def const(n: int, c) -> "MPoly":
-        c = scalar(c) if isinstance(c, (int, str)) else c
+        c = scalar(c) if isinstance(c, str) else c
+        if isinstance(c, Fraction) and c.denominator == 1:
+            c = c.numerator  # integral scalars enter the model as int
         return MPoly(n, {(0,) * n: c} if c else {})
 
     @staticmethod
     def var(n: int, idx: int, power: int = 1) -> "MPoly":
         e = [0] * n
         e[idx] = power
-        return MPoly(n, {tuple(e): Fraction(1)})
+        return MPoly(n, {tuple(e): 1})
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
@@ -151,7 +158,7 @@ def _mpoly(v, n: int):
     if isinstance(v, MPoly):
         return v
     if isinstance(v, (int, Fraction)):
-        return MPoly.const(n, Fraction(v))
+        return MPoly.const(n, v)
     return NotImplemented
 
 
@@ -162,7 +169,7 @@ def elementary_mpoly(n: int, i: int) -> MPoly:
         e = [0] * n
         for idx in combo:
             e[idx] = 1
-        out[tuple(e)] = Fraction(1)
+        out[tuple(e)] = 1
     return MPoly(n, out)
 
 
@@ -212,8 +219,8 @@ class Coords:
     def dim(self) -> int:
         return len(self.components) * len(self.monomials)
 
-    def to_vector(self, f: dict) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim
+    def to_vector(self, f: dict) -> "list[int | Fraction]":
+        v = [0] * self.dim
         for c, p in f.items():
             for e, coef in p.terms.items():
                 v[self.index[(c, e)]] = coef
@@ -229,7 +236,7 @@ class Coords:
         nm = len(self.monomials)
         for ci, c in enumerate(self.components):
             for mi, e in enumerate(self.monomials):
-                image = fn({c: MPoly(self.n, {e: Fraction(1)})})
+                image = fn({c: MPoly(self.n, {e: 1})})
                 for cc, p in image.items():
                     for ee, coef in p.terms.items():
                         row = dst.index.get((cc, ee))
@@ -318,7 +325,7 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> "Specializ
     space = SuperSpace.tensor_power(n)
     coords = Coords.build(n, level, d)
     mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
-    ident = ExactMatrix.identity(coords.dim)
+    ident = ExactMatrix.identity(coords.dim, 1)
     for i, m in enumerate(mats):
         if (m @ m) != ident:
             return SpecializationResult(False, f"involutivity of s_{i}")
@@ -719,7 +726,7 @@ def gamma_commutes_with_modified(n: int, d: int) -> SpecializationResult:
             for deg, c in enumerate(op):
                 for comp in small.components:
                     for e in small.monomials:
-                        f = {comp: MPoly(n, {e: Fraction(1)})}
+                        f = {comp: MPoly(n, {e: 1})}
                         a = modified_action(space, i_leg, _mpoly_apply(c, f, n))
                         b = _mpoly_apply(c, modified_action(space, i_leg, f), n)
                         if coords.to_vector(a) != coords.to_vector(b):

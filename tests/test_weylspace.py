@@ -163,6 +163,70 @@ class TestMPoly:
         assert recon == p - p.swap(0, 1)
 
 
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 3)
+_INT_MPOLY = st.dictionaries(_EXPONENTS, st.integers(-6, 6), max_size=5).map(lambda t: MPoly(3, t))
+_FRACTION_MPOLY = st.dictionaries(
+    _EXPONENTS, st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5
+).map(lambda t: MPoly(3, t))
+_SCALAR = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _as_fractions(x):
+    """x with every coefficient a Fraction: the reference model."""
+    if isinstance(x, MPoly):
+        return MPoly(x.n, {e: F(c) for e, c in x.terms.items()})
+    return F(x)
+
+
+def _integral(p: MPoly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+def _mpoly_ops(p, q, i):
+    """Every MPoly operation on the operands p and q (q an MPoly or a scalar); i picks the variables."""
+    out = [p + q, q + p, p - q, q - p, p * q, q * p, -p, p.swap(i, (i + 1) % 3), p.divided_difference(i)]
+    if isinstance(q, MPoly):
+        out += [-q, q.swap(i, 2), q.divided_difference(i)]
+    return out
+
+
+class TestIntegerModel:
+    @given(
+        st.one_of(_INT_MPOLY, _FRACTION_MPOLY),
+        st.one_of(_INT_MPOLY, _FRACTION_MPOLY, _SCALAR),
+        st.integers(0, 1),
+    )
+    @settings(max_examples=150)
+    def test_int_coefficients_match_fractions(self, p, q, i):
+        # differential: int coefficients against the same operations with every coefficient a Fraction
+        got = _mpoly_ops(p, q, i)
+        want = _mpoly_ops(_as_fractions(p), _as_fractions(q), i)
+        assert [r.terms for r in got] == [r.terms for r in want]
+        if _integral(p) and (_integral(q) if isinstance(q, MPoly) else F(q).denominator == 1):
+            assert all(_integral(r) for r in got)
+
+    def test_sn_relation_matrices_are_integral(self, monkeypatch):
+        seen = []
+        real = ExactMatrix.__matmul__
+
+        def recording_matmul(a, b):
+            seen.extend([a, b])
+            return real(a, b)
+
+        monkeypatch.setattr(ExactMatrix, "__matmul__", recording_matmul)
+        assert check_sn_relations(3, 3)
+        assert seen
+        assert all(type(v) is int for m in seen for _, _, v in m.entries())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gamma_coefficients_are_integral(self, n):
+        polys = [
+            v for op in gamma_coefficient_ops(n).values() for m in op for _, _, v in m.entries() if isinstance(v, MPoly)
+        ]
+        assert polys
+        assert all(_integral(p) for p in polys)
+
+
 class TestModifiedAction:
     def test_constants_swap(self):
         sp = SuperSpace.tensor_power(2)
@@ -197,6 +261,14 @@ class TestModifiedAction:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_relations(self, n):
         assert check_sn_relations(n, 3 if n < 4 else 2)
+
+    def test_relations_fail_with_one_negated_divided_difference(self, monkeypatch):
+        # negative control: s_0 = swap - divided difference is still an involution but breaks the braid relation
+        real = MPoly.divided_difference
+        monkeypatch.setattr(MPoly, "divided_difference", lambda self, i: -real(self, i) if i == 0 else real(self, i))
+        result = check_sn_relations(3, 3)
+        assert not result.ok
+        assert result.detail == "braid relation at 0"
 
 
 class TestInvariantDimensions:
