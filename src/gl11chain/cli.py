@@ -62,8 +62,7 @@ def cmd_spectrum(args) -> int:
         doc["norms"] = norms
     # fusion block: per-m pass/fail with the first failing label
     fusion_block = {"berezinian": bool(fusion.berezinian(spec)), "relations": []}
-    for m in (1, 2, 3):
-        checks = fusion.transfer_relation_check(spec, m)
+    for m, checks in enumerate(fusion.transfer_relation_check(spec, 3), 1):
         bad = next((c for c in checks if not c.ok), None)
         fusion_block["relations"].append(
             {"m": m, "ok": bad is None, "first_failure": None if bad is None else bad.label}

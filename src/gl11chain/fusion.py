@@ -3,20 +3,20 @@
 Working representation: an operator on the chain module is a FracMatrix, a
 sparse matrix with Poly entries over one monic scalar Poly denominator.
 Every monodromy entry T_ij(x - a) is That_ij(x - a) / N(x - a), with N the
-normalizer prod_s (x - b_s); the pencil already stores That_ij as a
-Poly-entry matrix, so t_entry wraps it as it is.  Products only multiply
-numerators and denominators, sums put both sides over the lcm of the two
-denominators, and equality is decided by cross-multiplying.  Only a matrix
-inverse canonicalises entries, through RatFun elimination.  Both routes to
-T_m multiply only module-sized matrices; higher_transfer keeps route B's
-FracMatrix as it is.
+normalizer prod_s (x - b_s), so t_entry wraps the pencil's Poly-entry
+matrix as it is.  Products multiply numerators and denominators, sums use
+the lcm of the denominators, equality cross-multiplies, and only
+FracMatrix.inverse canonicalises entries (by RatFun elimination).
 A DiffOp is a finite dict {tau power: FracMatrix} under the twisted product
 tau f(x) = f(x - 1) tau.  Inverses are exact for a single-term operator and
 truncated geometric series when the tau^0 part is invertible.
 
 The Manin-matrix entries of the generating operator are K_ij = q_j T_ji(x) tau,
 so that the Berezinian K_11 (K_22 - K_21 K_11^{-1} K_12)^{-1} collapses to a
-tau-free scalar.
+tau-free scalar.  Each derived object is built once per chain: berezinian
+(four inverses for its four quotient forms), higher_transfer per m and
+generating_oper per order are memoised, and transfer_relation_check checks
+m = 1..top in one pass over one inverse series.
 """
 
 from __future__ import annotations
@@ -234,6 +234,10 @@ class RouteComparison:
     def __bool__(self):
         return self.ok
 
+    def failure(self) -> "FusionCheck":
+        """The check reported in place of an identity on T_m when the two routes disagree."""
+        return FusionCheck(False, f"route disagreement at m={self.witness[0]}", self.witness)
+
 
 @functools.cache
 def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
@@ -346,11 +350,7 @@ class DiffOp:
 def manin_entries(pencil: MonodromyPencil, twist) -> dict[tuple[int, int], DiffOp]:
     """K_ij = q_j T_ji(x) tau for the generating operator."""
     q = (scalar(twist[0]), scalar(twist[1]))
-    out = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            out[(i, j)] = DiffOp(pencil.dim, {1: t_entry(pencil, j, i).scale(q[j - 1])})
-    return out
+    return {(i, j): DiffOp(pencil.dim, {1: t_entry(pencil, j, i).scale(q[j - 1])}) for i in (1, 2) for j in (1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +386,11 @@ def berezinian(spec: ModuleSpec) -> BerezinianValue:
     pencil = tensor_monodromy(spec)
     k = manin_entries(pencil, spec.twist)
     k11, k12, k21, k22 = k[(1, 1)], k[(1, 2)], k[(2, 1)], k[(2, 2)]
-    f1 = k11.mul((k22 - k21.mul(k11.inverse_single()).mul(k12)).inverse_single())
-    f2 = (k22 + k12.mul(k11.inverse_single()).mul(k21)).inverse_single().mul(k11)
-    f3 = k22.inverse_single().mul(k11 - k12.mul(k22.inverse_single()).mul(k21))
-    f4 = (k11 + k21.mul(k22.inverse_single()).mul(k12)).mul(k22.inverse_single())
+    k11inv, k22inv = k11.inverse_single(), k22.inverse_single()
+    f1 = k11.mul((k22 - k21.mul(k11inv).mul(k12)).inverse_single())
+    f2 = (k22 + k12.mul(k11inv).mul(k21)).inverse_single().mul(k11)
+    f3 = k22inv.mul(k11 - k12.mul(k22inv).mul(k21))
+    f4 = (k11 + k21.mul(k22inv).mul(k12)).mul(k22inv)
     forms_agree = f1 == f2 == f3 == f4
     tau_free = f1.powers() == [0]
     mat = f1.frac_coeff(0)
@@ -404,16 +405,21 @@ def berezinian(spec: ModuleSpec) -> BerezinianValue:
     return BerezinianValue(expected if scalar_ok else RatFun(Poly()), forms_agree and scalar_ok, tau_free, central)
 
 
+@functools.cache
 def generating_oper(spec: ModuleSpec, order: int) -> DiffOp:
-    """Ber(1 - Z^Q) as a tau series up to tau^order."""
+    """Ber(1 - Z^Q) as a tau series up to tau^order.
+
+    The tau^j coefficient is the same for every order >= j: every power in
+    the construction is nonnegative, so mul(..., hi=order) and
+    inverse_series(order) drop only powers above the order.  Memoised per
+    (chain, order): the result is shared and must not be mutated.
+    """
     pencil = tensor_monodromy(spec)
     k = manin_entries(pencil, spec.twist)
     one = DiffOp.one(pencil.dim)
-    k11 = one - k[(1, 1)]
-    k12 = DiffOp(pencil.dim, {}) - k[(1, 2)]
-    k21 = DiffOp(pencil.dim, {}) - k[(2, 1)]
-    k22 = one - k[(2, 2)]
-    inner = k22 - k21.mul(k11.inverse_series(order), hi=order).mul(k12, hi=order)
+    k11, k22 = one - k[(1, 1)], one - k[(2, 2)]
+    # the off-diagonal entries of 1 - K are -K12 and -K21; their signs cancel in the product
+    inner = k22 - k[(2, 1)].mul(k11.inverse_series(order), hi=order).mul(k[(1, 2)], hi=order)
     return k11.mul(inner.inverse_series(order), hi=order)
 
 
@@ -443,53 +449,47 @@ def expansion_matches_routes(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     oper = generating_oper(spec, order)
     out = []
     for m in range(order + 1):
-        if m == 0:
-            want = FracMatrix.identity(oper.dim)
-        else:
-            rc = higher_transfer(spec, m)
-            if not rc.ok:
-                out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
-                continue
-            want = rc.matrix.scale(Fraction(-1) ** m)
-        out.append(_equality_check(oper.frac_coeff(m), want, f"tau^{m} coefficient of the generating operator"))
+        rc = higher_transfer(spec, m) if m else RouteComparison(True, FracMatrix.identity(oper.dim))
+        label = f"tau^{m} coefficient of the generating operator"
+        out.append(_equality_check(oper.frac_coeff(m), rc.matrix.scale((-1) ** m), label) if rc else rc.failure())
     return out
 
 
-def transfer_relation_check(spec: ModuleSpec, m: int) -> list[FusionCheck]:
-    """Both product identities relating T_m, H_m to the first transfer matrix.
+def transfer_relation_check(spec: ModuleSpec, top: int) -> list[list[FusionCheck]]:
+    """Both product identities relating T_m, H_m to the first transfer matrix, m = 1..top.
 
     T_m(x) prod_{i<m} (1 - Ber(x-i)) = prod_{i<=m} TransferQ(x-i+1), and the
-    H_m identity with the extra Berezinian product on the right; H_m is also
+    H_m identity with the extra Berezinian product on the right; its scalar
+    prod_{i<m} (Ber(x-i) - 1) is (-1)^(m-1) times T_m's.  H_m is also
     matched against the inverse tau series of the generating operator.
+    One list of checks per m: the inverse series is built once, at order top,
+    and both products grow by one factor per m.
     """
-    pencil = tensor_monodromy(spec)
-    out = []
+    if top < 1:
+        return []
     ber = berezinian(spec)
     if not ber:
-        return [FusionCheck(False, "berezinian inconsistent", ber.failed())]
-    rc = higher_transfer(spec, m)
-    if not rc.ok:
-        return [FusionCheck(False, f"route disagreement at m={m}", rc.witness)]
-    scal = RatFun(Poly((1,)))
-    for i in range(1, m):
-        scal = scal * (1 - ber.value.shift(i))
-    lhs = rc.matrix.scale(scal)
+        return [[FusionCheck(False, "berezinian inconsistent", ber.failed())] for _ in range(top)]
+    pencil = tensor_monodromy(spec)
+    inv = generating_oper(spec, top).inverse_series(top)
+    scal = berprod = RatFun(Poly((1,)))
     rhs = transfer(pencil, spec.twist)
-    for i in range(2, m + 1):
-        rhs = rhs @ transfer(pencil, spec.twist, i - 1)
-    out.append(_equality_check(lhs, rhs, f"antisymmetric transfer relation m={m}"))
-
-    hm = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[1])
-    scal_h = RatFun(Poly((1,)))
-    berprod = RatFun(Poly((1,)))
-    for i in range(1, m):
-        scal_h = scal_h * (ber.value.shift(i) - 1)
-        berprod = berprod * ber.value.shift(i)
-    out.append(_equality_check(hm.scale(scal_h), rhs.scale(berprod), f"symmetric transfer relation m={m}"))
-
-    oper = generating_oper(spec, m)
-    inv = oper.inverse_series(m)
-    out.append(_equality_check(inv.frac_coeff(m), hm, f"inverse series coefficient m={m}"))
+    out = []
+    for m in range(1, top + 1):
+        if m > 1:
+            shifted = ber.value.shift(m - 1)
+            scal, berprod = scal * (1 - shifted), berprod * shifted
+            rhs = rhs @ transfer(pencil, spec.twist, m - 1)
+        rc = higher_transfer(spec, m)
+        if not rc:
+            out.append([rc.failure()])
+            continue
+        hm = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[1])
+        out.append([
+            _equality_check(rc.matrix.scale(scal), rhs, f"antisymmetric transfer relation m={m}"),
+            _equality_check(hm.scale(scal * (-1) ** (m - 1)), rhs.scale(berprod), f"symmetric transfer relation m={m}"),
+            _equality_check(inv.frac_coeff(m), hm, f"inverse series coefficient m={m}"),
+        ])
     return out
 
 
@@ -526,8 +526,7 @@ def dy_coefficient(spec: ModuleSpec, y: Divisor, m: int) -> RatFun:
         return RatFun(Poly((1,)))
     cp = char_pair(spec)
     q1, q2 = spec.twist
-    ypoly = y.poly
-    val = (cp.zeta1 * q1 - cp.zeta2 * q2) * RatFun(ypoly.shift(m), ypoly) * (q2 ** (m - 1))
+    val = (cp.zeta1 * q1 - cp.zeta2 * q2) * RatFun(y.poly.shift(m), y.poly) * (q2 ** (m - 1))
     for i in range(1, m):
         val = val * cp.zeta2.shift(i)
     return -val
@@ -547,8 +546,8 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[FusionCh
     out = []
     for m in range(1, order + 1):
         rc = higher_transfer(spec, m)
-        if not rc.ok:
-            out.append(FusionCheck(False, f"route disagreement at m={m}", rc.witness))
+        if not rc:
+            out.append(rc.failure())
             continue
         lhs, den = rc.matrix.num.apply(vec), rc.matrix.den
         s = dy_coefficient(spec, y, m) * (Fraction(-1) ** m)
@@ -568,12 +567,12 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     ber = berezinian(spec)
     if not ber:
         return [FusionCheck(False, "berezinian inconsistent", ber.failed())]
-    if not (ber.value - 1):
+    bm1 = ber.value - 1
+    if not bm1:
         raise ValueError("Ber - 1 not invertible for this chain")
     dim = pencil.dim
     oper = generating_oper(spec, order)
     tq = transfer(pencil, spec.twist)
-    bm1 = ber.value - 1
     one = DiffOp.one(dim)
     n1 = one - DiffOp(dim, {1: tq.scale(ber.value / bm1)})
     n2 = one - DiffOp(dim, {1: tq.scale(1 / bm1)})
@@ -590,12 +589,13 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
 def ber_twist_independence(spec: ModuleSpec) -> FusionCheck:
     """Ber * q2/q1 must not depend on the twist.
 
-    The witness names the chain whose Berezinian failed, with its failed
-    conditions, or says that the two values differ.
+    The re-twist is (q1 + q2, q2), or (q1 - q2, q2) when q1 = -q2, so both
+    its entries are nonzero.  The witness names the chain whose Berezinian
+    failed, with its failed conditions, or says that the two values differ.
     """
     label = "berezinian twist independence"
     q1, q2 = spec.twist
-    other = spec.replace_twist((q1 + q2, q2))
+    other = spec.replace_twist((q1 + q2 or q1 - q2, q2))
     b1, b2 = berezinian(spec), berezinian(other)
     for which, ber in (("chain", b1), ("re-twisted chain", b2)):
         if not ber:

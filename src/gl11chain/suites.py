@@ -360,8 +360,8 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
         order = tau_order if tau_order is not None else int(spec.n) + 2
         for c in fusion.expansion_matches_routes(spec, min(order, max_m)):
             items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
-        for m in range(1, max_m + 1):
-            for c in fusion.transfer_relation_check(spec, m):
+        for checks in fusion.transfer_relation_check(spec, max_m):
+            for c in checks:
                 items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
         comm = fusion.higher_family_commutes(spec)
         items.append(_item(f"higher family commutes {name}", comm.ok, f"coefficient pair {comm.witness}"))

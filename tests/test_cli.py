@@ -10,6 +10,7 @@ from gl11chain import cli
 from gl11chain.cli import main
 from gl11chain.exactnum import RootSearchTooLarge, parse_scalar, roots_with_multiplicity
 from gl11chain.monodromy import ModuleSpec
+from conftest import clear_builder_caches
 
 
 E2_TEXT = '{"weights": [[1,0],[1,0]], "points": ["0","1/2"], "twist": ["1","1"]}\n'
@@ -195,7 +196,7 @@ class TestRandomSpec:
         # every rejected candidate is a fresh chain: memoising its char_pair would only grow the cache
         from gl11chain.bethe import char_pair
 
-        char_pair.cache_clear()
+        clear_builder_caches()
         assert main(["random-spec", "--seed", "3", "--k", "4", "--split", "--out", str(tmp_path / "c.json")]) == 0
         assert char_pair.cache_info().currsize == 0
 

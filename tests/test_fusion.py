@@ -30,6 +30,7 @@ from gl11chain.fusion import (
     transfer_relation_check,
     universal_oper_check,
 )
+from conftest import clear_builder_caches
 from densemat import column, from_dense
 
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
@@ -295,8 +296,13 @@ class TestBerezinian:
         q1, q2 = spec.twist
         assert ber.value == RatFun(cp.phi * q1, cp.psi * q2)
 
-    @pytest.mark.parametrize("spec", [E1, E2, E4], ids=["E1", "E2", "E4"])
+    @pytest.mark.parametrize(
+        "spec",
+        [E1, E2, E4, make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "-1"))],
+        ids=["E1", "E2", "E4", "twist-sum-zero"],
+    )
     def test_twist_independence(self, spec):
+        # with q1 + q2 = 0 the re-twist (q1 + q2, q2) would have a zero entry
         assert ber_twist_independence(spec)
 
     def test_failed_names_the_conditions(self):
@@ -356,17 +362,52 @@ class TestGeneratingOper:
         ident = ExactMatrix.identity(dim, rat(Poly((1,))))
         assert ratfuns(oper.frac_coeff(0)) == ident
 
+    @settings(max_examples=15)
+    @given(chains(), st.integers(1, 4))
+    def test_coefficients_do_not_depend_on_order(self, spec, top):
+        # truncation drops only powers above the order, and every power is nonnegative
+        oper = generating_oper(spec, top)
+        inv = oper.inverse_series(top)
+        for order in range(top):
+            lower = generating_oper(spec, order)
+            lower_inv = lower.inverse_series(order)
+            for j in range(order + 1):
+                assert lower.frac_coeff(j) == oper.frac_coeff(j)
+                assert lower_inv.frac_coeff(j) == inv.frac_coeff(j)
+
 
 class TestTransferRelations:
     def test_m1_trivial(self):
-        for c in transfer_relation_check(E1, 1):
+        (checks,) = transfer_relation_check(E1, 1)
+        for c in checks:
             assert c.ok, c.label
+
+    def test_top_zero_builds_nothing(self):
+        generating_oper.cache_clear()
+        assert transfer_relation_check(E2, 0) == []
+        assert generating_oper.cache_info().misses == 0
+
+    @pytest.mark.parametrize("spec", [E1, E2, E4, E6], ids=["E1", "E2", "E4", "E6"])
+    def test_one_pass_table(self, spec):
+        # labels and verdicts of the per-m checks, m = 1..3, all passing
+        got = [[(c.label, c.ok) for c in checks] for checks in transfer_relation_check(spec, 3)]
+        assert got == [
+            [
+                (f"antisymmetric transfer relation m={m}", True),
+                (f"symmetric transfer relation m={m}", True),
+                (f"inverse series coefficient m={m}", True),
+            ]
+            for m in (1, 2, 3)
+        ]
+        # a lower top gives the same leading lists
+        for top in (1, 2):
+            assert [[(c.label, c.ok) for c in checks] for checks in transfer_relation_check(spec, top)] == got[:top]
 
     def test_m2_single_site_hand_case(self):
         # lhs = product of shifted first transfer matrices on the highest
         # vector: (q1(x-a+1)-q2(x-a))(q1(x-a)-q2(x-a-1))/((x-a)(x-a-1))
         checks = transfer_relation_check(E1, 2)
-        assert all(c.ok for c in checks)
+        assert all(c.ok for per_m in checks for c in per_m)
         rc = higher_transfer(E1, 2)
         ber = berezinian(E1)
         lhs = ratfuns(rc.matrix) * (1 - ber.value.shift(1))
@@ -376,15 +417,14 @@ class TestTransferRelations:
     @pytest.mark.parametrize("spec", [E2, E4, E6], ids=["E2", "E4", "E6"])
     @pytest.mark.parametrize("m", [2, 3])
     def test_both_identities(self, spec, m):
-        for c in transfer_relation_check(spec, m):
+        for c in transfer_relation_check(spec, m)[m - 1]:
             assert c.ok, c.label
 
     def test_gcd_budget_on_cold_chain(self, monkeypatch):
         # each entry is canonicalised once, at the end; RatFun-matrix
         # products, which canonicalise every entry of every product, made
         # 10133 gcd calls here
-        for fn in (tensor_monodromy, berezinian, higher_transfer):
-            fn.cache_clear()
+        clear_builder_caches()
         calls = 0
         gcd = Poly.gcd
 
@@ -395,8 +435,8 @@ class TestTransferRelations:
 
         monkeypatch.setattr(Poly, "gcd", staticmethod(counting_gcd))
         spec = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
-        for m in (1, 2, 3):
-            assert all(transfer_relation_check(spec, m))
+        checks = [c for per_m in transfer_relation_check(spec, 3) for c in per_m]
+        assert len(checks) == 9 and all(checks)
         assert calls <= 2000
 
 

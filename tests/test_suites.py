@@ -6,13 +6,17 @@ import pytest
 
 from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, weylspace
 from gl11chain.suites import run_suite, suite_specs
-from gl11chain.fusion import berezinian, higher_transfer
+from gl11chain.fusion import FracMatrix, berezinian, generating_oper, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
 from gl11chain.bethe import char_pair
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.shapoform import form_matrix
 from gl11chain.weylspace import SpecializationResult
+from conftest import clear_builder_caches, memoised_builders
+
+# five sites with a double root of gamma
+K5 = '{"weights":[[1,1],[1,0],[1,0],[1,1],[1,0]],"points":["1","0","-2","0","-3"],"twist":["1","1"]}'
 
 
 def test_suite_specs_cover_the_cases():
@@ -286,17 +290,44 @@ def test_injected_bug_leaves_shared_pencils_intact():
     assert not [it for it in clean if not it.ok]
 
 
-def test_derived_objects_built_once_per_chain(tmp_path):
-    builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer)
-    for fn in builders:
-        fn.cache_clear()
+def test_memoised_builders_found():
+    assert {f"{fn.__module__}.{fn.__name__}" for fn in memoised_builders()} == {
+        "gl11chain.monodromy.tensor_monodromy",
+        "gl11chain.bethe.char_pair",
+        "gl11chain.shapoform.form_matrix",
+        "gl11chain.fusion.berezinian",
+        "gl11chain.fusion.higher_transfer",
+        "gl11chain.fusion.generating_oper",
+    }
+
+
+def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
+    builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer, generating_oper)
+    clear_builder_caches()
     chain = tmp_path / "e4.json"
     chain.write_text(suite_specs()["E4"].to_json())
     assert cli.main(["spectrum", "--spec", str(chain), "--json", str(tmp_path / "report.json")]) == 0
-    assert [fn.cache_info().misses for fn in builders] == [1, 1, 1, 3]
+    assert [fn.cache_info().misses for fn in builders] == [1, 1, 1, 3, 1]
     form_matrix.cache_clear()
     run_suite("norms")
     assert form_matrix.cache_info().misses == len(suite_specs())
+    # the fusion suite: one generating operator per (chain, order) it asks for
+    generating_oper.cache_clear()
+    run_suite("fusion")
+    assert generating_oper.cache_info().misses == 7
+    # four inverses in the Berezinian, two in the generating operator, one for its inverse series
+    clear_builder_caches()
+    inverses = []
+    real = FracMatrix.inverse
+
+    def counted(self):
+        inverses.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FracMatrix, "inverse", counted)
+    chain.write_text(K5)
+    assert cli.main(["spectrum", "--spec", str(chain), "--json", str(tmp_path / "report.json")]) == 0
+    assert len(inverses) <= 7
 
 
 def test_rtt_lax_item_carries_the_witness(monkeypatch):
@@ -425,7 +456,7 @@ def test_algebra_suite_builds_each_algebra_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["bethe", "algebra", "norms"])
 def test_split_test_runs_once_per_chain(monkeypatch, name):
-    bethe.char_pair.cache_clear()
+    clear_builder_caches()
     real = exactnum.roots_with_multiplicity
     calls = []
 
@@ -443,17 +474,14 @@ def test_split_test_runs_once_per_chain(monkeypatch, name):
 
 def test_fusion_negative_control(monkeypatch, tmp_path):
     real = fusion.tensor_monodromy
-    builders = (berezinian, higher_transfer)
-    for fn in builders:
-        fn.cache_clear()
+    clear_builder_caches()
     monkeypatch.setattr(fusion, "tensor_monodromy", lambda spec: _negate_entry(real(spec), (2, 1)))
     out = tmp_path / "verify.json"
     try:
         assert cli.main(["verify", "--suite", "fusion", "--json", str(out)]) == 1
     finally:
         monkeypatch.undo()
-        for fn in builders:
-            fn.cache_clear()
+        clear_builder_caches()
     failures = json.loads(out.read_text())["suites"]["fusion"]["failures"]
     berezinian_items = [f for f in failures if f["name"] in {f"berezinian {n}" for n in suite_specs()}]
     assert berezinian_items
