@@ -542,11 +542,6 @@ class RatFun:
             return NotImplemented
         return other / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFun(self.den, self.num) ** (-n)
-        return RatFun(self.num**n, self.den**n)
-
     def __eq__(self, other):
         other = _ratfun(other)
         if other is NotImplemented:

@@ -6,7 +6,8 @@ Every monodromy entry T_ij(x - a) is That_ij(x - a) / N(x - a), with N the
 normalizer prod_s (x - b_s), so t_entry wraps the pencil's Poly-entry
 matrix as it is.  Products multiply numerators and denominators, sums use
 the lcm of the denominators, equality cross-multiplies, and only
-FracMatrix.inverse canonicalises entries (by RatFun elimination).
+FracMatrix.inverse canonicalises entries: it eliminates fraction-free on the
+Poly rows of [num | 1] (SpanBasis over Q[x]) and divides each row by one gcd.
 A DiffOp is a finite dict {tau power: FracMatrix} under the twisted product
 tau f(x) = f(x - 1) tau.  Inverses are exact for a single-term operator and
 truncated geometric series when the tau^0 part is invertible.
@@ -14,9 +15,10 @@ truncated geometric series when the tau^0 part is invertible.
 The Manin-matrix entries of the generating operator are K_ij = q_j T_ji(x) tau,
 so that the Berezinian K_11 (K_22 - K_21 K_11^{-1} K_12)^{-1} collapses to a
 tau-free scalar.  Each derived object is built once per chain: berezinian
-(four inverses for its four quotient forms), higher_transfer per m and
-generating_oper per order are memoised, and transfer_relation_check checks
-m = 1..top in one pass over one inverse series.
+(four inverses for its four quotient forms) and higher_transfer per m are
+memoised, generating_oper is built at the largest order asked for and read
+truncated at lower ones, and transfer_relation_check checks m = 1..top in
+one pass over one inverse series.
 """
 
 from __future__ import annotations
@@ -79,19 +81,6 @@ class FracMatrix:
     def identity(dim: int) -> "FracMatrix":
         return FracMatrix(ExactMatrix.identity(dim, _ONE))
 
-    @staticmethod
-    def from_ratfun(m: ExactMatrix) -> "FracMatrix":
-        """Clear denominators: entries (RatFun, Poly or scalar) over their lcm."""
-        ents = [(i, j, v if isinstance(v, RatFun) else RatFun(v)) for i, j, v in m.entries()]
-        den = _ONE
-        for _, _, v in ents:
-            if den % v.den:
-                den = Poly.lcm(den, v.den)
-        num = ExactMatrix(m.nrows, m.ncols)
-        for i, j, v in ents:
-            num.put(i, j, v.num if v.den == den else v.num * (den // v.den))
-        return FracMatrix(num, den)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -121,7 +110,21 @@ class FracMatrix:
         return FracMatrix(self.num.map_entries(lambda p: p.shift(a)), self.den.shift(a))
 
     def inverse(self) -> "FracMatrix":
-        return FracMatrix.from_ratfun(self.num.map_entries(lambda p: RatFun(p, self.den)).inverse())
+        """den num^-1 over the lcm of its entries' lowest denominators.
+
+        The back-substituted rows of [num | 1] over Q[x] are primitive, [d_p e_p | R_p] with
+        R_p num = d_p e_p, so row p is den R_p / d_p, in lowest terms over d_p / gcd(d_p, den).
+        """
+        n = self.num.nrows
+        rows = self.num.augmented_span(_ONE).echelon_rows()
+        den = _ONE
+        for p, row in rows.items():
+            d = row[p] // Poly.gcd(row[p], self.den)
+            if den % d:
+                den = Poly.lcm(den, d)
+        scale = {p: self.den * den // row[p] for p, row in rows.items()}
+        num = {p: {j - n: a * scale[p] for j, a in row.items() if j >= n} for p, row in rows.items()}
+        return FracMatrix(ExactMatrix(n, n, num), den)
 
     def first_difference(self, other: "FracMatrix") -> "tuple[int, int] | None":
         """Smallest (i, j) where the two matrices differ, by cross-multiplying."""
@@ -405,15 +408,27 @@ def berezinian(spec: ModuleSpec) -> BerezinianValue:
     return BerezinianValue(expected if scalar_ok else RatFun(Poly()), forms_agree and scalar_ok, tau_free, central)
 
 
-@functools.cache
+_oper_orders: dict[ModuleSpec, int] = {}  # chain -> the largest order asked for
+
+
 def generating_oper(spec: ModuleSpec, order: int) -> DiffOp:
     """Ber(1 - Z^Q) as a tau series up to tau^order.
 
     The tau^j coefficient is the same for every order >= j: every power in
     the construction is nonnegative, so mul(..., hi=order) and
-    inverse_series(order) drop only powers above the order.  Memoised per
-    (chain, order): the result is shared and must not be mutated.
+    inverse_series(order) drop only powers above the order.  So a chain's
+    operator is built at the largest order asked for so far (callers ask
+    for it first) and lower orders are read from it, truncated.  The result
+    is shared and must not be mutated.
     """
+    top = _oper_orders[spec] = max(order, _oper_orders.get(spec, order))
+    oper = _generating_oper(spec, top)
+    return oper if top == order else DiffOp(oper.dim, {p: c for p, c in oper.coeffs.items() if p <= order})
+
+
+@functools.cache
+def _generating_oper(spec: ModuleSpec, order: int) -> DiffOp:
+    """The generating operator up to tau^order, built; memoised per (chain, order)."""
     pencil = tensor_monodromy(spec)
     k = manin_entries(pencil, spec.twist)
     one = DiffOp.one(pencil.dim)

@@ -1,12 +1,11 @@
 """Sparse exact matrices and joint (generalized) eigenspace computation.
 
 ExactMatrix stores a dict-of-rows {row: {col: entry}} and never stores zero
-entries.  Entries are duck-typed: Fraction for numeric operators, Poly or
-RatFun for operator-valued pencils.  Row reduction, kernels, inverses and
-determinants take rational entries (Fraction) or RatFun entries, and every
-one of them runs through the single sparse elimination of SpanBasis, which
-touches only nonzero entries.  On rational entries it eliminates
-fraction-free, on primitive integer rows; RatFun entries take the field path.
+entries.  Entries are duck-typed: Fraction for numeric operators, Poly for
+operator-valued pencils.  Row reduction, kernels, inverses, determinants and
+spans all run through SpanBasis, one sparse fraction-free elimination over a
+gcd domain: primitive integer rows for rational input, primitive Q[x] rows
+for Poly input (FracMatrix.inverse).  It touches only nonzero entries.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .exactnum import Scalar
+from .exactnum import Poly, Scalar
 
 Vector = list
 _ZERO = Fraction(0)
@@ -202,11 +201,10 @@ class ExactMatrix:
 
     def rref(self) -> tuple["ExactMatrix", list[int]]:
         """Reduced row echelon form and pivot column list."""
-        span = self._span()
-        rows = span.rows
-        order = sorted(range(span.dim), key=span.pivots.__getitem__)
-        red = ExactMatrix(self.nrows, self.ncols, {r: rows[k] for r, k in enumerate(order)})
-        return red, [span.pivots[k] for k in order]
+        rows = self._span().echelon_rows()
+        pivots = sorted(rows)
+        red = {r: {j: Fraction(a, rows[p][p]) for j, a in rows[p].items()} for r, p in enumerate(pivots)}
+        return ExactMatrix(self.nrows, self.ncols, red), pivots
 
     def rank(self) -> int:
         return self._span().dim
@@ -218,30 +216,31 @@ class ExactMatrix:
         free = [c for c in range(self.ncols) if c not in pivset]
         basis = []
         for fc in free:
-            v = [Fraction(0)] * self.ncols
+            v = [_ZERO] * self.ncols
             v[fc] = Fraction(1)
             for r, pc in enumerate(pivots):
-                coef = red.get(r, fc)
-                if coef:
-                    v[pc] = -coef
+                v[pc] = -red.get(r, fc)
             basis.append(v)
         return basis
 
-    def inverse(self) -> "ExactMatrix":
-        """Row-reduce [A | 1]; A is invertible exactly when every pivot lies in A."""
+    def augmented_span(self, one=Fraction(1)) -> "SpanBasis":
+        """The span of the rows of [A | one * 1]; ZeroDivisionError unless every pivot lies in A."""
         if self.nrows != self.ncols:
             raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
         n = self.nrows
         span = SpanBasis(2 * n)
         for i in range(n):
             row = dict(self.rows.get(i, ()))
-            row[n + i] = Fraction(1)
+            row[n + i] = one
             if span._insert(row, n) is None:
                 raise ZeroDivisionError("matrix not invertible")
-        out = ExactMatrix(n, n)
-        for row, p in zip(span.rows, span.pivots):
-            out.rows[p] = {j - n: a for j, a in row.items() if j >= n}
-        return out
+        return span
+
+    def inverse(self) -> "ExactMatrix":
+        """Row-reduce [A | 1]: row p of the inverse is the tag part of the reduced row with pivot p."""
+        n, rows = self.nrows, self.augmented_span().echelon_rows()
+        tags = {p: {j - n: Fraction(a, r[p]) for j, a in r.items() if j >= n} for p, r in rows.items()}
+        return ExactMatrix(n, n, tags)
 
     def det(self):
         """Product of the rows' pivot values on insertion, signed by the row-to-pivot permutation."""
@@ -250,10 +249,10 @@ class ExactMatrix:
         span = SpanBasis(self.ncols)
         det = Fraction(1)
         for i in range(self.nrows):
-            lead = span._insert(dict(self.rows.get(i, ())))
-            if lead is None:
+            found = span._insert(dict(self.rows.get(i, ())))
+            if found is None:
                 return _ZERO
-            det = lead * det
+            det = Fraction(*found) * det
         pivots = span.pivots
         inversions = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:])
         return -det if inversions % 2 else det
@@ -267,78 +266,58 @@ class ExactMatrix:
 class SpanBasis:
     """Incremental echelon basis of a span of vectors.
 
-    This is the one elimination routine of the package: ExactMatrix.rref,
-    inverse and det insert their rows here.  Row i is a sparse {col: value}
-    dict whose first nonzero column is pivots[i].
-
-    While every entry seen is rational (Fraction or int), rows are primitive
-    integer rows with a positive pivot, in echelon but not reduced form.  A
-    vector is cleared by the lcm of its denominators and reduced
-    fraction-free (after E. H. Bareiss, Math. Comp. 22, 1968): a heap visits
-    the pivot columns it fills in increasing order, each step v <- b v - a row
-    with a = v[p], b = row[p] and gcd(a, b) taken out.  The denominator times
-    the product of the b's is one rational scale per reduction, so pivot
-    values and coordinates equal the field elimination's, and no Fraction is
-    built in the loop.  `rows` gives the reduced rows, 1 at their pivots, by
-    one back-substitution when read.
-
-    Any other entry (RatFun, from FracMatrix.inverse) moves the span to the
-    field path for good: the rows are read once in reduced form and kept
-    reduced, so a reduction subtracts once each the rows whose pivots it
-    touches.  Either path costs the nonzeros touched, not the vector length.
+    The one elimination of the package (ExactMatrix.rref, inverse and det
+    and FracMatrix.inverse insert their rows here), fraction-free after E. H.
+    Bareiss (Math. Comp. 22, 1968) over the gcd domain fixed by the first
+    nonzero entry: the integers for rational entries, each vector cleared by
+    the lcm of its denominators, or Q[x] for Poly entries; any other entry
+    raises TypeError.  Rows are sparse {col: value} dicts, primitive with a
+    positive or monic pivot pivots[i], in echelon form.  A reduction visits
+    pivots in increasing order, each step v <- b v - a row with a = v[p],
+    b = row[p] and gcd(a, b) taken out; the denominator times the product of
+    the b's is its one scale s.  `rows`, `reduce`, coordinates and pivot
+    values divide by s or a pivot, so they take rational entries only.
     """
 
     def __init__(self, length: int):
         self.length = length
         self.pivots: list[int] = []
-        self._rows: list[dict] = []
         self._row_at: dict[int, dict] = {}  # pivot column -> its row
-        self._field = False
-        self._reduced_rows: "list[dict] | None" = None
+        self._ring: "_Ring | None" = None
+        self._echelon: "dict[int, dict] | None" = None
+
+    def echelon_rows(self) -> dict[int, dict]:
+        """Pivot -> its row reduced at every other pivot, primitive again, over the span's ring."""
+        if self._echelon is None:
+            done: dict[int, dict] = {}
+            for p in sorted(self.pivots, reverse=True):
+                w = dict(self._row_at[p])
+                _reduce(w, done, self._ring.gcd)
+                done[p] = self._ring.primitive(w)
+            self._echelon = done
+        return self._echelon
 
     @property
     def rows(self) -> list[dict]:
         """The rows in reduced echelon form, 1 at their pivots, in insertion order."""
-        if self._field:
-            return self._rows
-        if self._reduced_rows is None:
-            done: dict[int, dict] = {}
-            for p in sorted(self.pivots, reverse=True):
-                w = dict(self._row_at[p])
-                _reduce_integral(w, done)
-                done[p] = _primitive(w)
-            self._reduced_rows = [{j: Fraction(a, done[p][p]) for j, a in done[p].items()} for p in self.pivots]
-        return self._reduced_rows
+        done = self.echelon_rows()
+        return [{j: Fraction(a, done[p][p]) for j, a in done[p].items()} for p in self.pivots]
 
-    def _reduced(self, v: dict) -> tuple[dict, int]:
-        """(w, s) with w / s the sparse vector v reduced against the rows.
-
-        On the integer path w has int entries and s is a positive int; on
-        the field path v is reduced in place and s is 1.
-        """
-        if not self._field:
-            if all(isinstance(a, (Fraction, int)) for a in v.values()):
-                den = lcm(*(a.denominator for a in v.values()))
-                w = {j: a.numerator * (den // a.denominator) for j, a in v.items()}
-                return w, den * _reduce_integral(w, self._row_at)
-            self._rows = self.rows
-            self._row_at = dict(zip(self.pivots, self._rows))
-            self._field = True
-        row_at = self._row_at
-        for p in [j for j in v if j in row_at]:
-            _eliminate(v, row_at[p], p)
-        return v, 1
-
-    def _values(self, w: dict, s: int) -> dict:
-        """The field values w / s of a reduction."""
-        return w if self._field else {j: Fraction(a, s) for j, a in w.items()}
+    def _reduced(self, v: dict) -> tuple[dict, object]:
+        """(w, s) with w / s the sparse vector v reduced against the rows, w and s over the span's ring."""
+        if self._ring is None:
+            if not v:
+                return v, 1
+            self._ring = _POLYNOMIALS if isinstance(next(iter(v.values())), Poly) else _INTEGERS
+        w, den = self._ring.clear(v)
+        return w, den * _reduce(w, self._row_at, self._ring.gcd)
 
     def _insert(self, v: dict, end: "int | None" = None):
         """Reduce the sparse vector v, then store it.
 
-        Returns the pivot value of the reduced vector, or None, storing
-        nothing, when v reduces to 0 or when its pivot is not before column
-        `end`.
+        Returns (lead, s), the pivot value lead / s of the reduced vector,
+        or None, storing nothing, when v reduces to 0 or when its pivot is
+        not before column `end`.
         """
         w, s = self._reduced(v)
         if not w:
@@ -347,23 +326,14 @@ class SpanBasis:
         if end is not None and p >= end:
             return None
         lead = w[p]
-        if self._field:
-            w = {j: a / lead for j, a in w.items()}
-            for row in self._rows:
-                if p in row:
-                    _eliminate(row, w, p)
-        else:
-            w = _primitive(w)
-            lead = Fraction(lead, s)
-            self._reduced_rows = None
-        self._rows.append(w)
         self.pivots.append(p)
-        self._row_at[p] = w
-        return lead
+        self._row_at[p] = self._ring.primitive(w)
+        self._echelon = None
+        return lead, s
 
     def reduce(self, vec: Sequence) -> Vector:
-        v = self._values(*self._reduced(_sparse(vec)))
-        return [v.get(j, _ZERO) for j in range(len(vec))]
+        w, s = self._reduced(_sparse(vec))
+        return [Fraction(w[j], s) if j in w else _ZERO for j in range(len(vec))]
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; returns True when it was independent."""
@@ -381,26 +351,13 @@ def _sparse(vec: Sequence) -> dict:
     return {j: a for j, a in enumerate(vec) if a}
 
 
-def _eliminate(dst: dict, row: dict, p: int) -> None:
-    """dst -= dst[p] * row for a row that is 1 at p, on sparse dicts, zeros dropped."""
-    f = dst.pop(p)
-    for j, b in row.items():
-        if j != p:
-            a = dst.get(j)
-            a = -f * b if a is None else a - f * b
-            if a:
-                dst[j] = a
-            else:
-                del dst[j]
-
-
-def _reduce_integral(v: dict, row_at: dict) -> int:
-    """Cancel, in place, the integer vector v at the pivots of the echelon rows row_at.
+def _reduce(v: dict, row_at: dict, gcd: Callable):
+    """Cancel, in place, the vector v at the pivots of the echelon rows row_at.
 
     Pivots are visited in increasing order, each step v <- b v - a row with
-    a = v[p] and b = row[p] > 0 divided by gcd(a, b); a step fills only
-    columns after p.  Returns s, the product of the b's: v ends as s times
-    the old v minus a combination of the rows.
+    a = v[p] and b = row[p] divided by gcd(a, b); a step fills only columns
+    after p.  Returns s, the product of the b's: v ends as s times the old v
+    minus a combination of the rows.
     """
     heap = [j for j in v if j in row_at]
     heapify(heap)
@@ -413,10 +370,10 @@ def _reduce_integral(v: dict, row_at: dict) -> int:
         row = row_at[p]
         b = row[p]
         g = gcd(a, b)
-        if g > 1:
+        if g != 1:
             a //= g
             b //= g
-        if b > 1:
+        if b != 1:
             scale *= b
             for j in v:
                 v[j] *= b
@@ -436,7 +393,23 @@ def _reduce_integral(v: dict, row_at: dict) -> int:
     return scale
 
 
-def _primitive(w: dict) -> dict:
+class _Ring(NamedTuple):
+    """A span's gcd domain: how a vector enters it, its gcd, and the primitive row of a vector."""
+    clear: Callable
+    gcd: Callable
+    primitive: Callable
+
+
+def _clear_rational(v: dict) -> tuple[dict, int]:
+    """(w, den): the rational vector v times the lcm den of its denominators, on ints."""
+    try:
+        den = lcm(*(a.denominator for a in v.values()))
+    except AttributeError:
+        raise TypeError("a span of rational vectors takes rational entries only") from None
+    return {j: a.numerator * (den // a.denominator) for j, a in v.items()}, den
+
+
+def _primitive_int(w: dict) -> dict:
     """The nonzero integer vector w divided by its content, signed so its first entry is positive."""
     c = gcd(*w.values())
     if w[min(w)] < 0:
@@ -444,11 +417,34 @@ def _primitive(w: dict) -> dict:
     return w if c == 1 else {j: a // c for j, a in w.items()}
 
 
+def _clear_poly(v: dict) -> tuple[dict, int]:
+    """(v, 1) for a vector of Poly entries."""
+    if not all(isinstance(a, Poly) for a in v.values()):
+        raise TypeError("a span of Poly vectors takes Poly entries only")
+    return v, 1
+
+
+def _primitive_poly(w: dict) -> dict:
+    """The nonzero Poly vector w divided by the gcd of its entries and the constant that makes it monic at its pivot."""
+    entries = iter(w.values())
+    g = next(entries)
+    for a in entries:
+        if g.degree == 0:
+            break
+        g = Poly.gcd(g, a)
+    c = g.monic() * w[min(w)].leading()
+    return w if c == 1 else {j: a // c for j, a in w.items()}
+
+
+_INTEGERS = _Ring(_clear_rational, gcd, _primitive_int)
+_POLYNOMIALS = _Ring(_clear_poly, Poly.gcd, _primitive_poly)
+
+
 class SpanCoordinates:
     """Coordinates of vectors in the span of the vectors added so far.
 
     The k-th added vector is stored as a SpanBasis row tagged with 1 in
-    column length + k, as ExactMatrix.inverse tags [A | 1], so each stored
+    column length + k, as ExactMatrix.augmented_span tags [A | 1], so each stored
     row carries in its tags the combination of added vectors it equals.
     Reducing w leaves 0 on the first `length` columns exactly when w lies in
     the span, and then minus its coordinates in the tags.  A vector that
@@ -477,8 +473,8 @@ class SpanCoordinates:
         if any(j < self.length for j in w):
             return None
         out = [_ZERO] * self.count
-        for j, a in self._span._values(w, s).items():
-            out[j - self.length] = -a
+        for j, a in w.items():
+            out[j - self.length] = Fraction(-a, s)
         return out
 
 

@@ -252,9 +252,13 @@ def _norm_eps(y, pencil, gram, wr):
 
 def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> bool:
     """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors."""
+    return bethe_pairing(spec, y1, y2) == 0
+
+
+def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Fraction:
+    """The form value B(Bhat(y1), Bhat(y2)) for distinct divisors."""
     if y1 == y2:
         raise ValueError("divisors must differ")
-    gram = form_matrix(spec)
     b1 = bethe_vector(spec, y1.root_list())
     b2 = bethe_vector(spec, y2.root_list())
-    return form_value(gram, b1.vector, b2.vector) == 0
+    return form_value(form_matrix(spec), b1.vector, b2.vector)

@@ -198,12 +198,8 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         rep = bethe.completeness_report(spec)
         cyclic, irred = monodromy.cyclicity_and_irreducibility(spec)
         if cyclic:
-            items.append(
-                _item(
-                    f"spectrum complete {name}",
-                    all(lv.subspace_dim == sum(e.generalized_dim for e in lv.entries) for lv in rep.levels),
-                )
-            )
+            complete = all(lv.subspace_dim == sum(e.generalized_dim for e in lv.entries) for lv in rep.levels)
+            items.append(_item(f"spectrum complete {name}", complete))
         if irred:
             items.append(_item(f"bethe basis {name}", rep.all_ok()))
     # regularized route agrees with the direct one
@@ -298,7 +294,8 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         gram = shapoform.form_matrix(spec)
         symmetric = gram == gram.transpose()
         items.append(_item(f"gram symmetric {name}", symmetric, "" if symmetric else _asymmetry(gram)))
-        items.append(_item(f"vacuum normalized {name}", gram.get(0, 0) == 1))
+        vac = gram.get(0, 0)
+        items.append(_item(f"vacuum normalized {name}", vac == 1, f"gram[0, 0] = {format_scalar(vac)}"))
         failure = shapoform.check_iota_contract(spec)
         items.append(_item(f"contravariance {name}", failure is None, f"first failing (i, j, r) {failure}"))
         # transfer self-adjointness
@@ -307,37 +304,29 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         items.append(_item(f"transfer self-adjoint {name}", degree is None, f"x^{degree} coefficient"))
         _, irred = monodromy.cyclicity_and_irreducibility(spec)
         if irred:
-            items.append(_item(f"form non-degenerate {name}", gram.det() != 0))
+            nondegenerate = gram.det() != 0
+            items.append(_item(f"form non-degenerate {name}", nondegenerate,
+                               "" if nondegenerate else f"rank {gram.rank()} of {gram.nrows}"))
         cp = bethe.char_pair(spec)
         if cp.roots is None:
             continue
         divisors = [dv for level in cp.divisors for dv in level]
         for dv in divisors:
             rec = shapoform.norm_check(spec, dv)
-            items.append(
-                _item(
-                    f"norm {name} y={dv.label()}",
-                    rec.equal,
-                    f"lhs={rec.lhs} rhs={rec.rhs_resolved}",
-                )
-            )
+            items.append(_item(f"norm {name} y={dv.label()}", rec.equal, f"lhs={rec.lhs} rhs={rec.rhs_resolved}"))
             if not rec.repeated_roots and rec.rhs_stated is not None:
                 q1, q2 = spec.twist
                 want_ratio = (Fraction(-1) ** dv.degree) * (q1 / q2) ** dv.degree
-                ratio_ok = (
-                    rec.rhs_stated == 0
-                    if rec.lhs == 0
-                    else rec.lhs / rec.rhs_stated == want_ratio
-                )
-                items.append(_item(f"norm ratio to textbook {name} y={dv.label()}", ratio_ok))
+                ratio_ok = rec.rhs_stated == 0 if rec.lhs == 0 else rec.lhs / rec.rhs_stated == want_ratio
+                # a failing ratio has rhs_stated != 0: lhs == 0 makes it 0, else it is the ratio just taken
+                ratio = "" if ratio_ok else f"ratio {rec.lhs / rec.rhs_stated}, wanted {want_ratio}"
+                items.append(_item(f"norm ratio to textbook {name} y={dv.label()}", ratio_ok, ratio))
         for a in range(len(divisors)):
             for b in range(a + 1, len(divisors)):
-                items.append(
-                    _item(
-                        f"orthogonal {name} {divisors[a].label()} | {divisors[b].label()}",
-                        shapoform.orthogonality_check(spec, divisors[a], divisors[b]),
-                    )
-                )
+                ya, yb = divisors[a], divisors[b]
+                ok = shapoform.orthogonality_check(spec, ya, yb)
+                detail = "" if ok else f"form value {format_scalar(shapoform.bethe_pairing(spec, ya, yb))}"
+                items.append(_item(f"orthogonal {name} {ya.label()} | {yb.label()}", ok, detail))
     return items
 
 
@@ -345,6 +334,10 @@ def _asymmetry(gram: ExactMatrix) -> str:
     """The first (a, b), in row order, with gram[a, b] != gram[b, a]."""
     a, b = next((a, b) for a in range(gram.nrows) for b in range(gram.ncols) if gram.get(a, b) != gram.get(b, a))
     return f"first asymmetric entry ({a}, {b})"
+
+
+def _check_items(name: str, checks) -> list[SuiteItem]:
+    return [_item(f"{name}: {c.label}", c.ok, str(c.witness)) for c in checks]
 
 
 def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = None) -> list[SuiteItem]:
@@ -358,11 +351,12 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
         tw = fusion.ber_twist_independence(spec)
         items.append(_item(f"berezinian twist independence {name}", tw.ok, str(tw.witness)))
         order = tau_order if tau_order is not None else int(spec.n) + 2
-        for c in fusion.expansion_matches_routes(spec, min(order, max_m)):
-            items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
+        universal = spec.k <= 2
+        # the largest order asked for below first, so lower orders are read from it
+        fusion.generating_oper(spec, max(order, max_m) if universal else max_m)
+        items += _check_items(name, fusion.expansion_matches_routes(spec, min(order, max_m)))
         for checks in fusion.transfer_relation_check(spec, max_m):
-            for c in checks:
-                items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
+            items += _check_items(name, checks)
         comm = fusion.higher_family_commutes(spec)
         items.append(_item(f"higher family commutes {name}", comm.ok, f"coefficient pair {comm.witness}"))
         cp = bethe.char_pair(spec)
@@ -372,11 +366,9 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
                 for dv in divisors:
                     if any(m > 1 for _, m in dv.roots):
                         continue
-                    for c in fusion.oper_action_check(spec, dv, max_m):
-                        items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
-        if spec.k <= 2:
-            for c in fusion.universal_oper_check(spec, order):
-                items.append(_item(f"{name}: {c.label}", c.ok, str(c.witness)))
+                    items += _check_items(name, fusion.oper_action_check(spec, dv, max_m))
+        if universal:
+            items += _check_items(name, fusion.universal_oper_check(spec, order))
     for m in range(1, 5):
         a, h = fusion.symmetrizers(m)
         idempotent = (a @ a) == a and (h @ h) == h

@@ -44,9 +44,6 @@ class Weight:
         ok_int = self.l1.denominator == 1 and self.l2.denominator == 1
         return ok_int and self.l1 >= 0 and self.l2 >= 0 and (self.l1 > 0 or self.l2 == 0)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.l1 + other.l1, self.l2 + other.l2)
-
     def __iter__(self):
         return iter((self.l1, self.l2))
 

@@ -10,6 +10,7 @@ import pkgutil
 from hypothesis import settings
 
 import gl11chain
+from gl11chain import fusion
 
 settings.register_profile("gl11chain", deadline=None, print_blob=True)
 settings.load_profile("gl11chain")
@@ -27,6 +28,11 @@ def memoised_builders() -> list:
 
 
 def clear_builder_caches() -> None:
-    """Empty the cache of every memoised builder, so the next request builds from scratch."""
+    """Empty the cache of every memoised builder, so the next request builds from scratch.
+
+    The generating operator's order memory goes too, so the next build is at
+    the order then asked for, not at one an earlier test asked for.
+    """
     for fn in memoised_builders():
         fn.cache_clear()
+    fusion._oper_orders.clear()

@@ -1,7 +1,16 @@
-"""Dense views of ExactMatrix for the tests: nested lists in and out, columns, integer powers."""
+"""Test helpers: dense views of ExactMatrix, and the field elimination oracle.
+
+Dense views are nested lists in and out, columns and integer powers.  The
+oracle is SpanBasis as it was before it went fraction-free: reduced echelon
+rows over any field, RatFun included, and the inverse it gives.
+`from_ratfun` turns a matrix of RatFun entries into the FracMatrix with the
+same entries, over the lcm of their denominators.
+"""
 
 from fractions import Fraction
 
+from gl11chain.exactnum import Poly, RatFun
+from gl11chain.fusion import FracMatrix
 from gl11chain.linalg import ExactMatrix
 
 
@@ -32,3 +41,100 @@ def matrix_power(m: ExactMatrix, n: int) -> ExactMatrix:
         base = base @ base if n > 1 else base
         n >>= 1
     return out
+
+
+class FieldSpanBasis:
+    """SpanBasis on field entries, as it was before it went fraction-free (oracle).
+
+    The rows stay in reduced echelon form: row i is 1 at pivots[i] and 0 at
+    every other row's pivot, and each update is one field operation.
+    """
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []
+        self.pivots = []
+        self._row_at = {}
+
+    def _reduced(self, v):
+        for p in [j for j in v if j in self._row_at]:
+            field_eliminate(v, self._row_at[p], p)
+        return v
+
+    def _insert(self, v, end=None):
+        v = self._reduced(v)
+        if not v:
+            return None
+        p = min(v)
+        if end is not None and p >= end:
+            return None
+        lead = v[p]
+        v = {j: a / lead for j, a in v.items()}
+        for row in self.rows:
+            if p in row:
+                field_eliminate(row, v, p)
+        self.rows.append(v)
+        self.pivots.append(p)
+        self._row_at[p] = v
+        return lead
+
+    def reduce(self, vec):
+        v = self._reduced({j: a for j, a in enumerate(vec) if a})
+        return [v.get(j, Fraction(0)) for j in range(len(vec))]
+
+    def coordinates(self, vec, count):
+        """Minus the tags of vec reduced, when the rows carry SpanCoordinates tags after column length."""
+        v = self._reduced({j: a for j, a in enumerate(vec) if a})
+        if any(j < self.length for j in v):
+            return None
+        out = [Fraction(0)] * count
+        for j, a in v.items():
+            out[j - self.length] = -a
+        return out
+
+
+def field_eliminate(dst, row, p):
+    f = dst.pop(p)
+    for j, b in row.items():
+        if j != p:
+            a = dst.get(j, Fraction(0)) - f * b
+            if a:
+                dst[j] = a
+            else:
+                dst.pop(j, None)
+
+
+def field_inverse(m):
+    """The inverse of the square matrix m as dense rows, by the field oracle; None when m is singular."""
+    n = m.nrows
+    span = FieldSpanBasis(2 * n)
+    for i in range(n):
+        row = dict(m.rows.get(i, ()))
+        row[n + i] = Fraction(1)
+        if span._insert(row, n) is None:
+            return None
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for row, p in zip(span.rows, span.pivots):
+        for j, a in row.items():
+            if j >= n:
+                out[p][j - n] = a
+    return out
+
+
+def from_ratfun(m: ExactMatrix) -> FracMatrix:
+    """Clear denominators: entries (RatFun, Poly or scalar) over their lcm."""
+    ents = [(i, j, v if isinstance(v, RatFun) else RatFun(v)) for i, j, v in m.entries()]
+    den = Poly((1,))
+    for _, _, v in ents:
+        if den % v.den:
+            den = Poly.lcm(den, v.den)
+    num = ExactMatrix(m.nrows, m.ncols)
+    for i, j, v in ents:
+        num.put(i, j, v.num if v.den == den else v.num * (den // v.den))
+    return FracMatrix(num, den)
+
+
+def ratfun_inverse(fm: FracMatrix) -> "FracMatrix | None":
+    """The inverse of num / den by RatFun field elimination, over the lcm of its entry denominators (oracle)."""
+    inv = field_inverse(fm.num.map_entries(lambda p: RatFun(p, fm.den)))
+    return None if inv is None else from_ratfun(from_dense(inv))

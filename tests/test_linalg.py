@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.fusion import FracMatrix
 from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
-from densemat import column, from_dense, matrix_power, to_dense
+from densemat import FieldSpanBasis, column, field_inverse, from_dense, matrix_power, to_dense
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 
@@ -300,30 +300,38 @@ class TestSympyDifferential:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_ratfun_inverse_and_det(self, data):
-        """The RatFun path that FracMatrix.inverse and the Berezinian take."""
+        """The rational-function inverse that FracMatrix.inverse gives, against sympy at sample points.
+
+        num / den is singular exactly when sympy's symbolic det(num) is 0.
+        """
         sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
         dim = data.draw(st.integers(1, 3))
         coeffs = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
-        dens = st.lists(st.sampled_from([F(0), F(1, 2), F(-2)]), max_size=2).map(Poly.from_roots)
-        m = ExactMatrix(dim, dim)
+        den = data.draw(st.lists(st.sampled_from([F(0), F(1, 2), F(-2)]), max_size=2).map(Poly.from_roots))
+        num = ExactMatrix(dim, dim)
         for i in range(dim):
             for j in range(dim):
                 if data.draw(st.booleans()):
-                    m.put(i, j, RatFun(data.draw(coeffs), data.draw(dens)))
-        det = m.det()
-        det = det if isinstance(det, RatFun) else RatFun(det)
-        for t in (F(1), F(-1, 3), F(5, 2)):
-            try:
-                at_t = [[v(t) if isinstance(v, RatFun) else v for v in row] for row in to_dense(m)]
-            except ZeroDivisionError:
-                continue  # a pole of some entry
-            sdet = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in at_t]).det()
-            assert det(t) == F(int(sdet.p), int(sdet.q))
-        if det:
-            assert m @ m.inverse() == ExactMatrix.identity(dim)
-        else:
-            with pytest.raises(ZeroDivisionError):
-                m.inverse()
+                    num.put(i, j, data.draw(coeffs))
+
+        def to_expr(p):
+            terms = (sympy.Rational(c.numerator, c.denominator) * x**d for d, c in enumerate(p.coeffs))
+            return sum(terms, sympy.Integer(0))
+
+        snum = sympy.Matrix(dim, dim, [to_expr(num.get(i, j) or Poly()) for i in range(dim) for j in range(dim)])
+        if sympy.expand(snum.det()) == 0:
+            with pytest.raises(ZeroDivisionError, match="matrix not invertible"):
+                FracMatrix(num, den).inverse()
+            return
+        inv = FracMatrix(num, den).inverse()
+        for t in (F(1), F(-1, 3), F(5, 2), F(7)):
+            at_t = snum.subs(x, sympy.Rational(t.numerator, t.denominator))
+            if den(t) == 0 or at_t.det() == 0:
+                continue
+            want = (at_t / sympy.Rational(den(t).numerator, den(t).denominator)).inv()
+            got = [[(inv.num.get(i, j) or Poly())(t) / inv.den(t) for j in range(dim)] for i in range(dim)]
+            assert got == from_sympy(want.tolist())
 
 
 class TestJointEigenspaces:
@@ -414,65 +422,9 @@ class TestFittingExponent:
         assert len(eig) == 1 and len(gen) == 4
 
 
-class FieldSpanBasis:
-    """SpanBasis on field entries, as it was before it went fraction-free (oracle).
-
-    The rows stay in reduced echelon form: row i is 1 at pivots[i] and 0 at
-    every other row's pivot, and each update is one Fraction operation.
-    """
-
-    def __init__(self, length):
-        self.length = length
-        self.rows = []
-        self.pivots = []
-        self._row_at = {}
-
-    def _reduced(self, v):
-        for p in [j for j in v if j in self._row_at]:
-            field_eliminate(v, self._row_at[p], p)
-        return v
-
-    def _insert(self, v, end=None):
-        v = self._reduced(v)
-        if not v:
-            return None
-        p = min(v)
-        if end is not None and p >= end:
-            return None
-        lead = v[p]
-        v = {j: a / lead for j, a in v.items()}
-        for row in self.rows:
-            if p in row:
-                field_eliminate(row, v, p)
-        self.rows.append(v)
-        self.pivots.append(p)
-        self._row_at[p] = v
-        return lead
-
-    def reduce(self, vec):
-        v = self._reduced({j: a for j, a in enumerate(vec) if a})
-        return [v.get(j, F(0)) for j in range(len(vec))]
-
-    def coordinates(self, vec, count):
-        """Minus the tags of vec reduced, when the rows carry SpanCoordinates tags after column length."""
-        v = self._reduced({j: a for j, a in enumerate(vec) if a})
-        if any(j < self.length for j in v):
-            return None
-        out = [F(0)] * count
-        for j, a in v.items():
-            out[j - self.length] = -a
-        return out
-
-
-def field_eliminate(dst, row, p):
-    f = dst.pop(p)
-    for j, b in row.items():
-        if j != p:
-            a = dst.get(j, F(0)) - f * b
-            if a:
-                dst[j] = a
-            else:
-                dst.pop(j, None)
+def pivot_value(found):
+    """The pivot value lead / s of a SpanBasis._insert result (lead, s), or None."""
+    return None if found is None else F(*found)
 
 
 def field_span(m):
@@ -497,22 +449,6 @@ def field_det(m):
     pivots = span.pivots
     inversions = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:])
     return -det if inversions % 2 else det
-
-
-def field_inverse(m):
-    n = m.nrows
-    span = FieldSpanBasis(2 * n)
-    for i in range(n):
-        row = dict(m.rows.get(i, ()))
-        row[n + i] = F(1)
-        if span._insert(row, n) is None:
-            return None
-    out = [[F(0)] * n for _ in range(n)]
-    for row, p in zip(span.rows, span.pivots):
-        for j, a in row.items():
-            if j >= n:
-                out[p][j - n] = a
-    return out
 
 
 mixed = st.one_of(
@@ -575,7 +511,7 @@ class TestIntegerRowsAgainstFieldOracle:
         for kind, v in ops:
             if kind == "add":
                 sparse = {j: a for j, a in enumerate(v) if a}
-                assert span._insert(dict(sparse)) == oracle._insert(dict(sparse))
+                assert pivot_value(span._insert(dict(sparse))) == oracle._insert(dict(sparse))
                 sparse[length + crd.count] = F(1)
                 assert crd.add(v) == (tagged._insert(sparse, length) is not None)
             else:
@@ -663,28 +599,37 @@ class TestFractionFree:
 
 
 class TestMixedEntries:
-    """A span that sees rational vectors first and RatFun vectors later moves to the field path."""
+    """Entries of more than one kind: the first nonzero entry fixes a span's ring, anything else is refused."""
 
     def test_rational_row_before_ratfun_row(self):
         x = RatFun(Poly((0, 1)))
         m = ExactMatrix(2, 2, {0: {0: F(2), 1: F(1)}, 1: {1: x}})
-        assert m.det() == x * 2
-        assert m.inverse() == ExactMatrix(2, 2, {0: {0: F(1, 2), 1: -1 / (x * 2)}, 1: {1: 1 / x}})
-        assert m @ m.inverse() == ExactMatrix.identity(2)
+        for eliminate in (m.det, m.inverse, m.rank):
+            with pytest.raises(TypeError, match="rational entries only"):
+                eliminate()
+        with pytest.raises(TypeError, match="rational entries only"):
+            ExactMatrix(1, 1, {0: {0: x}}).rank()
 
-    def test_span_switches_to_the_field_path(self):
-        x = RatFun(Poly((0, 1)))
-        span, oracle = SpanBasis(3), FieldSpanBasis(3)
-        for v in ([F(1), F(2, 3), F(0)], [x, F(0), F(1)], [F(0), F(1), x + 1]):
-            assert span._insert({j: a for j, a in enumerate(v) if a}) == oracle._insert(
-                {j: a for j, a in enumerate(v) if a}
-            )
-            assert span.rows == oracle.rows
-        assert span.dim == 3 and span.contains([F(1), x, F(5)])
+    def test_ring_is_fixed_by_the_first_entry(self):
+        x = Poly((0, 1))
+        span = SpanBasis(2)
+        assert not span.add([F(0), F(0)])  # a zero vector fixes nothing
+        assert span.add([x, x + 1])
+        with pytest.raises(TypeError, match="Poly entries only"):
+            span.add([F(1), F(0)])
+        assert span.contains([x * x, x * x + x]) and span.add([F(0), Poly((2,))])
+        # back-substituted rows over Q[x]: primitive, monic pivots, 0 at the other pivot
+        assert span.echelon_rows() == {0: {0: Poly((1,))}, 1: {1: Poly((1,))}}
+        with pytest.raises(TypeError):
+            span.rows  # dividing by the pivot is rational-only
+        rational = SpanBasis(2)
+        assert rational.add([F(1, 2), F(0)])
+        with pytest.raises(TypeError, match="rational entries only"):
+            rational.add([x, F(1)])
 
     @pytest.mark.parametrize("empty", [0, 1])
     def test_fracmatrix_with_an_empty_row_is_not_invertible(self, empty):
-        # the empty row of A inserts only its [A | 1] tag, a Fraction-only vector
+        # the empty row of A inserts only its [A | 1] tag, a constant Poly
         x = Poly((0, 1))
         num = ExactMatrix(2, 2, {1 - empty: {0: x + 1, 1: x}})
         with pytest.raises(ZeroDivisionError, match="matrix not invertible"):

@@ -5,7 +5,9 @@ under `python -O`, and the arithmetic is exact, so no float literal or
 `float` name appears anywhere in the package.  The split test
 `roots_with_multiplicity` runs once per chain, inside `CharPair`; only
 `random-spec`, which tests each fresh candidate once, calls it directly.
-Every name the benchmark tracer wraps exists in the package.
+Every name the benchmark tracer wraps exists in the package.  Matrices over
+Q(x) have one form, FracMatrix: linalg.py never names RatFun, and no source
+file defines `from_ratfun`.
 """
 
 import ast
@@ -98,3 +100,37 @@ def test_tracer_targets_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attribute}")
     assert missing == []
+
+
+def _ratfun_violations(tree: ast.AST, linalg: bool) -> list[str]:
+    """Definitions of from_ratfun and, in linalg.py, every use or import of the name RatFun."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "from_ratfun":
+            out.append(f"line {node.lineno}: defines from_ratfun")
+        if not linalg:
+            continue
+        if (isinstance(node, ast.Name) and node.id == "RatFun") or (
+            isinstance(node, ast.Attribute) and node.attr == "RatFun"
+        ):
+            out.append(f"line {node.lineno}: names RatFun")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "RatFun" in (a.name.split(".")[-1] for a in node.names):
+            out.append(f"line {node.lineno}: imports RatFun")
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_rational_function_matrix_type(path):
+    assert _ratfun_violations(ast.parse(path.read_text(encoding="utf-8")), path.name == "linalg.py") == []
+
+
+def test_ratfun_rule_catches_each_violation():
+    code = (
+        "from .exactnum import Poly, RatFun\n"
+        "class FracMatrix:\n    @staticmethod\n    def from_ratfun(m):\n        return m\n"
+        "x = exactnum.RatFun(1)\ny = RatFun(2)\n"
+    )
+    assert _ratfun_violations(ast.parse(code), linalg=True) == [
+        "line 1: imports RatFun", "line 4: defines from_ratfun", "line 6: names RatFun", "line 7: names RatFun",
+    ]
+    assert _ratfun_violations(ast.parse(code), linalg=False) == ["line 4: defines from_ratfun"]

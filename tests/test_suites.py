@@ -6,7 +6,7 @@ import pytest
 
 from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, weylspace
 from gl11chain.suites import run_suite, suite_specs
-from gl11chain.fusion import FracMatrix, berezinian, generating_oper, higher_transfer
+from gl11chain.fusion import FracMatrix, berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
 from gl11chain.bethe import char_pair
 from gl11chain.exactnum import Poly
@@ -209,6 +209,33 @@ def _shifted_series(real):
     return corrupted
 
 
+def _scaled_gram(real):
+    """form_matrix returning twice the Gram matrix: the vacuum is no longer normalized."""
+    return lambda spec: real(spec) * 2
+
+
+def _degenerate_gram(real):
+    """form_matrix with its last column zeroed: the form is degenerate."""
+
+    def corrupted(spec):
+        gram = real(spec)
+        proj = ExactMatrix.identity(gram.ncols)
+        proj.put(gram.ncols - 1, gram.ncols - 1, 0)
+        return gram @ proj
+
+    return corrupted
+
+
+def _tripled_textbook_norm(real):
+    """norm_check with the textbook right-hand side tripled."""
+
+    def corrupted(spec, y):
+        rec = real(spec, y)
+        return rec if rec.rhs_stated is None else replace(rec, rhs_stated=rec.rhs_stated * 3)
+
+    return corrupted
+
+
 @pytest.mark.parametrize(
     "module, attr, corrupt, prefix, detail",
     [
@@ -221,8 +248,21 @@ def _shifted_series(real):
             "transfer self-adjoint",
             "x^0 coefficient",
         ),
+        (shapoform, "form_matrix", _scaled_gram, "vacuum normalized", "gram[0, 0] = 2"),
+        (shapoform, "form_matrix", _degenerate_gram, "form non-degenerate", "rank "),
+        (shapoform, "norm_check", _tripled_textbook_norm, "norm ratio to textbook", "ratio "),
+        (
+            shapoform,
+            "bethe_pairing",
+            lambda real: lambda spec, y1, y2: real(spec, y1, y2) + 1,
+            "orthogonal",
+            "form value 1",
+        ),
     ],
-    ids=["gram-symmetric", "contravariance", "transfer-self-adjoint"],
+    ids=[
+        "gram-symmetric", "contravariance", "transfer-self-adjoint",
+        "vacuum-normalized", "form-non-degenerate", "norm-ratio", "orthogonal",
+    ],
 )
 def test_norms_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefix, detail):
     monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
@@ -297,12 +337,12 @@ def test_memoised_builders_found():
         "gl11chain.shapoform.form_matrix",
         "gl11chain.fusion.berezinian",
         "gl11chain.fusion.higher_transfer",
-        "gl11chain.fusion.generating_oper",
+        "gl11chain.fusion._generating_oper",
     }
 
 
 def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
-    builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer, generating_oper)
+    builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer, fusion._generating_oper)
     clear_builder_caches()
     chain = tmp_path / "e4.json"
     chain.write_text(suite_specs()["E4"].to_json())
@@ -311,10 +351,11 @@ def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
     form_matrix.cache_clear()
     run_suite("norms")
     assert form_matrix.cache_info().misses == len(suite_specs())
-    # the fusion suite: one generating operator per (chain, order) it asks for
-    generating_oper.cache_clear()
-    run_suite("fusion")
-    assert generating_oper.cache_info().misses == 7
+    # the fusion suite: one generating operator per chain, built at the largest order it asks for
+    fusion._generating_oper.cache_clear()
+    items = run_suite("fusion")
+    assert fusion._generating_oper.cache_info().misses == 4
+    assert len(items) == 106 and all(items)
     # four inverses in the Berezinian, two in the generating operator, one for its inverse series
     clear_builder_caches()
     inverses = []
