@@ -6,7 +6,25 @@ pencils on tensor products of evaluation modules, the Bethe ansatz
 algebra on weight subspaces, the contravariant form and norms, and the
 higher transfer matrices with their Berezinian and difference-operator
 identities.
+
+The modules in `_LAZY` load on first use, so a command runs only the
+modules it touches.  `from . import bethe` at the top of a module is lazy;
+`from .bethe import f` loads bethe.  An import error in a lazy module
+surfaces at its first use.  `LazyLoader` is not thread-safe on Python
+3.11, and gl11chain starts no threads.
 """
+
+import importlib.util
+import sys
+
+_LAZY = ("bethe", "bethealg", "fusion", "shapoform", "suites", "weylspace")
+for _name in _LAZY:
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    # also bound on the package, so `from . import X` does not import X, which reads X.__spec__ and so loads X
+    sys.modules[_spec.name] = globals()[_name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _name, _spec
 
 from .exactnum import Poly, RatFun, Scalar
 from .monodromy import ModuleSpec, make_spec

@@ -260,6 +260,11 @@ class DivisorEntry:
     generalized_dim: int
     spans_eigenspace: bool
 
+    @property
+    def ok(self) -> bool:
+        """On shell, nonzero, and spanning its divisor's one-dimensional eigenspace."""
+        return self.onshell and self.nonzero and self.eigen_dim == 1 and self.spans_eigenspace
+
     def to_dict(self) -> dict:
         return {
             "divisor": self.divisor.poly.to_strings(),
@@ -400,9 +405,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
                 spans = span.contains(bcoords)
             nonzero = not res.bethe.is_zero()
             entries.append(DivisorEntry(dv, ev, bool(res), nonzero, len(eig_basis), len(gen_basis), spans))
-        complete = sum(e.generalized_dim for e in entries) == dim and all(
-            e.onshell and e.nonzero and e.eigen_dim == 1 and e.spans_eigenspace for e in entries
-        )
+        complete = sum(e.generalized_dim for e in entries) == dim and all(e.ok for e in entries)
         diagonalizable = sum(e.eigen_dim for e in entries) == dim
         report.levels.append(LevelReport(level, level_weight(spec, level), dim, entries, complete, diagonalizable))
     return report

@@ -194,14 +194,17 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         bad = Fraction(17, 5)
         while cp.gamma(bad) == 0:
             bad += 1
-        items.append(_item(f"off-shell control {name}", not bethe.verify_on_shell(spec, [bad]).ok))
+        off_shell = not bethe.verify_on_shell(spec, [bad]).ok
+        witness = "" if off_shell else f"off-shell point {format_scalar(bad)} passed"
+        items.append(_item(f"off-shell control {name}", off_shell, witness))
         rep = bethe.completeness_report(spec)
         cyclic, irred = monodromy.cyclicity_and_irreducibility(spec)
         if cyclic:
-            complete = all(lv.subspace_dim == sum(e.generalized_dim for e in lv.entries) for lv in rep.levels)
-            items.append(_item(f"spectrum complete {name}", complete))
+            short = next(filter(None, map(_dims_failure, rep.levels)), None)
+            items.append(_item(f"spectrum complete {name}", short is None, short or ""))
         if irred:
-            items.append(_item(f"bethe basis {name}", rep.all_ok()))
+            ok = rep.all_ok()
+            items.append(_item(f"bethe basis {name}", ok, "" if ok else _incomplete_level(rep)))
     # regularized route agrees with the direct one
     e2 = suite_specs()["E2"]
     bd = bethe.bethe_vector(e2, [Fraction(-1, 4)])
@@ -221,14 +224,30 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
     for name in ("E2", "E3", "E6"):
         spec = suite_specs()[name]
         e12 = gl_generator(spec.space(), list(spec.weights), 1, 2)
-        ok = True
-        for divisors in bethe.char_pair(spec).divisors:
-            for dv in divisors:
-                bv = bethe.bethe_vector(spec, dv.root_list())
-                if any(e12.apply(list(bv.vector))):
-                    ok = False
-        items.append(_item(f"on-shell vectors singular {name}", ok))
+        divisors = (dv for level in bethe.char_pair(spec).divisors for dv in level)
+        vectors = ((dv, bethe.bethe_vector(spec, dv.root_list()).vector) for dv in divisors)
+        moved = next((dv for dv, vec in vectors if any(e12.apply(list(vec)))), None)
+        witness = "" if moved is None else f"E12 does not kill y={moved.label()}"
+        items.append(_item(f"on-shell vectors singular {name}", moved is None, witness))
     return items
+
+
+def _dims_failure(lv) -> "str | None":
+    """None when the generalized eigenspaces of a level add up to it, else the level and both dimensions."""
+    total = sum(e.generalized_dim for e in lv.entries)
+    if total == lv.subspace_dim:
+        return None
+    return f"level {lv.level}: generalized dims sum to {total}, subspace dim {lv.subspace_dim}"
+
+
+def _incomplete_level(rep) -> str:
+    """The first level of a split report that is not complete, with its first failing divisor or its dimensions."""
+    lv = next(lv for lv in rep.levels if not lv.complete)
+    e = next((e for e in lv.entries if not e.ok), None)
+    if e is None:
+        return _dims_failure(lv)
+    return (f"level {lv.level} y={e.divisor.label()}: on-shell {e.onshell}, nonzero {e.nonzero}, "
+            f"eigen {e.eigen_dim}, spans eigenspace {e.spans_eigenspace}")
 
 
 def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
@@ -317,9 +336,11 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
             if not rec.repeated_roots and rec.rhs_stated is not None:
                 q1, q2 = spec.twist
                 want_ratio = (Fraction(-1) ** dv.degree) * (q1 / q2) ** dv.degree
-                ratio_ok = rec.rhs_stated == 0 if rec.lhs == 0 else rec.lhs / rec.rhs_stated == want_ratio
-                # a failing ratio has rhs_stated != 0: lhs == 0 makes it 0, else it is the ratio just taken
-                ratio = "" if ratio_ok else f"ratio {rec.lhs / rec.rhs_stated}, wanted {want_ratio}"
+                found = None if rec.rhs_stated == 0 else rec.lhs / rec.rhs_stated
+                ratio_ok = rec.lhs == 0 if found is None else found == want_ratio
+                ratio = "" if ratio_ok else (
+                    f"lhs={rec.lhs}, textbook rhs 0" if found is None else f"ratio {found}, wanted {want_ratio}"
+                )
                 items.append(_item(f"norm ratio to textbook {name} y={dv.label()}", ratio_ok, ratio))
         for a in range(len(divisors)):
             for b in range(a + 1, len(divisors)):

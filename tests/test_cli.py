@@ -252,3 +252,62 @@ def test_spectral_survey_script():
     assert sum(line.startswith("== ") for line in lines) == 7
     assert sum("equal=True" in line for line in lines) == 25
     assert "equal=False" not in proc.stdout
+
+
+# Modules every command runs: the eager core, the CLI and the suite table that --suite is parsed against.
+CORE_MODULES = {"cli", "exactnum", "linalg", "monodromy", "superlin", "suites"}
+# Prints, after the command, the gl11chain modules that were run; type() does not load a lazy module.
+LOAD_PROBE = """\
+import json, sys, types
+from gl11chain.cli import main
+try:
+    sys.exit(main(sys.argv[1:]))
+finally:
+    names = (n for n, m in sys.modules.items() if n.startswith("gl11chain.") and type(m) is types.ModuleType)
+    print(json.dumps(sorted(n.split(".")[1] for n in names)))
+"""
+LAZY_PROBE = """\
+import importlib, json, sys, types
+import gl11chain
+names = [f"gl11chain.{m}" for m in gl11chain._LAZY]
+unloaded = [n for n in names if type(sys.modules[n]) is not types.ModuleType]
+defined = {n: [k for k, v in vars(importlib.import_module(n)).items() if getattr(v, "__module__", None) == n]
+           for n in names}
+print(json.dumps([names, unloaded, defined]))
+"""
+
+
+def _probe(code: str, *argv: str) -> list:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["--help"], set()),
+        (["random-spec", "--seed", "1", "--k", "3", "--weight-budget", "5", "--split", "--twisted"], set()),
+        (["verify", "--suite", "rtt"], set()),
+        (["verify", "--suite", "bethe"], {"bethe"}),
+        (["verify", "--suite", "algebra"], {"bethe", "bethealg"}),
+        (["verify", "--suite", "norms"], {"bethe", "shapoform"}),
+        (["verify", "--suite", "fusion"], {"bethe", "fusion"}),
+        (["verify", "--suite", "weyl"], {"weylspace"}),
+        (["spectrum", "--spec", "E2"], {"bethe", "fusion", "shapoform"}),
+    ],
+    ids=["help", "random-spec", "rtt", "bethe", "algebra", "norms", "fusion", "weyl", "spectrum"],
+)
+def test_command_runs_only_the_modules_it_uses(e2_file, argv, extra):
+    argv = [e2_file if a == "E2" else a for a in argv]
+    assert set(_probe(LOAD_PROBE, *argv)) == CORE_MODULES | extra
+
+
+def test_lazy_modules_load_on_import():
+    names, unloaded, defined = _probe(LAZY_PROBE)
+    assert len(names) == 6 and unloaded == names
+    assert all(defined[n] for n in names), defined

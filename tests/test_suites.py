@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, weylspace
+from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, suites, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import FracMatrix, berezinian, higher_transfer
 from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
@@ -236,6 +236,16 @@ def _tripled_textbook_norm(real):
     return corrupted
 
 
+def _zero_textbook_norm(real):
+    """norm_check with the textbook right-hand side 0 while the left side stays nonzero."""
+
+    def corrupted(spec, y):
+        rec = real(spec, y)
+        return rec if rec.rhs_stated is None else replace(rec, rhs_stated=Fraction(0))
+
+    return corrupted
+
+
 @pytest.mark.parametrize(
     "module, attr, corrupt, prefix, detail",
     [
@@ -251,6 +261,7 @@ def _tripled_textbook_norm(real):
         (shapoform, "form_matrix", _scaled_gram, "vacuum normalized", "gram[0, 0] = 2"),
         (shapoform, "form_matrix", _degenerate_gram, "form non-degenerate", "rank "),
         (shapoform, "norm_check", _tripled_textbook_norm, "norm ratio to textbook", "ratio "),
+        (shapoform, "norm_check", _zero_textbook_norm, "norm ratio to textbook", "lhs="),
         (
             shapoform,
             "bethe_pairing",
@@ -261,7 +272,7 @@ def _tripled_textbook_norm(real):
     ],
     ids=[
         "gram-symmetric", "contravariance", "transfer-self-adjoint",
-        "vacuum-normalized", "form-non-degenerate", "norm-ratio", "orthogonal",
+        "vacuum-normalized", "form-non-degenerate", "norm-ratio", "norm-ratio-textbook-zero", "orthogonal",
     ],
 )
 def test_norms_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefix, detail):
@@ -315,6 +326,64 @@ def test_vector_items_carry_the_first_differing_index(monkeypatch, target, when,
     assert sorted(bad) == sorted(names)
     for name in names:
         assert bad[name].startswith("first differing index 1: ")
+
+
+def _passing_off_shell(real):
+    """verify_on_shell reporting every raw root sequence (the off-shell controls pass one) as on shell."""
+    return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else replace(real(spec, y), ok=True)
+
+
+def _first_level_changed(change):
+    """A corruption of completeness_report: a copy whose first level is change(level)."""
+
+    def corrupt(real):
+        def corrupted(spec):
+            rep = real(spec)
+            return replace(rep, levels=[change(rep.levels[0])] + rep.levels[1:])
+
+        return corrupted
+
+    return corrupt
+
+
+def _first_entry_off_eigenspace(lv):
+    return replace(lv, complete=False, entries=[replace(lv.entries[0], spans_eigenspace=False)] + lv.entries[1:])
+
+
+@pytest.mark.parametrize(
+    "module, attr, corrupt, prefix, detail",
+    [
+        (bethe, "verify_on_shell", _passing_off_shell, "off-shell control", "off-shell point "),
+        (
+            bethe,
+            "completeness_report",
+            _first_level_changed(lambda lv: replace(lv, subspace_dim=lv.subspace_dim + 1)),
+            "spectrum complete",
+            "level 0: generalized dims sum to ",
+        ),
+        (
+            bethe,
+            "completeness_report",
+            _first_level_changed(_first_entry_off_eigenspace),
+            "bethe basis",
+            "level 0 y=(empty): on-shell True, nonzero True, eigen 1, spans eigenspace False",
+        ),
+        (
+            suites,
+            "gl_generator",
+            lambda real: lambda space, weights, i, j: ExactMatrix.identity(space.dim),
+            "on-shell vectors singular",
+            "E12 does not kill y=(empty)",
+        ),
+    ],
+    ids=["off-shell-control", "spectrum-complete", "bethe-basis", "on-shell-singular"],
+)
+def test_bethe_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefix, detail):
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    items = [it for it in run_suite("bethe") if it.name.startswith(prefix)]
+    assert items
+    for item in items:
+        assert not item.ok and item.detail.startswith(detail)
 
 
 def test_injected_bug_caught():
