@@ -431,7 +431,7 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
     if max_n >= 5:
         cases.append(("specialization n=4", [Fraction(1, 2), Fraction(0), Fraction(-2), Fraction(3)], True))
     for name, points, expect in cases:
-        res = weylspace.specialization_check(len(points), points)
+        res = weylspace.specialization_check(points)
         items.append(_item(name, res.ok == expect, res.detail))
     return items
 

@@ -27,9 +27,12 @@ polynomial is multiplied; invariant_dimensions checks both premises.
 
 The specialization to a numeric chain uses that the invariants are free over
 the symmetric polynomials, on the generators g_D = B_{d_1} ... B_{d_l} vac
-built from the (1,2) entry.  Products sigma^e g_D that are independent and as
-many as invariant_dimensions counts are a basis, so the quotient at
-sigma(z) = sigma(a) is read off them without building the group.
+built from the (1,2) entry.  Their values g_D(a) are independent, and the
+products sigma^e g_D are as many as invariant_dimensions counts, so the
+products are a basis, counted and never built.  Evaluation at z = a takes the
+symbolic entry coefficients to the numeric ones, so it is the isomorphism of
+the quotient at sigma(z) = sigma(a) onto the chain: no group and no
+elimination in a chart.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Callable, Optional, Sequence
 
-from .exactnum import elementary_symmetric, q_pochhammer_inverse, scalar, series_mul
-from .linalg import ExactMatrix, SpanBasis, SpanCoordinates
+from .exactnum import q_pochhammer_inverse, scalar, series_mul
+from .linalg import ExactMatrix, SpanBasis
 from .monodromy import coefficient_matrices, lax_blocks, lax_product, make_spec, tensor_monodromy
 from .superlin import SuperSpace
 
@@ -132,6 +135,16 @@ class MPoly:
             out[tuple(le)] = c
         return MPoly(self.n, out)
 
+    def evaluate(self, point: Sequence) -> "int | Fraction":
+        """The value at z = point."""
+        total = 0
+        for e, c in self.terms.items():
+            for v, k in zip(point, e):
+                if k:
+                    c *= v**k
+            total += c
+        return total
+
     def divided_difference(self, i: int) -> "MPoly":
         """(f - f^swap)/(z_i - z_{i+1}), exact and termwise."""
         out: dict = {}
@@ -191,6 +204,12 @@ def monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def level_components(n: int, level: "int | None") -> list[int]:
+    """Components of the n-fold vector power at the given level; all of them for None."""
+    space = SuperSpace.tensor_power(n)
+    return [c for c in range(space.dim) if level is None or sum(space.multi_index(c)) == level]
+
+
 @dataclass
 class Coords:
     """Coordinate chart on (weight-l component of V) tensor polynomials <= d."""
@@ -202,12 +221,7 @@ class Coords:
 
     @staticmethod
     def build(n: int, level: "int | None", d: int) -> "Coords":
-        space = SuperSpace.tensor_power(n)
-        comps = [
-            c
-            for c in range(space.dim)
-            if level is None or sum(space.multi_index(c)) == level
-        ]
+        comps = level_components(n, level)
         monos = monomials_upto(n, d)
         index = {}
         for ci, c in enumerate(comps):
@@ -446,11 +460,11 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
     raises ArithmeticError, as does a total that n! does not divide.
     """
     space = SuperSpace.tensor_power(n)
-    comps = Coords.build(n, level, 0).components
+    comps = level_components(n, level)
     _check_divided_differences(n, d)
     if singular_only:
         raise_map = _zero_mode_map(space, 2, 1, comps)
-        lower_map = _zero_mode_map(space, 1, 2, Coords.build(n, level + 1, 0).components)
+        lower_map = _zero_mode_map(space, 1, 2, level_components(n, level + 1))
     totals = [0] * (d + 1)
     for word, size in _class_words(n):
         trace = 0
@@ -719,7 +733,6 @@ def gamma_commutes_with_modified(n: int, d: int) -> SpecializationResult:
     """
     space = SuperSpace.tensor_power(n)
     blocks = gamma_coefficient_ops(n)
-    coords = Coords.build(n, None, d + n)
     small = Coords.build(n, None, d)
     for i_leg in range(n - 1):
         for (i, j), op in blocks.items():
@@ -729,7 +742,7 @@ def gamma_commutes_with_modified(n: int, d: int) -> SpecializationResult:
                         f = {comp: MPoly(n, {e: 1})}
                         a = modified_action(space, i_leg, _mpoly_apply(c, f, n))
                         b = _mpoly_apply(c, modified_action(space, i_leg, f), n)
-                        if coords.to_vector(a) != coords.to_vector(b):
+                        if a != b:
                             where = f"leg {i_leg}, entry ({i}, {j}), x^{deg}"
                             return SpecializationResult(False, f"{where}, component {comp}, monomial {e}")
     return SpecializationResult(True, "")
@@ -753,58 +766,55 @@ def _generators(n: int, blocks: dict) -> list[list[tuple[tuple[int, ...], dict]]
     return out
 
 
-def _products(n: int, gens: Sequence[dict], d: int) -> list[tuple[int, tuple[int, ...], dict]]:
-    """(k, e, sigma^e g_k) for the generators g_k and every product of degree <= d."""
-    return [
-        (k, e, {c: sym * p for c, p in g.items()})
-        for k, g in enumerate(gens)
-        for e, sym in _symmetric_monomials(n, d - _degree(g)).items()
-    ]
+def _product_count(n: int, budget: int) -> int:
+    """Number of the sigma^e of weighted degree <= budget (partitions into parts <= n); none when budget < 0."""
+    return int(sum(q_pochhammer_inverse(n, budget))) if budget >= 0 else 0
 
 
-def specialization_check(n: int, points: Sequence) -> SpecializationResult:
+def specialization_check(points: Sequence) -> SpecializationResult:
     """Quotient of the invariant model at fixed symmetric values vs the chain.
 
-    Requires the ordering a_i != a_j + 1 for i > j.  The modified-action
-    invariants W are free over the symmetric polynomials, on the generators
-    g_D = B_{d_1} ... B_{d_l} vac (d_1 < ... < d_l < n) at level l, B_d the
-    x^d coefficient of the symbolic (1,2) entry.  So the classes of the g_D
-    are a basis of the quotient W / (sigma_i(z) - sigma_i(a)), and the
-    chain's partner of g_D is the same word in the numeric (1,2)
-    coefficients applied to |0>.  Four steps, each with its witness:
+    The chain has n = len(points) sites at the points a, with a_i != a_j + 1
+    for i > j.  The modified-action invariants W are free over the symmetric
+    polynomials on the generators g_D = B_{d_1} ... B_{d_l} vac
+    (d_1 < ... < d_l < n) at level l, B_d the x^d coefficient of the symbolic
+    (1,2) entry.  Let F be the Q[sigma]-module they span.  Five steps, each
+    with its witness:
 
-    1. every g_D is fixed by every modified s_i and, at each level l, the
-       nonzero g_D number C(n, l): they lie in W (witness: the generator and
-       s_i, or the level);
-    2. the products sigma^e g_D, up to the largest degree of the level's
-       images, are independent and exactly as many as the invariants of
-       that degree (invariant_dimensions).  An independent set of the right
-       size in the invariants is a basis of them, so every image has one
-       decomposition in the products, and no group is built (witness: the
+    a. every g_D is fixed by every modified s_i, and the nonzero g_D at level
+       l number C(n, l) (witness: the generator and s_i, or the level);
+    b. the numeric partners g_D(a), the columns of M, are independent.  So
+       each level's det[g_D(z)] is a nonzero polynomial and, the sigma_i being
+       algebraically independent, the products sigma^e g_D are independent
+       over Q (witness: the level and the generator);
+    c. the products up to the level's cap, the largest degree of its images,
+       are as many as the invariants up to the cap (invariant_dimensions):
+       with b they are a basis of them, and no group is built (witness: the
        level);
-    3. the quotient matrix Q_X of each entry coefficient X is read from the
-       decomposition of X g_D, with sigma^e evaluated at sigma(a) (witness:
-       the key and generator whose image is outside the products);
-    4. the numeric partners, as the columns of M, have rank 2^n, and
-       M Q_X = V_X M for every key X: M is an isomorphism of the quotient
-       onto the chain that intertwines every entry coefficient (witness:
-       the key).
+    d. every image X g_D is fixed by every modified s_i.  Its degree is at
+       most the cap, so by c it lies in F (witness: the key, the generator
+       and s_i);
+    e. every symbolic coefficient matrix at z = a equals the numeric one
+       entry for entry, a key missing on one side read as zero (witness: the
+       key and the entry).  So evaluation at a intertwines X with V_X, kills
+       (sigma - sigma(a)) F and, by b, is the isomorphism M of the quotient
+       onto the chain: Q_X = M^-1 V_X M holds by construction.
     """
     a = [scalar(v) for v in points]
+    n = len(a)
     for i in range(n):
         for j in range(i):
             if a[i] == a[j] + 1:
                 return SpecializationResult(False, "ordering precondition violated")
     space = SuperSpace.tensor_power(n)
-    sig_vals = elementary_symmetric(a)
     pencil = tensor_monodromy(make_spec([(1, 0)] * n, [str(v) for v in a], (1, 1)))
     blocks = gamma_coefficient_ops(n)
-    keys = [(i, j, d) for (i, j), op in blocks.items() for d in range(len(op))]
+    smats = {(i, j, d): c for (i, j), op in blocks.items() for d, c in enumerate(op)}
     vmats = {
         (i, j, d): c for (i, j), m in pencil.entries.items() for d, c in enumerate(coefficient_matrices(m))
     }
 
-    # 1. the generators lie in the invariants
+    # a. the generators lie in the invariants
     gens = _generators(n, blocks)
     for lv, level in enumerate(gens):
         for word, g in level:
@@ -814,63 +824,48 @@ def specialization_check(n: int, points: Sequence) -> SpecializationResult:
         if len(level) != comb(n, lv):
             return SpecializationResult(False, f"level {lv}: {len(level)} of {comb(n, lv)} generators nonzero")
 
-    # images X g_D as (key, source level, source generator, target level, image)
+    # b. the partners g_D(a) are independent
+    partners = SpanBasis(2**n)
+    for lv, level in enumerate(gens):
+        for word, g in level:
+            if not partners.add([g[c].evaluate(a) if c in g else 0 for c in range(2**n)]):
+                return SpecializationResult(False, f"level {lv}: partner of {word} depends on the earlier partners")
+
+    # images X g_D as (key, source generator, image), and the cap of each target level
     level_shift = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
     images = []
     caps = [0] * (n + 1)
-    for key in keys:
-        op = blocks[key[:2]][key[2]]
+    for key, op in smats.items():
         for lv, level in enumerate(gens):
-            for k, (_, g) in enumerate(level):
+            for word, g in level:
                 img = _mpoly_apply(op, g, n)
                 if img:
+                    images.append((key, word, img))
                     tgt = lv + level_shift[key[:2]]
-                    images.append((key, lv, k, tgt, img))
                     caps[tgt] = max(caps[tgt], _degree(img))
 
-    # 2. the products sigma^e g_D are a basis of the invariants up to the cap;
-    # each is labelled with its generator and sigma^e(a)
-    coords = [Coords.build(n, lv, caps[lv]) for lv in range(n + 1)]
-    products: list[SpanCoordinates] = []
-    labels: list[list[tuple[int, Fraction]]] = []
+    # c. as many products sigma^e g_D up to the cap as invariants
     for lv, level in enumerate(gens):
-        prods = _products(n, [g for _, g in level], caps[lv])
-        span = SpanCoordinates(coords[lv].dim)
-        for _, _, f in prods:
-            if not span.add(coords[lv].to_vector(f)):
-                return SpecializationResult(False, f"level {lv}: the products sigma^e g_D are dependent")
+        count = sum(_product_count(n, caps[lv] - _degree(g)) for _, g in level)
         want = sum(invariant_dimensions(n, lv, caps[lv], False))
-        if span.count != want:
-            detail = f"level {lv}: {span.count} products, {want} invariants up to degree {caps[lv]}"
+        if count != want:
+            detail = f"level {lv}: {count} products, {want} invariants up to degree {caps[lv]}"
             return SpecializationResult(False, detail)
-        products.append(span)
-        labels.append([(k, prod((s**m for s, m in zip(sig_vals, e)), start=Fraction(1))) for k, e, _ in prods])
 
-    # 3. quotient matrices from the decompositions of the images
-    offsets = [sum(comb(n, lv) for lv in range(top)) for top in range(n + 1)]
-    qmats = {key: ExactMatrix(2**n, 2**n) for key in keys}
-    for key, lv, k, tgt, img in images:
-        x = products[tgt].coordinates(coords[tgt].to_vector(img))
-        if x is None:
-            detail = f"image of {key} on generator {gens[lv][k][0]} outside the products at level {tgt}"
-            return SpecializationResult(False, detail)
-        for pos, c in enumerate(x):
-            if c:
-                k2, value = labels[tgt][pos]
-                qmats[key].add_to(offsets[tgt] + k2, offsets[lv] + k, c * value)
+    # d. the images lie in the invariants
+    for key, word, img in images:
+        for i in range(n - 1):
+            if modified_action(space, i, img) != img:
+                return SpecializationResult(False, f"image of {key} on generator {word} not fixed by s_{i}")
 
-    # 4. the numeric partners B_{d_1} ... B_{d_l} |0> intertwine every entry coefficient
-    partners = []
-    for level in gens:
-        for word, _ in level:
-            v = [Fraction(int(c == 0)) for c in range(2**n)]
-            for d in reversed(word):
-                v = vmats[(1, 2, d)].apply(v)
-            partners.append(v)
-    mmat = ExactMatrix.from_columns(partners, 2**n)
-    if mmat.rank() != 2**n:
-        return SpecializationResult(False, "correspondence not invertible")
-    for key in keys:
-        if mmat @ qmats[key] != vmats[key] @ mmat:
-            return SpecializationResult(False, f"intertwining fails on {key}")
+    # e. evaluation at a carries each symbolic coefficient matrix to the numeric one
+    zero = ExactMatrix(2**n, 2**n)
+    for key in list(smats) + [k for k in vmats if k not in smats]:
+        sym, num = smats.get(key, zero), vmats.get(key, zero)
+        for r, c in sorted({(r, c) for m in (sym, num) for r, c, _ in m.entries()}):
+            value = sym.get(r, c)
+            if isinstance(value, MPoly):
+                value = value.evaluate(a)
+            if value != num.get(r, c):
+                return SpecializationResult(False, f"evaluation differs on {key} at entry ({r}, {c})")
     return SpecializationResult(True, "isomorphic")

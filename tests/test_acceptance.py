@@ -279,13 +279,13 @@ def test_criterion_10_polynomial_model():
             for c in weylspace.current_model_checks(n, level, 3):
                 if not c.ok:
                     ok = False
-    if not weylspace.specialization_check(1, [F(0)]).ok:
+    if not weylspace.specialization_check([F(0)]).ok:
         ok = False
-    if not weylspace.specialization_check(2, [F(1, 2), F(0)]).ok:
+    if not weylspace.specialization_check([F(1, 2), F(0)]).ok:
         ok = False
-    if not weylspace.specialization_check(3, [F(1, 2), F(0), F(-2)]).ok:
+    if not weylspace.specialization_check([F(1, 2), F(0), F(-2)]).ok:
         ok = False
-    if weylspace.specialization_check(2, [F(0), F(1)]).ok:
+    if weylspace.specialization_check([F(0), F(1)]).ok:
         ok = False
     elapsed = time.monotonic() - t0
     report(10, f"polynomial-coefficient model, {elapsed:.1f}s < 60s", ok and elapsed < 60.0)

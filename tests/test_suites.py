@@ -54,7 +54,7 @@ def test_weyl_suite_small_caps():
 
 
 def test_specialization_items_carry_the_detail(monkeypatch):
-    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(False, "x"))
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(False, "x"))
     items = {it.name: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
     for name in ("specialization n=1", "specialization n=2", "specialization n=3"):
         assert not items[name].ok and items[name].detail == "x"
@@ -65,7 +65,7 @@ def test_specialization_items_carry_the_detail(monkeypatch):
 def test_four_site_specialization_item_needs_max_n_five(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        weylspace, "specialization_check", lambda n, points: calls.append(points) or SpecializationResult(True, "")
+        weylspace, "specialization_check", lambda points: calls.append(points) or SpecializationResult(True, "")
     )
     assert "specialization n=4" not in {it.name for it in run_suite("weyl", max_n=4, degree_cap=0)}
     items = {it.name: it for it in run_suite("weyl", max_n=5, degree_cap=0)}
@@ -81,7 +81,7 @@ def test_model_items_carry_the_witness(monkeypatch):
         return real(n, i) * weylspace.MPoly.const(n, 2) if i == n else real(n, i)
 
     monkeypatch.setattr(weylspace, "elementary_mpoly", doubled)
-    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
     items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
     failed = [it for name, it in items.items() if name.startswith("model ") and not it.ok]
     assert failed and all(it.name.endswith(": overflow relation") for it in failed)
@@ -98,7 +98,7 @@ def test_entry_action_item_names_the_witness(monkeypatch):
         return {**blocks, (1, 1): [times_z1] + blocks[(1, 1)][1:]}
 
     monkeypatch.setattr(weylspace, "gamma_coefficient_ops", corrupted)
-    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
     items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
     item = items["entry action commutes with modified action"]
     assert not item.ok
@@ -107,7 +107,7 @@ def test_entry_action_item_names_the_witness(monkeypatch):
 
 def test_vacuum_generation_item_names_the_level(monkeypatch):
     monkeypatch.setattr(weylspace, "gamma_coefficient_ops", lambda n: {})
-    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
     items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
     item = items["vacuum generates by degree"]
     want = sum(weylspace.invariant_dimensions(2, 0, 3, False))
@@ -123,7 +123,7 @@ def test_relations_item_names_the_relation(monkeypatch):
         return {c: p * 2 for c, p in out.items()} if i == 0 else out
 
     monkeypatch.setattr(weylspace, "modified_action", doubled_s0)
-    monkeypatch.setattr(weylspace, "specialization_check", lambda n, points: SpecializationResult(True, ""))
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
     items = {it.name: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
     for n in (2, 3):
         item = items[f"modified action relations n={n}"]

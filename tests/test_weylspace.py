@@ -1,12 +1,14 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl11chain import superlin, weylspace
-from gl11chain.linalg import ExactMatrix, SpanBasis
+from gl11chain.exactnum import elementary_symmetric
+from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates
+from gl11chain.monodromy import coefficient_matrices, make_spec, tensor_monodromy
 from gl11chain.superlin import SuperSpace, permutation_closure
 from gl11chain.weylspace import (
     Coords,
@@ -440,7 +442,106 @@ def _span_of(coords, vectors):
     return span
 
 
+def _products(n, gens, d):
+    """(k, e, sigma^e g_k) for the generators g_k and every product of degree <= d."""
+    return [
+        (k, e, {c: sym * p for c, p in g.items()})
+        for k, g in enumerate(gens)
+        for e, sym in weylspace._symmetric_monomials(n, d - weylspace._degree(g)).items()
+    ]
+
+
+def elimination_specialization_check(points):
+    """Quotient at sigma(z) = sigma(a) by elimination in charts (oracle).
+
+    Invariant generators as in specialization_check; then the products
+    sigma^e g_D up to each level's cap, independent and as many as the
+    invariants, decompose every image X g_D, the quotient matrix Q_X is read
+    off with sigma^e evaluated at sigma(a), and the numeric partners M must
+    have rank 2^n with M Q_X = V_X M for every key.
+    """
+    a = list(points)
+    n = len(a)
+    if any(a[i] == a[j] + 1 for i in range(n) for j in range(i)):
+        return False
+    space = SuperSpace.tensor_power(n)
+    sig_vals = elementary_symmetric(a)
+    pencil = tensor_monodromy(make_spec([(1, 0)] * n, [str(v) for v in a], (1, 1)))
+    blocks = gamma_coefficient_ops(n)
+    keys = [(i, j, d) for (i, j), op in blocks.items() for d in range(len(op))]
+    vmats = {
+        (i, j, d): c for (i, j), m in pencil.entries.items() for d, c in enumerate(coefficient_matrices(m))
+    }
+    gens = weylspace._generators(n, blocks)
+    for lv, level in enumerate(gens):
+        if len(level) != comb(n, lv):
+            return False
+        if any(modified_action(space, i, g) != g for _, g in level for i in range(n - 1)):
+            return False
+    level_shift = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
+    images = []
+    caps = [0] * (n + 1)
+    for key in keys:
+        op = blocks[key[:2]][key[2]]
+        for lv, level in enumerate(gens):
+            for k, (_, g) in enumerate(level):
+                img = weylspace._mpoly_apply(op, g, n)
+                if img:
+                    tgt = lv + level_shift[key[:2]]
+                    images.append((key, lv, k, tgt, img))
+                    caps[tgt] = max(caps[tgt], weylspace._degree(img))
+    coords = [Coords.build(n, lv, caps[lv]) for lv in range(n + 1)]
+    products, labels = [], []
+    for lv, level in enumerate(gens):
+        prods = _products(n, [g for _, g in level], caps[lv])
+        span = SpanCoordinates(coords[lv].dim)
+        if not all(span.add(coords[lv].to_vector(f)) for _, _, f in prods):
+            return False
+        if span.count != sum(invariant_dimensions(n, lv, caps[lv], False)):
+            return False
+        products.append(span)
+        labels.append([(k, prod((s**m for s, m in zip(sig_vals, e)), start=F(1))) for k, e, _ in prods])
+    offsets = [sum(comb(n, lv) for lv in range(top)) for top in range(n + 1)]
+    qmats = {key: ExactMatrix(2**n, 2**n) for key in keys}
+    for key, lv, k, tgt, img in images:
+        x = products[tgt].coordinates(coords[tgt].to_vector(img))
+        if x is None:
+            return False
+        for pos, c in enumerate(x):
+            if c:
+                k2, value = labels[tgt][pos]
+                qmats[key].add_to(offsets[tgt] + k2, offsets[lv] + k, c * value)
+    partners = []
+    for level in gens:
+        for word, _ in level:
+            v = [F(int(c == 0)) for c in range(2**n)]
+            for d in reversed(word):
+                v = vmats[(1, 2, d)].apply(v)
+            partners.append(v)
+    mmat = ExactMatrix.from_columns(partners, 2**n)
+    return mmat.rank() == 2**n and all(mmat @ qmats[key] == vmats[key] @ mmat for key in keys)
+
+
 FOUR_POINTS = [F(1, 2), F(0), F(-2), F(3)]
+
+# point lists for the differential against the elimination oracle; each also runs reversed
+POINT_LISTS = [
+    [F(0)],
+    [F(7, 3)],
+    [F(1, 2), F(0)],
+    [F(0), F(1)],
+    [F(0), F(0)],
+    [F(3), F(-1, 2)],
+    [F(2), F(-1)],
+    [F(5, 4), F(1, 4)],
+    [F(1, 2), F(0), F(-2)],
+    [F(0), F(1), F(2)],
+    [F(0), F(0), F(1)],
+    [F(1), F(1), F(1)],
+    [F(-1, 3), F(2), F(5)],
+    [F(2), F(3), F(-7, 3)],
+    [F(1, 2), F(3, 2), F(-1, 2)],
+]
 
 
 class TestSpecialization:
@@ -452,7 +553,7 @@ class TestSpecialization:
         for level in range(n + 1):
             for d in range(5):
                 coords = Coords.build(n, level, d)
-                prods = [f for _, _, f in weylspace._products(n, [g for _, g in gens[level]], d)]
+                prods = [f for _, _, f in _products(n, [g for _, g in gens[level]], d)]
                 span = _span_of(coords, prods)
                 assert span.dim == len(prods)
                 for oracle in (averaging_invariant_basis, kernel_invariant_basis):
@@ -460,16 +561,32 @@ class TestSpecialization:
                     assert len(basis) == span.dim
                     assert all(span.contains(coords.to_vector(w)) for w in basis)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_product_count_matches_the_symmetric_monomials(self, n):
+        for budget in range(-2, 11):
+            assert weylspace._product_count(n, budget) == len(weylspace._symmetric_monomials(n, budget))
+
     def test_builds_no_group(self, monkeypatch):
         calls = []
+
+        def no_chart(*args):
+            raise AssertionError("chart built")
+
         monkeypatch.setattr(superlin, "permutation_closure", lambda *args: calls.append(args))
-        assert specialization_check(3, [F(1, 2), F(0), F(-2)]).ok
+        monkeypatch.setattr(weylspace.Coords, "build", no_chart)
+        for points in ([F(0)], [F(1, 2), F(0)], [F(1, 2), F(0), F(-2)]):
+            assert specialization_check(points).ok
         assert calls == []
+
+    @pytest.mark.parametrize("points", POINT_LISTS, ids=lambda points: ",".join(map(str, points)))
+    def test_verdicts_match_the_elimination_oracle(self, points):
+        for ordered in (points, points[::-1]):
+            assert specialization_check(ordered).ok == elimination_specialization_check(ordered)
 
     def test_non_invariant_generator_named(self, monkeypatch):
         # negative control: a vacuum z_1 |0> is not fixed by the modified s_0
         monkeypatch.setattr(weylspace, "vacuum_vector", lambda n: {0: MPoly.var(n, 0)})
-        res = specialization_check(2, [F(1, 2), F(0)])
+        res = specialization_check([F(1, 2), F(0)])
         assert not res.ok and res.detail == "generator () not fixed by s_0"
 
     def test_dropped_generator_names_the_level(self, monkeypatch):
@@ -481,18 +598,54 @@ class TestSpecialization:
             return {**blocks, (1, 2): blocks[(1, 2)][:-1] + [ExactMatrix(2**n, 2**n)]}
 
         monkeypatch.setattr(weylspace, "gamma_coefficient_ops", dropped)
-        res = specialization_check(2, [F(1, 2), F(0)])
+        res = specialization_check([F(1, 2), F(0)])
         assert not res.ok and res.detail == "level 1: 1 of 2 generators nonzero"
 
-    def test_corrupted_quotient_matrix_names_the_key(self, monkeypatch):
-        # negative control: sigma^e evaluated at the wrong point corrupts Q_X
-        real = weylspace.elementary_symmetric
-        monkeypatch.setattr(weylspace, "elementary_symmetric", lambda a: [s + 1 for s in real(a)])
-        res = specialization_check(2, [F(1, 2), F(0)])
-        assert not res.ok and res.detail == "intertwining fails on (1, 1, 0)"
+    def test_corrupted_numeric_matrix_names_the_entry(self, monkeypatch):
+        # negative control: entry (0, 0) of the numeric x^0 coefficient of
+        # That_11, the first pencil entry read, plus 1
+        real = weylspace.coefficient_matrices
+        calls = []
+
+        def corrupted(m):
+            mats = real(m)
+            if not calls:
+                mats[0] = mats[0].copy()
+                mats[0].add_to(0, 0, 1)
+            calls.append(m)
+            return mats
+
+        monkeypatch.setattr(weylspace, "coefficient_matrices", corrupted)
+        res = specialization_check([F(1, 2), F(0)])
+        assert not res.ok and res.detail == "evaluation differs on (1, 1, 0) at entry (0, 0)"
+
+    def test_miscounted_invariants_name_the_level(self, monkeypatch):
+        # negative control: one invariant too many in degree 0 at every level
+        real = weylspace.invariant_dimensions
+        monkeypatch.setattr(
+            weylspace, "invariant_dimensions", lambda n, l, d, s: [real(n, l, d, s)[0] + 1] + real(n, l, d, s)[1:]
+        )
+        res = specialization_check([F(1, 2), F(0)])
+        assert not res.ok and res.detail == "level 0: 4 products, 5 invariants up to degree 2"
+
+    def test_non_invariant_image_named(self, monkeypatch):
+        # negative control: the x^0 coefficient of That_11 replaced by
+        # multiplication by z_1; the generators, built from That_12, stay invariant
+        real = weylspace.gamma_coefficient_ops
+
+        def corrupted(n):
+            blocks = real(n)
+            times_z1 = ExactMatrix.identity(2**n, MPoly.var(n, 0))
+            return {**blocks, (1, 1): [times_z1] + blocks[(1, 1)][1:]}
+
+        monkeypatch.setattr(weylspace, "gamma_coefficient_ops", corrupted)
+        res = specialization_check([F(1, 2), F(0)])
+        assert not res.ok and res.detail == "image of (1, 1, 0) on generator () not fixed by s_0"
 
     def test_four_sites(self):
-        assert specialization_check(4, FOUR_POINTS).detail == "isomorphic"
+        # same verdict as the elimination oracle
+        assert specialization_check(FOUR_POINTS).detail == "isomorphic"
+        assert elimination_specialization_check(FOUR_POINTS)
 
     @staticmethod
     def corrupt_generator(monkeypatch, corrupt):
@@ -513,27 +666,27 @@ class TestSpecialization:
             gens[1][0] = (word, {c: MPoly.var(n, 0) * p for c, p in g.items()})
 
         self.corrupt_generator(monkeypatch, times_z1)
-        res = specialization_check(4, FOUR_POINTS)
+        res = specialization_check(FOUR_POINTS)
         assert not res.ok and res.detail == "generator (0,) not fixed by s_0"
 
     def test_repeated_generator_at_four_sites_names_the_level(self, monkeypatch):
-        # negative control: g_(1,) replaced by g_(0,), so the level-1 products are dependent
+        # negative control: g_(1,) replaced by g_(0,), so the level-1 partners are dependent
         def repeated(n, gens):
             gens[1][1] = (gens[1][1][0], gens[1][0][1])
 
         self.corrupt_generator(monkeypatch, repeated)
-        res = specialization_check(4, FOUR_POINTS)
-        assert not res.ok and res.detail == "level 1: the products sigma^e g_D are dependent"
+        res = specialization_check(FOUR_POINTS)
+        assert not res.ok and res.detail == "level 1: partner of (1,) depends on the earlier partners"
 
     def test_trivial(self):
-        assert specialization_check(1, [F(0)]).ok
+        assert specialization_check([F(0)]).ok
 
     def test_two_sites(self):
-        assert specialization_check(2, [F(1, 2), F(0)]).ok
+        assert specialization_check([F(1, 2), F(0)]).ok
 
     def test_ordering_rejected(self):
-        res = specialization_check(2, [F(0), F(1)])
+        res = specialization_check([F(0), F(1)])
         assert not res.ok and "ordering" in res.detail
 
     def test_reordered_points_accepted(self):
-        assert specialization_check(2, [F(1), F(0)]).ok
+        assert specialization_check([F(1), F(0)]).ok
