@@ -7,17 +7,21 @@ algebra on weight subspaces, the contravariant form and norms, and the
 higher transfer matrices with their Berezinian and difference-operator
 identities.
 
-The modules in `_LAZY` load on first use, so a command runs only the
-modules it touches.  `from . import bethe` at the top of a module is lazy;
-`from .bethe import f` loads bethe.  An import error in a lazy module
-surfaces at its first use.  `LazyLoader` is not thread-safe on Python
-3.11, and gl11chain starts no threads.
+The seven modules in `_LAZY` load on first use, so a command runs only
+the modules it touches.  `--help` and `random-spec` run the core: cli,
+exactnum, monodromy and superlin.  `verify` adds linalg and suites, and
+its suites add bethe (bethe, algebra, norms, fusion), bethealg (algebra),
+shapoform (norms), fusion (fusion) and weylspace (weyl).  `spectrum` adds
+linalg, bethe, fusion and shapoform.  `from . import bethe` at the top of
+a module is lazy; `from .bethe import f` loads bethe.  An import error in
+a lazy module surfaces at its first use.  `LazyLoader` is not thread-safe
+on Python 3.11, and gl11chain starts no threads.
 """
 
 import importlib.util
 import sys
 
-_LAZY = ("bethe", "bethealg", "fusion", "shapoform", "suites", "weylspace")
+_LAZY = ("bethe", "bethealg", "fusion", "linalg", "shapoform", "suites", "weylspace")
 for _name in _LAZY:
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)

@@ -16,9 +16,11 @@ import time
 from fractions import Fraction
 
 from .exactnum import RootSearchTooLarge, roots_with_multiplicity
-from . import bethe, fusion, monodromy, shapoform
+from . import bethe, fusion, monodromy, shapoform, suites
 from .monodromy import ModuleSpec, make_spec
-from .suites import SUITES, run_suite
+
+# Suite names in the order `verify --suite all` runs them; suites.run_suite dispatches on them.
+SUITES = ("rtt", "bethe", "algebra", "norms", "fusion", "weyl")
 
 
 def _print_json(doc: dict, path: "str | None") -> None:
@@ -86,7 +88,7 @@ def cmd_verify(args) -> int:
     failed = []
     for name in names:
         t0 = time.monotonic()
-        items = run_suite(
+        items = suites.run_suite(
             name,
             max_k=args.max_k,
             max_n=args.max_n,

@@ -119,11 +119,19 @@ class Poly:
 
     @staticmethod
     def from_roots(roots: Iterable[ScalarLike]) -> "Poly":
-        """Monic polynomial with the given root multiset."""
-        p = _ONE
+        """Monic polynomial with the given root multiset.
+
+        Built on integers: with each root p/q in lowest terms it is the
+        product of the factors (q x - p) over the product of the q, so it
+        is canonicalised once, at the end.
+        """
+        nums, den = [1], 1
         for r in roots:
-            p = p * Poly((-scalar(r), 1))
-        return p
+            r = scalar(r)
+            p, q = r.numerator, r.denominator
+            nums = [q * a - p * b for a, b in zip([0, *nums], [*nums, 0])]
+            den *= q
+        return _canon(nums, den)
 
     # -- basic queries ------------------------------------------------
 

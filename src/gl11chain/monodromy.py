@@ -26,7 +26,7 @@ from math import lcm
 from typing import Sequence
 
 from .exactnum import Poly, RatFun, format_scalar, laurent_expand, scalar
-from .linalg import ExactMatrix
+from . import linalg
 from .superlin import (
     E_PARITY,
     SuperSpace,
@@ -132,22 +132,22 @@ class ModuleSpec:
 
 
 def make_spec(weights, points, twist=(1, 1)) -> ModuleSpec:
-    """Convenience constructor from plain ints/strings."""
-    return ModuleSpec(
-        tuple(Weight(scalar(a), scalar(b)) for a, b in weights),
-        tuple(scalar(p) for p in points),
-        (scalar(twist[0]), scalar(twist[1])),
+    """Convenience constructor from plain ints/strings; Weight and ModuleSpec coerce them."""
+    return ModuleSpec(tuple(Weight(a, b) for a, b in weights), points, (twist[0], twist[1]))
+
+
+def _vacuum_roots(spec: ModuleSpec) -> tuple[list[Fraction], list[Fraction]]:
+    """Roots b_s - l1_s of phi and b_s + l2_s of psi, in site order."""
+    return (
+        [b - wt.l1 for wt, b in zip(spec.weights, spec.points)],
+        [b + wt.l2 for wt, b in zip(spec.weights, spec.points)],
     )
 
 
 def phi_psi(spec: ModuleSpec) -> tuple[Poly, Poly]:
     """The two vacuum polynomials prod(x - b_s + l1) and prod(x - b_s - l2)."""
-    phi = Poly((1,))
-    psi = Poly((1,))
-    for wt, b in zip(spec.weights, spec.points):
-        phi = phi * Poly((-b + wt.l1, 1))
-        psi = psi * Poly((-b - wt.l2, 1))
-    return phi, psi
+    phi_roots, psi_roots = _vacuum_roots(spec)
+    return Poly.from_roots(phi_roots), Poly.from_roots(psi_roots)
 
 
 @dataclass
@@ -157,10 +157,10 @@ class MonodromyPencil:
     space: SuperSpace
     leg_weights: tuple[Weight, ...]
     points: tuple[Fraction, ...]
-    entries: dict[tuple[int, int], ExactMatrix]
+    entries: dict[tuple[int, int], linalg.ExactMatrix]
     normalizer: Poly
 
-    def entry(self, i: int, j: int) -> ExactMatrix:
+    def entry(self, i: int, j: int) -> linalg.ExactMatrix:
         return self.entries[(i, j)]
 
     @property
@@ -179,32 +179,32 @@ def evaluation_monodromy(wt: Weight, b) -> MonodromyPencil:
     dim = 1 if trivial else 2
     space = SuperSpace([(0,)] if trivial else [SuperSpace.standard_leg()])
     xminusb = Poly((-b, 1))
-    entries: dict[tuple[int, int], ExactMatrix] = {}
+    entries: dict[tuple[int, int], linalg.ExactMatrix] = {}
     # That_ij(x) = delta_ij (x - b) + (-1)^{|j|} e_ji
     for i, j in product((1, 2), repeat=2):
         sign = -1 if j == 2 else 1
         eji = leg_generator(wt, j, i).map_entries(lambda v: Poly((v * sign,)))
-        entries[(i, j)] = ExactMatrix.identity(dim, xminusb) + eji if i == j else eji
+        entries[(i, j)] = linalg.ExactMatrix.identity(dim, xminusb) + eji if i == j else eji
     return MonodromyPencil(space, (wt,), (b,), entries, xminusb)
 
 
-def coefficient_matrices(m: ExactMatrix) -> list[ExactMatrix]:
+def coefficient_matrices(m: linalg.ExactMatrix) -> list[linalg.ExactMatrix]:
     """x^d coefficient matrices of a Poly-entry matrix, d = 0 up to its degree."""
-    out: list[ExactMatrix] = []
+    out: list[linalg.ExactMatrix] = []
     for i, j, p in m.entries():
         for d, c in enumerate(p.coeffs):
             while len(out) <= d:
-                out.append(ExactMatrix(m.nrows, m.ncols))
+                out.append(linalg.ExactMatrix(m.nrows, m.ncols))
             out[d].put(i, j, c)
     return out
 
 
 def _pair_tensor(
-    amat: ExactMatrix, bmat: ExactMatrix, space_u: SuperSpace, space_w: SuperSpace, parity_b: int
-) -> ExactMatrix:
+    amat: linalg.ExactMatrix, bmat: linalg.ExactMatrix, space_u: SuperSpace, space_w: SuperSpace, parity_b: int
+) -> linalg.ExactMatrix:
     """Matrix of (A (x) B) on U (x) W with the Koszul sign of B against U."""
     dim_w = space_w.dim
-    out = ExactMatrix(space_u.dim * dim_w, space_u.dim * dim_w)
+    out = linalg.ExactMatrix(space_u.dim * dim_w, space_u.dim * dim_w)
     for u, up, av in amat.entries():
         if parity_b and space_u.parity(up):
             av = -av
@@ -216,9 +216,9 @@ def _pair_tensor(
 def _combine(first: MonodromyPencil, rest: MonodromyPencil) -> MonodromyPencil:
     """Coproduct of two pencils: first factor receives T_rj, second T_ir."""
     space = first.space.concat(rest.space)
-    entries: dict[tuple[int, int], ExactMatrix] = {}
+    entries: dict[tuple[int, int], linalg.ExactMatrix] = {}
     for i, j in product((1, 2), repeat=2):
-        acc = ExactMatrix(space.dim, space.dim)
+        acc = linalg.ExactMatrix(space.dim, space.dim)
         for r in (1, 2):
             acc = acc + _pair_tensor(
                 first.entry(r, j), rest.entry(i, r), first.space, rest.space, E_PARITY[(i, r)]
@@ -246,7 +246,7 @@ def tensor_monodromy(spec: ModuleSpec) -> MonodromyPencil:
     return out
 
 
-def lax_product(points: Sequence) -> tuple[list[ExactMatrix], SuperSpace]:
+def lax_product(points: Sequence) -> tuple[list[linalg.ExactMatrix], SuperSpace]:
     """x-coefficients of (x - z_n + P^(0,n)) ... (x - z_1 + P^(0,1)) on aux (x) V.
 
     Site parameters may be Fractions or symbolic ring elements (anything the
@@ -257,10 +257,10 @@ def lax_product(points: Sequence) -> tuple[list[ExactMatrix], SuperSpace]:
     vspace = SuperSpace.tensor_power(n)
     full = SuperSpace([SuperSpace.standard_leg()]).concat(vspace)
     dim_full = full.dim
-    ident = ExactMatrix.identity(dim_full)
+    ident = linalg.ExactMatrix.identity(dim_full)
     lax = [ident]
     for site in range(n, 0, -1):
-        flip = ExactMatrix(dim_full, dim_full)
+        flip = linalg.ExactMatrix(dim_full, dim_full)
         for h, j in product((1, 2), repeat=2):
             par = E_PARITY[(h, j)]
             sign = -1 if j == 2 else 1
@@ -272,15 +272,15 @@ def lax_product(points: Sequence) -> tuple[list[ExactMatrix], SuperSpace]:
     return lax, vspace
 
 
-def lax_blocks(lax: Sequence[ExactMatrix], dim_v: int) -> dict[tuple[int, int], list[ExactMatrix]]:
+def lax_blocks(lax: Sequence[linalg.ExactMatrix], dim_v: int) -> dict[tuple[int, int], list[linalg.ExactMatrix]]:
     """x-coefficients of the normalized entries from the global product.
 
     Global aux-major blocks equal (-1)^{(|i|+|j|)|j|} T_ij, so the (1,2)
     block carries a sign.  Each list ends at the entry's degree.
     """
-    entries: dict[tuple[int, int], list[ExactMatrix]] = {key: [] for key in product((1, 2), repeat=2)}
+    entries: dict[tuple[int, int], list[linalg.ExactMatrix]] = {key: [] for key in product((1, 2), repeat=2)}
     for c in lax:
-        blocks = {key: ExactMatrix(dim_v, dim_v) for key in entries}
+        blocks = {key: linalg.ExactMatrix(dim_v, dim_v) for key in entries}
         for gi, gj, v in c.entries():
             ai, vi = divmod(gi, dim_v)
             aj, vj = divmod(gj, dim_v)
@@ -300,9 +300,9 @@ def lax_monodromy(points: Sequence) -> MonodromyPencil:
     """
     pts = [scalar(a) for a in points]
     lax, vspace = lax_product(pts)
-    entries: dict[tuple[int, int], ExactMatrix] = {}
+    entries: dict[tuple[int, int], linalg.ExactMatrix] = {}
     for key, coeffs in lax_blocks(lax, vspace.dim).items():
-        m = ExactMatrix(vspace.dim, vspace.dim)
+        m = linalg.ExactMatrix(vspace.dim, vspace.dim)
         for d, c in enumerate(coeffs):
             m = m + c.map_entries(lambda v: Poly([0] * d + [v]))
         entries[key] = m
@@ -387,7 +387,7 @@ def verify_rtt(pencil: MonodromyPencil) -> RttResult:
     return RttResult(True)
 
 
-def _integer_coefficients(m: ExactMatrix, den: int) -> list[dict[int, dict[int, int]]]:
+def _integer_coefficients(m: linalg.ExactMatrix, den: int) -> list[dict[int, dict[int, int]]]:
     """Rows {i: {j: v}} of den * (x^d coefficient matrix of m), for den a multiple of every entry's denom."""
     out: list[dict[int, dict[int, int]]] = []
     for i, j, p in m.entries():
@@ -400,7 +400,7 @@ def _integer_coefficients(m: ExactMatrix, den: int) -> list[dict[int, dict[int, 
     return out
 
 
-def transfer_pencil(pencil: MonodromyPencil, twist) -> ExactMatrix:
+def transfer_pencil(pencil: MonodromyPencil, twist) -> linalg.ExactMatrix:
     """Twisted transfer pencil q1 That_11 - q2 That_22, a Poly-entry matrix."""
     q1, q2 = scalar(twist[0]), scalar(twist[1])
     return pencil.entry(1, 1) * q1 - pencil.entry(2, 2) * q2
@@ -426,16 +426,13 @@ def cyclicity_and_irreducibility(spec: ModuleSpec) -> tuple[bool, bool]:
 
     Irreducible means gcd(phi, psi) = 1.  Both are products of known linear
     factors (see phi_psi), with roots b_s - l1_s and b_s + l2_s, so they are
-    coprime exactly when the two root sets are disjoint.
+    coprime exactly when the two root sets are disjoint.  Cyclic means no
+    b_j = b_i + l2_i + l1_j with i < j, that is no psi root of a site equal
+    to the phi root of a later site.
     """
-    cyclic = True
-    for i in range(spec.k):
-        for j in range(i + 1, spec.k):
-            if spec.points[j] == spec.points[i] + spec.weights[i].l2 + spec.weights[j].l1:
-                cyclic = False
-    phi_roots = {b - wt.l1 for wt, b in zip(spec.weights, spec.points)}
-    irreducible = phi_roots.isdisjoint(b + wt.l2 for wt, b in zip(spec.weights, spec.points))
-    return cyclic, irreducible
+    phi_roots, psi_roots = _vacuum_roots(spec)
+    cyclic = not any(phi_roots[j] in psi_roots[:j] for j in range(1, spec.k))
+    return cyclic, set(phi_roots).isdisjoint(psi_roots)
 
 
 def string_points(spec: ModuleSpec) -> tuple[Fraction, ...]:
@@ -451,7 +448,7 @@ def string_points(spec: ModuleSpec) -> tuple[Fraction, ...]:
     return tuple(sorted(pts, reverse=True))
 
 
-def laurent_coefficients(m: ExactMatrix, num: Poly, den: Poly, order: int) -> list[ExactMatrix]:
+def laurent_coefficients(m: linalg.ExactMatrix, num: Poly, den: Poly, order: int) -> list[linalg.ExactMatrix]:
     """Coefficients of x^0, x^-1, ..., x^-order at infinity of (num/den) * m.
 
     m is a Poly-entry matrix with x^d coefficient matrices C_d.  With
@@ -461,7 +458,7 @@ def laurent_coefficients(m: ExactMatrix, num: Poly, den: Poly, order: int) -> li
     deg(num * p) > deg den.
     """
     cms = coefficient_matrices(m)
-    out = [ExactMatrix(m.nrows, m.ncols) for _ in range(order + 1)]
+    out = [linalg.ExactMatrix(m.nrows, m.ncols) for _ in range(order + 1)]
     if not cms:
         return out
     if num.degree + len(cms) - 1 > den.degree:
@@ -476,6 +473,6 @@ def laurent_coefficients(m: ExactMatrix, num: Poly, den: Poly, order: int) -> li
     return out
 
 
-def t_coefficient(pencil: MonodromyPencil, i: int, j: int, r: int) -> ExactMatrix:
+def t_coefficient(pencil: MonodromyPencil, i: int, j: int, r: int) -> linalg.ExactMatrix:
     """Laurent coefficient T_ij^(r) of the unnormalized series at infinity."""
     return laurent_coefficients(pencil.entry(i, j), Poly((1,)), pencil.normalizer, r)[r]

@@ -436,10 +436,6 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
     return items
 
 
-# Suite names in the order `verify --suite all` runs them; run_suite dispatches on them.
-SUITES = ("rtt", "bethe", "algebra", "norms", "fusion", "weyl")
-
-
 def run_suite(name: str, max_k: int = 3, max_n: int = 4, max_m: int = 3,
               degree_cap: int = 4, tau_order: Optional[int] = None,
               inject_sign_bug: bool = False) -> list[SuiteItem]:

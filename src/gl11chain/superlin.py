@@ -21,7 +21,7 @@ from itertools import product
 from typing import Sequence
 
 from .exactnum import format_scalar, scalar
-from .linalg import ExactMatrix
+from . import linalg
 
 EVEN, ODD = 0, 1
 
@@ -100,8 +100,8 @@ class SuperSpace:
 
 def kron_signed(
     space: SuperSpace,
-    slot_ops: "dict[int, tuple[ExactMatrix, int]]",
-) -> ExactMatrix:
+    slot_ops: "dict[int, tuple[linalg.ExactMatrix, int]]",
+) -> linalg.ExactMatrix:
     """Global matrix of a product of per-leg operators with Koszul signs.
 
     slot_ops maps leg positions to (matrix, parity); omitted legs act as the
@@ -118,7 +118,7 @@ def kron_signed(
             per_leg.append([(i, j, v) for i, j, v in mat.entries()])
         else:
             per_leg.append([(i, i, None) for i in range(space.dims[s])])
-    out = ExactMatrix(space.dim, space.dim)
+    out = linalg.ExactMatrix(space.dim, space.dim)
     op_slots = sorted(slot_ops)
     for combo in product(*per_leg):
         rows = [c[0] for c in combo]
@@ -137,9 +137,9 @@ def kron_signed(
     return out
 
 
-def e_matrix(i: int, j: int, dim: int = 2) -> ExactMatrix:
+def e_matrix(i: int, j: int, dim: int = 2) -> linalg.ExactMatrix:
     """Matrix unit E_ij on a single leg (1-based indices)."""
-    m = ExactMatrix(dim, dim)
+    m = linalg.ExactMatrix(dim, dim)
     m.put(i - 1, j - 1, Fraction(1))
     return m
 
@@ -147,7 +147,7 @@ def e_matrix(i: int, j: int, dim: int = 2) -> ExactMatrix:
 E_PARITY = {(1, 1): EVEN, (1, 2): ODD, (2, 1): ODD, (2, 2): EVEN}
 
 
-def leg_generator(wt: Weight, i: int, j: int) -> ExactMatrix:
+def leg_generator(wt: Weight, i: int, j: int) -> linalg.ExactMatrix:
     """Action of e_ij on the two-dimensional module of highest weight wt.
 
     Basis: highest vector, then its image under e_21.  A degenerate weight
@@ -156,8 +156,8 @@ def leg_generator(wt: Weight, i: int, j: int) -> ExactMatrix:
     if not wt.is_nondegenerate():
         if (wt.l1, wt.l2) != (0, 0):
             raise ValueError("degenerate nonzero weight has no polynomial module")
-        return ExactMatrix(1, 1)
-    m = ExactMatrix(2, 2)
+        return linalg.ExactMatrix(1, 1)
+    m = linalg.ExactMatrix(2, 2)
     if (i, j) == (1, 1):
         m.put(0, 0, wt.l1)
         m.put(1, 1, wt.l1 - 1)
@@ -171,11 +171,11 @@ def leg_generator(wt: Weight, i: int, j: int) -> ExactMatrix:
     return m
 
 
-def gl_generator(space: SuperSpace, leg_weights: Sequence[Weight], i: int, j: int) -> ExactMatrix:
+def gl_generator(space: SuperSpace, leg_weights: Sequence[Weight], i: int, j: int) -> linalg.ExactMatrix:
     """Diagonal action of e_ij on a tensor product of weight modules."""
     if len(leg_weights) != space.nlegs():
         raise ValueError(f"{len(leg_weights)} leg weights for {space.nlegs()} legs")
-    total = ExactMatrix(space.dim, space.dim)
+    total = linalg.ExactMatrix(space.dim, space.dim)
     par = E_PARITY[(i, j)]
     for s, wt in enumerate(leg_weights):
         total = total + kron_signed(space, {s: (leg_generator(wt, i, j), par)})
@@ -240,7 +240,7 @@ def singular_subspace(
     return basis
 
 
-def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], ExactMatrix]:
+def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], linalg.ExactMatrix]:
     """Matrices of all permutations acting by graded flips on a tensor power.
 
     Keys are permutation tuples p with p[i] = image of position i.  The map
@@ -251,7 +251,7 @@ def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], ExactMatr
     return permutation_closure(flips, space.dim)
 
 
-def permutation_closure(adjacent: Sequence[ExactMatrix], dim: int) -> dict[tuple[int, ...], ExactMatrix]:
+def permutation_closure(adjacent: Sequence[linalg.ExactMatrix], dim: int) -> dict[tuple[int, ...], linalg.ExactMatrix]:
     """All products of the matrices of the adjacent transpositions s_1 .. s_{n-1}.
 
     Breadth-first over words in the generators; keys as in
@@ -264,7 +264,7 @@ def permutation_closure(adjacent: Sequence[ExactMatrix], dim: int) -> dict[tuple
         p[i], p[i + 1] = p[i + 1], p[i]
         gens.append((tuple(p), m))
     ident = tuple(range(n))
-    action = {ident: ExactMatrix.identity(dim)}
+    action = {ident: linalg.ExactMatrix.identity(dim)}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -297,9 +297,9 @@ def permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def kron_signed_adjacent_flip(space: SuperSpace, i: int) -> ExactMatrix:
+def kron_signed_adjacent_flip(space: SuperSpace, i: int) -> linalg.ExactMatrix:
     """Graded flip of legs i and i+1 inside a tensor power of standard legs."""
-    out = ExactMatrix(space.dim, space.dim)
+    out = linalg.ExactMatrix(space.dim, space.dim)
     for idx in range(space.dim):
         multi = list(space.multi_index(idx))
         a, b = multi[i], multi[i + 1]

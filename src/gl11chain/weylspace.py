@@ -119,10 +119,7 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
+        _add_product(out, self.terms, other.terms)
         return MPoly(self.n, out)
 
     __rmul__ = __mul__
@@ -165,6 +162,14 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.terms})"
+
+
+def _add_product(out: dict, t1: dict, t2: dict) -> None:
+    """Add the product of the term dicts t1 and t2 into the term dict out."""
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
 
 
 def _mpoly(v, n: int):
@@ -668,17 +673,15 @@ def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], list[ExactMatrix]]:
 def _mpoly_apply(mat: ExactMatrix, f: dict, n: int) -> dict:
     out: dict = {}
     for i, row in mat.rows.items():
-        acc = MPoly(n, {})
-        touched = False
+        acc: dict = {}
         for j, entry in row.items():
             p = f.get(j)
             if p is None or p.is_zero():
                 continue
-            term = (entry * p) if isinstance(entry, MPoly) else _mpoly(entry, n) * p
-            acc = acc + term
-            touched = True
-        if touched and acc:
-            out[i] = acc
+            _add_product(acc, _mpoly(entry, n).terms, p.terms)
+        total = MPoly(n, acc)
+        if total:
+            out[i] = total
     return out
 
 

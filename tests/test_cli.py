@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gl11chain import cli
-from gl11chain.cli import main
+from gl11chain import cli, suites
+from gl11chain.cli import SUITES, main
 from gl11chain.exactnum import RootSearchTooLarge, parse_scalar, roots_with_multiplicity
 from gl11chain.monodromy import ModuleSpec
 from conftest import clear_builder_caches
@@ -167,6 +167,15 @@ class TestVerify:
         if code == 2:
             assert "non-negative" in capsys.readouterr().err
 
+    def test_every_suite_name_dispatches(self, monkeypatch, capsys):
+        for name in SUITES:
+            monkeypatch.setattr(suites, f"run_{name}_suite", lambda *args, name=name: [name])
+        assert [suites.run_suite(name) for name in SUITES] == [[name] for name in SUITES]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_verify_json_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -254,8 +263,9 @@ def test_spectral_survey_script():
     assert "equal=False" not in proc.stdout
 
 
-# Modules every command runs: the eager core, the CLI and the suite table that --suite is parsed against.
-CORE_MODULES = {"cli", "exactnum", "linalg", "monodromy", "superlin", "suites"}
+# Modules every command runs: the eager core and the CLI.  verify adds linalg and the suites.
+CORE_MODULES = {"cli", "exactnum", "monodromy", "superlin"}
+VERIFY = {"linalg", "suites"}
 # Prints, after the command, the gl11chain modules that were run; type() does not load a lazy module.
 LOAD_PROBE = """\
 import json, sys, types
@@ -292,13 +302,13 @@ def _probe(code: str, *argv: str) -> list:
     [
         (["--help"], set()),
         (["random-spec", "--seed", "1", "--k", "3", "--weight-budget", "5", "--split", "--twisted"], set()),
-        (["verify", "--suite", "rtt"], set()),
-        (["verify", "--suite", "bethe"], {"bethe"}),
-        (["verify", "--suite", "algebra"], {"bethe", "bethealg"}),
-        (["verify", "--suite", "norms"], {"bethe", "shapoform"}),
-        (["verify", "--suite", "fusion"], {"bethe", "fusion"}),
-        (["verify", "--suite", "weyl"], {"weylspace"}),
-        (["spectrum", "--spec", "E2"], {"bethe", "fusion", "shapoform"}),
+        (["verify", "--suite", "rtt"], VERIFY),
+        (["verify", "--suite", "bethe"], VERIFY | {"bethe"}),
+        (["verify", "--suite", "algebra"], VERIFY | {"bethe", "bethealg"}),
+        (["verify", "--suite", "norms"], VERIFY | {"bethe", "shapoform"}),
+        (["verify", "--suite", "fusion"], VERIFY | {"bethe", "fusion"}),
+        (["verify", "--suite", "weyl"], VERIFY | {"weylspace"}),
+        (["spectrum", "--spec", "E2"], {"linalg", "bethe", "fusion", "shapoform"}),
     ],
     ids=["help", "random-spec", "rtt", "bethe", "algebra", "norms", "fusion", "weyl", "spectrum"],
 )
@@ -309,5 +319,5 @@ def test_command_runs_only_the_modules_it_uses(e2_file, argv, extra):
 
 def test_lazy_modules_load_on_import():
     names, unloaded, defined = _probe(LAZY_PROBE)
-    assert len(names) == 6 and unloaded == names
+    assert len(names) == 7 and unloaded == names
     assert all(defined[n] for n in names), defined

@@ -7,7 +7,9 @@ under `python -O`, and the arithmetic is exact, so no float literal or
 `random-spec`, which tests each fresh candidate once, calls it directly.
 Every name the benchmark tracer wraps exists in the package.  Matrices over
 Q(x) have one form, FracMatrix: linalg.py never names RatFun, and no source
-file defines `from_ratfun`.
+file defines `from_ratfun`.  The start-up core that `--help` and
+`random-spec` load never imports from linalg or suites when it is imported,
+so those two load only when a command uses them.
 """
 
 import ast
@@ -134,3 +136,41 @@ def test_ratfun_rule_catches_each_violation():
         "line 1: imports RatFun", "line 4: defines from_ratfun", "line 6: names RatFun", "line 7: names RatFun",
     ]
     assert _ratfun_violations(ast.parse(code), linalg=False) == ["line 4: defines from_ratfun"]
+
+
+# The modules `--help` and `random-spec` load, and the lazy modules they must not load on import.
+STARTUP_CORE = ("cli.py", "exactnum.py", "monodromy.py", "superlin.py")
+NOT_AT_STARTUP = ("linalg", "suites")
+
+
+def _eager_imports(tree: ast.Module) -> list[str]:
+    """`from .linalg import` and `from .suites import` run on import: outside every function body."""
+    out = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in NOT_AT_STARTUP:
+            out.append(f"line {node.lineno}: from .{node.module} import")
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", STARTUP_CORE)
+def test_startup_core_imports_linalg_and_suites_lazily(name):
+    path = ROOT / "src" / "gl11chain" / name
+    assert _eager_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_eager_import_rule_catches_each_violation():
+    code = (
+        "from .linalg import ExactMatrix\n"
+        "from . import linalg, suites\n"
+        "if True:\n    from .suites import run_suite\n"
+        "class Table:\n    from .linalg import SpanBasis\n"
+        "def cmd(args):\n    from .suites import run_suite\n    return run_suite\n"
+    )
+    assert _eager_imports(ast.parse(code)) == [
+        "line 1: from .linalg import", "line 4: from .suites import", "line 6: from .linalg import",
+    ]
