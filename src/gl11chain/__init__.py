@@ -16,6 +16,12 @@ linalg, bethe, fusion and shapoform.  `from . import bethe` at the top of
 a module is lazy; `from .bethe import f` loads bethe.  An import error in
 a lazy module surfaces at its first use.  `LazyLoader` is not thread-safe
 on Python 3.11, and gl11chain starts no threads.
+
+Records are `typing.NamedTuple`s, or plain classes with an explicit
+`__init__` where they coerce, validate or cache (`Weight`, `ModuleSpec`,
+`CharPair`, `CoefficientFamily`, `fusion.DiffOp`).  The standard record
+decorator is not used: its module loads `inspect`, which would lengthen
+every command's start-up.
 """
 
 import importlib.util

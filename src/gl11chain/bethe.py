@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactnum import (
     NonRemovableSingularity,
@@ -43,7 +42,6 @@ from .monodromy import (
 from .superlin import Weight, singular_subspace, weight_spaces
 
 
-@dataclass(frozen=True)
 class CharPair:
     """Vacuum polynomials and the characteristic polynomial gamma.
 
@@ -52,10 +50,11 @@ class CharPair:
     the split test is raised on every access, never cached.
     """
 
-    phi: Poly
-    psi: Poly
-    gamma: Poly
-    spec: ModuleSpec = field(repr=False, compare=False)
+    def __init__(self, phi: Poly, psi: Poly, gamma: Poly, spec: ModuleSpec):
+        self.phi = phi
+        self.psi = psi
+        self.gamma = gamma
+        self.spec = spec
 
     @functools.cached_property
     def zeta1(self) -> RatFun:
@@ -98,8 +97,7 @@ def char_pair(spec: ModuleSpec) -> CharPair:
     return cp
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(NamedTuple):
     """Monic divisor of gamma with its root multiset."""
 
     poly: Poly
@@ -129,8 +127,7 @@ class Divisor:
         return ",".join(format_scalar(r) for r in self.root_list()) or "(empty)"
 
 
-@dataclass(frozen=True)
-class BetheVector:
+class BetheVector(NamedTuple):
     """Exact module vector with its source roots and construction provenance."""
 
     vector: tuple[Fraction, ...]
@@ -212,8 +209,7 @@ def eigenvalue_pencil(y: Union[Divisor, Poly], spec: ModuleSpec) -> Poly:
     return ypoly.shift(1) * quot
 
 
-@dataclass
-class OnShellResult:
+class OnShellResult(NamedTuple):
     ok: bool
     bethe: BetheVector
     eigenvalue: Optional[Poly]
@@ -250,8 +246,7 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellRes
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DivisorEntry:
+class DivisorEntry(NamedTuple):
     divisor: Divisor
     eigenvalue: Poly
     onshell: bool
@@ -278,8 +273,7 @@ class DivisorEntry:
         }
 
 
-@dataclass
-class LevelReport:
+class LevelReport(NamedTuple):
     level: int
     weight: Weight
     subspace_dim: int
@@ -298,13 +292,12 @@ class LevelReport:
         }
 
 
-@dataclass
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     spec: ModuleSpec
     cyclic: bool
     irreducible: bool
     split: bool
-    levels: list[LevelReport] = field(default_factory=list)
+    levels: list[LevelReport]
 
     def to_dict(self) -> dict:
         return {
@@ -378,7 +371,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
     cp = char_pair(spec)
     cyclic, irred = cyclicity_and_irreducibility(spec)
     split = cp.roots is not None
-    report = CompletenessReport(spec, cyclic, irred, split)
+    report = CompletenessReport(spec, cyclic, irred, split, [])
     if not split:
         return report
     singular_only = not spec.is_twisted()

@@ -16,10 +16,9 @@ is tested once, by the joint eigenspace solver in `spectral_analysis`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
 from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
@@ -41,17 +40,20 @@ from .bethe import (
 )
 
 
-@dataclass
 class CoefficientFamily:
     """Restricted commuting operators with their construction data."""
 
-    spec: ModuleSpec
-    level: int
-    singular: bool
-    basis: list[list[Fraction]]
-    ops: list[ExactMatrix]
-    names: list[str]
-    strings: tuple[Fraction, ...]
+    def __init__(
+        self, spec: ModuleSpec, level: int, singular: bool, basis: list[list[Fraction]],
+        ops: list[ExactMatrix], names: list[str], strings: tuple[Fraction, ...],
+    ):
+        self.spec = spec
+        self.level = level
+        self.singular = singular
+        self.basis = basis
+        self.ops = ops
+        self.names = names
+        self.strings = strings
 
     @property
     def dim(self) -> int:
@@ -152,8 +154,7 @@ def double_commutant_check(fam: CoefficientFamily) -> tuple[bool, int, int]:
     return adim == cdim, adim, cdim
 
 
-@dataclass
-class RegularRepResult:
+class RegularRepResult(NamedTuple):
     ok: bool
     cyclic_vector: "list[Fraction] | None"
     algebra_dim: int
@@ -193,8 +194,7 @@ def regular_rep_check(fam: CoefficientFamily) -> RegularRepResult:
     return RegularRepResult(False, None, adim, d)
 
 
-@dataclass
-class PresentationResult:
+class PresentationResult(NamedTuple):
     ok: bool
     witness: "str | None" = None
 
@@ -252,8 +252,7 @@ def divisor_character(fam: CoefficientFamily, dv: Divisor) -> list[Fraction]:
     return [coeffs[d] for d in range(1, n + 1)] + list(sig)
 
 
-@dataclass
-class SpectralEntry:
+class SpectralEntry(NamedTuple):
     divisor: Divisor
     eigen_dim: int
     generalized_dim: int

@@ -24,9 +24,8 @@ one pass over one inverse series.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import Poly, RatFun, scalar
 from .linalg import ExactMatrix
@@ -228,8 +227,7 @@ def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> FracMat
     return tilde.scale(sign * q2 ** (m - 1))
 
 
-@dataclass
-class RouteComparison:
+class RouteComparison(NamedTuple):
     ok: bool
     matrix: FracMatrix
     witness: "tuple | None" = None
@@ -261,15 +259,14 @@ def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DiffOp:
-    """Finite tau-polynomial with FracMatrix coefficients."""
+    """Finite tau-polynomial with FracMatrix coefficients; zero coefficients are dropped."""
 
-    dim: int
-    coeffs: dict[int, FracMatrix]
+    __slots__ = ("dim", "coeffs")
 
-    def __post_init__(self):
-        self.coeffs = {p: c for p, c in self.coeffs.items() if not c.is_zero()}
+    def __init__(self, dim: int, coeffs: dict[int, FracMatrix]):
+        self.dim = dim
+        self.coeffs = {p: c for p, c in coeffs.items() if not c.is_zero()}
 
     @staticmethod
     def scalar_term(dim: int, power: int, value: RatFun) -> "DiffOp":
@@ -361,8 +358,7 @@ def manin_entries(pencil: MonodromyPencil, twist) -> dict[tuple[int, int], DiffO
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BerezinianValue:
+class BerezinianValue(NamedTuple):
     value: RatFun
     forms_agree: bool
     tau_free: bool
@@ -443,8 +439,7 @@ def _generating_oper(spec: ModuleSpec, order: int) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FusionCheck:
+class FusionCheck(NamedTuple):
     ok: bool
     label: str
     witness: "object | None" = None

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import Poly, RatFun, format_scalar, laurent_expand, scalar
 from . import linalg
@@ -41,18 +40,20 @@ def _weight_text(wt: Weight) -> str:
     return "(" + ", ".join(wt.to_strings()) + ")"
 
 
-@dataclass(frozen=True)
 class ModuleSpec:
-    """Weights, evaluation points and twist defining the physical chain."""
+    """Weights, evaluation points and twist defining the physical chain.
 
-    weights: tuple[Weight, ...]
-    points: tuple[Fraction, ...]
-    twist: tuple[Fraction, Fraction]
+    A value and a functools.cache key: immutable, compared and hashed by its
+    three tuples.  Its repr, `ModuleSpec(weights=..., points=..., twist=...)`,
+    names the chain.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "points", tuple(scalar(b) for b in self.points))
-        object.__setattr__(self, "twist", tuple(scalar(q) for q in self.twist))
+    __slots__ = ("weights", "points", "twist")
+
+    def __init__(self, weights, points, twist):
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "points", tuple(scalar(b) for b in points))
+        object.__setattr__(self, "twist", tuple(scalar(q) for q in twist))
         if len(self.weights) != len(self.points):
             raise ValueError("weights and points must have equal length")
         if not self.weights:
@@ -68,13 +69,28 @@ class ModuleSpec:
         if q1 == q2 and self.n == 0:
             raise ValueError("exceptional case rejected: equal twist with total weight zero")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModuleSpec is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ModuleSpec:
+            return NotImplemented
+        return (self.weights, self.points, self.twist) == (other.weights, other.points, other.twist)
+
+    def __hash__(self):
+        return hash((self.weights, self.points, self.twist))
+
+    def __repr__(self):
+        return f"ModuleSpec(weights={self.weights!r}, points={self.points!r}, twist={self.twist!r})"
+
     @property
     def k(self) -> int:
         return len(self.weights)
 
     @property
     def n(self) -> Fraction:
-        return sum((wt.l1 + wt.l2 for wt in self.weights), Fraction(0))
+        """Total weight; the weights are integers, checked on construction."""
+        return Fraction(sum(wt.l1.numerator + wt.l2.numerator for wt in self.weights))
 
     def space(self) -> SuperSpace:
         return SuperSpace([SuperSpace.standard_leg()] * self.k)
@@ -150,8 +166,7 @@ def phi_psi(spec: ModuleSpec) -> tuple[Poly, Poly]:
     return Poly.from_roots(phi_roots), Poly.from_roots(psi_roots)
 
 
-@dataclass
-class MonodromyPencil:
+class MonodromyPencil(NamedTuple):
     """Normalized 2x2 pencil That_ij(x) on a chain module, as Poly-entry matrices."""
 
     space: SuperSpace
@@ -315,8 +330,7 @@ def lax_monodromy(points: Sequence) -> MonodromyPencil:
     )
 
 
-@dataclass
-class RttResult:
+class RttResult(NamedTuple):
     ok: bool
     witness: "tuple | None" = None
 

@@ -21,9 +21,8 @@ no sign; norm_check records both values instead of resolving silently.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import (
     NonRemovableSingularity,
@@ -183,8 +182,7 @@ def wronskian(spec: ModuleSpec) -> Poly:
     return cp.phi * cp.psi.derivative() - cp.phi.derivative() * cp.psi
 
 
-@dataclass
-class NormRecord:
+class NormRecord(NamedTuple):
     divisor: Divisor
     lhs: Fraction
     rhs_stated: "Fraction | None"

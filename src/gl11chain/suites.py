@@ -8,10 +8,9 @@ non-cyclic chain, and nonzero second weight components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import format_scalar
 from .linalg import ExactMatrix
@@ -39,8 +38,7 @@ def suite_specs() -> dict[str, ModuleSpec]:
     }
 
 
-@dataclass
-class SuiteItem:
+class SuiteItem(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -79,7 +77,7 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
         pencil = monodromy.tensor_monodromy(make_spec(wts, pts, ("1", "1")))
         if inject_sign_bug:
             # negative-control harness: a corrupted copy must be caught
-            pencil = replace(pencil, entries={**pencil.entries, (2, 1): -pencil.entries[(2, 1)]})
+            pencil = pencil._replace(entries={**pencil.entries, (2, 1): -pencil.entries[(2, 1)]})
         res = monodromy.verify_rtt(pencil)
         items.append(_item(f"rtt tensor {name}", res.ok, f"witness {res.witness}"))
         if inject_sign_bug:

@@ -15,7 +15,6 @@ all vector factors it moves past.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -26,23 +25,46 @@ from . import linalg
 EVEN, ODD = 0, 1
 
 
-@dataclass(frozen=True)
 class Weight:
-    """A pair (l1, l2); the diagonal generators act by l1 and l2."""
+    """A pair (l1, l2); the diagonal generators act by l1 and l2.
 
-    l1: Fraction
-    l2: Fraction
+    A value: immutable, compared and hashed by (l1, l2), and shown as
+    `Weight(l1=..., l2=...)`.  Both entries are coerced to Fraction; the
+    checks read their integer numerators and denominators.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "l1", scalar(self.l1))
-        object.__setattr__(self, "l2", scalar(self.l2))
+    __slots__ = ("l1", "l2")
+
+    def __init__(self, l1, l2):
+        object.__setattr__(self, "l1", scalar(l1))
+        object.__setattr__(self, "l2", scalar(l2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Weight is immutable: cannot assign {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (self.l1, self.l2) == (other.l1, other.l2)
+
+    def __hash__(self):
+        return hash((self.l1, self.l2))
+
+    def __repr__(self):
+        return f"Weight(l1={self.l1!r}, l2={self.l2!r})"
 
     def is_nondegenerate(self) -> bool:
-        return self.l1 + self.l2 != 0
+        """l1 + l2 != 0, read off the integer numerator n1 d2 + n2 d1 of the sum."""
+        l1, l2 = self.l1, self.l2
+        return l1.numerator * l2.denominator + l2.numerator * l1.denominator != 0
 
     def is_polynomial(self) -> bool:
-        ok_int = self.l1.denominator == 1 and self.l2.denominator == 1
-        return ok_int and self.l1 >= 0 and self.l2 >= 0 and (self.l1 > 0 or self.l2 == 0)
+        """Integers l1 >= 0, l2 >= 0 with l1 > 0 unless l2 = 0."""
+        l1, l2 = self.l1, self.l2
+        if l1.denominator != 1 or l2.denominator != 1:
+            return False
+        a, b = l1.numerator, l2.numerator
+        return a >= 0 and b >= 0 and (a > 0 or b == 0)
 
     def __iter__(self):
         return iter((self.l1, self.l2))

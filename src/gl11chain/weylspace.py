@@ -38,10 +38,9 @@ elimination in a chart.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactnum import q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis
@@ -215,8 +214,7 @@ def level_components(n: int, level: "int | None") -> list[int]:
     return [c for c in range(space.dim) if level is None or sum(space.multi_index(c)) == level]
 
 
-@dataclass
-class Coords:
+class Coords(NamedTuple):
     """Coordinate chart on (weight-l component of V) tensor polynomials <= d."""
 
     n: int
@@ -527,8 +525,7 @@ def character_series(n: int, level: int, d: int, singular_only: bool) -> list[in
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModelCheck:
+class ModelCheck(NamedTuple):
     ok: bool
     label: str
     witness: str = ""  # on failure: the level, the relation and where it fails
@@ -654,8 +651,7 @@ def _symmetric_monomials(n: int, d: int) -> dict[tuple[int, ...], MPoly]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpecializationResult:
+class SpecializationResult(NamedTuple):
     ok: bool
     detail: str
 

@@ -5,17 +5,21 @@ once, `phi_psi` is two `from_roots` calls, and `cyclicity_and_irreducibility`
 reads both conditions off the two vacuum root lists.  The oracles are the
 earlier code: a product of linear Poly factors, the factor-by-factor
 phi/psi loop and the pairwise cyclicity loop; irreducibility is checked
-against its definition, gcd(phi, psi) = 1.
+against its definition, gcd(phi, psi) = 1.  The weight checks of every
+candidate (`is_polynomial`, `is_nondegenerate`, the total weight `n`) read
+integer numerators and denominators; their oracles are the Fraction checks
+they replaced.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11chain.exactnum import Poly
+from gl11chain.exactnum import Poly, format_scalar, scalar
 from gl11chain.monodromy import cyclicity_and_irreducibility, make_spec, phi_psi
+from gl11chain.superlin import Weight
 
 
 def product_of_linear_factors(roots) -> Poly:
@@ -120,3 +124,51 @@ def test_differential_catches_a_screen_that_tests_both_orders():
     weights, points, _ = CHAINS["cyclic-reversed-string"]
     spec = make_spec(weights, points)
     assert screen_mismatches(spec, cyclicity_both_orders) == ["cyclic"]
+
+
+def weight_checks_on_fractions(l1, l2) -> tuple[bool, bool]:
+    """(is_polynomial, is_nondegenerate) by Fraction arithmetic, as before the integer checks."""
+    l1, l2 = scalar(l1), scalar(l2)
+    ok_int = l1.denominator == 1 and l2.denominator == 1
+    return ok_int and l1 >= 0 and l2 >= 0 and (l1 > 0 or l2 == 0), l1 + l2 != 0
+
+
+# Weight entries as int, "p/q" string and Fraction; integral values come in all three forms.
+entries = (
+    st.integers(-2, 3)
+    | st.builds(lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(1, 3))
+    | st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+)
+
+
+@given(entries, entries)
+@example("4/2", 0)
+@example(F(1, 2), F(-1, 2))
+@example("1/2", "-1/3")
+@example(0, "2")
+@example(-1, 1)
+@settings(max_examples=300)
+def test_weight_checks_match_the_fraction_checks(l1, l2):
+    wt = Weight(l1, l2)
+    assert (wt.is_polynomial(), wt.is_nondegenerate()) == weight_checks_on_fractions(l1, l2)
+
+
+@given(st.lists(st.tuples(entries, entries), min_size=1, max_size=3))
+@example([(2, "1/1"), (F(3), 0)])
+@example([(1, 0), ("1/2", 0)])
+@example([("3/3", 0), (0, 0)])
+@settings(max_examples=300)
+def test_chain_weight_checks_match_the_fraction_checks(weights):
+    """make_spec accepts exactly the chains the Fraction checks accept, with the same error text and n."""
+    verdicts = [weight_checks_on_fractions(a, b) for a, b in weights]
+    bad = [(w, poly) for w, (poly, nondeg) in zip(weights, verdicts) if not (poly and nondeg)]
+    try:
+        spec = make_spec(weights, range(len(weights)))
+    except ValueError as exc:
+        (a, b), poly = bad[0]
+        reason = "degenerate" if poly else "not polynomial"
+        assert str(exc) == f"weight ({format_scalar(a)}, {format_scalar(b)}) is {reason}"
+    else:
+        assert bad == []
+        n = sum((scalar(a) + scalar(b) for a, b in weights), F(0))
+        assert spec.n == n and type(spec.n) is F

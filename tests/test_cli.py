@@ -266,15 +266,18 @@ def test_spectral_survey_script():
 # Modules every command runs: the eager core and the CLI.  verify adds linalg and the suites.
 CORE_MODULES = {"cli", "exactnum", "monodromy", "superlin"}
 VERIFY = {"linalg", "suites"}
-# Prints, after the command, the gl11chain modules that were run; type() does not load a lazy module.
+# Prints, after the command, the gl11chain modules that were run (type() does not load a lazy module),
+# and which of dataclasses and inspect were loaded that the interpreter had not loaded before gl11chain.
 LOAD_PROBE = """\
 import json, sys, types
+STDLIB = {"dataclasses", "inspect"}
+preloaded = STDLIB & set(sys.modules)
 from gl11chain.cli import main
 try:
     sys.exit(main(sys.argv[1:]))
 finally:
     names = (n for n, m in sys.modules.items() if n.startswith("gl11chain.") and type(m) is types.ModuleType)
-    print(json.dumps(sorted(n.split(".")[1] for n in names)))
+    print(json.dumps([sorted(n.split(".")[1] for n in names), sorted(STDLIB & set(sys.modules) - preloaded)]))
 """
 LAZY_PROBE = """\
 import importlib, json, sys, types
@@ -314,7 +317,9 @@ def _probe(code: str, *argv: str) -> list:
 )
 def test_command_runs_only_the_modules_it_uses(e2_file, argv, extra):
     argv = [e2_file if a == "E2" else a for a in argv]
-    assert set(_probe(LOAD_PROBE, *argv)) == CORE_MODULES | extra
+    modules, stdlib = _probe(LOAD_PROBE, *argv)
+    assert set(modules) == CORE_MODULES | extra
+    assert stdlib == []
 
 
 def test_lazy_modules_load_on_import():

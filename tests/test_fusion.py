@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -298,7 +297,7 @@ class TestHigherTransfer:
         m, projector = m_projector
         pen = tensor_monodromy(spec)
         if negate:
-            pen = replace(pen, entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
+            pen = pen._replace(entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
         got = higher_transfer_supertrace(pen, spec.twist, m, projector)
         assert got == route_a_full_space(pen, spec.twist, m, projector)
 
@@ -325,7 +324,7 @@ class TestHigherTransfer:
     def test_sign_flip_breaks_route_agreement(self):
         # negative control: a corrupted copy of the pencil must disagree
         pen = tensor_monodromy(E2)
-        bad = replace(pen, entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
+        bad = pen._replace(entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
         a2 = symmetrizers(2)[0]
         want = higher_transfer_expansion(pen, E2.twist, 2)
         assert higher_transfer_supertrace(pen, E2.twist, 2, a2) == want

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -53,6 +52,34 @@ class TestModuleSpec:
         p = tmp_path / "chain.json"
         p.write_text(text)
         assert ModuleSpec.from_file(p) == E2
+
+    def test_value_semantics(self):
+        # one chain from int, "p/q" string and Fraction inputs: one value, one cache entry
+        specs = [
+            make_spec([(2, 1), (1, 0)], [3, F(-1, 2)], (2, 7)),
+            make_spec([("4/2", "1"), ("1", "0")], ["6/2", "-1/2"], ("2", "14/2")),
+            ModuleSpec((Weight(F(2), F(1)), Weight(F(1), F(0))), (F(3), F(-1, 2)), (F(2), F(7))),
+        ]
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(s) for s in specs}) == 1
+        tensor_monodromy.cache_clear()
+        pencils = [tensor_monodromy(s) for s in specs]
+        info = tensor_monodromy.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert pencils[0] is pencils[1] is pencils[2]
+        # the dataclass text: perfbench's tracer counts distinct chains by repr
+        assert repr(specs[0]) == (
+            "ModuleSpec(weights=(Weight(l1=Fraction(2, 1), l2=Fraction(1, 1)), "
+            "Weight(l1=Fraction(1, 1), l2=Fraction(0, 1))), points=(Fraction(3, 1), Fraction(-1, 2)), "
+            "twist=(Fraction(2, 1), Fraction(7, 1)))"
+        )
+        spec, wt = specs[0], specs[0].weights[0]
+        assert spec != (spec.weights, spec.points, spec.twist) and wt != (wt.l1, wt.l2)
+        assert spec != make_spec([(2, 1), (1, 0)], [3, F(-1, 2)], (7, 2)) and wt != Weight(2, 0)
+        with pytest.raises(AttributeError):
+            spec.points = ()
+        with pytest.raises(AttributeError):
+            wt.l1 = F(5)
 
 
 class TestEvaluation:
@@ -234,7 +261,7 @@ def _corrupted(pencil, draw):
     kind = draw(st.sampled_from(["negate", "scale", "shift"]))
     m = pencil.entries[e]
     if kind == "negate":
-        return replace(pencil, entries={**pencil.entries, e: -m})
+        return pencil._replace(entries={**pencil.entries, e: -m})
     m = m.copy()
     if kind == "scale":
         a, b = draw(st.sampled_from(sorted((a, b) for a, b, _ in m.entries())))
@@ -245,7 +272,7 @@ def _corrupted(pencil, draw):
     else:
         a, b = draw(st.integers(0, pencil.dim - 1)), draw(st.integers(0, pencil.dim - 1))
         m.put(a, b, m.get(a, b) + Poly((F(1, 7),)))
-    return replace(pencil, entries={**pencil.entries, e: m})
+    return pencil._replace(entries={**pencil.entries, e: m})
 
 
 class TestRttDifferential:
@@ -262,7 +289,7 @@ class TestRttDifferential:
     def test_lax_corruptions_match_oracle(self, n):
         pencil = lax_monodromy(["0", "1/2", "-1"][:n])
         for e in sorted(pencil.entries):
-            bad = replace(pencil, entries={**pencil.entries, e: pencil.entries[e] * F(3, 2)})
+            bad = pencil._replace(entries={**pencil.entries, e: pencil.entries[e] * F(3, 2)})
             res, want = verify_rtt(bad), verify_rtt_oracle(bad)
             assert (res.ok, res.witness) == (want.ok, want.witness)
 
@@ -303,7 +330,7 @@ class TestLaurentCoefficients:
 
     def test_improper_entry_raises(self):
         pencil = tensor_monodromy(E2)
-        raised = replace(pencil, entries={**pencil.entries, (1, 2): pencil.entry(1, 2) * Poly((0, 0, 1))})
+        raised = pencil._replace(entries={**pencil.entries, (1, 2): pencil.entry(1, 2) * Poly((0, 0, 1))})
         with pytest.raises(ValueError, match="not expandable at infinity"):
             _laurent_oracle(raised.entry(1, 2), Poly((1,)), raised.normalizer, 1)
         with pytest.raises(ValueError, match="not expandable at infinity"):
@@ -313,7 +340,7 @@ class TestLaurentCoefficients:
 class TestRttOracle:
     def test_negative_control(self):
         pen = tensor_monodromy(E2)
-        bad = replace(pen, entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
+        bad = pen._replace(entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
         res = verify_rtt(bad)
         assert not res.ok and res.witness is not None
 

@@ -9,7 +9,9 @@ Every name the benchmark tracer wraps exists in the package.  Matrices over
 Q(x) have one form, FracMatrix: linalg.py never names RatFun, and no source
 file defines `from_ratfun`.  The start-up core that `--help` and
 `random-spec` load never imports from linalg or suites when it is imported,
-so those two load only when a command uses them.
+so those two load only when a command uses them.  No source file imports
+`dataclasses`, which loads `inspect` on every command's start-up: records
+are NamedTuples or plain classes.
 """
 
 import ast
@@ -173,4 +175,32 @@ def test_eager_import_rule_catches_each_violation():
     )
     assert _eager_imports(ast.parse(code)) == [
         "line 1: from .linalg import", "line 4: from .suites import", "line 6: from .linalg import",
+    ]
+
+
+def _dataclasses_imports(tree: ast.AST) -> list[str]:
+    """Every `import dataclasses` and `from dataclasses import`, nested ones included."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names):
+            out.append(f"line {node.lineno}: import dataclasses")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "dataclasses":
+            out.append(f"line {node.lineno}: from dataclasses import")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_dataclasses(path):
+    assert _dataclasses_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_dataclasses_rule_catches_each_violation():
+    code = (
+        "from dataclasses import dataclass\n"
+        "import json, dataclasses\n"
+        "def record():\n    from dataclasses import replace\n    return replace\n"
+        "from .dataclasses import local\n"
+    )
+    assert _dataclasses_imports(ast.parse(code)) == [
+        "line 1: from dataclasses import", "line 2: import dataclasses", "line 4: from dataclasses import",
     ]

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,7 +143,7 @@ def test_relations_check_names_the_braid(monkeypatch):
 
 
 def _negate_entry(pencil, entry):
-    return replace(pencil, entries={**pencil.entries, entry: -pencil.entries[entry]})
+    return pencil._replace(entries={**pencil.entries, entry: -pencil.entries[entry]})
 
 
 def test_coassociativity_item_names_the_entry(monkeypatch):
@@ -231,7 +230,7 @@ def _tripled_textbook_norm(real):
 
     def corrupted(spec, y):
         rec = real(spec, y)
-        return rec if rec.rhs_stated is None else replace(rec, rhs_stated=rec.rhs_stated * 3)
+        return rec if rec.rhs_stated is None else rec._replace(rhs_stated=rec.rhs_stated * 3)
 
     return corrupted
 
@@ -241,7 +240,7 @@ def _zero_textbook_norm(real):
 
     def corrupted(spec, y):
         rec = real(spec, y)
-        return rec if rec.rhs_stated is None else replace(rec, rhs_stated=Fraction(0))
+        return rec if rec.rhs_stated is None else rec._replace(rhs_stated=Fraction(0))
 
     return corrupted
 
@@ -302,7 +301,7 @@ def _corrupt_component(fn, when):
             return bv
         vec = list(bv.vector)
         vec[1] += 1
-        return replace(bv, vector=tuple(vec))
+        return bv._replace(vector=tuple(vec))
 
     return corrupted
 
@@ -330,7 +329,7 @@ def test_vector_items_carry_the_first_differing_index(monkeypatch, target, when,
 
 def _passing_off_shell(real):
     """verify_on_shell reporting every raw root sequence (the off-shell controls pass one) as on shell."""
-    return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else replace(real(spec, y), ok=True)
+    return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else real(spec, y)._replace(ok=True)
 
 
 def _first_level_changed(change):
@@ -339,7 +338,7 @@ def _first_level_changed(change):
     def corrupt(real):
         def corrupted(spec):
             rep = real(spec)
-            return replace(rep, levels=[change(rep.levels[0])] + rep.levels[1:])
+            return rep._replace(levels=[change(rep.levels[0])] + rep.levels[1:])
 
         return corrupted
 
@@ -347,7 +346,7 @@ def _first_level_changed(change):
 
 
 def _first_entry_off_eigenspace(lv):
-    return replace(lv, complete=False, entries=[replace(lv.entries[0], spans_eigenspace=False)] + lv.entries[1:])
+    return lv._replace(complete=False, entries=[lv.entries[0]._replace(spans_eigenspace=False)] + lv.entries[1:])
 
 
 @pytest.mark.parametrize(
@@ -357,7 +356,7 @@ def _first_entry_off_eigenspace(lv):
         (
             bethe,
             "completeness_report",
-            _first_level_changed(lambda lv: replace(lv, subspace_dim=lv.subspace_dim + 1)),
+            _first_level_changed(lambda lv: lv._replace(subspace_dim=lv.subspace_dim + 1)),
             "spectrum complete",
             "level 0: generalized dims sum to ",
         ),
@@ -457,7 +456,7 @@ def test_lax_coproduct_item_names_the_entry(monkeypatch):
     def gauged(points):
         pencil = real(points)
         b, c = pencil.entries[(1, 2)], pencil.entries[(2, 1)]
-        return replace(pencil, entries={**pencil.entries, (1, 2): b * 2, (2, 1): c * Fraction(1, 2)})
+        return pencil._replace(entries={**pencil.entries, (1, 2): b * 2, (2, 1): c * Fraction(1, 2)})
 
     monkeypatch.setattr(monodromy, "lax_monodromy", gauged)
     bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=3) if not it.ok}
@@ -505,7 +504,9 @@ def _corrupted_b1(real, target):
             return fam
         b1 = fam.ops[0].copy()
         b1.put(0, 1, b1.get(0, 1) + 1)
-        return replace(fam, ops=[b1] + fam.ops[1:])
+        return bethealg.CoefficientFamily(
+            fam.spec, fam.level, fam.singular, fam.basis, [b1] + fam.ops[1:], fam.names, fam.strings
+        )
 
     return corrupted
 
