@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .exactnum import (
     NonRemovableSingularity,
@@ -132,7 +132,6 @@ class BetheVector(NamedTuple):
 
     vector: tuple[Fraction, ...]
     roots: tuple[Fraction, ...]
-    normalized: bool
     eps_used: bool
 
     def is_zero(self) -> bool:
@@ -169,7 +168,7 @@ def bethe_vector(spec: ModuleSpec, roots: Sequence) -> BetheVector:
             for i in range(len(order)):
                 for j in range(i + 1, len(order)):
                     pref /= order[j] - order[i] + 1
-            return BetheVector(tuple(v * pref for v in vec), tuple(sorted(t)), True, False)
+            return BetheVector(tuple(v * pref for v in vec), tuple(sorted(t)), False)
     return bethe_vector_eps(spec, t)
 
 
@@ -196,7 +195,7 @@ def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> BetheVector:
         out = [eps_limit(c) for c in comps]
     except NonRemovableSingularity as exc:
         raise ValueError("Bethe vector undefined at this configuration") from exc
-    return BetheVector(tuple(out), tuple(sorted(t)), True, True)
+    return BetheVector(tuple(out), tuple(sorted(t)), True)
 
 
 def eigenvalue_pencil(y: Union[Divisor, Poly], spec: ModuleSpec) -> Poly:
@@ -212,7 +211,6 @@ def eigenvalue_pencil(y: Union[Divisor, Poly], spec: ModuleSpec) -> Poly:
 class OnShellResult(NamedTuple):
     ok: bool
     bethe: BetheVector
-    eigenvalue: Optional[Poly]
     witness: "tuple | None" = None
 
     def __bool__(self):
@@ -231,14 +229,11 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellRes
     gamma = char_pair(spec).gamma
     tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
     rhs = ypoly.shift(1) * gamma
-    eig = None
-    if (gamma % ypoly).is_zero() if not ypoly.is_zero() else False:
-        eig = eigenvalue_pencil(ypoly, spec)
     vec = list(bv.vector)
     # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side
     diffs = [a - rhs * v for a, v in zip((tq * ypoly).apply(vec), vec)]
     bad = [(min(d for d, c in enumerate(p.nums) if c), comp) for comp, p in enumerate(diffs) if p]
-    return OnShellResult(not bad, bv, eig, min(bad) if bad else None)
+    return OnShellResult(not bad, bv, min(bad) if bad else None)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +388,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
             bcoords = in_basis.coordinates(res.bethe.vector)
             spans = False
             if bcoords is not None and len(eig_basis) == 1 and not res.bethe.is_zero():
-                span = SpanBasis(dim)
+                span = SpanBasis()
                 span.add(eig_basis[0])
                 spans = span.contains(bcoords)
             nonzero = not res.bethe.is_zero()

@@ -103,7 +103,7 @@ def algebra_dimension(fam: CoefficientFamily) -> tuple[int, list[ExactMatrix]]:
     the span stabilizes; the subspace dimension squared caps the loop.
     """
     d = fam.dim
-    span = SpanBasis(d * d)
+    span = SpanBasis()
     basis_mats: list[ExactMatrix] = []
 
     def insert(m: ExactMatrix) -> bool:
@@ -156,7 +156,6 @@ def double_commutant_check(fam: CoefficientFamily) -> tuple[bool, int, int]:
 
 class RegularRepResult(NamedTuple):
     ok: bool
-    cyclic_vector: "list[Fraction] | None"
     algebra_dim: int
     subspace_dim: int
     skipped: bool = False
@@ -174,7 +173,7 @@ def regular_rep_check(fam: CoefficientFamily) -> RegularRepResult:
     """
     cyclic, _ = cyclicity_and_irreducibility(fam.spec)
     if not cyclic:
-        return RegularRepResult(False, None, 0, fam.dim, skipped=True)
+        return RegularRepResult(False, 0, fam.dim, skipped=True)
     mats = fam.algebra
     adim, d = len(mats), fam.dim
     candidates = []
@@ -186,12 +185,12 @@ def regular_rep_check(fam: CoefficientFamily) -> RegularRepResult:
     candidates.append([Fraction(i + 1) for i in range(d)])
     candidates.append([Fraction((i + 1) ** 2) for i in range(d)])
     for cand in candidates:
-        span = SpanBasis(d)
+        span = SpanBasis()
         for m in mats:
             span.add(m.apply(cand))
         if span.dim == d == adim:
-            return RegularRepResult(True, cand, adim, d)
-    return RegularRepResult(False, None, adim, d)
+            return RegularRepResult(True, adim, d)
+    return RegularRepResult(False, adim, d)
 
 
 class PresentationResult(NamedTuple):
@@ -285,13 +284,13 @@ def _generalized_cyclic(algebra_mats: Sequence[ExactMatrix], gen_basis: Sequence
     if not gen_basis:
         return True
     d = len(gen_basis[0])
-    target = SpanBasis(d)
+    target = SpanBasis()
     for v in gen_basis:
         target.add(v)
     candidates = list(gen_basis)
     candidates.append([sum(col) for col in zip(*gen_basis)])
     for cand in candidates:
-        span = SpanBasis(d)
+        span = SpanBasis()
         for m in algebra_mats:
             w = m.apply(list(cand))
             if target.contains(w):

@@ -45,8 +45,12 @@ from .bethe import Divisor, bethe_vector, char_pair
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def symmetrizers(m: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """Normalized graded antisymmetrizer and symmetrizer on m tensor factors."""
+    """Normalized graded antisymmetrizer and symmetrizer on m tensor factors.
+
+    Memoised per m: the matrices are shared, must not be mutated.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     space = SuperSpace.tensor_power(m)

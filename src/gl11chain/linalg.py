@@ -194,7 +194,7 @@ class ExactMatrix:
     # -- elimination, all through SpanBasis._insert -----------------------------
 
     def _span(self) -> "SpanBasis":
-        span = SpanBasis(self.ncols)
+        span = SpanBasis()
         for row in self.rows.values():
             span._insert(dict(row))
         return span
@@ -228,7 +228,7 @@ class ExactMatrix:
         if self.nrows != self.ncols:
             raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
         n = self.nrows
-        span = SpanBasis(2 * n)
+        span = SpanBasis()
         for i in range(n):
             row = dict(self.rows.get(i, ()))
             row[n + i] = one
@@ -246,7 +246,7 @@ class ExactMatrix:
         """Product of the rows' pivot values on insertion, signed by the row-to-pivot permutation."""
         if self.nrows != self.ncols:
             raise ValueError(f"{self.nrows}x{self.ncols} matrix is not square")
-        span = SpanBasis(self.ncols)
+        span = SpanBasis()
         det = Fraction(1)
         for i in range(self.nrows):
             found = span._insert(dict(self.rows.get(i, ())))
@@ -279,8 +279,7 @@ class SpanBasis:
     values divide by s or a pivot, so they take rational entries only.
     """
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self):
         self.pivots: list[int] = []
         self._row_at: dict[int, dict] = {}  # pivot column -> its row
         self._ring: "_Ring | None" = None
@@ -456,7 +455,7 @@ class SpanCoordinates:
     def __init__(self, length: int, vectors: Sequence[Sequence] = ()):
         self.length = length
         self.count = 0
-        self._span = SpanBasis(length)
+        self._span = SpanBasis()
         for vec in vectors:
             self.add(vec)
 

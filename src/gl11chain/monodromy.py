@@ -66,8 +66,6 @@ class ModuleSpec:
         q1, q2 = self.twist
         if q1 == 0 or q2 == 0:
             raise ValueError("twist entries must be nonzero")
-        if q1 == q2 and self.n == 0:
-            raise ValueError("exceptional case rejected: equal twist with total weight zero")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ModuleSpec is immutable: cannot assign {name!r}")
@@ -93,7 +91,7 @@ class ModuleSpec:
         return Fraction(sum(wt.l1.numerator + wt.l2.numerator for wt in self.weights))
 
     def space(self) -> SuperSpace:
-        return SuperSpace([SuperSpace.standard_leg()] * self.k)
+        return SuperSpace.tensor_power(self.k)
 
     def normalizer(self) -> Poly:
         return Poly.from_roots(self.points)
@@ -170,8 +168,6 @@ class MonodromyPencil(NamedTuple):
     """Normalized 2x2 pencil That_ij(x) on a chain module, as Poly-entry matrices."""
 
     space: SuperSpace
-    leg_weights: tuple[Weight, ...]
-    points: tuple[Fraction, ...]
     entries: dict[tuple[int, int], linalg.ExactMatrix]
     normalizer: Poly
 
@@ -192,7 +188,7 @@ def evaluation_monodromy(wt: Weight, b) -> MonodromyPencil:
         raise ValueError(f"weight {tuple(wt)} is degenerate")
     trivial = not wt.is_nondegenerate()
     dim = 1 if trivial else 2
-    space = SuperSpace([(0,)] if trivial else [SuperSpace.standard_leg()])
+    space = SuperSpace([(0,)]) if trivial else SuperSpace.tensor_power(1)
     xminusb = Poly((-b, 1))
     entries: dict[tuple[int, int], linalg.ExactMatrix] = {}
     # That_ij(x) = delta_ij (x - b) + (-1)^{|j|} e_ji
@@ -200,7 +196,7 @@ def evaluation_monodromy(wt: Weight, b) -> MonodromyPencil:
         sign = -1 if j == 2 else 1
         eji = leg_generator(wt, j, i).map_entries(lambda v: Poly((v * sign,)))
         entries[(i, j)] = linalg.ExactMatrix.identity(dim, xminusb) + eji if i == j else eji
-    return MonodromyPencil(space, (wt,), (b,), entries, xminusb)
+    return MonodromyPencil(space, entries, xminusb)
 
 
 def coefficient_matrices(m: linalg.ExactMatrix) -> list[linalg.ExactMatrix]:
@@ -239,13 +235,7 @@ def _combine(first: MonodromyPencil, rest: MonodromyPencil) -> MonodromyPencil:
                 first.entry(r, j), rest.entry(i, r), first.space, rest.space, E_PARITY[(i, r)]
             )
         entries[(i, j)] = acc
-    return MonodromyPencil(
-        space,
-        first.leg_weights + rest.leg_weights,
-        first.points + rest.points,
-        entries,
-        first.normalizer * rest.normalizer,
-    )
+    return MonodromyPencil(space, entries, first.normalizer * rest.normalizer)
 
 
 @functools.cache
@@ -270,7 +260,7 @@ def lax_product(points: Sequence) -> tuple[list[linalg.ExactMatrix], SuperSpace]
     """
     n = len(points)
     vspace = SuperSpace.tensor_power(n)
-    full = SuperSpace([SuperSpace.standard_leg()]).concat(vspace)
+    full = SuperSpace.tensor_power(n + 1)
     dim_full = full.dim
     ident = linalg.ExactMatrix.identity(dim_full)
     lax = [ident]
@@ -321,13 +311,7 @@ def lax_monodromy(points: Sequence) -> MonodromyPencil:
         for d, c in enumerate(coeffs):
             m = m + c.map_entries(lambda v: Poly([0] * d + [v]))
         entries[key] = m
-    return MonodromyPencil(
-        vspace,
-        tuple(Weight(1, 0) for _ in pts),
-        tuple(pts),
-        entries,
-        Poly.from_roots(pts),
-    )
+    return MonodromyPencil(vspace, entries, Poly.from_roots(pts))
 
 
 class RttResult(NamedTuple):

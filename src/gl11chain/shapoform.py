@@ -43,11 +43,15 @@ def r_matrix(wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
 
     Raises on the pole l1^(j) + l2^(i) + x = 0.
     """
+    return _embedded_r_matrix(SuperSpace.tensor_power(2), 0, 1, wt_i, wt_j, x)
+
+
+def _embedded_r_matrix(space: SuperSpace, i: int, j: int, wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
+    """The R-matrix of sites i < j as its six terms E_ab (x) E_cd, each embedded at legs (i, j) of space."""
     x = scalar(x)
     den = wt_j.l1 + wt_i.l2 + x
     if den == 0:
         raise ValueError("R-matrix undefined")
-    space = SuperSpace([SuperSpace.standard_leg()] * 2)
     terms = [
         ((1, 1), (1, 1), Fraction(1)),
         ((2, 2), (2, 2), -(wt_i.l1 + wt_j.l2 - x) / den),
@@ -59,11 +63,10 @@ def r_matrix(wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
     out = ExactMatrix(space.dim, space.dim)
     for (a, b), (c, d), coef in terms:
         if coef:
-            emb = kron_signed(
+            out = out + kron_signed(
                 space,
-                {0: (e_matrix(a, b), E_PARITY[(a, b)]), 1: (e_matrix(c, d), E_PARITY[(c, d)])},
+                {i: (e_matrix(a, b) * coef, E_PARITY[(a, b)]), j: (e_matrix(c, d), E_PARITY[(c, d)])},
             )
-            out = out + emb * coef
     return out
 
 
@@ -72,17 +75,12 @@ def _tensor_form(spec: ModuleSpec) -> ExactMatrix:
     space = spec.space()
     out = ExactMatrix(space.dim, space.dim)
     for idx in range(space.dim):
-        multi = space.multi_index(idx)
-        val = Fraction(1)
-        odd = 0
-        for s, comp in enumerate(multi):
-            if comp == 1:
-                wt = spec.weights[s]
-                val *= -(wt.l1 + wt.l2)
-                odd += 1
+        odd = space.level(idx)
         # sign convention for a tensor product of even forms
-        if (odd * (odd - 1) // 2) % 2:
-            val = -val
+        val = Fraction(-1 if (odd * (odd - 1) // 2) % 2 else 1)
+        for wt, comp in zip(spec.weights, space.multi_index(idx)):
+            if comp:
+                val *= -(wt.l1 + wt.l2)
         out.put(idx, idx, val)
     return out
 
@@ -93,29 +91,8 @@ def r_product(spec: ModuleSpec) -> ExactMatrix:
     out = ExactMatrix.identity(space.dim)
     for i in range(spec.k):
         for j in range(i + 1, spec.k):
-            rij = r_matrix(spec.weights[i], spec.weights[j], spec.points[i] - spec.points[j])
-            emb = _embed_two_site(space, i, j, rij)
-            out = out @ emb
-    return out
-
-
-def _embed_two_site(space: SuperSpace, i: int, j: int, r4: ExactMatrix) -> ExactMatrix:
-    """Lift an even two-site operator given on sites (i, j) of the chain."""
-    pair = SuperSpace([SuperSpace.standard_leg()] * 2)
-    out = ExactMatrix(space.dim, space.dim)
-    for gi, gj, v in r4.entries():
-        (a, c) = pair.multi_index(gi)
-        (b, d) = pair.multi_index(gj)
-        par1 = (pair.legs[0][a] + pair.legs[0][b]) % 2
-        par2 = (pair.legs[1][c] + pair.legs[1][d]) % 2
-        # matrix entry -> coefficient of E_ab (x) E_cd: undo the pair-level
-        # Koszul sign before re-embedding with chain-level signs
-        if par2 and pair.legs[0][b]:
-            v = -v
-        m1 = ExactMatrix(2, 2)
-        m1.put(a, b, v)
-        m2 = e_matrix(c + 1, d + 1)
-        out = out + kron_signed(space, {i: (m1, par1), j: (m2, par2)})
+            wt_i, wt_j = spec.weights[i], spec.weights[j]
+            out = out @ _embedded_r_matrix(space, i, j, wt_i, wt_j, spec.points[i] - spec.points[j])
     return out
 
 

@@ -11,6 +11,11 @@ Global basis vectors are indexed lexicographically in the leg multi-index
 Sign convention: (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw, extended to
 any number of factors with the operator factor picking up the parities of
 all vector factors it moves past.
+
+SuperSpace states the leg rules, each once, on one basis index: `level`
+counts the legs in their odd state, `flip` is the graded flip of two adjacent
+legs and `leg_unit` the matrix unit E_ij on one leg with its Koszul sign.  No
+other module reads the legs.
 """
 
 from __future__ import annotations
@@ -76,22 +81,15 @@ class Weight:
 class SuperSpace:
     """Ordered tensor product of legs with fixed basis parities."""
 
-    __slots__ = ("legs", "dims", "parities", "dim")
+    __slots__ = ("legs", "dims", "dim", "multis", "levels", "parities")
 
     def __init__(self, legs: Sequence[Sequence[int]]):
         self.legs = tuple(tuple(leg) for leg in legs)
         self.dims = tuple(len(leg) for leg in self.legs)
-        self.dim = 1
-        for d in self.dims:
-            self.dim *= d
-        pars = []
-        for multi in product(*[range(d) for d in self.dims]):
-            pars.append(sum(self.legs[s][i] for s, i in enumerate(multi)) % 2)
-        self.parities = tuple(pars)
-
-    @staticmethod
-    def standard_leg() -> tuple[int, int]:
-        return (EVEN, ODD)
+        self.multis = tuple(product(*[range(d) for d in self.dims]))
+        self.dim = len(self.multis)
+        self.levels = tuple(sum(leg[i] for leg, i in zip(self.legs, multi)) for multi in self.multis)
+        self.parities = tuple(lv % 2 for lv in self.levels)
 
     @staticmethod
     def tensor_power(n: int) -> "SuperSpace":
@@ -107,14 +105,34 @@ class SuperSpace:
         return idx
 
     def multi_index(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            out.append(idx % d)
-            idx //= d
-        return tuple(reversed(out))
+        return self.multis[idx]
 
     def parity(self, idx: int) -> int:
         return self.parities[idx]
+
+    def level(self, idx: int) -> int:
+        """Number of legs in their odd state at basis index idx."""
+        return self.levels[idx]
+
+    def flip(self, idx: int, i: int) -> tuple[int, int]:
+        """Graded flip of legs i and i+1 on basis index idx: (image, sign), -1 when both states are odd."""
+        multi = list(self.multis[idx])
+        a, b = multi[i], multi[i + 1]
+        multi[i], multi[i + 1] = b, a
+        return self.index(multi), -1 if self.legs[i][a] and self.legs[i + 1][b] else 1
+
+    def leg_unit(self, idx: int, s: int, i: int, j: int) -> "tuple[int, int] | None":
+        """E_ij (1-based) on leg s at basis index idx: (image, sign), or None when it kills idx.
+
+        The sign is -1 when E_ij is odd and the legs before s are in an odd state in total.
+        """
+        multi = list(self.multis[idx])
+        leg = self.legs[s]
+        if multi[s] != j - 1 or i > len(leg):
+            return None
+        passed = sum(self.legs[q][multi[q]] for q in range(s)) if leg[i - 1] != leg[j - 1] else 0
+        multi[s] = i - 1
+        return self.index(multi), -1 if passed % 2 else 1
 
     def concat(self, other: "SuperSpace") -> "SuperSpace":
         return SuperSpace(self.legs + other.legs)
@@ -205,21 +223,10 @@ def gl_generator(space: SuperSpace, leg_weights: Sequence[Weight], i: int, j: in
 
 
 def basis_weights(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[Weight]:
-    out = []
-    for idx in range(space.dim):
-        multi = space.multi_index(idx)
-        l1 = Fraction(0)
-        l2 = Fraction(0)
-        for s, comp in enumerate(multi):
-            wt = leg_weights[s]
-            if comp == 0:
-                l1 += wt.l1
-                l2 += wt.l2
-            else:
-                l1 += wt.l1 - 1
-                l2 += wt.l2 + 1
-        out.append(Weight(l1, l2))
-    return out
+    """Weight of each basis vector: the sum of the leg weights minus level * (1, -1)."""
+    l1 = sum((wt.l1 for wt in leg_weights), Fraction(0))
+    l2 = sum((wt.l2 for wt in leg_weights), Fraction(0))
+    return [Weight(l1 - lv, l2 + lv) for lv in space.levels]
 
 
 def weight_spaces(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[tuple[Weight, list[int]]]:
@@ -323,9 +330,6 @@ def kron_signed_adjacent_flip(space: SuperSpace, i: int) -> linalg.ExactMatrix:
     """Graded flip of legs i and i+1 inside a tensor power of standard legs."""
     out = linalg.ExactMatrix(space.dim, space.dim)
     for idx in range(space.dim):
-        multi = list(space.multi_index(idx))
-        a, b = multi[i], multi[i + 1]
-        multi[i], multi[i + 1] = b, a
-        sign = -1 if (space.legs[i][a] and space.legs[i + 1][b]) else 1
-        out.add_to(space.index(multi), idx, Fraction(sign))
+        image, sign = space.flip(idx, i)
+        out.add_to(image, idx, Fraction(sign))
     return out

@@ -10,6 +10,9 @@ actions matter:
   standard   s_i = graded flip composed with the z_i <-> z_{i+1} swap;
   modified   shat_i = standard + divided difference (exact, degree-lowering).
 
+The graded flip, the level of a component and the site action of e_ij are
+SuperSpace.flip, level and leg_unit; this module never reads the legs.
+
 The divided difference (f - f^swap)/(z_i - z_{i+1}) is computed termwise
 from the factored geometric sum, so no generic polynomial division occurs.
 
@@ -25,14 +28,17 @@ standard action's leading block: a signed trace on the 2^n components times
 a count of the monomials the word's variable permutation fixes.  No
 polynomial is multiplied; invariant_dimensions checks both premises.
 
-The specialization to a numeric chain uses that the invariants are free over
-the symmetric polynomials, on the generators g_D = B_{d_1} ... B_{d_l} vac
-built from the (1,2) entry.  Their values g_D(a) are independent, and the
-products sigma^e g_D are as many as invariant_dimensions counts, so the
-products are a basis, counted and never built.  Evaluation at z = a takes the
-symbolic entry coefficients to the numeric ones, so it is the isomorphism of
-the quotient at sigma(z) = sigma(a) onto the chain: no group and no
-elimination in a chart.
+Freeness over the symmetric polynomials is decided one way, by values: if
+generators have independent values at one point a, a maximal minor of their
+matrix is a nonzero polynomial, so every product sigma^e g is independent
+over Q.  current_model_checks applies it to the lowering words at
+a = (0, 1, ..., n-1).  The specialization to a numeric chain applies it to
+the generators g_D = B_{d_1} ... B_{d_l} vac built from the (1,2) entry,
+at the chain's points; the products sigma^e g_D are as many as
+invariant_dimensions counts, so they are a basis, counted and never built.
+Evaluation at z = a takes the symbolic entry coefficients to the numeric
+ones, so it is the isomorphism of the quotient at sigma(z) = sigma(a) onto
+the chain: no group and no elimination in a chart.
 """
 
 from __future__ import annotations
@@ -211,7 +217,7 @@ def monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
 def level_components(n: int, level: "int | None") -> list[int]:
     """Components of the n-fold vector power at the given level; all of them for None."""
     space = SuperSpace.tensor_power(n)
-    return [c for c in range(space.dim) if level is None or sum(space.multi_index(c)) == level]
+    return [c for c in range(space.dim) if level is None or space.level(c) == level]
 
 
 class Coords(NamedTuple):
@@ -268,19 +274,10 @@ class Coords(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def flip_components(space: SuperSpace, c: int, i: int) -> tuple[int, int]:
-    """Swap legs i, i+1 of component c; sign -1 when both legs are odd."""
-    multi = list(space.multi_index(c))
-    a, b = multi[i], multi[i + 1]
-    multi[i], multi[i + 1] = b, a
-    sign = -1 if a == 1 and b == 1 else 1
-    return space.index(multi), sign
-
-
 def standard_action(space: SuperSpace, i: int, f: dict) -> dict:
     out: dict = {}
     for c, p in f.items():
-        cc, sign = flip_components(space, c, i)
+        cc, sign = space.flip(c, i)
         q = p.swap(i, i + 1)
         out[cc] = out.get(cc, MPoly(q.n, {})) + (q if sign == 1 else -q)
     return out
@@ -295,32 +292,15 @@ def modified_action(space: SuperSpace, i: int, f: dict) -> dict:
 
 
 def current_action(space: SuperSpace, i: int, j: int, r: int, f: dict) -> dict:
-    """e_ij[r]: sum over sites with Koszul signs times z_s^r."""
-    n = space.nlegs()
-    odd = (i + j) % 2  # operator parity for (i, j) in {(1,2),(2,1)}
+    """e_ij[r]: sum over sites s of E_ij on leg s, with its Koszul sign, times z_s^r."""
     out: dict = {}
     for c, p in f.items():
-        multi = space.multi_index(c)
-        passed = 0
-        for s in range(n):
-            comp = multi[s]
-            target = None
-            if (i, j) == (1, 1) and comp == 0:
-                target = comp
-            elif (i, j) == (2, 2) and comp == 1:
-                target = comp
-            elif (i, j) == (2, 1) and comp == 0:
-                target = 1
-            elif (i, j) == (1, 2) and comp == 1:
-                target = 0
-            if target is not None:
-                nm = list(multi)
-                nm[s] = target
-                cc = space.index(nm)
-                sign = -1 if (odd and passed % 2) else 1
+        for s in range(space.nlegs()):
+            hit = space.leg_unit(c, s, i, j)
+            if hit is not None:
+                cc, sign = hit
                 term = p * MPoly.var(p.n, s, r) if r else p
                 out[cc] = out.get(cc, MPoly(p.n, {})) + (term if sign == 1 else -term)
-            passed += space.legs[s][comp]
     return {c: p for c, p in out.items() if p}
 
 
@@ -474,7 +454,7 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
         for c in comps:
             cc, sign = c, 1
             for i in reversed(word):
-                cc, s = flip_components(space, cc, i)
+                cc, s = space.flip(cc, i)
                 sign *= s
             if singular_only:
                 trace += sign * sum(a * lower_map[u].get(c, 0) for u, a in raise_map[cc].items())
@@ -557,26 +537,29 @@ def _apply_e21_word(space: SuperSpace, rs: Sequence[int], base: dict) -> dict:
 def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
     """Free-generator and relation checks in the standard-action model.
 
+    Freeness, as in step (b) of specialization_check: the lowering-word
+    generators g_w at the level have independent values g_w(a) at the
+    distinct points a = (0, 1, ..., n-1).  So a maximal minor of [g_w(z)] is
+    a nonzero polynomial, the g_w are independent over Q(z) and, the sigma_i
+    being algebraically independent, so are the products sigma^e g_w over Q.
+    No product is built.
+
     A failed check's witness names the level of the vectors compared, the
-    relation, and the first dependent product or differing coordinate.
+    relation, and the first dependent generator or differing coordinate.
     """
     space = SuperSpace.tensor_power(n)
     checks = []
     v_plus = vacuum_vector(n)
 
-    # lowering-word generators and their independence over symmetric polynomials
-    words = list(itertools.combinations(range(n), level))
-    gens = {w: _apply_e21_word(space, w, v_plus) for w in words}
-    cap = d + sum(range(n - level, n)) + 1
-    coords = Coords.build(n, level, cap)
-    sym_monos = _symmetric_monomials(n, d).items()
-    span = SpanBasis(coords.dim)
+    # lowering-word generators, independent by their values at a
+    a = tuple(range(n))
+    values = SpanBasis()
     dependent = None
-    for w, g in gens.items():
-        for e, sm in sym_monos:
-            vec = {c: sm * p for c, p in g.items()}
-            if not span.add(coords.to_vector(vec)) and dependent is None:
-                dependent = f"sigma^{e} g_{w} depends on the earlier products"
+    for w in itertools.combinations(range(n), level):
+        g = _apply_e21_word(space, w, v_plus)
+        if not values.add([g[c].evaluate(a) if c in g else 0 for c in range(space.dim)]):
+            dependent = f"g_{w} at z = {a} depends on the earlier generators' values"
+            break
     checks.append(_model_check(level, f"free generators at level {level}", dependent))
 
     # overflow relation: e21[n] v+ = sum (-1)^(i-1) sigma_i e21[n-i] v+
@@ -602,7 +585,7 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
 
     # singular generators: annihilated by the raising zero mode, eigenvalue n
     if level <= n - 1:
-        crd3 = Coords.build(n, level, cap)
+        crd3 = Coords.build(n, level, d + sum(range(n - level, n)) + 1)
         diff = None
         for w in itertools.combinations(range(1, n), level):
             u = _apply_e21_word(space, w, v_plus)
@@ -618,32 +601,6 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
                 break
         checks.append(_model_check(level, "singular generators", diff))
     return checks
-
-
-def _symmetric_monomials(n: int, d: int) -> dict[tuple[int, ...], MPoly]:
-    """sigma_1^e_1 ... sigma_n^e_n of weighted degree sum i e_i <= d, by exponents e.
-
-    Each product is one earlier product times one sigma_i; d < 0 gives none.
-    """
-    base = [elementary_mpoly(n, i) for i in range(1, n + 1)]
-    out: dict[tuple[int, ...], MPoly] = {}
-
-    def rec(prefix: list[int], i: int, budget: int) -> None:
-        if i > n:
-            e = tuple(prefix)
-            top = max((k for k in range(n) if e[k]), default=None)
-            if top is None:
-                out[e] = MPoly.const(n, 1)
-            else:
-                out[e] = out[e[:top] + (e[top] - 1,) + e[top + 1:]] * base[top]
-            return
-        e = 0
-        while e * i <= budget:
-            rec(prefix + [e], i + 1, budget - e * i)
-            e += 1
-
-    rec([], 1, d)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +658,7 @@ def cyclicity_by_degree(n: int, d: int) -> SpecializationResult:
             ops.append((i, j, c))
     # generate within the degree cap, then compare against invariant dims
     frontier = [vacuum_vector(n)]
-    spans = {lv: SpanBasis(coords_all[lv].dim) for lv in range(n + 1)}
+    spans = {lv: SpanBasis() for lv in range(n + 1)}
     spans[0].add(coords_all[0].to_vector(vacuum_vector(n)))
     while frontier:
         nxt = []
@@ -712,7 +669,7 @@ def cyclicity_by_degree(n: int, d: int) -> SpecializationResult:
                     continue
                 if _degree(g) > cap:
                     continue
-                lv = sum(space.multi_index(next(iter(g))))
+                lv = space.level(next(iter(g)))
                 if spans[lv].add(coords_all[lv].to_vector(g)):
                     nxt.append(g)
         frontier = nxt
@@ -824,7 +781,7 @@ def specialization_check(points: Sequence) -> SpecializationResult:
             return SpecializationResult(False, f"level {lv}: {len(level)} of {comb(n, lv)} generators nonzero")
 
     # b. the partners g_D(a) are independent
-    partners = SpanBasis(2**n)
+    partners = SpanBasis()
     for lv, level in enumerate(gens):
         for word, g in level:
             if not partners.add([g[c].evaluate(a) if c in g else 0 for c in range(2**n)]):

@@ -101,7 +101,7 @@ class TestAlgebraDimension:
             # closure sanity: products of basis elements stay inside
             from gl11chain.linalg import SpanBasis
 
-            span = SpanBasis(fam.dim * fam.dim)
+            span = SpanBasis()
             flat = lambda m: [m.get(i, j) for i in range(fam.dim) for j in range(fam.dim)]
             for m in mats:
                 span.add(flat(m))

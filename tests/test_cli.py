@@ -83,6 +83,7 @@ class TestSpectrum:
             ('{"weights": [[1,0],[1,0]], "points": ["0","1"], "twist": ["1","1"]}', "not cyclic"),
             ('{"points": ["0"], "twist": ["1","1"]}', "weights"),
             ('{"weights": [[0,0]], "points": ["0"], "twist": ["1","2"]}', "weight (0, 0) is degenerate"),
+            ('{"weights": [[0,0]], "points": ["0"], "twist": ["1","1"]}', "weight (0, 0) is degenerate"),
             ('{"weights": [[0,1]], "points": ["0"], "twist": ["1","2"]}', "weight (0, 1) is not polynomial"),
             # gammas whose split test would enumerate divisors of 18- and 19-digit integers
             (
@@ -97,8 +98,8 @@ class TestSpectrum:
         ],
         ids=[
             "short-weight", "float-point", "short-twist", "top-level-list", "bool-weight", "zero-denominator",
-            "non-cyclic", "missing-key", "degenerate-weight", "non-polynomial-weight", "huge-point",
-            "six-digit-rational-points",
+            "non-cyclic", "missing-key", "degenerate-weight", "degenerate-weight-equal-twist",
+            "non-polynomial-weight", "huge-point", "six-digit-rational-points",
         ],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, text, needle):

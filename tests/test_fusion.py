@@ -58,7 +58,7 @@ class TestSymmetrizers:
         assert a2 == (ident - GRADED_FLIP) * F(1, 2)
         assert h2 == (ident + GRADED_FLIP) * F(1, 2)
         # image of the antisymmetrizer: doubly-odd and the odd combination
-        span = SpanBasis(4)
+        span = SpanBasis()
         for j in range(4):
             span.add(column(a2, j))
         assert span.dim == 2
@@ -222,7 +222,7 @@ def route_a_full_space(pencil, twist, m: int, projector: ExactMatrix) -> FracMat
     supertrace over the aux legs."""
     q = (F(twist[0]), F(twist[1]))
     dmod = pencil.space.dim
-    full = SuperSpace([SuperSpace.standard_leg()] * m + [pencil.space.parities])
+    full = SuperSpace([(0, 1)] * m + [pencil.space.parities])
     prod = FracMatrix(lift_leading(projector, dmod).map_entries(lambda v: Poly((v,))))
     qmat = ExactMatrix(2, 2)
     qmat.put(0, 0, q[0])

@@ -154,7 +154,7 @@ class TestSpanBasis:
     @settings(max_examples=200)
     def test_matches_dense_echelon(self, stream):
         length, vecs, probes = stream
-        sparse, ref = SpanBasis(length), DenseEchelon()
+        sparse, ref = SpanBasis(), DenseEchelon()
         for v in vecs:
             assert sparse.add(v) == ref.add(v)
             assert sparse.dim == len(ref.rows)
@@ -171,7 +171,7 @@ class TestSpanBasis:
                 assert [sum(c * v[j] for c, v in zip(coords, vecs)) for j in range(length)] == w
 
     def test_add_and_contains(self):
-        s = SpanBasis(3)
+        s = SpanBasis()
         assert s.add([F(1), F(0), F(1)])
         assert not s.add([F(2), F(0), F(2)])
         assert s.add([F(0), F(1), F(0)])
@@ -505,7 +505,7 @@ class TestIntegerRowsAgainstFieldOracle:
     @settings(max_examples=200, deadline=None)
     def test_spans_and_coordinates(self, case):
         length, ops = case
-        span, oracle = SpanBasis(length), FieldSpanBasis(length)
+        span, oracle = SpanBasis(), FieldSpanBasis(length)
         crd, tagged = SpanCoordinates(length), FieldSpanBasis(length)
         queries = []
         for kind, v in ops:
@@ -575,7 +575,7 @@ class TestFractionFree:
     def test_integer_reduction_builds_at_most_two_fractions(self, monkeypatch):
         rng = random.Random(16)
         basis = [[F(rng.randint(-9, 9)) for _ in range(40)] for _ in range(30)]
-        span = SpanBasis(40)
+        span = SpanBasis()
         for v in basis:
             span.add(v)
         assert span.dim == 30
@@ -612,7 +612,7 @@ class TestMixedEntries:
 
     def test_ring_is_fixed_by_the_first_entry(self):
         x = Poly((0, 1))
-        span = SpanBasis(2)
+        span = SpanBasis()
         assert not span.add([F(0), F(0)])  # a zero vector fixes nothing
         assert span.add([x, x + 1])
         with pytest.raises(TypeError, match="Poly entries only"):
@@ -622,7 +622,7 @@ class TestMixedEntries:
         assert span.echelon_rows() == {0: {0: Poly((1,))}, 1: {1: Poly((1,))}}
         with pytest.raises(TypeError):
             span.rows  # dividing by the pivot is rational-only
-        rational = SpanBasis(2)
+        rational = SpanBasis()
         assert rational.add([F(1, 2), F(0)])
         with pytest.raises(TypeError, match="rational entries only"):
             rational.add([x, F(1)])

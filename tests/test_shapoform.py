@@ -1,13 +1,16 @@
+import json
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
-from gl11chain.monodromy import make_spec, tensor_monodromy, t_coefficient
-from gl11chain.superlin import Weight
+from gl11chain.monodromy import ModuleSpec, make_spec, tensor_monodromy, t_coefficient
+from gl11chain.superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
 from gl11chain.bethe import Divisor, bethe_vector, char_pair
+from gl11chain.suites import suite_specs
 from gl11chain.shapoform import (
     check_iota_contract,
     form_matrix,
@@ -207,3 +210,89 @@ class TestOrthogonality:
         for level in range(cp.gamma.degree + 1):
             for dv in cp.divisors[level]:
                 assert norm_check(E4, dv).lhs != 0
+
+
+# ---------------------------------------------------------------------------
+# the form against the two-step R-matrix embedding it replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_r_matrix(wt_i, wt_j, x):
+    """The 4x4 R-matrix, each term E_ab (x) E_cd embedded on two legs and then scaled (oracle)."""
+    den = wt_j.l1 + wt_i.l2 + x
+    terms = [
+        ((1, 1), (1, 1), F(1)),
+        ((2, 2), (2, 2), -(wt_i.l1 + wt_j.l2 - x) / den),
+        ((1, 1), (2, 2), (wt_j.l1 - wt_i.l1 + x) / den),
+        ((2, 2), (1, 1), (wt_i.l2 - wt_j.l2 + x) / den),
+        ((1, 2), (2, 1), -(wt_i.l1 + wt_i.l2) / den),
+        ((2, 1), (1, 2), (wt_j.l1 + wt_j.l2) / den),
+    ]
+    space = SuperSpace.tensor_power(2)
+    out = ExactMatrix(4, 4)
+    for (a, b), (c, d), coef in terms:
+        if coef:
+            emb = kron_signed(space, {0: (e_matrix(a, b), E_PARITY[(a, b)]), 1: (e_matrix(c, d), E_PARITY[(c, d)])})
+            out = out + emb * coef
+    return out
+
+
+def _two_step_embedding(space, i, j, r4):
+    """Lift a two-site operator to sites (i, j): undo the pair's Koszul sign, redo the chain's (oracle)."""
+    pair = SuperSpace.tensor_power(2)
+    out = ExactMatrix(space.dim, space.dim)
+    for gi, gj, v in r4.entries():
+        (a, c), (b, d) = pair.multi_index(gi), pair.multi_index(gj)
+        par1 = (pair.legs[0][a] + pair.legs[0][b]) % 2
+        par2 = (pair.legs[1][c] + pair.legs[1][d]) % 2
+        if par2 and pair.legs[0][b]:
+            v = -v
+        m1 = ExactMatrix(2, 2)
+        m1.put(a, b, v)
+        out = out + kron_signed(space, {i: (m1, par1), j: (e_matrix(c + 1, d + 1), par2)})
+    return out
+
+
+def two_step_form_matrix(spec):
+    """Gram matrix by the per-leg tensor form and the two-step R-matrix embedding (oracle)."""
+    space = spec.space()
+    g0 = ExactMatrix(space.dim, space.dim)
+    for idx in range(space.dim):
+        val, odd = F(1), 0
+        for s, comp in enumerate(space.multi_index(idx)):
+            if comp == 1:
+                val *= -(spec.weights[s].l1 + spec.weights[s].l2)
+                odd += 1
+        g0.put(idx, idx, -val if (odd * (odd - 1) // 2) % 2 else val)
+    r = ExactMatrix.identity(space.dim)
+    for i in range(spec.k):
+        for j in range(i + 1, spec.k):
+            r4 = _old_r_matrix(spec.weights[i], spec.weights[j], spec.points[i] - spec.points[j])
+            r = r @ _two_step_embedding(space, i, j, r4)
+    return g0 @ r
+
+
+def _form_chains():
+    """The seven suite chains, the benchmark fixtures k2, t2, k3, and a four- and a five-site chain."""
+    fixtures = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    chains = dict(suite_specs())
+    for name in ("k2", "t2", "k3"):
+        chains[name] = ModuleSpec.from_dict(json.loads((fixtures / f"{name}.json").read_text()))
+    chains["k4"] = make_spec([(1, 0), (2, 0), (1, 0), (1, 0)], ["5", "4", "3", "2"])
+    chains["k5"] = make_spec([(1, 1), (1, 0), (1, 0), (1, 1), (1, 0)], ["1", "0", "-2", "0", "-3"])
+    return chains
+
+
+FORM_CHAINS = _form_chains()
+
+
+@pytest.mark.parametrize("name", FORM_CHAINS)
+def test_form_matrix_matches_the_two_step_embedding(name):
+    spec = FORM_CHAINS[name]
+    assert form_matrix(spec) == two_step_form_matrix(spec)
+
+
+def test_r_matrix_matches_the_embedded_terms():
+    for wt_i, wt_j in ((W10, W10), (Weight(F(2), F(1)), W10), (Weight(F(1), F(1)), Weight(F(3), F(0)))):
+        for x in (F(1, 2), F(-3), F(0)):
+            assert r_matrix(wt_i, wt_j, x) == _old_r_matrix(wt_i, wt_j, x)

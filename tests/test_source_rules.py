@@ -11,7 +11,9 @@ file defines `from_ratfun`.  The start-up core that `--help` and
 `random-spec` load never imports from linalg or suites when it is imported,
 so those two load only when a command uses them.  No source file imports
 `dataclasses`, which loads `inspect` on every command's start-up: records
-are NamedTuples or plain classes.
+are NamedTuples or plain classes.  The legs of a `SuperSpace` are read in
+superlin.py alone; every other module asks the space for levels, flips and
+leg actions.
 """
 
 import ast
@@ -204,3 +206,20 @@ def test_dataclasses_rule_catches_each_violation():
     assert _dataclasses_imports(ast.parse(code)) == [
         "line 1: from dataclasses import", "line 2: import dataclasses", "line 4: from dataclasses import",
     ]
+
+
+def _legs_reads(tree: ast.AST) -> list[str]:
+    """Every read of an attribute named `legs`."""
+    return [f"line {node.lineno}: reads .legs" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "legs"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_superlin_reads_legs(path):
+    if path.name != "superlin.py":
+        assert _legs_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_legs_rule_catches_a_planted_read():
+    code = "def sign(space, c):\n    multi = space.multi_index(c)\n    return space.legs[0][multi[0]]\n"
+    assert _legs_reads(ast.parse(code)) == ["line 3: reads .legs"]

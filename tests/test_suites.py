@@ -406,6 +406,7 @@ def test_memoised_builders_found():
         "gl11chain.fusion.berezinian",
         "gl11chain.fusion.higher_transfer",
         "gl11chain.fusion._generating_oper",
+        "gl11chain.fusion.symmetrizers",
     }
 
 

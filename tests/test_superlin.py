@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
+
 from gl11chain.linalg import ExactMatrix
 from gl11chain.superlin import (
     E_PARITY,
@@ -97,7 +99,7 @@ class TestWeightSpaces:
         assert dims == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
     def test_two_dim_module(self):
-        space = SuperSpace([SuperSpace.standard_leg()])
+        space = SuperSpace.tensor_power(1)
         ws = weight_spaces(space, [Weight(F(2), F(0))])
         dims = {(int(w.l1), int(w.l2)): len(idx) for w, idx in ws}
         assert dims == {(2, 0): 1, (1, 1): 1}
@@ -133,7 +135,7 @@ class TestSingular:
 
 class TestTraceTranspose:
     def test_supertrace_values(self):
-        space = SuperSpace([SuperSpace.standard_leg()])
+        space = SuperSpace.tensor_power(1)
         assert supertrace(ExactMatrix.identity(2), space) == 0
         assert supertrace(e_matrix(1, 1), space) == 1
         assert supertrace(e_matrix(2, 2), space) == -1
@@ -145,12 +147,12 @@ class TestTraceTranspose:
         assert supertrace(flip, space) == 0
 
     def test_supertranspose_rules(self):
-        space = SuperSpace([SuperSpace.standard_leg()])
+        space = SuperSpace.tensor_power(1)
         assert supertranspose(e_matrix(1, 2), space) == e_matrix(2, 1)
         assert supertranspose(e_matrix(2, 1), space) == -e_matrix(1, 2)
 
     def test_antihomomorphism(self):
-        space = SuperSpace([SuperSpace.standard_leg()])
+        space = SuperSpace.tensor_power(1)
         a, b = e_matrix(1, 2), e_matrix(2, 1)
         # (AB)^t = (-1)^{|A||B|} B^t A^t with both factors odd
         lhs = supertranspose(a @ b, space)
@@ -158,14 +160,14 @@ class TestTraceTranspose:
         assert lhs == rhs
 
     def test_double_transpose_sign(self):
-        space = SuperSpace([SuperSpace.standard_leg()])
+        space = SuperSpace.tensor_power(1)
         for (i, j), par in E_PARITY.items():
             twice = supertranspose(supertranspose(e_matrix(i, j), space), space)
             want = e_matrix(i, j) * ((-1) ** ((i + j) % 2))
             assert twice == want
 
     def test_supercommutator_traceless(self):
-        space = SuperSpace([SuperSpace.standard_leg()])
+        space = SuperSpace.tensor_power(1)
         mats = {(i, j): e_matrix(i, j) for i in (1, 2) for j in (1, 2)}
         for (a, pa), (b, pb) in combinations([(k, E_PARITY[k]) for k in mats], 2):
             ma, mb = mats[a], mats[b]
@@ -209,3 +211,87 @@ def test_symmetric_group_action_is_homomorphism():
         for p2, m2 in action.items():
             composed = tuple(p1[p2[i]] for i in range(3))
             assert action[composed] == m1 @ m2
+
+
+# ---------------------------------------------------------------------------
+# the leg rules against the code they replaced
+# ---------------------------------------------------------------------------
+
+# tensor powers of standard legs, and one space with a trivial leg
+LEG_SPACES = [SuperSpace.tensor_power(n) for n in (1, 2, 3, 4)] + [SuperSpace([(0, 1), (0,), (0, 1), (0, 1)])]
+LEG_WEIGHTS = [Weight(F(2), F(1)), Weight(F(1), F(0)), Weight(F(3), F(0)), Weight(F(1), F(1))]
+
+
+def per_leg_basis_weights(space, leg_weights):
+    """Basis weights by the per-leg loop basis_weights ran before SuperSpace.level (oracle)."""
+    out = []
+    for idx in range(space.dim):
+        l1, l2 = F(0), F(0)
+        for wt, comp in zip(leg_weights, space.multi_index(idx)):
+            l1 += wt.l1 if comp == 0 else wt.l1 - 1
+            l2 += wt.l2 if comp == 0 else wt.l2 + 1
+        out.append(Weight(l1, l2))
+    return out
+
+
+def flip_components(space, c, i):
+    """Swap legs i, i+1 of component c; sign -1 when both legs are odd (the polynomial model's old flip, oracle)."""
+    multi = list(space.multi_index(c))
+    a, b = multi[i], multi[i + 1]
+    multi[i], multi[i + 1] = b, a
+    return space.index(multi), -1 if a == 1 and b == 1 else 1
+
+
+def ladder_unit(space, idx, s, i, j):
+    """E_ij on leg s by the four-branch ladder of the old current_action (oracle)."""
+    multi = space.multi_index(idx)
+    comp = multi[s]
+    targets = {(1, 1): (0, 0), (2, 2): (1, 1), (2, 1): (0, 1), (1, 2): (1, 0)}
+    source, target = targets[(i, j)]
+    if comp != source:
+        return None
+    passed = sum(space.legs[q][multi[q]] for q in range(s))
+    nm = list(multi)
+    nm[s] = target
+    return space.index(nm), -1 if (i + j) % 2 and passed % 2 else 1
+
+
+def kron_unit_column(space, idx, s, i, j):
+    """Column idx of E_ij on leg s built by kron_signed, as a list of (row, value) (oracle)."""
+    leg = space.legs[s]
+    d = len(leg)
+    if i > d or j > d:
+        return []
+    m = kron_signed(space, {s: (e_matrix(i, j, d), (leg[i - 1] + leg[j - 1]) % 2)})
+    return [(r, v) for r, c, v in m.entries() if c == idx]
+
+
+@pytest.mark.parametrize("space", LEG_SPACES, ids=lambda sp: "".join(str(d) for d in sp.dims))
+def test_level_matches_the_per_leg_weights(space):
+    weights = [LEG_WEIGHTS[s] if d == 2 else Weight(F(0), F(0)) for s, d in enumerate(space.dims)]
+    oracle = per_leg_basis_weights(space, weights)
+    assert basis_weights(space, weights) == oracle
+    total = sum(wt.l1 for wt in weights)
+    for idx in range(space.dim):
+        assert space.level(idx) == total - oracle[idx].l1
+        assert space.level(idx) % 2 == space.parity(idx)
+
+
+@pytest.mark.parametrize("space", LEG_SPACES, ids=lambda sp: "".join(str(d) for d in sp.dims))
+def test_flip_matches_the_old_flip(space):
+    pairs = [i for i in range(space.nlegs() - 1) if space.dims[i] == space.dims[i + 1]]
+    assert pairs or space.nlegs() == 1
+    for i in pairs:
+        for idx in range(space.dim):
+            assert space.flip(idx, i) == flip_components(space, idx, i)
+
+
+@pytest.mark.parametrize("space", LEG_SPACES, ids=lambda sp: "".join(str(d) for d in sp.dims))
+def test_leg_unit_matches_the_ladder_and_kron_signed(space):
+    for s, d in enumerate(space.dims):
+        for i, j in E_PARITY:
+            for idx in range(space.dim):
+                got = space.leg_unit(idx, s, i, j)
+                assert kron_unit_column(space, idx, s, i, j) == ([] if got is None else [got])
+                if d == 2:
+                    assert got == ladder_unit(space, idx, s, i, j)

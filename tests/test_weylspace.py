@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb, factorial, prod
 
 import pytest
@@ -130,7 +131,7 @@ def averaging_invariant_basis(n, level, d):
     for g in group:
         av = av + g
     av = av * F(1, len(group))
-    span = SpanBasis(coords.dim)
+    span = SpanBasis()
     out = []
     for j in range(coords.dim):
         col = column(av, j)
@@ -383,14 +384,71 @@ class TestInvariantDimensions:
             a = averaging_invariant_basis(n, l, d)
             b = kernel_invariant_basis(n, l, d)
             crd = Coords.build(n, l, d)
-            span = SpanBasis(crd.dim)
+            span = SpanBasis()
             for w in b:
                 span.add(crd.to_vector(w))
             assert len(a) == len(b)
             assert all(span.contains(crd.to_vector(w)) for w in a)
 
 
+def elimination_free_generators(n, level, d):
+    """Freeness of the lowering-word generators by elimination in a chart (oracle).
+
+    Every product sigma^e g_w of weighted degree e <= d must be independent of
+    the earlier ones in the level's chart up to the generators' degree plus d.
+    """
+    space = SuperSpace.tensor_power(n)
+    coords = Coords.build(n, level, d + sum(range(n - level, n)) + 1)
+    span = SpanBasis()
+    for w in combinations(range(n), level):
+        g = weylspace._apply_e21_word(space, w, weylspace.vacuum_vector(n))
+        for sym in _symmetric_monomials(n, d).values():
+            if not span.add(coords.to_vector({c: sym * p for c, p in g.items()})):
+                return False
+    return True
+
+
+def ladder_current_action(space, i, j, r, f):
+    """e_ij[r] by the four-branch ladder current_action ran before SuperSpace.leg_unit (oracle)."""
+    odd = (i + j) % 2
+    out = {}
+    for c, p in f.items():
+        multi = space.multi_index(c)
+        passed = 0
+        for s in range(space.nlegs()):
+            comp = multi[s]
+            target = None
+            if (i, j) == (1, 1) and comp == 0:
+                target = comp
+            elif (i, j) == (2, 2) and comp == 1:
+                target = comp
+            elif (i, j) == (2, 1) and comp == 0:
+                target = 1
+            elif (i, j) == (1, 2) and comp == 1:
+                target = 0
+            if target is not None:
+                nm = list(multi)
+                nm[s] = target
+                term = p * MPoly.var(p.n, s, r) if r else p
+                cc = space.index(nm)
+                out[cc] = out.get(cc, MPoly(p.n, {})) + (-term if odd and passed % 2 else term)
+            passed += space.legs[s][comp]
+    return {c: p for c, p in out.items() if p}
+
+
 class TestCurrentModel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_current_action_matches_the_ladder(self, n):
+        space = SuperSpace.tensor_power(n)
+        coords = Coords.build(n, None, 2)
+        for i in (1, 2):
+            for j in (1, 2):
+                for r in range(3):
+                    for c in coords.components:
+                        for e in coords.monomials:
+                            f = {c: MPoly(n, {e: 1})}
+                            assert current_action(space, i, j, r, f) == ladder_current_action(space, i, j, r, f)
+
     @pytest.mark.parametrize("n,l", [(2, 0), (2, 1), (3, 1), (3, 2)])
     def test_checks_pass(self, n, l):
         for c in current_model_checks(n, l, 3):
@@ -407,6 +465,31 @@ class TestCurrentModel:
         want = "level 1, overflow relation: coordinate 4 (component 1, monomial (1, 1)): 0 vs -1"
         assert checks["overflow relation"].witness == want
         assert all(c.witness == "" for c in checks.values() if c.ok)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_freeness_matches_the_elimination_oracle(self, n):
+        for level in range(n + 1):
+            for d in range(4):
+                got = current_model_checks(n, level, d)[0]
+                assert got.label == f"free generators at level {level}"
+                assert got.ok == elimination_free_generators(n, level, d)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_generator_values_independent_at_four_and_five_sites(self, n):
+        assert all(current_model_checks(n, level, 0)[0].ok for level in range(n + 1))
+
+    def test_repeated_generator_names_the_word(self, monkeypatch):
+        # negative control: the word (2,) yields the generator of (1,)
+        real = weylspace._apply_e21_word
+        monkeypatch.setattr(
+            weylspace, "_apply_e21_word", lambda space, rs, base: real(space, (1,) if tuple(rs) == (2,) else rs, base)
+        )
+        free = current_model_checks(3, 1, 2)[0]
+        assert not free.ok
+        assert free.witness == (
+            "level 1, free generators at level 1: g_(2,) at z = (0, 1, 2) depends on the earlier generators' values"
+        )
+        assert not elimination_free_generators(3, 1, 2)
 
     def test_raising_lowering_scalar(self):
         # raise-lower plus lower-raise equals the site count on every vector
@@ -436,10 +519,36 @@ class TestGammaInteraction:
 
 
 def _span_of(coords, vectors):
-    span = SpanBasis(coords.dim)
+    span = SpanBasis()
     for f in vectors:
         span.add(coords.to_vector(f))
     return span
+
+
+def _symmetric_monomials(n, d):
+    """sigma_1^e_1 ... sigma_n^e_n of weighted degree sum i e_i <= d, by exponents e.
+
+    Each product is one earlier product times one sigma_i; d < 0 gives none.
+    """
+    base = [weylspace.elementary_mpoly(n, i) for i in range(1, n + 1)]
+    out = {}
+
+    def rec(prefix, i, budget):
+        if i > n:
+            e = tuple(prefix)
+            top = max((k for k in range(n) if e[k]), default=None)
+            if top is None:
+                out[e] = MPoly.const(n, 1)
+            else:
+                out[e] = out[e[:top] + (e[top] - 1,) + e[top + 1:]] * base[top]
+            return
+        e = 0
+        while e * i <= budget:
+            rec(prefix + [e], i + 1, budget - e * i)
+            e += 1
+
+    rec([], 1, d)
+    return out
 
 
 def _products(n, gens, d):
@@ -447,7 +556,7 @@ def _products(n, gens, d):
     return [
         (k, e, {c: sym * p for c, p in g.items()})
         for k, g in enumerate(gens)
-        for e, sym in weylspace._symmetric_monomials(n, d - weylspace._degree(g)).items()
+        for e, sym in _symmetric_monomials(n, d - weylspace._degree(g)).items()
     ]
 
 
@@ -564,7 +673,7 @@ class TestSpecialization:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_product_count_matches_the_symmetric_monomials(self, n):
         for budget in range(-2, 11):
-            assert weylspace._product_count(n, budget) == len(weylspace._symmetric_monomials(n, budget))
+            assert weylspace._product_count(n, budget) == len(_symmetric_monomials(n, budget))
 
     def test_builds_no_group(self, monkeypatch):
         calls = []
