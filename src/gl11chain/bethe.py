@@ -31,6 +31,7 @@ from .exactnum import (
 )
 from .linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
 from .monodromy import (
+    Check,
     ModuleSpec,
     MonodromyPencil,
     coefficient_matrices,
@@ -209,19 +210,15 @@ def eigenvalue_pencil(y: Union[Divisor, Poly], spec: ModuleSpec) -> Poly:
 
 
 class OnShellResult(NamedTuple):
-    ok: bool
+    check: Check
     bethe: BetheVector
-    witness: "tuple | None" = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellResult:
     """Check y(x) * That_Q(x) Bhat = y(x-1) * gamma(x) * Bhat exactly.
 
     Accepts a Divisor or a raw root sequence (the latter supports off-shell
-    negative controls).  On failure the witness is (x-degree, component).
+    negative controls).  On failure the witness is "(x-degree, component)".
     """
     roots = y.root_list() if isinstance(y, Divisor) else tuple(scalar(v) for v in y)
     ypoly = y.poly if isinstance(y, Divisor) else Poly.from_roots(roots)
@@ -233,7 +230,7 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellRes
     # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side
     diffs = [a - rhs * v for a, v in zip((tq * ypoly).apply(vec), vec)]
     bad = [(min(d for d, c in enumerate(p.nums) if c), comp) for comp, p in enumerate(diffs) if p]
-    return OnShellResult(not bad, bv, min(bad) if bad else None)
+    return OnShellResult(Check(not bad, witness=str(min(bad)) if bad else ""), bv)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +389,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
                 span.add(eig_basis[0])
                 spans = span.contains(bcoords)
             nonzero = not res.bethe.is_zero()
-            entries.append(DivisorEntry(dv, ev, bool(res), nonzero, len(eig_basis), len(gen_basis), spans))
+            entries.append(DivisorEntry(dv, ev, res.check.ok, nonzero, len(eig_basis), len(gen_basis), spans))
         complete = sum(e.generalized_dim for e in entries) == dim and all(e.ok for e in entries)
         diagonalizable = sum(e.eigen_dim for e in entries) == dim
         report.levels.append(LevelReport(level, level_weight(spec, level), dim, entries, complete, diagonalizable))

@@ -23,6 +23,7 @@ from typing import NamedTuple, Sequence
 from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
 from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from .monodromy import (
+    Check,
     ModuleSpec,
     cyclicity_and_irreducibility,
     laurent_coefficients,
@@ -45,14 +46,13 @@ class CoefficientFamily:
 
     def __init__(
         self, spec: ModuleSpec, level: int, singular: bool, basis: list[list[Fraction]],
-        ops: list[ExactMatrix], names: list[str], strings: tuple[Fraction, ...],
+        ops: list[ExactMatrix], strings: tuple[Fraction, ...],
     ):
         self.spec = spec
         self.level = level
         self.singular = singular
         self.basis = basis
         self.ops = ops
-        self.names = names
         self.strings = strings
 
     @property
@@ -84,12 +84,9 @@ def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> Coe
     tq = transfer_pencil(pencil, spec.twist)
     bmats = laurent_coefficients(tq, astr, spec.normalizer() * Poly([0] * n + [1]), n)
     ops, _ = restrict_operators(bmats[1:], basis)
-    names = [f"B{d}" for d in range(1, n + 1)]
-    sig = elementary_symmetric(list(strings))
-    for d in range(1, n + 1):
-        ops.append(ExactMatrix.identity(len(basis)) * sig[d - 1])
-        names.append(f"C{d}")
-    return CoefficientFamily(spec, level, singular_only, basis, ops, names, strings)
+    for c in elementary_symmetric(list(strings)):
+        ops.append(ExactMatrix.identity(len(basis)) * c)
+    return CoefficientFamily(spec, level, singular_only, basis, ops, strings)
 
 
 def _flatten(m: ExactMatrix) -> list[Fraction]:
@@ -147,33 +144,24 @@ def commutant_dimension(fam: CoefficientFamily) -> int:
     return d * d - stacked.rank()
 
 
-def double_commutant_check(fam: CoefficientFamily) -> tuple[bool, int, int]:
-    """True when the commutant of the family equals the generated algebra."""
+def double_commutant_check(fam: CoefficientFamily) -> Check:
+    """The commutant of the family equals the generated algebra; the witness is "algebra dim vs commutant dim"."""
     adim = len(fam.algebra)
     cdim = commutant_dimension(fam)
-    return adim == cdim, adim, cdim
+    return Check(adim == cdim, witness="" if adim == cdim else f"{adim} vs {cdim}")
 
 
-class RegularRepResult(NamedTuple):
-    ok: bool
-    algebra_dim: int
-    subspace_dim: int
-    skipped: bool = False
-
-    def __bool__(self):
-        return self.ok
-
-
-def regular_rep_check(fam: CoefficientFamily) -> RegularRepResult:
+def regular_rep_check(fam: CoefficientFamily) -> Check:
     """Search for a cyclic vector generating the subspace under the algebra.
 
-    Requires a cyclic chain; for a non-cyclic one the check is flagged as
-    skipped.  Deterministic candidates: coordinate vectors, then small
-    integer-weighted sums.
+    Requires a cyclic chain; a non-cyclic one fails with the witness "chain
+    is not cyclic".  Deterministic candidates: coordinate vectors, then
+    small integer-weighted sums.  On failure the witness names the algebra
+    and subspace dimensions.
     """
     cyclic, _ = cyclicity_and_irreducibility(fam.spec)
     if not cyclic:
-        return RegularRepResult(False, 0, fam.dim, skipped=True)
+        return Check(False, witness="chain is not cyclic")
     mats = fam.algebra
     adim, d = len(mats), fam.dim
     candidates = []
@@ -189,19 +177,11 @@ def regular_rep_check(fam: CoefficientFamily) -> RegularRepResult:
         for m in mats:
             span.add(m.apply(cand))
         if span.dim == d == adim:
-            return RegularRepResult(True, adim, d)
-    return RegularRepResult(False, adim, d)
+            return Check(True)
+    return Check(False, witness=f"algebra dim {adim}, subspace dim {d}")
 
 
-class PresentationResult(NamedTuple):
-    ok: bool
-    witness: "str | None" = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def presentation_check(spec: ModuleSpec, level: int) -> PresentationResult:
+def presentation_check(spec: ModuleSpec, level: int) -> Check:
     """Divisor eigenvalues against the symmetric-function presentation.
 
     gamma factors as lead * prod (x - w_i); for every degree-l divisor y with
@@ -214,7 +194,7 @@ def presentation_check(spec: ModuleSpec, level: int) -> PresentationResult:
     q1, q2 = spec.twist
     expected_lead = (q1 - q2) if spec.is_twisted() else q1 * spec.n
     if lead != expected_lead:
-        return PresentationResult(False, "leading coefficient mismatch")
+        return Check(False, witness="leading coefficient mismatch")
     all_roots: list[Fraction] = []
     for r, m in cp.roots:
         all_roots.extend([r] * m)
@@ -225,7 +205,7 @@ def presentation_check(spec: ModuleSpec, level: int) -> PresentationResult:
     for i, e in enumerate(sig, start=1):
         recon = recon + Poly([0] * (kk - i) + [1]) * (e if i % 2 == 0 else -e)
     if recon * lead != cp.gamma:
-        return PresentationResult(False, "epsilon parameters do not reproduce gamma")
+        return Check(False, witness="epsilon parameters do not reproduce gamma")
     for dv in divisors:
         complement = list(all_roots)
         for r in dv.root_list():
@@ -236,8 +216,8 @@ def presentation_check(spec: ModuleSpec, level: int) -> PresentationResult:
         for w in complement:
             expected = expected * Poly((-w, 1))
         if expected != eigenvalue_pencil(dv, spec):
-            return PresentationResult(False, f"divisor {dv.label()}")
-    return PresentationResult(True)
+            return Check(False, witness=f"divisor {dv.label()}")
+    return Check(True)
 
 
 def divisor_character(fam: CoefficientFamily, dv: Divisor) -> list[Fraction]:

@@ -102,12 +102,12 @@ def cmd_verify(args) -> int:
         summary[name] = {
             "passed": len(items) - len(bad),
             "failed": len(bad),
-            "failures": [{"name": it.name, "detail": it.detail} for it in bad],
+            "failures": [{"name": it.label, "detail": it.witness} for it in bad],
         }
         print(f"suite {name}: {len(items) - len(bad)}/{len(items)} passed ({dt:.1f}s)", file=sys.stderr)
         for it in bad:
-            failed.append(f"{name}: {it.name}")
-            print(f"  FAIL {it.name}: {it.detail}", file=sys.stderr)
+            failed.append(f"{name}: {it.label}")
+            print(f"  FAIL {it.label}: {it.witness}", file=sys.stderr)
     doc = {"suites": summary, "ok": not failed}
     if "weyl" in names:
         from .weylspace import invariant_dimensions

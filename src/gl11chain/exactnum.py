@@ -790,9 +790,9 @@ def elementary_symmetric(values: Sequence[Fraction]) -> list[Fraction]:
     return es[1:]
 
 
-def q_pochhammer_inverse(m: int, order: int) -> list[Fraction]:
+def q_pochhammer_inverse(m: int, order: int) -> list[int]:
     """Truncated series coefficients of 1/((1-q)(1-q^2)...(1-q^m))."""
-    series = [Fraction(1)] + [Fraction(0)] * order
+    series = [1] + [0] * order
     for i in range(1, m + 1):
         # multiply by 1/(1-q^i): prefix sums with stride i
         for j in range(i, order + 1):
@@ -800,8 +800,8 @@ def q_pochhammer_inverse(m: int, order: int) -> list[Fraction]:
     return series
 
 
-def series_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+def series_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
     for i, ca in enumerate(a[: order + 1]):
         if ca:
             for j, cb in enumerate(b[: order + 1 - i]):

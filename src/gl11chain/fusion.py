@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 from .exactnum import Poly, RatFun, scalar
 from .linalg import ExactMatrix
 from .monodromy import (
+    Check,
     ModuleSpec,
     MonodromyPencil,
     coefficient_matrices,
@@ -232,30 +233,24 @@ def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> FracMat
 
 
 class RouteComparison(NamedTuple):
-    ok: bool
+    check: Check
     matrix: FracMatrix
-    witness: "tuple | None" = None
-
-    def __bool__(self):
-        return self.ok
-
-    def failure(self) -> "FusionCheck":
-        """The check reported in place of an identity on T_m when the two routes disagree."""
-        return FusionCheck(False, f"route disagreement at m={self.witness[0]}", self.witness)
 
 
 @functools.cache
 def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
-    """m-th transfer matrix; hard failure when the two routes disagree.
+    """m-th transfer matrix, with the check that the two routes agree.
 
-    The matrix is route B's.  Memoised per (chain, m): the result is shared
-    and must not be mutated.
+    The matrix is route B's.  A failed check is reported in place of every
+    identity on T_m; its witness is "(m, i, j)", the first differing entry.
+    Memoised per (chain, m): the result is shared and must not be mutated.
     """
     pencil = tensor_monodromy(spec)
     via_trace = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[0])
     via_expansion = higher_transfer_expansion(pencil, spec.twist, m)
     diff = via_trace.first_difference(via_expansion)
-    return RouteComparison(diff is None, via_expansion, None if diff is None else (m, *diff))
+    witness = "" if diff is None else str((m, *diff))
+    return RouteComparison(Check(diff is None, f"route disagreement at m={m}", witness), via_expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +438,24 @@ def _generating_oper(spec: ModuleSpec, order: int) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-class FusionCheck(NamedTuple):
-    ok: bool
-    label: str
-    witness: "object | None" = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _equality_check(lhs, rhs, label: str) -> FusionCheck:
+def _equality_check(lhs, rhs, label: str) -> Check:
     """lhs == rhs for two FracMatrix or two DiffOp; the witness is the first differing entry."""
     diff = lhs.first_difference(rhs)
-    return FusionCheck(diff is None, label, diff)
+    return Check(diff is None, label, "" if diff is None else str(diff))
 
 
-def expansion_matches_routes(spec: ModuleSpec, order: int) -> list[FusionCheck]:
+def expansion_matches_routes(spec: ModuleSpec, order: int) -> list[Check]:
     """Ber(1 - Z) = sum (-1)^m T_m tau^m, checked coefficient by coefficient."""
     oper = generating_oper(spec, order)
     out = []
     for m in range(order + 1):
-        rc = higher_transfer(spec, m) if m else RouteComparison(True, FracMatrix.identity(oper.dim))
+        rc = higher_transfer(spec, m) if m else RouteComparison(Check(True), FracMatrix.identity(oper.dim))
         label = f"tau^{m} coefficient of the generating operator"
-        out.append(_equality_check(oper.frac_coeff(m), rc.matrix.scale((-1) ** m), label) if rc else rc.failure())
+        out.append(_equality_check(oper.frac_coeff(m), rc.matrix.scale((-1) ** m), label) if rc.check else rc.check)
     return out
 
 
-def transfer_relation_check(spec: ModuleSpec, top: int) -> list[list[FusionCheck]]:
+def transfer_relation_check(spec: ModuleSpec, top: int) -> list[list[Check]]:
     """Both product identities relating T_m, H_m to the first transfer matrix, m = 1..top.
 
     T_m(x) prod_{i<m} (1 - Ber(x-i)) = prod_{i<=m} TransferQ(x-i+1), and the
@@ -483,7 +469,7 @@ def transfer_relation_check(spec: ModuleSpec, top: int) -> list[list[FusionCheck
         return []
     ber = berezinian(spec)
     if not ber:
-        return [[FusionCheck(False, "berezinian inconsistent", ber.failed())] for _ in range(top)]
+        return [[Check(False, "berezinian inconsistent", ber.failed())] for _ in range(top)]
     pencil = tensor_monodromy(spec)
     inv = generating_oper(spec, top).inverse_series(top)
     scal = berprod = RatFun(Poly((1,)))
@@ -495,8 +481,8 @@ def transfer_relation_check(spec: ModuleSpec, top: int) -> list[list[FusionCheck
             scal, berprod = scal * (1 - shifted), berprod * shifted
             rhs = rhs @ transfer(pencil, spec.twist, m - 1)
         rc = higher_transfer(spec, m)
-        if not rc:
-            out.append([rc.failure()])
+        if not rc.check:
+            out.append([rc.check])
             continue
         hm = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[1])
         out.append([
@@ -507,21 +493,21 @@ def transfer_relation_check(spec: ModuleSpec, top: int) -> list[list[FusionCheck
     return out
 
 
-def higher_family_commutes(spec: ModuleSpec) -> FusionCheck:
+def higher_family_commutes(spec: ModuleSpec) -> Check:
     """Every x-coefficient of T_1 commutes with every x-coefficient of T_2.
 
     The coefficients are those of route B's numerators, each divided by the
     monic gcd of its entries.  T_1(x) and T_2(y) commute exactly when
     g(x) T_1(x) and h(y) T_2(y) do, for nonzero scalar polynomials g and h,
     so the verdict does not depend on the denominators or the contents.  On
-    failure the witness is the first non-commuting coefficient pair (a, b).
+    failure the witness names the first non-commuting coefficient pair (a, b).
     """
     t1, t2 = (coefficient_matrices(_without_content(higher_transfer(spec, m).matrix.num)) for m in (1, 2))
     for a, ca in enumerate(t1):
         for b, cb in enumerate(t2):
             if not ca.commutes_with(cb):
-                return FusionCheck(False, "higher family commutes", (a, b))
-    return FusionCheck(True, "higher family commutes")
+                return Check(False, "higher family commutes", f"coefficient pair {(a, b)}")
+    return Check(True, "higher family commutes")
 
 
 def _without_content(num: ExactMatrix) -> ExactMatrix:
@@ -546,11 +532,12 @@ def dy_coefficient(spec: ModuleSpec, y: Divisor, m: int) -> RatFun:
     return -val
 
 
-def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[FusionCheck]:
+def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[Check]:
     """Generating-operator action on Bhat against the scalar divisor operator.
 
     Requires a simple-root divisor and order >= 2; each tau coefficient is
-    compared exactly on the Bethe vector.
+    compared exactly on the Bethe vector, and the witness is the first
+    differing component.
     """
     if any(mult > 1 for _, mult in y.roots):
         raise ValueError("simple-root divisor required")
@@ -560,18 +547,18 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[FusionCh
     out = []
     for m in range(1, order + 1):
         rc = higher_transfer(spec, m)
-        if not rc:
-            out.append(rc.failure())
+        if not rc.check:
+            out.append(rc.check)
             continue
         lhs, den = rc.matrix.num.apply(vec), rc.matrix.den
         s = dy_coefficient(spec, y, m) * (Fraction(-1) ** m)
         # lhs_i / den == s v_i, cross-multiplied
         bad = next((i for i, (a, v) in enumerate(zip(lhs, vec)) if a * s.den != s.num * v * den), None)
-        out.append(FusionCheck(bad is None, f"oper action tau^{m} on divisor {y.label()}", bad))
+        out.append(Check(bad is None, f"oper action tau^{m} on divisor {y.label()}", "" if bad is None else str(bad)))
     return out
 
 
-def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
+def universal_oper_check(spec: ModuleSpec, order: int) -> list[Check]:
     """The two universal quotient forms reproduce the generating operator.
 
     Needs Ber - 1 invertible as a rational function, i.e. a nonzero
@@ -580,7 +567,7 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     pencil = tensor_monodromy(spec)
     ber = berezinian(spec)
     if not ber:
-        return [FusionCheck(False, "berezinian inconsistent", ber.failed())]
+        return [Check(False, "berezinian inconsistent", ber.failed())]
     bm1 = ber.value - 1
     if not bm1:
         raise ValueError("Ber - 1 not invertible for this chain")
@@ -600,7 +587,7 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[FusionCheck]:
     return checks
 
 
-def ber_twist_independence(spec: ModuleSpec) -> FusionCheck:
+def ber_twist_independence(spec: ModuleSpec) -> Check:
     """Ber * q2/q1 must not depend on the twist.
 
     The re-twist is (q1 + q2, q2), or (q1 - q2, q2) when q1 = -q2, so both
@@ -613,6 +600,6 @@ def ber_twist_independence(spec: ModuleSpec) -> FusionCheck:
     b1, b2 = berezinian(spec), berezinian(other)
     for which, ber in (("chain", b1), ("re-twisted chain", b2)):
         if not ber:
-            return FusionCheck(False, label, f"{which}: {ber.failed()}")
+            return Check(False, label, f"{which}: {ber.failed()}")
     same = b1.value * (q2 / q1) == b2.value * (other.twist[1] / other.twist[0])
-    return FusionCheck(same, label, None if same else "values differ")
+    return Check(same, label, "" if same else "values differ")

@@ -9,6 +9,10 @@ coefficient matrices of such a matrix, for the checks that read them, and
 laurent_coefficients the Laurent coefficients at infinity of its product
 with a scalar rational function, from one scalar series.
 
+Check is the package's one verdict record: every check of an identity, in
+this module and the others, returns Check(ok, label, witness), and a suite
+item is a Check whose label is the item name.
+
 Spec files are JSON with fields
   weights = [[l1, l2], ...]   (nonnegative integers)
   points  = ["p/q", ...]
@@ -44,11 +48,12 @@ class ModuleSpec:
     """Weights, evaluation points and twist defining the physical chain.
 
     A value and a functools.cache key: immutable, compared and hashed by its
-    three tuples.  Its repr, `ModuleSpec(weights=..., points=..., twist=...)`,
-    names the chain.
+    three tuples.  The hash is computed on the first `hash` and kept in a
+    slot, so a spec that is never hashed never computes it.  Its repr,
+    `ModuleSpec(weights=..., points=..., twist=...)`, names the chain.
     """
 
-    __slots__ = ("weights", "points", "twist")
+    __slots__ = ("weights", "points", "twist", "_hash")
 
     def __init__(self, weights, points, twist):
         object.__setattr__(self, "weights", tuple(weights))
@@ -76,7 +81,12 @@ class ModuleSpec:
         return (self.weights, self.points, self.twist) == (other.weights, other.points, other.twist)
 
     def __hash__(self):
-        return hash((self.weights, self.points, self.twist))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.weights, self.points, self.twist))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"ModuleSpec(weights={self.weights!r}, points={self.points!r}, twist={self.twist!r})"
@@ -314,23 +324,29 @@ def lax_monodromy(points: Sequence) -> MonodromyPencil:
     return MonodromyPencil(vspace, entries, Poly.from_roots(pts))
 
 
-class RttResult(NamedTuple):
+class Check(NamedTuple):
+    """The verdict of one check: ok, what was checked, and on failure the text a report shows.
+
+    witness is "" when ok.
+    """
+
     ok: bool
-    witness: "tuple | None" = None
+    label: str = ""
+    witness: str = ""
 
     def __bool__(self):
         return self.ok
 
 
-def verify_rtt(pencil: MonodromyPencil) -> RttResult:
+def verify_rtt(pencil: MonodromyPencil) -> Check:
     """Exact bivariate check of the defining exchange relations.
 
     For every index choice (i, j, r, s) the identity
       (x1 - x2) [That_ij(x1), That_rs(x2)]
         = sign * (That_rj(x2) That_is(x1) - That_rj(x1) That_is(x2))
     is verified coefficient by coefficient, with the supercommutator taken
-    with respect to the entry parities.  On mismatch the witness carries
-    (i, j, r, s, deg_x1, deg_x2).
+    with respect to the entry parities.  On mismatch the witness is
+    "(i, j, r, s, deg_x1, deg_x2)".
 
     Every term of the identity is a product of two x-coefficient matrices of
     the pencil.  The check therefore runs on the integer matrices D * C_d,
@@ -381,8 +397,8 @@ def verify_rtt(pencil: MonodromyPencil) -> RttResult:
                     for key, v in p.items():
                         acc[key] = acc.get(key, 0) + c * v
                 if any(acc.values()):
-                    return RttResult(False, (i, j, r, s, dd, ee))
-    return RttResult(True)
+                    return Check(False, witness=str((i, j, r, s, dd, ee)))
+    return Check(True)
 
 
 def _integer_coefficients(m: linalg.ExactMatrix, den: int) -> list[dict[int, dict[int, int]]]:

@@ -33,7 +33,7 @@ from .exactnum import (
     scalar,
 )
 from .linalg import ExactMatrix
-from .monodromy import ModuleSpec, laurent_coefficients, tensor_monodromy
+from .monodromy import Check, ModuleSpec, laurent_coefficients, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
 from .bethe import Divisor, bethe_vector, char_pair, eps_components
 
@@ -122,11 +122,11 @@ def iota_sign(i: int, j: int) -> int:
     return -1 if ((i == 2) * (j == 2) + (i == 2)) % 2 else 1
 
 
-def check_iota_contract(spec: ModuleSpec) -> "tuple[int, int, int] | None":
+def check_iota_contract(spec: ModuleSpec) -> Check:
     """Contravariance of the form for the series coefficients up to k+1.
 
-    Returns None when every coefficient T_ij^(r), r = 1..k+1, satisfies it,
-    else the first failing (i, j, r).
+    Passes when every coefficient T_ij^(r), r = 1..k+1, satisfies it; else
+    the witness names the first failing (i, j, r).
     """
     pencil = tensor_monodromy(spec)
     gram = form_matrix(spec)
@@ -150,8 +150,8 @@ def check_iota_contract(spec: ModuleSpec) -> "tuple[int, int, int] | None":
                     signed.put(a, b, -v if space.parity(a) else v)
                 rhs = signed
             if lhs != rhs:
-                return (i, j, r)
-    return None
+                return Check(False, witness=f"first failing (i, j, r) {(i, j, r)}")
+    return Check(True)
 
 
 def wronskian(spec: ModuleSpec) -> Poly:
@@ -225,9 +225,10 @@ def _norm_eps(y, pencil, gram, wr):
         return None, None
 
 
-def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> bool:
-    """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors."""
-    return bethe_pairing(spec, y1, y2) == 0
+def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Check:
+    """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors; the witness is the form value."""
+    value = bethe_pairing(spec, y1, y2)
+    return Check(value == 0, witness="" if value == 0 else f"form value {format_scalar(value)}")
 
 
 def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Fraction:

@@ -3,19 +3,21 @@
 Every item is exact: a suite passes only when each identity holds on the
 nose.  The chains cover twisted and untwisted cases, a double root of the
 characteristic polynomial (Jordan blocks), a reducible-but-cyclic chain, a
-non-cyclic chain, and nonzero second weight components.
+non-cyclic chain, and nonzero second weight components.  An item is a
+monodromy.Check whose label is the item name and whose witness, on failure,
+is the detail a report shows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .exactnum import format_scalar
 from .linalg import ExactMatrix
 from . import bethe, bethealg, fusion, monodromy, shapoform, weylspace
-from .monodromy import ModuleSpec, make_spec
+from .monodromy import Check, ModuleSpec, make_spec
 from .superlin import gl_generator
 
 
@@ -38,20 +40,12 @@ def suite_specs() -> dict[str, ModuleSpec]:
     }
 
 
-class SuiteItem(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
+def _item(name: str, ok: bool, witness: str = "") -> Check:
+    """The item `name`; the witness is kept only on failure."""
+    return Check(bool(ok), name, witness if not ok else "")
 
 
-def _item(name: str, ok: bool, detail: str = "") -> SuiteItem:
-    return SuiteItem(name, bool(ok), detail if not ok else "")
-
-
-def _vectors_item(name: str, a, b) -> SuiteItem:
+def _vectors_item(name: str, a, b) -> Check:
     """Item for the equality of two vectors; on failure, the first differing index."""
     if a == b:
         return _item(name, True)
@@ -62,8 +56,8 @@ def _vectors_item(name: str, a, b) -> SuiteItem:
 # ---------------------------------------------------------------------------
 
 
-def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False) -> list[SuiteItem]:
-    items: list[SuiteItem] = []
+def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False) -> list[Check]:
+    items: list[Check] = []
     tensor_cases = [
         ("E1", [(1, 0)], ["0"]),
         ("E2", [(1, 0), (1, 0)], ["0", "1/2"]),
@@ -176,8 +170,8 @@ def _zero_mode_failure(pencil) -> "str | None":
     return None
 
 
-def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
-    items: list[SuiteItem] = []
+def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
+    items: list[Check] = []
     for name, spec in suite_specs().items():
         if spec.k > max_k or spec.n > max_n:
             continue
@@ -186,13 +180,13 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
             continue
         for divisors in cp.divisors:
             for dv in divisors:
-                res = bethe.verify_on_shell(spec, dv)
-                items.append(_item(f"on-shell {name} y={dv.label()}", res.ok, str(res.witness)))
+                check = bethe.verify_on_shell(spec, dv).check
+                items.append(check._replace(label=f"on-shell {name} y={dv.label()}"))
         # off-shell negative control at a non-root point
         bad = Fraction(17, 5)
         while cp.gamma(bad) == 0:
             bad += 1
-        off_shell = not bethe.verify_on_shell(spec, [bad]).ok
+        off_shell = not bethe.verify_on_shell(spec, [bad]).check
         witness = "" if off_shell else f"off-shell point {format_scalar(bad)} passed"
         items.append(_item(f"off-shell control {name}", off_shell, witness))
         rep = bethe.completeness_report(spec)
@@ -248,8 +242,8 @@ def _incomplete_level(rep) -> str:
             f"eigen {e.eigen_dim}, spans eigenspace {e.spans_eigenspace}")
 
 
-def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
-    items: list[SuiteItem] = []
+def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
+    items: list[Check] = []
     for name, spec in suite_specs().items():
         if spec.k > max_k or spec.n > max_n:
             continue
@@ -267,16 +261,14 @@ def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
             expected = comb(spec.k - 1, level) if singular else comb(spec.k, level)
             adim = len(fam.algebra)
             items.append(_item(f"algebra dim {name} l={level}", adim == expected, f"{adim} != {expected}"))
-            eq, ad, cd = bethealg.double_commutant_check(fam)
-            items.append(_item(f"double commutant {name} l={level}", eq, f"{ad} vs {cd}"))
-            rr = bethealg.regular_rep_check(fam)
+            items.append(bethealg.double_commutant_check(fam)._replace(label=f"double commutant {name} l={level}"))
             if cyclic:
-                dims = f"algebra dim {rr.algebra_dim}, subspace dim {rr.subspace_dim}"
-                items.append(_item(f"regular representation {name} l={level}", rr.ok, dims))
+                rr = bethealg.regular_rep_check(fam)
+                items.append(rr._replace(label=f"regular representation {name} l={level}"))
             else:
-                items.append(_item(f"regular representation skipped {name} l={level}", rr.skipped))
+                items.append(Check(True, f"regular representation skipped {name} l={level}"))
             pres = bethealg.presentation_check(spec, level)
-            items.append(_item(f"presentation {name} l={level}", pres.ok, pres.witness))
+            items.append(pres._replace(label=f"presentation {name} l={level}"))
             try:
                 entries = bethealg.spectral_analysis(fam, cp.divisors[level])
             except ValueError as exc:  # the family does not commute
@@ -302,8 +294,8 @@ def _spectral_failure(entries) -> "str | None":
     return None
 
 
-def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
-    items: list[SuiteItem] = []
+def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
+    items: list[Check] = []
     for name, spec in suite_specs().items():
         if spec.k > max_k or spec.n > max_n:
             continue
@@ -313,8 +305,7 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         items.append(_item(f"gram symmetric {name}", symmetric, "" if symmetric else _asymmetry(gram)))
         vac = gram.get(0, 0)
         items.append(_item(f"vacuum normalized {name}", vac == 1, f"gram[0, 0] = {format_scalar(vac)}"))
-        failure = shapoform.check_iota_contract(spec)
-        items.append(_item(f"contravariance {name}", failure is None, f"first failing (i, j, r) {failure}"))
+        items.append(shapoform.check_iota_contract(spec)._replace(label=f"contravariance {name}"))
         # transfer self-adjointness
         tq = monodromy.coefficient_matrices(monodromy.transfer_pencil(pencil, spec.twist))
         degree = next((d for d, c in enumerate(tq) if (c.transpose() @ gram) != (gram @ c)), None)
@@ -343,9 +334,8 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[SuiteItem]:
         for a in range(len(divisors)):
             for b in range(a + 1, len(divisors)):
                 ya, yb = divisors[a], divisors[b]
-                ok = shapoform.orthogonality_check(spec, ya, yb)
-                detail = "" if ok else f"form value {format_scalar(shapoform.bethe_pairing(spec, ya, yb))}"
-                items.append(_item(f"orthogonal {name} {ya.label()} | {yb.label()}", ok, detail))
+                check = shapoform.orthogonality_check(spec, ya, yb)
+                items.append(check._replace(label=f"orthogonal {name} {ya.label()} | {yb.label()}"))
     return items
 
 
@@ -355,12 +345,8 @@ def _asymmetry(gram: ExactMatrix) -> str:
     return f"first asymmetric entry ({a}, {b})"
 
 
-def _check_items(name: str, checks) -> list[SuiteItem]:
-    return [_item(f"{name}: {c.label}", c.ok, str(c.witness)) for c in checks]
-
-
-def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = None) -> list[SuiteItem]:
-    items: list[SuiteItem] = []
+def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = None) -> list[Check]:
+    items: list[Check] = []
     fusion_specs = {k: v for k, v in suite_specs().items() if k in ("E1", "E2", "E4", "E6")}
     for name, spec in fusion_specs.items():
         if spec.n > max_n:
@@ -368,16 +354,17 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
         ber = fusion.berezinian(spec)
         items.append(_item(f"berezinian {name}", bool(ber), f"failed: {ber.failed()}"))
         tw = fusion.ber_twist_independence(spec)
-        items.append(_item(f"berezinian twist independence {name}", tw.ok, str(tw.witness)))
+        items.append(tw._replace(label=f"berezinian twist independence {name}"))
         order = tau_order if tau_order is not None else int(spec.n) + 2
         universal = spec.k <= 2
         # the largest order asked for below first, so lower orders are read from it
         fusion.generating_oper(spec, max(order, max_m) if universal else max_m)
-        items += _check_items(name, fusion.expansion_matches_routes(spec, min(order, max_m)))
-        for checks in fusion.transfer_relation_check(spec, max_m):
-            items += _check_items(name, checks)
-        comm = fusion.higher_family_commutes(spec)
-        items.append(_item(f"higher family commutes {name}", comm.ok, f"coefficient pair {comm.witness}"))
+        checks = fusion.expansion_matches_routes(spec, min(order, max_m))
+        for per_m in fusion.transfer_relation_check(spec, max_m):
+            checks += per_m
+        items += [c._replace(label=f"{name}: {c.label}") for c in checks]
+        items.append(fusion.higher_family_commutes(spec)._replace(label=f"higher family commutes {name}"))
+        checks = []
         cp = bethe.char_pair(spec)
         # oper_action_check needs order >= 2
         if max_m >= 2 and cp.roots is not None:
@@ -385,9 +372,10 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
                 for dv in divisors:
                     if any(m > 1 for _, m in dv.roots):
                         continue
-                    items += _check_items(name, fusion.oper_action_check(spec, dv, max_m))
+                    checks += fusion.oper_action_check(spec, dv, max_m)
         if universal:
-            items += _check_items(name, fusion.universal_oper_check(spec, order))
+            checks += fusion.universal_oper_check(spec, order)
+        items += [c._replace(label=f"{name}: {c.label}") for c in checks]
     for m in range(1, 5):
         a, h = fusion.symmetrizers(m)
         idempotent = (a @ a) == a and (h @ h) == h
@@ -398,12 +386,11 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
     return items
 
 
-def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
-    items: list[SuiteItem] = []
+def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[Check]:
+    items: list[Check] = []
     for n in range(2, max_n + 1):
         d = degree_cap
-        res = weylspace.check_sn_relations(n, min(d, 3))
-        items.append(_item(f"modified action relations n={n}", res.ok, res.detail))
+        items.append(weylspace.check_sn_relations(n, min(d, 3))._replace(label=f"modified action relations n={n}"))
         for level in range(n + 1):
             got = weylspace.invariant_dimensions(n, level, d, False)
             want = weylspace.character_series(n, level, d, False)
@@ -414,11 +401,10 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
     for n in (2, 3):
         for level in range(0, n + 1):
             for c in weylspace.current_model_checks(n, level, min(degree_cap, 3)):
-                items.append(_item(f"model n={n} l={level}: {c.label}", c.ok, c.witness))
+                items.append(c._replace(label=f"model n={n} l={level}: {c.label}"))
     res = weylspace.gamma_commutes_with_modified(2, 2)
-    items.append(_item("entry action commutes with modified action", res.ok, res.detail))
-    res = weylspace.cyclicity_by_degree(2, 3)
-    items.append(_item("vacuum generates by degree", res.ok, res.detail))
+    items.append(res._replace(label="entry action commutes with modified action"))
+    items.append(weylspace.cyclicity_by_degree(2, 3)._replace(label="vacuum generates by degree"))
     cases = [
         ("specialization n=1", [Fraction(0)], True),
         ("specialization n=2", [Fraction(1, 2), Fraction(0)], True),
@@ -430,13 +416,14 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[SuiteItem]:
         cases.append(("specialization n=4", [Fraction(1, 2), Fraction(0), Fraction(-2), Fraction(3)], True))
     for name, points, expect in cases:
         res = weylspace.specialization_check(points)
-        items.append(_item(name, res.ok == expect, res.detail))
+        # a chain accepted where it should be rejected is reported as the isomorphism found
+        items.append(_item(name, res.ok == expect, res.witness or "isomorphic"))
     return items
 
 
 def run_suite(name: str, max_k: int = 3, max_n: int = 4, max_m: int = 3,
               degree_cap: int = 4, tau_order: Optional[int] = None,
-              inject_sign_bug: bool = False) -> list[SuiteItem]:
+              inject_sign_bug: bool = False) -> list[Check]:
     if name == "rtt":
         return run_rtt_suite(max_k, max_n, inject_sign_bug)
     if name == "bethe":

@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactnum import q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis
-from .monodromy import coefficient_matrices, lax_blocks, lax_product, make_spec, tensor_monodromy
+from .monodromy import Check, coefficient_matrices, lax_blocks, lax_product, make_spec, tensor_monodromy
 from .superlin import SuperSpace
 
 
@@ -313,10 +313,10 @@ def vacuum_vector(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_sn_relations(n: int, d: int, level: "int | None" = None) -> "SpecializationResult":
+def check_sn_relations(n: int, d: int, level: "int | None" = None) -> Check:
     """Involutivity, braid and distant-commutation for the modified action.
 
-    On failure the detail names the first broken relation: involutivity of
+    On failure the witness names the first broken relation: involutivity of
     s_i, the braid relation at i, or the commutation of (i, j).
     """
     space = SuperSpace.tensor_power(n)
@@ -325,17 +325,17 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> "Specializ
     ident = ExactMatrix.identity(coords.dim, 1)
     for i, m in enumerate(mats):
         if (m @ m) != ident:
-            return SpecializationResult(False, f"involutivity of s_{i}")
+            return Check(False, witness=f"involutivity of s_{i}")
     for i in range(n - 2):
         lhs = mats[i] @ mats[i + 1] @ mats[i]
         rhs = mats[i + 1] @ mats[i] @ mats[i + 1]
         if lhs != rhs:
-            return SpecializationResult(False, f"braid relation at {i}")
+            return Check(False, witness=f"braid relation at {i}")
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
             if (mats[i] @ mats[j]) != (mats[j] @ mats[i]):
-                return SpecializationResult(False, f"commutation of ({i}, {j})")
-    return SpecializationResult(True, "")
+                return Check(False, witness=f"commutation of ({i}, {j})")
+    return Check(True)
 
 
 def _class_words(n: int) -> list[tuple[list[int], int]]:
@@ -484,20 +484,14 @@ def character_series(n: int, level: int, d: int, singular_only: bool) -> list[in
         series = series_mul(
             q_pochhammer_inverse(level, d), q_pochhammer_inverse(n - 1 - level, d), d
         )
-        geom = [Fraction(1 if i % n == 0 else 0) for i in range(d + 1)]
+        geom = [1 if i % n == 0 else 0 for i in range(d + 1)]
         series = series_mul(series, geom, d)
     else:
         shift = level * (level - 1) // 2
         series = series_mul(
             q_pochhammer_inverse(level, d), q_pochhammer_inverse(n - level, d), d
         )
-    out = [0] * (d + 1)
-    for i, c in enumerate(series):
-        if i + shift <= d:
-            if c.denominator != 1:
-                raise ArithmeticError(f"character coefficient {c} at degree {i + shift} is not an integer")
-            out[i + shift] = int(c)
-    return out
+    return ([0] * shift + series)[: d + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -505,26 +499,14 @@ def character_series(n: int, level: int, d: int, singular_only: bool) -> list[in
 # ---------------------------------------------------------------------------
 
 
-class ModelCheck(NamedTuple):
-    ok: bool
-    label: str
-    witness: str = ""  # on failure: the level, the relation and where it fails
-
-    def __bool__(self):
-        return self.ok
-
-
-def _difference(crd: Coords, a: Sequence, b: Sequence) -> "str | None":
-    """The first coordinate where the vectors a and b in crd differ, or None when they are equal."""
-    for k, (x, y) in enumerate(zip(a, b)):
+def _difference(a: dict, b: dict) -> "str | None":
+    """The first entry where the vectors a and b differ, by component, then degree, then exponent; None when equal."""
+    entries = {(c, e) for f in (a, b) for c, p in f.items() for e in p.terms}
+    for c, e in sorted(entries, key=lambda ce: (ce[0], sum(ce[1]), ce[1])):
+        x, y = (f[c].terms.get(e, 0) if c in f else 0 for f in (a, b))
         if x != y:
-            comp, mono = crd.components[k // len(crd.monomials)], crd.monomials[k % len(crd.monomials)]
-            return f"coordinate {k} (component {comp}, monomial {mono}): {x} vs {y}"
+            return f"component {c}, monomial {e}: {x} vs {y}"
     return None
-
-
-def _model_check(level: int, label: str, diff: "str | None") -> ModelCheck:
-    return ModelCheck(diff is None, label, "" if diff is None else f"level {level}, {label}: {diff}")
 
 
 def _apply_e21_word(space: SuperSpace, rs: Sequence[int], base: dict) -> dict:
@@ -534,7 +516,7 @@ def _apply_e21_word(space: SuperSpace, rs: Sequence[int], base: dict) -> dict:
     return out
 
 
-def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
+def current_model_checks(n: int, level: int, d: int) -> list[Check]:
     """Free-generator and relation checks in the standard-action model.
 
     Freeness, as in step (b) of specialization_check: the lowering-word
@@ -545,10 +527,11 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
     No product is built.
 
     A failed check's witness names the level of the vectors compared, the
-    relation, and the first dependent generator or differing coordinate.
+    relation, and the first dependent generator or differing entry: the
+    vectors are compared as dicts, so an entry of any degree is compared.
     """
     space = SuperSpace.tensor_power(n)
-    checks = []
+    results = []  # (level of the vectors compared, label, the first difference or None)
     v_plus = vacuum_vector(n)
 
     # lowering-word generators, independent by their values at a
@@ -560,7 +543,7 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
         if not values.add([g[c].evaluate(a) if c in g else 0 for c in range(space.dim)]):
             dependent = f"g_{w} at z = {a} depends on the earlier generators' values"
             break
-    checks.append(_model_check(level, f"free generators at level {level}", dependent))
+    results.append((level, f"free generators at level {level}", dependent))
 
     # overflow relation: e21[n] v+ = sum (-1)^(i-1) sigma_i e21[n-i] v+
     lhs = current_action(space, 2, 1, n, v_plus)
@@ -572,48 +555,36 @@ def current_model_checks(n: int, level: int, d: int) -> list[ModelCheck]:
         for c, p in term.items():
             add = sig * p
             rhs[c] = rhs.get(c, MPoly(n, {})) + (add if sgn == 1 else -add)
-    crd = Coords.build(n, 1, n)
-    checks.append(_model_check(1, "overflow relation", _difference(crd, crd.to_vector(lhs), crd.to_vector(rhs))))
+    results.append((1, "overflow relation", _difference(lhs, rhs)))
 
     # anticommutation of the lowering modes
     if n >= 2:
         a = current_action(space, 2, 1, 1, current_action(space, 2, 1, 0, v_plus))
         b = current_action(space, 2, 1, 0, current_action(space, 2, 1, 1, v_plus))
-        crd2 = Coords.build(n, 2, 2)
-        diff = _difference(crd2, crd2.to_vector(a), [-x for x in crd2.to_vector(b)])
-        checks.append(_model_check(2, "lowering modes anticommute", diff))
+        results.append((2, "lowering modes anticommute", _difference(a, {c: -p for c, p in b.items()})))
 
     # singular generators: annihilated by the raising zero mode, eigenvalue n
     if level <= n - 1:
-        crd3 = Coords.build(n, level, d + sum(range(n - level, n)) + 1)
         diff = None
         for w in itertools.combinations(range(1, n), level):
             u = _apply_e21_word(space, w, v_plus)
             wvec = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, u))
-            raised = crd3.to_vector(current_action(space, 1, 2, 0, wvec))
             scaled = {c: MPoly.const(n, n) * p for c, p in wvec.items()}
             back = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, wvec))
-            relation, diff = "raising mode", _difference(crd3, raised, [0] * crd3.dim)
+            relation, diff = "raising mode", _difference(current_action(space, 1, 2, 0, wvec), {})
             if diff is None:
-                relation, diff = f"eigenvalue {n}", _difference(crd3, crd3.to_vector(back), crd3.to_vector(scaled))
+                relation, diff = f"eigenvalue {n}", _difference(back, scaled)
             if diff is not None:
                 diff = f"{relation} on the generator of {w}, {diff}"
                 break
-        checks.append(_model_check(level, "singular generators", diff))
-    return checks
+        results.append((level, "singular generators", diff))
+    return [Check(diff is None, label, "" if diff is None else f"level {lv}, {label}: {diff}")
+            for lv, label, diff in results]
 
 
 # ---------------------------------------------------------------------------
 # specialization to the numeric chain
 # ---------------------------------------------------------------------------
-
-
-class SpecializationResult(NamedTuple):
-    ok: bool
-    detail: str
-
-    def __bool__(self):
-        return self.ok
 
 
 def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], list[ExactMatrix]]:
@@ -642,10 +613,10 @@ def _degree(f: dict) -> int:
     return max(p.degree() for p in f.values())
 
 
-def cyclicity_by_degree(n: int, d: int) -> SpecializationResult:
+def cyclicity_by_degree(n: int, d: int) -> Check:
     """Span growth from the vacuum under the entry coefficients fills each degree.
 
-    On failure the detail names the first level whose span falls short, with
+    On failure the witness names the first level whose span falls short, with
     its spanned dimension and the invariant count.
     """
     space = SuperSpace.tensor_power(n)
@@ -676,15 +647,14 @@ def cyclicity_by_degree(n: int, d: int) -> SpecializationResult:
     for lv in range(n + 1):
         want = sum(invariant_dimensions(n, lv, cap, False))
         if spans[lv].dim != want:
-            detail = f"level {lv}: spanned dimension {spans[lv].dim}, invariant count {want}"
-            return SpecializationResult(False, detail)
-    return SpecializationResult(True, "")
+            return Check(False, witness=f"level {lv}: spanned dimension {spans[lv].dim}, invariant count {want}")
+    return Check(True)
 
 
-def gamma_commutes_with_modified(n: int, d: int) -> SpecializationResult:
+def gamma_commutes_with_modified(n: int, d: int) -> Check:
     """The entry coefficients commute with the modified action on degrees <= d.
 
-    On failure the detail names the first failing leg, entry (i, j),
+    On failure the witness names the first failing leg, entry (i, j),
     x-degree, component and monomial.
     """
     space = SuperSpace.tensor_power(n)
@@ -700,8 +670,8 @@ def gamma_commutes_with_modified(n: int, d: int) -> SpecializationResult:
                         b = _mpoly_apply(c, modified_action(space, i_leg, f), n)
                         if a != b:
                             where = f"leg {i_leg}, entry ({i}, {j}), x^{deg}"
-                            return SpecializationResult(False, f"{where}, component {comp}, monomial {e}")
-    return SpecializationResult(True, "")
+                            return Check(False, witness=f"{where}, component {comp}, monomial {e}")
+    return Check(True)
 
 
 def _generators(n: int, blocks: dict) -> list[list[tuple[tuple[int, ...], dict]]]:
@@ -724,10 +694,10 @@ def _generators(n: int, blocks: dict) -> list[list[tuple[tuple[int, ...], dict]]
 
 def _product_count(n: int, budget: int) -> int:
     """Number of the sigma^e of weighted degree <= budget (partitions into parts <= n); none when budget < 0."""
-    return int(sum(q_pochhammer_inverse(n, budget))) if budget >= 0 else 0
+    return sum(q_pochhammer_inverse(n, budget)) if budget >= 0 else 0
 
 
-def specialization_check(points: Sequence) -> SpecializationResult:
+def specialization_check(points: Sequence) -> Check:
     """Quotient of the invariant model at fixed symmetric values vs the chain.
 
     The chain has n = len(points) sites at the points a, with a_i != a_j + 1
@@ -761,7 +731,7 @@ def specialization_check(points: Sequence) -> SpecializationResult:
     for i in range(n):
         for j in range(i):
             if a[i] == a[j] + 1:
-                return SpecializationResult(False, "ordering precondition violated")
+                return Check(False, witness="ordering precondition violated")
     space = SuperSpace.tensor_power(n)
     pencil = tensor_monodromy(make_spec([(1, 0)] * n, [str(v) for v in a], (1, 1)))
     blocks = gamma_coefficient_ops(n)
@@ -776,16 +746,16 @@ def specialization_check(points: Sequence) -> SpecializationResult:
         for word, g in level:
             for i in range(n - 1):
                 if modified_action(space, i, g) != g:
-                    return SpecializationResult(False, f"generator {word} not fixed by s_{i}")
+                    return Check(False, witness=f"generator {word} not fixed by s_{i}")
         if len(level) != comb(n, lv):
-            return SpecializationResult(False, f"level {lv}: {len(level)} of {comb(n, lv)} generators nonzero")
+            return Check(False, witness=f"level {lv}: {len(level)} of {comb(n, lv)} generators nonzero")
 
     # b. the partners g_D(a) are independent
     partners = SpanBasis()
     for lv, level in enumerate(gens):
         for word, g in level:
             if not partners.add([g[c].evaluate(a) if c in g else 0 for c in range(2**n)]):
-                return SpecializationResult(False, f"level {lv}: partner of {word} depends on the earlier partners")
+                return Check(False, witness=f"level {lv}: partner of {word} depends on the earlier partners")
 
     # images X g_D as (key, source generator, image), and the cap of each target level
     level_shift = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
@@ -805,14 +775,13 @@ def specialization_check(points: Sequence) -> SpecializationResult:
         count = sum(_product_count(n, caps[lv] - _degree(g)) for _, g in level)
         want = sum(invariant_dimensions(n, lv, caps[lv], False))
         if count != want:
-            detail = f"level {lv}: {count} products, {want} invariants up to degree {caps[lv]}"
-            return SpecializationResult(False, detail)
+            return Check(False, witness=f"level {lv}: {count} products, {want} invariants up to degree {caps[lv]}")
 
     # d. the images lie in the invariants
     for key, word, img in images:
         for i in range(n - 1):
             if modified_action(space, i, img) != img:
-                return SpecializationResult(False, f"image of {key} on generator {word} not fixed by s_{i}")
+                return Check(False, witness=f"image of {key} on generator {word} not fixed by s_{i}")
 
     # e. evaluation at a carries each symbolic coefficient matrix to the numeric one
     zero = ExactMatrix(2**n, 2**n)
@@ -823,5 +792,5 @@ def specialization_check(points: Sequence) -> SpecializationResult:
             if isinstance(value, MPoly):
                 value = value.evaluate(a)
             if value != num.get(r, c):
-                return SpecializationResult(False, f"evaluation differs on {key} at entry ({r}, {c})")
-    return SpecializationResult(True, "isomorphic")
+                return Check(False, witness=f"evaluation differs on {key} at entry ({r}, {c})")
+    return Check(True)

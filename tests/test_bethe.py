@@ -162,11 +162,11 @@ class TestOnShell:
         cp = char_pair(spec)
         for level in range(cp.gamma.degree + 1):
             for dv in cp.divisors[level]:
-                assert verify_on_shell(spec, dv).ok
+                assert verify_on_shell(spec, dv).check.ok
 
     def test_off_shell_fails(self):
-        res = verify_on_shell(E2, [F(7)])
-        assert not res.ok and res.witness is not None
+        check = verify_on_shell(E2, [F(7)]).check
+        assert not check.ok and check.witness
 
     def test_joint_eigenvalue_oracle(self):
         # independent re-derivation: restrict the transfer family to the

@@ -278,13 +278,13 @@ class TestHigherTransfer:
         # second transfer matrix on the highest vector of one site at 0:
         # -q2 (q1 (x+1) - q2 x)/x with twist (2, 1)
         rc = higher_transfer(E1, 2)
-        assert rc.ok
+        assert rc.check.ok
         assert ratfuns(rc.matrix).get(0, 0) == rat(Poly((-2, -1)), Poly((0, 1)))
 
     @pytest.mark.parametrize("spec", [E1, E2, E4, E6], ids=["E1", "E2", "E4", "E6"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_routes_agree(self, spec, m):
-        assert higher_transfer(spec, m).ok
+        assert higher_transfer(spec, m).check.ok
 
     def test_mutual_commutativity(self):
         assert higher_family_commutes(E2).ok
@@ -503,7 +503,7 @@ class TestOperAction:
 
         cp = char_pair(E1)
         (dv,) = cp.divisors[1]
-        assert verify_on_shell(E1, dv).ok
+        assert verify_on_shell(E1, dv).check.ok
         checks = oper_action_check(E1, dv, 2)
         assert checks[0].ok  # tau^1 coefficient is the same statement
 

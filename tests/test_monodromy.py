@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gl11chain.exactnum import Poly, RatFun, laurent_expand
 from gl11chain.linalg import ExactMatrix
 from gl11chain.monodromy import (
+    Check,
     ModuleSpec,
-    RttResult,
     coefficient_matrices,
     cyclicity_and_irreducibility,
     evaluation_monodromy,
@@ -80,6 +80,15 @@ class TestModuleSpec:
             spec.points = ()
         with pytest.raises(AttributeError):
             wt.l1 = F(5)
+
+    def test_hash_cached_on_first_use(self):
+        # a spec that is never hashed never computes its hash
+        spec = make_spec([(2, 1), (1, 0)], [3, F(-1, 2)], (2, 7))
+        assert not hasattr(spec, "_hash")
+        assert hash(spec) == hash((spec.weights, spec.points, spec.twist)) == spec._hash
+        assert hash(spec) == spec._hash
+        with pytest.raises(AttributeError):
+            spec._hash = 0
 
 
 class TestEvaluation:
@@ -242,8 +251,8 @@ def verify_rtt_oracle(pencil):
                 lhs = sc(dd - 1, ee) - sc(dd, ee - 1)
                 rhs = (prod((r, j), ee, (i, s), dd) - prod((r, j), dd, (i, s), ee)) * sgn
                 if lhs != rhs:
-                    return RttResult(False, (i, j, r, s, dd, ee))
-    return RttResult(True)
+                    return Check(False, witness=str((i, j, r, s, dd, ee)))
+    return Check(True)
 
 
 @st.composite
@@ -342,7 +351,7 @@ class TestRttOracle:
         pen = tensor_monodromy(E2)
         bad = pen._replace(entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
         res = verify_rtt(bad)
-        assert not res.ok and res.witness is not None
+        assert not res.ok and res.witness
 
     @settings(max_examples=5)
     @given(st.tuples(rationals := st.builds(F, st.integers(-6, 6), st.integers(1, 3)), rationals))

@@ -132,7 +132,7 @@ class TestFormMatrix:
 
     @pytest.mark.parametrize("spec", [E1, E2, E4, E6], ids=["E1", "E2", "E4", "E6"])
     def test_contravariance(self, spec):
-        assert check_iota_contract(spec) is None
+        assert check_iota_contract(spec) == (True, "", "")
 
     def test_transfer_self_adjoint(self):
         from gl11chain.monodromy import coefficient_matrices, transfer_pencil

@@ -13,7 +13,8 @@ so those two load only when a command uses them.  No source file imports
 `dataclasses`, which loads `inspect` on every command's start-up: records
 are NamedTuples or plain classes.  The legs of a `SuperSpace` are read in
 superlin.py alone; every other module asks the space for levels, flips and
-leg actions.
+leg actions.  A verdict has one record, monodromy.Check: no other class
+declares a field named `ok`, `witness` or `detail`.
 """
 
 import ast
@@ -223,3 +224,28 @@ def test_only_superlin_reads_legs(path):
 def test_legs_rule_catches_a_planted_read():
     code = "def sign(space, c):\n    multi = space.multi_index(c)\n    return space.legs[0][multi[0]]\n"
     assert _legs_reads(ast.parse(code)) == ["line 3: reads .legs"]
+
+
+VERDICT_FIELDS = ("ok", "witness", "detail")
+
+
+def _verdict_fields(tree: ast.AST) -> list[str]:
+    """Every annotated field named ok, witness or detail in a class other than Check."""
+    return [f"line {stmt.lineno}: {node.name}.{stmt.target.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name != "Check"
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) in VERDICT_FIELDS]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_check_is_the_one_verdict_record(path):
+    assert _verdict_fields(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_verdict_rule_catches_a_planted_record():
+    code = (
+        "class R(NamedTuple):\n    ok: bool\n"
+        "class Check(NamedTuple):\n    ok: bool\n    label: str = ''\n    witness: str = ''\n"
+        "class Item(NamedTuple):\n    name: str\n    detail: str = ''\n"
+    )
+    assert _verdict_fields(ast.parse(code)) == ["line 2: R.ok", "line 9: Item.detail"]

@@ -6,12 +6,11 @@ import pytest
 from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, suites, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import FracMatrix, berezinian, higher_transfer
-from gl11chain.monodromy import cyclicity_and_irreducibility, tensor_monodromy
+from gl11chain.monodromy import Check, cyclicity_and_irreducibility, tensor_monodromy
 from gl11chain.bethe import char_pair
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.shapoform import form_matrix
-from gl11chain.weylspace import SpecializationResult
 from conftest import clear_builder_caches, memoised_builders
 
 # five sites with a double root of gamma
@@ -53,23 +52,25 @@ def test_weyl_suite_small_caps():
 
 
 def test_specialization_items_carry_the_detail(monkeypatch):
-    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(False, "x"))
-    items = {it.name: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: Check(False, witness="x"))
+    items = {it.label: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
     for name in ("specialization n=1", "specialization n=2", "specialization n=3"):
-        assert not items[name].ok and items[name].detail == "x"
+        assert not items[name].ok and items[name].witness == "x"
     rejected = items["specialization ordering rejected"]
-    assert rejected.ok and rejected.detail == ""
+    assert rejected.ok and rejected.witness == ""
 
 
 def test_four_site_specialization_item_needs_max_n_five(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        weylspace, "specialization_check", lambda points: calls.append(points) or SpecializationResult(True, "")
+        weylspace, "specialization_check", lambda points: calls.append(points) or Check(True)
     )
-    assert "specialization n=4" not in {it.name for it in run_suite("weyl", max_n=4, degree_cap=0)}
-    items = {it.name: it for it in run_suite("weyl", max_n=5, degree_cap=0)}
+    assert "specialization n=4" not in {it.label for it in run_suite("weyl", max_n=4, degree_cap=0)}
+    items = {it.label: it for it in run_suite("weyl", max_n=5, degree_cap=0)}
     assert items["specialization n=4"].ok
     assert calls[-1] == [Fraction(1, 2), 0, -2, 3]
+    # a chain accepted where it should be rejected fails with a witness
+    assert items["specialization ordering rejected"] == (False, "specialization ordering rejected", "isomorphic")
 
 
 def test_model_items_carry_the_witness(monkeypatch):
@@ -80,11 +81,11 @@ def test_model_items_carry_the_witness(monkeypatch):
         return real(n, i) * weylspace.MPoly.const(n, 2) if i == n else real(n, i)
 
     monkeypatch.setattr(weylspace, "elementary_mpoly", doubled)
-    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
-    items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: Check(True))
+    items = {it.label: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
     failed = [it for name, it in items.items() if name.startswith("model ") and not it.ok]
-    assert failed and all(it.name.endswith(": overflow relation") for it in failed)
-    assert all(it.detail.startswith("level 1, overflow relation: coordinate ") for it in failed)
+    assert failed and all(it.label.endswith(": overflow relation") for it in failed)
+    assert all(it.witness.startswith("level 1, overflow relation: component ") for it in failed)
 
 
 def test_entry_action_item_names_the_witness(monkeypatch):
@@ -97,21 +98,21 @@ def test_entry_action_item_names_the_witness(monkeypatch):
         return {**blocks, (1, 1): [times_z1] + blocks[(1, 1)][1:]}
 
     monkeypatch.setattr(weylspace, "gamma_coefficient_ops", corrupted)
-    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
-    items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: Check(True))
+    items = {it.label: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
     item = items["entry action commutes with modified action"]
     assert not item.ok
-    assert item.detail == "leg 0, entry (1, 1), x^0, component 0, monomial (0, 0)"
+    assert item.witness == "leg 0, entry (1, 1), x^0, component 0, monomial (0, 0)"
 
 
 def test_vacuum_generation_item_names_the_level(monkeypatch):
     monkeypatch.setattr(weylspace, "gamma_coefficient_ops", lambda n: {})
-    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
-    items = {it.name: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: Check(True))
+    items = {it.label: it for it in run_suite("weyl", max_n=2, degree_cap=0)}
     item = items["vacuum generates by degree"]
     want = sum(weylspace.invariant_dimensions(2, 0, 3, False))
     assert not item.ok
-    assert item.detail == f"level 0: spanned dimension 1, invariant count {want}"
+    assert item.witness == f"level 0: spanned dimension 1, invariant count {want}"
 
 
 def test_relations_item_names_the_relation(monkeypatch):
@@ -122,11 +123,11 @@ def test_relations_item_names_the_relation(monkeypatch):
         return {c: p * 2 for c, p in out.items()} if i == 0 else out
 
     monkeypatch.setattr(weylspace, "modified_action", doubled_s0)
-    monkeypatch.setattr(weylspace, "specialization_check", lambda points: SpecializationResult(True, ""))
-    items = {it.name: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
+    monkeypatch.setattr(weylspace, "specialization_check", lambda points: Check(True))
+    items = {it.label: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
     for n in (2, 3):
         item = items[f"modified action relations n={n}"]
-        assert not item.ok and item.detail == "involutivity of s_0"
+        assert not item.ok and item.witness == "involutivity of s_0"
 
 
 def test_relations_check_names_the_braid(monkeypatch):
@@ -139,7 +140,7 @@ def test_relations_check_names_the_braid(monkeypatch):
 
     monkeypatch.setattr(weylspace, "modified_action", standard_s1)
     res = weylspace.check_sn_relations(3, 2)
-    assert not res.ok and res.detail == "braid relation at 0"
+    assert not res.ok and res.witness == "braid relation at 0"
 
 
 def _negate_entry(pencil, entry):
@@ -155,7 +156,7 @@ def test_coassociativity_item_names_the_entry(monkeypatch):
         return _negate_entry(pencil, (1, 2)) if spec.points == coassociativity_points else pencil
 
     monkeypatch.setattr(monodromy, "tensor_monodromy", corrupted)
-    bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
+    bad = {it.label: it.witness for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
     assert bad == {"coassociativity": "first differing entry (1, 2)"}
 
 
@@ -167,7 +168,7 @@ def test_zero_mode_item_names_the_generator(monkeypatch):
         return out * 2 if (i, j) == (2, 1) else out
 
     monkeypatch.setattr(monodromy, "t_coefficient", corrupted)
-    bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
+    bad = {it.label: it.witness for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
     assert list(bad) == ["zero-mode exchange"]
     assert bad["zero-mode exchange"].startswith("generator T_21^(1) against That_")
 
@@ -276,10 +277,10 @@ def _zero_textbook_norm(real):
 )
 def test_norms_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefix, detail):
     monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-    items = [it for it in run_suite("norms", max_k=2, max_n=2) if it.name.startswith(prefix)]
+    items = [it for it in run_suite("norms", max_k=2, max_n=2) if it.label.startswith(prefix)]
     assert items
     for item in items:
-        assert not item.ok and item.detail.startswith(detail)
+        assert not item.ok and item.witness.startswith(detail)
 
 
 def test_norms_negative_control(monkeypatch, tmp_path):
@@ -321,7 +322,7 @@ def _corrupt_component(fn, when):
 def test_vector_items_carry_the_first_differing_index(monkeypatch, target, when, names):
     monkeypatch.setattr(bethe, target, _corrupt_component(getattr(bethe, target), when))
     items = run_suite("bethe", max_k=3, max_n=4)
-    bad = {it.name: it.detail for it in items if not it.ok}
+    bad = {it.label: it.witness for it in items if not it.ok}
     assert sorted(bad) == sorted(names)
     for name in names:
         assert bad[name].startswith("first differing index 1: ")
@@ -329,7 +330,7 @@ def test_vector_items_carry_the_first_differing_index(monkeypatch, target, when,
 
 def _passing_off_shell(real):
     """verify_on_shell reporting every raw root sequence (the off-shell controls pass one) as on shell."""
-    return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else real(spec, y)._replace(ok=True)
+    return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else real(spec, y)._replace(check=Check(True))
 
 
 def _first_level_changed(change):
@@ -379,10 +380,10 @@ def _first_entry_off_eigenspace(lv):
 )
 def test_bethe_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefix, detail):
     monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-    items = [it for it in run_suite("bethe") if it.name.startswith(prefix)]
+    items = [it for it in run_suite("bethe") if it.label.startswith(prefix)]
     assert items
     for item in items:
-        assert not item.ok and item.detail.startswith(detail)
+        assert not item.ok and item.witness.startswith(detail)
 
 
 def test_injected_bug_caught():
@@ -443,10 +444,10 @@ def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
 def test_rtt_lax_item_carries_the_witness(monkeypatch):
     real = monodromy.lax_monodromy
     monkeypatch.setattr(monodromy, "lax_monodromy", lambda points: _negate_entry(real(points), (2, 1)))
-    items = {it.name: it for it in run_suite("rtt", max_k=3, max_n=3)}
+    items = {it.label: it for it in run_suite("rtt", max_k=3, max_n=3)}
     for n in (1, 2, 3):
         item = items[f"rtt lax n={n}"]
-        assert not item.ok and item.detail.startswith("witness (") and item.detail != "witness None"
+        assert not item.ok and item.witness.startswith("witness (") and item.witness != "witness None"
 
 
 def test_lax_coproduct_item_names_the_entry(monkeypatch):
@@ -460,7 +461,7 @@ def test_lax_coproduct_item_names_the_entry(monkeypatch):
         return pencil._replace(entries={**pencil.entries, (1, 2): b * 2, (2, 1): c * Fraction(1, 2)})
 
     monkeypatch.setattr(monodromy, "lax_monodromy", gauged)
-    bad = {it.name: it.detail for it in run_suite("rtt", max_k=3, max_n=3) if not it.ok}
+    bad = {it.label: it.witness for it in run_suite("rtt", max_k=3, max_n=3) if not it.ok}
     assert bad == {f"lax equals coproduct n={n}": "first differing entry (1, 2)" for n in (1, 2, 3)}
 
 
@@ -477,10 +478,10 @@ def test_transfer_commutes_item_names_the_pair(monkeypatch):
     monkeypatch.setattr(
         monodromy, "transfer_pencil", lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1], (1, 0): [0, 1]})
     )
-    items = {it.name: it for it in run_suite("rtt", max_k=3, max_n=4)}
+    items = {it.label: it for it in run_suite("rtt", max_k=3, max_n=4)}
     for name in suite_specs():
         item = items[f"transfer pencil commutes {name}"]
-        assert not item.ok and item.detail == "coefficient pair (0, 1)"
+        assert not item.ok and item.witness == "coefficient pair (0, 1)"
 
 
 def test_transfer_symmetry_item_names_the_generator(monkeypatch):
@@ -489,11 +490,11 @@ def test_transfer_symmetry_item_names_the_generator(monkeypatch):
     monkeypatch.setattr(
         monodromy, "transfer_pencil", lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1], (1, 0): [1]})
     )
-    items = {it.name: it for it in run_suite("rtt", max_k=3, max_n=4)}
+    items = {it.label: it for it in run_suite("rtt", max_k=3, max_n=4)}
     for name in suite_specs():
         assert items[f"transfer pencil commutes {name}"].ok
         item = items[f"transfer pencil symmetry {name}"]
-        assert not item.ok and item.detail == "generator e_11, x^0 coefficient"
+        assert not item.ok and item.witness == "generator e_11, x^0 coefficient"
 
 
 def _corrupted_b1(real, target):
@@ -506,7 +507,7 @@ def _corrupted_b1(real, target):
         b1 = fam.ops[0].copy()
         b1.put(0, 1, b1.get(0, 1) + 1)
         return bethealg.CoefficientFamily(
-            fam.spec, fam.level, fam.singular, fam.basis, [b1] + fam.ops[1:], fam.names, fam.strings
+            fam.spec, fam.level, fam.singular, fam.basis, [b1] + fam.ops[1:], fam.strings
         )
 
     return corrupted
@@ -514,13 +515,13 @@ def _corrupted_b1(real, target):
 
 def test_noncommuting_family_fails_spectral_dims(monkeypatch):
     # E4 at level 1 is 2-dimensional and B_2 is not scalar there, so the corrupted B_1 does not commute with it
-    clean = [it.name for it in run_suite("algebra")]
+    clean = [it.label for it in run_suite("algebra")]
     target = (suite_specs()["E4"], 1)
     assert bethealg.coefficient_family(*target, False).dim == 2
     monkeypatch.setattr(bethealg, "coefficient_family", _corrupted_b1(bethealg.coefficient_family, target))
     items = run_suite("algebra")
-    assert [it.name for it in items] == clean
-    bad = {it.name: it.detail for it in items if not it.ok}
+    assert [it.label for it in items] == clean
+    bad = {it.label: it.witness for it in items if not it.ok}
     assert bad["spectral dims E4 l=1"] == "family not commutative: operators 0 and 1"
     assert all(detail for detail in bad.values())
 
@@ -548,9 +549,9 @@ def _shifted_character(real):
 )
 def test_algebra_items_carry_the_witness(monkeypatch, attr, corrupt, prefix):
     monkeypatch.setattr(bethealg, attr, corrupt(getattr(bethealg, attr)))
-    bad = [it for it in run_suite("algebra") if it.name.startswith(prefix) and not it.ok]
+    bad = [it for it in run_suite("algebra") if it.label.startswith(prefix) and not it.ok]
     assert bad
-    assert all(it.detail for it in bad), bad
+    assert all(it.witness for it in bad), bad
 
 
 def test_algebra_suite_builds_each_algebra_once(monkeypatch):
@@ -562,7 +563,7 @@ def test_algebra_suite_builds_each_algebra_once(monkeypatch):
         return real(fam)
 
     monkeypatch.setattr(bethealg, "algebra_dimension", counted)
-    families = [it for it in run_suite("algebra") if it.name.startswith("algebra dim ")]
+    families = [it for it in run_suite("algebra") if it.label.startswith("algebra dim ")]
     assert len(calls) == len(set(calls)) == len(families) == 19
 
 

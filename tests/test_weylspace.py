@@ -271,7 +271,7 @@ class TestModifiedAction:
         monkeypatch.setattr(MPoly, "divided_difference", lambda self, i: -real(self, i) if i == 0 else real(self, i))
         result = check_sn_relations(3, 3)
         assert not result.ok
-        assert result.detail == "braid relation at 0"
+        assert result.witness == "braid relation at 0"
 
 
 class TestInvariantDimensions:
@@ -462,9 +462,21 @@ class TestCurrentModel:
         )
         checks = {c.label: c for c in current_model_checks(2, 1, 3)}
         assert [label for label, c in checks.items() if not c.ok] == ["overflow relation"]
-        want = "level 1, overflow relation: coordinate 4 (component 1, monomial (1, 1)): 0 vs -1"
+        want = "level 1, overflow relation: component 1, monomial (1, 1): 0 vs -1"
         assert checks["overflow relation"].witness == want
         assert all(c.witness == "" for c in checks.values() if c.ok)
+
+    def test_term_of_any_degree_fails_the_check(self, monkeypatch):
+        # negative control: sigma_n times z_0 puts a term of degree n + 1 in the
+        # overflow relation's right-hand side; it fails the check, not a lookup
+        real = weylspace.elementary_mpoly
+        monkeypatch.setattr(
+            weylspace, "elementary_mpoly", lambda n, i: real(n, i) * MPoly.var(n, 0) if i == n else real(n, i)
+        )
+        checks = {c.label: c for c in current_model_checks(2, 1, 3)}
+        assert [label for label, c in checks.items() if not c.ok] == ["overflow relation"]
+        want = "level 1, overflow relation: component 1, monomial (1, 1): 0 vs 1"
+        assert checks["overflow relation"].witness == want
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_freeness_matches_the_elimination_oracle(self, n):
@@ -696,7 +708,7 @@ class TestSpecialization:
         # negative control: a vacuum z_1 |0> is not fixed by the modified s_0
         monkeypatch.setattr(weylspace, "vacuum_vector", lambda n: {0: MPoly.var(n, 0)})
         res = specialization_check([F(1, 2), F(0)])
-        assert not res.ok and res.detail == "generator () not fixed by s_0"
+        assert not res.ok and res.witness == "generator () not fixed by s_0"
 
     def test_dropped_generator_names_the_level(self, monkeypatch):
         # negative control: a zero top coefficient B_1 kills the generators g_(1) and g_(0, 1)
@@ -708,7 +720,7 @@ class TestSpecialization:
 
         monkeypatch.setattr(weylspace, "gamma_coefficient_ops", dropped)
         res = specialization_check([F(1, 2), F(0)])
-        assert not res.ok and res.detail == "level 1: 1 of 2 generators nonzero"
+        assert not res.ok and res.witness == "level 1: 1 of 2 generators nonzero"
 
     def test_corrupted_numeric_matrix_names_the_entry(self, monkeypatch):
         # negative control: entry (0, 0) of the numeric x^0 coefficient of
@@ -726,7 +738,7 @@ class TestSpecialization:
 
         monkeypatch.setattr(weylspace, "coefficient_matrices", corrupted)
         res = specialization_check([F(1, 2), F(0)])
-        assert not res.ok and res.detail == "evaluation differs on (1, 1, 0) at entry (0, 0)"
+        assert not res.ok and res.witness == "evaluation differs on (1, 1, 0) at entry (0, 0)"
 
     def test_miscounted_invariants_name_the_level(self, monkeypatch):
         # negative control: one invariant too many in degree 0 at every level
@@ -735,7 +747,7 @@ class TestSpecialization:
             weylspace, "invariant_dimensions", lambda n, l, d, s: [real(n, l, d, s)[0] + 1] + real(n, l, d, s)[1:]
         )
         res = specialization_check([F(1, 2), F(0)])
-        assert not res.ok and res.detail == "level 0: 4 products, 5 invariants up to degree 2"
+        assert not res.ok and res.witness == "level 0: 4 products, 5 invariants up to degree 2"
 
     def test_non_invariant_image_named(self, monkeypatch):
         # negative control: the x^0 coefficient of That_11 replaced by
@@ -749,11 +761,11 @@ class TestSpecialization:
 
         monkeypatch.setattr(weylspace, "gamma_coefficient_ops", corrupted)
         res = specialization_check([F(1, 2), F(0)])
-        assert not res.ok and res.detail == "image of (1, 1, 0) on generator () not fixed by s_0"
+        assert not res.ok and res.witness == "image of (1, 1, 0) on generator () not fixed by s_0"
 
     def test_four_sites(self):
         # same verdict as the elimination oracle
-        assert specialization_check(FOUR_POINTS).detail == "isomorphic"
+        assert specialization_check(FOUR_POINTS) == (True, "", "")
         assert elimination_specialization_check(FOUR_POINTS)
 
     @staticmethod
@@ -776,7 +788,7 @@ class TestSpecialization:
 
         self.corrupt_generator(monkeypatch, times_z1)
         res = specialization_check(FOUR_POINTS)
-        assert not res.ok and res.detail == "generator (0,) not fixed by s_0"
+        assert not res.ok and res.witness == "generator (0,) not fixed by s_0"
 
     def test_repeated_generator_at_four_sites_names_the_level(self, monkeypatch):
         # negative control: g_(1,) replaced by g_(0,), so the level-1 partners are dependent
@@ -785,7 +797,7 @@ class TestSpecialization:
 
         self.corrupt_generator(monkeypatch, repeated)
         res = specialization_check(FOUR_POINTS)
-        assert not res.ok and res.detail == "level 1: partner of (1,) depends on the earlier partners"
+        assert not res.ok and res.witness == "level 1: partner of (1,) depends on the earlier partners"
 
     def test_trivial(self):
         assert specialization_check([F(0)]).ok
@@ -795,7 +807,7 @@ class TestSpecialization:
 
     def test_ordering_rejected(self):
         res = specialization_check([F(0), F(1)])
-        assert not res.ok and "ordering" in res.detail
+        assert not res.ok and "ordering" in res.witness
 
     def test_reordered_points_accepted(self):
         assert specialization_check([F(1), F(0)]).ok
