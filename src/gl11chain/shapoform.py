@@ -35,7 +35,7 @@ from .exactnum import (
 from .linalg import ExactMatrix
 from .monodromy import Check, ModuleSpec, laurent_coefficients, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
-from .bethe import Divisor, bethe_vector, char_pair, eps_components
+from .bethe import BetheVector, Divisor, bethe_vector, char_pair, eps_components
 
 
 def r_matrix(wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
@@ -181,11 +181,12 @@ class NormRecord(NamedTuple):
         }
 
 
-def norm_check(spec: ModuleSpec, y: Divisor) -> NormRecord:
+def norm_check(spec: ModuleSpec, y: Divisor, bv: "BetheVector | None" = None) -> NormRecord:
     """Square norm of the on-shell vector against the Wronskian product.
 
-    Simple roots are evaluated directly; repeated roots through the
-    regularization extension on both sides, with the record flagged.
+    Simple roots are evaluated directly, on bv when the caller has built the
+    divisor's Bethe vector; repeated roots through the regularization
+    extension on both sides, with the record flagged.
     """
     gram = form_matrix(spec)
     q1, q2 = spec.twist
@@ -193,7 +194,8 @@ def norm_check(spec: ModuleSpec, y: Divisor) -> NormRecord:
     wr = wronskian(spec)
     repeated = any(m > 1 for _, m in y.roots)
     if not repeated:
-        bv = bethe_vector(spec, y.root_list())
+        if bv is None:
+            bv = bethe_vector(spec, y.root_list())
         lhs = form_value(gram, bv.vector, bv.vector)
         yprime = y.poly.derivative()
         prod = Fraction(1)
@@ -225,16 +227,23 @@ def _norm_eps(y, pencil, gram, wr):
         return None, None
 
 
-def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Check:
-    """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors; the witness is the form value."""
-    value = bethe_pairing(spec, y1, y2)
+def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor,
+                        b1: "BetheVector | None" = None, b2: "BetheVector | None" = None) -> Check:
+    """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors; the witness is the form value.
+
+    b1 and b2, when given, are the divisors' Bethe vectors, built once by the caller.
+    """
+    value = bethe_pairing(spec, y1, y2, b1, b2)
     return Check(value == 0, witness="" if value == 0 else f"form value {format_scalar(value)}")
 
 
-def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Fraction:
-    """The form value B(Bhat(y1), Bhat(y2)) for distinct divisors."""
+def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor,
+                  b1: "BetheVector | None" = None, b2: "BetheVector | None" = None) -> Fraction:
+    """The form value B(Bhat(y1), Bhat(y2)) for distinct divisors, built here where b1 or b2 is not given."""
     if y1 == y2:
         raise ValueError("divisors must differ")
-    b1 = bethe_vector(spec, y1.root_list())
-    b2 = bethe_vector(spec, y2.root_list())
+    if b1 is None:
+        b1 = bethe_vector(spec, y1.root_list())
+    if b2 is None:
+        b2 = bethe_vector(spec, y2.root_list())
     return form_value(form_matrix(spec), b1.vector, b2.vector)

@@ -319,8 +319,10 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         if cp.roots is None:
             continue
         divisors = [dv for level in cp.divisors for dv in level]
-        for dv in divisors:
-            rec = shapoform.norm_check(spec, dv)
+        # each divisor's Bethe vector, built once for its norm and its pairings
+        vectors = [shapoform.bethe_vector(spec, dv.root_list()) for dv in divisors]
+        for dv, bv in zip(divisors, vectors):
+            rec = shapoform.norm_check(spec, dv, bv)
             items.append(_item(f"norm {name} y={dv.label()}", rec.equal, f"lhs={rec.lhs} rhs={rec.rhs_resolved}"))
             if not rec.repeated_roots and rec.rhs_stated is not None:
                 q1, q2 = spec.twist
@@ -334,7 +336,7 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         for a in range(len(divisors)):
             for b in range(a + 1, len(divisors)):
                 ya, yb = divisors[a], divisors[b]
-                check = shapoform.orthogonality_check(spec, ya, yb)
+                check = shapoform.orthogonality_check(spec, ya, yb, vectors[a], vectors[b])
                 items.append(check._replace(label=f"orthogonal {name} {ya.label()} | {yb.label()}"))
     return items
 

@@ -4,8 +4,19 @@ Vectors are dicts {basis index of the n-fold vector power: MPoly}, where
 MPoly is a sparse exact multivariate polynomial.  Every coefficient the model
 builds is an integer, so coefficients are int; a Fraction appears only when a
 non-integral rational is multiplied in.  The chart vectors handed to SpanBasis
-and the matrices of the actions are then integer too.  Two symmetric-group
-actions matter:
+and the matrices of the actions are then integer too.
+
+An MPoly stores each monomial z^e as one int, its packed key: slot i (W =
+_SLOT_BITS = 16 bits from bit W*i) holds e_i, and slot n holds the total
+degree.  A product of monomials is the sum of their keys, the degree of a
+polynomial is its largest key shifted down by W*n, a swap of z_i and z_j adds
+(e_j - e_i)(2^(W i) - 2^(W j)), and a divided difference steps from a base
+key.  The bound: a slot holds at most 2^W - 1 = 65535, so a total degree of
+2^W or more raises OverflowError where a key is packed (the constructor, var)
+and before a product is formed, from the operands' degrees; no key carries
+into the next slot.  Exponent tuples remain at the edges: the constructor
+MPoly(n, {tuple: c}), the `terms` view, and the Coords charts' monomials.
+Two symmetric-group actions matter:
 
   standard   s_i = graded flip composed with the z_i <-> z_{i+1} swap;
   modified   shat_i = standard + divided difference (exact, degree-lowering).
@@ -43,6 +54,7 @@ the chain: no group and no elimination in a chart.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial
@@ -54,45 +66,98 @@ from .monodromy import Check, coefficient_matrices, lax_blocks, lax_product, mak
 from .superlin import SuperSpace
 
 
-class MPoly:
-    """Sparse multivariate polynomial: {exponent tuple: int or Fraction}.
+# Slot width of a packed key (see the module docstring).  At 16 bits no
+# degree the model can reach in practice hits the bound: two variables alone
+# have 2^31 monomials of degree below 2^16.
+_SLOT_BITS = 16
+_SLOT = (1 << _SLOT_BITS) - 1  # the largest degree a slot holds
 
-    Coefficients stay int unless a non-integral Fraction enters.
+
+def _pack(e: Sequence[int]) -> int:
+    """The packed key of the exponent vector e."""
+    key = 0
+    for i, k in enumerate(e):
+        if k < 0:
+            raise ValueError(f"negative exponent in {tuple(e)}")
+        key |= k << (_SLOT_BITS * i)
+    total = sum(e)
+    if total > _SLOT:
+        raise OverflowError(f"degree {total} of {tuple(e)} exceeds the slot bound {_SLOT}")
+    return key | total << (_SLOT_BITS * len(e))
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of a packed key in n variables."""
+    return tuple(key >> (_SLOT_BITS * i) & _SLOT for i in range(n))
+
+
+def _check_product(n: int, top1: int, top2: int) -> None:
+    """Raise OverflowError unless the product of terms with largest keys top1, top2 fits the slots."""
+    degree = (top1 + top2) >> (_SLOT_BITS * n)
+    if degree > _SLOT:
+        raise OverflowError(f"product degree {degree} exceeds the slot bound {_SLOT}")
+
+
+class MPoly:
+    """Sparse multivariate polynomial in z_1 .. z_n: {packed key: int or Fraction}.
+
+    Coefficients stay int unless a non-integral Fraction enters.  The
+    constructor takes {exponent tuple: coefficient}; `terms` gives the same
+    view back.  The packed dict holds no zero coefficient.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_packed")
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = n
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        packed = {}
+        for e, c in (terms or {}).items():
+            if len(e) != n:
+                raise ValueError(f"exponent {tuple(e)} is not in {n} variables")
+            if c:
+                packed[_pack(e)] = c
+        self._packed = packed
+
+    @staticmethod
+    def _raw(n: int, packed: dict) -> "MPoly":
+        """The polynomial with these packed terms, which must hold no zero coefficient."""
+        p = object.__new__(MPoly)
+        p.n = n
+        p._packed = packed
+        return p
 
     @staticmethod
     def const(n: int, c) -> "MPoly":
         c = scalar(c) if isinstance(c, str) else c
         if isinstance(c, Fraction) and c.denominator == 1:
             c = c.numerator  # integral scalars enter the model as int
-        return MPoly(n, {(0,) * n: c} if c else {})
+        return MPoly._raw(n, {0: c} if c else {})
 
     @staticmethod
     def var(n: int, idx: int, power: int = 1) -> "MPoly":
         e = [0] * n
         e[idx] = power
-        return MPoly(n, {tuple(e): 1})
+        return MPoly._raw(n, {_pack(e): 1})
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, a fresh dict."""
+        return {_unpack(key, self.n): c for key, c in self._packed.items()}
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self._packed) >> (_SLOT_BITS * self.n) if self._packed else -1
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other):
         other = _mpoly(other, self.n)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._packed == other._packed
 
     __hash__ = None
 
@@ -100,15 +165,19 @@ class MPoly:
         other = _mpoly(other, self.n)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MPoly(self.n, out)
+        out = dict(self._packed)
+        for key, c in other._packed.items():
+            total = out.get(key, 0) + c
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return MPoly._raw(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.n, {e: -c for e, c in self.terms.items()})
+        return MPoly._raw(self.n, {key: -c for key, c in self._packed.items()})
 
     def __sub__(self, other):
         other = _mpoly(other, self.n)
@@ -123,58 +192,77 @@ class MPoly:
         other = _mpoly(other, self.n)
         if other is NotImplemented:
             return NotImplemented
+        t1, t2 = self._packed, other._packed
+        if not (t1 and t2):
+            return MPoly._raw(self.n, {})
+        _check_product(self.n, max(t1), max(t2))
         out: dict = {}
-        _add_product(out, self.terms, other.terms)
-        return MPoly(self.n, out)
+        _add_product(out, t1, t2)
+        return MPoly._raw(self.n, {key: c for key, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def swap(self, i: int, j: int) -> "MPoly":
-        out: dict = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            le[i], le[j] = le[j], le[i]
-            out[tuple(le)] = c
-        return MPoly(self.n, out)
+        si, sj = _SLOT_BITS * i, _SLOT_BITS * j
+        # adding (e_j - e_i)(2^si - 2^sj) exchanges the slots; the degree stays
+        step = (1 << si) - (1 << sj)
+        return MPoly._raw(
+            self.n, {key + ((key >> sj & _SLOT) - (key >> si & _SLOT)) * step: c for key, c in self._packed.items()}
+        )
 
     def evaluate(self, point: Sequence) -> "int | Fraction":
         """The value at z = point."""
+        if len(point) != self.n:
+            raise ValueError(f"{len(point)} values for {self.n} variables")
         total = 0
-        for e, c in self.terms.items():
-            for v, k in zip(point, e):
+        for key, c in self._packed.items():
+            for v in point:
+                k = key & _SLOT
                 if k:
                     c *= v**k
+                key >>= _SLOT_BITS
             total += c
         return total
 
     def divided_difference(self, i: int) -> "MPoly":
-        """(f - f^swap)/(z_i - z_{i+1}), exact and termwise."""
+        """(f - f^swap)/(z_i - z_{i+1}), exact and termwise.
+
+        z_i^a z_j^b (a > b) gives the sum over u < a - b of z_i^(b+u) z_j^(a-1-u),
+        one degree lower; its keys run from a base key in steps of 2^si - 2^sj.
+        """
+        si, sj = _SLOT_BITS * i, _SLOT_BITS * (i + 1)
+        unit_i, unit_j = 1 << si, 1 << sj
+        step = unit_i - unit_j
+        down = 1 << (_SLOT_BITS * self.n)
         out: dict = {}
-        j = i + 1
-        for e, c in self.terms.items():
-            a, b = e[i], e[j]
+        get = out.get
+        for key, c in self._packed.items():
+            a, b = key >> si & _SLOT, key >> sj & _SLOT
             if a == b:
                 continue
-            sign = 1 if a > b else -1
-            lo, hi = min(a, b), max(a, b)
-            for u in range(hi - lo):
-                le = list(e)
-                le[i] = lo + u
-                le[j] = lo + (hi - lo - 1 - u)
-                key = tuple(le)
-                out[key] = out.get(key, 0) + sign * c
-        return MPoly(self.n, out)
+            # slot i to min(a, b), slot j to max(a, b) - 1, degree down by one
+            if a > b:
+                base = key - down + (b - a) * unit_i + (a - b - 1) * unit_j
+                stop = base + (a - b) * step
+            else:
+                base = key - down - unit_j
+                stop = base + (b - a) * step
+                c = -c
+            for k in range(base, stop, step):
+                out[k] = get(k, 0) + c
+        return MPoly._raw(self.n, {key: c for key, c in out.items() if c})
 
     def __repr__(self):
         return f"MPoly({self.terms})"
 
 
 def _add_product(out: dict, t1: dict, t2: dict) -> None:
-    """Add the product of the term dicts t1 and t2 into the term dict out."""
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
+    """Add the product of the packed term dicts t1 and t2 into out; _check_product has passed."""
+    get = out.get
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
 
 
 def _mpoly(v, n: int):
@@ -221,21 +309,25 @@ def level_components(n: int, level: "int | None") -> list[int]:
 
 
 class Coords(NamedTuple):
-    """Coordinate chart on (weight-l component of V) tensor polynomials <= d."""
+    """Coordinate chart on (weight-l component of V) tensor polynomials <= d.
+
+    The index is keyed by (component, packed key of the monomial).
+    """
 
     n: int
     components: list[int]
     monomials: list[tuple[int, ...]]
-    index: dict[tuple[int, tuple[int, ...]], int]
+    index: dict[tuple[int, int], int]
 
     @staticmethod
     def build(n: int, level: "int | None", d: int) -> "Coords":
         comps = level_components(n, level)
         monos = monomials_upto(n, d)
+        keys = [_pack(m) for m in monos]
         index = {}
         for ci, c in enumerate(comps):
-            for mi, m in enumerate(monos):
-                index[(c, m)] = ci * len(monos) + mi
+            for mi, key in enumerate(keys):
+                index[(c, key)] = ci * len(monos) + mi
         return Coords(n, comps, monos, index)
 
     @property
@@ -245,8 +337,8 @@ class Coords(NamedTuple):
     def to_vector(self, f: dict) -> "list[int | Fraction]":
         v = [0] * self.dim
         for c, p in f.items():
-            for e, coef in p.terms.items():
-                v[self.index[(c, e)]] = coef
+            for key, coef in p._packed.items():
+                v[self.index[(c, key)]] = coef
         return v
 
     def matrix_of(self, fn: Callable[[dict], dict]) -> ExactMatrix:
@@ -257,12 +349,13 @@ class Coords(NamedTuple):
         """Matrix of a map from these coordinates into dst."""
         m = ExactMatrix(dst.dim, self.dim)
         nm = len(self.monomials)
+        keys = [_pack(e) for e in self.monomials]
         for ci, c in enumerate(self.components):
-            for mi, e in enumerate(self.monomials):
-                image = fn({c: MPoly(self.n, {e: 1})})
+            for mi, key in enumerate(keys):
+                image = fn({c: MPoly._raw(self.n, {key: 1})})
                 for cc, p in image.items():
-                    for ee, coef in p.terms.items():
-                        row = dst.index.get((cc, ee))
+                    for kk, coef in p._packed.items():
+                        row = dst.index.get((cc, kk))
                         if row is None:
                             raise ValueError("map leaves the target coordinates")
                         m.add_to(row, ci * nm + mi, coef)
@@ -277,9 +370,9 @@ class Coords(NamedTuple):
 def standard_action(space: SuperSpace, i: int, f: dict) -> dict:
     out: dict = {}
     for c, p in f.items():
-        cc, sign = space.flip(c, i)
+        cc, sign = space.flip(c, i)  # flip permutes the components: each cc is hit once
         q = p.swap(i, i + 1)
-        out[cc] = out.get(cc, MPoly(q.n, {})) + (q if sign == 1 else -q)
+        out[cc] = q if sign == 1 else -q
     return out
 
 
@@ -287,7 +380,9 @@ def modified_action(space: SuperSpace, i: int, f: dict) -> dict:
     """shat_i = flip-with-swap plus the divided difference."""
     out = standard_action(space, i, f)
     for c, p in f.items():
-        out[c] = out.get(c, MPoly(p.n, {})) + p.divided_difference(i)
+        dd = p.divided_difference(i)
+        if dd:
+            out[c] = out[c] + dd if c in out else dd
     return {c: p for c, p in out.items() if p}
 
 
@@ -392,8 +487,12 @@ def _fixed_monomial_counts(n: int, word: Sequence[int], d: int) -> list[int]:
     return counts
 
 
+@functools.cache
 def _check_divided_differences(n: int, d: int) -> None:
-    """Raise ArithmeticError unless each divided difference lowers the degree of each monomial up to d."""
+    """Raise ArithmeticError unless each divided difference lowers the degree of each monomial up to d.
+
+    Memoised per (n, d): every level and both parts of invariant_dimensions share one check.
+    """
     for e in monomials_upto(n, d):
         mono = MPoly(n, {e: 1})
         for i in range(n - 1):
@@ -401,19 +500,20 @@ def _check_divided_differences(n: int, d: int) -> None:
                 raise ArithmeticError(f"divided difference at s_{i} does not lower the degree of {e}")
 
 
-def _zero_mode_map(space: SuperSpace, i: int, j: int, comps: Sequence[int]) -> dict[int, dict[int, int]]:
-    """e_ij[0] on the constants (c, 1) for c in comps, as {c: {image component: coefficient}}.
+@functools.cache
+def _zero_mode_map(n: int, i: int, j: int, level: int) -> dict[int, dict[int, int]]:
+    """e_ij[0] on the constants (c, 1) at the level, as {c: {image component: coefficient}}.
 
-    Raises ArithmeticError unless every image has degree 0.
+    Raises ArithmeticError unless every image has degree 0.  Memoised per
+    argument tuple: the map is shared and must not be mutated.
     """
-    n = space.nlegs()
-    zero = (0,) * n
+    space = SuperSpace.tensor_power(n)
     out = {}
-    for c in comps:
-        image = current_action(space, i, j, 0, {c: MPoly(n, {zero: 1})})
+    for c in level_components(n, level):
+        image = current_action(space, i, j, 0, {c: MPoly.const(n, 1)})
         if any(p.degree() != 0 for p in image.values()):
             raise ArithmeticError(f"zero mode e{i}{j}[0] moves component {c} off degree 0")
-        out[c] = {cc: p.terms[zero] for cc, p in image.items()}
+        out[c] = {cc: p._packed[0] for cc, p in image.items()}
     return out
 
 
@@ -446,8 +546,8 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
     comps = level_components(n, level)
     _check_divided_differences(n, d)
     if singular_only:
-        raise_map = _zero_mode_map(space, 2, 1, comps)
-        lower_map = _zero_mode_map(space, 1, 2, level_components(n, level + 1))
+        raise_map = _zero_mode_map(n, 2, 1, level)
+        lower_map = _zero_mode_map(n, 1, 2, level + 1)
     totals = [0] * (d + 1)
     for word, size in _class_words(n):
         trace = 0
@@ -501,9 +601,10 @@ def character_series(n: int, level: int, d: int, singular_only: bool) -> list[in
 
 def _difference(a: dict, b: dict) -> "str | None":
     """The first entry where the vectors a and b differ, by component, then degree, then exponent; None when equal."""
-    entries = {(c, e) for f in (a, b) for c, p in f.items() for e in p.terms}
+    ta, tb = ({c: p.terms for c, p in f.items()} for f in (a, b))
+    entries = {(c, e) for t in (ta, tb) for c, terms in t.items() for e in terms}
     for c, e in sorted(entries, key=lambda ce: (ce[0], sum(ce[1]), ce[1])):
-        x, y = (f[c].terms.get(e, 0) if c in f else 0 for f in (a, b))
+        x, y = (t[c].get(e, 0) if c in t else 0 for t in (ta, tb))
         if x != y:
             return f"component {c}, monomial {e}: {x} vs {y}"
     return None
@@ -595,17 +696,21 @@ def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], list[ExactMatrix]]:
 
 
 def _mpoly_apply(mat: ExactMatrix, f: dict, n: int) -> dict:
+    """The vector mat f, for a matrix of MPoly or scalar entries."""
+    tops = {j: max(p._packed) for j, p in f.items() if p._packed}
     out: dict = {}
     for i, row in mat.rows.items():
         acc: dict = {}
         for j, entry in row.items():
-            p = f.get(j)
-            if p is None or p.is_zero():
+            top = tops.get(j)
+            if top is None:
                 continue
-            _add_product(acc, _mpoly(entry, n).terms, p.terms)
-        total = MPoly(n, acc)
-        if total:
-            out[i] = total
+            terms = _mpoly(entry, n)._packed
+            _check_product(n, max(terms), top)
+            _add_product(acc, terms, f[j]._packed)
+        acc = {key: c for key, c in acc.items() if c}
+        if acc:
+            out[i] = MPoly._raw(n, acc)
     return out
 
 

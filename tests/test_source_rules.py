@@ -14,7 +14,9 @@ so those two load only when a command uses them.  No source file imports
 are NamedTuples or plain classes.  The legs of a `SuperSpace` are read in
 superlin.py alone; every other module asks the space for levels, flips and
 leg actions.  A verdict has one record, monodromy.Check: no other class
-declares a field named `ok`, `witness` or `detail`.
+declares a field named `ok`, `witness` or `detail`.  The packed monomial keys
+of MPoly are read in weylspace.py alone: no other module names the packed
+term dict or the slot width.
 """
 
 import ast
@@ -249,3 +251,37 @@ def test_verdict_rule_catches_a_planted_record():
         "class Item(NamedTuple):\n    name: str\n    detail: str = ''\n"
     )
     assert _verdict_fields(ast.parse(code)) == ["line 2: R.ok", "line 9: Item.detail"]
+
+
+# The packed term dict of MPoly and the slot width of its keys.
+PACKED_NAMES = ("_packed", "_SLOT_BITS", "_SLOT")
+
+
+def _packed_reads(tree: ast.AST) -> list[str]:
+    """Every name, attribute or import of the packed term dict or the slot width."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PACKED_NAMES:
+            out.append(f"line {node.lineno}: reads .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in PACKED_NAMES:
+            out.append(f"line {node.lineno}: reads {node.id}")
+        elif isinstance(node, ast.ImportFrom):
+            out += [f"line {node.lineno}: imports {a.name}" for a in node.names if a.name in PACKED_NAMES]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_weylspace_reads_packed_monomials(path):
+    if path.name != "weylspace.py":
+        assert _packed_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_packed_rule_catches_each_planted_read():
+    code = (
+        "from .weylspace import MPoly, _SLOT_BITS\n"
+        "def top(p):\n    return max(p._packed) >> (weylspace._SLOT * p.n)\n"
+        "width = _SLOT_BITS\n"
+    )
+    assert _packed_reads(ast.parse(code)) == [
+        "line 1: imports _SLOT_BITS", "line 3: reads ._SLOT", "line 3: reads ._packed", "line 4: reads _SLOT_BITS",
+    ]

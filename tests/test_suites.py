@@ -229,8 +229,8 @@ def _degenerate_gram(real):
 def _tripled_textbook_norm(real):
     """norm_check with the textbook right-hand side tripled."""
 
-    def corrupted(spec, y):
-        rec = real(spec, y)
+    def corrupted(spec, y, bv=None):
+        rec = real(spec, y, bv)
         return rec if rec.rhs_stated is None else rec._replace(rhs_stated=rec.rhs_stated * 3)
 
     return corrupted
@@ -239,8 +239,8 @@ def _tripled_textbook_norm(real):
 def _zero_textbook_norm(real):
     """norm_check with the textbook right-hand side 0 while the left side stays nonzero."""
 
-    def corrupted(spec, y):
-        rec = real(spec, y)
+    def corrupted(spec, y, bv=None):
+        rec = real(spec, y, bv)
         return rec if rec.rhs_stated is None else rec._replace(rhs_stated=Fraction(0))
 
     return corrupted
@@ -265,7 +265,7 @@ def _zero_textbook_norm(real):
         (
             shapoform,
             "bethe_pairing",
-            lambda real: lambda spec, y1, y2: real(spec, y1, y2) + 1,
+            lambda real: lambda spec, y1, y2, *vectors: real(spec, y1, y2, *vectors) + 1,
             "orthogonal",
             "form value 1",
         ),
@@ -281,6 +281,15 @@ def test_norms_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefi
     assert items
     for item in items:
         assert not item.ok and item.witness.startswith(detail)
+
+
+def test_norms_suite_builds_each_bethe_vector_once(monkeypatch):
+    # the norm and every pairing of a divisor share one vector
+    calls = []
+    real = shapoform.bethe_vector
+    monkeypatch.setattr(shapoform, "bethe_vector", lambda spec, roots: calls.append((spec, tuple(roots))) or real(spec, roots))
+    assert all(run_suite("norms"))
+    assert len(calls) == len(set(calls)) == 25
 
 
 def test_norms_negative_control(monkeypatch, tmp_path):
@@ -408,7 +417,26 @@ def test_memoised_builders_found():
         "gl11chain.fusion.higher_transfer",
         "gl11chain.fusion._generating_oper",
         "gl11chain.fusion.symmetrizers",
+        "gl11chain.weylspace._check_divided_differences",
+        "gl11chain.weylspace._zero_mode_map",
     }
+
+
+def test_weyl_premises_checked_once_per_argument(tmp_path, monkeypatch):
+    # every level, both parts, the specialization's counts and the CLI's
+    # character tables share one premise check per (n, d) and one zero-mode
+    # map per argument tuple
+    clear_builder_caches()
+    memos = (weylspace._check_divided_differences, weylspace._zero_mode_map)
+    requests = {memo: [] for memo in memos}
+    for memo, calls in requests.items():
+        monkeypatch.setattr(weylspace, memo.__name__, lambda *args, m=memo, c=calls: c.append(args) or m(*args))
+    assert cli.main(["verify", "--suite", "weyl", "--json", str(tmp_path / "weyl.json")]) == 0
+    for memo, calls in requests.items():
+        assert memo.cache_info().misses == len(set(calls))
+    # at the default caps: 48 requests of the degree premise for 8 distinct (n, d)
+    degree_requests = requests[memos[0]]
+    assert len(degree_requests) > 2 * len(set(degree_requests))
 
 
 def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +29,9 @@ from gl11chain.weylspace import (
     modified_action,
     specialization_check,
 )
+from conftest import clear_builder_caches
 from densemat import column
+from tuplepoly import TupleMPoly
 
 
 def count_pairs_of_partitions(l, m, d):
@@ -193,6 +199,82 @@ def _mpoly_ops(p, q, i):
     return out
 
 
+_COEFFICIENT = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _operands(draw):
+    """n in 1..5, two term dicts, a scalar, two variable indices and a point."""
+    n = draw(st.integers(1, 5))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), _COEFFICIENT, max_size=6)
+    return (
+        n, draw(terms), draw(terms), draw(_COEFFICIENT), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)),
+        draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=n, max_size=n)),
+    )
+
+
+def _model_results(cls, n, p, q, s, i, j, point):
+    """Every operation of the polynomial class cls: polynomial results as typed term dicts, then the rest."""
+    a, b = cls(n, p), cls(n, q)
+    polys = [a + b, a - b, a * b, b * a, a + s, s - a, a * s, s * b, -a, a.swap(i, j), (a * b).swap(j, i)]
+    if n >= 2:
+        polys += [a.divided_difference(min(i, n - 2)), (a * b).divided_difference(min(j, n - 2))]
+    typed = [{e: (c, type(c)) for e, c in r.terms.items()} for r in polys]
+    return typed, [
+        a.evaluate(point), (a * b).evaluate(point), a.degree(), b.degree(), (a * b).degree(),
+        a == b, a == a + 0, a == s, a - a == 0,
+    ]
+
+
+class TestPackedModel:
+    @given(_operands())
+    @settings(max_examples=200)
+    def test_matches_the_tuple_oracle(self, operands):
+        # differential: packed monomials against exponent tuples, n = 1..5,
+        # int and Fraction coefficients, coefficient types included
+        assert _model_results(MPoly, *operands) == _model_results(TupleMPoly, *operands)
+
+    def test_exponent_past_the_slot_bound_raises(self):
+        top = 2**weylspace._SLOT_BITS - 1
+        assert MPoly.var(2, 0, top).degree() == top
+        assert MPoly(3, {(top - 2, 1, 1): 5}).terms == {(top - 2, 1, 1): 5}
+        with pytest.raises(OverflowError, match="slot bound"):
+            MPoly.var(2, 0, top + 1)
+        with pytest.raises(OverflowError, match="slot bound"):
+            MPoly(3, {(top - 1, 1, 1): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            MPoly(2, {(1, -1): 1})
+
+    def test_product_past_the_slot_bound_raises(self):
+        half = 2 ** (weylspace._SLOT_BITS - 1)
+        a = MPoly.var(2, 0, half) + 1
+        assert (a * MPoly.var(2, 1, half - 1)).terms == {(half, half - 1): 1, (0, half - 1): 1}
+        with pytest.raises(OverflowError, match="slot bound"):
+            a * MPoly.var(2, 1, half)
+        # the same bound holds for the matrix action on vectors
+        op = ExactMatrix.identity(1, MPoly.var(2, 0, half))
+        assert weylspace._mpoly_apply(op, {0: MPoly.var(2, 1, half - 1)}, 2) == {0: MPoly(2, {(half, half - 1): 1})}
+        with pytest.raises(OverflowError, match="slot bound"):
+            weylspace._mpoly_apply(op, {0: MPoly.var(2, 1, half)}, 2)
+
+    def test_slot_bound_raises_under_optimize(self):
+        # the bound is an exception, not an assert, so it holds under python -O
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from gl11chain.weylspace import MPoly, _SLOT_BITS as w\n"
+            "half = MPoly.var(2, 0, 2 ** (w - 1))\n"
+            "try:\n    half * half\nexcept OverflowError as exc:\n    print('product', exc)\n"
+            "try:\n    MPoly.var(2, 1, 2 ** w)\nexcept OverflowError as exc:\n    print('var', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+        )
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["product", "var"], proc.stderr
+        assert all("slot bound" in line for line in lines)
+
+
 class TestIntegerModel:
     @given(
         st.one_of(_INT_MPOLY, _FRACTION_MPOLY),
@@ -338,13 +420,16 @@ class TestInvariantDimensions:
 
     def test_degree_keeping_divided_difference_raises(self, monkeypatch):
         # negative control: without the degree drop the leading block no
-        # longer carries the trace, and the premise check must say so
+        # longer carries the trace, and the premise check must say so; the
+        # memoised premise checks are emptied first, so the check runs again
+        clear_builder_caches()
         monkeypatch.setattr(MPoly, "divided_difference", lambda self, i: self)
         with pytest.raises(ArithmeticError, match="divided difference at s_0"):
             invariant_dimensions(3, 1, 2, False)
 
     def test_degree_raising_zero_mode_raises(self, monkeypatch):
         # negative control: a "zero mode" that multiplies by z_s
+        clear_builder_caches()
         real = weylspace.current_action
         monkeypatch.setattr(weylspace, "current_action", lambda space, i, j, r, f: real(space, i, j, 1, f))
         assert invariant_dimensions(3, 1, 2, False) == character_series(3, 1, 2, False)
