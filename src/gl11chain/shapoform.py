@@ -227,23 +227,14 @@ def _norm_eps(y, pencil, gram, wr):
         return None, None
 
 
-def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor,
-                        b1: "BetheVector | None" = None, b2: "BetheVector | None" = None) -> Check:
-    """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors; the witness is the form value.
-
-    b1 and b2, when given, are the divisors' Bethe vectors, built once by the caller.
-    """
+def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor, b1: BetheVector, b2: BetheVector) -> Check:
+    """B(b1, b2) = 0 exactly for the Bethe vectors of distinct divisors y1, y2; the witness is the form value."""
     value = bethe_pairing(spec, y1, y2, b1, b2)
     return Check(value == 0, witness="" if value == 0 else f"form value {format_scalar(value)}")
 
 
-def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor,
-                  b1: "BetheVector | None" = None, b2: "BetheVector | None" = None) -> Fraction:
-    """The form value B(Bhat(y1), Bhat(y2)) for distinct divisors, built here where b1 or b2 is not given."""
+def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor, b1: BetheVector, b2: BetheVector) -> Fraction:
+    """The form value B(b1, b2) of the Bethe vectors of distinct divisors y1, y2."""
     if y1 == y2:
         raise ValueError("divisors must differ")
-    if b1 is None:
-        b1 = bethe_vector(spec, y1.root_list())
-    if b2 is None:
-        b2 = bethe_vector(spec, y2.root_list())
     return form_value(form_matrix(spec), b1.vector, b2.vector)

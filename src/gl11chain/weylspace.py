@@ -311,12 +311,14 @@ def level_components(n: int, level: "int | None") -> list[int]:
 class Coords(NamedTuple):
     """Coordinate chart on (weight-l component of V) tensor polynomials <= d.
 
-    The index is keyed by (component, packed key of the monomial).
+    keys holds the packed key of each monomial; the index is keyed by
+    (component, packed key of the monomial).
     """
 
     n: int
     components: list[int]
     monomials: list[tuple[int, ...]]
+    keys: list[int]
     index: dict[tuple[int, int], int]
 
     @staticmethod
@@ -328,7 +330,7 @@ class Coords(NamedTuple):
         for ci, c in enumerate(comps):
             for mi, key in enumerate(keys):
                 index[(c, key)] = ci * len(monos) + mi
-        return Coords(n, comps, monos, index)
+        return Coords(n, comps, monos, keys, index)
 
     @property
     def dim(self) -> int:
@@ -349,9 +351,8 @@ class Coords(NamedTuple):
         """Matrix of a map from these coordinates into dst."""
         m = ExactMatrix(dst.dim, self.dim)
         nm = len(self.monomials)
-        keys = [_pack(e) for e in self.monomials]
         for ci, c in enumerate(self.components):
-            for mi, key in enumerate(keys):
+            for mi, key in enumerate(self.keys):
                 image = fn({c: MPoly._raw(self.n, {key: 1})})
                 for cc, p in image.items():
                     for kk, coef in p._packed.items():
@@ -500,16 +501,14 @@ def _check_divided_differences(n: int, d: int) -> None:
                 raise ArithmeticError(f"divided difference at s_{i} does not lower the degree of {e}")
 
 
-@functools.cache
-def _zero_mode_map(n: int, i: int, j: int, level: int) -> dict[int, dict[int, int]]:
-    """e_ij[0] on the constants (c, 1) at the level, as {c: {image component: coefficient}}.
+def _zero_mode_map(space: SuperSpace, i: int, j: int, comps: Sequence[int]) -> dict[int, dict[int, int]]:
+    """e_ij[0] on the constants (c, 1) for c in comps, as {c: {image component: coefficient}}.
 
-    Raises ArithmeticError unless every image has degree 0.  Memoised per
-    argument tuple: the map is shared and must not be mutated.
+    Raises ArithmeticError unless every image has degree 0.
     """
-    space = SuperSpace.tensor_power(n)
+    n = space.nlegs()
     out = {}
-    for c in level_components(n, level):
+    for c in comps:
         image = current_action(space, i, j, 0, {c: MPoly.const(n, 1)})
         if any(p.degree() != 0 for p in image.values()):
             raise ArithmeticError(f"zero mode e{i}{j}[0] moves component {c} off degree 0")
@@ -546,8 +545,8 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
     comps = level_components(n, level)
     _check_divided_differences(n, d)
     if singular_only:
-        raise_map = _zero_mode_map(n, 2, 1, level)
-        lower_map = _zero_mode_map(n, 1, 2, level + 1)
+        raise_map = _zero_mode_map(space, 2, 1, comps)
+        lower_map = _zero_mode_map(space, 1, 2, level_components(n, level + 1))
     totals = [0] * (d + 1)
     for word, size in _class_words(n):
         trace = 0

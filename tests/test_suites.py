@@ -418,25 +418,20 @@ def test_memoised_builders_found():
         "gl11chain.fusion._generating_oper",
         "gl11chain.fusion.symmetrizers",
         "gl11chain.weylspace._check_divided_differences",
-        "gl11chain.weylspace._zero_mode_map",
     }
 
 
-def test_weyl_premises_checked_once_per_argument(tmp_path, monkeypatch):
+def test_weyl_degree_premise_checked_once_per_argument(tmp_path, monkeypatch):
     # every level, both parts, the specialization's counts and the CLI's
-    # character tables share one premise check per (n, d) and one zero-mode
-    # map per argument tuple
+    # character tables share one degree-premise check per (n, d)
     clear_builder_caches()
-    memos = (weylspace._check_divided_differences, weylspace._zero_mode_map)
-    requests = {memo: [] for memo in memos}
-    for memo, calls in requests.items():
-        monkeypatch.setattr(weylspace, memo.__name__, lambda *args, m=memo, c=calls: c.append(args) or m(*args))
+    memo = weylspace._check_divided_differences
+    requests = []
+    monkeypatch.setattr(weylspace, memo.__name__, lambda *args: requests.append(args) or memo(*args))
     assert cli.main(["verify", "--suite", "weyl", "--json", str(tmp_path / "weyl.json")]) == 0
-    for memo, calls in requests.items():
-        assert memo.cache_info().misses == len(set(calls))
-    # at the default caps: 48 requests of the degree premise for 8 distinct (n, d)
-    degree_requests = requests[memos[0]]
-    assert len(degree_requests) > 2 * len(set(degree_requests))
+    assert memo.cache_info().misses == len(set(requests))
+    # at the default caps: 48 requests for 8 distinct (n, d)
+    assert len(requests) > 2 * len(set(requests))
 
 
 def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):

@@ -421,7 +421,7 @@ class TestInvariantDimensions:
     def test_degree_keeping_divided_difference_raises(self, monkeypatch):
         # negative control: without the degree drop the leading block no
         # longer carries the trace, and the premise check must say so; the
-        # memoised premise checks are emptied first, so the check runs again
+        # memoised premise check is emptied first, so it runs again
         clear_builder_caches()
         monkeypatch.setattr(MPoly, "divided_difference", lambda self, i: self)
         with pytest.raises(ArithmeticError, match="divided difference at s_0"):
@@ -429,7 +429,6 @@ class TestInvariantDimensions:
 
     def test_degree_raising_zero_mode_raises(self, monkeypatch):
         # negative control: a "zero mode" that multiplies by z_s
-        clear_builder_caches()
         real = weylspace.current_action
         monkeypatch.setattr(weylspace, "current_action", lambda space, i, j, r, f: real(space, i, j, 1, f))
         assert invariant_dimensions(3, 1, 2, False) == character_series(3, 1, 2, False)
