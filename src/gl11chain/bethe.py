@@ -34,11 +34,11 @@ from .monodromy import (
     Check,
     ModuleSpec,
     MonodromyPencil,
+    chain_transfer_pencil,
     coefficient_matrices,
     cyclicity_and_irreducibility,
     phi_psi,
     tensor_monodromy,
-    transfer_pencil,
 )
 from .superlin import Weight, singular_subspace, weight_spaces
 
@@ -224,7 +224,7 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellRes
     ypoly = y.poly if isinstance(y, Divisor) else Poly.from_roots(roots)
     bv = bethe_vector(spec, roots)
     gamma = char_pair(spec).gamma
-    tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
+    tq = chain_transfer_pencil(spec)
     rhs = ypoly.shift(1) * gamma
     vec = list(bv.vector)
     # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side
@@ -367,7 +367,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
     if not split:
         return report
     singular_only = not spec.is_twisted()
-    tq = coefficient_matrices(transfer_pencil(pencil, spec.twist))
+    tq = coefficient_matrices(chain_transfer_pencil(spec))
     tq += [ExactMatrix(pencil.dim, pencil.dim)] * (spec.k + 1 - len(tq))
     for level in range(spec.k + 1):
         basis = level_subspace(spec, level, singular_only)

@@ -25,12 +25,11 @@ from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from .monodromy import (
     Check,
     ModuleSpec,
+    chain_transfer_pencil,
     cyclicity_and_irreducibility,
     laurent_coefficients,
     reduce_lambda2,
     string_points,
-    tensor_monodromy,
-    transfer_pencil,
 )
 from .bethe import (
     Divisor,
@@ -80,8 +79,7 @@ def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> Coe
     strings = string_points(reduced)
     n = len(strings)
     astr = Poly.from_roots(strings)
-    pencil = tensor_monodromy(spec)
-    tq = transfer_pencil(pencil, spec.twist)
+    tq = chain_transfer_pencil(spec)
     bmats = laurent_coefficients(tq, astr, spec.normalizer() * Poly([0] * n + [1]), n)
     ops, _ = restrict_operators(bmats[1:], basis)
     for c in elementary_symmetric(list(strings)):

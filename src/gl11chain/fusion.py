@@ -19,6 +19,18 @@ tau-free scalar.  Each derived object is built once per chain: berezinian
 memoised, generating_oper is built at the largest order asked for and read
 truncated at lower ones, and transfer_relation_check checks m = 1..top in
 one pass over one inverse series.
+
+T_m and its symmetric analog are supertraces over m aux legs with the graded
+antisymmetrizer A_m or symmetrizer H_m.  Both have rank 2 and the closed form
+P = E[b..b, b..b] + (1/m) sum_{p,q} s^(p+q) E[w_p, w_q], w_p being b on every
+leg but p and the other state there: b odd and s = -1 for A_m, b even and
+s = 1 for H_m (AUX_IMAGE).  The adjacent graded flips F_i alone decide that P
+is the group average G = (1/m!) sum_g s^|g| g (symmetrizer_check): let W be
+the common s-eigenspace of the F_i.  F_i P = s P puts im P in W, so rank P =
+dim W makes im P = W, where P^2 = P is the identity; G maps into W, so P G =
+G; and P F_i = s P gives P g = s^|g| P, so P G = P = G.  Route A reads P from
+this image basis, route B expands T_m entrywise, and higher_transfer
+compares the two.
 """
 
 from __future__ import annotations
@@ -33,11 +45,11 @@ from .monodromy import (
     Check,
     ModuleSpec,
     MonodromyPencil,
+    chain_transfer_pencil,
     coefficient_matrices,
     tensor_monodromy,
-    transfer_pencil,
 )
-from .superlin import SuperSpace, permutation_sign, symmetric_group_action
+from .superlin import EVEN, ODD, SuperSpace, kron_signed_adjacent_flip
 from .bethe import Divisor, bethe_vector, char_pair
 
 
@@ -46,22 +58,38 @@ from .bethe import Divisor, bethe_vector, char_pair
 # ---------------------------------------------------------------------------
 
 
+# (b, s) of the image basis of A_m (True) and H_m (False); see the module docstring
+AUX_IMAGE = {True: (ODD, -1), False: (EVEN, 1)}
+
+
 @functools.cache
 def symmetrizers(m: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """Normalized graded antisymmetrizer and symmetrizer on m tensor factors.
-
-    Memoised per m: the matrices are shared, must not be mutated.
-    """
+    """(A_m, H_m) in closed form, m^2 + 1 entries each.  Memoised per m: shared, must not be mutated."""
     if m < 1:
         raise ValueError("m must be positive")
     space = SuperSpace.tensor_power(m)
-    action = symmetric_group_action(space)
-    a = ExactMatrix(space.dim, space.dim)
-    h = ExactMatrix(space.dim, space.dim)
-    for perm, mat in action.items():
-        h = h + mat
-        a = a + mat * permutation_sign(perm)
-    return a * Fraction(1, len(action)), h * Fraction(1, len(action))
+    out = []
+    for base, s in (AUX_IMAGE[True], AUX_IMAGE[False]):
+        pure = space.index((base,) * m)
+        marked = [space.index([base ^ (leg == p) for leg in range(m)]) for p in range(m)]
+        rows = {row: {col: Fraction(s ** (p + q), m) for q, col in enumerate(marked)} for p, row in enumerate(marked)}
+        out.append(ExactMatrix(space.dim, space.dim, {pure: {pure: Fraction(1)}, **rows}))
+    return out[0], out[1]
+
+
+def symmetrizer_check(m: int) -> Check:
+    """The flip argument of the module docstring on symmetrizers(m); the witness names m, P and what failed."""
+    space = SuperSpace.tensor_power(m)
+    ident = ExactMatrix.identity(space.dim)
+    flips = [kron_signed_adjacent_flip(space, i) for i in range(m - 1)]
+    for (name, s), proj in zip((("A", -1), ("H", 1)), symmetrizers(m)):
+        bad = next((i for i, f in enumerate(flips) if not f @ proj == proj * s == proj @ f), None)
+        if bad is not None:
+            return Check(False, "symmetrizer", f"{name}_{m} fails F_{bad} {name} = {'-' * (s < 0)}{name} = {name} F_{bad}")
+        nullity = space.dim - ExactMatrix.vstack([f - ident * s for f in flips] or [ExactMatrix(1, space.dim)]).rank()
+        if proj @ proj != proj or proj.rank() != nullity:
+            return Check(False, "symmetrizer", f"{name}_{m}: idempotent {proj @ proj == proj}, rank {proj.rank()} vs {nullity}")
+    return Check(True, "symmetrizer")
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +186,9 @@ def t_entry(pencil: MonodromyPencil, i: int, j: int, shift: int = 0) -> FracMatr
     return FracMatrix(pencil.entry(i, j), pencil.normalizer).shift(shift)
 
 
-def transfer(pencil: MonodromyPencil, twist, shift: int = 0) -> FracMatrix:
-    """TransferQ(x - shift) = q1 T_11(x - shift) - q2 T_22(x - shift)."""
-    return FracMatrix(transfer_pencil(pencil, twist), pencil.normalizer).shift(shift)
+def transfer(spec: ModuleSpec, shift: int = 0) -> FracMatrix:
+    """TransferQ(x - shift) = q1 T_11(x - shift) - q2 T_22(x - shift), from the chain's one pencil."""
+    return FracMatrix(chain_transfer_pencil(spec), tensor_monodromy(spec).normalizer).shift(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -168,51 +196,54 @@ def transfer(pencil: MonodromyPencil, twist, shift: int = 0) -> FracMatrix:
 # ---------------------------------------------------------------------------
 
 
-def higher_transfer_supertrace(
-    pencil: MonodromyPencil, twist, m: int, projector: ExactMatrix
-) -> FracMatrix:
-    """Route A: supertrace over m aux legs of P Q T(x) Q T(x-1) ... Q T(x-m+1).
+def higher_transfer_supertrace(pencil: MonodromyPencil, twist, m: int, antisymmetric: bool) -> FracMatrix:
+    """Route A: supertrace over m aux legs of P Q T(x) Q T(x-1) ... Q T(x-m+1), P = A_m or H_m.
 
-    P is one of the projectors from symmetrizers(m): A_m gives the m-th
-    transfer matrix T_m, H_m its symmetric analog.  The trace is taken block
-    by block on the module.  With aux multi-indices a, c in {0, 1}^m (0 the
-    even index 1, 1 the odd index 2),
+    With aux multi-indices a, c in {0, 1}^m (0 the even index 1, 1 the odd index 2),
 
-        str = [sum_{a,c} (-1)^|a| P_{a,c} prod_{l<m} eps_l q_{c_l} That_{c_l a_l}(x - l)]
-              / prod_{l<m} N(x - l),
+        str = [sum_{a,c} (-1)^|a| P_{a,c} prod_{l<m} eps_l q_{c_l} That_{c_l a_l}(x - l)] / prod_{l<m} N(x - l),
 
-    the product ordered l = 0 .. m-1 from left to right.  The sign
-    eps_l = (-1)^((c_l + a_l)(a_l + sum_{q>l} c_q)) is kron_signed's rule for
-    E_{c_l a_l} on aux leg l times That_{c_l a_l} on the module slot, acting
-    on a vector whose aux legs read a_q for q < l and c_q for q > l; the
-    sum_{q<l} a_q terms of the two factors cancel.
+    the product ordered l = 0 .. m-1 from left to right; eps_l =
+    (-1)^((c_l + a_l)(a_l + sum_{q>l} c_q)) is kron_signed's Koszul sign for
+    E_{c_l a_l} on aux leg l times That_{c_l a_l} on the module, on a vector
+    whose aux legs read a_q for q < l and c_q for q > l (the sum_{q<l} a_q
+    terms of the two factors cancel).  P's terms
+    come from its image basis (AUX_IMAGE): the pure term b..b is one chain of
+    That_bb blocks, and the m^2 pairs (w_p, w_q) are summed by a recurrence
+    over the legs.  Its state after leg l has bit 0 set when p <= l (the row's
+    marked leg is placed) and bit 1 when q <= l (the column's); leg l moves a
+    state to one that places p, q, both or neither there, with the block
+    That_{c_l a_l} and the factor q_{c_l} eps_l s^l per index placed, where
+    sum_{q>l} c_q = b (m - 1 - l), plus 1 while q is still to come.  That is
+    9 block products per inner leg and 5 on the last, 9m - 13 for m >= 2,
+    against (m^2 + 1)(m - 1) for P's entries one by one.
     """
     q = (scalar(twist[0]), scalar(twist[1]))
-    aux = SuperSpace.tensor_power(m)
+    base, s = AUX_IMAGE[antisymmetric]
     that = {(c, a, l): t_entry(pencil, c + 1, a + 1, l).num for c in (0, 1) for a in (0, 1) for l in range(m)}
-    num = ExactMatrix(pencil.dim, pencil.dim)
-    for ai, ci, p in projector.entries():
-        a, c = aux.multi_index(ai), aux.multi_index(ci)
-        coef = -p if aux.parity(ai) else p
-        term = None
-        for l in range(m):
-            if (c[l] + a[l]) * (a[l] + sum(c[l + 1 :])) % 2:
-                coef = -coef
-            coef = coef * q[c[l]]
-            block = that[c[l], a[l], l]
-            term = block if term is None else term @ block
-        num = num + term * coef
-    den = _ONE
-    for l in range(m):
-        den = den * pencil.normalizer.shift(l)
-    return FracMatrix(num, den)
+
+    def leg(l: int, before: int, after: int) -> ExactMatrix:
+        """Leg l's block from state `before` to state `after`, times its scalar."""
+        a, c = base ^ ((before ^ after) & 1), base ^ ((before ^ after) >> 1)
+        later = base * (m - 1 - l) + 1 - (after >> 1)
+        return that[c, a, l] * (q[c] * s ** (l * (a != base) + l * (c != base)) * (-1) ** ((c + a) * (a + later)))
+
+    sums = {state: leg(0, 0, state) for state in range(4)}
+    for l in range(1, m):
+        sums = {
+            after: functools.reduce(ExactMatrix.__add__, (sums[b] @ leg(l, b, after) for b in range(4) if b | after == after))
+            for after in (range(4) if l < m - 1 else (0, 3))
+        }
+    num = sums[0] * (-1) ** (base * m) + sums[3] * Fraction((-1) ** (base * (m - 1) + 1 - base), m)
+    return FracMatrix(num, functools.reduce(Poly.__mul__, (pencil.normalizer.shift(l) for l in range(m))))
 
 
-def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> FracMatrix:
+def higher_transfer_expansion(spec: ModuleSpec, m: int) -> FracMatrix:
     """Route B: the explicit entrywise expansion of the m-th transfer matrix."""
-    q1, q2 = scalar(twist[0]), scalar(twist[1])
+    pencil = tensor_monodromy(spec)
+    q1, q2 = scalar(spec.twist[0]), scalar(spec.twist[1])
     if m == 1:
-        return transfer(pencil, twist)
+        return transfer(spec)
     t22 = [t_entry(pencil, 2, 2, i) for i in range(m)]
 
     def t22_range(lo: int, hi: int) -> FracMatrix:
@@ -221,7 +252,7 @@ def higher_transfer_expansion(pencil: MonodromyPencil, twist, m: int) -> FracMat
             out = out @ t22[i]
         return out
 
-    tilde = -(transfer(pencil, twist) @ t22_range(1, m - 1))
+    tilde = -(transfer(spec) @ t22_range(1, m - 1))
     for s in range(1, m):
         term = t_entry(pencil, 1, 2, 0).scale(q1)
         term = term @ t22_range(1, s - 1)
@@ -245,9 +276,8 @@ def higher_transfer(spec: ModuleSpec, m: int) -> RouteComparison:
     identity on T_m; its witness is "(m, i, j)", the first differing entry.
     Memoised per (chain, m): the result is shared and must not be mutated.
     """
-    pencil = tensor_monodromy(spec)
-    via_trace = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[0])
-    via_expansion = higher_transfer_expansion(pencil, spec.twist, m)
+    via_trace = higher_transfer_supertrace(tensor_monodromy(spec), spec.twist, m, True)
+    via_expansion = higher_transfer_expansion(spec, m)
     diff = via_trace.first_difference(via_expansion)
     witness = "" if diff is None else str((m, *diff))
     return RouteComparison(Check(diff is None, f"route disagreement at m={m}", witness), via_expansion)
@@ -473,18 +503,18 @@ def transfer_relation_check(spec: ModuleSpec, top: int) -> list[list[Check]]:
     pencil = tensor_monodromy(spec)
     inv = generating_oper(spec, top).inverse_series(top)
     scal = berprod = RatFun(Poly((1,)))
-    rhs = transfer(pencil, spec.twist)
+    rhs = transfer(spec)
     out = []
     for m in range(1, top + 1):
         if m > 1:
             shifted = ber.value.shift(m - 1)
             scal, berprod = scal * (1 - shifted), berprod * shifted
-            rhs = rhs @ transfer(pencil, spec.twist, m - 1)
+            rhs = rhs @ transfer(spec, m - 1)
         rc = higher_transfer(spec, m)
         if not rc.check:
             out.append([rc.check])
             continue
-        hm = higher_transfer_supertrace(pencil, spec.twist, m, symmetrizers(m)[1])
+        hm = higher_transfer_supertrace(pencil, spec.twist, m, False)
         out.append([
             _equality_check(rc.matrix.scale(scal), rhs, f"antisymmetric transfer relation m={m}"),
             _equality_check(hm.scale(scal * (-1) ** (m - 1)), rhs.scale(berprod), f"symmetric transfer relation m={m}"),
@@ -573,7 +603,7 @@ def universal_oper_check(spec: ModuleSpec, order: int) -> list[Check]:
         raise ValueError("Ber - 1 not invertible for this chain")
     dim = pencil.dim
     oper = generating_oper(spec, order)
-    tq = transfer(pencil, spec.twist)
+    tq = transfer(spec)
     one = DiffOp.one(dim)
     n1 = one - DiffOp(dim, {1: tq.scale(ber.value / bm1)})
     n2 = one - DiffOp(dim, {1: tq.scale(1 / bm1)})

@@ -420,6 +420,12 @@ def transfer_pencil(pencil: MonodromyPencil, twist) -> linalg.ExactMatrix:
     return pencil.entry(1, 1) * q1 - pencil.entry(2, 2) * q2
 
 
+@functools.cache
+def chain_transfer_pencil(spec: ModuleSpec) -> linalg.ExactMatrix:
+    """The chain's transfer pencil That_Q, built once per chain: shared, must not be mutated."""
+    return transfer_pencil(tensor_monodromy(spec), spec.twist)
+
+
 def reduce_lambda2(spec: ModuleSpec) -> tuple[ModuleSpec, RatFun]:
     """Shift all weight second components to zero; returns the twist series.
 

@@ -104,7 +104,7 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
     # transfer family commutes and respects the diagonal symmetry
     for name, spec in suite_specs().items():
         pencil = monodromy.tensor_monodromy(spec)
-        tq = monodromy.coefficient_matrices(monodromy.transfer_pencil(pencil, spec.twist))
+        tq = monodromy.coefficient_matrices(monodromy.chain_transfer_pencil(spec))
         pair = next(
             ((a, b) for a in range(len(tq)) for b in range(a + 1, len(tq)) if not tq[a].commutes_with(tq[b])), None
         )
@@ -299,7 +299,6 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
     for name, spec in suite_specs().items():
         if spec.k > max_k or spec.n > max_n:
             continue
-        pencil = monodromy.tensor_monodromy(spec)
         gram = shapoform.form_matrix(spec)
         symmetric = gram == gram.transpose()
         items.append(_item(f"gram symmetric {name}", symmetric, "" if symmetric else _asymmetry(gram)))
@@ -307,7 +306,7 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         items.append(_item(f"vacuum normalized {name}", vac == 1, f"gram[0, 0] = {format_scalar(vac)}"))
         items.append(shapoform.check_iota_contract(spec)._replace(label=f"contravariance {name}"))
         # transfer self-adjointness
-        tq = monodromy.coefficient_matrices(monodromy.transfer_pencil(pencil, spec.twist))
+        tq = monodromy.coefficient_matrices(monodromy.chain_transfer_pencil(spec))
         degree = next((d for d, c in enumerate(tq) if (c.transpose() @ gram) != (gram @ c)), None)
         items.append(_item(f"transfer self-adjoint {name}", degree is None, f"x^{degree} coefficient"))
         _, irred = monodromy.cyclicity_and_irreducibility(spec)
@@ -378,13 +377,7 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
         if universal:
             checks += fusion.universal_oper_check(spec, order)
         items += [c._replace(label=f"{name}: {c.label}") for c in checks]
-    for m in range(1, 5):
-        a, h = fusion.symmetrizers(m)
-        idempotent = (a @ a) == a and (h @ h) == h
-        ranks = (a.rank(), h.rank())
-        items.append(
-            _item(f"symmetrizer ranks m={m}", idempotent and ranks == (2, 2), f"ranks {ranks}, idempotent {idempotent}")
-        )
+    items += [fusion.symmetrizer_check(m)._replace(label=f"symmetrizer ranks m={m}") for m in range(1, 5)]
     return items
 
 

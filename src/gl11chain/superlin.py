@@ -20,8 +20,9 @@ other module reads the legs.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 from .exactnum import format_scalar, scalar
@@ -79,7 +80,10 @@ class Weight:
 
 
 class SuperSpace:
-    """Ordered tensor product of legs with fixed basis parities."""
+    """Ordered tensor product of legs with fixed basis parities.
+
+    An immutable value, so tensor_power shares one space per n.
+    """
 
     __slots__ = ("legs", "dims", "dim", "multis", "levels", "parities")
 
@@ -92,7 +96,9 @@ class SuperSpace:
         self.parities = tuple(lv % 2 for lv in self.levels)
 
     @staticmethod
+    @functools.cache
     def tensor_power(n: int) -> "SuperSpace":
+        """n standard legs; memoised per n."""
         return SuperSpace([(EVEN, ODD)] * n)
 
     def nlegs(self) -> int:
@@ -270,60 +276,22 @@ def singular_subspace(
 
 
 def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], linalg.ExactMatrix]:
-    """Matrices of all permutations acting by graded flips on a tensor power.
+    """Matrices of all permutations of the legs of a tensor power, with Koszul signs.
 
-    Keys are permutation tuples p with p[i] = image of position i.  The map
-    is a group homomorphism because the graded flips satisfy the braid and
-    involution relations.
+    Keys are permutation tuples p: the state of leg i moves to leg p[i], with
+    sign -1 to the number of pairs of odd states whose order p reverses.  No
+    module of the package calls it: the symmetrizers have a closed form in
+    fusion.py.  It stays as a named target of the per-layer benchmark.
     """
-    flips = [kron_signed_adjacent_flip(space, i) for i in range(space.nlegs() - 1)]
-    return permutation_closure(flips, space.dim)
-
-
-def permutation_closure(adjacent: Sequence[linalg.ExactMatrix], dim: int) -> dict[tuple[int, ...], linalg.ExactMatrix]:
-    """All products of the matrices of the adjacent transpositions s_1 .. s_{n-1}.
-
-    Breadth-first over words in the generators; keys as in
-    symmetric_group_action.  With no generators the group is trivial (n = 1).
-    """
-    n = len(adjacent) + 1
-    gens = []
-    for i, m in enumerate(adjacent):
-        p = list(range(n))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append((tuple(p), m))
-    ident = tuple(range(n))
-    action = {ident: linalg.ExactMatrix.identity(dim)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for sigma in frontier:
-            msig = action[sigma]
-            for gp, gm in gens:
-                # compose: apply the generator first, then sigma
-                tau = tuple(sigma[gp[i]] for i in range(n))
-                if tau not in action:
-                    action[tau] = msig @ gm
-                    nxt.append(tau)
-        frontier = nxt
-    return action
-
-
-def permutation_sign(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    n = space.nlegs()
+    out = {}
+    for perm in permutations(range(n)):
+        out[perm] = mat = linalg.ExactMatrix(space.dim, space.dim)
+        for idx, multi in enumerate(space.multis):
+            odd = [i for i in range(n) if space.legs[i][multi[i]]]
+            image = space.index([multi[perm.index(i)] for i in range(n)])
+            mat.put(image, idx, Fraction(-1) ** sum(perm[a] > perm[b] for a in odd for b in odd if a < b))
+    return out
 
 
 def kron_signed_adjacent_flip(space: SuperSpace, i: int) -> linalg.ExactMatrix:

@@ -489,15 +489,18 @@ def _fixed_monomial_counts(n: int, word: Sequence[int], d: int) -> list[int]:
 
 
 @functools.cache
-def _check_divided_differences(n: int, d: int) -> None:
-    """Raise ArithmeticError unless each divided difference lowers the degree of each monomial up to d.
+def _check_degree_drop(n: int, delta: int) -> None:
+    """Raise ArithmeticError unless each divided difference lowers the degree of each monomial of degree delta.
 
-    Memoised per (n, d): every level and both parts of invariant_dimensions share one check.
+    Memoised per (n, delta), so every level, part and cap checks each monomial
+    once.  The monomials are the stars-and-bars placements of n - 1 bars
+    among delta + n - 1 slots.
     """
-    for e in monomials_upto(n, d):
+    for bars in itertools.combinations(range(delta + n - 1), n - 1):
+        e = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, delta + n - 1)))
         mono = MPoly(n, {e: 1})
         for i in range(n - 1):
-            if mono.divided_difference(i).degree() >= sum(e):
+            if mono.divided_difference(i).degree() >= delta:
                 raise ArithmeticError(f"divided difference at s_{i} does not lower the degree of {e}")
 
 
@@ -543,7 +546,8 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
     """
     space = SuperSpace.tensor_power(n)
     comps = level_components(n, level)
-    _check_divided_differences(n, d)
+    for delta in range(d + 1):
+        _check_degree_drop(n, delta)
     if singular_only:
         raise_map = _zero_mode_map(space, 2, 1, comps)
         lower_map = _zero_mode_map(space, 1, 2, level_components(n, level + 1))

@@ -17,13 +17,17 @@ settings.load_profile("gl11chain")
 
 
 def memoised_builders() -> list:
-    """Every function defined in a gl11chain module that has a cache to clear."""
+    """Every function or static method defined in a gl11chain module that has a cache to clear."""
     out = []
     for info in pkgutil.iter_modules(gl11chain.__path__):
         module = importlib.import_module(f"gl11chain.{info.name}")
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
-                out.append(obj)
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for fn in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
+                fn = getattr(fn, "__func__", fn)  # the function of a static method
+                if hasattr(fn, "cache_clear"):
+                    out.append(fn)
     return out
 
 

@@ -1,19 +1,23 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl11chain.exactnum import Poly, RatFun
+from gl11chain.exactnum import Poly, RatFun, scalar
 from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.monodromy import make_spec, tensor_monodromy
 from gl11chain.superlin import E_PARITY, EVEN, SuperSpace, e_matrix, kron_signed
+from gl11chain import fusion
 from gl11chain.bethe import char_pair
+from gl11chain.suites import run_suite
 from gl11chain.fusion import (
     BerezinianValue,
     DiffOp,
     _generating_oper,
     FracMatrix,
+    AUX_IMAGE,
     ber_twist_independence,
     berezinian,
     dy_coefficient,
@@ -24,6 +28,7 @@ from gl11chain.fusion import (
     higher_transfer_expansion,
     higher_transfer_supertrace,
     oper_action_check,
+    symmetrizer_check,
     symmetrizers,
     t_entry,
     transfer,
@@ -32,6 +37,7 @@ from gl11chain.fusion import (
 )
 from conftest import clear_builder_caches
 from densemat import column, field_inverse, from_dense, from_ratfun, ratfun_inverse
+from symgroup import group_average_symmetrizers
 
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
 GRADED_FLIP = from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
@@ -73,6 +79,60 @@ class TestSymmetrizers:
         a2, h2 = symmetrizers(2)
         assert (a2 + h2) == ExactMatrix.identity(4)
         assert (a2 @ h2).is_zero()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_closed_form_is_the_group_average(self, m):
+        assert symmetrizers(m) == group_average_symmetrizers(m)
+        assert [p.nnz() for p in symmetrizers(m)] == [m * m + 1] * 2
+        assert symmetrizer_check(m).ok
+
+    @pytest.mark.parametrize("m, which, p, q", [(2, 0, 0, 1), (3, 0, 1, 1), (3, 1, 0, 2), (4, 1, 3, 2), (4, 0, 2, 0)])
+    def test_one_flipped_pair_sign_fails_the_flip_check(self, monkeypatch, m, which, p, q):
+        # negative control: the entry of the position pair (p, q) changes sign
+        real = symmetrizers(m)
+        base, _ = AUX_IMAGE[which == 0]
+        marked = [SuperSpace.tensor_power(m).index([base ^ (leg == i) for leg in range(m)]) for i in range(m)]
+        bad = real[which].copy()
+        bad.put(marked[p], marked[q], -bad.get(marked[p], marked[q]))
+        pair = (bad, real[1]) if which == 0 else (real[0], bad)
+        monkeypatch.setattr(fusion, "symmetrizers", lambda k: pair if k == m else symmetrizers(k))
+        check = symmetrizer_check(m)
+        name = "AH"[which]
+        assert not check.ok
+        assert re.fullmatch(rf"{name}_{m} fails F_\d {name} = -?{name} = {name} F_\d", check.witness), check.witness
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("which", [0, 1], ids=["A", "H"])
+    def test_wrong_kernel_fails_the_right_flip_condition(self, monkeypatch, m, which):
+        # negative control: P + E[b..b, b'..b'] (b' the other state) keeps the
+        # image, idempotency, rank and F_i P = s P; only P F_i = s P fails
+        real = symmetrizers(m)
+        base, _ = AUX_IMAGE[which == 0]
+        space = SuperSpace.tensor_power(m)
+        bad = real[which].copy()
+        bad.put(space.index([base] * m), space.index([1 - base] * m), F(1))
+        assert (bad @ bad) == bad and bad.rank() == 2
+        pair = (bad, real[1]) if which == 0 else (real[0], bad)
+        monkeypatch.setattr(fusion, "symmetrizers", lambda k: pair if k == m else symmetrizers(k))
+        name = "AH"[which]
+        assert symmetrizer_check(m).witness == f"{name}_{m} fails F_0 {name} = {'-' * (which == 0)}{name} = {name} F_0"
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_zero_projector_fails_the_rank_condition(self, monkeypatch, m):
+        # negative control: 0 passes every flip condition and is idempotent
+        real = symmetrizers(m)
+        zero = ExactMatrix(2**m, 2**m)
+        monkeypatch.setattr(fusion, "symmetrizers", lambda k: (real[0], zero) if k == m else symmetrizers(k))
+        assert symmetrizer_check(m).witness == f"H_{m}: idempotent True, rank 0 vs 2"
+
+    def test_flipped_sign_fails_the_suite_item(self, monkeypatch):
+        # A_3's entry at (w_0, w_1) = (122, 212) changes sign; only the symmetrizer item reads it
+        real = symmetrizers(3)
+        bad = real[0].copy()
+        bad.put(3, 5, -bad.get(3, 5))
+        monkeypatch.setattr(fusion, "symmetrizers", lambda k: (bad, real[1]) if k == 3 else symmetrizers(k))
+        failures = [it for it in run_suite("fusion") if not it.ok]
+        assert [(it.label, it.witness) for it in failures] == [("symmetrizer ranks m=3", "A_3 fails F_0 A = -A = A F_0")]
 
 
 # denominators are products of shifted linear factors, as in the monodromy entries
@@ -216,6 +276,36 @@ def partial_supertrace(m: ExactMatrix, aux: SuperSpace, rest_dim: int) -> ExactM
     return out
 
 
+def block_sum_supertrace(pencil, twist, m: int, projector: ExactMatrix) -> FracMatrix:
+    """Oracle for route A: the signed block sum over every entry P_{a,c} of any aux operator P,
+
+        [sum_{a,c} (-1)^|a| P_{a,c} prod_{l<m} eps_l q_{c_l} That_{c_l a_l}(x - l)] / prod_{l<m} N(x - l),
+
+    with eps_l = (-1)^((c_l + a_l)(a_l + sum_{q>l} c_q)), one chain of m - 1
+    block products per entry.  This was route A before it read A_m and H_m
+    from their image basis.
+    """
+    q = (scalar(twist[0]), scalar(twist[1]))
+    aux = SuperSpace.tensor_power(m)
+    that = {(c, a, l): t_entry(pencil, c + 1, a + 1, l).num for c in (0, 1) for a in (0, 1) for l in range(m)}
+    num = ExactMatrix(pencil.dim, pencil.dim)
+    for ai, ci, p in projector.entries():
+        a, c = aux.multi_index(ai), aux.multi_index(ci)
+        coef = -p if aux.parity(ai) else p
+        term = None
+        for l in range(m):
+            if (c[l] + a[l]) * (a[l] + sum(c[l + 1 :])) % 2:
+                coef = -coef
+            coef = coef * q[c[l]]
+            block = that[c[l], a[l], l]
+            term = block if term is None else term @ block
+        num = num + term * coef
+    den = Poly((1,))
+    for l in range(m):
+        den = den * pencil.normalizer.shift(l)
+    return FracMatrix(num, den)
+
+
 def route_a_full_space(pencil, twist, m: int, projector: ExactMatrix) -> FracMatrix:
     """Oracle for route A: the product P Q T(x) Q T(x-1) ... built on the
     whole aux legs (x) module space with kron_signed, then the partial
@@ -250,29 +340,25 @@ def chains(draw, max_k=3):
     return make_spec(weights, points, twist)
 
 
-@st.composite
-def aux_operators(draw, m):
-    """(m, P): P is A_m, H_m or any integer matrix on the m aux legs.
+def negated(pencil, entry=(2, 1)):
+    """A corrupted copy of the pencil: one entry block changes sign."""
+    return pencil._replace(entries={**pencil.entries, entry: -pencil.entries[entry]})
 
-    Both forms of route A compute the same signed block sum for every P.
-    A_m and H_m only pair aux indices that are permutations of each other,
-    so only an arbitrary P tells q_{c_l} from q_{a_l}.
-    """
-    kind = draw(st.sampled_from(("A", "H", "any")))
-    if kind != "any":
-        return m, symmetrizers(m)["AH".index(kind)]
-    p = ExactMatrix(2**m, 2**m)
-    for i in range(2**m):
-        for j in range(2**m):
-            p.put(i, j, F(draw(st.integers(-2, 2))))
-    return m, p
+
+def integer_operators(m):
+    """Any integer matrix on the m aux legs."""
+    return st.lists(st.integers(-2, 2), min_size=4**m, max_size=4**m).map(
+        lambda vals: ExactMatrix(2**m, 2**m, {
+            i: {j: F(v) for j, v in enumerate(vals[i * 2**m:(i + 1) * 2**m]) if v} for i in range(2**m)
+        })
+    )
 
 
 class TestHigherTransfer:
     def test_m1_is_transfer(self):
         pen = tensor_monodromy(E1)
-        a1, _ = symmetrizers(1)
-        assert higher_transfer_supertrace(pen, E1.twist, 1, a1) == transfer(pen, E1.twist)
+        assert higher_transfer_supertrace(pen, E1.twist, 1, True) == transfer(E1)
+        assert higher_transfer_supertrace(pen, E1.twist, 1, False) == transfer(E1)
 
     def test_hand_value_single_site(self):
         # second transfer matrix on the highest vector of one site at 0:
@@ -289,25 +375,46 @@ class TestHigherTransfer:
     def test_mutual_commutativity(self):
         assert higher_family_commutes(E2).ok
 
-    @given(chains(), st.integers(1, 3).flatmap(aux_operators), st.booleans())
+    @given(chains(), st.integers(1, 4), st.booleans(), st.booleans())
     @settings(max_examples=60)
-    def test_module_blocks_match_full_space(self, spec, m_projector, negate):
-        # differential against the full-space oracle; the two are the same
-        # algebra, so they agree on any pencil, a corrupted one included
-        m, projector = m_projector
-        pen = tensor_monodromy(spec)
-        if negate:
-            pen = pen._replace(entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
-        got = higher_transfer_supertrace(pen, spec.twist, m, projector)
+    def test_image_recurrence_matches_both_oracles(self, spec, m, antisymmetric, negate):
+        # route A against the block sum over P's entries and the full-space
+        # product; all three are the same algebra, so they agree on any
+        # pencil, a corrupted one included
+        pen = negated(tensor_monodromy(spec)) if negate else tensor_monodromy(spec)
+        projector = symmetrizers(m)[0 if antisymmetric else 1]
+        got = higher_transfer_supertrace(pen, spec.twist, m, antisymmetric)
+        assert got == block_sum_supertrace(pen, spec.twist, m, projector)
         assert got == route_a_full_space(pen, spec.twist, m, projector)
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["A3", "H3"])
-    def test_route_a_builds_no_full_space_matrix(self, monkeypatch, which):
+    @given(chains(), st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), integer_operators(m))), st.booleans())
+    @settings(max_examples=40)
+    def test_module_blocks_match_full_space(self, spec, m_projector, negate):
+        # A_m and H_m only pair aux indices that are permutations of each
+        # other, so only an arbitrary P tells q_{c_l} from q_{a_l}: the sign
+        # and twist rule that route A applies leg by leg, on the oracle pair
+        m, projector = m_projector
+        pen = negated(tensor_monodromy(spec)) if negate else tensor_monodromy(spec)
+        assert block_sum_supertrace(pen, spec.twist, m, projector) == route_a_full_space(pen, spec.twist, m, projector)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("antisymmetric", [True, False], ids=["A", "H"])
+    def test_route_a_block_products(self, monkeypatch, m, antisymmetric):
+        # one chain for the pure term and the four-state recurrence for the
+        # m^2 position pairs: 9m - 13 products, against (m^2 + 1)(m - 1)
+        pen = tensor_monodromy(E2)
+        calls = []
+        matmul = ExactMatrix.__matmul__
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda self, other: calls.append(1) or matmul(self, other))
+        higher_transfer_supertrace(pen, E2.twist, m, antisymmetric)
+        assert len(calls) <= 9 * m - 13
+
+    @pytest.mark.parametrize("antisymmetric", [True, False], ids=["A3", "H3"])
+    def test_route_a_builds_no_full_space_matrix(self, monkeypatch, antisymmetric):
         # the k3 chain of the fusion benchmark; the full-space route built
         # matrices of dimension 2^m * 2^k = 64 here
         spec = make_spec([(1, 0), (2, 0), (2, 0)], ["4", "7/2", "3"])
         pen = tensor_monodromy(spec)
-        projector = symmetrizers(3)[which]
         largest = 0
         init = ExactMatrix.__init__
 
@@ -317,20 +424,41 @@ class TestHigherTransfer:
             init(self, nrows, ncols, rows)
 
         monkeypatch.setattr(ExactMatrix, "__init__", recording_init)
-        higher_transfer_supertrace(pen, spec.twist, 3, projector)
+        higher_transfer_supertrace(pen, spec.twist, 3, antisymmetric)
         monkeypatch.undo()
-        assert largest <= max(pen.dim, 2**3)
+        assert largest <= pen.dim
 
     def test_sign_flip_breaks_route_agreement(self):
-        # negative control: a corrupted copy of the pencil must disagree
+        # negative control: route A on a corrupted copy of the pencil must disagree
         pen = tensor_monodromy(E2)
-        bad = pen._replace(entries={**pen.entries, (2, 1): -pen.entries[(2, 1)]})
-        a2 = symmetrizers(2)[0]
-        want = higher_transfer_expansion(pen, E2.twist, 2)
-        assert higher_transfer_supertrace(pen, E2.twist, 2, a2) == want
-        got = higher_transfer_supertrace(bad, E2.twist, 2, a2)
+        want = higher_transfer_expansion(E2, 2)
+        assert higher_transfer_supertrace(pen, E2.twist, 2, True) == want
+        got = higher_transfer_supertrace(negated(pen), E2.twist, 2, True)
         assert got != want
         assert got.first_difference(want) is not None
+
+    @pytest.mark.parametrize("entry", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_corrupted_block_fails_the_route_comparison(self, monkeypatch, entry):
+        # negative control: one entry block of the pencil fusion reads gains 1
+        # at (0, 0); the comparison names (m, i, j)
+        real = fusion.tensor_monodromy
+
+        def corrupted(spec):
+            pen = real(spec)
+            block = pen.entries[entry].copy()
+            block.add_to(0, 0, Poly((1,)))
+            return pen._replace(entries={**pen.entries, entry: block})
+
+        clear_builder_caches()
+        monkeypatch.setattr(fusion, "tensor_monodromy", corrupted)
+        try:
+            checks = [higher_transfer(E4, m).check for m in (2, 3)]
+        finally:
+            monkeypatch.undo()
+            clear_builder_caches()
+        assert not any(c.ok for c in checks)
+        for m, c in zip((2, 3), checks):
+            assert re.fullmatch(rf"\({m}, \d+, \d+\)", c.witness), c.witness
 
 
 class TestBerezinian:

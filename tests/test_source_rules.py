@@ -16,7 +16,11 @@ superlin.py alone; every other module asks the space for levels, flips and
 leg actions.  A verdict has one record, monodromy.Check: no other class
 declares a field named `ok`, `witness` or `detail`.  The packed monomial keys
 of MPoly are read in weylspace.py alone: no other module names the packed
-term dict or the slot width.
+term dict or the slot width.  No module builds the symmetric group to average
+over it: none defines a permutation closure or a permutation sign, none calls
+`symmetric_group_action`, and `itertools.permutations` runs only inside it.
+The image basis of the symmetrizers, `AUX_IMAGE`, is assigned once, in
+fusion.py, which alone names it, and both `symmetrizers` and route A read it.
 """
 
 import ast
@@ -285,3 +289,68 @@ def test_packed_rule_catches_each_planted_read():
     assert _packed_reads(ast.parse(code)) == [
         "line 1: imports _SLOT_BITS", "line 3: reads ._SLOT", "line 3: reads ._packed", "line 4: reads _SLOT_BITS",
     ]
+
+
+GROUP_BUILDERS = ("permutation_closure", "permutation_sign")
+
+
+def _group_averages(tree: ast.AST) -> list[str]:
+    """Definitions of a group closure or sign, calls of the group action, and permutations outside it."""
+    out = []
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "symmetric_group_action":
+            inside |= {id(n) for n in ast.walk(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in GROUP_BUILDERS:
+            out.append(f"line {node.lineno}: defines {node.name}")
+        elif isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name == "symmetric_group_action" or (name == "permutations" and id(node) not in inside):
+                out.append(f"line {node.lineno}: calls {name}")
+    return sorted(out, key=lambda v: int(v.split()[1].rstrip(":")))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_symmetric_group_average(path):
+    assert _group_averages(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _image_homes(tree: ast.AST) -> tuple[list[int], dict[str, int]]:
+    """Lines assigning AUX_IMAGE, and per top-level definition the number of its reads of AUX_IMAGE."""
+    assigned = [t.lineno for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if getattr(t, "id", None) == "AUX_IMAGE"]
+    reads = {}
+    for top in getattr(tree, "body", []):
+        n = sum(isinstance(node, ast.Name) and node.id == "AUX_IMAGE" and isinstance(node.ctx, ast.Load)
+                for node in ast.walk(top))
+        if n:
+            reads[getattr(top, "name", f"line {top.lineno}")] = n
+    return assigned, reads
+
+
+def test_aux_image_has_one_home():
+    for path in SOURCES:
+        assigned, reads = _image_homes(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name == "fusion.py":
+            assert len(assigned) == 1
+            assert set(reads) == {"symmetrizers", "higher_transfer_supertrace"}
+        else:
+            assert (assigned, reads) == ([], {}), path.name
+
+
+def test_group_rules_catch_each_planted_violation():
+    code = (
+        "def permutation_closure(gens, dim):\n    return {}\n"
+        "def symmetrizer(space):\n    return sum(symmetric_group_action(space).values())\n"
+        "def average(m):\n    return [p for p in itertools.permutations(range(m))]\n"
+        "def symmetric_group_action(space):\n    return dict.fromkeys(permutations(range(3)))\n"
+        "AUX_IMAGE = {True: (1, -1)}\n"
+        "def route(m):\n    return AUX_IMAGE[True]\n"
+    )
+    tree = ast.parse(code)
+    assert _group_averages(tree) == [
+        "line 1: defines permutation_closure", "line 4: calls symmetric_group_action", "line 6: calls permutations",
+    ]
+    assert _image_homes(tree) == ([9], {"route": 1})

@@ -253,8 +253,8 @@ def _zero_textbook_norm(real):
         (shapoform, "laurent_coefficients", _shifted_series, "contravariance", "first failing (i, j, r) ("),
         (
             monodromy,
-            "transfer_pencil",
-            lambda real: lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1]}),
+            "chain_transfer_pencil",
+            lambda real: lambda spec: _constant_pencil(real(spec).nrows, {(0, 1): [1]}),
             "transfer self-adjoint",
             "x^0 coefficient",
         ),
@@ -409,38 +409,50 @@ def test_injected_bug_leaves_shared_pencils_intact():
 
 
 def test_memoised_builders_found():
-    assert {f"{fn.__module__}.{fn.__name__}" for fn in memoised_builders()} == {
+    assert {f"{fn.__module__}.{fn.__qualname__}" for fn in memoised_builders()} == {
+        "gl11chain.superlin.SuperSpace.tensor_power",
         "gl11chain.monodromy.tensor_monodromy",
+        "gl11chain.monodromy.chain_transfer_pencil",
         "gl11chain.bethe.char_pair",
         "gl11chain.shapoform.form_matrix",
         "gl11chain.fusion.berezinian",
         "gl11chain.fusion.higher_transfer",
         "gl11chain.fusion._generating_oper",
         "gl11chain.fusion.symmetrizers",
-        "gl11chain.weylspace._check_divided_differences",
+        "gl11chain.weylspace._check_degree_drop",
     }
 
 
 def test_weyl_degree_premise_checked_once_per_argument(tmp_path, monkeypatch):
-    # every level, both parts, the specialization's counts and the CLI's
-    # character tables share one degree-premise check per (n, d)
+    # every level, both parts, the specialization's counts, the CLI's
+    # character tables and every cap share one degree-premise check per
+    # (n, exact degree), so each monomial is checked once
     clear_builder_caches()
-    memo = weylspace._check_divided_differences
+    memo = weylspace._check_degree_drop
     requests = []
     monkeypatch.setattr(weylspace, memo.__name__, lambda *args: requests.append(args) or memo(*args))
     assert cli.main(["verify", "--suite", "weyl", "--json", str(tmp_path / "weyl.json")]) == 0
     assert memo.cache_info().misses == len(set(requests))
-    # at the default caps: 48 requests for 8 distinct (n, d)
     assert len(requests) > 2 * len(set(requests))
+    # each n asks for every degree up to its largest cap, each built once
+    degrees = {}
+    for n, delta in set(requests):
+        degrees.setdefault(n, set()).add(delta)
+    assert all(got == set(range(max(got) + 1)) for got in degrees.values())
 
 
 def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
-    builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer, fusion._generating_oper)
+    builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer, fusion._generating_oper,
+                monodromy.chain_transfer_pencil)
     clear_builder_caches()
     chain = tmp_path / "e4.json"
     chain.write_text(suite_specs()["E4"].to_json())
     assert cli.main(["spectrum", "--spec", str(chain), "--json", str(tmp_path / "report.json")]) == 0
-    assert [fn.cache_info().misses for fn in builders] == [1, 1, 1, 3, 1]
+    assert [fn.cache_info().misses for fn in builders] == [1, 1, 1, 3, 1, 1]
+    # the Bethe suite: one transfer pencil per chain, for every divisor's on-shell check
+    monodromy.chain_transfer_pencil.cache_clear()
+    run_suite("bethe")
+    assert monodromy.chain_transfer_pencil.cache_info().misses == len(suite_specs())
     form_matrix.cache_clear()
     run_suite("norms")
     assert form_matrix.cache_info().misses == len(suite_specs())
@@ -498,8 +510,9 @@ def _constant_pencil(dim, coefficients):
 
 def test_transfer_commutes_item_names_the_pair(monkeypatch):
     # x^0 coefficient E_01, x^1 coefficient E_10: they do not commute
+    real = monodromy.chain_transfer_pencil
     monkeypatch.setattr(
-        monodromy, "transfer_pencil", lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1], (1, 0): [0, 1]})
+        monodromy, "chain_transfer_pencil", lambda spec: _constant_pencil(real(spec).nrows, {(0, 1): [1], (1, 0): [0, 1]})
     )
     items = {it.label: it for it in run_suite("rtt", max_k=3, max_n=4)}
     for name in suite_specs():
@@ -510,8 +523,9 @@ def test_transfer_commutes_item_names_the_pair(monkeypatch):
 def test_transfer_symmetry_item_names_the_generator(monkeypatch):
     # one coefficient swapping basis vectors 0 and 1 commutes with itself but
     # not with the diagonal generator e_11, which weighs them differently
+    real = monodromy.chain_transfer_pencil
     monkeypatch.setattr(
-        monodromy, "transfer_pencil", lambda pencil, twist: _constant_pencil(pencil.dim, {(0, 1): [1], (1, 0): [1]})
+        monodromy, "chain_transfer_pencil", lambda spec: _constant_pencil(real(spec).nrows, {(0, 1): [1], (1, 0): [1]})
     )
     items = {it.label: it for it in run_suite("rtt", max_k=3, max_n=4)}
     for name in suite_specs():

@@ -20,6 +20,7 @@ from gl11chain.superlin import (
     weight_spaces,
 )
 from densemat import from_dense
+from symgroup import permutation_closure
 
 W10 = Weight(F(1), F(0))
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
@@ -211,6 +212,14 @@ def test_symmetric_group_action_is_homomorphism():
         for p2, m2 in action.items():
             composed = tuple(p1[p2[i]] for i in range(3))
             assert action[composed] == m1 @ m2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_group_action_matches_the_closure_of_the_flips(n):
+    # the Koszul sign of each permutation against the products of the graded flips
+    space = SuperSpace.tensor_power(n)
+    flips = [kron_signed_adjacent_flip(space, i) for i in range(n - 1)]
+    assert symmetric_group_action(space) == permutation_closure(flips, space.dim)
 
 
 # ---------------------------------------------------------------------------

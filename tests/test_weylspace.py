@@ -14,7 +14,7 @@ from gl11chain import superlin, weylspace
 from gl11chain.exactnum import elementary_symmetric
 from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates
 from gl11chain.monodromy import coefficient_matrices, make_spec, tensor_monodromy
-from gl11chain.superlin import SuperSpace, permutation_closure
+from gl11chain.superlin import SuperSpace
 from gl11chain.weylspace import (
     Coords,
     MPoly,
@@ -31,6 +31,7 @@ from gl11chain.weylspace import (
 )
 from conftest import clear_builder_caches
 from densemat import column
+from symgroup import permutation_closure
 from tuplepoly import TupleMPoly
 
 
@@ -394,28 +395,28 @@ class TestInvariantDimensions:
     def test_class_traces_build_no_group(self, monkeypatch):
         # traces come from the leading block: no modified action, no group
         # matrices, no products of matrices
-        calls = {"modified_action": 0, "permutation_closure": 0, "matmul": 0}
+        calls = {"modified_action": 0, "symmetric_group_action": 0, "matmul": 0}
         action = weylspace.modified_action
-        closure = superlin.permutation_closure
+        group = superlin.symmetric_group_action
         matmul = ExactMatrix.__matmul__
 
         def counting_action(*args):
             calls["modified_action"] += 1
             return action(*args)
 
-        def counting_closure(*args):
-            calls["permutation_closure"] += 1
-            return closure(*args)
+        def counting_group(*args):
+            calls["symmetric_group_action"] += 1
+            return group(*args)
 
         def counting_matmul(self, other):
             calls["matmul"] += 1
             return matmul(self, other)
 
         monkeypatch.setattr(weylspace, "modified_action", counting_action)
-        monkeypatch.setattr(superlin, "permutation_closure", counting_closure)
+        monkeypatch.setattr(superlin, "symmetric_group_action", counting_group)
         monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
         got = invariant_dimensions(4, 2, 4, True)
-        assert calls == {"modified_action": 0, "permutation_closure": 0, "matmul": 0}
+        assert calls == {"modified_action": 0, "symmetric_group_action": 0, "matmul": 0}
         assert got == character_series(4, 2, 4, True)
 
     def test_degree_keeping_divided_difference_raises(self, monkeypatch):
@@ -777,7 +778,7 @@ class TestSpecialization:
         def no_chart(*args):
             raise AssertionError("chart built")
 
-        monkeypatch.setattr(superlin, "permutation_closure", lambda *args: calls.append(args))
+        monkeypatch.setattr(superlin, "symmetric_group_action", lambda *args: calls.append(args))
         monkeypatch.setattr(weylspace.Coords, "build", no_chart)
         for points in ([F(0)], [F(1, 2), F(0)], [F(1, 2), F(0), F(-2)]):
             assert specialization_check(points).ok
