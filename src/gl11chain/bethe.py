@@ -8,9 +8,13 @@ The normalized Bethe vector is
     Bhat(t) = prod_{i<j} (t_j - t_i + 1)^{-1} That_12(t_1) ... That_12(t_l) |0>
 
 which is polynomial in all parameters (the pole factors of the textbook
-formula cancel against the pencil normalizer).  When an ordering with
-t_j - t_i + 1 = 0 cannot be avoided, the vector is computed over the
-regularization extension t_i -> t_i + i*eps and specialized at eps = 0.
+formula cancel against the pencil normalizer) and symmetric in the roots.
+`bethe_vector` multiplies in the given order when every pair factor
+t_j - t_i + 1 is nonzero, and in ascending order otherwise; ascending order
+is always safe, since each factor is then at least 1.  The regularization
+extension t_i -> t_i + i*eps at eps = 0 (`bethe_vector_eps`) is an
+independent oracle for the direct product, not a fallback: the suite compares
+the two, and the repeated-root norm reads its components.
 """
 
 from __future__ import annotations
@@ -128,17 +132,6 @@ class Divisor(NamedTuple):
         return ",".join(format_scalar(r) for r in self.root_list()) or "(empty)"
 
 
-class BetheVector(NamedTuple):
-    """Exact module vector with its source roots and construction provenance."""
-
-    vector: tuple[Fraction, ...]
-    roots: tuple[Fraction, ...]
-    eps_used: bool
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.vector)
-
-
 def _pair_factors_ok(order: Sequence[Fraction]) -> bool:
     return all(
         order[j] - order[i] + 1 != 0
@@ -153,24 +146,29 @@ def _vacuum(dim: int) -> list[Fraction]:
     return v
 
 
-def bethe_vector(spec: ModuleSpec, roots: Sequence) -> BetheVector:
-    """Normalized Bethe vector Bhat at the given root configuration."""
-    t = [scalar(v) for v in roots]
+def bethe_vector(spec: ModuleSpec, roots: Sequence) -> tuple[Fraction, ...]:
+    """Normalized Bethe vector Bhat at the given root configuration.
+
+    Memoised per (chain, roots in the given order): the tuple is shared.
+    """
+    return _bethe_vector(spec, tuple(scalar(v) for v in roots))
+
+
+@functools.cache
+def _bethe_vector(spec: ModuleSpec, t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     if len(t) > spec.k:
         raise ValueError("level exceeds the number of chain sites")
+    order = t if _pair_factors_ok(t) else sorted(t)
     pencil = tensor_monodromy(spec)
     t12 = pencil.entry(1, 2)
-    for order in (t, list(reversed(t)), sorted(t), sorted(t, reverse=True)):
-        if _pair_factors_ok(order):
-            vec = _vacuum(pencil.dim)
-            for ti in reversed(order):
-                vec = t12.map_entries(lambda p: p(ti)).apply(vec)
-            pref = Fraction(1)
-            for i in range(len(order)):
-                for j in range(i + 1, len(order)):
-                    pref /= order[j] - order[i] + 1
-            return BetheVector(tuple(v * pref for v in vec), tuple(sorted(t)), False)
-    return bethe_vector_eps(spec, t)
+    vec = _vacuum(pencil.dim)
+    for ti in reversed(order):
+        vec = t12.map_entries(lambda p: p(ti)).apply(vec)
+    pref = Fraction(1)
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            pref /= order[j] - order[i] + 1
+    return tuple(v * pref for v in vec)
 
 
 def eps_components(t: Sequence[Fraction], pencil: MonodromyPencil) -> tuple[list[Poly], list]:
@@ -188,33 +186,25 @@ def eps_components(t: Sequence[Fraction], pencil: MonodromyPencil) -> tuple[list
     return points, [pref * comp for comp in vec]
 
 
-def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> BetheVector:
+def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> tuple[Fraction, ...]:
     """Bhat via the regularization extension t_i -> t_i + i*eps at eps -> 0."""
     t = [scalar(v) for v in roots]
     _, comps = eps_components(t, tensor_monodromy(spec))
     try:
-        out = [eps_limit(c) for c in comps]
+        return tuple(eps_limit(c) for c in comps)
     except NonRemovableSingularity as exc:
         raise ValueError("Bethe vector undefined at this configuration") from exc
-    return BetheVector(tuple(out), tuple(sorted(t)), True)
 
 
-def eigenvalue_pencil(y: Union[Divisor, Poly], spec: ModuleSpec) -> Poly:
+def eigenvalue_pencil(y: Divisor, spec: ModuleSpec) -> Poly:
     """Eigenvalue of the normalized transfer pencil: y(x-1) * gamma(x) / y(x)."""
-    ypoly = y.poly if isinstance(y, Divisor) else y
-    gamma = char_pair(spec).gamma
-    quot, rem = divmod(gamma, ypoly)
+    quot, rem = divmod(char_pair(spec).gamma, y.poly)
     if not rem.is_zero():
         raise ValueError("not a divisor of the characteristic polynomial")
-    return ypoly.shift(1) * quot
+    return y.poly.shift(1) * quot
 
 
-class OnShellResult(NamedTuple):
-    check: Check
-    bethe: BetheVector
-
-
-def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellResult:
+def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> Check:
     """Check y(x) * That_Q(x) Bhat = y(x-1) * gamma(x) * Bhat exactly.
 
     Accepts a Divisor or a raw root sequence (the latter supports off-shell
@@ -222,15 +212,12 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> OnShellRes
     """
     roots = y.root_list() if isinstance(y, Divisor) else tuple(scalar(v) for v in y)
     ypoly = y.poly if isinstance(y, Divisor) else Poly.from_roots(roots)
-    bv = bethe_vector(spec, roots)
-    gamma = char_pair(spec).gamma
-    tq = chain_transfer_pencil(spec)
-    rhs = ypoly.shift(1) * gamma
-    vec = list(bv.vector)
+    vec = bethe_vector(spec, roots)
+    rhs = ypoly.shift(1) * char_pair(spec).gamma
     # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side
-    diffs = [a - rhs * v for a, v in zip((tq * ypoly).apply(vec), vec)]
+    diffs = [a - rhs * v for a, v in zip((chain_transfer_pencil(spec) * ypoly).apply(vec), vec)]
     bad = [(min(d for d, c in enumerate(p.nums) if c), comp) for comp, p in enumerate(diffs) if p]
-    return OnShellResult(Check(not bad, witness=str(min(bad)) if bad else ""), bv)
+    return Check(not bad, witness=str(min(bad)) if bad else "")
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +368,16 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
         spaces = joint_generalized_eigenspaces(ops, chars) if divisors else []
         entries = []
         for dv, ev, (eig_basis, gen_basis) in zip(divisors, eigs, spaces):
-            res = verify_on_shell(spec, dv)
-            bcoords = in_basis.coordinates(res.bethe.vector)
+            onshell = verify_on_shell(spec, dv).ok
+            vec = bethe_vector(spec, dv.root_list())  # built by the on-shell check
+            nonzero = any(vec)
+            bcoords = in_basis.coordinates(vec)
             spans = False
-            if bcoords is not None and len(eig_basis) == 1 and not res.bethe.is_zero():
+            if bcoords is not None and len(eig_basis) == 1 and nonzero:
                 span = SpanBasis()
                 span.add(eig_basis[0])
                 spans = span.contains(bcoords)
-            nonzero = not res.bethe.is_zero()
-            entries.append(DivisorEntry(dv, ev, res.check.ok, nonzero, len(eig_basis), len(gen_basis), spans))
+            entries.append(DivisorEntry(dv, ev, onshell, nonzero, len(eig_basis), len(gen_basis), spans))
         complete = sum(e.generalized_dim for e in entries) == dim and all(e.ok for e in entries)
         diagonalizable = sum(e.eigen_dim for e in entries) == dim
         report.levels.append(LevelReport(level, level_weight(spec, level), dim, entries, complete, diagonalizable))

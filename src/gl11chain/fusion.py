@@ -239,25 +239,31 @@ def higher_transfer_supertrace(pencil: MonodromyPencil, twist, m: int, antisymme
 
 
 def higher_transfer_expansion(spec: ModuleSpec, m: int) -> FracMatrix:
-    """Route B: the explicit entrywise expansion of the m-th transfer matrix."""
+    """Route B: the explicit entrywise expansion of the m-th transfer matrix.
+
+    With T22[i] = T_22(x - i), T_m is (-1)^m q2^(m-1) times
+
+        -TransferQ(x) T22[1..m-1] + sum_{s=1}^{m-1} q1 T_12(x) T22[1..s-1] T_21(x - s) T22[s+1..m-1].
+
+    The suffix products T22[i..m-1] are built once, right to left, and the
+    prefixes q1 T_12(x) T22[1..s-1] by one running product: 4m - 6 matrix
+    products, none by an identity.
+    """
     pencil = tensor_monodromy(spec)
     q1, q2 = scalar(spec.twist[0]), scalar(spec.twist[1])
     if m == 1:
         return transfer(spec)
-    t22 = [t_entry(pencil, 2, 2, i) for i in range(m)]
-
-    def t22_range(lo: int, hi: int) -> FracMatrix:
-        out = FracMatrix.identity(pencil.dim)
-        for i in range(lo, hi + 1):
-            out = out @ t22[i]
-        return out
-
-    tilde = -(transfer(spec) @ t22_range(1, m - 1))
+    t22 = {i: t_entry(pencil, 2, 2, i) for i in range(1, m)}
+    suffix = {m - 1: t22[m - 1]}  # suffix[i] = T22[i] ... T22[m-1]
+    for i in range(m - 2, 0, -1):
+        suffix[i] = t22[i] @ suffix[i + 1]
+    tilde = -(transfer(spec) @ suffix[1])
+    prefix = t_entry(pencil, 1, 2, 0).scale(q1)
     for s in range(1, m):
-        term = t_entry(pencil, 1, 2, 0).scale(q1)
-        term = term @ t22_range(1, s - 1)
-        term = term @ t_entry(pencil, 2, 1, s)
-        term = term @ t22_range(s + 1, m - 1)
+        term = prefix @ t_entry(pencil, 2, 1, s)
+        if s < m - 1:
+            term = term @ suffix[s + 1]
+            prefix = prefix @ t22[s]
         tilde = tilde + term
     sign = Fraction(-1) ** m
     return tilde.scale(sign * q2 ** (m - 1))
@@ -573,7 +579,7 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[Check]:
         raise ValueError("simple-root divisor required")
     if order < 2:
         raise ValueError("order must be at least 2")
-    vec = bethe_vector(spec, y.root_list()).vector
+    vec = bethe_vector(spec, y.root_list())
     out = []
     for m in range(1, order + 1):
         rc = higher_transfer(spec, m)

@@ -35,7 +35,7 @@ from .exactnum import (
 from .linalg import ExactMatrix
 from .monodromy import Check, ModuleSpec, laurent_coefficients, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
-from .bethe import BetheVector, Divisor, bethe_vector, char_pair, eps_components
+from .bethe import Divisor, bethe_vector, char_pair, eps_components
 
 
 def r_matrix(wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
@@ -181,12 +181,11 @@ class NormRecord(NamedTuple):
         }
 
 
-def norm_check(spec: ModuleSpec, y: Divisor, bv: "BetheVector | None" = None) -> NormRecord:
+def norm_check(spec: ModuleSpec, y: Divisor) -> NormRecord:
     """Square norm of the on-shell vector against the Wronskian product.
 
-    Simple roots are evaluated directly, on bv when the caller has built the
-    divisor's Bethe vector; repeated roots through the regularization
-    extension on both sides, with the record flagged.
+    Simple roots are evaluated directly; repeated roots through the
+    regularization extension on both sides, with the record flagged.
     """
     gram = form_matrix(spec)
     q1, q2 = spec.twist
@@ -194,9 +193,8 @@ def norm_check(spec: ModuleSpec, y: Divisor, bv: "BetheVector | None" = None) ->
     wr = wronskian(spec)
     repeated = any(m > 1 for _, m in y.roots)
     if not repeated:
-        if bv is None:
-            bv = bethe_vector(spec, y.root_list())
-        lhs = form_value(gram, bv.vector, bv.vector)
+        vec = bethe_vector(spec, y.root_list())
+        lhs = form_value(gram, vec, vec)
         yprime = y.poly.derivative()
         prod = Fraction(1)
         for t in y.root_list():
@@ -227,14 +225,14 @@ def _norm_eps(y, pencil, gram, wr):
         return None, None
 
 
-def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor, b1: BetheVector, b2: BetheVector) -> Check:
-    """B(b1, b2) = 0 exactly for the Bethe vectors of distinct divisors y1, y2; the witness is the form value."""
-    value = bethe_pairing(spec, y1, y2, b1, b2)
+def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Check:
+    """B(Bhat(y1), Bhat(y2)) = 0 exactly for distinct divisors y1, y2; the witness is the form value."""
+    value = bethe_pairing(spec, y1, y2)
     return Check(value == 0, witness="" if value == 0 else f"form value {format_scalar(value)}")
 
 
-def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor, b1: BetheVector, b2: BetheVector) -> Fraction:
-    """The form value B(b1, b2) of the Bethe vectors of distinct divisors y1, y2."""
+def bethe_pairing(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Fraction:
+    """The form value B(Bhat(y1), Bhat(y2)) of the Bethe vectors of distinct divisors y1, y2."""
     if y1 == y2:
         raise ValueError("divisors must differ")
-    return form_value(form_matrix(spec), b1.vector, b2.vector)
+    return form_value(form_matrix(spec), bethe_vector(spec, y1.root_list()), bethe_vector(spec, y2.root_list()))

@@ -409,6 +409,16 @@ class TestHigherTransfer:
         higher_transfer_supertrace(pen, E2.twist, m, antisymmetric)
         assert len(calls) <= 9 * m - 13
 
+    @pytest.mark.parametrize("m, products", [(2, 2), (3, 6), (4, 10), (5, 14)])
+    def test_route_b_block_products(self, monkeypatch, m, products):
+        # one right-to-left list of T_22 suffixes and one running prefix:
+        # 4m - 6 products, none by an identity, against m^2 + m - 1
+        calls = []
+        matmul = ExactMatrix.__matmul__
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda self, other: calls.append(1) or matmul(self, other))
+        higher_transfer_expansion(E2, m)
+        assert len(calls) == products == 4 * m - 6
+
     @pytest.mark.parametrize("antisymmetric", [True, False], ids=["A3", "H3"])
     def test_route_a_builds_no_full_space_matrix(self, monkeypatch, antisymmetric):
         # the k3 chain of the fusion benchmark; the full-space route built
@@ -631,7 +641,7 @@ class TestOperAction:
 
         cp = char_pair(E1)
         (dv,) = cp.divisors[1]
-        assert verify_on_shell(E1, dv).check.ok
+        assert verify_on_shell(E1, dv).ok
         checks = oper_action_check(E1, dv, 2)
         assert checks[0].ok  # tau^1 coefficient is the same statement
 
@@ -683,8 +693,7 @@ class TestUniversalOper:
             for dv in cp.divisors[level]:
                 if any(m > 1 for _, m in dv.roots):
                     continue
-                bv = bethe_vector(spec, dv.root_list())
-                vec = [RatFun(Poly((v,))) for v in bv.vector]
+                vec = [RatFun(Poly((v,))) for v in bethe_vector(spec, dv.root_list())]
                 for m in range(4):
                     got = ratfuns(oper.frac_coeff(m)).apply(vec)
                     want = [dy_coefficient(spec, dv, m) * v for v in vec]

@@ -38,7 +38,7 @@ def test_generated_chain_full_pipeline(generated_spec):
     assert gram == gram.transpose() and gram.get(0, 0) == 1
     for level in range(cp.gamma.degree + 1):
         for dv in cp.divisors[level]:
-            assert verify_on_shell(spec, dv).check.ok
+            assert verify_on_shell(spec, dv).ok
             assert norm_check(spec, dv).equal
     rep = completeness_report(spec)
     assert all(
@@ -57,4 +57,4 @@ def test_generated_twisted_chain(tmp_path):
     cp = char_pair(spec)
     for level in range(cp.gamma.degree + 1):
         for dv in cp.divisors[level]:
-            assert verify_on_shell(spec, dv).check.ok
+            assert verify_on_shell(spec, dv).ok

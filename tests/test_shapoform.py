@@ -171,8 +171,8 @@ class TestNorms:
         wr = wronskian(E4)
         for level in range(cp.gamma.degree + 1):
             for dv in cp.divisors[level]:
-                bv = bethe_vector(E4, dv.root_list())
-                direct = form_value(gram, bv.vector, bv.vector)
+                vec = bethe_vector(E4, dv.root_list())
+                direct = form_value(gram, vec, vec)
                 rec = norm_check(E4, dv)
                 assert rec.lhs == direct and rec.equal
 
@@ -187,27 +187,23 @@ class TestNorms:
             assert wronskian(spec).degree <= 2 * spec.k - 2
 
 
-def _orthogonality(spec, y1, y2):
-    return orthogonality_check(spec, y1, y2, bethe_vector(spec, y1.root_list()), bethe_vector(spec, y2.root_list()))
-
-
 class TestOrthogonality:
     def test_distinct_levels(self):
         cp = char_pair(E2)
         d0 = cp.divisors[0][0]
         d1 = cp.divisors[1][0]
-        assert _orthogonality(E2, d0, d1)
+        assert orthogonality_check(E2, d0, d1)
 
     def test_same_level_twisted(self):
         cp = char_pair(E4)
         d1a, d1b = cp.divisors[1]
-        assert _orthogonality(E4, d1a, d1b)
+        assert orthogonality_check(E4, d1a, d1b)
 
     def test_same_divisor_rejected(self):
         cp = char_pair(E4)
         (d,) = cp.divisors[0]
         with pytest.raises(ValueError):
-            _orthogonality(E4, d, d)
+            orthogonality_check(E4, d, d)
 
     def test_norm_nonzero_for_irreducible(self):
         cp = char_pair(E4)

@@ -14,7 +14,9 @@ so those two load only when a command uses them.  No source file imports
 are NamedTuples or plain classes.  The legs of a `SuperSpace` are read in
 superlin.py alone; every other module asks the space for levels, flips and
 leg actions.  A verdict has one record, monodromy.Check: no other class
-declares a field named `ok`, `witness` or `detail`.  The packed monomial keys
+declares a field named `ok`, `witness` or `detail`.  A verdict carries no
+built object: `fusion.RouteComparison` is the one record with a field
+annotated `Check`.  The packed monomial keys
 of MPoly are read in weylspace.py alone: no other module names the packed
 term dict or the slot width.  No module builds the symmetric group to average
 over it: none defines a permutation closure or a permutation sign, none calls
@@ -255,6 +257,37 @@ def test_verdict_rule_catches_a_planted_record():
         "class Item(NamedTuple):\n    name: str\n    detail: str = ''\n"
     )
     assert _verdict_fields(ast.parse(code)) == ["line 2: R.ok", "line 9: Item.detail"]
+
+
+# The one record that carries a built object beside its verdict.
+CHECK_CARRIERS = {"fusion.py": ["RouteComparison.check"]}
+
+
+def _check_fields(tree: ast.AST) -> list[str]:
+    """Every class field annotated `Check`, as "Class.field"."""
+    def names_check(ann: ast.expr) -> bool:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            ann = ast.parse(ann.value, mode="eval").body
+        return (isinstance(ann, ast.Name) and ann.id == "Check") or (
+            isinstance(ann, ast.Attribute) and ann.attr == "Check")
+
+    return [f"{node.name}.{stmt.target.id}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and names_check(stmt.annotation)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_verdicts_carry_no_built_object(path):
+    assert _check_fields(ast.parse(path.read_text(encoding="utf-8"))) == CHECK_CARRIERS.get(path.name, [])
+
+
+def test_check_field_rule_catches_a_planted_record():
+    code = (
+        "class OnShellResult(NamedTuple):\n    check: Check\n    bethe: tuple\n"
+        "class Pair(NamedTuple):\n    left: 'monodromy.Check'\n    size: int\n"
+        "class Entry(NamedTuple):\n    onshell: bool\n"
+    )
+    assert _check_fields(ast.parse(code)) == ["OnShellResult.check", "Pair.left"]
 
 
 # The packed term dict of MPoly and the slot width of its keys.

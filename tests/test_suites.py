@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -229,8 +230,8 @@ def _degenerate_gram(real):
 def _tripled_textbook_norm(real):
     """norm_check with the textbook right-hand side tripled."""
 
-    def corrupted(spec, y, bv=None):
-        rec = real(spec, y, bv)
+    def corrupted(spec, y):
+        rec = real(spec, y)
         return rec if rec.rhs_stated is None else rec._replace(rhs_stated=rec.rhs_stated * 3)
 
     return corrupted
@@ -239,8 +240,8 @@ def _tripled_textbook_norm(real):
 def _zero_textbook_norm(real):
     """norm_check with the textbook right-hand side 0 while the left side stays nonzero."""
 
-    def corrupted(spec, y, bv=None):
-        rec = real(spec, y, bv)
+    def corrupted(spec, y):
+        rec = real(spec, y)
         return rec if rec.rhs_stated is None else rec._replace(rhs_stated=Fraction(0))
 
     return corrupted
@@ -265,7 +266,7 @@ def _zero_textbook_norm(real):
         (
             shapoform,
             "bethe_pairing",
-            lambda real: lambda spec, y1, y2, *vectors: real(spec, y1, y2, *vectors) + 1,
+            lambda real: lambda spec, y1, y2: real(spec, y1, y2) + 1,
             "orthogonal",
             "form value 1",
         ),
@@ -283,13 +284,28 @@ def test_norms_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefi
         assert not item.ok and item.witness.startswith(detail)
 
 
-def test_norms_suite_builds_each_bethe_vector_once(monkeypatch):
-    # the norm and every pairing of a divisor share one vector
-    calls = []
-    real = shapoform.bethe_vector
-    monkeypatch.setattr(shapoform, "bethe_vector", lambda spec, roots: calls.append((spec, tuple(roots))) or real(spec, roots))
+def test_norms_suite_builds_each_bethe_vector_once():
+    # the norm and every pairing of a divisor read one memoised vector
+    clear_builder_caches()
     assert all(run_suite("norms"))
-    assert len(calls) == len(set(calls)) == 25
+    assert bethe._bethe_vector.cache_info().misses == 25
+
+
+def test_bethe_vectors_built_once_per_chain_and_roots(tmp_path, monkeypatch):
+    # the on-shell items, the completeness reports and the vector items
+    # request some vectors more than once; each (chain, roots) is built once
+    requests = []
+    real = bethe.bethe_vector
+    monkeypatch.setattr(bethe, "bethe_vector", lambda spec, roots: requests.append((spec, tuple(roots))) or real(spec, roots))
+    clear_builder_caches()
+    assert cli.main(["verify", "--suite", "bethe", "--json", str(tmp_path / "bethe.json")]) == 0
+    assert bethe._bethe_vector.cache_info().misses == len(set(requests)) == 34
+    assert len(requests) > len(set(requests))
+    # spectrum: the completeness report and the norm table share one vector per divisor
+    clear_builder_caches()
+    chain = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "k3.json"
+    assert cli.main(["spectrum", "--spec", str(chain), "--json", str(tmp_path / "k3.json")]) == 0
+    assert bethe._bethe_vector.cache_info().misses == 4
 
 
 def test_norms_negative_control(monkeypatch, tmp_path):
@@ -306,12 +322,10 @@ def _corrupt_component(fn, when):
     """fn with component 1 of the returned vector shifted by 1 wherever when(roots)."""
 
     def corrupted(spec, roots):
-        bv = fn(spec, roots)
-        if not when(roots):
-            return bv
-        vec = list(bv.vector)
-        vec[1] += 1
-        return bv._replace(vector=tuple(vec))
+        vec = list(fn(spec, roots))
+        if when(roots):
+            vec[1] += 1
+        return tuple(vec)
 
     return corrupted
 
@@ -324,7 +338,7 @@ def _corrupt_component(fn, when):
             lambda roots: True,
             ["regularized route agrees", "regularized route agrees (double root)"],
         ),
-        ("bethe_vector", lambda roots: list(roots) == [1, 0], ["root permutation symmetry"]),
+        ("bethe_vector", lambda roots: list(roots) == [2, 0], ["root permutation symmetry"]),
     ],
     ids=["regularized-route", "root-permutation"],
 )
@@ -339,7 +353,7 @@ def test_vector_items_carry_the_first_differing_index(monkeypatch, target, when,
 
 def _passing_off_shell(real):
     """verify_on_shell reporting every raw root sequence (the off-shell controls pass one) as on shell."""
-    return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else real(spec, y)._replace(check=Check(True))
+    return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else Check(True)
 
 
 def _first_level_changed(change):
@@ -414,6 +428,7 @@ def test_memoised_builders_found():
         "gl11chain.monodromy.tensor_monodromy",
         "gl11chain.monodromy.chain_transfer_pencil",
         "gl11chain.bethe.char_pair",
+        "gl11chain.bethe._bethe_vector",
         "gl11chain.shapoform.form_matrix",
         "gl11chain.fusion.berezinian",
         "gl11chain.fusion.higher_transfer",
