@@ -8,7 +8,7 @@ Without arguments the built-in benchmark chains are surveyed.
 import sys
 
 from gl11chain.exactnum import format_scalar
-from gl11chain.monodromy import ModuleSpec, cyclicity_and_irreducibility
+from gl11chain.chain import ModuleSpec, cyclicity_and_irreducibility
 from gl11chain.bethe import char_pair, completeness_report
 from gl11chain.shapoform import norm_check
 from gl11chain.suites import suite_specs

@@ -34,17 +34,9 @@ from .exactnum import (
     scalar,
 )
 from .linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
-from .monodromy import (
-    Check,
-    ModuleSpec,
-    MonodromyPencil,
-    chain_transfer_pencil,
-    coefficient_matrices,
-    cyclicity_and_irreducibility,
-    phi_psi,
-    tensor_monodromy,
-)
-from .superlin import Weight, singular_subspace, weight_spaces
+from .chain import ModuleSpec, Weight, cyclicity_and_irreducibility, phi_psi
+from .monodromy import Check, MonodromyPencil, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
+from .superlin import singular_subspace, weight_spaces
 
 
 class CharPair:

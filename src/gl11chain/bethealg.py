@@ -22,15 +22,8 @@ from typing import NamedTuple, Sequence
 
 from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
 from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
-from .monodromy import (
-    Check,
-    ModuleSpec,
-    chain_transfer_pencil,
-    cyclicity_and_irreducibility,
-    laurent_coefficients,
-    reduce_lambda2,
-    string_points,
-)
+from .chain import ModuleSpec, cyclicity_and_irreducibility
+from .monodromy import Check, chain_transfer_pencil, laurent_coefficients, reduce_lambda2, string_points
 from .bethe import (
     Divisor,
     char_pair,

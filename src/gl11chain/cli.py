@@ -15,9 +15,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactnum import RootSearchTooLarge, roots_with_multiplicity
-from . import bethe, fusion, monodromy, shapoform, suites
-from .monodromy import ModuleSpec, make_spec
+# every gl11chain module is lazy (see __init__), so a command runs only the modules it reads
+from . import bethe, chain, exactnum, fusion, shapoform, suites, weylspace
 
 # Suite names in the order `verify --suite all` runs them; suites.run_suite dispatches on them.
 SUITES = ("rtt", "bethe", "algebra", "norms", "fusion", "weyl")
@@ -34,20 +33,20 @@ def _print_json(doc: dict, path: "str | None") -> None:
 
 def cmd_spectrum(args) -> int:
     try:
-        spec = ModuleSpec.from_file(args.spec)
+        spec = chain.ModuleSpec.from_file(args.spec)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.level is not None and not 0 <= args.level <= spec.k:
         print(f"error: --level {args.level} is outside 0..{spec.k} for a chain of {spec.k} sites", file=sys.stderr)
         return 2
-    cyclic, _ = monodromy.cyclicity_and_irreducibility(spec)
+    cyclic, _ = chain.cyclicity_and_irreducibility(spec)
     if not cyclic:
         print("error: chain is not cyclic (some b_j = b_i + l2_i + l1_j with i < j)", file=sys.stderr)
         return 2
     try:
         report = bethe.completeness_report(spec)
-    except RootSearchTooLarge as exc:
+    except exactnum.RootSearchTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = report.to_dict()
@@ -110,12 +109,10 @@ def cmd_verify(args) -> int:
             print(f"  FAIL {it.label}: {it.witness}", file=sys.stderr)
     doc = {"suites": summary, "ok": not failed}
     if "weyl" in names:
-        from .weylspace import invariant_dimensions
-
         tables = {}
         for n in range(2, min(args.max_n, 4) + 1):
             tables[str(n)] = {
-                str(level): invariant_dimensions(n, level, args.degree_cap, False)
+                str(level): weylspace.invariant_dimensions(n, level, args.degree_cap, False)
                 for level in range(n + 1)
             }
         doc["character_tables"] = tables
@@ -153,19 +150,19 @@ def cmd_random_spec(args) -> int:
         if not args.twisted:
             q1 = q2 = Fraction(1)
         try:
-            spec = make_spec(weights, points, (q1, q2))
+            spec = chain.make_spec(weights, points, (q1, q2))
         except ValueError:
             continue
-        cyclic, _ = monodromy.cyclicity_and_irreducibility(spec)
+        cyclic, _ = chain.cyclicity_and_irreducibility(spec)
         if not cyclic:
             continue
         if args.split:
             # gamma of a candidate is tested once, so it is not memoised through bethe.char_pair
-            phi, psi = monodromy.phi_psi(spec)
+            phi, psi = chain.phi_psi(spec)
             try:
-                if roots_with_multiplicity(phi * spec.twist[0] - psi * spec.twist[1]) is None:
+                if exactnum.roots_with_multiplicity(phi * spec.twist[0] - psi * spec.twist[1]) is None:
                     continue
-            except RootSearchTooLarge as exc:
+            except exactnum.RootSearchTooLarge as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         text = spec.to_json()

@@ -119,16 +119,18 @@ class Poly:
 
     @staticmethod
     def from_roots(roots: Iterable[ScalarLike]) -> "Poly":
-        """Monic polynomial with the given root multiset.
+        """Monic polynomial with the given root multiset."""
+        return Poly.from_root_pairs((r.numerator, r.denominator) for r in map(scalar, roots))
 
-        Built on integers: with each root p/q in lowest terms it is the
-        product of the factors (q x - p) over the product of the q, so it
-        is canonicalised once, at the end.
+    @staticmethod
+    def from_root_pairs(pairs: Iterable[tuple[int, int]]) -> "Poly":
+        """Monic polynomial with the roots p/q, given as (p, q) pairs with q > 0.
+
+        Built on integers: it is the product of the factors (q x - p) over
+        the product of the q, so it is canonicalised once, at the end.
         """
         nums, den = [1], 1
-        for r in roots:
-            r = scalar(r)
-            p, q = r.numerator, r.denominator
+        for p, q in pairs:
             nums = [q * a - p * b for a, b in zip([0, *nums], [*nums, 0])]
             den *= q
         return _canon(nums, den)

@@ -41,14 +41,8 @@ from typing import NamedTuple, Optional
 
 from .exactnum import Poly, RatFun, scalar
 from .linalg import ExactMatrix
-from .monodromy import (
-    Check,
-    ModuleSpec,
-    MonodromyPencil,
-    chain_transfer_pencil,
-    coefficient_matrices,
-    tensor_monodromy,
-)
+from .chain import ModuleSpec
+from .monodromy import Check, MonodromyPencil, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
 from .superlin import EVEN, ODD, SuperSpace, kron_signed_adjacent_flip
 from .bethe import Divisor, bethe_vector, char_pair
 

@@ -1,10 +1,9 @@
 """Monodromy pencils on tensor products of evaluation modules.
 
-A chain is a ModuleSpec: polynomial non-degenerate weights, rational
-evaluation points and an invertible diagonal twist.  The monodromy entries
-are kept pole-free: the pencil stores That_ij(x) = prod_s(x - b_s) T_ij(x)
-as one matrix with Poly entries, normalized so the x^k coefficient of
-That_ij is delta_ij times the identity.  coefficient_matrices gives the x^d
+A chain is a chain.ModuleSpec.  The monodromy entries are kept pole-free:
+the pencil stores That_ij(x) = prod_s(x - b_s) T_ij(x) as one matrix with
+Poly entries, normalized so the x^k coefficient of That_ij is delta_ij
+times the identity.  coefficient_matrices gives the x^d
 coefficient matrices of such a matrix, for the checks that read them, and
 laurent_coefficients the Laurent coefficients at infinity of its product
 with a scalar rational function, from one scalar series.
@@ -12,166 +11,24 @@ with a scalar rational function, from one scalar series.
 Check is the package's one verdict record: every check of an identity, in
 this module and the others, returns Check(ok, label, witness), and a suite
 item is a Check whose label is the item name.
-
-Spec files are JSON with fields
-  weights = [[l1, l2], ...]   (nonnegative integers)
-  points  = ["p/q", ...]
-  twist   = ["q1", "q2"]
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .exactnum import Poly, RatFun, format_scalar, laurent_expand, scalar
+from .exactnum import Poly, RatFun, laurent_expand, scalar
 from . import linalg
-from .superlin import (
-    E_PARITY,
-    SuperSpace,
-    Weight,
-    e_matrix,
-    kron_signed,
-    leg_generator,
-)
+from .chain import ModuleSpec, Weight
+from .superlin import E_PARITY, SuperSpace, e_matrix, kron_signed, leg_generator
 
-
-def _weight_text(wt: Weight) -> str:
-    return "(" + ", ".join(wt.to_strings()) + ")"
-
-
-class ModuleSpec:
-    """Weights, evaluation points and twist defining the physical chain.
-
-    A value and a functools.cache key: immutable, compared and hashed by its
-    three tuples.  The hash is computed on the first `hash` and kept in a
-    slot, so a spec that is never hashed never computes it.  Its repr,
-    `ModuleSpec(weights=..., points=..., twist=...)`, names the chain.
-    """
-
-    __slots__ = ("weights", "points", "twist", "_hash")
-
-    def __init__(self, weights, points, twist):
-        object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "points", tuple(scalar(b) for b in points))
-        object.__setattr__(self, "twist", tuple(scalar(q) for q in twist))
-        if len(self.weights) != len(self.points):
-            raise ValueError("weights and points must have equal length")
-        if not self.weights:
-            raise ValueError("empty chain")
-        for wt in self.weights:
-            if not wt.is_polynomial():
-                raise ValueError(f"weight {_weight_text(wt)} is not polynomial")
-            if not wt.is_nondegenerate():
-                raise ValueError(f"weight {_weight_text(wt)} is degenerate")
-        q1, q2 = self.twist
-        if q1 == 0 or q2 == 0:
-            raise ValueError("twist entries must be nonzero")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ModuleSpec is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not ModuleSpec:
-            return NotImplemented
-        return (self.weights, self.points, self.twist) == (other.weights, other.points, other.twist)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.weights, self.points, self.twist))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __repr__(self):
-        return f"ModuleSpec(weights={self.weights!r}, points={self.points!r}, twist={self.twist!r})"
-
-    @property
-    def k(self) -> int:
-        return len(self.weights)
-
-    @property
-    def n(self) -> Fraction:
-        """Total weight; the weights are integers, checked on construction."""
-        return Fraction(sum(wt.l1.numerator + wt.l2.numerator for wt in self.weights))
-
-    def space(self) -> SuperSpace:
-        return SuperSpace.tensor_power(self.k)
-
-    def normalizer(self) -> Poly:
-        return Poly.from_roots(self.points)
-
-    def is_twisted(self) -> bool:
-        return self.twist[0] != self.twist[1]
-
-    def replace_twist(self, twist) -> "ModuleSpec":
-        return ModuleSpec(self.weights, self.points, (scalar(twist[0]), scalar(twist[1])))
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": [[int(wt.l1), int(wt.l2)] for wt in self.weights],
-            "points": [format_scalar(b) for b in self.points],
-            "twist": [format_scalar(q) for q in self.twist],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModuleSpec":
-        """Parse a chain-file object; a malformed one raises ValueError."""
-        if not isinstance(d, dict):
-            raise ValueError("chain file must be a JSON object")
-        missing = [key for key in ("weights", "points", "twist") if key not in d]
-        if missing:
-            raise ValueError(f"chain file lacks the key(s) {', '.join(missing)}")
-        weights, points, twist = d["weights"], d["points"], d["twist"]
-        if not all(isinstance(v, list) for v in (weights, points, twist)):
-            raise ValueError("weights, points and twist must be lists")
-        for w in weights:
-            if not (isinstance(w, list) and len(w) == 2 and all(type(a) is int for a in w)):
-                raise ValueError(f"each weight must be a pair of integers, got {w!r}")
-        for v in points + twist:
-            if type(v) is not int and not isinstance(v, str):
-                raise ValueError(f'points and twist entries must be integers or "p/q" strings, got {v!r}')
-        if len(twist) != 2:
-            raise ValueError(f"twist must have exactly two entries, got {len(twist)}")
-        return make_spec(weights, points, twist)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "ModuleSpec":
-        return ModuleSpec.from_dict(json.loads(text))
-
-    @staticmethod
-    def from_file(path) -> "ModuleSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ModuleSpec.from_json(fh.read())
-
-
-def make_spec(weights, points, twist=(1, 1)) -> ModuleSpec:
-    """Convenience constructor from plain ints/strings; Weight and ModuleSpec coerce them."""
-    return ModuleSpec(tuple(Weight(a, b) for a, b in weights), points, (twist[0], twist[1]))
-
-
-def _vacuum_roots(spec: ModuleSpec) -> tuple[list[Fraction], list[Fraction]]:
-    """Roots b_s - l1_s of phi and b_s + l2_s of psi, in site order."""
-    return (
-        [b - wt.l1 for wt, b in zip(spec.weights, spec.points)],
-        [b + wt.l2 for wt, b in zip(spec.weights, spec.points)],
-    )
-
-
-def phi_psi(spec: ModuleSpec) -> tuple[Poly, Poly]:
-    """The two vacuum polynomials prod(x - b_s + l1) and prod(x - b_s - l2)."""
-    phi_roots, psi_roots = _vacuum_roots(spec)
-    return Poly.from_roots(phi_roots), Poly.from_roots(psi_roots)
+# Also bound here because perfbench reads them under this module's name: run.py parses
+# chain files with monodromy.ModuleSpec, and tracer.py wraps monodromy.cyclicity_and_irreducibility.
+from .chain import cyclicity_and_irreducibility  # noqa: F401
 
 
 class MonodromyPencil(NamedTuple):
@@ -439,20 +296,6 @@ def reduce_lambda2(spec: ModuleSpec) -> tuple[ModuleSpec, RatFun]:
     num = Poly.from_roots(spec.points)
     den = Poly.from_roots([b + wt.l2 for wt, b in zip(spec.weights, spec.points)])
     return ModuleSpec(new_weights, new_points, spec.twist), RatFun(num, den)
-
-
-def cyclicity_and_irreducibility(spec: ModuleSpec) -> tuple[bool, bool]:
-    """(cyclic, irreducible) from the arithmetic conditions on the points.
-
-    Irreducible means gcd(phi, psi) = 1.  Both are products of known linear
-    factors (see phi_psi), with roots b_s - l1_s and b_s + l2_s, so they are
-    coprime exactly when the two root sets are disjoint.  Cyclic means no
-    b_j = b_i + l2_i + l1_j with i < j, that is no psi root of a site equal
-    to the phi root of a later site.
-    """
-    phi_roots, psi_roots = _vacuum_roots(spec)
-    cyclic = not any(phi_roots[j] in psi_roots[:j] for j in range(1, spec.k))
-    return cyclic, set(phi_roots).isdisjoint(psi_roots)
 
 
 def string_points(spec: ModuleSpec) -> tuple[Fraction, ...]:

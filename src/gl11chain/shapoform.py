@@ -33,8 +33,9 @@ from .exactnum import (
     scalar,
 )
 from .linalg import ExactMatrix
-from .monodromy import Check, ModuleSpec, laurent_coefficients, tensor_monodromy
-from .superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
+from .chain import ModuleSpec, Weight
+from .monodromy import Check, laurent_coefficients, tensor_monodromy
+from .superlin import E_PARITY, SuperSpace, e_matrix, kron_signed
 from .bethe import Divisor, bethe_vector, char_pair, eps_components
 
 

@@ -25,58 +25,10 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
-from .exactnum import format_scalar, scalar
+from .chain import Weight
 from . import linalg
 
 EVEN, ODD = 0, 1
-
-
-class Weight:
-    """A pair (l1, l2); the diagonal generators act by l1 and l2.
-
-    A value: immutable, compared and hashed by (l1, l2), and shown as
-    `Weight(l1=..., l2=...)`.  Both entries are coerced to Fraction; the
-    checks read their integer numerators and denominators.
-    """
-
-    __slots__ = ("l1", "l2")
-
-    def __init__(self, l1, l2):
-        object.__setattr__(self, "l1", scalar(l1))
-        object.__setattr__(self, "l2", scalar(l2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Weight is immutable: cannot assign {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        return (self.l1, self.l2) == (other.l1, other.l2)
-
-    def __hash__(self):
-        return hash((self.l1, self.l2))
-
-    def __repr__(self):
-        return f"Weight(l1={self.l1!r}, l2={self.l2!r})"
-
-    def is_nondegenerate(self) -> bool:
-        """l1 + l2 != 0, read off the integer numerator n1 d2 + n2 d1 of the sum."""
-        l1, l2 = self.l1, self.l2
-        return l1.numerator * l2.denominator + l2.numerator * l1.denominator != 0
-
-    def is_polynomial(self) -> bool:
-        """Integers l1 >= 0, l2 >= 0 with l1 > 0 unless l2 = 0."""
-        l1, l2 = self.l1, self.l2
-        if l1.denominator != 1 or l2.denominator != 1:
-            return False
-        a, b = l1.numerator, l2.numerator
-        return a >= 0 and b >= 0 and (a > 0 or b == 0)
-
-    def __iter__(self):
-        return iter((self.l1, self.l2))
-
-    def to_strings(self) -> list[str]:
-        return [format_scalar(self.l1), format_scalar(self.l2)]
 
 
 class SuperSpace:

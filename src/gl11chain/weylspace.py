@@ -62,7 +62,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactnum import q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis
-from .monodromy import Check, coefficient_matrices, lax_blocks, lax_product, make_spec, tensor_monodromy
+from .chain import make_spec
+from .monodromy import Check, coefficient_matrices, lax_blocks, lax_product, tensor_monodromy
 from .superlin import SuperSpace
 
 
@@ -691,8 +692,12 @@ def current_model_checks(n: int, level: int, d: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], list[ExactMatrix]]:
-    """x-coefficients of the symbolic Lax entries as maps on vectors."""
+    """x-coefficients of the symbolic Lax entries as maps on vectors.
+
+    Memoised per n: the dict, its lists and matrices are shared and must not be mutated.
+    """
     points = [MPoly.var(n, i) for i in range(n)]
     lax, vspace = lax_product(points)
     return lax_blocks(lax, vspace.dim)

@@ -9,11 +9,10 @@ from math import comb
 
 from gl11chain.exactnum import Poly, RatFun, roots_with_multiplicity
 from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
+from gl11chain.chain import cyclicity_and_irreducibility, make_spec
 from gl11chain.monodromy import (
     coefficient_matrices,
-    cyclicity_and_irreducibility,
     lax_monodromy,
-    make_spec,
     tensor_monodromy,
     transfer_pencil,
     verify_rtt,

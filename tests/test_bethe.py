@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from gl11chain import bethe
 from gl11chain.exactnum import Poly, RootSearchTooLarge
 from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
-from gl11chain.monodromy import coefficient_matrices, make_spec, tensor_monodromy, transfer_pencil
+from gl11chain.chain import make_spec
+from gl11chain.monodromy import coefficient_matrices, tensor_monodromy, transfer_pencil
 from gl11chain.bethe import (
     CharPair,
     Divisor,

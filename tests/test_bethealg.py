@@ -5,7 +5,8 @@ import pytest
 
 from gl11chain.exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
 from gl11chain.linalg import ExactMatrix
-from gl11chain.monodromy import make_spec, reduce_lambda2, string_points, tensor_monodromy, transfer_pencil
+from gl11chain.chain import make_spec
+from gl11chain.monodromy import reduce_lambda2, string_points, tensor_monodromy, transfer_pencil
 from gl11chain.bethe import char_pair
 from gl11chain.bethealg import (
     algebra_dimension,

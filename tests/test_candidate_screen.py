@@ -1,11 +1,13 @@
 """The integer candidate screen against the loops it replaced.
 
 `Poly.from_roots` multiplies integer factors (q x - p) and canonicalises
-once, `phi_psi` is two `from_roots` calls, and `cyclicity_and_irreducibility`
-reads both conditions off the two vacuum root lists.  The oracles are the
+once, and the chain's vacuum roots are reduced integer pairs, from which
+`phi_psi` builds both polynomials through the same integer product and
+`cyclicity_and_irreducibility` reads both conditions.  The oracles are the
 earlier code: a product of linear Poly factors, the factor-by-factor
-phi/psi loop and the pairwise cyclicity loop; irreducibility is checked
-against its definition, gcd(phi, psi) = 1.  The weight checks of every
+phi/psi loop, the pairwise cyclicity loop and the screen on Fraction
+vacuum roots; irreducibility is checked against its definition,
+gcd(phi, psi) = 1.  The weight checks of every
 candidate (`is_polynomial`, `is_nondegenerate`, the total weight `n`) read
 integer numerators and denominators; their oracles are the Fraction checks
 they replaced.
@@ -18,8 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, format_scalar, scalar
-from gl11chain.monodromy import cyclicity_and_irreducibility, make_spec, phi_psi
-from gl11chain.superlin import Weight
+from gl11chain.chain import Weight, _vacuum_roots, cyclicity_and_irreducibility, make_spec, phi_psi
 
 
 def product_of_linear_factors(roots) -> Poly:
@@ -58,6 +59,26 @@ def screen_mismatches(spec, screen=cyclicity_and_irreducibility) -> list[str]:
     if irreducible != (Poly.gcd(phi, psi) == 1):
         out.append("irreducible")
     return out
+
+
+def vacuum_roots_fractions(spec) -> tuple[list[F], list[F]]:
+    """The Fraction vacuum roots the integer pairs replaced: b_s - l1_s of phi and b_s + l2_s of psi."""
+    return (
+        [b - wt.l1 for wt, b in zip(spec.weights, spec.points)],
+        [b + wt.l2 for wt, b in zip(spec.weights, spec.points)],
+    )
+
+
+def phi_psi_fractions(spec) -> tuple[Poly, Poly]:
+    phi_roots, psi_roots = vacuum_roots_fractions(spec)
+    return Poly.from_roots(phi_roots), Poly.from_roots(psi_roots)
+
+
+def screen_fractions(spec) -> tuple[bool, bool]:
+    """cyclicity_and_irreducibility on the Fraction vacuum roots."""
+    phi_roots, psi_roots = vacuum_roots_fractions(spec)
+    cyclic = not any(phi_roots[j] in psi_roots[:j] for j in range(1, spec.k))
+    return cyclic, set(phi_roots).isdisjoint(psi_roots)
 
 
 def cyclicity_both_orders(spec) -> tuple[bool, bool]:
@@ -118,6 +139,27 @@ def test_screen_on_named_chains(name):
 @settings(max_examples=300)
 def test_screen_matches_the_oracles(spec):
     assert screen_mismatches(spec) == []
+
+
+# Twisted chains with l2 > 0 and negative, rational points, so vacuum roots of different sites coincide often.
+twisted_chains = st.builds(
+    lambda sites, twist: make_spec([s[:2] for s in sites], [s[2] for s in sites], twist),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), roots), min_size=1, max_size=6),
+    st.tuples(st.sampled_from([1, 2, F(-3, 2), F(5, 7)]), st.sampled_from([1, 3, F(-1, 4)])),
+)
+
+
+@given(twisted_chains)
+@example(make_spec([(1, 1), (1, 0)], [0, 2], (2, 1)))
+@example(make_spec([(2, 3), (1, 2)], [F(-7, 3), F(8, 3)], (F(-3, 2), 3)))
+@settings(max_examples=300)
+def test_integer_vacuum_roots_match_the_fraction_screen(spec):
+    """The reduced pairs are the Fraction roots in lowest terms, and phi, psi and the screen agree."""
+    want = vacuum_roots_fractions(spec)
+    assert _vacuum_roots(spec) == tuple(tuple((r.numerator, r.denominator) for r in rs) for rs in want)
+    got, expected = phi_psi(spec), phi_psi_fractions(spec)
+    assert [(p.nums, p.denom) for p in got] == [(p.nums, p.denom) for p in expected]
+    assert cyclicity_and_irreducibility(spec) == screen_fractions(spec)
 
 
 def test_differential_catches_a_screen_that_tests_both_orders():

@@ -9,7 +9,7 @@ import pytest
 from gl11chain import cli, suites
 from gl11chain.cli import SUITES, main
 from gl11chain.exactnum import RootSearchTooLarge, parse_scalar, roots_with_multiplicity
-from gl11chain.monodromy import ModuleSpec
+from gl11chain.chain import ModuleSpec
 from conftest import clear_builder_caches
 
 
@@ -194,7 +194,7 @@ class TestRandomSpec:
         assert a.read_bytes() == b.read_bytes()
 
     def test_cyclic_by_construction(self, tmp_path):
-        from gl11chain.monodromy import cyclicity_and_irreducibility
+        from gl11chain.chain import cyclicity_and_irreducibility
 
         for seed in (1, 2, 3, 7):
             p = tmp_path / f"s{seed}.json"
@@ -234,7 +234,7 @@ class TestRandomSpec:
         def refuse(p):
             raise RootSearchTooLarge("split test refused: stand-in")
 
-        monkeypatch.setattr(cli, "roots_with_multiplicity", refuse)
+        monkeypatch.setattr(cli.exactnum, "roots_with_multiplicity", refuse)
         assert main(["random-spec", "--seed", "1", "--k", "2", "--split"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: split test refused: stand-in\n"
@@ -264,9 +264,11 @@ def test_spectral_survey_script():
     assert "equal=False" not in proc.stdout
 
 
-# Modules every command runs: the eager core and the CLI.  verify adds linalg and the suites.
-CORE_MODULES = {"cli", "exactnum", "monodromy", "superlin"}
-VERIFY = {"linalg", "suites"}
+# --help runs the CLI alone.  random-spec adds the chain layer, every other command the pencils
+# as well, and verify the suites.
+CHAIN = {"chain", "exactnum"}
+PENCILS = CHAIN | {"monodromy", "superlin", "linalg"}
+VERIFY = PENCILS | {"suites"}
 # Prints, after the command, the gl11chain modules that were run (type() does not load a lazy module),
 # and which of dataclasses and inspect were loaded that the interpreter had not loaded before gl11chain.
 LOAD_PROBE = """\
@@ -305,25 +307,25 @@ def _probe(code: str, *argv: str) -> list:
     "argv, extra",
     [
         (["--help"], set()),
-        (["random-spec", "--seed", "1", "--k", "3", "--weight-budget", "5", "--split", "--twisted"], set()),
+        (["random-spec", "--seed", "1", "--k", "3", "--weight-budget", "5", "--split", "--twisted"], CHAIN),
         (["verify", "--suite", "rtt"], VERIFY),
         (["verify", "--suite", "bethe"], VERIFY | {"bethe"}),
         (["verify", "--suite", "algebra"], VERIFY | {"bethe", "bethealg"}),
         (["verify", "--suite", "norms"], VERIFY | {"bethe", "shapoform"}),
         (["verify", "--suite", "fusion"], VERIFY | {"bethe", "fusion"}),
         (["verify", "--suite", "weyl"], VERIFY | {"weylspace"}),
-        (["spectrum", "--spec", "E2"], {"linalg", "bethe", "fusion", "shapoform"}),
+        (["spectrum", "--spec", "E2"], PENCILS | {"bethe", "fusion", "shapoform"}),
     ],
     ids=["help", "random-spec", "rtt", "bethe", "algebra", "norms", "fusion", "weyl", "spectrum"],
 )
 def test_command_runs_only_the_modules_it_uses(e2_file, argv, extra):
     argv = [e2_file if a == "E2" else a for a in argv]
     modules, stdlib = _probe(LOAD_PROBE, *argv)
-    assert set(modules) == CORE_MODULES | extra
+    assert set(modules) == {"cli"} | extra
     assert stdlib == []
 
 
 def test_lazy_modules_load_on_import():
     names, unloaded, defined = _probe(LAZY_PROBE)
-    assert len(names) == 7 and unloaded == names
+    assert len(names) == 11 and unloaded == names
     assert all(defined[n] for n in names), defined

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun, scalar
 from gl11chain.linalg import ExactMatrix, SpanBasis
-from gl11chain.monodromy import make_spec, tensor_monodromy
+from gl11chain.chain import make_spec
+from gl11chain.monodromy import tensor_monodromy
 from gl11chain.superlin import E_PARITY, EVEN, SuperSpace, e_matrix, kron_signed
 from gl11chain import fusion
 from gl11chain.bethe import char_pair
@@ -506,7 +507,7 @@ class TestBerezinian:
         # one-dimensional site with zero action: the quotient collapses to
         # the bare twist ratio q1/q2
         from gl11chain.monodromy import evaluation_monodromy
-        from gl11chain.superlin import Weight
+        from gl11chain.chain import Weight
         from gl11chain.fusion import manin_entries
 
         pen = evaluation_monodromy(Weight(F(0), F(0)), F(3))

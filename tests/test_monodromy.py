@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun, laurent_expand
 from gl11chain.linalg import ExactMatrix
+from gl11chain.chain import ModuleSpec, Weight, cyclicity_and_irreducibility, make_spec, phi_psi
 from gl11chain.monodromy import (
     Check,
-    ModuleSpec,
     coefficient_matrices,
-    cyclicity_and_irreducibility,
     evaluation_monodromy,
     laurent_coefficients,
     lax_monodromy,
-    make_spec,
-    phi_psi,
     reduce_lambda2,
     string_points,
     t_coefficient,
@@ -25,7 +22,7 @@ from gl11chain.monodromy import (
     verify_rtt,
     _combine,
 )
-from gl11chain.superlin import E_PARITY, Weight
+from gl11chain.superlin import E_PARITY
 from densemat import to_dense
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))

@@ -8,12 +8,8 @@ just the hand-picked benchmarks.
 import pytest
 
 from gl11chain.cli import main
-from gl11chain.monodromy import (
-    ModuleSpec,
-    cyclicity_and_irreducibility,
-    tensor_monodromy,
-    verify_rtt,
-)
+from gl11chain.chain import ModuleSpec, cyclicity_and_irreducibility
+from gl11chain.monodromy import tensor_monodromy, verify_rtt
 from gl11chain.bethe import char_pair, completeness_report, verify_on_shell
 from gl11chain.shapoform import form_matrix, norm_check
 

@@ -7,8 +7,9 @@ import pytest
 
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
-from gl11chain.monodromy import ModuleSpec, make_spec, tensor_monodromy, t_coefficient
-from gl11chain.superlin import E_PARITY, SuperSpace, Weight, e_matrix, kron_signed
+from gl11chain.chain import ModuleSpec, Weight, make_spec
+from gl11chain.monodromy import tensor_monodromy, t_coefficient
+from gl11chain.superlin import E_PARITY, SuperSpace, e_matrix, kron_signed
 from gl11chain.bethe import Divisor, bethe_vector, char_pair
 from gl11chain.suites import suite_specs
 from gl11chain.shapoform import (

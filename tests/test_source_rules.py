@@ -8,8 +8,9 @@ under `python -O`, and the arithmetic is exact, so no float literal or
 Every name the benchmark tracer wraps exists in the package.  Matrices over
 Q(x) have one form, FracMatrix: linalg.py never names RatFun, and no source
 file defines `from_ratfun`.  The start-up core that `--help` and
-`random-spec` load never imports from linalg or suites when it is imported,
-so those two load only when a command uses them.  No source file imports
+`random-spec` load (cli, chain and exactnum) never imports from monodromy,
+superlin, linalg or suites when it is imported, so those load only when a
+command uses them.  No source file imports
 `dataclasses`, which loads `inspect` on every command's start-up: records
 are NamedTuples or plain classes.  The legs of a `SuperSpace` are read in
 superlin.py alone; every other module asks the space for levels, flips and
@@ -152,12 +153,12 @@ def test_ratfun_rule_catches_each_violation():
 
 
 # The modules `--help` and `random-spec` load, and the lazy modules they must not load on import.
-STARTUP_CORE = ("cli.py", "exactnum.py", "monodromy.py", "superlin.py")
-NOT_AT_STARTUP = ("linalg", "suites")
+STARTUP_CORE = ("cli.py", "chain.py", "exactnum.py")
+NOT_AT_STARTUP = ("monodromy", "superlin", "linalg", "suites")
 
 
 def _eager_imports(tree: ast.Module) -> list[str]:
-    """`from .linalg import` and `from .suites import` run on import: outside every function body."""
+    """`from .X import`, X in NOT_AT_STARTUP, run on import: outside every function body."""
     out = []
     stack = list(tree.body)
     while stack:
@@ -167,7 +168,7 @@ def _eager_imports(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in NOT_AT_STARTUP:
             out.append(f"line {node.lineno}: from .{node.module} import")
         stack.extend(ast.iter_child_nodes(node))
-    return sorted(out)
+    return sorted(out, key=lambda v: int(v.split()[1].rstrip(":")))
 
 
 @pytest.mark.parametrize("name", STARTUP_CORE)
@@ -183,9 +184,13 @@ def test_eager_import_rule_catches_each_violation():
         "if True:\n    from .suites import run_suite\n"
         "class Table:\n    from .linalg import SpanBasis\n"
         "def cmd(args):\n    from .suites import run_suite\n    return run_suite\n"
+        "from .monodromy import Check\n"
+        "class ModuleSpec:\n    def space(self):\n        from .superlin import SuperSpace\n        return SuperSpace\n"
+        "from .superlin import Weight\nfrom .exactnum import Poly\nfrom . import monodromy\n"
     )
     assert _eager_imports(ast.parse(code)) == [
         "line 1: from .linalg import", "line 4: from .suites import", "line 6: from .linalg import",
+        "line 10: from .monodromy import", "line 15: from .superlin import",
     ]
 
 

@@ -7,7 +7,8 @@ import pytest
 from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, suites, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import FracMatrix, berezinian, higher_transfer
-from gl11chain.monodromy import Check, cyclicity_and_irreducibility, tensor_monodromy
+from gl11chain.chain import cyclicity_and_irreducibility
+from gl11chain.monodromy import Check, tensor_monodromy
 from gl11chain.bethe import char_pair
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
@@ -351,6 +352,30 @@ def test_vector_items_carry_the_first_differing_index(monkeypatch, target, when,
         assert bad[name].startswith("first differing index 1: ")
 
 
+def test_bethe_suite_checks_each_divisor_on_shell_once(monkeypatch):
+    # the on-shell items read the completeness report's verdicts; the off-shell controls add one check per chain
+    requests = []
+    real = bethe.verify_on_shell
+
+    def counted(spec, y):
+        requests.append((spec, y if isinstance(y, bethe.Divisor) else tuple(y)))
+        return real(spec, y)
+
+    monkeypatch.setattr(bethe, "verify_on_shell", counted)
+    assert all(run_suite("bethe"))
+    assert len(requests) == len(set(requests)) == 32
+
+
+def test_on_shell_item_carries_the_witness(monkeypatch):
+    # a divisor the report finds off shell is checked again, for the witness its item shows
+    real = bethe.verify_on_shell
+    monkeypatch.setattr(bethe, "verify_on_shell", lambda spec, y: Check(False, witness="(0, 1)")
+                        if isinstance(y, bethe.Divisor) and y.degree == 1 else real(spec, y))
+    items = [it for it in run_suite("bethe") if it.label.startswith("on-shell E")]
+    assert {it.witness for it in items if not it.ok} == {"(0, 1)"}
+    assert any(it.ok for it in items)
+
+
 def _passing_off_shell(real):
     """verify_on_shell reporting every raw root sequence (the off-shell controls pass one) as on shell."""
     return lambda spec, y: real(spec, y) if isinstance(y, bethe.Divisor) else Check(True)
@@ -435,6 +460,7 @@ def test_memoised_builders_found():
         "gl11chain.fusion._generating_oper",
         "gl11chain.fusion.symmetrizers",
         "gl11chain.weylspace._check_degree_drop",
+        "gl11chain.weylspace.gamma_coefficient_ops",
     }
 
 
@@ -454,6 +480,8 @@ def test_weyl_degree_premise_checked_once_per_argument(tmp_path, monkeypatch):
     for n, delta in set(requests):
         degrees.setdefault(n, set()).add(delta)
     assert all(got == set(range(max(got) + 1)) for got in degrees.values())
+    # the suite asks for the symbolic entry coefficients at n = 2, 2, 1, 2, 3: one build per n
+    assert weylspace.gamma_coefficient_ops.cache_info().misses == 3
 
 
 def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
@@ -489,6 +517,15 @@ def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
     chain.write_text(K5)
     assert cli.main(["spectrum", "--spec", str(chain), "--json", str(tmp_path / "report.json")]) == 0
     assert len(inverses) <= 7
+
+
+def test_rtt_suite_builds_each_lax_pencil_once(monkeypatch):
+    # the exchange check and the coproduct comparison of a point list share one pencil
+    requests = []
+    real = monodromy.lax_monodromy
+    monkeypatch.setattr(monodromy, "lax_monodromy", lambda points: requests.append(tuple(points)) or real(points))
+    assert all(run_suite("rtt"))
+    assert len(requests) == len(set(requests)) == 4
 
 
 def test_rtt_lax_item_carries_the_witness(monkeypatch):

@@ -4,11 +4,11 @@ from itertools import combinations
 import pytest
 
 from gl11chain.linalg import ExactMatrix
+from gl11chain.chain import Weight
 from gl11chain.superlin import (
     E_PARITY,
     EVEN,
     SuperSpace,
-    Weight,
     basis_weights,
     e_matrix,
     gl_generator,

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from gl11chain import superlin, weylspace
 from gl11chain.exactnum import elementary_symmetric
 from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates
-from gl11chain.monodromy import coefficient_matrices, make_spec, tensor_monodromy
+from gl11chain.chain import make_spec
+from gl11chain.monodromy import coefficient_matrices, tensor_monodromy
 from gl11chain.superlin import SuperSpace
 from gl11chain.weylspace import (
     Coords,
