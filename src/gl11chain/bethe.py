@@ -14,7 +14,7 @@ t_j - t_i + 1 is nonzero, and in ascending order otherwise; ascending order
 is always safe, since each factor is then at least 1.  The regularization
 extension t_i -> t_i + i*eps at eps = 0 (`bethe_vector_eps`) is an
 independent oracle for the direct product, not a fallback: the suite compares
-the two, and the repeated-root norm reads its components.
+the two.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .exactnum import (
 )
 from .linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
 from .chain import ModuleSpec, Weight, cyclicity_and_irreducibility, phi_psi
-from .monodromy import Check, MonodromyPencil, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
+from .monodromy import Check, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
 from .superlin import singular_subspace, weight_spaces
 
 
@@ -76,6 +76,13 @@ class CharPair:
         for combo in itertools.product(*(range(m + 1) for _, m in rm)):
             levels[sum(combo)].append(Divisor.from_roots([(r, c) for (r, _), c in zip(rm, combo) if c]))
         return tuple(tuple(sorted(lv, key=lambda d: d.poly.coeffs)) for lv in levels)
+
+    def cofactor(self, y: "Divisor") -> Poly:
+        """gamma / y; raises ValueError when y does not divide gamma."""
+        quot, rem = divmod(self.gamma, y.poly)
+        if not rem.is_zero():
+            raise ValueError("not a divisor of the characteristic polynomial")
+        return quot
 
 
 @functools.cache
@@ -163,37 +170,29 @@ def _bethe_vector(spec: ModuleSpec, t: tuple[Fraction, ...]) -> tuple[Fraction, 
     return tuple(v * pref for v in vec)
 
 
-def eps_components(t: Sequence[Fraction], pencil: MonodromyPencil) -> tuple[list[Poly], list]:
-    """The points t_i + i*eps and the components of Bhat over them, before eps -> 0."""
+def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> tuple[Fraction, ...]:
+    """Bhat via the regularization extension t_i -> t_i + i*eps at eps -> 0."""
+    t = [scalar(v) for v in roots]
+    pencil = tensor_monodromy(spec)
     t12 = pencil.entry(1, 2)
-    # perturbation directions c_i = i, distinct integers for reproducibility
-    points = [Poly((ti, i + 1)) for i, ti in enumerate(t)]
     vec: list = _vacuum(pencil.dim)
-    for pt in reversed(points):
+    # perturbation directions c_i = i, distinct integers for reproducibility
+    for i in reversed(range(len(t))):
+        pt = Poly((t[i], i + 1))
         vec = t12.map_entries(lambda p: p(pt)).apply(vec)
     pref = RatFun(Poly((1,)))
     for i in range(len(t)):
         for j in range(i + 1, len(t)):
             pref = pref / RatFun(Poly((t[j] - t[i] + 1, j - i)))
-    return points, [pref * comp for comp in vec]
-
-
-def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> tuple[Fraction, ...]:
-    """Bhat via the regularization extension t_i -> t_i + i*eps at eps -> 0."""
-    t = [scalar(v) for v in roots]
-    _, comps = eps_components(t, tensor_monodromy(spec))
     try:
-        return tuple(eps_limit(c) for c in comps)
+        return tuple(eps_limit(pref * comp) for comp in vec)
     except NonRemovableSingularity as exc:
         raise ValueError("Bethe vector undefined at this configuration") from exc
 
 
 def eigenvalue_pencil(y: Divisor, spec: ModuleSpec) -> Poly:
     """Eigenvalue of the normalized transfer pencil: y(x-1) * gamma(x) / y(x)."""
-    quot, rem = divmod(char_pair(spec).gamma, y.poly)
-    if not rem.is_zero():
-        raise ValueError("not a divisor of the characteristic polynomial")
-    return y.poly.shift(1) * quot
+    return y.poly.shift(1) * char_pair(spec).cofactor(y)
 
 
 def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> Check:

@@ -12,9 +12,9 @@ Representation conventions:
            zero polynomial is ((), 1) and has degree -1.  Every operation
            runs on the ints; `coeffs` is a read-only Fraction view.
   RatFun   quotient of two Polys kept in canonical form: denominator monic
-           and coprime to the numerator.  Equality is decidable.
-  EpsElem  a RatFun in an auxiliary regularization variable; eps_limit
-           evaluates it at 0 when the specialization exists.
+           and coprime to the numerator.  Equality is decidable.  A RatFun
+           in an auxiliary regularization variable eps is evaluated at 0 by
+           eps_limit when the specialization exists.
 
 Polynomial coefficients are rational: a Poly accepts int and Fraction
 coefficients and rejects anything else (a float included) with TypeError.
@@ -326,9 +326,6 @@ class Poly:
                 cs[k] *= vk
         return _canon(cs, self.denom * vpow)
 
-    def derivative(self) -> "Poly":
-        return _canon([i * c for i, c in enumerate(self.nums) if i], self.denom)
-
     def monic(self) -> "Poly":
         if not self.nums:
             raise ValueError("zero polynomial cannot be made monic")
@@ -589,13 +586,8 @@ def _ratfun(v):
     return RatFun(p)
 
 
-# EpsElem: rational functions of the regularization variable.  The class is
-# the same as RatFun; only the intended variable differs.
-EpsElem = RatFun
-
-
-def eps_limit(v: Union[EpsElem, Poly, ScalarLike]) -> Fraction:
-    """Value at 0 of an EpsElem; raises NonRemovableSingularity on a pole."""
+def eps_limit(v: Union[RatFun, Poly, ScalarLike]) -> Fraction:
+    """Value at eps = 0 of a function of the regularization variable; raises NonRemovableSingularity on a pole."""
     if isinstance(v, (int, Fraction)):
         return scalar(v)
     if isinstance(v, Poly):

@@ -8,14 +8,22 @@ first.  Contravariance pins every sign: B(X w1, w2) equals
 (-1)^{|X||w1|} B(w1, iota(X) w2) with iota the transpose-with-signs
 anti-automorphism of the generating series.
 
-Norm bookkeeping: with the conventions above the on-shell square norm
-satisfies
+Norm bookkeeping: for every monic divisor y of degree l of
+gamma = q1*phi - q2*psi (exactly, as char_pair builds it), repeated roots
+included, the on-shell square norm is
 
-    B(Bhat, Bhat) = (-1)^l prod_i Wr(phi, psi)(t_i) / y'(t_i)
+    B(Bhat, Bhat) = q1^(-l) Res(y, psi * gamma/y)
+                  = q1^(-l) prod_{t root of y, with multiplicity} psi(t) (gamma/y)(t),
 
-for simple-root divisors, verified exactly on every suite chain (twisted
-and untwisted, levels 0..3).  The textbook statement carries (q2/q1)^l and
-no sign; norm_check records both values instead of resolving silently.
+a closed formula in y, phi and psi with no derivative and no limit.  At
+simple roots it is the Wronskian form (-1)^l prod_i Wr(phi, psi)(t_i) / y'(t_i):
+at a root t of gamma, phi(t) = (q2/q1) psi(t), so
+Wr(t) = phi psi' - phi' psi = -psi(t) gamma'(t) / q1, and
+gamma'(t) = y'(t) (gamma/y)(t).  norm_check compares the formula with the
+form value of the Bethe vector, an independent computation; the identity
+holds exactly on every suite chain (twisted and untwisted, levels 0..3).
+The textbook statement carries (q2/q1)^l and no sign;
+norm_check records both values instead of resolving silently.
 """
 
 from __future__ import annotations
@@ -24,27 +32,12 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import (
-    NonRemovableSingularity,
-    Poly,
-    RatFun,
-    eps_limit,
-    format_scalar,
-    scalar,
-)
+from .exactnum import Poly, format_scalar, scalar
 from .linalg import ExactMatrix
 from .chain import ModuleSpec, Weight
 from .monodromy import Check, laurent_coefficients, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, e_matrix, kron_signed
-from .bethe import Divisor, bethe_vector, char_pair, eps_components
-
-
-def r_matrix(wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
-    """Two-site R-matrix on the 4-dimensional product, exact in x.
-
-    Raises on the pole l1^(j) + l2^(i) + x = 0.
-    """
-    return _embedded_r_matrix(SuperSpace.tensor_power(2), 0, 1, wt_i, wt_j, x)
+from .bethe import Divisor, bethe_vector, char_pair
 
 
 def _embedded_r_matrix(space: SuperSpace, i: int, j: int, wt_i: Weight, wt_j: Weight, x) -> ExactMatrix:
@@ -155,15 +148,10 @@ def check_iota_contract(spec: ModuleSpec) -> Check:
     return Check(True)
 
 
-def wronskian(spec: ModuleSpec) -> Poly:
-    cp = char_pair(spec)
-    return cp.phi * cp.psi.derivative() - cp.phi.derivative() * cp.psi
-
-
 class NormRecord(NamedTuple):
     divisor: Divisor
     lhs: Fraction
-    rhs_stated: "Fraction | None"
+    rhs_stated: Fraction
     rhs_resolved: Fraction
     equal: bool
     repeated_roots: bool
@@ -176,54 +164,28 @@ class NormRecord(NamedTuple):
             "divisor": self.divisor.poly.to_strings(),
             "lhs": format_scalar(self.lhs),
             "rhs": format_scalar(self.rhs_resolved),
-            "rhs_textbook": None if self.rhs_stated is None else format_scalar(self.rhs_stated),
+            "rhs_textbook": format_scalar(self.rhs_stated),
             "equal": self.equal,
             "repeated_roots": self.repeated_roots,
         }
 
 
 def norm_check(spec: ModuleSpec, y: Divisor) -> NormRecord:
-    """Square norm of the on-shell vector against the Wronskian product.
+    """Square norm of the on-shell vector against q1^(-l) Res(y, psi * gamma/y).
 
-    Simple roots are evaluated directly; repeated roots through the
-    regularization extension on both sides, with the record flagged.
+    Raises ValueError when y does not divide gamma.
     """
-    gram = form_matrix(spec)
+    cp = char_pair(spec)
+    cofactor = cp.cofactor(y)
     q1, q2 = spec.twist
-    level = y.degree
-    wr = wronskian(spec)
-    repeated = any(m > 1 for _, m in y.roots)
-    if not repeated:
-        vec = bethe_vector(spec, y.root_list())
-        lhs = form_value(gram, vec, vec)
-        yprime = y.poly.derivative()
-        prod = Fraction(1)
-        for t in y.root_list():
-            prod *= wr(t) / yprime(t)
-    else:
-        lhs, prod = _norm_eps(y, tensor_monodromy(spec), gram, wr)
-        if lhs is None:
-            return NormRecord(y, Fraction(0), None, Fraction(0), False, True)
-    stated = (q2 / q1) ** level * prod
-    resolved = (-1) ** level * prod
-    return NormRecord(y, lhs, stated, resolved, lhs == resolved, repeated)
-
-
-def _norm_eps(y, pencil, gram, wr):
-    """Both norm sides as eps -> 0 limits at a repeated-root divisor."""
-    points, bval = eps_components(y.root_list(), pencil)
-    # rhs: same perturbation applied to the divisor polynomial
-    prod_rf = RatFun(Poly((1,)))
-    for idx, pt in enumerate(points):
-        dy = Poly((1,))
-        for jdx, other in enumerate(points):
-            if jdx != idx:
-                dy = dy * (pt - other)
-        prod_rf = prod_rf * RatFun(wr(pt)) / RatFun(dy)
-    try:
-        return eps_limit(form_value(gram, bval, bval)), eps_limit(prod_rf)
-    except NonRemovableSingularity:
-        return None, None
+    roots = y.root_list()
+    vec = bethe_vector(spec, roots)
+    lhs = form_value(form_matrix(spec), vec, vec)
+    resolved = Fraction(1) / q1 ** y.degree
+    for t in roots:
+        resolved *= cp.psi(t) * cofactor(t)
+    stated = (-q2 / q1) ** y.degree * resolved
+    return NormRecord(y, lhs, stated, resolved, lhs == resolved, any(m > 1 for _, m in y.roots))
 
 
 def orthogonality_check(spec: ModuleSpec, y1: Divisor, y2: Divisor) -> Check:

@@ -323,7 +323,7 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         for dv in divisors:
             rec = shapoform.norm_check(spec, dv)
             items.append(_item(f"norm {name} y={dv.label()}", rec.equal, f"lhs={rec.lhs} rhs={rec.rhs_resolved}"))
-            if not rec.repeated_roots and rec.rhs_stated is not None:
+            if not rec.repeated_roots:
                 q1, q2 = spec.twist
                 want_ratio = (Fraction(-1) ** dv.degree) * (q1 / q2) ** dv.degree
                 found = None if rec.rhs_stated == 0 else rec.lhs / rec.rhs_stated

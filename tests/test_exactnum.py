@@ -144,9 +144,6 @@ class FractionPoly:
         out = self(FractionPoly((-a, 1)))
         return out if isinstance(out, FractionPoly) else FractionPoly((out,))
 
-    def derivative(self):
-        return FractionPoly(i * c for i, c in enumerate(self.coeffs) if i)
-
     def monic(self):
         return FractionPoly(c / self.coeffs[-1] for c in self.coeffs)
 
@@ -227,7 +224,6 @@ class TestPolyMatchesFractionPoly:
         agrees(p - q, fp - fq)
         agrees(-p, -fp)
         agrees(p * q, fp * fq)
-        agrees(p.derivative(), fp.derivative())
         assert (p == q) == (fp == fq)
         if not q.is_zero():
             agrees(p // q, fp // fq)

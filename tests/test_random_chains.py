@@ -11,7 +11,8 @@ from gl11chain.cli import main
 from gl11chain.chain import ModuleSpec, cyclicity_and_irreducibility
 from gl11chain.monodromy import tensor_monodromy, verify_rtt
 from gl11chain.bethe import char_pair, completeness_report, verify_on_shell
-from gl11chain.shapoform import form_matrix, norm_check
+from gl11chain.shapoform import form_matrix
+from normoracle import assert_norm_matches_the_oracles
 
 
 @pytest.fixture(params=[11, 23, 37], ids=lambda s: f"seed{s}")
@@ -35,7 +36,7 @@ def test_generated_chain_full_pipeline(generated_spec):
     for level in range(cp.gamma.degree + 1):
         for dv in cp.divisors[level]:
             assert verify_on_shell(spec, dv).ok
-            assert norm_check(spec, dv).equal
+            assert_norm_matches_the_oracles(spec, dv)
     rep = completeness_report(spec)
     assert all(
         lv.subspace_dim == sum(e.generalized_dim for e in lv.entries) for lv in rep.levels
@@ -54,3 +55,4 @@ def test_generated_twisted_chain(tmp_path):
     for level in range(cp.gamma.degree + 1):
         for dv in cp.divisors[level]:
             assert verify_on_shell(spec, dv).ok
+            assert_norm_matches_the_oracles(spec, dv)

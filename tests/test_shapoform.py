@@ -10,18 +10,18 @@ from gl11chain.linalg import ExactMatrix
 from gl11chain.chain import ModuleSpec, Weight, make_spec
 from gl11chain.monodromy import tensor_monodromy, t_coefficient
 from gl11chain.superlin import E_PARITY, SuperSpace, e_matrix, kron_signed
-from gl11chain.bethe import Divisor, bethe_vector, char_pair
+from gl11chain.bethe import Divisor, bethe_vector, char_pair, verify_on_shell
 from gl11chain.suites import suite_specs
 from gl11chain.shapoform import (
+    _embedded_r_matrix,
     check_iota_contract,
     form_matrix,
     form_value,
     norm_check,
     orthogonality_check,
-    r_matrix,
-    wronskian,
 )
 from densemat import from_dense, to_dense
+from normoracle import assert_norm_matches_the_oracles, eps_norm, wronskian
 
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
 GRADED_FLIP = from_dense([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
@@ -31,6 +31,11 @@ E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
 E3 = make_spec([(1, 0), (1, 0), (1, 0)], ["0", "1/2", "-1/2"], ("1", "1"))
 E4 = make_spec([(1, 0), (1, 0)], ["2", "-3/2"], ("1", "2"))
 E6 = make_spec([(2, 1), (1, 0)], ["0", "4"], ("1", "1"))
+
+
+def r_matrix(wt_i, wt_j, x):
+    """Two-site R-matrix on the 4-dimensional product; raises on the pole l1^(j) + l2^(i) + x = 0."""
+    return _embedded_r_matrix(SuperSpace.tensor_power(2), 0, 1, wt_i, wt_j, x)
 
 
 class TestRMatrix:
@@ -169,7 +174,6 @@ class TestNorms:
         # every simple-root divisor of the twisted chain
         cp = char_pair(E4)
         gram = form_matrix(E4)
-        wr = wronskian(E4)
         for level in range(cp.gamma.degree + 1):
             for dv in cp.divisors[level]:
                 vec = bethe_vector(E4, dv.root_list())
@@ -297,3 +301,42 @@ def test_r_matrix_matches_the_embedded_terms():
     for wt_i, wt_j in ((W10, W10), (Weight(F(2), F(1)), W10), (Weight(F(1), F(1)), Weight(F(3), F(0)))):
         for x in (F(1, 2), F(-3), F(0)):
             assert r_matrix(wt_i, wt_j, x) == _old_r_matrix(wt_i, wt_j, x)
+
+
+# ---------------------------------------------------------------------------
+# the resultant norm against the Wronskian product and the eps limit it replaced
+# ---------------------------------------------------------------------------
+
+NORM_CHAINS = {**suite_specs(), "k5": FORM_CHAINS["k5"]}
+
+
+def test_k5_gamma_has_a_double_root():
+    # gamma = x^2 (7x^2 + 34x + 39)
+    assert char_pair(FORM_CHAINS["k5"]).gamma == Poly((0, 0, 39, 34, 7))
+
+
+@pytest.mark.parametrize("name", NORM_CHAINS)
+def test_norm_check_matches_the_wronskian_and_eps_routes(name):
+    spec = NORM_CHAINS[name]
+    for level in char_pair(spec).divisors:
+        for dv in level:
+            assert_norm_matches_the_oracles(spec, dv)
+
+
+def test_eps_wronskian_limit_misses_a_double_root_off_psi():
+    # gamma = 8 (x + 11/4)^2 with psi(-11/4) = 81/64: the vector at the double root is on shell with norm
+    # 6561/64 = psi(t)^2 (gamma/y)(t)^2, while the eps limit of the Wronskian product gives -6561/8
+    spec = make_spec([(2, 0), (2, 1), (3, 0)], ["-3", "-3/2", "-1/2"])
+    cp = char_pair(spec)
+    assert cp.roots == [(F(-11, 4), 2)] and cp.psi(F(-11, 4)) == F(81, 64)
+    (dv,) = cp.divisors[2]
+    assert verify_on_shell(spec, dv).ok
+    rec = norm_check(spec, dv)
+    assert rec.equal and rec.lhs == rec.rhs_resolved == F(6561, 64)
+    assert eps_norm(spec, dv) == (F(6561, 64), F(-6561, 8))
+    assert_norm_matches_the_oracles(spec, dv)
+
+
+def test_norm_check_rejects_a_non_divisor():
+    with pytest.raises(ValueError, match="not a divisor"):
+        norm_check(E4, Divisor.from_roots([(F(7), 1)]))

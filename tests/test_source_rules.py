@@ -24,6 +24,9 @@ over it: none defines a permutation closure or a permutation sign, none calls
 `symmetric_group_action`, and `itertools.permutations` runs only inside it.
 The image basis of the symmetrizers, `AUX_IMAGE`, is assigned once, in
 fusion.py, which alone names it, and both `symmetrizers` and route A read it.
+The eps regularization has two homes: no module but exactnum.py and bethe.py
+names `eps_limit` or `NonRemovableSingularity`, so the norm layer takes no
+limit; suites.py still compares `bethe.bethe_vector_eps` with the direct vector.
 """
 
 import ast
@@ -392,3 +395,39 @@ def test_group_rules_catch_each_planted_violation():
         "line 1: defines permutation_closure", "line 4: calls symmetric_group_action", "line 6: calls permutations",
     ]
     assert _image_homes(tree) == ([9], {"route": 1})
+
+
+# The modules allowed to name the eps limit and its exception.
+EPS_HOMES = ("exactnum.py", "bethe.py")
+EPS_NAMES = ("eps_limit", "NonRemovableSingularity")
+
+
+def _eps_names(tree: ast.AST) -> list[str]:
+    """Every name, attribute or import of eps_limit or NonRemovableSingularity."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in EPS_NAMES:
+            out.append(f"line {node.lineno}: names {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in EPS_NAMES:
+            out.append(f"line {node.lineno}: names .{node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [f"line {node.lineno}: imports {a.name}" for a in node.names if a.name in EPS_NAMES]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_eps_limit_stays_in_exactnum_and_bethe(path):
+    if path.name not in EPS_HOMES:
+        assert _eps_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_eps_rule_catches_each_planted_name():
+    code = (
+        "from .exactnum import Poly, eps_limit\n"
+        "def norm(v):\n    try:\n        return exactnum.eps_limit(v)\n"
+        "    except NonRemovableSingularity:\n        return None\n"
+        "def vector(spec, roots):\n    return bethe.bethe_vector_eps(spec, roots)\n"
+    )
+    assert _eps_names(ast.parse(code)) == [
+        "line 1: imports eps_limit", "line 4: names .eps_limit", "line 5: names NonRemovableSingularity",
+    ]

@@ -233,7 +233,7 @@ def _tripled_textbook_norm(real):
 
     def corrupted(spec, y):
         rec = real(spec, y)
-        return rec if rec.rhs_stated is None else rec._replace(rhs_stated=rec.rhs_stated * 3)
+        return rec._replace(rhs_stated=rec.rhs_stated * 3)
 
     return corrupted
 
@@ -243,7 +243,7 @@ def _zero_textbook_norm(real):
 
     def corrupted(spec, y):
         rec = real(spec, y)
-        return rec if rec.rhs_stated is None else rec._replace(rhs_stated=Fraction(0))
+        return rec._replace(rhs_stated=Fraction(0))
 
     return corrupted
 
@@ -317,6 +317,22 @@ def test_norms_negative_control(monkeypatch, tmp_path):
     assert failures[0] == {"name": "gram symmetric E1", "detail": "first asymmetric entry (0, 1)"}
     monkeypatch.undo()
     assert not [it for it in run_suite("norms") if not it.ok]
+
+
+def test_norms_fail_with_phi_in_place_of_psi(monkeypatch, tmp_path):
+    # phi(t) = (q2/q1) psi(t) at a root t of gamma, so every nonempty divisor of a twisted chain fails;
+    # on untwisted chains q1 = q2 and the swap changes nothing
+    out = tmp_path / "verify.json"
+    real = shapoform.char_pair
+    monkeypatch.setattr(shapoform, "char_pair", lambda spec: bethe.CharPair(real(spec).phi, real(spec).phi, real(spec).gamma, spec))
+    assert cli.main(["verify", "--suite", "norms", "--json", str(out)]) == 1
+    failures = json.loads(out.read_text())["suites"]["norms"]["failures"]
+    divisors = [f"{name} y={dv.label()}" for name, spec in suite_specs().items() if spec.is_twisted()
+                for level in char_pair(spec).divisors[1:] for dv in level]
+    assert len(divisors) == 11 and {name.split()[0] for name in divisors} == {"E1", "E4", "E5"}
+    assert [f["name"] for f in failures] == [
+        label for d in divisors for label in (f"norm {d}", f"norm ratio to textbook {d}")
+    ]
 
 
 def _corrupt_component(fn, when):
