@@ -72,6 +72,7 @@ def cmd_spectrum(args) -> int:
     doc["gamma"] = bethe.char_pair(spec).gamma.to_strings()
     ok = (
         report.split
+        and all(r["equal"] for r in doc["norms"])
         and all(lv.subspace_dim == sum(e.generalized_dim for e in lv.entries) for lv in report.levels)
         and fusion_block["berezinian"]
         and all(r["ok"] for r in fusion_block["relations"])

@@ -409,6 +409,9 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[Check]:
         cases.append(("specialization n=3", [Fraction(1, 2), Fraction(0), Fraction(-2)], True))
     if max_n >= 5:
         cases.append(("specialization n=4", [Fraction(1, 2), Fraction(0), Fraction(-2), Fraction(3)], True))
+    if max_n >= 6:
+        five = [Fraction(1, 2), Fraction(0), Fraction(-2), Fraction(3), Fraction(-7, 3)]
+        cases.append(("specialization n=5", five, True))
     for name, points, expect in cases:
         res = weylspace.specialization_check(points)
         # a chain accepted where it should be rejected is reported as the isomorphism found

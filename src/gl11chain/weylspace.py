@@ -26,6 +26,12 @@ SuperSpace.flip, level and leg_unit; this module never reads the legs.
 
 The divided difference (f - f^swap)/(z_i - z_{i+1}) is computed termwise
 from the factored geometric sum, so no generic polynomial division occurs.
+shat_i is read from one memoised monomial table, _monomial_image(n, i, key):
+the swapped key and the divided-difference terms of each monomial, built
+once from MPoly.swap and MPoly.divided_difference.  modified_action, the
+relation matrices of check_sn_relations and the degree premise of
+invariant_dimensions all read it, so each monomial's images are computed
+once per process and every check sees the images the model applies.
 
 Invariant dimensions come from the trace of the averaging projector,
 (1/n!) sum_g tr(g).  A trace is a class function, so the sum runs over the
@@ -58,7 +64,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactnum import q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis
@@ -344,48 +350,40 @@ class Coords(NamedTuple):
                 v[self.index[(c, key)]] = coef
         return v
 
-    def matrix_of(self, fn: Callable[[dict], dict]) -> ExactMatrix:
-        """Matrix of a degree-respecting map in these coordinates."""
-        return self.matrix_into(self, fn)
-
-    def matrix_into(self, dst: "Coords", fn: Callable[[dict], dict]) -> ExactMatrix:
-        """Matrix of a map from these coordinates into dst."""
-        m = ExactMatrix(dst.dim, self.dim)
-        nm = len(self.monomials)
-        for ci, c in enumerate(self.components):
-            for mi, key in enumerate(self.keys):
-                image = fn({c: MPoly._raw(self.n, {key: 1})})
-                for cc, p in image.items():
-                    for kk, coef in p._packed.items():
-                        row = dst.index.get((cc, kk))
-                        if row is None:
-                            raise ValueError("map leaves the target coordinates")
-                        m.add_to(row, ci * nm + mi, coef)
-        return m
-
 
 # ---------------------------------------------------------------------------
-# the two symmetric-group actions and the current-algebra action
+# the modified symmetric-group action and the current-algebra action
 # ---------------------------------------------------------------------------
 
 
-def standard_action(space: SuperSpace, i: int, f: dict) -> dict:
-    out: dict = {}
-    for c, p in f.items():
-        cc, sign = space.flip(c, i)  # flip permutes the components: each cc is hit once
-        q = p.swap(i, i + 1)
-        out[cc] = q if sign == 1 else -q
-    return out
+@functools.cache
+def _monomial_image(n: int, i: int, key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """shat_i of z^key less the flip: the swapped key and the (key, coefficient) terms of its divided difference.
+
+    Memoised per (n, i, key): every path of the model reads shat_i from this
+    one table, built from MPoly.swap and MPoly.divided_difference, so the
+    table and the tested primitives cannot drift apart.
+    """
+    mono = MPoly._raw(n, {key: 1})
+    (swapped,) = mono.swap(i, i + 1)._packed
+    return swapped, tuple(mono.divided_difference(i)._packed.items())
 
 
 def modified_action(space: SuperSpace, i: int, f: dict) -> dict:
-    """shat_i = flip-with-swap plus the divided difference."""
-    out = standard_action(space, i, f)
+    """shat_i = flip-with-swap plus the divided difference, term by term from the monomial table."""
+    n = space.nlegs()
+    out: dict = {}
     for c, p in f.items():
-        dd = p.divided_difference(i)
-        if dd:
-            out[c] = out[c] + dd if c in out else dd
-    return {c: p for c, p in out.items() if p}
+        cc, sign = space.flip(c, i)
+        swapped = out.setdefault(cc, {})
+        lowered = out.setdefault(c, {})
+        for key, coef in p._packed.items():
+            skey, terms = _monomial_image(n, i, key)
+            swapped[skey] = swapped.get(skey, 0) + sign * coef
+            for k, t in terms:
+                lowered[k] = lowered.get(k, 0) + t * coef
+    out = {c: {k: v for k, v in t.items() if v} for c, t in out.items()}
+    return {c: MPoly._raw(n, t) for c, t in out.items() if t}
 
 
 def current_action(space: SuperSpace, i: int, j: int, r: int, f: dict) -> dict:
@@ -418,7 +416,7 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> Check:
     """
     space = SuperSpace.tensor_power(n)
     coords = Coords.build(n, level, d)
-    mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
+    mats = [_relation_matrix(space, coords, i) for i in range(n - 1)]
     ident = ExactMatrix.identity(coords.dim, 1)
     for i, m in enumerate(mats):
         if (m @ m) != ident:
@@ -433,6 +431,23 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> Check:
             if (mats[i] @ mats[j]) != (mats[j] @ mats[i]):
                 return Check(False, witness=f"commutation of ({i}, {j})")
     return Check(True)
+
+
+def _relation_matrix(space: SuperSpace, coords: Coords, i: int) -> ExactMatrix:
+    """The matrix of shat_i in the chart, each column (c, key) read from the flip of c and the monomial table."""
+    index = coords.index
+    rows: dict = {}
+    for c in coords.components:
+        cc, sign = space.flip(c, i)
+        for key in coords.keys:
+            col = index[(c, key)]
+            skey, terms = _monomial_image(coords.n, i, key)
+            rows.setdefault(index[(cc, skey)], {})[col] = sign  # the column's first entry
+            for k, t in terms:
+                row = rows.setdefault(index[(c, k)], {})
+                row[col] = row.get(col, 0) + t
+    rows = {r: {col: v for col, v in row.items() if v} for r, row in rows.items()}
+    return ExactMatrix(coords.dim, coords.dim, {r: row for r, row in rows.items() if row})
 
 
 def _class_words(n: int) -> list[tuple[list[int], int]]:
@@ -495,13 +510,14 @@ def _check_degree_drop(n: int, delta: int) -> None:
 
     Memoised per (n, delta), so every level, part and cap checks each monomial
     once.  The monomials are the stars-and-bars placements of n - 1 bars
-    among delta + n - 1 slots.
+    among delta + n - 1 slots; their divided differences are read from the
+    monomial table, so the premise holds for the images the model applies.
     """
     for bars in itertools.combinations(range(delta + n - 1), n - 1):
         e = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, delta + n - 1)))
-        mono = MPoly(n, {e: 1})
+        key = _pack(e)
         for i in range(n - 1):
-            if mono.divided_difference(i).degree() >= delta:
+            if any(k >> (_SLOT_BITS * n) >= delta for k, _ in _monomial_image(n, i, key)[1]):
                 raise ArithmeticError(f"divided difference at s_{i} does not lower the degree of {e}")
 
 

@@ -1,4 +1,4 @@
-"""Test-wide Hypothesis settings and the builder-cache reset.
+"""Test-wide Hypothesis settings, the builder-cache reset and its fixture.
 
 Exact arithmetic makes example times vary with coefficient sizes, so no
 example has a deadline; a failure prints the blob that reproduces it.
@@ -7,6 +7,7 @@ example has a deadline; a failure prints the blob that reproduces it.
 import importlib
 import pkgutil
 
+import pytest
 from hypothesis import settings
 
 import gl11chain
@@ -40,3 +41,16 @@ def clear_builder_caches() -> None:
     for fn in memoised_builders():
         fn.cache_clear()
     fusion._oper_orders.clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty every builder cache before and after the test.
+
+    A test that patches a primitive behind a memoised table (MPoly.swap or
+    MPoly.divided_difference behind weylspace's monomial table) then builds
+    from the patched primitive, and leaves no patched entry to later tests.
+    """
+    clear_builder_caches()
+    yield
+    clear_builder_caches()

@@ -40,6 +40,23 @@ class TestSpectrum:
         assert eigs == [["1/2", "2"], ["-3/2", "2"]]
         assert doc["consistent"] is True
 
+    def test_unequal_norm_fails_the_verdict(self, e2_file, tmp_path, monkeypatch):
+        # negative control: the first norm record of the split chain E2 reads unequal
+        real = cli.shapoform.norm_check
+        seen = []
+
+        def first_unequal(spec, dv):
+            rec = real(spec, dv)
+            seen.append(dv)
+            return rec._replace(equal=False) if len(seen) == 1 else rec
+
+        monkeypatch.setattr(cli.shapoform, "norm_check", first_unequal)
+        out = tmp_path / "report.json"
+        assert main(["spectrum", "--spec", e2_file, "--json", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert [r["equal"] for r in doc["norms"]] == [False] + [True] * (len(seen) - 1)
+        assert len(seen) > 1 and doc["consistent"] is False
+
     def test_double_root_generalized_dims(self, e3_file, tmp_path):
         out = tmp_path / "report.json"
         assert main(["spectrum", "--spec", e3_file, "--json", str(out)]) == 0

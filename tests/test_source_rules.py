@@ -27,6 +27,8 @@ fusion.py, which alone names it, and both `symmetrizers` and route A read it.
 The eps regularization has two homes: no module but exactnum.py and bethe.py
 names `eps_limit` or `NonRemovableSingularity`, so the norm layer takes no
 limit; suites.py still compares `bethe.bethe_vector_eps` with the direct vector.
+The modified action has one source: only the monomial table `_monomial_image`
+calls `.swap(` or `.divided_difference(`, and every weyl path reads the table.
 """
 
 import ast
@@ -430,4 +432,39 @@ def test_eps_rule_catches_each_planted_name():
     )
     assert _eps_names(ast.parse(code)) == [
         "line 1: imports eps_limit", "line 4: names .eps_limit", "line 5: names NonRemovableSingularity",
+    ]
+
+
+# The one definition that applies the swap and divided-difference primitives: the monomial table.
+TABLE_BUILDER = "_monomial_image"
+PRIMITIVES = ("swap", "divided_difference")
+
+
+def _primitive_calls(tree: ast.AST) -> list[str]:
+    """Every call of `.swap(` or `.divided_difference(` outside the monomial table's definition."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == TABLE_BUILDER:
+            inside |= {id(n) for n in ast.walk(node)}
+    found = [f"line {node.lineno}: calls .{node.func.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in PRIMITIVES and id(node) not in inside]
+    return sorted(found, key=lambda v: int(v.split()[1].rstrip(":")))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_the_monomial_table_applies_the_primitives(path):
+    assert _primitive_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_primitive_rule_catches_each_planted_call():
+    code = (
+        "def _monomial_image(n, i, key):\n    mono = MPoly._raw(n, {key: 1})\n"
+        "    return mono.swap(i, i + 1), mono.divided_difference(i)\n"
+        "def modified_action(space, i, f):\n"
+        "    return {c: p.swap(i, i + 1) + p.divided_difference(i) for c, p in f.items()}\n"
+        "lowered = poly.divided_difference(0)\n"
+    )
+    assert _primitive_calls(ast.parse(code)) == [
+        "line 5: calls .swap", "line 5: calls .divided_difference", "line 6: calls .divided_difference",
     ]

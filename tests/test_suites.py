@@ -75,6 +75,24 @@ def test_four_site_specialization_item_needs_max_n_five(monkeypatch):
     assert items["specialization ordering rejected"] == (False, "specialization ordering rejected", "isomorphic")
 
 
+def test_five_site_specialization_item_needs_max_n_six(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        weylspace, "specialization_check", lambda points: calls.append(points) or Check(True)
+    )
+    for max_n in (4, 5):
+        labels = {it.label for it in run_suite("weyl", max_n=max_n, degree_cap=0)}
+        assert "specialization n=5" not in labels
+    assert all(len(points) < 5 for points in calls)
+    calls.clear()
+    items = {it.label: it for it in run_suite("weyl", max_n=6, degree_cap=0)}
+    assert items["specialization n=5"].ok
+    assert calls == [
+        [0], [Fraction(1, 2), 0], [0, 1], [Fraction(1, 2), 0, -2], [Fraction(1, 2), 0, -2, 3],
+        [Fraction(1, 2), 0, -2, 3, Fraction(-7, 3)],
+    ]
+
+
 def test_model_items_carry_the_witness(monkeypatch):
     # negative control: sigma_n doubled in the overflow relation's right-hand side
     real = weylspace.elementary_mpoly
@@ -118,29 +136,34 @@ def test_vacuum_generation_item_names_the_level(monkeypatch):
 
 
 def test_relations_item_names_the_relation(monkeypatch):
-    real = weylspace.modified_action
+    # negative control: s_0 without its swap (each monomial's swapped key is
+    # the key itself) in the monomial table; shat_0^2 = 1 + 2 flip.d_0 then
+    # moves z_1, so the chart reaches degree 1
+    real = weylspace._monomial_image
 
-    def doubled_s0(space, i, f):
-        out = real(space, i, f)
-        return {c: p * 2 for c, p in out.items()} if i == 0 else out
+    def unswapped_s0(n, i, key):
+        swapped, terms = real(n, i, key)
+        return (key if i == 0 else swapped), terms
 
-    monkeypatch.setattr(weylspace, "modified_action", doubled_s0)
+    monkeypatch.setattr(weylspace, "_monomial_image", unswapped_s0)
     monkeypatch.setattr(weylspace, "specialization_check", lambda points: Check(True))
-    items = {it.label: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
+    items = {it.label: it for it in run_suite("weyl", max_n=3, degree_cap=1)}
     for n in (2, 3):
         item = items[f"modified action relations n={n}"]
         assert not item.ok and item.witness == "involutivity of s_0"
 
 
 def test_relations_check_names_the_braid(monkeypatch):
-    # s_1 by the standard action: both generators stay involutions, but the
-    # braid relation between them breaks
-    real = weylspace.modified_action
+    # s_1 by the standard action, its divided-difference terms dropped from
+    # the monomial table: both generators stay involutions, but the braid
+    # relation between them breaks
+    real = weylspace._monomial_image
 
-    def standard_s1(space, i, f):
-        return weylspace.standard_action(space, i, f) if i == 1 else real(space, i, f)
+    def standard_s1(n, i, key):
+        swapped, terms = real(n, i, key)
+        return swapped, (() if i == 1 else terms)
 
-    monkeypatch.setattr(weylspace, "modified_action", standard_s1)
+    monkeypatch.setattr(weylspace, "_monomial_image", standard_s1)
     res = weylspace.check_sn_relations(3, 2)
     assert not res.ok and res.witness == "braid relation at 0"
 
@@ -476,6 +499,7 @@ def test_memoised_builders_found():
         "gl11chain.fusion._generating_oper",
         "gl11chain.fusion.symmetrizers",
         "gl11chain.weylspace._check_degree_drop",
+        "gl11chain.weylspace._monomial_image",
         "gl11chain.weylspace.gamma_coefficient_ops",
     }
 

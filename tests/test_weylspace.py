@@ -30,7 +30,7 @@ from gl11chain.weylspace import (
     modified_action,
     specialization_check,
 )
-from conftest import clear_builder_caches
+from actionoracle import composed_modified_action, matrix_into, matrix_of
 from densemat import column
 from symgroup import permutation_closure
 from tuplepoly import TupleMPoly
@@ -64,12 +64,12 @@ def group_averaging_dimensions(n, level, d, singular_only):
     filtered = []
     for delta in range(d + 1):
         coords = Coords.build(n, level, delta)
-        mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
+        mats = [matrix_of(coords, lambda f, i=i: composed_modified_action(space, i, f)) for i in range(n - 1)]
         group = list(permutation_closure(mats, coords.dim).values())
         if singular_only:
             up = Coords.build(n, level + 1, delta)
-            raise_m = coords.matrix_into(up, lambda f: current_action(space, 2, 1, 0, f))
-            lower_m = up.matrix_into(coords, lambda f: current_action(space, 1, 2, 0, f))
+            raise_m = matrix_into(coords, up, lambda f: current_action(space, 2, 1, 0, f))
+            lower_m = matrix_into(up, coords, lambda f: current_action(space, 1, 2, 0, f))
             proj = (lower_m @ raise_m) * F(1, n)
             group = [proj @ g for g in group]
         filtered.append(sum((_trace(g) for g in group), F(0)) / factorial(n))
@@ -117,7 +117,7 @@ def kernel_invariant_basis(n, level, d):
     """Invariant basis by direct kernel intersection (oracle)."""
     space = SuperSpace.tensor_power(n)
     coords = Coords.build(n, level, d)
-    mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
+    mats = [matrix_of(coords, lambda f, i=i: composed_modified_action(space, i, f)) for i in range(n - 1)]
     ident = ExactMatrix.identity(coords.dim)
     stacked = ExactMatrix.vstack([m - ident for m in mats]) if mats else ExactMatrix(0, coords.dim)
     return [from_vector(coords, v) for v in stacked.kernel()]
@@ -133,7 +133,7 @@ def averaging_invariant_basis(n, level, d):
     if coords.dim == 0:
         return []
     target = sum(invariant_dimensions(n, level, d, False))
-    mats = [coords.matrix_of(lambda f, i=i: modified_action(space, i, f)) for i in range(n - 1)]
+    mats = [matrix_of(coords, lambda f, i=i: composed_modified_action(space, i, f)) for i in range(n - 1)]
     group = list(permutation_closure(mats, coords.dim).values())
     av = ExactMatrix(coords.dim, coords.dim)
     for g in group:
@@ -349,13 +349,51 @@ class TestModifiedAction:
     def test_relations(self, n):
         assert check_sn_relations(n, 3 if n < 4 else 2)
 
-    def test_relations_fail_with_one_negated_divided_difference(self, monkeypatch):
-        # negative control: s_0 = swap - divided difference is still an involution but breaks the braid relation
+    def test_relations_fail_with_one_negated_divided_difference(self, monkeypatch, fresh_caches):
+        # negative control: s_0 = swap - divided difference is still an involution but breaks the braid
+        # relation; the monomial table is emptied, so it is rebuilt from the patched primitive
         real = MPoly.divided_difference
         monkeypatch.setattr(MPoly, "divided_difference", lambda self, i: -real(self, i) if i == 0 else real(self, i))
         result = check_sn_relations(3, 3)
         assert not result.ok
         assert result.witness == "braid relation at 0"
+
+
+@st.composite
+def _action_operands(draw):
+    """n in 2..5, i in 0..n-2 and a vector {component: MPoly} with int or Fraction coefficients."""
+    n = draw(st.integers(2, 5))
+    coefficient = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), coefficient, max_size=5)
+    f = draw(st.dictionaries(st.integers(0, 2**n - 1), terms, max_size=4))
+    return n, draw(st.integers(0, n - 2)), {c: MPoly(n, t) for c, t in f.items()}
+
+
+def _typed(f):
+    return {c: {e: (v, type(v)) for e, v in p.terms.items()} for c, p in f.items()}
+
+
+class TestMonomialTable:
+    @given(_action_operands())
+    @settings(max_examples=200)
+    def test_table_action_matches_the_composition(self, operands):
+        # differential: shat_i read from the monomial table against the flip,
+        # swap and divided difference of whole polynomials, coefficient types included
+        n, i, f = operands
+        space = SuperSpace.tensor_power(n)
+        assert _typed(modified_action(space, i, f)) == _typed(composed_modified_action(space, i, f))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relation_matrices_match_the_composition(self, n):
+        # the matrices check_sn_relations builds from the table, against the
+        # composed action applied to each basis vector
+        space = SuperSpace.tensor_power(n)
+        for level in [None, *range(n + 1)]:
+            for d in range(4):
+                coords = Coords.build(n, level, d)
+                for i in range(n - 1):
+                    want = matrix_of(coords, lambda f: composed_modified_action(space, i, f))
+                    assert weylspace._relation_matrix(space, coords, i) == want
 
 
 class TestInvariantDimensions:
@@ -420,11 +458,11 @@ class TestInvariantDimensions:
         assert calls == {"modified_action": 0, "symmetric_group_action": 0, "matmul": 0}
         assert got == character_series(4, 2, 4, True)
 
-    def test_degree_keeping_divided_difference_raises(self, monkeypatch):
+    def test_degree_keeping_divided_difference_raises(self, monkeypatch, fresh_caches):
         # negative control: without the degree drop the leading block no
         # longer carries the trace, and the premise check must say so; the
-        # memoised premise check is emptied first, so it runs again
-        clear_builder_caches()
+        # memoised premise check and monomial table are emptied first, so
+        # they run again on the patched primitive
         monkeypatch.setattr(MPoly, "divided_difference", lambda self, i: self)
         with pytest.raises(ArithmeticError, match="divided difference at s_0"):
             invariant_dimensions(3, 1, 2, False)
@@ -848,6 +886,31 @@ class TestSpecialization:
         monkeypatch.setattr(weylspace, "gamma_coefficient_ops", corrupted)
         res = specialization_check([F(1, 2), F(0)])
         assert not res.ok and res.witness == "image of (1, 1, 0) on generator () not fixed by s_0"
+
+    @pytest.mark.parametrize(
+        "e,witness",
+        [
+            ((1, 0), "generator (0,) not fixed by s_0"),
+            ((2, 0), "image of (1, 1, 1) on generator (0,) not fixed by s_0"),
+        ],
+        ids=["step-a", "step-d"],
+    )
+    def test_corrupted_table_term_named(self, monkeypatch, e, witness):
+        # negative control: one divided-difference term of z^e under s_0 doubled
+        # in the monomial table, every other entry as built
+        real = weylspace._monomial_image
+        corrupt = (2, 0, weylspace._pack(e))
+
+        def corrupted(n, i, key):
+            swapped, terms = real(n, i, key)
+            if (n, i, key) == corrupt:
+                (k, t), *rest = terms
+                terms = ((k, 2 * t), *rest)
+            return swapped, terms
+
+        monkeypatch.setattr(weylspace, "_monomial_image", corrupted)
+        res = specialization_check([F(1, 2), F(0)])
+        assert not res.ok and res.witness == witness
 
     def test_four_sites(self):
         # same verdict as the elimination oracle
