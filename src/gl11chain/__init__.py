@@ -9,7 +9,8 @@ identities.
 
 Every submodule but `cli` loads on first use, so a command runs only the
 modules it touches.  `--help` runs `cli` alone.  `random-spec` adds the
-chain layer, `chain` and `exactnum`, and every other command also adds
+chain layer, `chain` and the leaf module `rational` (scalars and the
+integer split test), and every other command also adds `exactnum`,
 `monodromy`, `superlin` and `linalg`.  `verify` adds `suites`,
 and its suites add bethe (bethe, algebra, norms, fusion), bethealg
 (algebra), shapoform (norms), fusion (fusion) and weylspace (weyl).
@@ -29,8 +30,8 @@ import importlib.util
 import sys
 
 _LAZY = (
-    "bethe", "bethealg", "chain", "exactnum", "fusion", "linalg", "monodromy", "shapoform", "suites", "superlin",
-    "weylspace",
+    "bethe", "bethealg", "chain", "exactnum", "fusion", "linalg", "monodromy", "rational", "shapoform", "suites",
+    "superlin", "weylspace",
 )
 for _name in _LAZY:
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")

@@ -5,8 +5,12 @@ evaluation points and an invertible diagonal twist.  Its vacuum polynomials
 phi and psi, whose combination gamma = q1 phi - q2 psi labels the
 eigenvectors by its monic divisors, and the cyclicity condition
 b_j != b_i + l2_i + l1_j (i < j) are read off the chain's vacuum roots.
-This module loads only exactnum, so `random-spec` runs it without the
-pencil and super-linear-algebra core.
+
+This module imports only the leaf module rational on load.  It loads
+exactnum on first use of a `Poly` (`phi_psi`, `normalizer`), so
+`random-spec` runs it without the polynomial layer: `screen_candidate`
+decides cyclicity and the split of gamma on the integer vacuum root pairs
+of a drawn (weights, points, twist), before any spec is built.
 
 Spec files are JSON with fields
   weights = [[l1, l2], ...]   (nonnegative integers)
@@ -19,7 +23,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactnum import Poly, format_scalar, scalar
+from . import exactnum  # lazy: loads on first use of exactnum.Poly
+from .rational import format_scalar, primitive, rational_roots, root_pair_product, scalar
 
 
 class Weight:
@@ -137,8 +142,8 @@ class ModuleSpec:
 
         return SuperSpace.tensor_power(self.k)
 
-    def normalizer(self) -> Poly:
-        return Poly.from_roots(self.points)
+    def normalizer(self) -> "exactnum.Poly":
+        return exactnum.Poly.from_roots(self.points)
 
     def is_twisted(self) -> bool:
         return self.twist[0] != self.twist[1]
@@ -194,32 +199,44 @@ def make_spec(weights, points, twist=(1, 1)) -> ModuleSpec:
     return ModuleSpec(tuple(Weight(a, b) for a, b in weights), points, (twist[0], twist[1]))
 
 
-def _vacuum_roots(spec: ModuleSpec) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Roots b_s - l1_s of phi and b_s + l2_s of psi, in site order, as (numerator, denominator) pairs.
+def _root_pairs(sites) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """Roots b - l1 of phi and b + l2 of psi, in site order, as (numerator, denominator) pairs.
 
-    With b_s = p/q in lowest terms and l1, l2 integers (checked on
-    construction), the roots are (p - l1 q)/q and (p + l2 q)/q, and both
-    pairs are in lowest terms: gcd(p - l1 q, q) = gcd(p + l2 q, q) = gcd(p, q) = 1.
-    So two roots are equal exactly when their pairs are.  Computed once per
-    chain and kept in a slot of the spec.
+    `sites` yields (l1, l2, b) with l1, l2 ints and b an int or Fraction.
+    With b = p/q in lowest terms the roots are (p - l1 q)/q and (p + l2 q)/q,
+    and both pairs are in lowest terms: gcd(p - l1 q, q) = gcd(p + l2 q, q) =
+    gcd(p, q) = 1.  So two roots are equal exactly when their pairs are.
+    """
+    phi_roots, psi_roots = [], []
+    for l1, l2, b in sites:
+        p, q = b.numerator, b.denominator
+        phi_roots.append((p - l1 * q, q))
+        psi_roots.append((p + l2 * q, q))
+    return tuple(phi_roots), tuple(psi_roots)
+
+
+def _vacuum_roots(spec: ModuleSpec) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The chain's `_root_pairs`; the weights are integers, checked on construction.
+
+    Computed once per chain and kept in a slot of the spec.
     """
     try:
         return spec._vacuum
     except AttributeError:
-        phi_roots, psi_roots = [], []
-        for wt, b in zip(spec.weights, spec.points):
-            p, q = b.numerator, b.denominator
-            phi_roots.append((p - wt.l1.numerator * q, q))
-            psi_roots.append((p + wt.l2.numerator * q, q))
-        roots = tuple(phi_roots), tuple(psi_roots)
+        roots = _root_pairs((wt.l1.numerator, wt.l2.numerator, b) for wt, b in zip(spec.weights, spec.points))
         object.__setattr__(spec, "_vacuum", roots)
         return roots
 
 
-def phi_psi(spec: ModuleSpec) -> tuple[Poly, Poly]:
+def _is_cyclic(phi_roots, psi_roots) -> bool:
+    """No psi root of a site equal to the phi root of a later site: b_j != b_i + l2_i + l1_j for i < j."""
+    return not any(phi_roots[j] in psi_roots[:j] for j in range(1, len(phi_roots)))
+
+
+def phi_psi(spec: ModuleSpec) -> "tuple[exactnum.Poly, exactnum.Poly]":
     """The two vacuum polynomials prod(x - b_s + l1) and prod(x - b_s - l2)."""
     phi_roots, psi_roots = _vacuum_roots(spec)
-    return Poly.from_root_pairs(phi_roots), Poly.from_root_pairs(psi_roots)
+    return exactnum.Poly.from_root_pairs(phi_roots), exactnum.Poly.from_root_pairs(psi_roots)
 
 
 def cyclicity_and_irreducibility(spec: ModuleSpec) -> tuple[bool, bool]:
@@ -232,5 +249,39 @@ def cyclicity_and_irreducibility(spec: ModuleSpec) -> tuple[bool, bool]:
     to the phi root of a later site.
     """
     phi_roots, psi_roots = _vacuum_roots(spec)
-    cyclic = not any(phi_roots[j] in psi_roots[:j] for j in range(1, spec.k))
-    return cyclic, set(phi_roots).isdisjoint(psi_roots)
+    return _is_cyclic(phi_roots, psi_roots), set(phi_roots).isdisjoint(psi_roots)
+
+
+def gamma_splits(phi_roots, psi_roots, twist) -> bool:
+    """Whether gamma = q1 phi - q2 psi splits over Q, by the split test on its primitive integer form.
+
+    A site's phi and psi roots share their denominator q, so both
+    `root_pair_product`s come over the same positive D.  With q1 = a1/b1
+    and q2 = a2/b2, a1 b2 (D phi) - a2 b1 (D psi) is D b1 b2 gamma, a
+    positive multiple, so its primitive form is that of gamma, sign
+    included.  gamma is nonzero on polynomial nondegenerate weights (l1 >= 1
+    at every site): for q1 = q2 its x^(k-1) coefficient is q1 sum(l1 + l2).
+    Raises RootSearchTooLarge as `rational_roots` does.
+    """
+    q1, q2 = twist
+    a = q1.numerator * q2.denominator
+    b = q2.numerator * q1.denominator
+    phi, _ = root_pair_product(phi_roots)
+    psi, _ = root_pair_product(psi_roots)
+    ints = [a * x - b * y for x, y in zip(phi, psi)]
+    while not ints[-1]:
+        ints.pop()
+    return rational_roots(primitive(ints)) is not None
+
+
+def screen_candidate(weights, points, twist, split: bool) -> bool:
+    """Whether `random-spec` keeps a drawn chain: cyclic and, under `split`, gamma splits over Q.
+
+    `weights` are (l1, l2) int pairs, `points` ints or Fractions and
+    `twist` two nonzero ints or Fractions; nothing is validated or built,
+    so a kept candidate still goes through `make_spec`.  The verdicts are
+    those of `cyclicity_and_irreducibility(spec)[0]` and of
+    `roots_with_multiplicity(q1 phi - q2 psi) is not None` on its spec.
+    """
+    phi_roots, psi_roots = _root_pairs((l1, l2, b) for (l1, l2), b in zip(weights, points))
+    return _is_cyclic(phi_roots, psi_roots) and (not split or gamma_splits(phi_roots, psi_roots, twist))

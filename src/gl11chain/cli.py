@@ -1,6 +1,8 @@
 """Command line interface: spectral reports, verification suites, chain files.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 bad input.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 bad input,
+an output path that cannot be written included.  A command creates or
+empties its output file before it computes.
 Reports are JSON with every number rendered as an exact "p/q" string; the
 same inputs always produce byte-identical report files (wall-clock timing
 goes to stderr only).
@@ -16,19 +18,32 @@ import time
 from fractions import Fraction
 
 # every gl11chain module is lazy (see __init__), so a command runs only the modules it reads
-from . import bethe, chain, exactnum, fusion, shapoform, suites, weylspace
+from . import bethe, chain, fusion, rational, shapoform, suites, weylspace
 
 # Suite names in the order `verify --suite all` runs them; suites.run_suite dispatches on them.
 SUITES = ("rtt", "bethe", "algebra", "norms", "fusion", "weyl")
 
 
-def _print_json(doc: dict, path: "str | None") -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
+def _write_output(path: "str | None", text: str) -> bool:
+    """Write text to path, or to standard output without one; False, after an error line, when path cannot be written.
+
+    Each command first writes "" to its output path, which creates or
+    empties the file, so an unwritable path exits 2 before any work.
+    """
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_spectrum(args) -> int:
@@ -44,9 +59,11 @@ def cmd_spectrum(args) -> int:
     if not cyclic:
         print("error: chain is not cyclic (some b_j = b_i + l2_i + l1_j with i < j)", file=sys.stderr)
         return 2
+    if not _write_output(args.json, ""):
+        return 2
     try:
         report = bethe.completeness_report(spec)
-    except exactnum.RootSearchTooLarge as exc:
+    except rational.RootSearchTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = report.to_dict()
@@ -78,12 +95,15 @@ def cmd_spectrum(args) -> int:
         and all(r["ok"] for r in fusion_block["relations"])
     )
     doc["consistent"] = ok
-    _print_json(doc, args.json)
+    if not _write_output(args.json, _json_text(doc)):
+        return 2
     return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if not _write_output(args.json, ""):
+        return 2
     summary = {}
     failed = []
     for name in names:
@@ -117,7 +137,8 @@ def cmd_verify(args) -> int:
                 for level in range(n + 1)
             }
         doc["character_tables"] = tables
-    _print_json(doc, args.json)
+    if not _write_output(args.json, _json_text(doc)):
+        return 2
     return 0 if not failed else 1
 
 
@@ -130,6 +151,8 @@ def cmd_random_spec(args) -> int:
             f"error: --weight-budget {args.weight_budget} is below --k {args.k}; every site needs l1 >= 1",
             file=sys.stderr,
         )
+        return 2
+    if not _write_output(args.out, ""):
         return 2
     rng = random.Random(args.seed)
     cands = [Fraction(n, d) for d in (1, 2, 3) for n in range(-9, 10)]
@@ -144,35 +167,24 @@ def cmd_random_spec(args) -> int:
             weights.append((l1, l2))
             budget -= l1 + l2
         points = tuple(rng.choice(cands) for _ in range(args.k))
-        q1 = Fraction(rng.randint(1, 4))
-        q2 = Fraction(rng.randint(1, 4))
+        q1 = rng.randint(1, 4)
+        q2 = rng.randint(1, 4)
         if args.twisted and q1 == q2:
             continue
         if not args.twisted:
-            q1 = q2 = Fraction(1)
+            q1 = q2 = 1
+        # screened on the integer vacuum roots; a spec is built only for the chain kept
+        try:
+            if not chain.screen_candidate(weights, points, (q1, q2), args.split):
+                continue
+        except rational.RootSearchTooLarge as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         try:
             spec = chain.make_spec(weights, points, (q1, q2))
         except ValueError:
             continue
-        cyclic, _ = chain.cyclicity_and_irreducibility(spec)
-        if not cyclic:
-            continue
-        if args.split:
-            # gamma of a candidate is tested once, so it is not memoised through bethe.char_pair
-            phi, psi = chain.phi_psi(spec)
-            try:
-                if exactnum.roots_with_multiplicity(phi * spec.twist[0] - psi * spec.twist[1]) is None:
-                    continue
-            except exactnum.RootSearchTooLarge as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        text = spec.to_json()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
+        return 0 if _write_output(args.out, spec.to_json()) else 2
     print("error: no chain found within the sampling budget", file=sys.stderr)
     return 2
 

@@ -370,19 +370,36 @@ def _monomial_image(n: int, i: int, key: int) -> tuple[int, tuple[tuple[int, int
 
 
 def modified_action(space: SuperSpace, i: int, f: dict) -> dict:
-    """shat_i = flip-with-swap plus the divided difference, term by term from the monomial table."""
+    """shat_i = flip-with-swap plus the divided difference, term by term from the monomial table.
+
+    Summed in the order of the whole-polynomial composition: each
+    component's divided difference in full with its zeros dropped, then added
+    to the swapped parts.  So a cancellation between an int and an integral
+    Fraction leaves the coefficient type the composition leaves.
+    """
     n = space.nlegs()
     out: dict = {}
+    lowered_parts = []
     for c, p in f.items():
         cc, sign = space.flip(c, i)
-        swapped = out.setdefault(cc, {})
-        lowered = out.setdefault(c, {})
+        # the flip permutes the components and the swap the keys, so nothing collides here
+        swapped = out[cc] = {}
+        lowered: dict = {}
         for key, coef in p._packed.items():
             skey, terms = _monomial_image(n, i, key)
-            swapped[skey] = swapped.get(skey, 0) + sign * coef
+            swapped[skey] = sign * coef
             for k, t in terms:
                 lowered[k] = lowered.get(k, 0) + t * coef
-    out = {c: {k: v for k, v in t.items() if v} for c, t in out.items()}
+        lowered_parts.append((c, lowered))
+    for c, lowered in lowered_parts:
+        target = out.setdefault(c, {})
+        for k, v in lowered.items():
+            if v:
+                total = target.get(k, 0) + v
+                if total:
+                    target[k] = total
+                else:
+                    del target[k]
     return {c: MPoly._raw(n, t) for c, t in out.items() if t}
 
 

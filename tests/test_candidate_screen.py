@@ -11,16 +11,33 @@ gcd(phi, psi) = 1.  The weight checks of every
 candidate (`is_polynomial`, `is_nondegenerate`, the total weight `n`) read
 integer numerators and denominators; their oracles are the Fraction checks
 they replaced.
+
+`random-spec` screens each drawn candidate with `screen_candidate`, on the
+integer vacuum root pairs and the primitive integer form of gamma, and
+builds a spec only for the chain it writes.  Its verdicts are checked
+against `cyclicity_and_irreducibility` and `roots_with_multiplicity` on the
+built spec, and its output over a seed table against the loop it replaced,
+kept here as `random_spec_oracle`.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11chain.exactnum import Poly, format_scalar, scalar
-from gl11chain.chain import Weight, _vacuum_roots, cyclicity_and_irreducibility, make_spec, phi_psi
+from gl11chain.cli import main
+from gl11chain.exactnum import Poly, RootSearchTooLarge, format_scalar, roots_with_multiplicity, scalar
+from gl11chain.chain import (
+    Weight,
+    _vacuum_roots,
+    cyclicity_and_irreducibility,
+    gamma_splits,
+    make_spec,
+    phi_psi,
+    screen_candidate,
+)
 
 
 def product_of_linear_factors(roots) -> Poly:
@@ -214,3 +231,103 @@ def test_chain_weight_checks_match_the_fraction_checks(weights):
         assert bad == []
         n = sum((scalar(a) + scalar(b) for a, b in weights), F(0))
         assert spec.n == n and type(spec.n) is F
+
+
+# -- the integer candidate screen of random-spec ------------------------------
+
+screen_points = st.builds(F, st.integers(-9, 9), st.integers(1, 3)) | st.integers(-4, 4)
+screen_twists = st.integers(-4, 4).filter(bool) | st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def candidates(draw):
+    """A drawn (weights, points, twist) in random-spec's ranges, widened to negative and Fraction twists."""
+    k = draw(st.integers(1, 4))
+    weights = [(draw(st.integers(1, 2)), draw(st.integers(0, 1))) for _ in range(k)]
+    points = [draw(screen_points) for _ in range(k)]
+    return weights, points, (draw(screen_twists), draw(screen_twists))
+
+
+def screen_oracle(weights, points, twist) -> tuple[bool, bool]:
+    """(cyclic, gamma splits) on the built spec, with gamma from the product of linear Poly factors."""
+    spec = make_spec(weights, points, twist)
+    phi, psi = phi_psi_loop(spec)
+    q1, q2 = spec.twist
+    return cyclicity_and_irreducibility(spec)[0], roots_with_multiplicity(phi * q1 - psi * q2) is not None
+
+
+@given(candidates())
+@example(([(1, 0), (1, 0)], [0, 1], (1, 1)))  # non-cyclic string
+@example(([(1, 0), (1, 0)], [0, F(1, 2)], (1, 1)))  # untwisted k = 2: gamma is linear and splits
+@example(([(1, 1), (2, 0), (1, 0)], [F(-1, 3), F(2, 3), 0], (F(-3, 2), 2)))
+@example(([(2, 1), (2, 0), (1, 1), (1, 0)], [F(-7, 3), 5, F(1, 2), -4], (3, F(5, 3))))
+@settings(max_examples=300)
+def test_screen_verdicts_match_the_built_spec(candidate):
+    weights, points, twist = candidate
+    cyclic, splits = screen_oracle(weights, points, twist)
+    assert screen_candidate(weights, points, twist, split=False) == cyclic
+    assert screen_candidate(weights, points, twist, split=True) == (cyclic and splits)
+    spec = make_spec(weights, points, twist)
+    assert gamma_splits(*_vacuum_roots(spec), spec.twist) == splits
+
+
+def test_screen_refuses_above_the_bound():
+    # untwisted k = 2 has a linear gamma, 2x + 1 - 10^15 here: it splits, so the sieve passes it to the bound check
+    weights, points, twist = [(1, 0), (1, 0)], [10**15, 0], (1, 1)
+    spec = make_spec(weights, points, twist)
+    phi, psi = phi_psi_loop(spec)
+    assert (phi - psi).nums == (1 - 10**15, 2)
+    with pytest.raises(RootSearchTooLarge, match="split test refused"):
+        screen_candidate(weights, points, twist, split=True)
+    with pytest.raises(RootSearchTooLarge, match="split test refused"):
+        roots_with_multiplicity(phi - psi)
+    assert screen_candidate(weights, points, twist, split=False)
+
+
+def random_spec_oracle(seed: int, k: int, budget: int, twisted: bool, split: bool) -> "str | None":
+    """The random-spec loop before the integer screen: a spec and Polys for every candidate."""
+    rng = random.Random(seed)
+    cands = [F(n, d) for d in (1, 2, 3) for n in range(-9, 10)]
+    for _ in range(20000):
+        weights = []
+        left = budget
+        for s in range(k):
+            hi = max(1, left - (k - s - 1))
+            l1 = rng.randint(1, min(2, hi))
+            l2 = rng.randint(0, min(1, hi - l1))
+            weights.append((l1, l2))
+            left -= l1 + l2
+        points = tuple(rng.choice(cands) for _ in range(k))
+        q1 = F(rng.randint(1, 4))
+        q2 = F(rng.randint(1, 4))
+        if twisted and q1 == q2:
+            continue
+        if not twisted:
+            q1 = q2 = F(1)
+        try:
+            spec = make_spec(weights, points, (q1, q2))
+        except ValueError:
+            continue
+        if not cyclicity_pairwise(spec):
+            continue
+        if split:
+            phi, psi = phi_psi_loop(spec)
+            if roots_with_multiplicity(phi * q1 - psi * q2) is None:
+                continue
+        return spec.to_json()
+    return None
+
+
+# name: (k, weight budget, twisted); each is drawn with and without --split
+SEED_CONFIGS = {"k3-twisted": (3, 5, True), "k4": (4, 6, False), "k2": (2, 4, False), "k2-twisted": (2, 4, True),
+                "k3-budget-4": (3, 4, False)}
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "any"])
+@pytest.mark.parametrize("name", SEED_CONFIGS)
+def test_random_spec_matches_the_oracle_loop(name, split, capsys):
+    k, budget, twisted = SEED_CONFIGS[name]
+    flags = ["--k", str(k), "--weight-budget", str(budget)] + ["--twisted"] * twisted + ["--split"] * split
+    for seed in range(1, 41):
+        assert main(["random-spec", "--seed", str(seed), *flags]) == 0
+        assert capsys.readouterr().out == random_spec_oracle(seed, k, budget, twisted, split), seed

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gl11chain import cli, suites
+from gl11chain import chain, cli, suites
 from gl11chain.cli import SUITES, main
 from gl11chain.exactnum import RootSearchTooLarge, parse_scalar, roots_with_multiplicity
 from gl11chain.chain import ModuleSpec
@@ -248,10 +248,11 @@ class TestRandomSpec:
             assert sum(l1 + l2 for l1, l2 in weights) <= 2
 
     def test_refused_split_test_exits_2(self, monkeypatch, capsys):
-        def refuse(p):
+        def refuse(ints):
             raise RootSearchTooLarge("split test refused: stand-in")
 
-        monkeypatch.setattr(cli.exactnum, "roots_with_multiplicity", refuse)
+        # the integer split test, as the candidate screen calls it
+        monkeypatch.setattr(chain, "rational_roots", refuse)
         assert main(["random-spec", "--seed", "1", "--k", "2", "--split"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: split test refused: stand-in\n"
@@ -265,6 +266,24 @@ class TestRandomSpec:
         assert spec.is_twisted()
         gamma = char_pair(spec).gamma
         assert roots_with_multiplicity(gamma) is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--spec", "E2", "--json", "OUT"],
+        ["verify", "--suite", "rtt", "--max-n", "2", "--json", "OUT"],
+        ["random-spec", "--seed", "1", "--out", "OUT"],
+    ],
+    ids=["spectrum", "verify", "random-spec"],
+)
+def test_unwritable_output_exits_2(e2_file, tmp_path, capsys, argv):
+    out = str(tmp_path / "missing-dir" / "x.json")
+    argv = [e2_file if a == "E2" else out if a == "OUT" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 def test_spectral_survey_script():
@@ -281,10 +300,10 @@ def test_spectral_survey_script():
     assert "equal=False" not in proc.stdout
 
 
-# --help runs the CLI alone.  random-spec adds the chain layer, every other command the pencils
-# as well, and verify the suites.
-CHAIN = {"chain", "exactnum"}
-PENCILS = CHAIN | {"monodromy", "superlin", "linalg"}
+# --help runs the CLI alone.  random-spec adds the chain layer, every other command the polynomial
+# layer and the pencils as well, and verify the suites.
+CHAIN = {"chain", "rational"}
+PENCILS = CHAIN | {"exactnum", "monodromy", "superlin", "linalg"}
 VERIFY = PENCILS | {"suites"}
 # Prints, after the command, the gl11chain modules that were run (type() does not load a lazy module),
 # and which of dataclasses and inspect were loaded that the interpreter had not loaded before gl11chain.
@@ -344,5 +363,5 @@ def test_command_runs_only_the_modules_it_uses(e2_file, argv, extra):
 
 def test_lazy_modules_load_on_import():
     names, unloaded, defined = _probe(LAZY_PROBE)
-    assert len(names) == 11 and unloaded == names
+    assert len(names) == 12 and unloaded == names
     assert all(defined[n] for n in names), defined

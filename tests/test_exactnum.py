@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl11chain import exactnum, rational
 from gl11chain.exactnum import (
-    _SIEVE_PRIMES,
+    DIVISOR_BOUND,
     NonRemovableSingularity,
     Poly,
     RatFun,
-    _divisors,
-    _root_count_mod,
-    _to_primitive_int,
+    RootSearchTooLarge,
     elementary_symmetric,
     eps_limit,
     format_scalar,
@@ -21,6 +20,7 @@ from gl11chain.exactnum import (
     q_pochhammer_inverse,
     roots_with_multiplicity,
 )
+from gl11chain.rational import _SIEVE_PRIMES, _divisors, _root_count_mod, primitive, rational_roots
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 small_polys = st.builds(Poly, st.lists(rationals, max_size=5))
@@ -314,7 +314,7 @@ def fraction_peel(p):
     kept as the oracle for the integer sieve and peel in roots_with_multiplicity.
     """
     rest = p.monic()
-    ints = _to_primitive_int(p)
+    ints = primitive(p.nums)
     while ints[0] == 0:
         ints = ints[1:]
     cands = [F(0)] if p.coeff(0) == 0 else []
@@ -369,6 +369,21 @@ class TestSplit:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero input"):
             roots_with_multiplicity(Poly())
+
+    @pytest.mark.parametrize("big", [DIVISOR_BOUND + 1, -(10**15 - 1)], ids=["bound-plus-one", "sixteen-digits"])
+    def test_refused_above_the_bound(self, big):
+        # (x - 1)(x - big) splits, so it passes the sieve and reaches the bound check on a_0 = big
+        p = x_minus(1) * x_minus(big)
+        with pytest.raises(RootSearchTooLarge, match="split test refused"):
+            roots_with_multiplicity(p)
+        with pytest.raises(RootSearchTooLarge, match="split test refused"):
+            rational_roots(primitive(p.nums))
+
+    def test_one_split_test_behind_both_entry_points(self):
+        assert exactnum.RootSearchTooLarge is rational.RootSearchTooLarge
+        assert exactnum.DIVISOR_BOUND == rational.DIVISOR_BOUND
+        p = x_minus(F(-1, 2)) ** 2 * x_minus(3) * 6
+        assert roots_with_multiplicity(p) == rational_roots(primitive(p.nums)) == [(F(-1, 2), 2), (F(3), 1)]
 
     @given(st.lists(rationals, min_size=0, max_size=3), st.lists(rationals, min_size=0, max_size=3))
     @settings(max_examples=25)
@@ -432,7 +447,7 @@ class TestSplit:
         p = Poly((scale,))
         for b, a in factors:
             p = p * Poly((-b, a))
-        ints = _to_primitive_int(p)
+        ints = primitive(p.nums)
         while ints[0] == 0:
             ints = ints[1:]
         for ell in _SIEVE_PRIMES:

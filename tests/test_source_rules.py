@@ -2,15 +2,18 @@
 
 Invariants raise exceptions instead of using `assert`, so they still hold
 under `python -O`, and the arithmetic is exact, so no float literal or
-`float` name appears anywhere in the package.  The split test
-`roots_with_multiplicity` runs once per chain, inside `CharPair`; only
-`random-spec`, which tests each fresh candidate once, calls it directly.
+`float` name appears anywhere in the package.  The split test has one
+home: only rational.py defines the sieve, the peel and the divisor list,
+and its `rational_roots` is called only by `exactnum.roots_with_multiplicity`
+and by `chain.gamma_splits`, which screens each fresh `random-spec`
+candidate once; `roots_with_multiplicity` runs once per chain, inside
+`CharPair`.
 Every name the benchmark tracer wraps exists in the package.  Matrices over
 Q(x) have one form, FracMatrix: linalg.py never names RatFun, and no source
 file defines `from_ratfun`.  The start-up core that `--help` and
-`random-spec` load (cli, chain and exactnum) never imports from monodromy,
-superlin, linalg or suites when it is imported, so those load only when a
-command uses them.  No source file imports
+`random-spec` load (cli, chain and rational) never imports from exactnum,
+monodromy, superlin, linalg or suites when it is imported, so those load
+only when a command uses them.  No source file imports
 `dataclasses`, which loads `inspect` on every command's start-up: records
 are NamedTuples or plain classes.  The legs of a `SuperSpace` are read in
 superlin.py alone; every other module asks the space for levels, flips and
@@ -68,19 +71,22 @@ def test_rules_catch_each_violation():
     assert found == ["line 1: assert statement", "line 2: float literal 0.5", "line 3: name float"]
 
 
-# Top-level definitions allowed to call the split test, per source file.
-SPLIT_TEST_CALLERS = {"bethe.py": {"CharPair"}, "cli.py": {"cmd_random_spec"}}
+# The split test's two entry points, and the top-level definitions allowed to call them, per source file.
+SPLIT_TESTS = ("roots_with_multiplicity", "rational_roots")
+SPLIT_TEST_CALLERS = {
+    "bethe.py": {"CharPair"}, "exactnum.py": {"roots_with_multiplicity"}, "chain.py": {"gamma_splits"},
+}
 
 
 def _split_test_callers(tree: ast.Module) -> list[str]:
-    """The top-level definition around each call of roots_with_multiplicity, in source order."""
+    """The top-level definition around each call of a split test, in source order."""
     out = []
     for top in tree.body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "roots_with_multiplicity":
+                if name in SPLIT_TESTS:
                     out.append(getattr(top, "name", f"line {node.lineno}"))
     return out
 
@@ -96,9 +102,41 @@ def test_split_test_rule_catches_a_direct_call():
         "class CharPair:\n    def roots(self):\n        return roots_with_multiplicity(self.gamma)\n"
         "def report(cp):\n    return exactnum.roots_with_multiplicity(cp.gamma) is None\n"
         "split = roots_with_multiplicity(gamma)\n"
+        "def cmd_random_spec(args):\n    return rational.rational_roots(primitive(ints)) is None\n"
     )
-    assert _split_test_callers(ast.parse(code)) == ["CharPair", "report", "line 6"]
-    assert set(_split_test_callers(ast.parse(code))) - SPLIT_TEST_CALLERS["bethe.py"] == {"report", "line 6"}
+    assert _split_test_callers(ast.parse(code)) == ["CharPair", "report", "line 6", "cmd_random_spec"]
+    assert set(_split_test_callers(ast.parse(code))) - SPLIT_TEST_CALLERS["bethe.py"] == {
+        "report", "line 6", "cmd_random_spec",
+    }
+
+
+# The split test's integer helpers, each defined in rational.py alone.
+SPLIT_HELPERS = ("_root_count_mod", "_peel", "_divisors")
+
+
+def _split_helper_definitions(tree: ast.AST) -> list[str]:
+    """Every definition, at any depth, of a name in SPLIT_HELPERS."""
+    found = [f"line {node.lineno}: defines {node.name}" for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in SPLIT_HELPERS]
+    return sorted(found, key=lambda v: int(v.split()[1].rstrip(":")))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_split_test(path):
+    found = sorted(v.split()[-1] for v in _split_helper_definitions(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == (sorted(SPLIT_HELPERS) if path.name == "rational.py" else [])
+
+
+def test_split_helper_rule_catches_each_planted_definition():
+    code = (
+        "from .rational import _peel\n"
+        "def _root_count_mod(ints, ell):\n    return 0\n"
+        "class Screen:\n    def _divisors(self, m):\n        return [1]\n"
+        "def screen(ints):\n    def _peel(ints, p, q):\n        return None\n    return _peel(ints, 1, 1)\n"
+    )
+    assert _split_helper_definitions(ast.parse(code)) == [
+        "line 2: defines _root_count_mod", "line 5: defines _divisors", "line 8: defines _peel",
+    ]
 
 
 def _tracer_targets() -> list[tuple]:
@@ -158,8 +196,8 @@ def test_ratfun_rule_catches_each_violation():
 
 
 # The modules `--help` and `random-spec` load, and the lazy modules they must not load on import.
-STARTUP_CORE = ("cli.py", "chain.py", "exactnum.py")
-NOT_AT_STARTUP = ("monodromy", "superlin", "linalg", "suites")
+STARTUP_CORE = ("cli.py", "chain.py", "rational.py")
+NOT_AT_STARTUP = ("monodromy", "superlin", "linalg", "suites", "exactnum")
 
 
 def _eager_imports(tree: ast.Module) -> list[str]:
@@ -195,7 +233,7 @@ def test_eager_import_rule_catches_each_violation():
     )
     assert _eager_imports(ast.parse(code)) == [
         "line 1: from .linalg import", "line 4: from .suites import", "line 6: from .linalg import",
-        "line 10: from .monodromy import", "line 15: from .superlin import",
+        "line 10: from .monodromy import", "line 15: from .superlin import", "line 16: from .exactnum import",
     ]
 
 
