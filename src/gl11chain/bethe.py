@@ -36,7 +36,7 @@ from .exactnum import (
 from .linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
 from .chain import ModuleSpec, Weight, cyclicity_and_irreducibility, phi_psi
 from .monodromy import Check, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
-from .superlin import singular_subspace, weight_spaces
+from .superlin import level_weight, singular_subspace, weight_spaces
 
 
 class CharPair:
@@ -304,18 +304,12 @@ def restrict_operators(
     return ops, span
 
 
-def level_weight(spec: ModuleSpec, level: int) -> Weight:
-    l1 = sum((wt.l1 for wt in spec.weights), Fraction(0)) - level
-    l2 = sum((wt.l2 for wt in spec.weights), Fraction(0)) + level
-    return Weight(l1, l2)
-
-
 def level_subspace(
     spec: ModuleSpec, level: int, singular_only: bool
 ) -> list[list[Fraction]]:
     """Basis of the level weight space, or its singular part."""
     space = spec.space()
-    wt = level_weight(spec, level)
+    wt = level_weight(spec.weights, level)
     if singular_only:
         return singular_subspace(space, list(spec.weights), wt)
     for w, idxs in weight_spaces(space, list(spec.weights)):
@@ -371,5 +365,6 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
             entries.append(DivisorEntry(dv, ev, onshell, nonzero, len(eig_basis), len(gen_basis), spans))
         complete = sum(e.generalized_dim for e in entries) == dim and all(e.ok for e in entries)
         diagonalizable = sum(e.eigen_dim for e in entries) == dim
-        report.levels.append(LevelReport(level, level_weight(spec, level), dim, entries, complete, diagonalizable))
+        wt = level_weight(spec.weights, level)
+        report.levels.append(LevelReport(level, wt, dim, entries, complete, diagonalizable))
     return report

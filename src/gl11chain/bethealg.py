@@ -1,14 +1,18 @@
 """The commuting coefficient algebra on weight (singular) subspaces.
 
-Generators: the central scalars C_1..C_n (elementary symmetric functions of
-the chain's string points) and the operators B_1..B_n defined by
+Generators: the operators B_1..B_n defined by
 
     prod_i (x - a_i) * TransferQ(x) = x^n ((q1 - q2) + sum_i B_i x^{-i}),
 
-extracted exactly from the Laurent expansion at infinity.  This module
-analyzes that family on a fixed weight or singular-weight subspace:
-dimension, commutant, regular-representation structure, the
-symmetric-function presentation of its spectrum, and joint eigenspaces.
+extracted exactly from the Laurent expansion at infinity.  The centre acts by
+the scalars C_1..C_n, the elementary symmetric functions e_i(strings) of the
+chain's string points.  They are not in the operator list: the identity is
+already in the generated algebra, a scalar commutes with everything, and a
+shifted scalar is zero, so they change neither the algebra, the commutant
+nor the eigenspaces.  This module analyzes the family on a fixed weight or
+singular-weight subspace: dimension, commutant, regular-representation
+structure, the symmetric-function presentation of its spectrum, and joint
+eigenspaces.
 Each family builds its generated algebra once (`fam.algebra`); commutativity
 is tested once, by the joint eigenspace solver in `spectral_analysis`.
 """
@@ -58,7 +62,7 @@ class CoefficientFamily:
 
 
 def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> CoefficientFamily:
-    """B_1..B_n and C_1..C_n restricted to a level subspace.
+    """B_1..B_n restricted to a level subspace.
 
     Equal twist entries require singular_only=True (the family preserves
     only singular weight vectors there).
@@ -75,8 +79,6 @@ def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> Coe
     tq = chain_transfer_pencil(spec)
     bmats = laurent_coefficients(tq, astr, spec.normalizer() * Poly([0] * n + [1]), n)
     ops, _ = restrict_operators(bmats[1:], basis)
-    for c in elementary_symmetric(list(strings)):
-        ops.append(ExactMatrix.identity(len(basis)) * c)
     return CoefficientFamily(spec, level, singular_only, basis, ops, strings)
 
 
@@ -212,14 +214,13 @@ def presentation_check(spec: ModuleSpec, level: int) -> Check:
 
 
 def divisor_character(fam: CoefficientFamily, dv: Divisor) -> list[Fraction]:
-    """Values of B_1..B_n, C_1..C_n on the eigenvector indexed by dv."""
+    """Values of B_1..B_n on the eigenvector indexed by dv."""
     spec = fam.spec
     n = len(fam.strings)
     astr = Poly.from_roots(fam.strings)
     ehat = eigenvalue_pencil(dv, spec)
     coeffs = laurent_expand(RatFun(astr * ehat, spec.normalizer() * Poly([0] * n + [1])), n)
-    sig = elementary_symmetric(list(fam.strings))
-    return [coeffs[d] for d in range(1, n + 1)] + list(sig)
+    return coeffs[1 : n + 1]
 
 
 class SpectralEntry(NamedTuple):

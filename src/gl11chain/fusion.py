@@ -43,7 +43,7 @@ from .exactnum import Poly, RatFun, scalar
 from .linalg import ExactMatrix
 from .chain import ModuleSpec
 from .monodromy import Check, MonodromyPencil, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
-from .superlin import EVEN, ODD, SuperSpace, kron_signed_adjacent_flip
+from .superlin import EVEN, ODD, SuperSpace, adjacent_flip
 from .bethe import Divisor, bethe_vector, char_pair
 
 
@@ -75,7 +75,7 @@ def symmetrizer_check(m: int) -> Check:
     """The flip argument of the module docstring on symmetrizers(m); the witness names m, P and what failed."""
     space = SuperSpace.tensor_power(m)
     ident = ExactMatrix.identity(space.dim)
-    flips = [kron_signed_adjacent_flip(space, i) for i in range(m - 1)]
+    flips = [adjacent_flip(space, i) for i in range(m - 1)]
     for (name, s), proj in zip((("A", -1), ("H", 1)), symmetrizers(m)):
         bad = next((i for i, f in enumerate(flips) if not f @ proj == proj * s == proj @ f), None)
         if bad is not None:
@@ -198,7 +198,7 @@ def higher_transfer_supertrace(pencil: MonodromyPencil, twist, m: int, antisymme
         str = [sum_{a,c} (-1)^|a| P_{a,c} prod_{l<m} eps_l q_{c_l} That_{c_l a_l}(x - l)] / prod_{l<m} N(x - l),
 
     the product ordered l = 0 .. m-1 from left to right; eps_l =
-    (-1)^((c_l + a_l)(a_l + sum_{q>l} c_q)) is kron_signed's Koszul sign for
+    (-1)^((c_l + a_l)(a_l + sum_{q>l} c_q)) is leg_unit's Koszul sign for
     E_{c_l a_l} on aux leg l times That_{c_l a_l} on the module, on a vector
     whose aux legs read a_q for q < l and c_q for q > l (the sum_{q<l} a_q
     terms of the two factors cancel).  P's terms

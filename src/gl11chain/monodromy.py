@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 from .exactnum import Poly, RatFun, laurent_expand, scalar
 from . import linalg
 from .chain import ModuleSpec, Weight
-from .superlin import E_PARITY, SuperSpace, e_matrix, kron_signed, leg_generator
+from .superlin import E_PARITY, SuperSpace, leg_generator, leg_units
 
 # Also bound here because perfbench reads them under this module's name: run.py parses
 # chain files with monodromy.ModuleSpec, and tracer.py wraps monodromy.cyclicity_and_irreducibility.
@@ -47,23 +47,20 @@ class MonodromyPencil(NamedTuple):
 
 
 def evaluation_monodromy(wt: Weight, b) -> MonodromyPencil:
-    """Single-site pencil on the two-dimensional (or trivial) weight module."""
+    """Single-site pencil on the two-dimensional weight module."""
     b = scalar(b)
     if not wt.is_polynomial():
         raise ValueError(f"weight {tuple(wt)} is not polynomial")
-    if not wt.is_nondegenerate() and (wt.l1, wt.l2) != (0, 0):
+    if not wt.is_nondegenerate():
         raise ValueError(f"weight {tuple(wt)} is degenerate")
-    trivial = not wt.is_nondegenerate()
-    dim = 1 if trivial else 2
-    space = SuperSpace([(0,)]) if trivial else SuperSpace.tensor_power(1)
     xminusb = Poly((-b, 1))
     entries: dict[tuple[int, int], linalg.ExactMatrix] = {}
     # That_ij(x) = delta_ij (x - b) + (-1)^{|j|} e_ji
     for i, j in product((1, 2), repeat=2):
         sign = -1 if j == 2 else 1
         eji = leg_generator(wt, j, i).map_entries(lambda v: Poly((v * sign,)))
-        entries[(i, j)] = linalg.ExactMatrix.identity(dim, xminusb) + eji if i == j else eji
-    return MonodromyPencil(space, entries, xminusb)
+        entries[(i, j)] = linalg.ExactMatrix.identity(2, xminusb) + eji if i == j else eji
+    return MonodromyPencil(SuperSpace.tensor_power(1), entries, xminusb)
 
 
 def coefficient_matrices(m: linalg.ExactMatrix) -> list[linalg.ExactMatrix]:
@@ -134,10 +131,7 @@ def lax_product(points: Sequence) -> tuple[list[linalg.ExactMatrix], SuperSpace]
     for site in range(n, 0, -1):
         flip = linalg.ExactMatrix(dim_full, dim_full)
         for h, j in product((1, 2), repeat=2):
-            par = E_PARITY[(h, j)]
-            sign = -1 if j == 2 else 1
-            term = kron_signed(full, {0: (e_matrix(h, j), par), site: (e_matrix(j, h), par)})
-            flip = flip + term * sign
+            flip = flip + leg_units(full, ((0, h, j), (site, j, h)), Fraction(-1 if j == 2 else 1))
         const = flip + ident * (-points[site - 1])
         # times (const + x): the x^d coefficient is lax_{d-1} + lax_d const
         lax = [lax[0] @ const] + [lax[d - 1] + lax[d] @ const for d in range(1, len(lax))] + [lax[-1]]

@@ -36,7 +36,7 @@ from .exactnum import Poly, format_scalar, scalar
 from .linalg import ExactMatrix
 from .chain import ModuleSpec, Weight
 from .monodromy import Check, laurent_coefficients, tensor_monodromy
-from .superlin import E_PARITY, SuperSpace, e_matrix, kron_signed
+from .superlin import E_PARITY, SuperSpace, leg_units
 from .bethe import Divisor, bethe_vector, char_pair
 
 
@@ -57,10 +57,7 @@ def _embedded_r_matrix(space: SuperSpace, i: int, j: int, wt_i: Weight, wt_j: We
     out = ExactMatrix(space.dim, space.dim)
     for (a, b), (c, d), coef in terms:
         if coef:
-            out = out + kron_signed(
-                space,
-                {i: (e_matrix(a, b) * coef, E_PARITY[(a, b)]), j: (e_matrix(c, d), E_PARITY[(c, d)])},
-            )
+            out = out + leg_units(space, ((i, a, b), (j, c, d)), coef)
     return out
 
 

@@ -1,28 +1,30 @@
 """Super vector spaces, Koszul signs and the two-dimensional weight modules.
 
-Basis conventions.  Every space here is an ordered tensor product of small
-"legs".  A leg is described by the parities of its basis vectors: the
-standard leg is (0, 1), i.e. an even highest vector followed by its odd
-image under the lowering generator; a trivial one-dimensional leg is (0,).
-Global basis vectors are indexed lexicographically in the leg multi-index
-(leftmost leg most significant), so on two standard legs the order is
-11, 12, 21, 22.  Basis indices serialize as strings of leg digits ("1221").
+Basis conventions.  Every space here is a tensor power of the standard leg:
+the module of a nondegenerate weight, an even highest vector (state 0)
+followed by its odd image under the lowering generator (state 1), so a leg's
+state is its parity.  A basis index is the binary number of the leg states,
+leg 0 the most significant bit, so on two legs the order is 11, 12, 21, 22.
+Basis indices serialize as strings of leg digits ("1221").
 
 Sign convention: (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw, extended to
 any number of factors with the operator factor picking up the parities of
 all vector factors it moves past.
 
-SuperSpace states the leg rules, each once, on one basis index: `level`
-counts the legs in their odd state, `flip` is the graded flip of two adjacent
-legs and `leg_unit` the matrix unit E_ij on one leg with its Koszul sign.  No
-other module reads the legs.
+SuperSpace states the leg rules, each once, on the bits of one basis index:
+`level` counts the legs in their odd state, `flip` is the graded flip of two
+adjacent legs and `leg_unit` the matrix unit E_ij on one leg with its Koszul
+sign, the one statement of the rule above.  Every signed leg operator of the
+package, a sum of products of matrix units on chosen legs, is built from
+`leg_unit`: `leg_units` for one product, `gl_generator` for the diagonal
+action.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from typing import Sequence
 
 from .chain import Weight
@@ -32,38 +34,34 @@ EVEN, ODD = 0, 1
 
 
 class SuperSpace:
-    """Ordered tensor product of legs with fixed basis parities.
+    """The n-fold tensor power of the standard leg.
 
     An immutable value, so tensor_power shares one space per n.
     """
 
-    __slots__ = ("legs", "dims", "dim", "multis", "levels", "parities")
+    __slots__ = ("n", "dim", "levels", "parities")
 
-    def __init__(self, legs: Sequence[Sequence[int]]):
-        self.legs = tuple(tuple(leg) for leg in legs)
-        self.dims = tuple(len(leg) for leg in self.legs)
-        self.multis = tuple(product(*[range(d) for d in self.dims]))
-        self.dim = len(self.multis)
-        self.levels = tuple(sum(leg[i] for leg, i in zip(self.legs, multi)) for multi in self.multis)
+    def __init__(self, n: int):
+        self.n = n
+        self.dim = 1 << n
+        self.levels = tuple(idx.bit_count() for idx in range(self.dim))
         self.parities = tuple(lv % 2 for lv in self.levels)
 
     @staticmethod
     @functools.cache
     def tensor_power(n: int) -> "SuperSpace":
         """n standard legs; memoised per n."""
-        return SuperSpace([(EVEN, ODD)] * n)
-
-    def nlegs(self) -> int:
-        return len(self.legs)
+        return SuperSpace(n)
 
     def index(self, multi: Sequence[int]) -> int:
         idx = 0
-        for d, i in zip(self.dims, multi):
-            idx = idx * d + i
+        for state in multi:
+            idx = idx * 2 + state
         return idx
 
     def multi_index(self, idx: int) -> tuple[int, ...]:
-        return self.multis[idx]
+        """The leg states at basis index idx, leg 0 first."""
+        return tuple(idx >> bit & 1 for bit in range(self.n - 1, -1, -1))
 
     def parity(self, idx: int) -> int:
         return self.parities[idx]
@@ -74,87 +72,56 @@ class SuperSpace:
 
     def flip(self, idx: int, i: int) -> tuple[int, int]:
         """Graded flip of legs i and i+1 on basis index idx: (image, sign), -1 when both states are odd."""
-        multi = list(self.multis[idx])
-        a, b = multi[i], multi[i + 1]
-        multi[i], multi[i + 1] = b, a
-        return self.index(multi), -1 if self.legs[i][a] and self.legs[i + 1][b] else 1
+        low = self.n - 2 - i
+        pair = idx >> low & 3
+        if pair in (1, 2):
+            return idx ^ 3 << low, 1
+        return idx, -1 if pair == 3 else 1
 
     def leg_unit(self, idx: int, s: int, i: int, j: int) -> "tuple[int, int] | None":
         """E_ij (1-based) on leg s at basis index idx: (image, sign), or None when it kills idx.
 
         The sign is -1 when E_ij is odd and the legs before s are in an odd state in total.
         """
-        multi = list(self.multis[idx])
-        leg = self.legs[s]
-        if multi[s] != j - 1 or i > len(leg):
+        bit = self.n - 1 - s
+        if idx >> bit & 1 != j - 1:
             return None
-        passed = sum(self.legs[q][multi[q]] for q in range(s)) if leg[i - 1] != leg[j - 1] else 0
-        multi[s] = i - 1
-        return self.index(multi), -1 if passed % 2 else 1
+        if i == j:
+            return idx, 1
+        return idx ^ 1 << bit, -1 if (idx >> bit + 1).bit_count() % 2 else 1
 
     def concat(self, other: "SuperSpace") -> "SuperSpace":
-        return SuperSpace(self.legs + other.legs)
+        return SuperSpace.tensor_power(self.n + other.n)
 
 
-def kron_signed(
-    space: SuperSpace,
-    slot_ops: "dict[int, tuple[linalg.ExactMatrix, int]]",
-) -> linalg.ExactMatrix:
-    """Global matrix of a product of per-leg operators with Koszul signs.
+def leg_units(space: SuperSpace, units: Sequence[tuple[int, int, int]], coef) -> linalg.ExactMatrix:
+    """coef times the product of the units E_ij on distinct legs, each unit given as (leg, i, j).
 
-    slot_ops maps leg positions to (matrix, parity); omitted legs act as the
-    identity.  The sign on a source basis vector is determined by the
-    parities of the source components each operator factor moves past.
+    The units act from the highest leg down, so each leg_unit sign reads the
+    source states of the legs before it: (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw.
     """
-    nlegs = space.nlegs()
-    per_leg: list[list[tuple[int, int, object]]] = []
-    for s in range(nlegs):
-        if s in slot_ops:
-            mat, _par = slot_ops[s]
-            if not mat.nrows == mat.ncols == space.dims[s]:
-                raise ValueError("leg dimension mismatch")
-            per_leg.append([(i, j, v) for i, j, v in mat.entries()])
-        else:
-            per_leg.append([(i, i, None) for i in range(space.dims[s])])
+    units = sorted(units, reverse=True)
     out = linalg.ExactMatrix(space.dim, space.dim)
-    op_slots = sorted(slot_ops)
-    for combo in product(*per_leg):
-        rows = [c[0] for c in combo]
-        cols = [c[1] for c in combo]
-        coef = Fraction(1)
-        for c in combo:
-            if c[2] is not None:
-                coef = coef * c[2]
-        for s in op_slots:
-            par = slot_ops[s][1]
-            if par:
-                passed = sum(space.legs[q][cols[q]] for q in range(s)) % 2
-                if passed:
-                    coef = -coef
-        out.add_to(space.index(rows), space.index(cols), coef)
+    for idx in range(space.dim):
+        image, sign = idx, 1
+        for s, i, j in units:
+            hit = space.leg_unit(image, s, i, j)
+            if hit is None:
+                break
+            image, sign = hit[0], sign * hit[1]
+        else:
+            out.put(image, idx, coef if sign > 0 else -coef)
     return out
-
-
-def e_matrix(i: int, j: int, dim: int = 2) -> linalg.ExactMatrix:
-    """Matrix unit E_ij on a single leg (1-based indices)."""
-    m = linalg.ExactMatrix(dim, dim)
-    m.put(i - 1, j - 1, Fraction(1))
-    return m
 
 
 E_PARITY = {(1, 1): EVEN, (1, 2): ODD, (2, 1): ODD, (2, 2): EVEN}
 
 
 def leg_generator(wt: Weight, i: int, j: int) -> linalg.ExactMatrix:
-    """Action of e_ij on the two-dimensional module of highest weight wt.
+    """Action of e_ij on the two-dimensional module of the nondegenerate highest weight wt.
 
-    Basis: highest vector, then its image under e_21.  A degenerate weight
-    (0, 0) yields the trivial one-dimensional leg with zero action.
+    Basis: highest vector, then its image under e_21.
     """
-    if not wt.is_nondegenerate():
-        if (wt.l1, wt.l2) != (0, 0):
-            raise ValueError("degenerate nonzero weight has no polynomial module")
-        return linalg.ExactMatrix(1, 1)
     m = linalg.ExactMatrix(2, 2)
     if (i, j) == (1, 1):
         m.put(0, 0, wt.l1)
@@ -170,50 +137,41 @@ def leg_generator(wt: Weight, i: int, j: int) -> linalg.ExactMatrix:
 
 
 def gl_generator(space: SuperSpace, leg_weights: Sequence[Weight], i: int, j: int) -> linalg.ExactMatrix:
-    """Diagonal action of e_ij on a tensor product of weight modules."""
-    if len(leg_weights) != space.nlegs():
-        raise ValueError(f"{len(leg_weights)} leg weights for {space.nlegs()} legs")
+    """Diagonal action of e_ij on a tensor product of weight modules: leg_generator's entries on every leg."""
+    if len(leg_weights) != space.n:
+        raise ValueError(f"{len(leg_weights)} leg weights for {space.n} legs")
     total = linalg.ExactMatrix(space.dim, space.dim)
-    par = E_PARITY[(i, j)]
     for s, wt in enumerate(leg_weights):
-        total = total + kron_signed(space, {s: (leg_generator(wt, i, j), par)})
+        for a, b, v in leg_generator(wt, i, j).entries():
+            total = total + leg_units(space, ((s, a + 1, b + 1),), v)
     return total
 
 
-def basis_weights(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[Weight]:
-    """Weight of each basis vector: the sum of the leg weights minus level * (1, -1)."""
+def level_weight(leg_weights: Sequence[Weight], level: int) -> Weight:
+    """Weight of the basis vectors with `level` odd legs: the sum of the leg weights minus level * (1, -1)."""
     l1 = sum((wt.l1 for wt in leg_weights), Fraction(0))
     l2 = sum((wt.l2 for wt in leg_weights), Fraction(0))
-    return [Weight(l1 - lv, l2 + lv) for lv in space.levels]
+    return Weight(l1 - level, l2 + level)
+
+
+def basis_weights(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[Weight]:
+    """Weight of each basis vector, read off its level."""
+    return [level_weight(leg_weights, lv) for lv in space.levels]
 
 
 def weight_spaces(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[tuple[Weight, list[int]]]:
-    """Weight decomposition as (weight, basis index list), dims summing to total.
-
-    The diagonal generators are diagonal in the tensor basis for every module
-    built here; a non-diagonal action is rejected.
-    """
-    for gen in ((1, 1), (2, 2)):
-        m = gl_generator(space, list(leg_weights), *gen)
-        if any(i != j for i, j, _ in m.entries()):
-            raise ValueError("diagonal generators do not act diagonalizably")
-    buckets: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for idx, wt in enumerate(basis_weights(space, leg_weights)):
-        buckets.setdefault((wt.l1, wt.l2), []).append(idx)
-    out = [(Weight(k[0], k[1]), v) for k, v in buckets.items()]
-    out.sort(key=lambda item: (-item[0].l1, item[0].l2))
-    return out
+    """Weight decomposition as (weight, basis index list), one entry per level, highest weight first."""
+    buckets: dict[int, list[int]] = {}
+    for idx, lv in enumerate(space.levels):
+        buckets.setdefault(lv, []).append(idx)
+    return [(level_weight(leg_weights, lv), idxs) for lv, idxs in sorted(buckets.items())]
 
 
 def singular_subspace(
     space: SuperSpace, leg_weights: Sequence[Weight], weight: Weight
 ) -> list[list[Fraction]]:
     """Basis of ker(e_12) inside the given weight space, as global vectors."""
-    idxs = [
-        i
-        for i, wt in enumerate(basis_weights(space, leg_weights))
-        if (wt.l1, wt.l2) == (weight.l1, weight.l2)
-    ]
+    idxs = [i for i, wt in enumerate(basis_weights(space, leg_weights)) if wt == weight]
     if not idxs:
         return []
     e12 = gl_generator(space, list(leg_weights), 1, 2)
@@ -235,18 +193,19 @@ def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], linalg.Ex
     module of the package calls it: the symmetrizers have a closed form in
     fusion.py.  It stays as a named target of the per-layer benchmark.
     """
-    n = space.nlegs()
+    n = space.n
     out = {}
     for perm in permutations(range(n)):
         out[perm] = mat = linalg.ExactMatrix(space.dim, space.dim)
-        for idx, multi in enumerate(space.multis):
-            odd = [i for i in range(n) if space.legs[i][multi[i]]]
+        for idx in range(space.dim):
+            multi = space.multi_index(idx)
+            odd = [i for i in range(n) if multi[i]]
             image = space.index([multi[perm.index(i)] for i in range(n)])
             mat.put(image, idx, Fraction(-1) ** sum(perm[a] > perm[b] for a in odd for b in odd if a < b))
     return out
 
 
-def kron_signed_adjacent_flip(space: SuperSpace, i: int) -> linalg.ExactMatrix:
+def adjacent_flip(space: SuperSpace, i: int) -> linalg.ExactMatrix:
     """Graded flip of legs i and i+1 inside a tensor power of standard legs."""
     out = linalg.ExactMatrix(space.dim, space.dim)
     for idx in range(space.dim):

@@ -377,7 +377,7 @@ def modified_action(space: SuperSpace, i: int, f: dict) -> dict:
     to the swapped parts.  So a cancellation between an int and an integral
     Fraction leaves the coefficient type the composition leaves.
     """
-    n = space.nlegs()
+    n = space.n
     out: dict = {}
     lowered_parts = []
     for c, p in f.items():
@@ -407,7 +407,7 @@ def current_action(space: SuperSpace, i: int, j: int, r: int, f: dict) -> dict:
     """e_ij[r]: sum over sites s of E_ij on leg s, with its Koszul sign, times z_s^r."""
     out: dict = {}
     for c, p in f.items():
-        for s in range(space.nlegs()):
+        for s in range(space.n):
             hit = space.leg_unit(c, s, i, j)
             if hit is not None:
                 cc, sign = hit
@@ -543,7 +543,7 @@ def _zero_mode_map(space: SuperSpace, i: int, j: int, comps: Sequence[int]) -> d
 
     Raises ArithmeticError unless every image has degree 0.
     """
-    n = space.nlegs()
+    n = space.n
     out = {}
     for c in comps:
         image = current_action(space, i, j, 0, {c: MPoly.const(n, 1)})

@@ -4,11 +4,12 @@ from math import comb
 import pytest
 
 from gl11chain.exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
-from gl11chain.linalg import ExactMatrix
+from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
 from gl11chain.chain import make_spec
 from gl11chain.monodromy import reduce_lambda2, string_points, tensor_monodromy, transfer_pencil
 from gl11chain.bethe import char_pair
 from gl11chain.bethealg import (
+    CoefficientFamily,
     algebra_dimension,
     coefficient_family,
     commutant_dimension,
@@ -36,13 +37,21 @@ class TestCoefficientFamily:
             assert to_dense(b1) == [[F(2) if a == b else F(0) for b in range(dim)] for a in range(dim)]
 
     def test_central_scalars_are_string_symmetric_functions(self):
-        fam = coefficient_family(E3, 1, True)
-        strings = string_points(E3)
+        # the centre acts by C_d = e_d(strings); the family holds B_1..B_n alone, since
+        # adding the scalars changes neither the algebra, the commutant nor the eigenspaces
+        fam = coefficient_family(E5, 1, False)
+        strings = string_points(reduce_lambda2(E5)[0])
         sig = elementary_symmetric(list(strings))
-        n = len(strings)
-        for d in range(1, n + 1):
-            cop = fam.ops[n + d - 1]
-            assert cop.get(0, 0) == sig[d - 1]
+        assert len(fam.ops) == len(strings) == 3 and fam.dim == 3
+        scalars = [ExactMatrix.identity(fam.dim) * c for c in sig]
+        centred = CoefficientFamily(fam.spec, fam.level, fam.singular, fam.basis, fam.ops + scalars, fam.strings)
+        assert len(centred.algebra) == len(fam.algebra)
+        assert commutant_dimension(centred) == commutant_dimension(fam)
+        divisors = char_pair(E5).divisors[1]
+        chars = [divisor_character(fam, dv) for dv in divisors]
+        assert joint_generalized_eigenspaces(centred.ops, [ch + sig for ch in chars]) == joint_generalized_eigenspaces(
+            fam.ops, chars
+        )
 
     def test_family_commutes(self):
         fam = coefficient_family(E5, 1, False)

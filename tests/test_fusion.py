@@ -9,7 +9,7 @@ from gl11chain.exactnum import Poly, RatFun, scalar
 from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.chain import make_spec
 from gl11chain.monodromy import tensor_monodromy
-from gl11chain.superlin import E_PARITY, EVEN, SuperSpace, e_matrix, kron_signed
+from gl11chain.superlin import E_PARITY, EVEN, SuperSpace
 from gl11chain import fusion
 from gl11chain.bethe import char_pair
 from gl11chain.suites import run_suite
@@ -38,6 +38,7 @@ from gl11chain.fusion import (
 )
 from conftest import clear_builder_caches
 from densemat import column, field_inverse, from_dense, from_ratfun, ratfun_inverse
+from legspace import STANDARD, LegSpace, e_matrix, kron_signed
 from symgroup import group_average_symmetrizers
 
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
@@ -309,11 +310,12 @@ def block_sum_supertrace(pencil, twist, m: int, projector: ExactMatrix) -> FracM
 
 def route_a_full_space(pencil, twist, m: int, projector: ExactMatrix) -> FracMatrix:
     """Oracle for route A: the product P Q T(x) Q T(x-1) ... built on the
-    whole aux legs (x) module space with kron_signed, then the partial
-    supertrace over the aux legs."""
+    whole aux legs (x) module space with kron_signed, the module one leg
+    with the module's basis parities, then the partial supertrace over the
+    aux legs."""
     q = (F(twist[0]), F(twist[1]))
     dmod = pencil.space.dim
-    full = SuperSpace([(0, 1)] * m + [pencil.space.parities])
+    full = LegSpace([STANDARD] * m + [pencil.space.parities])
     prod = FracMatrix(lift_leading(projector, dmod).map_entries(lambda v: Poly((v,))))
     qmat = ExactMatrix(2, 2)
     qmat.put(0, 0, q[0])
@@ -502,20 +504,6 @@ class TestBerezinian:
 
     def test_failed_names_the_conditions(self):
         assert BerezinianValue(rat(Poly()), True, False, False).failed() == "tau_free, central"
-
-    def test_trivial_module_value(self):
-        # one-dimensional site with zero action: the quotient collapses to
-        # the bare twist ratio q1/q2
-        from gl11chain.monodromy import evaluation_monodromy
-        from gl11chain.chain import Weight
-        from gl11chain.fusion import manin_entries
-
-        pen = evaluation_monodromy(Weight(F(0), F(0)), F(3))
-        k = manin_entries(pen, (F(5), F(2)))
-        k11, k12, k21, k22 = k[(1, 1)], k[(1, 2)], k[(2, 1)], k[(2, 2)]
-        ber = k11.mul((k22 - k21.mul(k11.inverse_single()).mul(k12)).inverse_single())
-        assert ber.powers() == [0]
-        assert ratfuns(ber.frac_coeff(0)).get(0, 0) == rat(Poly((F(5, 2),)))
 
 
 class TestDiffOp:

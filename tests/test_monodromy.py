@@ -98,15 +98,12 @@ class TestEvaluation:
         t = pen.entry(1, 1).get(1, 1) * 2 - pen.entry(2, 2).get(1, 1)
         assert t == Poly((1, 1))
 
-    def test_trivial_weight(self):
-        pen = evaluation_monodromy(Weight(F(0), F(0)), F(3))
-        for i, j in product((1, 2), repeat=2):
-            want = Poly((-3, 1)) if i == j else Poly()
-            assert pen.entry(i, j).get(0, 0) == want
-
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             evaluation_monodromy(Weight(F(2), F(-2)), F(0))
+        # weight (0, 0) is polynomial but degenerate: no chain has such a site
+        with pytest.raises(ValueError, match="degenerate"):
+            evaluation_monodromy(Weight(F(0), F(0)), F(3))
 
     def test_rtt(self):
         assert verify_rtt(evaluation_monodromy(Weight(F(2), F(1)), F(-3))).ok

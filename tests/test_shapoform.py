@@ -9,7 +9,7 @@ from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.chain import ModuleSpec, Weight, make_spec
 from gl11chain.monodromy import tensor_monodromy, t_coefficient
-from gl11chain.superlin import E_PARITY, SuperSpace, e_matrix, kron_signed
+from gl11chain.superlin import E_PARITY, SuperSpace
 from gl11chain.bethe import Divisor, bethe_vector, char_pair, verify_on_shell
 from gl11chain.suites import suite_specs
 from gl11chain.shapoform import (
@@ -21,6 +21,7 @@ from gl11chain.shapoform import (
     orthogonality_check,
 )
 from densemat import from_dense, to_dense
+from legspace import LegSpace, e_matrix, kron_signed
 from normoracle import assert_norm_matches_the_oracles, eps_norm, wronskian
 
 # graded flip P: v (x) w -> (-1)^{|v||w|} w (x) v on two standard legs, basis 11, 12, 21, 22
@@ -58,11 +59,9 @@ class TestRMatrix:
     def _delta_op_matrices(self, wts, pts):
         # opposite coproduct on two legs, from the one-site coefficients
         from gl11chain.monodromy import evaluation_monodromy
-        from gl11chain.superlin import kron_signed
 
         legs = [evaluation_monodromy(Weight(F(a), F(b)), p) for (a, b), p in zip(wts, pts)]
-        spec = make_spec(wts, pts, ("1", "1"))
-        space = spec.space()
+        space = LegSpace.tensor_power(2)
         out = {}
         for i, j in product((1, 2), repeat=2):
             for r_ord in (1, 2):
@@ -233,7 +232,7 @@ def _old_r_matrix(wt_i, wt_j, x):
         ((1, 2), (2, 1), -(wt_i.l1 + wt_i.l2) / den),
         ((2, 1), (1, 2), (wt_j.l1 + wt_j.l2) / den),
     ]
-    space = SuperSpace.tensor_power(2)
+    space = LegSpace.tensor_power(2)
     out = ExactMatrix(4, 4)
     for (a, b), (c, d), coef in terms:
         if coef:
@@ -244,7 +243,7 @@ def _old_r_matrix(wt_i, wt_j, x):
 
 def _two_step_embedding(space, i, j, r4):
     """Lift a two-site operator to sites (i, j): undo the pair's Koszul sign, redo the chain's (oracle)."""
-    pair = SuperSpace.tensor_power(2)
+    pair = LegSpace.tensor_power(2)
     out = ExactMatrix(space.dim, space.dim)
     for gi, gj, v in r4.entries():
         (a, c), (b, d) = pair.multi_index(gi), pair.multi_index(gj)
@@ -260,7 +259,7 @@ def _two_step_embedding(space, i, j, r4):
 
 def two_step_form_matrix(spec):
     """Gram matrix by the per-leg tensor form and the two-step R-matrix embedding (oracle)."""
-    space = spec.space()
+    space = LegSpace.tensor_power(spec.k)
     g0 = ExactMatrix(space.dim, space.dim)
     for idx in range(space.dim):
         val, odd = F(1), 0

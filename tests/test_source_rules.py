@@ -15,9 +15,11 @@ file defines `from_ratfun`.  The start-up core that `--help` and
 monodromy, superlin, linalg or suites when it is imported, so those load
 only when a command uses them.  No source file imports
 `dataclasses`, which loads `inspect` on every command's start-up: records
-are NamedTuples or plain classes.  The legs of a `SuperSpace` are read in
-superlin.py alone; every other module asks the space for levels, flips and
-leg actions.  A verdict has one record, monodromy.Check: no other class
+are NamedTuples or plain classes.  There is one leg type: only superlin.py
+calls `SuperSpace(`, and no module reads a leg list or leg dimensions
+(`.legs`, `.dims`).  superlin reads the leg states off the bits of a basis
+index; every other module asks the space for levels, flips and leg
+actions.  A verdict has one record, monodromy.Check: no other class
 declares a field named `ok`, `witness` or `detail`.  A verdict carries no
 built object: `fusion.RouteComparison` is the one record with a field
 annotated `Check`.  The packed monomial keys
@@ -265,21 +267,46 @@ def test_dataclasses_rule_catches_each_violation():
     ]
 
 
-def _legs_reads(tree: ast.AST) -> list[str]:
-    """Every read of an attribute named `legs`."""
-    return [f"line {node.lineno}: reads .legs" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "legs"]
+def _leg_model_reads(tree: ast.AST) -> list[str]:
+    """Every read of an attribute named `legs` or `dims`, the general leg model's fields, in line order."""
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("legs", "dims")]
+    return [f"line {node.lineno}: reads .{node.attr}" for node in sorted(found, key=lambda node: node.lineno)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_only_superlin_reads_legs(path):
-    if path.name != "superlin.py":
-        assert _legs_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+    # superlin reads the leg states off the bits of a basis index; no module reads a leg list
+    assert _leg_model_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_legs_rule_catches_a_planted_read():
-    code = "def sign(space, c):\n    multi = space.multi_index(c)\n    return space.legs[0][multi[0]]\n"
-    assert _legs_reads(ast.parse(code)) == ["line 3: reads .legs"]
+    code = (
+        "def sign(space, c):\n    multi = space.multi_index(c)\n    return space.legs[0][multi[0]]\n"
+        "def size(space):\n    return space.dims[0]\n"
+    )
+    assert _leg_model_reads(ast.parse(code)) == ["line 3: reads .legs", "line 5: reads .dims"]
+
+
+def _space_constructions(tree: ast.AST) -> list[str]:
+    """Every call of `SuperSpace(` or `<module>.SuperSpace(`, in line order."""
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "SuperSpace" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return [f"line {node.lineno}: calls SuperSpace" for node in sorted(found, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_superlin_builds_a_space(path):
+    if path.name != "superlin.py":
+        assert _space_constructions(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_space_rule_catches_a_planted_call():
+    code = (
+        "from . import superlin\nfrom .superlin import SuperSpace\n"
+        "def aux(m):\n    return SuperSpace(m)\n"
+        "trivial = superlin.SuperSpace([(0,)])\nshared = SuperSpace.tensor_power(2)\n"
+    )
+    assert _space_constructions(ast.parse(code)) == ["line 4: calls SuperSpace", "line 5: calls SuperSpace"]
 
 
 VERDICT_FIELDS = ("ok", "witness", "detail")

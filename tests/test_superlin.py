@@ -2,24 +2,27 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.chain import Weight
 from gl11chain.superlin import (
     E_PARITY,
     EVEN,
     SuperSpace,
+    adjacent_flip,
     basis_weights,
-    e_matrix,
     gl_generator,
-    kron_signed,
-    kron_signed_adjacent_flip,
     leg_generator,
+    leg_units,
     singular_subspace,
     symmetric_group_action,
     weight_spaces,
 )
 from densemat import from_dense
+from legspace import LegSpace, e_matrix, kron_signed
 from symgroup import permutation_closure
 
 W10 = Weight(F(1), F(0))
@@ -69,13 +72,13 @@ class TestKoszul:
         # (1 (x) e21)(v2 (x) v1) = -(v2 (x) v2): e21 is odd, |v2| odd
         space = SuperSpace.tensor_power(2)
         v = unit(space, (1, 0))
-        out = kron_signed(space, {1: (e_matrix(2, 1), 1)}).apply(v)
+        out = leg_units(space, ((1, 2, 1),), F(1)).apply(v)
         assert out == [F(0) if i != space.index((1, 1)) else F(-1) for i in range(4)]
 
     def test_even_first_leg(self):
         space = SuperSpace.tensor_power(2)
         v = unit(space, (0, 0))
-        out = kron_signed(space, {0: (e_matrix(2, 1), 1)}).apply(v)
+        out = leg_units(space, ((0, 2, 1),), F(1)).apply(v)
         assert out[space.index((1, 0))] == 1
 
     def test_coproduct_on_odd_odd(self):
@@ -83,8 +86,8 @@ class TestKoszul:
         # hand expansion of the diagonal action on the doubly-odd vector
         space = SuperSpace.tensor_power(2)
         v = unit(space, (1, 1))
-        t1 = kron_signed(space, {0: (e_matrix(1, 2), 1)}).apply(v)
-        t2 = kron_signed(space, {1: (e_matrix(1, 2), 1)}).apply(v)
+        t1 = leg_units(space, ((0, 1, 2),), F(1)).apply(v)
+        t2 = leg_units(space, ((1, 1, 2),), F(1)).apply(v)
         out = [a + b for a, b in zip(t1, t2)]
         want = [F(0)] * 4
         want[space.index((0, 1))] = F(1)
@@ -104,11 +107,6 @@ class TestWeightSpaces:
         ws = weight_spaces(space, [Weight(F(2), F(0))])
         dims = {(int(w.l1), int(w.l2)): len(idx) for w, idx in ws}
         assert dims == {(2, 0): 1, (1, 1): 1}
-
-    def test_trivial_module(self):
-        space = SuperSpace([(0,)])
-        ws = weight_spaces(space, [Weight(F(0), F(0))])
-        assert len(ws) == 1 and len(ws[0][1]) == 1
 
     def test_dims_sum(self):
         space = SuperSpace.tensor_power(3)
@@ -143,7 +141,7 @@ class TestTraceTranspose:
 
     def test_flip_traceless(self):
         space = SuperSpace.tensor_power(2)
-        flip = kron_signed_adjacent_flip(space, 0)
+        flip = adjacent_flip(space, 0)
         assert flip == GRADED_FLIP
         assert supertrace(flip, space) == 0
 
@@ -177,7 +175,7 @@ class TestTraceTranspose:
 
     def test_transpose_preserves_trace(self):
         space = SuperSpace.tensor_power(2)
-        m = kron_signed(space, {0: (e_matrix(1, 1), 0), 1: (e_matrix(2, 2), 0)})
+        m = leg_units(space, ((0, 1, 1), (1, 2, 2)), F(1))
         assert supertrace(m, space) == supertrace(supertranspose(m, space), space)
 
 
@@ -218,7 +216,7 @@ def test_symmetric_group_action_is_homomorphism():
 def test_symmetric_group_action_matches_the_closure_of_the_flips(n):
     # the Koszul sign of each permutation against the products of the graded flips
     space = SuperSpace.tensor_power(n)
-    flips = [kron_signed_adjacent_flip(space, i) for i in range(n - 1)]
+    flips = [adjacent_flip(space, i) for i in range(n - 1)]
     assert symmetric_group_action(space) == permutation_closure(flips, space.dim)
 
 
@@ -226,9 +224,12 @@ def test_symmetric_group_action_matches_the_closure_of_the_flips(n):
 # the leg rules against the code they replaced
 # ---------------------------------------------------------------------------
 
-# tensor powers of standard legs, and one space with a trivial leg
-LEG_SPACES = [SuperSpace.tensor_power(n) for n in (1, 2, 3, 4)] + [SuperSpace([(0, 1), (0,), (0, 1), (0, 1)])]
+LEG_SPACES = [SuperSpace.tensor_power(n) for n in (1, 2, 3, 4)]
 LEG_WEIGHTS = [Weight(F(2), F(1)), Weight(F(1), F(0)), Weight(F(3), F(0)), Weight(F(1), F(1))]
+
+
+def leg_ids(space):
+    return "2" * space.n
 
 
 def per_leg_basis_weights(space, leg_weights):
@@ -252,32 +253,28 @@ def flip_components(space, c, i):
 
 
 def ladder_unit(space, idx, s, i, j):
-    """E_ij on leg s by the four-branch ladder of the old current_action (oracle)."""
+    """E_ij on leg s by the four-branch ladder of the old current_action; a leg's state is its parity (oracle)."""
     multi = space.multi_index(idx)
     comp = multi[s]
     targets = {(1, 1): (0, 0), (2, 2): (1, 1), (2, 1): (0, 1), (1, 2): (1, 0)}
     source, target = targets[(i, j)]
     if comp != source:
         return None
-    passed = sum(space.legs[q][multi[q]] for q in range(s))
+    passed = sum(multi[:s])
     nm = list(multi)
     nm[s] = target
     return space.index(nm), -1 if (i + j) % 2 and passed % 2 else 1
 
 
-def kron_unit_column(space, idx, s, i, j):
-    """Column idx of E_ij on leg s built by kron_signed, as a list of (row, value) (oracle)."""
-    leg = space.legs[s]
-    d = len(leg)
-    if i > d or j > d:
-        return []
-    m = kron_signed(space, {s: (e_matrix(i, j, d), (leg[i - 1] + leg[j - 1]) % 2)})
+def kron_unit_column(n, idx, s, i, j):
+    """Column idx of E_ij on leg s of n standard legs built by kron_signed, as a list of (row, value) (oracle)."""
+    m = kron_signed(LegSpace.tensor_power(n), {s: (e_matrix(i, j), E_PARITY[(i, j)])})
     return [(r, v) for r, c, v in m.entries() if c == idx]
 
 
-@pytest.mark.parametrize("space", LEG_SPACES, ids=lambda sp: "".join(str(d) for d in sp.dims))
+@pytest.mark.parametrize("space", LEG_SPACES, ids=leg_ids)
 def test_level_matches_the_per_leg_weights(space):
-    weights = [LEG_WEIGHTS[s] if d == 2 else Weight(F(0), F(0)) for s, d in enumerate(space.dims)]
+    weights = LEG_WEIGHTS[: space.n]
     oracle = per_leg_basis_weights(space, weights)
     assert basis_weights(space, weights) == oracle
     total = sum(wt.l1 for wt in weights)
@@ -286,21 +283,70 @@ def test_level_matches_the_per_leg_weights(space):
         assert space.level(idx) % 2 == space.parity(idx)
 
 
-@pytest.mark.parametrize("space", LEG_SPACES, ids=lambda sp: "".join(str(d) for d in sp.dims))
+@pytest.mark.parametrize("space", LEG_SPACES, ids=leg_ids)
 def test_flip_matches_the_old_flip(space):
-    pairs = [i for i in range(space.nlegs() - 1) if space.dims[i] == space.dims[i + 1]]
-    assert pairs or space.nlegs() == 1
-    for i in pairs:
+    for i in range(space.n - 1):
         for idx in range(space.dim):
             assert space.flip(idx, i) == flip_components(space, idx, i)
 
 
-@pytest.mark.parametrize("space", LEG_SPACES, ids=lambda sp: "".join(str(d) for d in sp.dims))
+@pytest.mark.parametrize("space", LEG_SPACES, ids=leg_ids)
 def test_leg_unit_matches_the_ladder_and_kron_signed(space):
-    for s, d in enumerate(space.dims):
+    for s in range(space.n):
         for i, j in E_PARITY:
             for idx in range(space.dim):
                 got = space.leg_unit(idx, s, i, j)
-                assert kron_unit_column(space, idx, s, i, j) == ([] if got is None else [got])
-                if d == 2:
-                    assert got == ladder_unit(space, idx, s, i, j)
+                assert kron_unit_column(space.n, idx, s, i, j) == ([] if got is None else [got])
+                assert got == ladder_unit(space, idx, s, i, j)
+
+
+# ---------------------------------------------------------------------------
+# leg_units and gl_generator against kron_signed, on random units and weights
+# ---------------------------------------------------------------------------
+
+_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_COEFFICIENTS = st.one_of(_FRACTIONS, st.lists(_FRACTIONS, min_size=1, max_size=3).map(Poly))
+_WEIGHTS = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)).map(lambda w: Weight(*w)), min_size=1, max_size=4)
+
+
+def kron_gl_generator(leg_weights, i, j):
+    """e_ij on the tensor product as the sum of kron_signed leg terms, as gl_generator built it (oracle)."""
+    space = LegSpace.tensor_power(len(leg_weights))
+    total = ExactMatrix(space.dim, space.dim)
+    for s, wt in enumerate(leg_weights):
+        total = total + kron_signed(space, {s: (leg_generator(wt, i, j), E_PARITY[(i, j)])})
+    return total
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_leg_units_match_kron_signed(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    legs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True), label="legs")
+    units = [(s, *data.draw(st.sampled_from(sorted(E_PARITY)), label=f"unit on leg {s}")) for s in legs]
+    coef = data.draw(_COEFFICIENTS, label="coef")
+    slot_ops = {s: (e_matrix(i, j), E_PARITY[(i, j)]) for s, i, j in units}
+    s0 = units[0][0]
+    slot_ops[s0] = (slot_ops[s0][0] * coef, slot_ops[s0][1])
+    assert leg_units(SuperSpace.tensor_power(n), units, coef) == kron_signed(LegSpace.tensor_power(n), slot_ops)
+
+
+@settings(max_examples=40)
+@given(leg_weights=_WEIGHTS)
+def test_gl_generator_matches_the_kron_signed_sum(leg_weights):
+    space = SuperSpace.tensor_power(len(leg_weights))
+    for i, j in E_PARITY:
+        assert gl_generator(space, leg_weights, i, j) == kron_gl_generator(leg_weights, i, j)
+
+
+@settings(max_examples=40)
+@given(leg_weights=_WEIGHTS)
+def test_diagonal_generators_act_by_the_basis_weights(leg_weights):
+    # the premise of weight_spaces: the tensor basis diagonalises e_11 and e_22
+    space = SuperSpace.tensor_power(len(leg_weights))
+    weights = basis_weights(space, leg_weights)
+    for gen, part in (((1, 1), 0), ((2, 2), 1)):
+        want = ExactMatrix(space.dim, space.dim)
+        for idx, wt in enumerate(weights):
+            want.put(idx, idx, tuple(wt)[part])
+        assert gl_generator(space, leg_weights, *gen) == want

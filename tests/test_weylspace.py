@@ -533,13 +533,16 @@ def elimination_free_generators(n, level, d):
 
 
 def ladder_current_action(space, i, j, r, f):
-    """e_ij[r] by the four-branch ladder current_action ran before SuperSpace.leg_unit (oracle)."""
+    """e_ij[r] by the four-branch ladder current_action ran before SuperSpace.leg_unit (oracle).
+
+    A leg's state is its parity: the odd states passed are the ones read off multi.
+    """
     odd = (i + j) % 2
     out = {}
     for c, p in f.items():
         multi = space.multi_index(c)
         passed = 0
-        for s in range(space.nlegs()):
+        for s in range(space.n):
             comp = multi[s]
             target = None
             if (i, j) == (1, 1) and comp == 0:
@@ -556,7 +559,7 @@ def ladder_current_action(space, i, j, r, f):
                 term = p * MPoly.var(p.n, s, r) if r else p
                 cc = space.index(nm)
                 out[cc] = out.get(cc, MPoly(p.n, {})) + (-term if odd and passed % 2 else term)
-            passed += space.legs[s][comp]
+            passed += comp
     return {c: p for c, p in out.items() if p}
 
 
