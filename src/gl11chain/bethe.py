@@ -14,7 +14,9 @@ t_j - t_i + 1 is nonzero, and in ascending order otherwise; ascending order
 is always safe, since each factor is then at least 1.  The regularization
 extension t_i -> t_i + i*eps at eps = 0 (`bethe_vector_eps`) is an
 independent oracle for the direct product, not a fallback: the suite compares
-the two.
+the two.  Each (chain, level) has one memoised `transfer_family`: the transfer
+coefficients on the level subspace with their joint spaces at the divisors'
+eigenvalues, read by the completeness report and the coefficient algebra.
 """
 
 from __future__ import annotations
@@ -304,67 +306,100 @@ def restrict_operators(
     return ops, span
 
 
-def level_subspace(
-    spec: ModuleSpec, level: int, singular_only: bool
-) -> list[list[Fraction]]:
-    """Basis of the level weight space, or its singular part."""
-    space = spec.space()
-    wt = level_weight(spec.weights, level)
-    if singular_only:
-        return singular_subspace(space, list(spec.weights), wt)
-    for w, idxs in weight_spaces(space, list(spec.weights)):
-        if (w.l1, w.l2) == (wt.l1, wt.l2):
-            basis = []
-            for idx in idxs:
-                v = [Fraction(0)] * space.dim
-                v[idx] = Fraction(1)
-                basis.append(v)
-            return basis
-    return []
+def level_subspace(spec: ModuleSpec, level: int) -> list[list[Fraction]]:
+    """Basis of the level weight space; its singular part when the twist entries are equal."""
+    space, weights = spec.space(), list(spec.weights)
+    wt = level_weight(weights, level)
+    if not spec.is_twisted():
+        return singular_subspace(space, weights, wt)
+    return [[Fraction(i == idx) for i in range(space.dim)] for idx in dict(weight_spaces(space, weights)).get(wt, [])]
+
+
+class TransferFamily:
+    """The transfer coefficients C_0..C_k of That_Q on one level subspace: the level's Bethe algebra.
+
+    `ops` are C_0..C_k restricted to `basis` (zero past the pencil's degree)
+    and `coords` the coordinate solver of that basis.  The divisors of the
+    level, their transfer eigenvalues and the joint (eigen, generalized)
+    spaces of the C's at each eigenvalue's coefficients are built on first
+    use and shared.
+    """
+
+    def __init__(
+        self, spec: ModuleSpec, level: int, basis: list[list[Fraction]],
+        coords: SpanCoordinates, ops: list[ExactMatrix],
+    ):
+        self.spec = spec
+        self.level = level
+        self.basis = basis
+        self.coords = coords
+        self.ops = ops
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @functools.cached_property
+    def divisors(self) -> tuple[Divisor, ...]:
+        levels = char_pair(self.spec).divisors
+        return levels[self.level] if self.level < len(levels) else ()
+
+    @functools.cached_property
+    def eigenvalues(self) -> tuple[Poly, ...]:
+        return tuple(eigenvalue_pencil(dv, self.spec) for dv in self.divisors)
+
+    @functools.cached_property
+    def spaces(self) -> tuple[tuple[list, list], ...]:
+        """Per divisor: (eigenspace basis, generalized eigenspace basis), in coordinates of the basis."""
+        if not self.divisors:
+            return ()
+        chars = [[ev.coeff(d) for d in range(len(self.ops))] for ev in self.eigenvalues]
+        return tuple(joint_generalized_eigenspaces(self.ops, chars))
+
+
+@functools.cache
+def transfer_family(spec: ModuleSpec, level: int) -> TransferFamily:
+    """Memoised per (chain, level): the family is shared and must not be mutated."""
+    tq = coefficient_matrices(chain_transfer_pencil(spec))
+    dim = spec.space().dim
+    tq += [ExactMatrix(dim, dim)] * (spec.k + 1 - len(tq))
+    basis = level_subspace(spec, level)
+    ops, coords = restrict_operators(tq, basis)
+    return TransferFamily(spec, level, basis, coords, ops)
 
 
 def completeness_report(spec: ModuleSpec) -> CompletenessReport:
     """Divisors, Bethe vectors and spectral data per level.
 
-    For distinct twist entries the transfer family is analyzed on full weight
-    spaces; for equal entries on their singular parts.  Requires a split
+    Each level reads its `transfer_family`: full weight spaces for distinct
+    twist entries, their singular parts for equal ones.  Requires a split
     characteristic polynomial for the divisor enumeration; a non-split gamma
     is reported, not raised.
     """
-    pencil = tensor_monodromy(spec)
     cp = char_pair(spec)
     cyclic, irred = cyclicity_and_irreducibility(spec)
     split = cp.roots is not None
     report = CompletenessReport(spec, cyclic, irred, split, [])
     if not split:
         return report
-    singular_only = not spec.is_twisted()
-    tq = coefficient_matrices(chain_transfer_pencil(spec))
-    tq += [ExactMatrix(pencil.dim, pencil.dim)] * (spec.k + 1 - len(tq))
     for level in range(spec.k + 1):
-        basis = level_subspace(spec, level, singular_only)
-        dim = len(basis)
-        divisors = cp.divisors[level] if level < len(cp.divisors) else ()
-        if dim == 0 and not divisors:
+        fam = transfer_family(spec, level)
+        if fam.dim == 0 and not fam.divisors:
             continue
-        ops, in_basis = restrict_operators(tq, basis)
-        eigs = [eigenvalue_pencil(dv, spec) for dv in divisors]
-        chars = [[ev.coeff(d) for d in range(spec.k + 1)] for ev in eigs]
-        spaces = joint_generalized_eigenspaces(ops, chars) if divisors else []
         entries = []
-        for dv, ev, (eig_basis, gen_basis) in zip(divisors, eigs, spaces):
+        for dv, ev, (eig_basis, gen_basis) in zip(fam.divisors, fam.eigenvalues, fam.spaces):
             onshell = verify_on_shell(spec, dv).ok
             vec = bethe_vector(spec, dv.root_list())  # built by the on-shell check
             nonzero = any(vec)
-            bcoords = in_basis.coordinates(vec)
+            bcoords = fam.coords.coordinates(vec)
             spans = False
             if bcoords is not None and len(eig_basis) == 1 and nonzero:
                 span = SpanBasis()
                 span.add(eig_basis[0])
                 spans = span.contains(bcoords)
             entries.append(DivisorEntry(dv, ev, onshell, nonzero, len(eig_basis), len(gen_basis), spans))
-        complete = sum(e.generalized_dim for e in entries) == dim and all(e.ok for e in entries)
-        diagonalizable = sum(e.eigen_dim for e in entries) == dim
+        complete = sum(e.generalized_dim for e in entries) == fam.dim and all(e.ok for e in entries)
+        diagonalizable = sum(e.eigen_dim for e in entries) == fam.dim
         wt = level_weight(spec.weights, level)
-        report.levels.append(LevelReport(level, wt, dim, entries, complete, diagonalizable))
+        report.levels.append(LevelReport(level, wt, fam.dim, entries, complete, diagonalizable))
     return report

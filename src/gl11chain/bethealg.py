@@ -1,20 +1,23 @@
-"""The commuting coefficient algebra on weight (singular) subspaces.
+"""The commuting coefficient algebra on a level's subspace.
 
 Generators: the operators B_1..B_n defined by
 
-    prod_i (x - a_i) * TransferQ(x) = x^n ((q1 - q2) + sum_i B_i x^{-i}),
+    astr(x) * TransferQ(x) = x^n ((q1 - q2) + sum_r B_r x^{-r}),
 
-extracted exactly from the Laurent expansion at infinity.  The centre acts by
-the scalars C_1..C_n, the elementary symmetric functions e_i(strings) of the
-chain's string points.  They are not in the operator list: the identity is
-already in the generated algebra, a scalar commutes with everything, and a
-shifted scalar is zero, so they change neither the algebra, the commutant
-nor the eigenspaces.  This module analyzes the family on a fixed weight or
-singular-weight subspace: dimension, commutant, regular-representation
-structure, the symmetric-function presentation of its spectrum, and joint
-eigenspaces.
-Each family builds its generated algebra once (`fam.algebra`); commutativity
-is tested once, by the joint eigenspace solver in `spectral_analysis`.
+astr the monic polynomial of the n string points {b_s + l2_s - i : 0 <= i < l1_s + l2_s}.
+With That_Q = sum_d C_d x^d and astr / (N x^n) = sum_t g_t x^{-t}, N the normalizer,
+
+    B_r = sum_d g_(d+r) C_d,
+
+one fixed combination of the level's transfer coefficients (`bethe.transfer_family`).
+As g_t = 0 for t < k and g_k = 1, B_r = C_(k-r) + (later C's): the B's and the C's
+generate the same unital algebra, and their joint eigenspaces and characters
+correspond.  The centre acts on B_r by e_r of the string points; the scalars are
+left out, the identity being in the generated algebra already.  This module
+analyzes the family: dimension, commutant, regular-representation structure and
+the symmetric-function presentation of its spectrum; the joint eigenspaces are
+the transfer family's.  Each family builds its generated algebra once
+(`fam.algebra`); commutativity is tested once, by the joint eigenspace solver.
 """
 
 from __future__ import annotations
@@ -25,35 +28,24 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
-from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
+from .linalg import ExactMatrix, SpanBasis
 from .chain import ModuleSpec, cyclicity_and_irreducibility
-from .monodromy import Check, chain_transfer_pencil, laurent_coefficients, reduce_lambda2, string_points
-from .bethe import (
-    Divisor,
-    char_pair,
-    eigenvalue_pencil,
-    level_subspace,
-    restrict_operators,
-)
+from .monodromy import Check
+from .bethe import Divisor, TransferFamily, char_pair, eigenvalue_pencil, transfer_family
 
 
 class CoefficientFamily:
-    """Restricted commuting operators with their construction data."""
+    """B_1..B_n on one level, with the level's transfer family they are read from."""
 
-    def __init__(
-        self, spec: ModuleSpec, level: int, singular: bool, basis: list[list[Fraction]],
-        ops: list[ExactMatrix], strings: tuple[Fraction, ...],
-    ):
-        self.spec = spec
-        self.level = level
-        self.singular = singular
-        self.basis = basis
+    def __init__(self, transfer: TransferFamily, ops: list[ExactMatrix]):
+        self.transfer = transfer
+        self.spec = transfer.spec
+        self.level = transfer.level
         self.ops = ops
-        self.strings = strings
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.transfer.dim
 
     @functools.cached_property
     def algebra(self) -> tuple[ExactMatrix, ...]:
@@ -61,25 +53,16 @@ class CoefficientFamily:
         return tuple(algebra_dimension(self)[1])
 
 
-def coefficient_family(spec: ModuleSpec, level: int, singular_only: bool) -> CoefficientFamily:
-    """B_1..B_n restricted to a level subspace.
-
-    Equal twist entries require singular_only=True (the family preserves
-    only singular weight vectors there).
-    """
-    if not spec.is_twisted() and not singular_only:
-        raise ValueError("equal twist requires the singular subspace")
-    basis = level_subspace(spec, level, singular_only)
-    if not basis:
+def coefficient_family(spec: ModuleSpec, level: int) -> CoefficientFamily:
+    """B_1..B_n on the level subspace, as combinations of its transfer coefficients."""
+    fam = transfer_family(spec, level)
+    if not fam.dim:
         raise ValueError(f"empty subspace at level {level}")
-    reduced, _ = reduce_lambda2(spec)
-    strings = string_points(reduced)
+    strings = [b + wt.l2 - i for wt, b in zip(spec.weights, spec.points) for i in range(int(wt.l1 + wt.l2))]
     n = len(strings)
-    astr = Poly.from_roots(strings)
-    tq = chain_transfer_pencil(spec)
-    bmats = laurent_coefficients(tq, astr, spec.normalizer() * Poly([0] * n + [1]), n)
-    ops, _ = restrict_operators(bmats[1:], basis)
-    return CoefficientFamily(spec, level, singular_only, basis, ops, strings)
+    g = laurent_expand(RatFun(Poly.from_roots(strings), spec.normalizer() * Poly([0] * n + [1])), spec.k + n)
+    zero = ExactMatrix(fam.dim, fam.dim)
+    return CoefficientFamily(fam, [sum((c * g[d + r] for d, c in enumerate(fam.ops)), zero) for r in range(1, n + 1)])
 
 
 def _flatten(m: ExactMatrix) -> list[Fraction]:
@@ -213,16 +196,6 @@ def presentation_check(spec: ModuleSpec, level: int) -> Check:
     return Check(True)
 
 
-def divisor_character(fam: CoefficientFamily, dv: Divisor) -> list[Fraction]:
-    """Values of B_1..B_n on the eigenvector indexed by dv."""
-    spec = fam.spec
-    n = len(fam.strings)
-    astr = Poly.from_roots(fam.strings)
-    ehat = eigenvalue_pencil(dv, spec)
-    coeffs = laurent_expand(RatFun(astr * ehat, spec.normalizer() * Poly([0] * n + [1])), n)
-    return coeffs[1 : n + 1]
-
-
 class SpectralEntry(NamedTuple):
     divisor: Divisor
     eigen_dim: int
@@ -231,18 +204,17 @@ class SpectralEntry(NamedTuple):
     cyclic_module: bool
 
 
-def spectral_analysis(fam: CoefficientFamily, divisors: Sequence[Divisor]) -> list[SpectralEntry]:
-    """Joint eigen/generalized dimensions per divisor character.
+def spectral_analysis(fam: CoefficientFamily) -> list[SpectralEntry]:
+    """Joint eigen/generalized dimensions per divisor of the level, from the transfer family's spaces.
 
     The expected generalized dimension is the independent binomial-product
     oracle over root multiplicities; each generalized eigenspace is also
-    checked to be cyclic over the algebra.
+    checked to be cyclic over the algebra.  Raises ValueError when the
+    transfer family does not commute.
     """
-    chars = [divisor_character(fam, dv) for dv in divisors]
-    spaces = joint_generalized_eigenspaces(fam.ops, chars)
     roots = char_pair(fam.spec).roots or []
     out = []
-    for dv, (eig, gen) in zip(divisors, spaces):
+    for dv, (eig, gen) in zip(fam.transfer.divisors, fam.transfer.spaces):
         expected = 1
         for r, m in roots:
             expected *= comb(m, dv.mult(r))

@@ -277,34 +277,6 @@ def chain_transfer_pencil(spec: ModuleSpec) -> linalg.ExactMatrix:
     return transfer_pencil(tensor_monodromy(spec), spec.twist)
 
 
-def reduce_lambda2(spec: ModuleSpec) -> tuple[ModuleSpec, RatFun]:
-    """Shift all weight second components to zero; returns the twist series.
-
-    The reduced chain has weights (l1 + l2, 0) at points b + l2; the two
-    normalized pencils coincide entrywise, so the reduced transfer matrix
-    equals xi(x) times the original one with
-    xi = prod (x - b_s) / (x - b_s - l2^(s)).
-    """
-    new_weights = tuple(Weight(wt.l1 + wt.l2, 0) for wt in spec.weights)
-    new_points = tuple(b + wt.l2 for wt, b in zip(spec.weights, spec.points))
-    num = Poly.from_roots(spec.points)
-    den = Poly.from_roots([b + wt.l2 for wt, b in zip(spec.weights, spec.points)])
-    return ModuleSpec(new_weights, new_points, spec.twist), RatFun(num, den)
-
-
-def string_points(spec: ModuleSpec) -> tuple[Fraction, ...]:
-    """Union of the point strings {b_s, ..., b_s - l1 + 1}, sorted descending.
-
-    Requires the reduced (l2 = 0) form; apply reduce_lambda2 first.
-    """
-    if any(wt.l2 != 0 for wt in spec.weights):
-        raise ValueError("string points require the reduced l2=0 form")
-    pts = []
-    for wt, b in zip(spec.weights, spec.points):
-        pts.extend(b - i for i in range(int(wt.l1)))
-    return tuple(sorted(pts, reverse=True))
-
-
 def laurent_coefficients(m: linalg.ExactMatrix, num: Poly, den: Poly, order: int) -> list[linalg.ExactMatrix]:
     """Coefficients of x^0, x^-1, ..., x^-order at infinity of (num/den) * m.
 

@@ -217,7 +217,7 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
     # equal twist entries force singular on-shell vectors
     for name in ("E2", "E3", "E6"):
         spec = suite_specs()[name]
-        e12 = gl_generator(spec.space(), list(spec.weights), 1, 2)
+        e12 = gl_generator(spec.space(), spec.weights, 1, 2)
         divisors = (dv for level in bethe.char_pair(spec).divisors for dv in level)
         vectors = ((dv, bethe.bethe_vector(spec, dv.root_list())) for dv in divisors)
         moved = next((dv for dv, vec in vectors if any(e12.apply(vec))), None)
@@ -253,14 +253,14 @@ def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         if cp.roots is None:
             continue
         cyclic, _ = cyclicity_and_irreducibility(spec)
-        singular = not spec.is_twisted()
-        top = spec.k - 1 if singular else spec.k
+        # equal twist entries: the singular parts, empty at the top level
+        top = spec.k if spec.is_twisted() else spec.k - 1
         for level in range(0, top + 1):
             try:
-                fam = bethealg.coefficient_family(spec, level, singular)
+                fam = bethealg.coefficient_family(spec, level)
             except ValueError:
                 continue  # empty subspace
-            expected = comb(spec.k - 1, level) if singular else comb(spec.k, level)
+            expected = comb(top, level)
             adim = len(fam.algebra)
             items.append(_item(f"algebra dim {name} l={level}", adim == expected, f"{adim} != {expected}"))
             items.append(bethealg.double_commutant_check(fam)._replace(label=f"double commutant {name} l={level}"))
@@ -272,7 +272,7 @@ def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
             pres = bethealg.presentation_check(spec, level)
             items.append(pres._replace(label=f"presentation {name} l={level}"))
             try:
-                entries = bethealg.spectral_analysis(fam, cp.divisors[level])
+                entries = bethealg.spectral_analysis(fam)
             except ValueError as exc:  # the family does not commute
                 entries, failure = [], str(exc)
             else:

@@ -137,7 +137,15 @@ def leg_generator(wt: Weight, i: int, j: int) -> linalg.ExactMatrix:
 
 
 def gl_generator(space: SuperSpace, leg_weights: Sequence[Weight], i: int, j: int) -> linalg.ExactMatrix:
-    """Diagonal action of e_ij on a tensor product of weight modules: leg_generator's entries on every leg."""
+    """Diagonal action of e_ij on a tensor product of weight modules: leg_generator's entries on every leg.
+
+    Memoised per (legs, weights, i, j): the matrix is shared and must not be mutated.
+    """
+    return _gl_generator(space, tuple(leg_weights), i, j)
+
+
+@functools.cache
+def _gl_generator(space: SuperSpace, leg_weights: tuple[Weight, ...], i: int, j: int) -> linalg.ExactMatrix:
     if len(leg_weights) != space.n:
         raise ValueError(f"{len(leg_weights)} leg weights for {space.n} legs")
     total = linalg.ExactMatrix(space.dim, space.dim)
@@ -174,7 +182,7 @@ def singular_subspace(
     idxs = [i for i, wt in enumerate(basis_weights(space, leg_weights)) if wt == weight]
     if not idxs:
         return []
-    e12 = gl_generator(space, list(leg_weights), 1, 2)
+    e12 = gl_generator(space, leg_weights, 1, 2)
     block = e12.submatrix(list(range(space.dim)), idxs)
     basis = []
     for vec in block.kernel():

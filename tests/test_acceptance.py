@@ -102,9 +102,8 @@ def test_criterion_02_transfer_eigenvalues():
         tq = coefficient_matrices(transfer_pencil(pencil, spec.twist))
         tq += [ExactMatrix(pencil.dim, pencil.dim)] * (spec.k + 1 - len(tq))
         cp = char_pair(spec)
-        singular = not spec.is_twisted()
         for level in range(cp.gamma.degree + 1):
-            basis = level_subspace(spec, level, singular)
+            basis = level_subspace(spec, level)
             ops, _ = restrict_operators(tq, basis)
             for dv in cp.divisors[level]:
                 ev = eigenvalue_pencil(dv, spec)
@@ -162,7 +161,7 @@ def test_criterion_05_bethe_algebra_structure():
         top = spec.k - 1 if singular else spec.k
         for level in range(top + 1):
             try:
-                fam = bethealg.coefficient_family(spec, level, singular)
+                fam = bethealg.coefficient_family(spec, level)
             except ValueError:
                 continue
             want = comb(spec.k - 1, level) if singular else comb(spec.k, level)

@@ -201,9 +201,8 @@ class TestOnShell:
             tq = coefficient_matrices(transfer_pencil(pen, spec.twist))
             tq += [ExactMatrix(pen.dim, pen.dim)] * (spec.k + 1 - len(tq))
             cp = char_pair(spec)
-            singular = not spec.is_twisted()
             for level in range(cp.gamma.degree + 1):
-                basis = level_subspace(spec, level, singular)
+                basis = level_subspace(spec, level)
                 ops, _ = restrict_operators(tq, basis)
                 for dv in cp.divisors[level]:
                     ev = eigenvalue_pencil(dv, spec)

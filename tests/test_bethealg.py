@@ -5,20 +5,21 @@ import pytest
 
 from gl11chain.exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
 from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
-from gl11chain.chain import make_spec
-from gl11chain.monodromy import reduce_lambda2, string_points, tensor_monodromy, transfer_pencil
-from gl11chain.bethe import char_pair
+from gl11chain.chain import ModuleSpec, make_spec
+from gl11chain.monodromy import tensor_monodromy, transfer_pencil
+from gl11chain.bethe import char_pair, transfer_family
 from gl11chain.bethealg import (
     CoefficientFamily,
     algebra_dimension,
     coefficient_family,
     commutant_dimension,
-    divisor_character,
     double_commutant_check,
     presentation_check,
     regular_rep_check,
     spectral_analysis,
 )
+from gl11chain.suites import suite_specs
+from bethealgoracle import b_operators, b_spaces, divisor_character, reduce_lambda2, string_points
 from densemat import to_dense
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -26,12 +27,17 @@ E3 = make_spec([(1, 0), (1, 0), (1, 0)], ["0", "1/2", "-1/2"], ("1", "1"))
 E4 = make_spec([(1, 0), (1, 0)], ["2", "-3/2"], ("1", "2"))
 E5 = make_spec([(1, 0), (1, 0), (1, 0)], ["6", "-7", "-1/2"], ("2", "3"))
 K3GEN = make_spec([(1, 0), (1, 0), (1, 0)], ["1", "0", "-1"], ("1", "1"))
+K4 = ModuleSpec.from_json('{"weights":[[1,0],[2,0],[1,0],[1,0]],"points":["5","4","3","2"],"twist":["1","1"]}')
+# five sites with a double root of gamma
+K5 = ModuleSpec.from_json(
+    '{"weights":[[1,1],[1,0],[1,0],[1,1],[1,0]],"points":["1","0","-2","0","-3"],"twist":["1","1"]}'
+)
 
 
 class TestCoefficientFamily:
     def test_b1_is_total_weight_untwisted(self):
         for level in (0, 1):
-            fam = coefficient_family(E2, level, True)
+            fam = coefficient_family(E2, level)
             b1 = fam.ops[0]
             dim = fam.dim
             assert to_dense(b1) == [[F(2) if a == b else F(0) for b in range(dim)] for a in range(dim)]
@@ -39,73 +45,90 @@ class TestCoefficientFamily:
     def test_central_scalars_are_string_symmetric_functions(self):
         # the centre acts by C_d = e_d(strings); the family holds B_1..B_n alone, since
         # adding the scalars changes neither the algebra, the commutant nor the eigenspaces
-        fam = coefficient_family(E5, 1, False)
+        fam = coefficient_family(E5, 1)
         strings = string_points(reduce_lambda2(E5)[0])
         sig = elementary_symmetric(list(strings))
         assert len(fam.ops) == len(strings) == 3 and fam.dim == 3
         scalars = [ExactMatrix.identity(fam.dim) * c for c in sig]
-        centred = CoefficientFamily(fam.spec, fam.level, fam.singular, fam.basis, fam.ops + scalars, fam.strings)
+        centred = CoefficientFamily(fam.transfer, fam.ops + scalars)
         assert len(centred.algebra) == len(fam.algebra)
         assert commutant_dimension(centred) == commutant_dimension(fam)
         divisors = char_pair(E5).divisors[1]
-        chars = [divisor_character(fam, dv) for dv in divisors]
+        chars = [divisor_character(E5, dv) for dv in divisors]
         assert joint_generalized_eigenspaces(centred.ops, [ch + sig for ch in chars]) == joint_generalized_eigenspaces(
             fam.ops, chars
         )
 
     def test_family_commutes(self):
-        fam = coefficient_family(E5, 1, False)
+        fam = coefficient_family(E5, 1)
         for a in range(len(fam.ops)):
             for b in range(len(fam.ops)):
                 assert fam.ops[a].commutes_with(fam.ops[b])
 
     @pytest.mark.parametrize(
-        "spec, level, singular",
+        "spec, level",
         [
-            (E2, 1, True),
-            (E3, 1, True),
-            (E4, 1, False),
-            (E5, 2, False),
-            (make_spec([(2, 1), (1, 0)], ["0", "4"]), 1, True),
+            (E2, 1),
+            (E3, 1),
+            (E4, 1),
+            (E5, 2),
+            (make_spec([(2, 1), (1, 0)], ["0", "4"]), 1),
+            (K3GEN, 1),
+            (K4, 2),
+            (K5, 2),
         ],
-        ids=["E2", "E3", "E4", "E5", "E6"],
+        ids=["E2", "E3", "E4", "E5", "E6", "E7", "k4", "k5"],
     )
-    def test_matches_per_entry_expansion(self, spec, level, singular):
-        # oracle: one RatFun and one laurent_expand per transfer-pencil element,
-        # B_d read off as x^-d coefficients; fam.ops[d-1] is B_d on the basis
-        fam = coefficient_family(spec, level, singular)
-        n = len(string_points(reduce_lambda2(spec)[0]))
+    def test_matches_per_entry_expansion(self, spec, level):
+        # oracle: one RatFun and one laurent_expand per transfer-pencil element over the
+        # reduced chain's strings, B_d read off as x^-d coefficients; fam.ops[d-1] is B_d on the basis
+        fam = coefficient_family(spec, level)
+        strings = string_points(reduce_lambda2(spec)[0])
+        n = len(strings)
         tq = transfer_pencil(tensor_monodromy(spec), spec.twist)
         den = spec.normalizer() * Poly([0] * n + [1])
         bmats = [ExactMatrix(tq.nrows, tq.ncols) for _ in range(n + 1)]
         for a, b, p in tq.entries():
-            for d, c in enumerate(laurent_expand(RatFun(Poly.from_roots(fam.strings) * p, den), n)):
+            for d, c in enumerate(laurent_expand(RatFun(Poly.from_roots(strings) * p, den), n)):
                 bmats[d].put(a, b, c)
+        assert len(fam.ops) == n
+        basis = fam.transfer.basis
         for d in range(1, n + 1):
             op = fam.ops[d - 1]
-            for col, v in enumerate(fam.basis):
-                image = [sum((op.get(row, col) * w[x] for row, w in enumerate(fam.basis)), F(0)) for x in range(len(v))]
+            for col, v in enumerate(basis):
+                image = [sum((op.get(row, col) * w[x] for row, w in enumerate(basis)), F(0)) for x in range(len(v))]
                 assert bmats[d].apply(list(v)) == image
-
-    def test_equal_twist_requires_singular(self):
-        with pytest.raises(ValueError, match="singular"):
-            coefficient_family(E2, 1, False)
 
     def test_empty_subspace_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            coefficient_family(E2, 2, True)  # singular part at the top level
+            coefficient_family(E2, 2)  # singular part at the top level
+
+
+_DIFFERENTIAL_SPECS = {**suite_specs(), "k4": K4, "k5": K5}
+
+
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_SPECS))
+def test_family_matches_the_b_route(name):
+    # at every level: the B's from the restricted transfer coefficients equal the B's expanded on
+    # the full module and restricted, and the C-family spaces equal the B-route spaces
+    spec = _DIFFERENTIAL_SPECS[name]
+    for level, divisors in enumerate(char_pair(spec).divisors):
+        fam = coefficient_family(spec, level)
+        assert fam.transfer is transfer_family(spec, level)
+        assert fam.ops == b_operators(spec, level)
+        assert fam.transfer.divisors == divisors
+        assert list(fam.transfer.spaces) == b_spaces(spec, level)
 
 
 class TestAlgebraDimension:
     @pytest.mark.parametrize(
-        "spec,singular,binom_n",
-        [(E2, True, 1), (E3, True, 2), (K3GEN, True, 2), (E4, False, 2), (E5, False, 3)],
+        "spec,binom_n",
+        [(E2, 1), (E3, 2), (K3GEN, 2), (E4, 2), (E5, 3)],
         ids=["E2", "E3", "K3GEN", "E4", "E5"],
     )
-    def test_binomial_dimensions(self, spec, singular, binom_n):
-        top = spec.k - 1 if singular else spec.k
-        for level in range(top + 1):
-            fam = coefficient_family(spec, level, singular)
+    def test_binomial_dimensions(self, spec, binom_n):
+        for level in range(binom_n + 1):
+            fam = coefficient_family(spec, level)
             adim, mats = algebra_dimension(fam)
             assert adim == comb(binom_n, level)
             # closure sanity: products of basis elements stay inside
@@ -120,42 +143,39 @@ class TestAlgebraDimension:
                     assert span.contains(flat(a @ b))
 
     def test_family_algebra_is_the_builder_basis(self):
-        fam = coefficient_family(E5, 1, False)
+        fam = coefficient_family(E5, 1)
         assert fam.algebra is fam.algebra
         assert fam.algebra == tuple(algebra_dimension(fam)[1])
 
     def test_scalar_level_zero(self):
-        fam = coefficient_family(E3, 0, True)
+        fam = coefficient_family(E3, 0)
         assert algebra_dimension(fam)[0] == 1
 
 
 class TestCommutant:
-    @pytest.mark.parametrize("spec,singular", [(E2, True), (E3, True), (E4, False)], ids=["E2", "E3", "E4"])
-    def test_double_commutant_equality(self, spec, singular):
-        top = spec.k - 1 if singular else spec.k
-        for level in range(top + 1):
-            fam = coefficient_family(spec, level, singular)
+    @pytest.mark.parametrize("spec", [E2, E3, E4], ids=["E2", "E3", "E4"])
+    def test_double_commutant_equality(self, spec):
+        for level in range(char_pair(spec).gamma.degree + 1):
+            fam = coefficient_family(spec, level)
             res = double_commutant_check(fam)
             assert res.ok, res.witness
 
     def test_commutant_of_scalars_is_everything(self):
-        fam = coefficient_family(E2, 0, True)
+        fam = coefficient_family(E2, 0)
         assert commutant_dimension(fam) == 1
 
 
 class TestRegularRep:
-    @pytest.mark.parametrize("spec,singular", [(E2, True), (E3, True), (E4, False), (E5, False)],
-                             ids=["E2", "E3", "E4", "E5"])
-    def test_cyclic_vector_found(self, spec, singular):
-        top = spec.k - 1 if singular else spec.k
-        for level in range(top + 1):
-            fam = coefficient_family(spec, level, singular)
+    @pytest.mark.parametrize("spec", [E2, E3, E4, E5], ids=["E2", "E3", "E4", "E5"])
+    def test_cyclic_vector_found(self, spec):
+        for level in range(char_pair(spec).gamma.degree + 1):
+            fam = coefficient_family(spec, level)
             res = regular_rep_check(fam)
             assert res == (True, "", ""), res.witness
 
     def test_non_cyclic_flagged(self):
         bad = make_spec([(1, 0), (1, 0)], ["0", "1"], ("1", "1"))
-        fam = coefficient_family(bad, 1, True)
+        fam = coefficient_family(bad, 1)
         res = regular_rep_check(fam)
         assert res == (False, "", "chain is not cyclic")
 
@@ -180,36 +200,33 @@ class TestPresentation:
 
 class TestSpectral:
     def test_jordan_binomials(self):
-        cp = char_pair(E3)
-        fam = coefficient_family(E3, 1, True)
-        (entry,) = spectral_analysis(fam, cp.divisors[1])
+        fam = coefficient_family(E3, 1)
+        (entry,) = spectral_analysis(fam)
         assert entry.eigen_dim == 1
         assert entry.generalized_dim == 2 == entry.expected_generalized == comb(2, 1)
         assert entry.cyclic_module
-        fam2 = coefficient_family(E3, 2, True)
-        (entry2,) = spectral_analysis(fam2, cp.divisors[2])
+        fam2 = coefficient_family(E3, 2)
+        (entry2,) = spectral_analysis(fam2)
         assert entry2.generalized_dim == 1 == comb(2, 2)
 
     def test_squarefree_all_ones(self):
         cp = char_pair(E5)
         for level in range(cp.gamma.degree + 1):
-            fam = coefficient_family(E5, level, False)
-            for entry in spectral_analysis(fam, cp.divisors[level]):
+            fam = coefficient_family(E5, level)
+            for entry in spectral_analysis(fam):
                 assert entry.eigen_dim == entry.generalized_dim == 1
 
     def test_sums_fill_subspace(self):
-        for spec, singular in ((E3, True), (E5, False), (K3GEN, True)):
-            cp = char_pair(spec)
-            top = spec.k - 1 if singular else spec.k
-            for level in range(top + 1):
-                fam = coefficient_family(spec, level, singular)
-                entries = spectral_analysis(fam, cp.divisors[level])
+        for spec in (E3, E5, K3GEN):
+            for level in range(char_pair(spec).gamma.degree + 1):
+                fam = coefficient_family(spec, level)
+                entries = spectral_analysis(fam)
                 assert sum(e.generalized_dim for e in entries) == fam.dim
 
     def test_character_matches_transfer_eigenvalue(self):
-        fam = coefficient_family(E2, 1, True)
+        fam = coefficient_family(E2, 1)
         (dv,) = char_pair(E2).divisors[1]
-        char = divisor_character(fam, dv)
+        char = divisor_character(E2, dv)
         # the operators act by exactly these scalars on the 1-dim subspace
         for op, val in zip(fam.ops, char):
             assert op.get(0, 0) == val

@@ -14,8 +14,6 @@ from gl11chain.monodromy import (
     evaluation_monodromy,
     laurent_coefficients,
     lax_monodromy,
-    reduce_lambda2,
-    string_points,
     t_coefficient,
     tensor_monodromy,
     transfer_pencil,
@@ -23,6 +21,7 @@ from gl11chain.monodromy import (
     _combine,
 )
 from gl11chain.superlin import E_PARITY
+from bethealgoracle import reduce_lambda2, string_points
 from densemat import to_dense
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, suites, weylspace
+from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, suites, superlin, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import FracMatrix, berezinian, higher_transfer
 from gl11chain.chain import cyclicity_and_irreducibility
@@ -489,10 +489,12 @@ def test_injected_bug_leaves_shared_pencils_intact():
 def test_memoised_builders_found():
     assert {f"{fn.__module__}.{fn.__qualname__}" for fn in memoised_builders()} == {
         "gl11chain.superlin.SuperSpace.tensor_power",
+        "gl11chain.superlin._gl_generator",
         "gl11chain.monodromy.tensor_monodromy",
         "gl11chain.monodromy.chain_transfer_pencil",
         "gl11chain.bethe.char_pair",
         "gl11chain.bethe._bethe_vector",
+        "gl11chain.bethe.transfer_family",
         "gl11chain.shapoform.form_matrix",
         "gl11chain.fusion.berezinian",
         "gl11chain.fusion.higher_transfer",
@@ -626,28 +628,27 @@ def test_transfer_symmetry_item_names_the_generator(monkeypatch):
         assert not item.ok and item.witness == "generator e_11, x^0 coefficient"
 
 
-def _corrupted_b1(real, target):
-    """coefficient_family whose B_1 at the target (spec, level) is a copy with 1 added at (0, 1)."""
+def _corrupted_c1(real, target):
+    """transfer_family whose C_1 at the target (spec, level) is a copy with 1 added at (0, 1)."""
 
-    def corrupted(spec, level, singular_only):
-        fam = real(spec, level, singular_only)
+    def corrupted(spec, level):
+        fam = real(spec, level)
         if (spec, level) != target:
             return fam
-        b1 = fam.ops[0].copy()
-        b1.put(0, 1, b1.get(0, 1) + 1)
-        return bethealg.CoefficientFamily(
-            fam.spec, fam.level, fam.singular, fam.basis, [b1] + fam.ops[1:], fam.strings
-        )
+        c1 = fam.ops[1].copy()
+        c1.put(0, 1, c1.get(0, 1) + 1)
+        return bethe.TransferFamily(fam.spec, fam.level, fam.basis, fam.coords, [fam.ops[0], c1, *fam.ops[2:]])
 
     return corrupted
 
 
 def test_noncommuting_family_fails_spectral_dims(monkeypatch):
-    # E4 at level 1 is 2-dimensional and B_2 is not scalar there, so the corrupted B_1 does not commute with it
+    # E4 at level 1 is 2-dimensional and C_0 is not scalar there, so the corrupted C_1, and B_1
+    # with it, does not commute with it; the copy leaves the shared family intact
     clean = [it.label for it in run_suite("algebra")]
     target = (suite_specs()["E4"], 1)
-    assert bethealg.coefficient_family(*target, False).dim == 2
-    monkeypatch.setattr(bethealg, "coefficient_family", _corrupted_b1(bethealg.coefficient_family, target))
+    assert bethe.transfer_family(*target).dim == 2
+    monkeypatch.setattr(bethealg, "transfer_family", _corrupted_c1(bethealg.transfer_family, target))
     items = run_suite("algebra")
     assert [it.label for it in items] == clean
     bad = {it.label: it.witness for it in items if not it.ok}
@@ -663,21 +664,18 @@ def _identity_algebra(real):
     return lambda fam: (1, [ExactMatrix.identity(fam.dim)])
 
 
-def _shifted_character(real):
-    return lambda fam, dv: [c + 1 for c in real(fam, dv)]
-
-
 @pytest.mark.parametrize(
-    "attr, corrupt, prefix",
+    "module, attr, corrupt, prefix",
     [
-        ("eigenvalue_pencil", _shifted_eigenvalue, "presentation "),
-        ("algebra_dimension", _identity_algebra, "regular representation "),
-        ("divisor_character", _shifted_character, "spectral dims "),
+        (bethealg, "eigenvalue_pencil", _shifted_eigenvalue, "presentation "),
+        (bethealg, "algebra_dimension", _identity_algebra, "regular representation "),
+        # the characters the level's transfer family reads: its eigenvalues' coefficients
+        (bethe, "eigenvalue_pencil", _shifted_eigenvalue, "spectral dims "),
     ],
     ids=["presentation", "regular-representation", "spectral-dims"],
 )
-def test_algebra_items_carry_the_witness(monkeypatch, attr, corrupt, prefix):
-    monkeypatch.setattr(bethealg, attr, corrupt(getattr(bethealg, attr)))
+def test_algebra_items_carry_the_witness(monkeypatch, fresh_caches, module, attr, corrupt, prefix):
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
     bad = [it for it in run_suite("algebra") if it.label.startswith(prefix) and not it.ok]
     assert bad
     assert all(it.witness for it in bad), bad
@@ -694,6 +692,35 @@ def test_algebra_suite_builds_each_algebra_once(monkeypatch):
     monkeypatch.setattr(bethealg, "algebra_dimension", counted)
     families = [it for it in run_suite("algebra") if it.label.startswith("algebra dim ")]
     assert len(calls) == len(set(calls)) == len(families) == 19
+
+
+def test_bethe_and_algebra_suites_share_one_family_per_level(monkeypatch):
+    # the completeness reports and the algebra suite read one transfer family per (chain, level),
+    # whose joint spaces are solved once per (chain, level) that has divisors
+    clear_builder_caches()
+    memo = bethe.transfer_family
+    requests = []
+    for module in (bethe, bethealg):
+        monkeypatch.setattr(module, "transfer_family", lambda *key: requests.append(key) or memo(*key))
+    real = bethe.joint_generalized_eigenspaces
+    solves = []
+    monkeypatch.setattr(bethe, "joint_generalized_eigenspaces", lambda ops, chars: solves.append(1) or real(ops, chars))
+    assert all(run_suite("bethe")) and all(run_suite("algebra"))
+    keys = set(requests)
+    assert memo.cache_info().misses == len(keys) < len(requests)
+    assert len(solves) == len([key for key in keys if memo(*key).divisors])
+
+
+def test_gl_generators_built_once_per_key(monkeypatch):
+    # e_11, e_22 and e_12 of a chain are shared by the rtt suite's symmetry checks,
+    # the singular subspaces and the bethe suite's singular-vector checks
+    clear_builder_caches()
+    memo = superlin._gl_generator
+    requests = []
+    monkeypatch.setattr(superlin, "_gl_generator", lambda *key: requests.append(key) or memo(*key))
+    for name in ("rtt", "bethe", "algebra", "norms"):
+        assert all(run_suite(name))
+    assert memo.cache_info().misses == len(set(requests)) == 14
 
 
 @pytest.mark.parametrize("name", ["bethe", "algebra", "norms"])
