@@ -37,7 +37,7 @@ from .exactnum import (
 )
 from .linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
 from .chain import ModuleSpec, Weight, cyclicity_and_irreducibility, phi_psi
-from .monodromy import Check, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
+from .monodromy import Check, chain_transfer_coefficients, chain_transfer_pencil, tensor_monodromy
 from .superlin import level_weight, singular_subspace, weight_spaces
 
 
@@ -208,7 +208,7 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> Check:
     vec = bethe_vector(spec, roots)
     rhs = ypoly.shift(1) * char_pair(spec).gamma
     # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side
-    diffs = [a - rhs * v for a, v in zip((chain_transfer_pencil(spec) * ypoly).apply(vec), vec)]
+    diffs = [ypoly * a - rhs * v for a, v in zip(chain_transfer_pencil(spec).apply(vec), vec)]
     bad = [(min(d for d, c in enumerate(p.nums) if c), comp) for comp, p in enumerate(diffs) if p]
     return Check(not bad, witness=str(min(bad)) if bad else "")
 
@@ -360,9 +360,9 @@ class TransferFamily:
 @functools.cache
 def transfer_family(spec: ModuleSpec, level: int) -> TransferFamily:
     """Memoised per (chain, level): the family is shared and must not be mutated."""
-    tq = coefficient_matrices(chain_transfer_pencil(spec))
+    tq = chain_transfer_coefficients(spec)
     dim = spec.space().dim
-    tq += [ExactMatrix(dim, dim)] * (spec.k + 1 - len(tq))
+    tq = list(tq) + [ExactMatrix(dim, dim)] * (spec.k + 1 - len(tq))
     basis = level_subspace(spec, level)
     ops, coords = restrict_operators(tq, basis)
     return TransferFamily(spec, level, basis, coords, ops)

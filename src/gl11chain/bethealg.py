@@ -65,10 +65,6 @@ def coefficient_family(spec: ModuleSpec, level: int) -> CoefficientFamily:
     return CoefficientFamily(fam, [sum((c * g[d + r] for d, c in enumerate(fam.ops)), zero) for r in range(1, n + 1)])
 
 
-def _flatten(m: ExactMatrix) -> list[Fraction]:
-    return [m.get(i, j) for i in range(m.nrows) for j in range(m.ncols)]
-
-
 def algebra_dimension(fam: CoefficientFamily) -> tuple[int, list[ExactMatrix]]:
     """Dimension and matrix basis of the unital algebra generated by fam.
 
@@ -80,7 +76,7 @@ def algebra_dimension(fam: CoefficientFamily) -> tuple[int, list[ExactMatrix]]:
     basis_mats: list[ExactMatrix] = []
 
     def insert(m: ExactMatrix) -> bool:
-        if span.add(_flatten(m)):
+        if span.add({i * d + j: v for i, j, v in m.entries()}):
             basis_mats.append(m)
             return True
         return False

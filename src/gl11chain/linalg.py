@@ -331,14 +331,15 @@ class SpanBasis:
         return lead, s
 
     def reduce(self, vec: Sequence) -> Vector:
+        """vec reduced against the rows; a sequence only, as the result is dense."""
         w, s = self._reduced(_sparse(vec))
         return [Fraction(w[j], s) if j in w else _ZERO for j in range(len(vec))]
 
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec into the span; returns True when it was independent."""
+    def add(self, vec: "Sequence | dict") -> bool:
+        """Insert vec, a sequence or a sparse {column: value} dict; returns True when it was independent."""
         return self._insert(_sparse(vec)) is not None
 
-    def contains(self, vec: Sequence) -> bool:
+    def contains(self, vec: "Sequence | dict") -> bool:
         return not self._reduced(_sparse(vec))[0]
 
     @property
@@ -346,8 +347,9 @@ class SpanBasis:
         return len(self.pivots)
 
 
-def _sparse(vec: Sequence) -> dict:
-    return {j: a for j, a in enumerate(vec) if a}
+def _sparse(vec: "Sequence | dict") -> dict:
+    """The nonzero entries of a sequence, or of a {column: value} dict, as a fresh dict."""
+    return {j: a for j, a in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if a}
 
 
 def _reduce(v: dict, row_at: dict, gcd: Callable):
@@ -460,14 +462,14 @@ class SpanCoordinates:
             self.add(vec)
 
     def add(self, vec: Sequence) -> bool:
-        """Append vec; returns True when it is independent of the vectors before it."""
+        """Append vec, a sequence; returns True when it is independent of the vectors before it."""
         row = _sparse(vec)
         row[self.length + self.count] = Fraction(1)
         self.count += 1
         return self._span._insert(row, self.length) is not None
 
     def coordinates(self, vec: Sequence) -> "Vector | None":
-        """x with sum_k x[k] * (k-th added vector) == vec, or None when vec is outside the span."""
+        """x with sum_k x[k] * (k-th added vector) == vec, a sequence, or None when vec is outside the span."""
         w, s = self._span._reduced(_sparse(vec))
         if any(j < self.length for j in w):
             return None
@@ -483,12 +485,14 @@ def joint_generalized_eigenspaces(
 ) -> list[tuple[list[Vector], list[Vector]]]:
     """Per character: (eigenspace basis, generalized eigenspace basis).
 
-    Operators must commute pairwise and be square on a common space.  Each
-    shifted operator s is raised only to the first power j with
-    rank(s^j) = rank(s^(j+1)): from there on the kernel of s^j no longer
-    grows (Fitting's lemma), so it is the generalized kernel, the one that
-    s^dim has.  Raises ValueError("family not commutative: operators i and j"),
-    naming the first non-commuting pair, otherwise.
+    Operators must commute pairwise and be square on a common space.  A
+    shifted operator that is zero (a scalar operator at its own value, a zero
+    operator at 0) constrains nothing and is dropped; an empty family leaves
+    the whole space.  Each other shifted operator s is raised only to the
+    first power j with rank(s^j) = rank(s^(j+1)): from there on the kernel of
+    s^j no longer grows (Fitting's lemma), so it is the generalized kernel,
+    the one that s^dim has.  Raises ValueError("family not commutative:
+    operators i and j"), naming the first non-commuting pair, otherwise.
     """
     ops = list(ops)
     if not ops:
@@ -505,9 +509,10 @@ def joint_generalized_eigenspaces(
     for ch in chars:
         if len(ch) != len(ops):
             raise ValueError("character length mismatch")
-        shifted = [op - ExactMatrix.identity(n, Fraction(1)) * c for op, c in zip(ops, ch)]
-        eig = ExactMatrix.vstack(shifted).kernel()
-        gen = ExactMatrix.vstack([_fitting_power(s) for s in shifted]).kernel()
+        shifted = (op - ExactMatrix.identity(n, Fraction(1)) * c for op, c in zip(ops, ch))
+        shifted = [s for s in shifted if not s.is_zero()]
+        eig = ExactMatrix.vstack(shifted or [ExactMatrix(0, n)]).kernel()
+        gen = ExactMatrix.vstack([_fitting_power(s) for s in shifted] or [ExactMatrix(0, n)]).kernel()
         out.append((eig, gen))
     return out
 

@@ -277,6 +277,12 @@ def chain_transfer_pencil(spec: ModuleSpec) -> linalg.ExactMatrix:
     return transfer_pencil(tensor_monodromy(spec), spec.twist)
 
 
+@functools.cache
+def chain_transfer_coefficients(spec: ModuleSpec) -> tuple[linalg.ExactMatrix, ...]:
+    """The x^d coefficient matrices C_0..C_k of That_Q, split once per chain: shared, must not be mutated."""
+    return tuple(coefficient_matrices(chain_transfer_pencil(spec)))
+
+
 def laurent_coefficients(m: linalg.ExactMatrix, num: Poly, den: Poly, order: int) -> list[linalg.ExactMatrix]:
     """Coefficients of x^0, x^-1, ..., x^-order at infinity of (num/den) * m.
 

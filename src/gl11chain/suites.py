@@ -103,7 +103,7 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
     # transfer family commutes and respects the diagonal symmetry
     for name, spec in suite_specs().items():
         pencil = monodromy.tensor_monodromy(spec)
-        tq = monodromy.coefficient_matrices(monodromy.chain_transfer_pencil(spec))
+        tq = monodromy.chain_transfer_coefficients(spec)
         pair = next(
             ((a, b) for a in range(len(tq)) for b in range(a + 1, len(tq)) if not tq[a].commutes_with(tq[b])), None
         )
@@ -308,7 +308,7 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         items.append(_item(f"vacuum normalized {name}", vac == 1, f"gram[0, 0] = {format_scalar(vac)}"))
         items.append(shapoform.check_iota_contract(spec)._replace(label=f"contravariance {name}"))
         # transfer self-adjointness
-        tq = monodromy.coefficient_matrices(monodromy.chain_transfer_pencil(spec))
+        tq = monodromy.chain_transfer_coefficients(spec)
         degree = next((d for d, c in enumerate(tq) if (c.transpose() @ gram) != (gram @ c)), None)
         items.append(_item(f"transfer self-adjoint {name}", degree is None, f"x^{degree} coefficient"))
         _, irred = cyclicity_and_irreducibility(spec)

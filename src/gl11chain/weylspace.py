@@ -3,8 +3,8 @@
 Vectors are dicts {basis index of the n-fold vector power: MPoly}, where
 MPoly is a sparse exact multivariate polynomial.  Every coefficient the model
 builds is an integer, so coefficients are int; a Fraction appears only when a
-non-integral rational is multiplied in.  The chart vectors handed to SpanBasis
-and the matrices of the actions are then integer too.
+non-integral rational is multiplied in.  The sparse vectors handed to
+SpanBasis and the matrices of the actions are then integer too.
 
 An MPoly stores each monomial z^e as one int, its packed key: slot i (W =
 _SLOT_BITS = 16 bits from bit W*i) holds e_i, and slot n holds the total
@@ -15,7 +15,8 @@ key.  The bound: a slot holds at most 2^W - 1 = 65535, so a total degree of
 2^W or more raises OverflowError where a key is packed (the constructor, var)
 and before a product is formed, from the operands' degrees; no key carries
 into the next slot.  Exponent tuples remain at the edges: the constructor
-MPoly(n, {tuple: c}), the `terms` view, and the Coords charts' monomials.
+MPoly(n, {tuple: c}), the `terms` view, and the witnesses that name a monomial.
+_monomial_keys enumerates the keys of one degree, in exponent-tuple order.
 Two symmetric-group actions matter:
 
   standard   s_i = graded flip composed with the z_i <-> z_{i+1} swap;
@@ -64,7 +65,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactnum import q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis
@@ -291,64 +292,20 @@ def elementary_mpoly(n: int, i: int) -> MPoly:
     return MPoly(n, out)
 
 
-# ---------------------------------------------------------------------------
-# coordinates on the truncated space
-# ---------------------------------------------------------------------------
+def _monomial_keys(n: int, delta: int):
+    """The packed keys of the monomials of degree delta in n variables, in increasing exponent-tuple order.
 
-
-def monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
-    out = []
-    def rec(prefix, rest, budget):
-        if rest == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], rest - 1, budget - e)
-    rec([], n, d)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    Stars and bars: each placement of n - 1 bars among delta + n - 1 slots is
+    one monomial, e_i the number of stars between bars i - 1 and i.
+    """
+    for bars in itertools.combinations(range(delta + n - 1), n - 1):
+        yield _pack([b - a - 1 for a, b in zip((-1, *bars), (*bars, delta + n - 1))])
 
 
 def level_components(n: int, level: "int | None") -> list[int]:
     """Components of the n-fold vector power at the given level; all of them for None."""
     space = SuperSpace.tensor_power(n)
     return [c for c in range(space.dim) if level is None or space.level(c) == level]
-
-
-class Coords(NamedTuple):
-    """Coordinate chart on (weight-l component of V) tensor polynomials <= d.
-
-    keys holds the packed key of each monomial; the index is keyed by
-    (component, packed key of the monomial).
-    """
-
-    n: int
-    components: list[int]
-    monomials: list[tuple[int, ...]]
-    keys: list[int]
-    index: dict[tuple[int, int], int]
-
-    @staticmethod
-    def build(n: int, level: "int | None", d: int) -> "Coords":
-        comps = level_components(n, level)
-        monos = monomials_upto(n, d)
-        keys = [_pack(m) for m in monos]
-        index = {}
-        for ci, c in enumerate(comps):
-            for mi, key in enumerate(keys):
-                index[(c, key)] = ci * len(monos) + mi
-        return Coords(n, comps, monos, keys, index)
-
-    @property
-    def dim(self) -> int:
-        return len(self.components) * len(self.monomials)
-
-    def to_vector(self, f: dict) -> "list[int | Fraction]":
-        v = [0] * self.dim
-        for c, p in f.items():
-            for key, coef in p._packed.items():
-                v[self.index[(c, key)]] = coef
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +389,11 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> Check:
     s_i, the braid relation at i, or the commutation of (i, j).
     """
     space = SuperSpace.tensor_power(n)
-    coords = Coords.build(n, level, d)
-    mats = [_relation_matrix(space, coords, i) for i in range(n - 1)]
-    ident = ExactMatrix.identity(coords.dim, 1)
+    comps = level_components(n, level)
+    keys = (key for delta in range(d + 1) for key in _monomial_keys(n, delta))
+    position = {key: m for m, key in enumerate(keys)}
+    mats = [_relation_matrix(space, comps, position, i) for i in range(n - 1)]
+    ident = ExactMatrix.identity(len(comps) * len(position), 1)
     for i, m in enumerate(mats):
         if (m @ m) != ident:
             return Check(False, witness=f"involutivity of s_{i}")
@@ -450,21 +409,28 @@ def check_sn_relations(n: int, d: int, level: "int | None" = None) -> Check:
     return Check(True)
 
 
-def _relation_matrix(space: SuperSpace, coords: Coords, i: int) -> ExactMatrix:
-    """The matrix of shat_i in the chart, each column (c, key) read from the flip of c and the monomial table."""
-    index = coords.index
+def _relation_matrix(space: SuperSpace, comps: Sequence[int], position: dict[int, int], i: int) -> ExactMatrix:
+    """The matrix of shat_i on comps times the monomials of `position`, {packed key: position}.
+
+    The basis vector (comps[ci], key) is column ci * len(position) +
+    position[key]; each column is read from the flip of its component and
+    the monomial table.
+    """
+    size = len(position)
+    start = {c: ci * size for ci, c in enumerate(comps)}
     rows: dict = {}
-    for c in coords.components:
+    for c in comps:
         cc, sign = space.flip(c, i)
-        for key in coords.keys:
-            col = index[(c, key)]
-            skey, terms = _monomial_image(coords.n, i, key)
-            rows.setdefault(index[(cc, skey)], {})[col] = sign  # the column's first entry
+        for key, m in position.items():
+            col = start[c] + m
+            skey, terms = _monomial_image(space.n, i, key)
+            rows.setdefault(start[cc] + position[skey], {})[col] = sign  # the column's first entry
             for k, t in terms:
-                row = rows.setdefault(index[(c, k)], {})
+                row = rows.setdefault(start[c] + position[k], {})
                 row[col] = row.get(col, 0) + t
     rows = {r: {col: v for col, v in row.items() if v} for r, row in rows.items()}
-    return ExactMatrix(coords.dim, coords.dim, {r: row for r, row in rows.items() if row})
+    dim = len(comps) * size
+    return ExactMatrix(dim, dim, {r: row for r, row in rows.items() if row})
 
 
 def _class_words(n: int) -> list[tuple[list[int], int]]:
@@ -526,16 +492,13 @@ def _check_degree_drop(n: int, delta: int) -> None:
     """Raise ArithmeticError unless each divided difference lowers the degree of each monomial of degree delta.
 
     Memoised per (n, delta), so every level, part and cap checks each monomial
-    once.  The monomials are the stars-and-bars placements of n - 1 bars
-    among delta + n - 1 slots; their divided differences are read from the
-    monomial table, so the premise holds for the images the model applies.
+    once.  The divided differences are read from the monomial table, so the
+    premise holds for the images the model applies.
     """
-    for bars in itertools.combinations(range(delta + n - 1), n - 1):
-        e = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, delta + n - 1)))
-        key = _pack(e)
+    for key in _monomial_keys(n, delta):
         for i in range(n - 1):
             if any(k >> (_SLOT_BITS * n) >= delta for k, _ in _monomial_image(n, i, key)[1]):
-                raise ArithmeticError(f"divided difference at s_{i} does not lower the degree of {e}")
+                raise ArithmeticError(f"divided difference at s_{i} does not lower the degree of {_unpack(key, n)}")
 
 
 def _zero_mode_map(space: SuperSpace, i: int, j: int, comps: Sequence[int]) -> dict[int, dict[int, int]]:
@@ -678,7 +641,7 @@ def current_model_checks(n: int, level: int, d: int) -> list[Check]:
     dependent = None
     for w in itertools.combinations(range(n), level):
         g = _apply_e21_word(space, w, v_plus)
-        if not values.add([g[c].evaluate(a) if c in g else 0 for c in range(space.dim)]):
+        if not values.add({c: p.evaluate(a) for c, p in g.items()}):
             dependent = f"g_{w} at z = {a} depends on the earlier generators' values"
             break
     results.append((level, f"free generators at level {level}", dependent))
@@ -766,32 +729,20 @@ def cyclicity_by_degree(n: int, d: int) -> Check:
     its spanned dimension and the invariant count.
     """
     space = SuperSpace.tensor_power(n)
-    blocks = gamma_coefficient_ops(n)
-    cap = d
-    coords_all = [Coords.build(n, lv, cap) for lv in range(n + 1)]
-    ops = []
-    for (i, j), op in blocks.items():
-        for c in op:
-            ops.append((i, j, c))
-    # generate within the degree cap, then compare against invariant dims
+    ops = [c for op in gamma_coefficient_ops(n).values() for c in op]
+    spans = [SpanBasis() for _ in range(n + 1)]
+    # grow within the degree cap, each vector entering its level's span as
+    # {(packed key << n) | component: coefficient}; only the new ones are applied further
     frontier = [vacuum_vector(n)]
-    spans = {lv: SpanBasis() for lv in range(n + 1)}
-    spans[0].add(coords_all[0].to_vector(vacuum_vector(n)))
     while frontier:
-        nxt = []
+        images = []
         for f in frontier:
-            for i, j, c in ops:
-                g = _mpoly_apply(c, f, n)
-                if not g:
-                    continue
-                if _degree(g) > cap:
-                    continue
-                lv = space.level(next(iter(g)))
-                if spans[lv].add(coords_all[lv].to_vector(g)):
-                    nxt.append(g)
-        frontier = nxt
+            vec = {(key << n) | c: v for c, p in f.items() for key, v in p._packed.items()}
+            if spans[space.level(next(iter(f)))].add(vec):
+                images.extend(_mpoly_apply(c, f, n) for c in ops)
+        frontier = [g for g in images if g and _degree(g) <= d]
     for lv in range(n + 1):
-        want = sum(invariant_dimensions(n, lv, cap, False))
+        want = sum(invariant_dimensions(n, lv, d, False))
         if spans[lv].dim != want:
             return Check(False, witness=f"level {lv}: spanned dimension {spans[lv].dim}, invariant count {want}")
     return Check(True)
@@ -805,18 +756,18 @@ def gamma_commutes_with_modified(n: int, d: int) -> Check:
     """
     space = SuperSpace.tensor_power(n)
     blocks = gamma_coefficient_ops(n)
-    small = Coords.build(n, None, d)
+    keys = [key for delta in range(d + 1) for key in _monomial_keys(n, delta)]
     for i_leg in range(n - 1):
         for (i, j), op in blocks.items():
             for deg, c in enumerate(op):
-                for comp in small.components:
-                    for e in small.monomials:
-                        f = {comp: MPoly(n, {e: 1})}
+                for comp in range(space.dim):
+                    for key in keys:
+                        f = {comp: MPoly._raw(n, {key: 1})}
                         a = modified_action(space, i_leg, _mpoly_apply(c, f, n))
                         b = _mpoly_apply(c, modified_action(space, i_leg, f), n)
                         if a != b:
                             where = f"leg {i_leg}, entry ({i}, {j}), x^{deg}"
-                            return Check(False, witness=f"{where}, component {comp}, monomial {e}")
+                            return Check(False, witness=f"{where}, component {comp}, monomial {_unpack(key, n)}")
     return Check(True)
 
 
@@ -900,7 +851,7 @@ def specialization_check(points: Sequence) -> Check:
     partners = SpanBasis()
     for lv, level in enumerate(gens):
         for word, g in level:
-            if not partners.add([g[c].evaluate(a) if c in g else 0 for c in range(2**n)]):
+            if not partners.add({c: p.evaluate(a) for c, p in g.items()}):
                 return Check(False, witness=f"level {lv}: partner of {word} depends on the earlier partners")
 
     # images X g_D as (key, source generator, image), and the cap of each target level

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gl11chain import bethe
+from gl11chain import bethe, linalg
 from gl11chain.exactnum import Poly, RootSearchTooLarge
 from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
 from gl11chain.chain import make_spec
 from gl11chain.monodromy import coefficient_matrices, tensor_monodromy, transfer_pencil
+from gl11chain.suites import suite_specs
 from gl11chain.bethe import (
     CharPair,
     Divisor,
@@ -255,3 +256,33 @@ class TestCompleteness:
     def test_report_dict_exact_strings(self):
         doc = completeness_report(E2).to_dict()
         assert doc["levels"][1]["divisors"][0]["eigenvalue"] == ["-3/2", "2"]
+
+
+def every_shift_eigenspaces(ops, chars):
+    """joint_generalized_eigenspaces with every shifted operator stacked, zero ones included (oracle)."""
+    n = ops[0].nrows
+    out = []
+    for ch in chars:
+        shifted = [op - ExactMatrix.identity(n) * c for op, c in zip(ops, ch)]
+        eig = ExactMatrix.vstack(shifted).kernel()
+        out.append((eig, ExactMatrix.vstack([linalg._fitting_power(s) for s in shifted]).kernel()))
+    return out
+
+
+@pytest.mark.parametrize("name", list(suite_specs()))
+def test_zero_shift_skip_keeps_the_joint_spaces(name):
+    # differential: the solver drops the zero shifted operators (the scalar
+    # top coefficient, the zero padding); the bases equal those of the solve
+    # that stacks every one, E3's double-root level with its Jordan block included
+    spec = suite_specs()[name]
+    zero_shifts = 0
+    for level in range(spec.k + 1):
+        fam = bethe.transfer_family(spec, level)
+        if not fam.divisors:
+            continue
+        chars = [[ev.coeff(d) for d in range(len(fam.ops))] for ev in fam.eigenvalues]
+        assert list(fam.spaces) == every_shift_eigenspaces(fam.ops, chars)
+        one = ExactMatrix.identity(fam.dim)
+        zero_shifts += sum((op - one * c).is_zero() for ch in chars for op, c in zip(fam.ops, ch))
+    assert zero_shifts
+

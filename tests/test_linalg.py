@@ -180,6 +180,49 @@ class TestSpanBasis:
 
 
 
+@st.composite
+def scattered_streams(draw):
+    """vector_streams on scattered columns in any order, as {column: value} dicts that keep their zeros.
+
+    Integral values enter as int or as Fraction, as the polynomial model and
+    the matrix algebra hand them in.
+    """
+    length, vecs, probes = draw(vector_streams())
+    cols = draw(st.lists(st.integers(0, 40), min_size=length, max_size=length, unique=True))
+    as_int = draw(st.booleans())
+
+    def scatter(v):
+        return {c: int(a) if as_int and a.denominator == 1 else a for c, a in zip(cols, v)}
+
+    return max(cols) + 1, [scatter(v) for v in vecs], [scatter(w) for w in probes]
+
+
+class TestSparseInput:
+    @given(scattered_streams())
+    @settings(max_examples=200)
+    def test_dict_matches_its_dense_sequence(self, stream):
+        # differential: a {column: value} dict and its dense sequence give the
+        # same add results, dimension, rows and contains verdicts
+        length, vecs, probes = stream
+        given_vecs = [dict(v) for v in vecs + probes]
+        sparse, dense_span = SpanBasis(), SpanBasis()
+        for v in vecs:
+            assert sparse.add(v) == dense_span.add([v.get(j, 0) for j in range(length)])
+            assert sparse.dim == dense_span.dim
+        for w in vecs + probes:
+            assert sparse.contains(w) == dense_span.contains([w.get(j, 0) for j in range(length)])
+        assert sparse.pivots == dense_span.pivots and sparse.rows == dense_span.rows
+        assert vecs + probes == given_vecs  # the dicts are read, not changed
+
+    def test_zero_entries_and_far_columns(self):
+        s = SpanBasis()
+        assert not s.add({3: F(0), 7: 0})
+        assert s.add({10**6: 2, 5: F(0)})
+        assert s.pivots == [10**6]
+        assert s.contains({10**6: F(-1, 3), 0: 0})
+        assert not s.contains({10**6 + 1: 1})
+
+
 class TestSpanCoordinates:
     def test_coordinates(self):
         s = SpanCoordinates(2, [[F(1), F(1)], [F(1), F(-1)]])

@@ -34,6 +34,9 @@ names `eps_limit` or `NonRemovableSingularity`, so the norm layer takes no
 limit; suites.py still compares `bethe.bethe_vector_eps` with the direct vector.
 The modified action has one source: only the monomial table `_monomial_image`
 calls `.swap(` or `.divided_difference(`, and every weyl path reads the table.
+The package builds no dense coordinate chart: spans take sparse vectors, and
+no module defines `Coords`, `monomials_upto` or `to_vector`; the chart is the
+tests' oracle, in tests/actionoracle.py.
 """
 
 import ast
@@ -532,4 +535,35 @@ def test_primitive_rule_catches_each_planted_call():
     )
     assert _primitive_calls(ast.parse(code)) == [
         "line 5: calls .swap", "line 5: calls .divided_difference", "line 6: calls .divided_difference",
+    ]
+
+
+# The dense chart of the polynomial model is a test oracle (tests/actionoracle.py), not package code.
+CHART_NAMES = ("Coords", "monomials_upto", "to_vector")
+
+
+def _chart_definitions(tree: ast.AST) -> list[str]:
+    """Every class, function or assigned name called Coords, monomials_upto or to_vector, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in CHART_NAMES:
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in CHART_NAMES:
+            found.append((node.lineno, node.id))
+    return [f"line {line}: defines {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_coordinate_chart(path):
+    assert _chart_definitions(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_chart_rule_catches_each_planted_definition():
+    code = (
+        "class Coords:\n    def to_vector(self, f):\n        return []\n"
+        "monomials_upto = sorted\n"
+        "v = chart.to_vector(f)\n"
+    )
+    assert _chart_definitions(ast.parse(code)) == [
+        "line 1: defines Coords", "line 2: defines to_vector", "line 4: defines monomials_upto",
     ]

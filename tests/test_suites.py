@@ -300,7 +300,8 @@ def _zero_textbook_norm(real):
         "vacuum-normalized", "form-non-degenerate", "norm-ratio", "norm-ratio-textbook-zero", "orthogonal",
     ],
 )
-def test_norms_items_carry_the_witness(monkeypatch, module, attr, corrupt, prefix, detail):
+def test_norms_items_carry_the_witness(monkeypatch, fresh_caches, module, attr, corrupt, prefix, detail):
+    # fresh caches: the memoised coefficient split is then taken from a corrupted pencil, and not kept
     monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
     items = [it for it in run_suite("norms", max_k=2, max_n=2) if it.label.startswith(prefix)]
     assert items
@@ -492,6 +493,7 @@ def test_memoised_builders_found():
         "gl11chain.superlin._gl_generator",
         "gl11chain.monodromy.tensor_monodromy",
         "gl11chain.monodromy.chain_transfer_pencil",
+        "gl11chain.monodromy.chain_transfer_coefficients",
         "gl11chain.bethe.char_pair",
         "gl11chain.bethe._bethe_vector",
         "gl11chain.bethe.transfer_family",
@@ -528,12 +530,12 @@ def test_weyl_degree_premise_checked_once_per_argument(tmp_path, monkeypatch):
 
 def test_derived_objects_built_once_per_chain(tmp_path, monkeypatch):
     builders = (tensor_monodromy, form_matrix, berezinian, higher_transfer, fusion._generating_oper,
-                monodromy.chain_transfer_pencil)
+                monodromy.chain_transfer_pencil, monodromy.chain_transfer_coefficients)
     clear_builder_caches()
     chain = tmp_path / "e4.json"
     chain.write_text(suite_specs()["E4"].to_json())
     assert cli.main(["spectrum", "--spec", str(chain), "--json", str(tmp_path / "report.json")]) == 0
-    assert [fn.cache_info().misses for fn in builders] == [1, 1, 1, 3, 1, 1]
+    assert [fn.cache_info().misses for fn in builders] == [1, 1, 1, 3, 1, 1, 1]
     # the Bethe suite: one transfer pencil per chain, for every divisor's on-shell check
     monodromy.chain_transfer_pencil.cache_clear()
     run_suite("bethe")
@@ -602,7 +604,7 @@ def _constant_pencil(dim, coefficients):
     return m
 
 
-def test_transfer_commutes_item_names_the_pair(monkeypatch):
+def test_transfer_commutes_item_names_the_pair(monkeypatch, fresh_caches):
     # x^0 coefficient E_01, x^1 coefficient E_10: they do not commute
     real = monodromy.chain_transfer_pencil
     monkeypatch.setattr(
@@ -614,7 +616,7 @@ def test_transfer_commutes_item_names_the_pair(monkeypatch):
         assert not item.ok and item.witness == "coefficient pair (0, 1)"
 
 
-def test_transfer_symmetry_item_names_the_generator(monkeypatch):
+def test_transfer_symmetry_item_names_the_generator(monkeypatch, fresh_caches):
     # one coefficient swapping basis vectors 0 and 1 commutes with itself but
     # not with the diagonal generator e_11, which weighs them differently
     real = monodromy.chain_transfer_pencil
