@@ -2,10 +2,10 @@
 
 Everything is computed over the rationals with no rounding: monodromy
 pencils on tensor products of evaluation modules, the Bethe ansatz
-(divisors, Bethe vectors, eigenvalues, completeness), the coefficient
-algebra on weight subspaces, the contravariant form and norms, and the
-higher transfer matrices with their Berezinian and difference-operator
-identities.
+(divisors, Bethe vectors, eigenvalues, completeness), the Bethe algebra
+the transfer coefficients generate on weight subspaces, the contravariant
+form and norms, and the higher transfer matrices with their Berezinian and
+difference-operator identities.
 
 Every submodule but `cli` loads on first use, so a command runs only the
 modules it touches.  `--help` runs `cli` alone.  `random-spec` adds the
@@ -21,7 +21,7 @@ thread-safe on Python 3.11, and gl11chain starts no threads.
 
 Records are `typing.NamedTuple`s, or plain classes with an explicit
 `__init__` where they coerce, validate or cache (`Weight`, `ModuleSpec`,
-`CharPair`, `CoefficientFamily`, `fusion.DiffOp`).  The standard record
+`CharPair`, `TransferFamily`, `fusion.DiffOp`).  The standard record
 decorator is not used: its module loads `inspect`, which would lengthen
 every command's start-up.
 """

@@ -16,7 +16,7 @@ extension t_i -> t_i + i*eps at eps = 0 (`bethe_vector_eps`) is an
 independent oracle for the direct product, not a fallback: the suite compares
 the two.  Each (chain, level) has one memoised `transfer_family`: the transfer
 coefficients on the level subspace with their joint spaces at the divisors'
-eigenvalues, read by the completeness report and the coefficient algebra.
+eigenvalues, read by the completeness report and the Bethe algebra (bethealg).
 """
 
 from __future__ import annotations
@@ -243,6 +243,14 @@ class DivisorEntry(NamedTuple):
             "generalized_dim": self.generalized_dim,
             "spans_eigenspace": self.spans_eigenspace,
         }
+
+
+class SpectralEntry(NamedTuple):
+    divisor: Divisor
+    eigen_dim: int
+    generalized_dim: int
+    expected_generalized: int
+    cyclic_module: bool
 
 
 class LevelReport(NamedTuple):

@@ -1,23 +1,21 @@
-"""The commuting coefficient algebra on a level's subspace.
+"""The Bethe algebra on a level's subspace, generated by its transfer coefficients.
 
-Generators: the operators B_1..B_n defined by
+The level's `bethe.TransferFamily` is the one Bethe-algebra object: its
+operators are That_Q's coefficients C_0..C_k restricted to the level
+subspace, and the unital algebra they generate is the level's Bethe algebra.
+The coefficients that are scalar on the level (C_k = (q1 - q2) I, the zero
+padding, every coefficient of a one-dimensional level) add nothing to it and
+are left out of the generators.  This module analyzes that algebra:
+dimension, commutant, regular-representation structure and the
+symmetric-function presentation of its spectrum; the joint eigenspaces are
+the transfer family's.  Each family's algebra is built once (`algebra`);
+commutativity is tested once, by the joint eigenspace solver.
 
-    astr(x) * TransferQ(x) = x^n ((q1 - q2) + sum_r B_r x^{-r}),
-
-astr the monic polynomial of the n string points {b_s + l2_s - i : 0 <= i < l1_s + l2_s}.
-With That_Q = sum_d C_d x^d and astr / (N x^n) = sum_t g_t x^{-t}, N the normalizer,
-
-    B_r = sum_d g_(d+r) C_d,
-
-one fixed combination of the level's transfer coefficients (`bethe.transfer_family`).
-As g_t = 0 for t < k and g_k = 1, B_r = C_(k-r) + (later C's): the B's and the C's
-generate the same unital algebra, and their joint eigenspaces and characters
-correspond.  The centre acts on B_r by e_r of the string points; the scalars are
-left out, the identity being in the generated algebra already.  This module
-analyzes the family: dimension, commutant, regular-representation structure and
-the symmetric-function presentation of its spectrum; the joint eigenspaces are
-the transfer family's.  Each family builds its generated algebra once
-(`fam.algebra`); commutativity is tested once, by the joint eigenspace solver.
+Remark: with astr the monic polynomial of the string points and
+astr / (N x^n) = sum_t g_t x^{-t}, the operators B_r = sum_d g_(d+r) C_d of
+astr(x) That_Q(x) = x^n ((q1 - q2) + sum_r B_r x^{-r}) generate the same
+algebra, since g_t = 0 for t < k and g_k = 1.  That route is the test oracle
+tests/bethealgoracle.py.
 """
 
 from __future__ import annotations
@@ -25,53 +23,42 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
+from .exactnum import Poly, elementary_symmetric
 from .linalg import ExactMatrix, SpanBasis
 from .chain import ModuleSpec, cyclicity_and_irreducibility
 from .monodromy import Check
-from .bethe import Divisor, TransferFamily, char_pair, eigenvalue_pencil, transfer_family
+from .bethe import SpectralEntry, TransferFamily, char_pair, eigenvalue_pencil, transfer_family
 
 
-class CoefficientFamily:
-    """B_1..B_n on one level, with the level's transfer family they are read from."""
-
-    def __init__(self, transfer: TransferFamily, ops: list[ExactMatrix]):
-        self.transfer = transfer
-        self.spec = transfer.spec
-        self.level = transfer.level
-        self.ops = ops
-
-    @property
-    def dim(self) -> int:
-        return self.transfer.dim
-
-    @functools.cached_property
-    def algebra(self) -> tuple[ExactMatrix, ...]:
-        """Matrix basis of the unital algebra the operators generate; shared, must not be mutated."""
-        return tuple(algebra_dimension(self)[1])
-
-
-def coefficient_family(spec: ModuleSpec, level: int) -> CoefficientFamily:
-    """B_1..B_n on the level subspace, as combinations of its transfer coefficients."""
+def coefficient_family(spec: ModuleSpec, level: int) -> TransferFamily:
+    """The level's transfer family, the algebra suite's entry point; raises ValueError on an empty level."""
     fam = transfer_family(spec, level)
     if not fam.dim:
         raise ValueError(f"empty subspace at level {level}")
-    strings = [b + wt.l2 - i for wt, b in zip(spec.weights, spec.points) for i in range(int(wt.l1 + wt.l2))]
-    n = len(strings)
-    g = laurent_expand(RatFun(Poly.from_roots(strings), spec.normalizer() * Poly([0] * n + [1])), spec.k + n)
-    zero = ExactMatrix(fam.dim, fam.dim)
-    return CoefficientFamily(fam, [sum((c * g[d + r] for d, c in enumerate(fam.ops)), zero) for r in range(1, n + 1)])
+    return fam
 
 
-def algebra_dimension(fam: CoefficientFamily) -> tuple[int, list[ExactMatrix]]:
+def generators(fam: TransferFamily) -> list[ExactMatrix]:
+    """The family's coefficients that are not scalar on its level."""
+    return [op for op in fam.ops if not op.is_scalar()]
+
+
+@functools.cache
+def algebra(fam: TransferFamily) -> tuple[ExactMatrix, ...]:
+    """Matrix basis of the unital algebra the family generates, built once per family; shared, must not be mutated."""
+    return tuple(algebra_dimension(fam)[1])
+
+
+def algebra_dimension(fam: TransferFamily) -> tuple[int, list[ExactMatrix]]:
     """Dimension and matrix basis of the unital algebra generated by fam.
 
     Span saturation: repeatedly multiply basis elements by generators until
     the span stabilizes; the subspace dimension squared caps the loop.
     """
     d = fam.dim
+    ops = generators(fam)
     span = SpanBasis()
     basis_mats: list[ExactMatrix] = []
 
@@ -82,12 +69,12 @@ def algebra_dimension(fam: CoefficientFamily) -> tuple[int, list[ExactMatrix]]:
         return False
 
     insert(ExactMatrix.identity(d))
-    for op in fam.ops:
+    for op in ops:
         insert(op)
     for _ in range(d * d):
         grew = False
         for m in list(basis_mats):
-            for op in fam.ops:
+            for op in ops:
                 if insert(m @ op):
                     grew = True
         if not grew:
@@ -95,11 +82,11 @@ def algebra_dimension(fam: CoefficientFamily) -> tuple[int, list[ExactMatrix]]:
     return len(basis_mats), basis_mats
 
 
-def commutant_dimension(fam: CoefficientFamily) -> int:
+def commutant_dimension(fam: TransferFamily) -> int:
     """Dimension of {X : [X, op] = 0 for all generators} in End(subspace)."""
     d = fam.dim
     rows: list[ExactMatrix] = []
-    for op in fam.ops:
+    for op in generators(fam):
         cm = ExactMatrix(d * d, d * d)
         for i in range(d):
             for j in range(d):
@@ -112,18 +99,31 @@ def commutant_dimension(fam: CoefficientFamily) -> int:
                     if w:
                         cm.add_to(r, i * d + a, -w)
         rows.append(cm)
-    stacked = ExactMatrix.vstack(rows)
+    stacked = ExactMatrix.vstack(rows or [ExactMatrix(0, d * d)])
     return d * d - stacked.rank()
 
 
-def double_commutant_check(fam: CoefficientFamily) -> Check:
+def double_commutant_check(fam: TransferFamily) -> Check:
     """The commutant of the family equals the generated algebra; the witness is "algebra dim vs commutant dim"."""
-    adim = len(fam.algebra)
+    adim = len(algebra(fam))
     cdim = commutant_dimension(fam)
     return Check(adim == cdim, witness="" if adim == cdim else f"{adim} vs {cdim}")
 
 
-def regular_rep_check(fam: CoefficientFamily) -> Check:
+def _generates(mats: Sequence[ExactMatrix], candidates: Sequence[Sequence[Fraction]], target: SpanBasis) -> bool:
+    """Some candidate whose images under the algebra basis, those inside the target span, span it."""
+    for cand in candidates:
+        span = SpanBasis()
+        for m in mats:
+            w = m.apply(list(cand))
+            if target.contains(w):
+                span.add(w)
+        if span.dim == target.dim:
+            return True
+    return False
+
+
+def regular_rep_check(fam: TransferFamily) -> Check:
     """Search for a cyclic vector generating the subspace under the algebra.
 
     Requires a cyclic chain; a non-cyclic one fails with the witness "chain
@@ -134,22 +134,17 @@ def regular_rep_check(fam: CoefficientFamily) -> Check:
     cyclic, _ = cyclicity_and_irreducibility(fam.spec)
     if not cyclic:
         return Check(False, witness="chain is not cyclic")
-    mats = fam.algebra
+    mats = algebra(fam)
     adim, d = len(mats), fam.dim
-    candidates = []
-    for i in range(d):
-        v = [Fraction(0)] * d
-        v[i] = Fraction(1)
-        candidates.append(v)
+    candidates = [[Fraction(i == j) for i in range(d)] for j in range(d)]
+    whole = SpanBasis()
+    for v in candidates:
+        whole.add(v)
     candidates.append([Fraction(1)] * d)
     candidates.append([Fraction(i + 1) for i in range(d)])
     candidates.append([Fraction((i + 1) ** 2) for i in range(d)])
-    for cand in candidates:
-        span = SpanBasis()
-        for m in mats:
-            span.add(m.apply(cand))
-        if span.dim == d == adim:
-            return Check(True)
+    if adim == d and _generates(mats, candidates, whole):
+        return Check(True)
     return Check(False, witness=f"algebra dim {adim}, subspace dim {d}")
 
 
@@ -192,15 +187,7 @@ def presentation_check(spec: ModuleSpec, level: int) -> Check:
     return Check(True)
 
 
-class SpectralEntry(NamedTuple):
-    divisor: Divisor
-    eigen_dim: int
-    generalized_dim: int
-    expected_generalized: int
-    cyclic_module: bool
-
-
-def spectral_analysis(fam: CoefficientFamily) -> list[SpectralEntry]:
+def spectral_analysis(fam: TransferFamily) -> list[SpectralEntry]:
     """Joint eigen/generalized dimensions per divisor of the level, from the transfer family's spaces.
 
     The expected generalized dimension is the independent binomial-product
@@ -210,11 +197,11 @@ def spectral_analysis(fam: CoefficientFamily) -> list[SpectralEntry]:
     """
     roots = char_pair(fam.spec).roots or []
     out = []
-    for dv, (eig, gen) in zip(fam.transfer.divisors, fam.transfer.spaces):
+    for dv, (eig, gen) in zip(fam.divisors, fam.spaces):
         expected = 1
         for r, m in roots:
             expected *= comb(m, dv.mult(r))
-        cyc = _generalized_cyclic(fam.algebra, gen)
+        cyc = _generalized_cyclic(algebra(fam), gen)
         out.append(SpectralEntry(dv, len(eig), len(gen), expected, cyc))
     return out
 
@@ -223,18 +210,7 @@ def _generalized_cyclic(algebra_mats: Sequence[ExactMatrix], gen_basis: Sequence
     """A single vector of the generalized eigenspace generating it under the algebra."""
     if not gen_basis:
         return True
-    d = len(gen_basis[0])
     target = SpanBasis()
     for v in gen_basis:
         target.add(v)
-    candidates = list(gen_basis)
-    candidates.append([sum(col) for col in zip(*gen_basis)])
-    for cand in candidates:
-        span = SpanBasis()
-        for m in algebra_mats:
-            w = m.apply(list(cand))
-            if target.contains(w):
-                span.add(w)
-        if span.dim == len(gen_basis):
-            return True
-    return False
+    return _generates(algebra_mats, [*gen_basis, [sum(col) for col in zip(*gen_basis)]], target)

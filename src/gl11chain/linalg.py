@@ -77,6 +77,13 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def is_scalar(self) -> bool:
+        """A multiple of the identity, zero included; a non-square matrix is not one."""
+        if self.nrows != self.ncols:
+            return False
+        c = self.get(0, 0)
+        return not self.rows or self.rows == {i: {i: c} for i in range(self.nrows)}
+
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -485,7 +492,8 @@ def joint_generalized_eigenspaces(
 ) -> list[tuple[list[Vector], list[Vector]]]:
     """Per character: (eigenspace basis, generalized eigenspace basis).
 
-    Operators must commute pairwise and be square on a common space.  A
+    Operators must commute pairwise and be square on a common space; a pair
+    with a scalar operator commutes and is not multiplied out.  A
     shifted operator that is zero (a scalar operator at its own value, a zero
     operator at 0) constrains nothing and is dropped; an empty family leaves
     the whole space.  Each other shifted operator s is raised only to the
@@ -501,9 +509,10 @@ def joint_generalized_eigenspaces(
     for op in ops:
         if not op.nrows == op.ncols == n:
             raise ValueError("operators must be square on one space")
+    scalar = [op.is_scalar() for op in ops]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if not ops[i].commutes_with(ops[j]):
+            if not (scalar[i] or scalar[j] or ops[i].commutes_with(ops[j])):
                 raise ValueError(f"family not commutative: operators {i} and {j}")
     out = []
     for ch in chars:

@@ -261,7 +261,7 @@ def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
             except ValueError:
                 continue  # empty subspace
             expected = comb(top, level)
-            adim = len(fam.algebra)
+            adim = len(bethealg.algebra(fam))
             items.append(_item(f"algebra dim {name} l={level}", adim == expected, f"{adim} != {expected}"))
             items.append(bethealg.double_commutant_check(fam)._replace(label=f"double commutant {name} l={level}"))
             if cyclic:

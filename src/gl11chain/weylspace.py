@@ -757,17 +757,18 @@ def gamma_commutes_with_modified(n: int, d: int) -> Check:
     space = SuperSpace.tensor_power(n)
     blocks = gamma_coefficient_ops(n)
     keys = [key for delta in range(d + 1) for key in _monomial_keys(n, delta)]
+    monomials = {(comp, key): {comp: MPoly._raw(n, {key: 1})} for comp in range(space.dim) for key in keys}
     for i_leg in range(n - 1):
+        # the action on a basis monomial depends on neither the entry nor its coefficient
+        acted = {at: modified_action(space, i_leg, f) for at, f in monomials.items()}
         for (i, j), op in blocks.items():
             for deg, c in enumerate(op):
-                for comp in range(space.dim):
-                    for key in keys:
-                        f = {comp: MPoly._raw(n, {key: 1})}
-                        a = modified_action(space, i_leg, _mpoly_apply(c, f, n))
-                        b = _mpoly_apply(c, modified_action(space, i_leg, f), n)
-                        if a != b:
-                            where = f"leg {i_leg}, entry ({i}, {j}), x^{deg}"
-                            return Check(False, witness=f"{where}, component {comp}, monomial {_unpack(key, n)}")
+                for (comp, key), f in monomials.items():
+                    a = modified_action(space, i_leg, _mpoly_apply(c, f, n))
+                    b = _mpoly_apply(c, acted[comp, key], n)
+                    if a != b:
+                        where = f"leg {i_leg}, entry ({i}, {j}), x^{deg}"
+                        return Check(False, witness=f"{where}, component {comp}, monomial {_unpack(key, n)}")
     return Check(True)
 
 

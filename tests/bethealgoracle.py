@@ -1,4 +1,4 @@
-"""The B-route to the coefficient algebra, as the package built it before (test oracle).
+"""The B-route to the Bethe algebra of a level (test oracle).
 
 `reduce_lambda2` shifts every second weight component to zero and
 `string_points` reads the point strings of the reduced chain.  `b_operators`
@@ -6,8 +6,10 @@ expands astr(x) * That_Q(x) / (N(x) x^n) at infinity on the full chain
 module, reads B_1..B_n off its x^-1..x^-n coefficients and restricts them to
 the level subspace; `divisor_character` expands astr * eigenvalue the same
 way, and `b_spaces` solves the joint spaces of the B's at those characters.
-The package takes the B's from the level's transfer coefficients and the
-spaces from the C's; this route shares neither step.
+`generated_algebra` closes the identity and the B's under products.  The
+package builds no B: its Bethe algebra is generated by the level's transfer
+coefficients C_0..C_k, and its spaces are the C's; this route shares neither
+step.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 from gl11chain.bethe import char_pair, eigenvalue_pencil, level_subspace, restrict_operators
 from gl11chain.chain import ModuleSpec, Weight
 from gl11chain.exactnum import Poly, RatFun, laurent_expand
-from gl11chain.linalg import joint_generalized_eigenspaces
+from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from gl11chain.monodromy import chain_transfer_pencil, laurent_coefficients
 
 
@@ -72,3 +74,14 @@ def b_spaces(spec: ModuleSpec, level: int) -> list:
     """Joint (eigen, generalized) spaces of the B's at each level divisor's character."""
     chars = [divisor_character(spec, dv) for dv in char_pair(spec).divisors[level]]
     return joint_generalized_eigenspaces(b_operators(spec, level), chars)
+
+
+def generated_algebra(ops: list, dim: int) -> list:
+    """A matrix basis of the unital algebra the operators generate: words in them, longest last."""
+    span, basis = SpanBasis(), []
+    words = [ExactMatrix.identity(dim)]
+    while words:
+        fresh = [w for w in words if span.add({i * dim + j: v for i, j, v in w.entries()})]
+        basis += fresh
+        words = [w @ op for w in fresh for op in ops]
+    return basis

@@ -4,22 +4,23 @@ from math import comb
 import pytest
 
 from gl11chain.exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
-from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
+from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from gl11chain.chain import ModuleSpec, make_spec
 from gl11chain.monodromy import tensor_monodromy, transfer_pencil
-from gl11chain.bethe import char_pair, transfer_family
+from gl11chain.bethe import TransferFamily, char_pair, transfer_family
 from gl11chain.bethealg import (
-    CoefficientFamily,
+    algebra,
     algebra_dimension,
     coefficient_family,
     commutant_dimension,
     double_commutant_check,
+    generators,
     presentation_check,
     regular_rep_check,
     spectral_analysis,
 )
 from gl11chain.suites import suite_specs
-from bethealgoracle import b_operators, b_spaces, divisor_character, reduce_lambda2, string_points
+from bethealgoracle import b_operators, b_spaces, divisor_character, generated_algebra, reduce_lambda2, string_points
 from densemat import to_dense
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -34,30 +35,49 @@ K5 = ModuleSpec.from_json(
 )
 
 
+def _flat(m) -> dict:
+    return {i * m.ncols + j: v for i, j, v in m.entries()}
+
+
+def _same_span(mats_a, mats_b) -> bool:
+    """The two lists of matrices span one space."""
+    a, b = SpanBasis(), SpanBasis()
+    for m in mats_a:
+        a.add(_flat(m))
+    for m in mats_b:
+        b.add(_flat(m))
+    return a.dim == b.dim and all(a.contains(_flat(m)) for m in mats_b)
+
+
+def _with_ops(fam, ops):
+    """A copy of the family with other operators; the shared family is left as it is."""
+    return TransferFamily(fam.spec, fam.level, fam.basis, fam.coords, ops)
+
+
 class TestCoefficientFamily:
     def test_b1_is_total_weight_untwisted(self):
+        # the oracle's B_1 is the total weight, a scalar, so it lies in the C family's algebra
         for level in (0, 1):
             fam = coefficient_family(E2, level)
-            b1 = fam.ops[0]
-            dim = fam.dim
-            assert to_dense(b1) == [[F(2) if a == b else F(0) for b in range(dim)] for a in range(dim)]
+            b1 = b_operators(E2, level)[0]
+            assert to_dense(b1) == [[F(2) if a == b else F(0) for b in range(fam.dim)] for a in range(fam.dim)]
+            assert _same_span(algebra(fam), [*algebra(fam), b1])
 
     def test_central_scalars_are_string_symmetric_functions(self):
-        # the centre acts by C_d = e_d(strings); the family holds B_1..B_n alone, since
-        # adding the scalars changes neither the algebra, the commutant nor the eigenspaces
+        # the centre acts by e_d(strings): with those scalars beside the oracle's B_1..B_n the joint
+        # spaces are the C family's, and scalars added to the C's change neither algebra nor commutant
         fam = coefficient_family(E5, 1)
         strings = string_points(reduce_lambda2(E5)[0])
         sig = elementary_symmetric(list(strings))
-        assert len(fam.ops) == len(strings) == 3 and fam.dim == 3
+        bops = b_operators(E5, 1)
+        assert len(bops) == len(strings) == 3 and fam.dim == 3
         scalars = [ExactMatrix.identity(fam.dim) * c for c in sig]
-        centred = CoefficientFamily(fam.transfer, fam.ops + scalars)
-        assert len(centred.algebra) == len(fam.algebra)
+        chars = [divisor_character(E5, dv) for dv in fam.divisors]
+        assert joint_generalized_eigenspaces(bops + scalars, [ch + sig for ch in chars]) == list(fam.spaces)
+        centred = _with_ops(fam, fam.ops + scalars)
+        assert generators(centred) == generators(fam)
+        assert algebra_dimension(centred)[1] == list(algebra(fam))
         assert commutant_dimension(centred) == commutant_dimension(fam)
-        divisors = char_pair(E5).divisors[1]
-        chars = [divisor_character(E5, dv) for dv in divisors]
-        assert joint_generalized_eigenspaces(centred.ops, [ch + sig for ch in chars]) == joint_generalized_eigenspaces(
-            fam.ops, chars
-        )
 
     def test_family_commutes(self):
         fam = coefficient_family(E5, 1)
@@ -80,8 +100,9 @@ class TestCoefficientFamily:
         ids=["E2", "E3", "E4", "E5", "E6", "E7", "k4", "k5"],
     )
     def test_matches_per_entry_expansion(self, spec, level):
-        # oracle: one RatFun and one laurent_expand per transfer-pencil element over the
-        # reduced chain's strings, B_d read off as x^-d coefficients; fam.ops[d-1] is B_d on the basis
+        # oracle: one RatFun and one laurent_expand per transfer-pencil element over the reduced
+        # chain's strings, B_d read off as x^-d coefficients; on the level basis each B_d is the
+        # combination sum_e g_(e+d) C_e of the family's coefficients, astr / (N x^n) = sum_t g_t x^-t
         fam = coefficient_family(spec, level)
         strings = string_points(reduce_lambda2(spec)[0])
         n = len(strings)
@@ -91,10 +112,11 @@ class TestCoefficientFamily:
         for a, b, p in tq.entries():
             for d, c in enumerate(laurent_expand(RatFun(Poly.from_roots(strings) * p, den), n)):
                 bmats[d].put(a, b, c)
-        assert len(fam.ops) == n
-        basis = fam.transfer.basis
+        g = laurent_expand(RatFun(Poly.from_roots(strings), den), spec.k + n)
+        assert len(fam.ops) == spec.k + 1
+        basis = fam.basis
         for d in range(1, n + 1):
-            op = fam.ops[d - 1]
+            op = sum((c * g[e + d] for e, c in enumerate(fam.ops)), ExactMatrix(fam.dim, fam.dim))
             for col, v in enumerate(basis):
                 image = [sum((op.get(row, col) * w[x] for row, w in enumerate(basis)), F(0)) for x in range(len(v))]
                 assert bmats[d].apply(list(v)) == image
@@ -109,15 +131,20 @@ _DIFFERENTIAL_SPECS = {**suite_specs(), "k4": K4, "k5": K5}
 
 @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_SPECS))
 def test_family_matches_the_b_route(name):
-    # at every level: the B's from the restricted transfer coefficients equal the B's expanded on
-    # the full module and restricted, and the C-family spaces equal the B-route spaces
+    # at every level with divisors: the oracle's B's, expanded on the full module and restricted,
+    # span with I what the C's span with I, the two generate the same algebra, and the joint
+    # spaces of the B's at their characters are the C family's
     spec = _DIFFERENTIAL_SPECS[name]
-    for level, divisors in enumerate(char_pair(spec).divisors):
+    levels = char_pair(spec).divisors
+    assert [lv for lv in range(spec.k + 1) if transfer_family(spec, lv).dim] == list(range(len(levels)))
+    for level, divisors in enumerate(levels):
         fam = coefficient_family(spec, level)
-        assert fam.transfer is transfer_family(spec, level)
-        assert fam.ops == b_operators(spec, level)
-        assert fam.transfer.divisors == divisors
-        assert list(fam.transfer.spaces) == b_spaces(spec, level)
+        assert fam is transfer_family(spec, level) and fam.divisors == divisors
+        one = ExactMatrix.identity(fam.dim)
+        bops = b_operators(spec, level)
+        assert _same_span([one, *bops], [one, *fam.ops])
+        assert _same_span(generated_algebra(bops, fam.dim), algebra(fam))
+        assert list(fam.spaces) == b_spaces(spec, level)
 
 
 class TestAlgebraDimension:
@@ -132,8 +159,6 @@ class TestAlgebraDimension:
             adim, mats = algebra_dimension(fam)
             assert adim == comb(binom_n, level)
             # closure sanity: products of basis elements stay inside
-            from gl11chain.linalg import SpanBasis
-
             span = SpanBasis()
             flat = lambda m: [m.get(i, j) for i in range(fam.dim) for j in range(fam.dim)]
             for m in mats:
@@ -144,8 +169,8 @@ class TestAlgebraDimension:
 
     def test_family_algebra_is_the_builder_basis(self):
         fam = coefficient_family(E5, 1)
-        assert fam.algebra is fam.algebra
-        assert fam.algebra == tuple(algebra_dimension(fam)[1])
+        assert algebra(fam) is algebra(fam)
+        assert algebra(fam) == tuple(algebra_dimension(fam)[1])
 
     def test_scalar_level_zero(self):
         fam = coefficient_family(E3, 0)
@@ -159,6 +184,19 @@ class TestCommutant:
             fam = coefficient_family(spec, level)
             res = double_commutant_check(fam)
             assert res.ok, res.witness
+
+    def test_changed_coefficient_fails_with_witness(self):
+        # negative control: E5 at level 1 has two non-scalar coefficients, C_0 and C_1; one changed
+        # entry of C_1, on a copy, breaks their commutation, and the generated algebra becomes all
+        # of End(C^3) while the commutant shrinks to the scalars
+        fam = coefficient_family(E5, 1)
+        assert [i for i, op in enumerate(fam.ops) if not op.is_scalar()] == [0, 1]
+        changed = fam.ops[1].copy()
+        changed.put(0, 1, changed.get(0, 1) + 1)
+        bad = _with_ops(fam, [fam.ops[0], changed, *fam.ops[2:]])
+        assert double_commutant_check(bad) == (False, "", "9 vs 1")
+        assert len(algebra(bad)) == 9 != comb(3, 1)
+        assert double_commutant_check(fam).ok
 
     def test_commutant_of_scalars_is_everything(self):
         fam = coefficient_family(E2, 0)
@@ -224,9 +262,16 @@ class TestSpectral:
                 assert sum(e.generalized_dim for e in entries) == fam.dim
 
     def test_character_matches_transfer_eigenvalue(self):
-        fam = coefficient_family(E2, 1)
-        (dv,) = char_pair(E2).divisors[1]
-        char = divisor_character(E2, dv)
-        # the operators act by exactly these scalars on the 1-dim subspace
-        for op, val in zip(fam.ops, char):
-            assert op.get(0, 0) == val
+        # each of C_0..C_k acts on a divisor's eigenvector by that coefficient of its eigenvalue;
+        # both spectra are simple, so every level divisor has one eigenvector to check
+        for spec in (E2, E5):
+            checked = 0
+            for level in range(spec.k + 1):
+                fam = transfer_family(spec, level)
+                assert len(fam.ops) == spec.k + 1
+                for ev, (eig, _) in zip(fam.eigenvalues, fam.spaces, strict=True):
+                    (v,) = eig
+                    for d, op in enumerate(fam.ops):
+                        assert op.apply(v) == [ev.coeff(d) * x for x in v]
+                    checked += 1
+            assert checked == 2 ** char_pair(spec).gamma.degree

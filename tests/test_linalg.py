@@ -21,7 +21,36 @@ def dense(rows):
     return from_dense(rows)
 
 
+@st.composite
+def scalar_probes(draw):
+    """A matrix of one of five kinds, with whether it is a multiple of the identity by construction."""
+    kind = draw(st.sampled_from(["zero", "multiple", "unequal diagonal", "off-diagonal entry", "non-square"]))
+    n = draw(st.integers(2, 5)) if kind in ("unequal diagonal", "off-diagonal entry") else draw(st.integers(0, 5))
+    c = draw(rationals)  # zero too: the zero matrix is a multiple of the identity
+    m = ExactMatrix.identity(n) * c
+    if kind == "zero":
+        return ExactMatrix(n, n), True
+    if kind == "multiple":
+        return m, True
+    if kind == "non-square":
+        cols = draw(st.integers(0, 5).filter(lambda k: k != n))
+        return ExactMatrix(n, cols, {r: {r: c} for r in range(min(n, cols)) if c}), False
+    i, j = draw(st.permutations(range(n)))[:2]
+    delta = draw(rationals.filter(bool))
+    if kind == "unequal diagonal":
+        m.put(i, i, c + delta)
+    else:
+        m.put(i, j, delta)
+    return m, False
+
+
 class TestExactMatrix:
+    @given(scalar_probes())
+    @settings(max_examples=80)
+    def test_is_scalar(self, probe):
+        m, want = probe
+        assert m.is_scalar() is want
+
     def test_matmul_and_apply(self):
         a = dense([[1, 2], [3, 4]])
         b = dense([[0, 1], [1, 0]])
@@ -398,6 +427,19 @@ class TestJointEigenspaces:
         b = dense([[0, 0], [1, 0]])
         with pytest.raises(ValueError, match="family not commutative: operators 0 and 1"):
             joint_generalized_eigenspaces([a, b], [[F(0), F(0)]])
+
+    def test_pairs_with_a_scalar_are_not_multiplied(self, monkeypatch):
+        # only the pair of non-scalar operators is tested for commutation; a failing pair is still
+        # named by its positions in the whole family
+        a = dense([[0, 1], [0, 0]])
+        b = dense([[0, 0], [1, 0]])
+        pairs = []
+        real = ExactMatrix.commutes_with
+        monkeypatch.setattr(ExactMatrix, "commutes_with", lambda x, y: pairs.append(1) or real(x, y))
+        family = [ExactMatrix.identity(2) * 3, a, ExactMatrix(2, 2), b]
+        with pytest.raises(ValueError, match="family not commutative: operators 1 and 3"):
+            joint_generalized_eigenspaces(family, [[F(3), F(0), F(0), F(0)]])
+        assert len(pairs) == 1
 
     def test_generalized_dims_fill_space(self):
         # commuting family with split characteristic polynomials: the sum of

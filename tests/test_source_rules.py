@@ -37,6 +37,10 @@ calls `.swap(` or `.divided_difference(`, and every weyl path reads the table.
 The package builds no dense coordinate chart: spans take sparse vectors, and
 no module defines `Coords`, `monomials_upto` or `to_vector`; the chart is the
 tests' oracle, in tests/actionoracle.py.
+A level's Bethe algebra has one object, the transfer family of bethe.py:
+no module defines `CoefficientFamily`, and bethealg.py defines no class and
+never names `laurent_expand`, so the operators B_r of the string-point
+expansion are built only by the tests' oracle, tests/bethealgoracle.py.
 """
 
 import ast
@@ -566,4 +570,47 @@ def test_chart_rule_catches_each_planted_definition():
     )
     assert _chart_definitions(ast.parse(code)) == [
         "line 1: defines Coords", "line 2: defines to_vector", "line 4: defines monomials_upto",
+    ]
+
+
+# The B-route to the Bethe algebra is a test oracle (tests/bethealgoracle.py), not package code.
+B_FAMILY = "CoefficientFamily"
+
+
+def _b_route(tree: ast.AST, bethealg: bool) -> list[str]:
+    """Every definition of CoefficientFamily and, in bethealg.py, every class and every use of laurent_expand."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and (bethealg or node.name == B_FAMILY):
+            found.append((node.lineno, f"defines class {node.name}"))
+        elif isinstance(node, ast.FunctionDef) and node.name == B_FAMILY:
+            found.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == B_FAMILY:
+            found.append((node.lineno, f"defines {node.id}"))
+        elif bethealg and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, f"imports {a.name}") for a in node.names if a.name == "laurent_expand"]
+        elif bethealg and isinstance(node, ast.Attribute) and node.attr == "laurent_expand":
+            found.append((node.lineno, "names .laurent_expand"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_b_operators_only_in_the_oracle(path):
+    assert _b_route(ast.parse(path.read_text(encoding="utf-8")), path.name == "bethealg.py") == []
+
+
+def test_b_route_rule_catches_each_planted_violation():
+    code = (
+        "from .exactnum import Poly, laurent_expand\n"
+        "class CoefficientFamily:\n    pass\n"
+        "class SpectralEntry(NamedTuple):\n    ok: bool\n"
+        "g = exactnum.laurent_expand(r, 3)\n"
+        "CoefficientFamily = TransferFamily\n"
+    )
+    assert _b_route(ast.parse(code), bethealg=True) == [
+        "line 1: imports laurent_expand", "line 2: defines class CoefficientFamily",
+        "line 4: defines class SpectralEntry", "line 6: names .laurent_expand", "line 7: defines CoefficientFamily",
+    ]
+    assert _b_route(ast.parse(code), bethealg=False) == [
+        "line 2: defines class CoefficientFamily", "line 7: defines CoefficientFamily",
     ]

@@ -497,6 +497,7 @@ def test_memoised_builders_found():
         "gl11chain.bethe.char_pair",
         "gl11chain.bethe._bethe_vector",
         "gl11chain.bethe.transfer_family",
+        "gl11chain.bethealg.algebra",
         "gl11chain.shapoform.form_matrix",
         "gl11chain.fusion.berezinian",
         "gl11chain.fusion.higher_transfer",
@@ -645,8 +646,8 @@ def _corrupted_c1(real, target):
 
 
 def test_noncommuting_family_fails_spectral_dims(monkeypatch):
-    # E4 at level 1 is 2-dimensional and C_0 is not scalar there, so the corrupted C_1, and B_1
-    # with it, does not commute with it; the copy leaves the shared family intact
+    # E4 at level 1 is 2-dimensional and C_0 is not scalar there, so the corrupted C_1 does not
+    # commute with it; the copy leaves the shared family intact
     clean = [it.label for it in run_suite("algebra")]
     target = (suite_specs()["E4"], 1)
     assert bethe.transfer_family(*target).dim == 2
@@ -684,6 +685,8 @@ def test_algebra_items_carry_the_witness(monkeypatch, fresh_caches, module, attr
 
 
 def test_algebra_suite_builds_each_algebra_once(monkeypatch):
+    # the algebra is memoised per family, so a run after an earlier one would build none
+    clear_builder_caches()
     real = bethealg.algebra_dimension
     calls = []
 
@@ -694,6 +697,18 @@ def test_algebra_suite_builds_each_algebra_once(monkeypatch):
     monkeypatch.setattr(bethealg, "algebra_dimension", counted)
     families = [it for it in run_suite("algebra") if it.label.startswith("algebra dim ")]
     assert len(calls) == len(set(calls)) == len(families) == 19
+
+
+@pytest.mark.parametrize("name, products", [("bethe", 22), ("algebra", 40)])
+def test_suite_matrix_products(monkeypatch, name, products):
+    # from empty caches: the commutativity test multiplies no pair with a scalar coefficient, and
+    # each algebra is saturated over the non-scalar coefficients alone
+    clear_builder_caches()
+    calls = []
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda self, other: calls.append(1) or matmul(self, other))
+    assert all(run_suite(name))
+    assert len(calls) == products
 
 
 def test_bethe_and_algebra_suites_share_one_family_per_level(monkeypatch):

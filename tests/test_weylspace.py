@@ -657,6 +657,16 @@ class TestGammaInteraction:
     def test_commutes_three_sites(self):
         assert gamma_commutes_with_modified(3, 2)
 
+    @pytest.mark.parametrize("n, d, calls", [(2, 2, 264), (3, 3, 4800)])
+    def test_monomial_actions_built_once_per_leg(self, monkeypatch, n, d, calls):
+        # one action per (leg, component, monomial) and one per (leg, entry coefficient, component,
+        # monomial): at n = 3, d = 3, 320 + 4480 calls
+        count = []
+        real = weylspace.modified_action
+        monkeypatch.setattr(weylspace, "modified_action", lambda *args: count.append(1) or real(*args))
+        assert gamma_commutes_with_modified(n, d)
+        assert len(count) == calls
+
     def test_vacuum_generates(self):
         assert cyclicity_by_degree(2, 3)
 
