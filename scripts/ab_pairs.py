@@ -3,11 +3,13 @@
 
 Usage:
   python3 scripts/ab_pairs.py PARENT CHANGE --workload split_search --pairs 10 --seed-base 101
+  python3 scripts/ab_pairs.py PARENT CHANGE --workload verify_core,fusion,weyl --pairs 3 --seed-base 101
 
 PARENT and CHANGE are two checkouts of the repository.  Pair i runs
 `perfbench/run.py --workload W --seed (seed-base + i) --trace 0` in each, the
 parent first in even pairs and the change first in odd ones, so a drift in
-machine speed falls on both sides.  Each run writes its outputs in its own
+machine speed falls on both sides.  --workload takes a comma-separated list;
+the workloads run one after another, each with its own pairs and table.  Each run writes its outputs in its own
 checkout's perfbench/out; this script writes nothing itself.
 
 For every end-to-end metric of the change's BENCHMARK.json it prints both
@@ -63,13 +65,23 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2, for quartiles")
 
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bad = 0
+    for workload in args.workload.split(","):
+        print(f"== {workload}", flush=True)
+        bad += run_pairs(args, workload, metrics)
+    print(f"runs with an incorrect output or a failed command: {bad}")
+    return 1 if bad else 0
+
+
+def run_pairs(args, workload: str, metrics: list[dict]) -> int:
+    """Run and print the pairs of one workload, then its table; the number of bad runs."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     bad = 0
     for i in range(args.pairs):
         seed = args.seed_base + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            doc = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            doc = run_once(getattr(args, side), workload, seed, args.seconds)
             runs[side].append(doc)
             bad += not doc["correct"] or doc["failed"] > 0
         values = {side: runs[side][-1]["metrics"] for side in runs}
@@ -80,8 +92,7 @@ def main(argv=None) -> int:
         parent = [doc["metrics"][m["name"]]["value"] for doc in runs["parent"]]
         change = [doc["metrics"][m["name"]]["value"] for doc in runs["change"]]
         print(summarise(m["name"], m["better"], parent, change))
-    print(f"runs with an incorrect output or a failed command: {bad}")
-    return 1 if bad else 0
+    return bad
 
 
 if __name__ == "__main__":

@@ -8,6 +8,15 @@ coefficient matrices of such a matrix, for the checks that read them, and
 laurent_coefficients the Laurent coefficients at infinity of its product
 with a scalar rational function, from one scalar series.
 
+An identity between products of such matrices is decided at one Kronecker
+point (D. Harvey, J. Symbolic Comput. 44 (2009)): kronecker_values clears
+denominators and evaluates at x = 2^w (x2 = 2^(w (deg + 2)) in the bivariate
+exchange relations), w taken from the bound terms * dim * M^2 on every
+coefficient of a sum of `terms` products, M the largest cleared coefficient.
+The difference is then one integer matrix whose signed w-bit slots
+(kronecker_slots) are its coefficients, zero exactly when each of them is; a
+failing check names the first nonzero slot in its coefficient loop's order.
+
 Check is the package's one verdict record: every check of an identity, in
 this module and the others, returns Check(ok, label, witness), and a suite
 item is a Check whose label is the item name.
@@ -189,80 +198,92 @@ class Check(NamedTuple):
         return self.ok
 
 
+def slot_width(bound: int) -> int:
+    """The least w with 2^(w-1) > bound: a w-bit slot holds every c with |c| <= bound."""
+    return bound.bit_length() + 1
+
+
+def kronecker_values(mats, terms: int, spans=(1,)) -> tuple[int, list[list[linalg.ExactMatrix]]]:
+    """w and the integer matrices D * m(2^(w s)) for each s in spans and m in mats.
+
+    Each m is a square matrix with Poly or rational entries, or the list of
+    rational x^d coefficient matrices of one; D is the lcm of every
+    denominator.  The w-bit slots of a sum of `terms` products of two values
+    are the coefficients of D^2 times the same sum of products of
+    polynomials, each at most terms * dim * M^2 with M the largest cleared
+    coefficient, and w is the slot width of that bound.
+    """
+    lists = [[m] if isinstance(m, linalg.ExactMatrix) else m for m in mats]
+    # each entry as (d, i, j, numerators, denominator), d its power of x
+    cells = [[(d, i, j, *((v.nums, v.denom) if isinstance(v, Poly) else ((v.numerator,), v.denominator)))
+              for d, c in enumerate(cs) for i, j, v in c.entries()] for cs in lists]
+    den = lcm(1, *(q for cs in cells for *_, q in cs))
+    big = max((abs(n) * (den // q) for cs in cells for *_, nums, q in cs for n in nums), default=0)
+    w = slot_width(terms * lists[0][0].nrows * big * big)
+    out = []
+    for s in spans:
+        out.append(values := [linalg.ExactMatrix(cs[0].nrows, cs[0].ncols) for cs in lists])
+        for value, cs in zip(values, cells):
+            for d, i, j, nums, q in cs:  # Horner at 2^(w s)
+                v = functools.reduce(lambda acc, n: (acc << w * s) + n, reversed(nums), 0)
+                value.add_to(i, j, v * (den // q) << w * s * d)
+    return w, out
+
+
+def kronecker_slots(value: int, w: int) -> list[int]:
+    """The slots c_0, c_1, ... of value = sum_t c_t 2^(w t), |c_t| < 2^(w-1), up to the last nonzero one.
+
+    They are unique: the lowest nonzero slot is the residue of value mod 2^w
+    in [-2^(w-1), 2^(w-1)), so a zero value has none.
+    """
+    out, half = [], 1 << (w - 1)
+    while value:
+        out.append(((value + half) & ((1 << w) - 1)) - half)
+        value = (value - out[-1]) >> w
+    return out
+
+
+def product_slots(terms, w: int) -> set[int]:
+    """The slots nonzero in some entry of sum c * (a @ b) over terms (c, a, b) of integer matrices."""
+    total: dict[tuple[int, int], int] = {}
+    for c, a, b in terms:
+        for i, j, v in (a @ b).entries():
+            total[i, j] = total.get((i, j), 0) + c * v
+    return {t for v in total.values() for t, s in enumerate(kronecker_slots(v, w)) if s}
+
+
 def verify_rtt(pencil: MonodromyPencil) -> Check:
     """Exact bivariate check of the defining exchange relations.
 
     For every index choice (i, j, r, s) the identity
       (x1 - x2) [That_ij(x1), That_rs(x2)]
         = sign * (That_rj(x2) That_is(x1) - That_rj(x1) That_is(x2))
-    is verified coefficient by coefficient, with the supercommutator taken
-    with respect to the entry parities.  On mismatch the witness is
-    "(i, j, r, s, deg_x1, deg_x2)".
+    is verified, with the supercommutator taken with respect to the entry
+    parities.  On mismatch the witness is "(i, j, r, s, deg_x1, deg_x2)".
 
-    Every term of the identity is a product of two x-coefficient matrices of
-    the pencil.  The check therefore runs on the integer matrices D * C_d,
-    with D the lcm of the entries' denominators: this multiplies both sides
-    by D^2 != 0, which changes neither the verdict nor the first failing
-    index.  At each (deg_x1, deg_x2) the six signed products are summed into
-    one dict and tested for zero; a term of negative degree is skipped.
+    Each identity is decided at one Kronecker point (kronecker_values):
+    x1 = 2^w and x2 = 2^(w (deg + 2)), so the x1-degrees 0..deg + 1 of a
+    power of x2 never reach the next one.  The x1^d1 x2^d2 coefficient of
+    D^2 (left side minus right side) is a sum of six products of two cleared
+    x-coefficient matrices, so w holds 6 dim M^2.  The witness is the first
+    nonzero slot of the first failing (i, j, r, s), deg_x1 before deg_x2.
     """
-    den = lcm(*(p.denom for m in pencil.entries.values() for _, _, p in m.entries()))
-    coeffs = {e: _integer_coefficients(m, den) for e, m in pencil.entries.items()}
-    deg = max(len(cs) for cs in coeffs.values()) - 1
-    dim = pencil.dim
-    cache: dict[tuple, dict[int, int]] = {}
-
-    def prod(e1, d1, e2, d2) -> dict[int, int]:
-        """C_e1[d1] @ C_e2[d2] as {row * dim + col: value}, zeros allowed."""
-        key = (e1, d1, e2, d2)
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = {}
-            a, b = coeffs[e1], coeffs[e2]
-            if d1 < len(a) and d2 < len(b):
-                brows = b[d2]
-                for i, row in a[d1].items():
-                    base = i * dim
-                    for k, x in row.items():
-                        brow = brows.get(k)
-                        if brow:
-                            for j, y in brow.items():
-                                out[base + j] = out.get(base + j, 0) + x * y
-        return out
-
+    entries = pencil.entries
+    span = max((p.degree for m in entries.values() for _, _, p in m.entries()), default=0) + 2
+    w, (at1, at2) = kronecker_values(list(entries.values()), 6, (1, span))
+    x1, x2 = dict(zip(entries, at1)), dict(zip(entries, at2))
+    x1_minus_x2 = (1 << w) - (1 << w * span)
     for i, j, r, s in product((1, 2), repeat=4):
         sigma = -1 if E_PARITY[(i, j)] and E_PARITY[(r, s)] else 1
-        exp = (i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)
-        sgn = -1 if exp % 2 else 1
-        ij, rs, rj, is_ = (i, j), (r, s), (r, j), (i, s)
-        for dd in range(deg + 2):
-            for ee in range(deg + 2):
-                # the x1^dd x2^ee coefficient of left side minus right side
-                terms = [(-sgn, prod(rj, ee, is_, dd)), (sgn, prod(rj, dd, is_, ee))]
-                if dd:
-                    terms += [(1, prod(ij, dd - 1, rs, ee)), (-sigma, prod(rs, ee, ij, dd - 1))]
-                if ee:
-                    terms += [(-1, prod(ij, dd, rs, ee - 1)), (sigma, prod(rs, ee - 1, ij, dd))]
-                acc: dict[int, int] = {}
-                for c, p in terms:
-                    for key, v in p.items():
-                        acc[key] = acc.get(key, 0) + c * v
-                if any(acc.values()):
-                    return Check(False, witness=str((i, j, r, s, dd, ee)))
+        sgn = -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1
+        slots = product_slots([
+            (x1_minus_x2, x1[i, j], x2[r, s]), (-sigma * x1_minus_x2, x2[r, s], x1[i, j]),
+            (-sgn, x2[r, j], x1[i, s]), (sgn, x1[r, j], x2[i, s]),
+        ], w)
+        if slots:
+            first = min(slots, key=lambda t: (t % span, t // span))
+            return Check(False, witness=str((i, j, r, s, first % span, first // span)))
     return Check(True)
-
-
-def _integer_coefficients(m: linalg.ExactMatrix, den: int) -> list[dict[int, dict[int, int]]]:
-    """Rows {i: {j: v}} of den * (x^d coefficient matrix of m), for den a multiple of every entry's denom."""
-    out: list[dict[int, dict[int, int]]] = []
-    for i, j, p in m.entries():
-        scale = den // p.denom
-        for d, v in enumerate(p.nums):
-            while len(out) <= d:
-                out.append({})
-            if v:
-                out[d].setdefault(i, {})[j] = v * scale
-    return out
 
 
 def transfer_pencil(pencil: MonodromyPencil, twist) -> linalg.ExactMatrix:

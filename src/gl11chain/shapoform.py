@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 from .exactnum import Poly, format_scalar, scalar
 from .linalg import ExactMatrix
 from .chain import ModuleSpec, Weight
-from .monodromy import Check, laurent_coefficients, tensor_monodromy
+from .monodromy import Check, kronecker_values, laurent_coefficients, product_slots, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, leg_units
 from .bethe import Divisor, bethe_vector, char_pair
 
@@ -97,15 +97,7 @@ def form_matrix(spec: ModuleSpec) -> ExactMatrix:
 
 
 def form_value(gram: ExactMatrix, u: Sequence, w: Sequence):
-    acc = None
-    for i, row in gram.rows.items():
-        if not u[i]:
-            continue
-        for j, g in row.items():
-            if w[j]:
-                term = u[i] * g * w[j]
-                acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
+    return sum((u[i] * g * w[j] for i, row in gram.rows.items() if u[i] for j, g in row.items() if w[j]), Fraction(0))
 
 
 def iota_sign(i: int, j: int) -> int:
@@ -116,32 +108,31 @@ def iota_sign(i: int, j: int) -> int:
 def check_iota_contract(spec: ModuleSpec) -> Check:
     """Contravariance of the form for the series coefficients up to k+1.
 
-    Passes when every coefficient T_ij^(r), r = 1..k+1, satisfies it; else
-    the witness names the first failing (i, j, r).
+    Passes when every coefficient T_ij^(r), r = 1..k+1, satisfies
+    T_ij^(r)^T G = iota_sign(i, j) S G T_ji^(r), with S = (-1)^{|a|} on
+    row a when e_ij is odd and S = 1 otherwise; else the witness names the
+    first failing (i, j, r), r before (i, j).
+
+    Each (i, j) is decided at one Kronecker point: with D the lcm of the
+    denominators of G and every T^(r) (monodromy.kronecker_values),
+    X_ij = D sum_r T_ij^(r) 2^(w (r - 1)) and G' = D G are integer matrices,
+    and slot r - 1 of X_ij^T G' - iota_sign(i, j) S G' X_ji is D^2 times
+    the r-th difference, a sum of two products: w holds 2 dim M^2.
     """
     pencil = tensor_monodromy(spec)
-    gram = form_matrix(spec)
-    space = pencil.space
-    one = Poly((1,))
-    series = {
-        (i, j): laurent_coefficients(pencil.entry(i, j), one, pencil.normalizer, spec.k + 1)
-        for i in (1, 2)
-        for j in (1, 2)
-    }
-    for r in range(1, spec.k + 2):
-        for (i, j) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            x = series[(i, j)][r]
-            ix = series[(j, i)][r] * iota_sign(i, j)
-            par = E_PARITY[(i, j)]
-            lhs = x.transpose() @ gram
-            rhs = gram @ ix
-            if par:
-                signed = ExactMatrix(space.dim, space.dim)
-                for a, b, v in rhs.entries():
-                    signed.put(a, b, -v if space.parity(a) else v)
-                rhs = signed
-            if lhs != rhs:
-                return Check(False, witness=f"first failing (i, j, r) {(i, j, r)}")
+    order = ((1, 1), (1, 2), (2, 1), (2, 2))
+    series = [laurent_coefficients(pencil.entry(*e), Poly((1,)), pencil.normalizer, spec.k + 1)[1:] for e in order]
+    w, ([*values, g],) = kronecker_values([*series, form_matrix(spec)], 2)
+    packed = dict(zip(order, values))
+    signed = ExactMatrix(g.nrows, g.ncols, {a: {b: -v for b, v in row.items()} if pencil.space.parity(a) else row
+                                            for a, row in g.rows.items()})
+    # (r, i, j) sorts r first, then (i, j) in the order above
+    failures = [(r + 1, i, j) for i, j in order for r in product_slots([
+        (1, packed[(i, j)].transpose(), g), (-iota_sign(i, j), signed if E_PARITY[(i, j)] else g, packed[(j, i)]),
+    ], w)]
+    if failures:
+        r, i, j = min(failures)
+        return Check(False, witness=f"first failing (i, j, r) {(i, j, r)}")
     return Check(True)
 
 

@@ -11,6 +11,8 @@ is the detail a report shows.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from math import comb
 from typing import Optional
 
@@ -91,25 +93,16 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
     # coassociativity on three factors
     s3 = make_spec([(1, 0), (2, 0), (1, 1)], ["0", "3/2", "-1"], ("1", "1"))
     p_all = monodromy.tensor_monodromy(s3)
-    left = monodromy._combine(
-        monodromy._combine(
-            monodromy.evaluation_monodromy(s3.weights[0], s3.points[0]),
-            monodromy.evaluation_monodromy(s3.weights[1], s3.points[1]),
-        ),
-        monodromy.evaluation_monodromy(s3.weights[2], s3.points[2]),
-    )
+    left = reduce(monodromy._combine, map(monodromy.evaluation_monodromy, s3.weights, s3.points))
     diff = _first_differing_entry(p_all, left)
     items.append(_item("coassociativity", diff is None, f"first differing entry {diff}"))
     # transfer family commutes and respects the diagonal symmetry
     for name, spec in suite_specs().items():
-        pencil = monodromy.tensor_monodromy(spec)
-        tq = monodromy.chain_transfer_coefficients(spec)
-        pair = next(
-            ((a, b) for a in range(len(tq)) for b in range(a + 1, len(tq)) if not tq[a].commutes_with(tq[b])), None
-        )
+        tq = monodromy.chain_transfer_pencil(spec)
+        pair = _noncommuting_pair(tq)
         items.append(_item(f"transfer pencil commutes {name}", pair is None, f"coefficient pair {pair}"))
         gens = [(1, 1), (2, 2)] if spec.is_twisted() else [(1, 1), (2, 2), (1, 2), (2, 1)]
-        failure = _symmetry_failure(pencil.space, list(spec.weights), gens, tq)
+        failure = _symmetry_failure(spec.space(), list(spec.weights), gens, tq)
         items.append(_item(f"transfer pencil symmetry {name}", failure is None, failure))
     # zero-mode exchange relation with the diagonal action
     e2 = suite_specs()["E2"]
@@ -123,48 +116,40 @@ def _first_differing_entry(p, q) -> "tuple[int, int] | None":
     return next(((i, j) for i in (1, 2) for j in (1, 2) if p.entry(i, j) != q.entry(i, j)), None)
 
 
+def _noncommuting_pair(tq) -> "tuple[int, int] | None":
+    """The first (a, b), a < b, with [C_a, C_b] != 0: slot a + (k + 1) b of [tq(2^w), tq(2^(w (k + 1)))]."""
+    span = max((p.degree for _, _, p in tq.entries()), default=0) + 1
+    w, ([x1], [x2]) = monodromy.kronecker_values([tq], 2, (1, span))
+    slots = monodromy.product_slots([(1, x1, x2), (-1, x2, x1)], w)
+    return min(((t % span, t // span) for t in slots if t % span < t // span), default=None)
+
+
 def _symmetry_failure(space, weights, gens, tq) -> "str | None":
-    """None when every transfer coefficient commutes with each generator, else the first generator and degree."""
-    for g in gens:
-        e = gl_generator(space, weights, *g)
-        for d, c in enumerate(tq):
-            if not c.commutes_with(e):
-                return f"generator e_{g[0]}{g[1]}, x^{d} coefficient"
+    """The first generator e, then the least d, with [C_d, e] != 0 (slot d of [tq(2^w), e]); else None."""
+    w, ([p, *es],) = monodromy.kronecker_values([tq, *(gl_generator(space, weights, *g) for g in gens)], 2)
+    for g, e in zip(gens, es):
+        slots = monodromy.product_slots([(1, p, e), (-1, e, p)], w)
+        if slots:
+            return f"generator e_{g[0]}{g[1]}, x^{min(slots)} coefficient"
     return None
 
 
 def _zero_mode_failure(pencil) -> "str | None":
     """[T_ij^(1), That_rs(x)] from the exchange relations, all index choices.
 
-    None when every relation holds, else the first failing generator, entry
-    and degree.
-    """
-    from itertools import product as iproduct
-
-    from .monodromy import t_coefficient
-
+    None when every relation holds, else the first failing generator, entry and degree."""
     coeffs = {e: monodromy.coefficient_matrices(m) for e, m in pencil.entries.items()}
-
-    def coeff(e, d):
-        return coeffs[e][d] if d < len(coeffs[e]) else ExactMatrix(pencil.dim, pencil.dim)
-
-    t1s = {(i, j): t_coefficient(pencil, i, j, 1) for i, j in iproduct((1, 2), repeat=2)}
-    for i, j, r, s in iproduct((1, 2), repeat=4):
-        t1 = t1s[(i, j)]
-        pa = (i + j) % 2
-        pb = (r + s) % 2
+    t1s = {e: monodromy.t_coefficient(pencil, *e, 1) for e in coeffs}
+    zero = ExactMatrix(pencil.dim, pencil.dim)
+    for i, j, r, s in product((1, 2), repeat=4):
+        t1, sigma = t1s[(i, j)], -1 if (i + j) % 2 and (r + s) % 2 else 1
         sgn = -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1
         for d, m in enumerate(coeffs[(r, s)]):
-            lhs = t1 @ m - (m @ t1 if not (pa and pb) else -(m @ t1))
-            rhs = None
-            if i == s:
-                rhs = coeff((r, j), d) * sgn
-            if r == j:
-                term = coeff((i, s), d) * (-sgn)
-                rhs = term if rhs is None else rhs + term
-            if rhs is None:
-                rhs = m * 0
-            if lhs != rhs:
+            rhs = zero  # sgn That_rj^(d) when i == s, minus sgn That_is^(d) when r == j
+            for e, c, on in (((r, j), sgn, i == s), ((i, s), -sgn, r == j)):
+                if on and d < len(coeffs[e]):
+                    rhs = rhs + coeffs[e][d] * c
+            if t1 @ m - (m @ t1) * sigma != rhs:
                 return f"generator T_{i}{j}^(1) against That_{r}{s}, x^{d} coefficient"
     return None
 
@@ -246,7 +231,9 @@ def _incomplete_level(rep) -> str:
 
 def run_algebra_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
     items: list[Check] = []
-    for name, spec in suite_specs().items():
+    # k5 (n = 7) has levels that C_0 alone does not generate; the other chains have none
+    k5 = make_spec([(1, 1), (1, 0), (1, 0), (1, 1), (1, 0)], ["1", "0", "-2", "0", "-3"], ("1", "1"))
+    for name, spec in {**suite_specs(), "k5": k5}.items():
         if spec.k > max_k or spec.n > max_n:
             continue
         cp = bethe.char_pair(spec)
@@ -308,8 +295,7 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         items.append(_item(f"vacuum normalized {name}", vac == 1, f"gram[0, 0] = {format_scalar(vac)}"))
         items.append(shapoform.check_iota_contract(spec)._replace(label=f"contravariance {name}"))
         # transfer self-adjointness
-        tq = monodromy.chain_transfer_coefficients(spec)
-        degree = next((d for d, c in enumerate(tq) if (c.transpose() @ gram) != (gram @ c)), None)
+        degree = _self_adjoint_failure(monodromy.chain_transfer_pencil(spec), gram)
         items.append(_item(f"transfer self-adjoint {name}", degree is None, f"x^{degree} coefficient"))
         _, irred = cyclicity_and_irreducibility(spec)
         if irred:
@@ -338,6 +324,12 @@ def run_norms_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
                 check = shapoform.orthogonality_check(spec, ya, yb)
                 items.append(check._replace(label=f"orthogonal {name} {ya.label()} | {yb.label()}"))
     return items
+
+
+def _self_adjoint_failure(tq, gram) -> "int | None":
+    """The least d with C_d^T G != G C_d (slot d of tq(2^w)^T G - G tq(2^w)), or None."""
+    w, ([p, g],) = monodromy.kronecker_values([tq, gram], 2)
+    return min(monodromy.product_slots([(1, p.transpose(), g), (-1, g, p)], w), default=None)
 
 
 def _asymmetry(gram: ExactMatrix) -> str:
@@ -422,16 +414,12 @@ def run_weyl_suite(max_n: int = 4, degree_cap: int = 4) -> list[Check]:
 def run_suite(name: str, max_k: int = 3, max_n: int = 4, max_m: int = 3,
               degree_cap: int = 4, tau_order: Optional[int] = None,
               inject_sign_bug: bool = False) -> list[Check]:
-    if name == "rtt":
-        return run_rtt_suite(max_k, max_n, inject_sign_bug)
-    if name == "bethe":
-        return run_bethe_suite(max_k, max_n)
-    if name == "algebra":
-        return run_algebra_suite(max_k, max_n)
-    if name == "norms":
-        return run_norms_suite(max_k, max_n)
-    if name == "fusion":
-        return run_fusion_suite(max_m, max_n, tau_order)
-    if name == "weyl":
-        return run_weyl_suite(max_n, degree_cap)
-    raise KeyError(name)
+    runs = {
+        "rtt": lambda: run_rtt_suite(max_k, max_n, inject_sign_bug),
+        "bethe": lambda: run_bethe_suite(max_k, max_n),
+        "algebra": lambda: run_algebra_suite(max_k, max_n),
+        "norms": lambda: run_norms_suite(max_k, max_n),
+        "fusion": lambda: run_fusion_suite(max_m, max_n, tau_order),
+        "weyl": lambda: run_weyl_suite(max_n, degree_cap),
+    }
+    return runs[name]()

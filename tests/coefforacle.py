@@ -1,0 +1,105 @@
+"""Coefficient-by-coefficient routes to the identities the package decides at one Kronecker point (test oracles).
+
+The package decides the contravariance of the form, the self-adjointness of
+the transfer pencil, the commutativity of its coefficients and their
+symmetry under the diagonal action by evaluating each polynomial matrix at
+one integer point 2^w (`monodromy.kronecker_values`).  These are the loops
+it replaced: one pair of x-coefficient (or Laurent-coefficient) matrices at
+a time, as `ExactMatrix` products over Fractions, stopping at the first
+failure in the same order.  `chains` draws small chains and `corrupted`
+spoils a pencil or one matrix, for the differentials against them.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import strategies as st
+
+from gl11chain.chain import make_spec
+from gl11chain.exactnum import Poly
+from gl11chain.linalg import ExactMatrix
+from gl11chain.monodromy import Check, coefficient_matrices, laurent_coefficients
+from gl11chain.shapoform import iota_sign
+from gl11chain.superlin import E_PARITY, gl_generator
+
+
+def noncommuting_pair(tq):
+    """The first (a, b), a < b, with C_a C_b != C_b C_a, C_d the x^d coefficients of tq; None when all commute."""
+    cs = coefficient_matrices(tq)
+    return next(((a, b) for a in range(len(cs)) for b in range(a + 1, len(cs)) if not cs[a].commutes_with(cs[b])),
+                None)
+
+
+def symmetry_failure(space, weights, gens, tq):
+    """The first generator, then degree, whose e_g does not commute with C_d, as the suite words it; else None."""
+    cs = coefficient_matrices(tq)
+    for g in gens:
+        e = gl_generator(space, weights, *g)
+        for d, c in enumerate(cs):
+            if not c.commutes_with(e):
+                return f"generator e_{g[0]}{g[1]}, x^{d} coefficient"
+    return None
+
+
+def self_adjoint_failure(tq, gram):
+    """The least d with C_d^T G != G C_d, or None."""
+    return next((d for d, c in enumerate(coefficient_matrices(tq)) if (c.transpose() @ gram) != (gram @ c)), None)
+
+
+def iota_contract(pencil, gram, k) -> Check:
+    """Contravariance for r = 1..k+1, r before (i, j), one (i, j, r) at a time."""
+    space = pencil.space
+    series = {
+        (i, j): laurent_coefficients(pencil.entry(i, j), Poly((1,)), pencil.normalizer, k + 1)
+        for i in (1, 2)
+        for j in (1, 2)
+    }
+    for r in range(1, k + 2):
+        for (i, j) in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            lhs = series[(i, j)][r].transpose() @ gram
+            rhs = gram @ (series[(j, i)][r] * iota_sign(i, j))
+            if E_PARITY[(i, j)]:
+                signed = ExactMatrix(space.dim, space.dim)
+                for a, b, v in rhs.entries():
+                    signed.put(a, b, -v if space.parity(a) else v)
+                rhs = signed
+            if lhs != rhs:
+                return Check(False, witness=f"first failing (i, j, r) {(i, j, r)}")
+    return Check(True)
+
+
+@st.composite
+def chains(draw, max_k=3):
+    """Chains of 1..max_k sites with small weights, half-integer points and either twist."""
+    k = draw(st.integers(1, max_k))
+    weights = [(draw(st.integers(1, 2)), draw(st.integers(0, 1))) for _ in range(k)]
+    points = [str(F(draw(st.integers(-6, 6)), 2)) for _ in range(k)]
+    return make_spec(weights, points, draw(st.sampled_from([("1", "1"), ("2", "3")])))
+
+
+def corrupted_matrix(m, draw):
+    """A copy of a Poly-entry or rational matrix negated, with one coefficient scaled by 3/2, or one element shifted by 1/7."""
+    kind = draw(st.sampled_from(["negate", "scale", "shift"]))
+    if kind == "negate":
+        return -m
+    m = m.copy()
+    poly = any(isinstance(v, Poly) for _, _, v in m.entries())
+    if kind == "scale":
+        a, b = draw(st.sampled_from(sorted((a, b) for a, b, _ in m.entries())))
+        v = m.get(a, b)
+        if poly:
+            coeffs = list(v.coeffs)
+            d = draw(st.sampled_from([d for d, c in enumerate(coeffs) if c]))
+            coeffs[d] *= F(3, 2)
+            m.put(a, b, Poly(coeffs))
+        else:
+            m.put(a, b, v * F(3, 2))
+    else:
+        a, b = draw(st.integers(0, m.nrows - 1)), draw(st.integers(0, m.ncols - 1))
+        m.put(a, b, m.get(a, b) + (Poly((F(1, 7),)) if poly else F(1, 7)))
+    return m
+
+
+def corrupted(pencil, draw):
+    """A copy of the pencil with one entry matrix corrupted as corrupted_matrix does."""
+    e = draw(st.sampled_from(sorted(pencil.entries)))
+    return pencil._replace(entries={**pencil.entries, e: corrupted_matrix(pencil.entries[e], draw)})

@@ -10,6 +10,7 @@ from gl11chain.linalg import ExactMatrix
 from gl11chain.chain import ModuleSpec, Weight, cyclicity_and_irreducibility, make_spec, phi_psi
 from gl11chain.monodromy import (
     Check,
+    MonodromyPencil,
     coefficient_matrices,
     evaluation_monodromy,
     laurent_coefficients,
@@ -20,8 +21,9 @@ from gl11chain.monodromy import (
     verify_rtt,
     _combine,
 )
-from gl11chain.superlin import E_PARITY
+from gl11chain.superlin import E_PARITY, SuperSpace
 from bethealgoracle import reduce_lambda2, string_points
+from coefforacle import chains, corrupted
 from densemat import to_dense
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -248,41 +250,12 @@ def verify_rtt_oracle(pencil):
     return Check(True)
 
 
-@st.composite
-def chains(draw, max_k=3):
-    """Chains of 1..max_k sites with small weights, half-integer points and either twist."""
-    k = draw(st.integers(1, max_k))
-    weights = [(draw(st.integers(1, 2)), draw(st.integers(0, 1))) for _ in range(k)]
-    points = [str(F(draw(st.integers(-6, 6)), 2)) for _ in range(k)]
-    return make_spec(weights, points, draw(st.sampled_from([("1", "1"), ("2", "3")])))
-
-
-def _corrupted(pencil, draw):
-    """A copy of the pencil with one entry negated, one coefficient scaled by 3/2 or one element shifted by 1/7."""
-    e = draw(st.sampled_from(sorted(pencil.entries)))
-    kind = draw(st.sampled_from(["negate", "scale", "shift"]))
-    m = pencil.entries[e]
-    if kind == "negate":
-        return pencil._replace(entries={**pencil.entries, e: -m})
-    m = m.copy()
-    if kind == "scale":
-        a, b = draw(st.sampled_from(sorted((a, b) for a, b, _ in m.entries())))
-        coeffs = list(m.get(a, b).coeffs)
-        d = draw(st.sampled_from([d for d, c in enumerate(coeffs) if c]))
-        coeffs[d] *= F(3, 2)
-        m.put(a, b, Poly(coeffs))
-    else:
-        a, b = draw(st.integers(0, pencil.dim - 1)), draw(st.integers(0, pencil.dim - 1))
-        m.put(a, b, m.get(a, b) + Poly((F(1, 7),)))
-    return pencil._replace(entries={**pencil.entries, e: m})
-
-
 class TestRttDifferential:
     @settings(max_examples=25)
     @given(chains(), st.data())
     def test_matches_oracle(self, spec, data):
         pencil = tensor_monodromy(spec)
-        for candidate in (pencil, _corrupted(pencil, data.draw)):
+        for candidate in (pencil, corrupted(pencil, data.draw)):
             res, want = verify_rtt(candidate), verify_rtt_oracle(candidate)
             assert (res.ok, res.witness) == (want.ok, want.witness)
         assert verify_rtt(pencil).ok
@@ -294,6 +267,17 @@ class TestRttDifferential:
             bad = pencil._replace(entries={**pencil.entries, e: pencil.entries[e] * F(3, 2)})
             res, want = verify_rtt(bad), verify_rtt_oracle(bad)
             assert (res.ok, res.witness) == (want.ok, want.witness)
+
+    def test_top_x1_degree_does_not_reach_the_next_x2_power(self):
+        # That_11 = x E_01, That_22 = x E_10, the rest 0: the (1, 1, 2, 2) difference is
+        # (x1 - x2) x1 x2 [E_01, E_10], nonzero only at x1-degree deg + 1 = 2 and at (1, 2)
+        t11, t22 = ExactMatrix(2, 2), ExactMatrix(2, 2)
+        t11.put(0, 1, Poly((0, 1)))
+        t22.put(1, 0, Poly((0, 1)))
+        zero = ExactMatrix(2, 2)
+        pencil = MonodromyPencil(SuperSpace.tensor_power(1), {(1, 1): t11, (1, 2): zero, (2, 1): zero, (2, 2): t22},
+                                 Poly((0, 1)))
+        assert verify_rtt(pencil) == verify_rtt_oracle(pencil) == (False, "", "(1, 1, 2, 2, 1, 2)")
 
 
 def _laurent_oracle(m, num, den, order):

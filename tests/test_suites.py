@@ -699,6 +699,21 @@ def test_algebra_suite_builds_each_algebra_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(families) == 19
 
 
+def test_algebra_suite_tells_a_dropped_generator(monkeypatch, fresh_caches):
+    # on every default chain C_0 alone generates each level's algebra; on k5, which joins from
+    # --max-k 5 --max-n 7, the first non-scalar coefficient spans 2 of 4 at l=1 and 3 of 6 at l=2
+    assert not [it for it in run_suite("algebra") if "k5" in it.label]
+    full = run_suite("algebra", max_k=5, max_n=7)
+    assert all(full) and "algebra dim k5 l=1" in [it.label for it in full]
+    clear_builder_caches()
+    real = bethealg.generators
+    monkeypatch.setattr(bethealg, "generators", lambda fam: real(fam)[:1])
+    bad = {it.label: it.witness for it in run_suite("algebra", max_k=5, max_n=7) if not it.ok}
+    assert bad["algebra dim k5 l=1"] == "2 != 4"
+    assert bad["algebra dim k5 l=2"] == "3 != 6"
+    assert all(" k5 " in label for label in bad)
+
+
 @pytest.mark.parametrize("name, products", [("bethe", 22), ("algebra", 40)])
 def test_suite_matrix_products(monkeypatch, name, products):
     # from empty caches: the commutativity test multiplies no pair with a scalar coefficient, and
