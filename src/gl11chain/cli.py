@@ -102,6 +102,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.inject_sign_bug and ("rtt" not in names or not suites.rtt_tensor_cases(args.max_k, args.max_n)):
+        why = "no rtt tensor case within the caps" if "rtt" in names else f"--suite {args.suite} does not run rtt"
+        print(f"error: --inject-sign-bug has nothing to corrupt: {why}", file=sys.stderr)
+        return 2
     if not _write_output(args.json, ""):
         return 2
     summary = {}

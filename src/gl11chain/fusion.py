@@ -40,9 +40,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .exactnum import Poly, RatFun, scalar
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, first_noncommuting
 from .chain import ModuleSpec
-from .monodromy import Check, MonodromyPencil, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
+from .monodromy import Check, MonodromyPencil, chain_transfer_pencil, tensor_monodromy
 from .superlin import EVEN, ODD, SuperSpace, adjacent_flip
 from .bethe import Divisor, bethe_vector, char_pair
 
@@ -427,9 +427,7 @@ def berezinian(spec: ModuleSpec) -> BerezinianValue:
     expected = RatFun(cp.phi * q1, cp.psi * q2)
     scalar_ok = mat == FracMatrix.identity(pencil.dim).scale(expected)
     # den is a scalar, so mat commutes with a matrix exactly when its numerator does
-    central = all(
-        mat.num.commutes_with(c) for ent in pencil.entries.values() for c in coefficient_matrices(ent)
-    )
+    central = not any(first_noncommuting(mat.num, ent) for ent in pencil.entries.values())
     return BerezinianValue(expected if scalar_ok else RatFun(Poly()), forms_agree and scalar_ok, tau_free, central)
 
 
@@ -532,12 +530,8 @@ def higher_family_commutes(spec: ModuleSpec) -> Check:
     so the verdict does not depend on the denominators or the contents.  On
     failure the witness names the first non-commuting coefficient pair (a, b).
     """
-    t1, t2 = (coefficient_matrices(_without_content(higher_transfer(spec, m).matrix.num)) for m in (1, 2))
-    for a, ca in enumerate(t1):
-        for b, cb in enumerate(t2):
-            if not ca.commutes_with(cb):
-                return Check(False, "higher family commutes", f"coefficient pair {(a, b)}")
-    return Check(True, "higher family commutes")
+    pair = first_noncommuting(*(_without_content(higher_transfer(spec, m).matrix.num) for m in (1, 2)))
+    return Check(pair is None, "higher family commutes", "" if pair is None else f"coefficient pair {pair}")
 
 
 def _without_content(num: ExactMatrix) -> ExactMatrix:

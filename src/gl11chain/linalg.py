@@ -6,10 +6,15 @@ operator-valued pencils.  Row reduction, kernels, inverses, determinants and
 spans all run through SpanBasis, one sparse fraction-free elimination over a
 gcd domain: primitive integer rows for rational input, primitive Q[x] rows
 for Poly input (FracMatrix.inverse).  It touches only nonzero entries.
+
+The Kronecker codec (D. Harvey, J. Symbolic Comput. 44 (2009)) decides an
+identity between products of polynomial matrices at one integer point, and
+first_noncommuting every commutation identity of the package with it.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -144,9 +149,6 @@ class ExactMatrix:
                 out.rows[i] = acc
         return out
 
-    def commutes_with(self, other: "ExactMatrix") -> bool:
-        return (self @ other) == (other @ self)
-
     # -- structural ops -------------------------------------------------------
 
     def transpose(self) -> "ExactMatrix":
@@ -266,7 +268,7 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# span bookkeeping and joint eigenspaces
+# span bookkeeping, the Kronecker codec and joint eigenspaces
 # ---------------------------------------------------------------------------
 
 
@@ -486,16 +488,87 @@ class SpanCoordinates:
         return out
 
 
+def slot_width(bound: int) -> int:
+    """The least w with 2^(w-1) > bound: a w-bit slot holds every c with |c| <= bound."""
+    return bound.bit_length() + 1
+
+
+def kronecker_values(mats, terms: int, spans=(1,)) -> tuple[int, list[list[ExactMatrix]]]:
+    """w and the integer matrices D * m(2^(w s)) for each s in spans and m in mats.
+
+    Each m is a square matrix with Poly or rational entries, or the list of
+    rational x^d coefficient matrices of one; D is the lcm of every
+    denominator.  The w-bit slots of a sum of `terms` products of two values
+    are the coefficients of D^2 times the same sum of polynomial products, each
+    at most terms * dim * M^2 (M the largest cleared coefficient) when the two
+    factors of every product are read at different spans or one is constant in
+    x.  Two polynomials in one variable sum up to min(len) coefficient products.
+    """
+    lists = [[m] if isinstance(m, ExactMatrix) else m for m in mats]
+    # each entry as (d, i, j, numerators, denominator), d its power of x
+    cells = [[(d, i, j, *((v.nums, v.denom) if isinstance(v, Poly) else ((v.numerator,), v.denominator)))
+              for d, c in enumerate(cs) for i, j, v in c.entries()] for cs in lists]
+    den = lcm(1, *(q for cs in cells for *_, q in cs))
+    big = max((abs(n) * (den // q) for cs in cells for *_, nums, q in cs for n in nums), default=0)
+    w = slot_width(terms * lists[0][0].nrows * big * big)
+    out = []
+    for s in spans:
+        out.append(values := [ExactMatrix(cs[0].nrows, cs[0].ncols) for cs in lists])
+        for value, cs in zip(values, cells):
+            for d, i, j, nums, q in cs:  # Horner at 2^(w s)
+                v = functools.reduce(lambda acc, n: (acc << w * s) + n, reversed(nums), 0)
+                value.add_to(i, j, v * (den // q) << w * s * d)
+    return w, out
+
+
+def kronecker_slots(value: int, w: int) -> list[int]:
+    """The slots c_0, c_1, ... of value = sum_t c_t 2^(w t), |c_t| < 2^(w-1), up to the last nonzero one.
+
+    They are unique: the lowest nonzero slot is the residue of value mod 2^w
+    in [-2^(w-1), 2^(w-1)), so a zero value has none.
+    """
+    out, half = [], 1 << (w - 1)
+    while value:
+        out.append(((value + half) & ((1 << w) - 1)) - half)
+        value = (value - out[-1]) >> w
+    return out
+
+
+def product_slots(terms, w: int) -> set[int]:
+    """The slots nonzero in some entry of sum c * (a @ b) over terms (c, a, b) of integer matrices, c = 0 skipped."""
+    total: dict[tuple[int, int], int] = {}
+    for c, a, b in terms:
+        for i, j, v in (a @ b).entries() if c else ():
+            total[i, j] = total.get((i, j), 0) + c * v
+    return {t for v in total.values() for t, s in enumerate(kronecker_slots(v, w)) if s}
+
+
+def first_noncommuting(p, q) -> "tuple[int, int] | None":
+    """The lexicographically first (a, b) with [P_a, Q_b] != 0, P_a, Q_b the x^a, x^b coefficients; else None.
+
+    p and q are matrices with Poly or rational entries, or non-empty lists of coefficient matrices.  With
+    span the number of coefficients of p, [P_a, Q_b] is slot a + span b of [p(2^w), q(2^(w span))].
+    """
+    if isinstance(p, ExactMatrix):
+        span = 1 + max((v.degree for _, _, v in p.entries() if isinstance(v, Poly)), default=0)
+    else:
+        span = len(p)
+    w, ([x1, _], [_, x2]) = kronecker_values([p, q], 2, (1, span))
+    slots = product_slots([(1, x1, x2), (-1, x2, x1)], w)
+    return min(((t % span, t // span) for t in slots), default=None)
+
+
 def joint_generalized_eigenspaces(
     ops: Sequence[ExactMatrix],
     chars: Sequence[Sequence[Scalar]],
 ) -> list[tuple[list[Vector], list[Vector]]]:
     """Per character: (eigenspace basis, generalized eigenspace basis).
 
-    Operators must commute pairwise and be square on a common space; a pair
-    with a scalar operator commutes and is not multiplied out.  A
-    shifted operator that is zero (a scalar operator at its own value, a zero
-    operator at 0) constrains nothing and is dropped; an empty family leaves
+    Operators must commute pairwise and be square on a common space; that
+    is decided by first_noncommuting on the family as a coefficient list,
+    when two of them are not scalar, so a scalar pair is never multiplied.
+    A shifted operator that is zero (a scalar operator at its own value, a
+    zero operator at 0) constrains nothing and is dropped; an empty family leaves
     the whole space.  Each other shifted operator s is raised only to the
     first power j with rank(s^j) = rank(s^(j+1)): from there on the kernel of
     s^j no longer grows (Fitting's lemma), so it is the generalized kernel,
@@ -509,11 +582,10 @@ def joint_generalized_eigenspaces(
     for op in ops:
         if not op.nrows == op.ncols == n:
             raise ValueError("operators must be square on one space")
-    scalar = [op.is_scalar() for op in ops]
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not (scalar[i] or scalar[j] or ops[i].commutes_with(ops[j])):
-                raise ValueError(f"family not commutative: operators {i} and {j}")
+    # [O_i, O_i] = 0 and [O_j, O_i] = -[O_i, O_j], so the first pair found has i < j
+    pair = first_noncommuting(ops, ops) if sum(not op.is_scalar() for op in ops) > 1 else None
+    if pair:
+        raise ValueError(f"family not commutative: operators {pair[0]} and {pair[1]}")
     out = []
     for ch in chars:
         if len(ch) != len(ops):

@@ -8,14 +8,8 @@ coefficient matrices of such a matrix, for the checks that read them, and
 laurent_coefficients the Laurent coefficients at infinity of its product
 with a scalar rational function, from one scalar series.
 
-An identity between products of such matrices is decided at one Kronecker
-point (D. Harvey, J. Symbolic Comput. 44 (2009)): kronecker_values clears
-denominators and evaluates at x = 2^w (x2 = 2^(w (deg + 2)) in the bivariate
-exchange relations), w taken from the bound terms * dim * M^2 on every
-coefficient of a sum of `terms` products, M the largest cleared coefficient.
-The difference is then one integer matrix whose signed w-bit slots
-(kronecker_slots) are its coefficients, zero exactly when each of them is; a
-failing check names the first nonzero slot in its coefficient loop's order.
+The exchange relations, their signs held by exchange_signs, are decided at
+one Kronecker point by the codec of linalg.py.
 
 Check is the package's one verdict record: every check of an identity, in
 this module and the others, returns Check(ok, label, witness), and a suite
@@ -27,7 +21,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .exactnum import Poly, RatFun, laurent_expand, scalar
@@ -198,58 +191,10 @@ class Check(NamedTuple):
         return self.ok
 
 
-def slot_width(bound: int) -> int:
-    """The least w with 2^(w-1) > bound: a w-bit slot holds every c with |c| <= bound."""
-    return bound.bit_length() + 1
-
-
-def kronecker_values(mats, terms: int, spans=(1,)) -> tuple[int, list[list[linalg.ExactMatrix]]]:
-    """w and the integer matrices D * m(2^(w s)) for each s in spans and m in mats.
-
-    Each m is a square matrix with Poly or rational entries, or the list of
-    rational x^d coefficient matrices of one; D is the lcm of every
-    denominator.  The w-bit slots of a sum of `terms` products of two values
-    are the coefficients of D^2 times the same sum of products of
-    polynomials, each at most terms * dim * M^2 with M the largest cleared
-    coefficient, and w is the slot width of that bound.
-    """
-    lists = [[m] if isinstance(m, linalg.ExactMatrix) else m for m in mats]
-    # each entry as (d, i, j, numerators, denominator), d its power of x
-    cells = [[(d, i, j, *((v.nums, v.denom) if isinstance(v, Poly) else ((v.numerator,), v.denominator)))
-              for d, c in enumerate(cs) for i, j, v in c.entries()] for cs in lists]
-    den = lcm(1, *(q for cs in cells for *_, q in cs))
-    big = max((abs(n) * (den // q) for cs in cells for *_, nums, q in cs for n in nums), default=0)
-    w = slot_width(terms * lists[0][0].nrows * big * big)
-    out = []
-    for s in spans:
-        out.append(values := [linalg.ExactMatrix(cs[0].nrows, cs[0].ncols) for cs in lists])
-        for value, cs in zip(values, cells):
-            for d, i, j, nums, q in cs:  # Horner at 2^(w s)
-                v = functools.reduce(lambda acc, n: (acc << w * s) + n, reversed(nums), 0)
-                value.add_to(i, j, v * (den // q) << w * s * d)
-    return w, out
-
-
-def kronecker_slots(value: int, w: int) -> list[int]:
-    """The slots c_0, c_1, ... of value = sum_t c_t 2^(w t), |c_t| < 2^(w-1), up to the last nonzero one.
-
-    They are unique: the lowest nonzero slot is the residue of value mod 2^w
-    in [-2^(w-1), 2^(w-1)), so a zero value has none.
-    """
-    out, half = [], 1 << (w - 1)
-    while value:
-        out.append(((value + half) & ((1 << w) - 1)) - half)
-        value = (value - out[-1]) >> w
-    return out
-
-
-def product_slots(terms, w: int) -> set[int]:
-    """The slots nonzero in some entry of sum c * (a @ b) over terms (c, a, b) of integer matrices."""
-    total: dict[tuple[int, int], int] = {}
-    for c, a, b in terms:
-        for i, j, v in (a @ b).entries():
-            total[i, j] = total.get((i, j), 0) + c * v
-    return {t for v in total.values() for t, s in enumerate(kronecker_slots(v, w)) if s}
+def exchange_signs(i: int, j: int, r: int, s: int) -> tuple[int, int]:
+    """(sigma, sgn) of the exchange relation of That_ij with That_rs (verify_rtt): the RTT sign table."""
+    return (-1 if E_PARITY[(i, j)] and E_PARITY[(r, s)] else 1,
+            -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1)
 
 
 def verify_rtt(pencil: MonodromyPencil) -> Check:
@@ -257,11 +202,11 @@ def verify_rtt(pencil: MonodromyPencil) -> Check:
 
     For every index choice (i, j, r, s) the identity
       (x1 - x2) [That_ij(x1), That_rs(x2)]
-        = sign * (That_rj(x2) That_is(x1) - That_rj(x1) That_is(x2))
-    is verified, with the supercommutator taken with respect to the entry
-    parities.  On mismatch the witness is "(i, j, r, s, deg_x1, deg_x2)".
+        = sgn * (That_rj(x2) That_is(x1) - That_rj(x1) That_is(x2))
+    is verified, [A, B] = AB - sigma BA and (sigma, sgn) = exchange_signs(i, j, r, s).
+    On mismatch the witness is "(i, j, r, s, deg_x1, deg_x2)".
 
-    Each identity is decided at one Kronecker point (kronecker_values):
+    Each identity is decided at one Kronecker point (linalg.kronecker_values):
     x1 = 2^w and x2 = 2^(w (deg + 2)), so the x1-degrees 0..deg + 1 of a
     power of x2 never reach the next one.  The x1^d1 x2^d2 coefficient of
     D^2 (left side minus right side) is a sum of six products of two cleared
@@ -270,13 +215,12 @@ def verify_rtt(pencil: MonodromyPencil) -> Check:
     """
     entries = pencil.entries
     span = max((p.degree for m in entries.values() for _, _, p in m.entries()), default=0) + 2
-    w, (at1, at2) = kronecker_values(list(entries.values()), 6, (1, span))
+    w, (at1, at2) = linalg.kronecker_values(list(entries.values()), 6, (1, span))
     x1, x2 = dict(zip(entries, at1)), dict(zip(entries, at2))
     x1_minus_x2 = (1 << w) - (1 << w * span)
     for i, j, r, s in product((1, 2), repeat=4):
-        sigma = -1 if E_PARITY[(i, j)] and E_PARITY[(r, s)] else 1
-        sgn = -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1
-        slots = product_slots([
+        sigma, sgn = exchange_signs(i, j, r, s)
+        slots = linalg.product_slots([
             (x1_minus_x2, x1[i, j], x2[r, s]), (-sigma * x1_minus_x2, x2[r, s], x1[i, j]),
             (-sgn, x2[r, j], x1[i, s]), (sgn, x1[r, j], x2[i, s]),
         ], w)

@@ -33,9 +33,9 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exactnum import Poly, format_scalar, scalar
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, kronecker_values, product_slots
 from .chain import ModuleSpec, Weight
-from .monodromy import Check, kronecker_values, laurent_coefficients, product_slots, tensor_monodromy
+from .monodromy import Check, laurent_coefficients, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, leg_units
 from .bethe import Divisor, bethe_vector, char_pair
 
@@ -114,7 +114,7 @@ def check_iota_contract(spec: ModuleSpec) -> Check:
     first failing (i, j, r), r before (i, j).
 
     Each (i, j) is decided at one Kronecker point: with D the lcm of the
-    denominators of G and every T^(r) (monodromy.kronecker_values),
+    denominators of G and every T^(r) (linalg.kronecker_values),
     X_ij = D sum_r T_ij^(r) 2^(w (r - 1)) and G' = D G are integer matrices,
     and slot r - 1 of X_ij^T G' - iota_sign(i, j) S G' X_ji is D^2 times
     the r-th difference, a sum of two products: w holds 2 dim M^2.

@@ -1,32 +1,40 @@
 """Coefficient-by-coefficient routes to the identities the package decides at one Kronecker point (test oracles).
 
 The package decides the contravariance of the form, the self-adjointness of
-the transfer pencil, the commutativity of its coefficients and their
-symmetry under the diagonal action by evaluating each polynomial matrix at
-one integer point 2^w (`monodromy.kronecker_values`).  These are the loops
-it replaced: one pair of x-coefficient (or Laurent-coefficient) matrices at
-a time, as `ExactMatrix` products over Fractions, stopping at the first
-failure in the same order.  `chains` draws small chains and `corrupted`
-spoils a pencil or one matrix, for the differentials against them.
+the transfer pencil, every commutation identity (the transfer coefficients
+with each other and with the diagonal action, T_1 with T_2, the Berezinian
+with the pencil) and the zero-mode exchange relations by evaluating each
+polynomial matrix at one integer point 2^w (`linalg.kronecker_values`,
+`linalg.first_noncommuting`).  These are the loops it replaced: one pair of
+x-coefficient (or Laurent-coefficient) matrices at a time, as `ExactMatrix`
+products over Fractions, stopping at the first failure in the same order.
+`chains` draws small chains and `corrupted` spoils a pencil or one matrix,
+for the differentials against them.
 """
 
 from fractions import Fraction as F
+from itertools import product
 
 from hypothesis import strategies as st
 
+from gl11chain import fusion
 from gl11chain.chain import make_spec
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
-from gl11chain.monodromy import Check, coefficient_matrices, laurent_coefficients
+from gl11chain.monodromy import Check, coefficient_matrices, laurent_coefficients, t_coefficient
 from gl11chain.shapoform import iota_sign
 from gl11chain.superlin import E_PARITY, gl_generator
+
+
+def commute(a, b) -> bool:
+    """a b == b a, by two ExactMatrix products."""
+    return a @ b == b @ a
 
 
 def noncommuting_pair(tq):
     """The first (a, b), a < b, with C_a C_b != C_b C_a, C_d the x^d coefficients of tq; None when all commute."""
     cs = coefficient_matrices(tq)
-    return next(((a, b) for a in range(len(cs)) for b in range(a + 1, len(cs)) if not cs[a].commutes_with(cs[b])),
-                None)
+    return next(((a, b) for a in range(len(cs)) for b in range(a + 1, len(cs)) if not commute(cs[a], cs[b])), None)
 
 
 def symmetry_failure(space, weights, gens, tq):
@@ -35,8 +43,45 @@ def symmetry_failure(space, weights, gens, tq):
     for g in gens:
         e = gl_generator(space, weights, *g)
         for d, c in enumerate(cs):
-            if not c.commutes_with(e):
+            if not commute(c, e):
                 return f"generator e_{g[0]}{g[1]}, x^{d} coefficient"
+    return None
+
+
+def higher_family_commutes(spec) -> Check:
+    """fusion.higher_family_commutes by its coefficient loop: every x-coefficient pair of T_1 and T_2, a before b."""
+    t1, t2 = (coefficient_matrices(fusion._without_content(fusion.higher_transfer(spec, m).matrix.num)) for m in (1, 2))
+    for a, ca in enumerate(t1):
+        for b, cb in enumerate(t2):
+            if not commute(ca, cb):
+                return Check(False, "higher family commutes", f"coefficient pair {(a, b)}")
+    return Check(True, "higher family commutes")
+
+
+def berezinian_central(pencil, twist) -> bool:
+    """The Berezinian's tau^0 numerator (first quotient form) commutes with every x-coefficient of every entry."""
+    k = fusion.manin_entries(pencil, twist)
+    inner = k[(2, 2)] - k[(2, 1)].mul(k[(1, 1)].inverse_single()).mul(k[(1, 2)])
+    num = k[(1, 1)].mul(inner.inverse_single()).frac_coeff(0).num
+    return all(commute(num, c) for ent in pencil.entries.values() for c in coefficient_matrices(ent))
+
+
+def zero_mode_failure(pencil):
+    """[T_ij^(1), That_rs(x)] against the exchange relations, one x^d coefficient at a time, as the suite words it.
+
+    d runs up to the largest degree of That_rs, That_rj and That_is, so the
+    top terms of the right-hand side are checked too.
+    """
+    coeffs = {e: coefficient_matrices(m) for e, m in pencil.entries.items()}
+    zero = ExactMatrix(pencil.dim, pencil.dim)
+    for i, j, r, s in product((1, 2), repeat=4):
+        t1 = t_coefficient(pencil, i, j, 1)
+        sigma = -1 if (i + j) % 2 and (r + s) % 2 else 1
+        sgn = -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1
+        for d in range(max(len(coeffs[e]) for e in ((r, s), (r, j), (i, s)))):
+            m, rj, is_ = (coeffs[e][d] if d < len(coeffs[e]) else zero for e in ((r, s), (r, j), (i, s)))
+            if t1 @ m - (m @ t1) * sigma != rj * (sgn * (i == s)) - is_ * (sgn * (r == j)):
+                return f"generator T_{i}{j}^(1) against That_{r}{s}, x^{d} coefficient"
     return None
 
 

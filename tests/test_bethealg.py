@@ -83,7 +83,7 @@ class TestCoefficientFamily:
         fam = coefficient_family(E5, 1)
         for a in range(len(fam.ops)):
             for b in range(len(fam.ops)):
-                assert fam.ops[a].commutes_with(fam.ops[b])
+                assert fam.ops[a] @ fam.ops[b] == fam.ops[b] @ fam.ops[a]
 
     @pytest.mark.parametrize(
         "spec, level",

@@ -163,6 +163,29 @@ class TestVerify:
         failures = doc["suites"]["rtt"]["failures"]
         assert failures == [{"name": "rtt tensor E1", "detail": "witness (1, 2, 2, 1, 0, 1)"}]
 
+    def test_injected_bug_at_default_caps(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "rtt", "--inject-sign-bug", "--json", str(out)]) == 1
+        failures = json.loads(out.read_text())["suites"]["rtt"]["failures"]
+        assert failures == [{"name": "rtt tensor E1", "detail": "witness (1, 2, 2, 1, 0, 1)"}]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--suite", "norms"], "--suite norms does not run rtt"),
+            (["--suite", "rtt", "--max-k", "0"], "no rtt tensor case within the caps"),
+            (["--suite", "rtt", "--max-n", "0"], "no rtt tensor case within the caps"),
+            (["--suite", "all", "--max-k", "0"], "no rtt tensor case within the caps"),
+        ],
+        ids=["other-suite", "max-k-0", "max-n-0", "all-max-k-0"],
+    )
+    def test_injected_bug_with_nothing_to_corrupt_exits_2(self, tmp_path, capsys, argv, reason):
+        # a negative control that corrupts nothing would pass; it is refused before any suite runs
+        out = tmp_path / "verify.json"
+        assert main(["verify", *argv, "--inject-sign-bug", "--json", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --inject-sign-bug has nothing to corrupt: {reason}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, code",
         [

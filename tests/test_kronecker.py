@@ -1,10 +1,12 @@
-"""The Kronecker codec of monodromy.py and the checks decided at one Kronecker point.
+"""The Kronecker codec of linalg.py and the checks decided at one Kronecker point.
 
 The codec round-trips signed slot lists at the bound slot_width was taken
-from.  Contravariance, self-adjointness, commutativity and symmetry of the
-transfer pencil are compared with the coefficient loops of coefforacle.py,
-verdict and witness, on drawn chains and on pencils and Gram matrices
-corrupted by one change.
+from, and first_noncommuting names the pair the coefficient-pair loop names.
+Contravariance, self-adjointness, commutativity and symmetry of the transfer
+pencil, the commutation of T_1 with T_2, the centrality of the Berezinian and
+the zero-mode exchange relations are compared with the coefficient loops of
+coefforacle.py, verdict and witness, on drawn chains and on pencils and Gram
+matrices corrupted by one change.
 """
 
 from fractions import Fraction as F
@@ -15,18 +17,17 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from gl11chain import shapoform, suites
+from gl11chain import fusion, shapoform, suites
 from gl11chain.exactnum import Poly
-from gl11chain.linalg import ExactMatrix
-from gl11chain.monodromy import (
-    chain_transfer_pencil,
-    coefficient_matrices,
+from gl11chain.linalg import (
+    ExactMatrix,
+    first_noncommuting,
     kronecker_slots,
     kronecker_values,
     product_slots,
     slot_width,
-    tensor_monodromy,
 )
+from gl11chain.monodromy import Check, chain_transfer_pencil, coefficient_matrices, tensor_monodromy
 from gl11chain.shapoform import check_iota_contract, form_matrix
 from gl11chain.suites import suite_specs
 import coefforacle
@@ -130,11 +131,11 @@ class TestPencilChecksMatchTheOracle:
         gens = [(1, 1), (2, 2), (1, 2), (2, 1)]
         space, weights = spec.space(), list(spec.weights)
         for t, g in ((tq, gram), (corrupted_matrix(tq, data.draw), gram), (tq, corrupted_matrix(gram, data.draw))):
-            assert suites._noncommuting_pair(t) == coefforacle.noncommuting_pair(t)
+            assert first_noncommuting(t, t) == coefforacle.noncommuting_pair(t)
             assert suites._symmetry_failure(space, weights, gens, t) == coefforacle.symmetry_failure(
                 space, weights, gens, t)
             assert suites._self_adjoint_failure(t, g) == coefforacle.self_adjoint_failure(t, g)
-        assert suites._noncommuting_pair(tq) is None and suites._self_adjoint_failure(tq, gram) is None
+        assert first_noncommuting(tq, tq) is None and suites._self_adjoint_failure(tq, gram) is None
 
     @settings(max_examples=25)
     @given(chains(), st.data())
@@ -170,3 +171,133 @@ def test_self_adjoint_reads_the_least_failing_degree():
     gram = ExactMatrix.identity(2)
     assert suites._self_adjoint_failure(tq, gram) == coefforacle.self_adjoint_failure(tq, gram) == 1
     assert coefficient_matrices(tq)[1].get(0, 1) == 2
+
+
+def _coefficients(m):
+    """The coefficients first_noncommuting reads: a list as given, a Poly-entry matrix split, a rational one alone."""
+    if not isinstance(m, ExactMatrix):
+        return list(m)
+    return coefficient_matrices(m) if any(isinstance(v, Poly) for _, _, v in m.entries()) else [m]
+
+
+def pair_loop(p, q):
+    """The first (a, b), a before b, with P_a Q_b != Q_b P_a, one pair of ExactMatrix products at a time (oracle)."""
+    ps, qs = _coefficients(p), _coefficients(q)
+    return next(((a, b) for a, pa in enumerate(ps) for b, qb in enumerate(qs) if not coefforacle.commute(pa, qb)), None)
+
+
+@st.composite
+def commutator_cases(draw):
+    """(p, q, planted): each operand a Poly-entry matrix, a rational matrix or a coefficient list on one dim 0..3.
+
+    Coefficients are zero, scalar, diagonal (so most pairs commute), dense with entries up to +-M, or
+    extreme, every entry +-M, so that a commutator entry can reach the slot bound 2 dim M^2; planted is
+    the (a, b) at which an off-diagonal entry was added to P_a against a Q_b whose first two diagonal
+    entries differ, or None.
+    """
+    dim = draw(st.integers(0, 3))
+    big = draw(st.sampled_from([1, 7, 2**20, 2**64 + 3]))
+    den = draw(st.sampled_from([1, 6]))
+    values = st.one_of(st.sampled_from([big, -big]), st.fractions(-big, big, max_denominator=den))
+
+    def coefficient():
+        m = ExactMatrix(dim, dim)
+        kind = draw(st.sampled_from(["zero", "scalar", "diagonal", "diagonal", "dense", "extreme"]))
+        entry = {"zero": st.just(0), "scalar": st.just(draw(values)), "extreme": st.sampled_from([big, -big])}
+        for i in range(dim):
+            for j in range(dim) if kind in ("dense", "extreme") else (i,):
+                m.put(i, j, draw(entry.get(kind, values)))
+        return m
+
+    forms = [draw(st.sampled_from(["poly", "rational", "list"])) for _ in range(2)]
+    coeffs = [[coefficient() for _ in range(1 if form == "rational" else draw(st.integers(1, 4)))] for form in forms]
+    planted = None
+    if dim >= 2 and draw(st.booleans()):
+        planted = a, b = draw(st.integers(0, len(coeffs[0]) - 1)), draw(st.integers(0, len(coeffs[1]) - 1))
+        coeffs[0][a].add_to(0, 1, draw(values) or 1)
+        if coeffs[1][b].get(0, 0) == coeffs[1][b].get(1, 1):
+            coeffs[1][b].add_to(0, 0, 1)
+    return (*(_as_form(form, cs, dim) for form, cs in zip(forms, coeffs)), planted)
+
+
+def _as_form(form, cs, dim):
+    if form != "poly":
+        return cs[0] if form == "rational" else cs
+    m = ExactMatrix(dim, dim)
+    for i in range(dim):
+        for j in range(dim):
+            m.put(i, j, Poly([c.get(i, j) for c in cs]))
+    return m
+
+
+def _extreme_pair():
+    """p = [0, P], q = Q with [P, Q] = 4 E_01, the bound 2 * dim * M^2 at M = 1, in the slot below a span boundary."""
+    p, q = ExactMatrix(2, 2), ExactMatrix(2, 2)
+    for (i, j), v in {(0, 0): 1, (0, 1): 1, (1, 1): -1}.items():
+        p.put(i, j, F(v))
+        q.put(i, j, F(-v if i == j else v))
+    return [ExactMatrix(2, 2), p], q, None
+
+
+class TestFirstNoncommuting:
+    @settings(max_examples=300, deadline=None)
+    @given(commutator_cases())
+    @example(_extreme_pair())
+    @example((_unit(0, 1), ExactMatrix.identity(2) * 7, None))
+    @example((ExactMatrix(0, 0), ExactMatrix(0, 0), None))
+    @example(([ExactMatrix(1, 1), ExactMatrix.identity(1)], ExactMatrix.identity(1) * 2, None))
+    def test_matches_the_pair_loop(self, case):
+        p, q, planted = case
+        got = first_noncommuting(p, q)
+        assert got == pair_loop(p, q)
+        if planted is not None:
+            assert got is not None and got <= planted
+
+    def test_extreme_pair_fills_its_slot(self):
+        p, q, _ = _extreme_pair()
+        commutator = p[1] @ q - q @ p[1]
+        assert list(commutator.entries()) == [(0, 1, 4)] and slot_width(2 * 2 * 1) == 4
+        assert first_noncommuting(p, q) == (1, 0)
+
+    def test_two_products_per_call(self, monkeypatch):
+        calls = []
+        matmul = ExactMatrix.__matmul__
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        tq = chain_transfer_pencil(suite_specs()["E5"])
+        assert first_noncommuting(tq, tq) is None and len(calls) == 2
+
+
+class TestCommutationChecksMatchTheOracle:
+    @settings(max_examples=10, deadline=None)
+    @given(chains(max_k=2), st.data())
+    def test_higher_family_commutes(self, spec, data):
+        real = fusion.higher_transfer
+        m = data.draw(st.sampled_from([1, 2]))
+        rc = real(spec, m)
+        bad = rc._replace(matrix=fusion.FracMatrix(corrupted_matrix(rc.matrix.num, data.draw), rc.matrix.den))
+        assert tuple(fusion.higher_family_commutes(spec)) == tuple(coefforacle.higher_family_commutes(spec))
+        assert fusion.higher_family_commutes(spec).ok
+        with patch.object(fusion, "higher_transfer", lambda s, k: bad if k == m else real(s, k)):
+            assert tuple(fusion.higher_family_commutes(spec)) == tuple(coefforacle.higher_family_commutes(spec))
+
+    @settings(max_examples=10, deadline=None)
+    @given(chains(max_k=2), st.data())
+    def test_berezinian_central(self, spec, data):
+        for pencil in (tensor_monodromy(spec), corrupted(tensor_monodromy(spec), data.draw)):
+            try:
+                want = coefforacle.berezinian_central(pencil, spec.twist)
+                with patch.object(fusion, "tensor_monodromy", lambda s: pencil):
+                    got = fusion.berezinian.__wrapped__(spec).central
+            except ZeroDivisionError:
+                reject()  # a corrupted Manin matrix without every quotient form
+            assert got == want
+        assert fusion.berezinian(spec).central
+
+    @settings(max_examples=25, deadline=None)
+    @given(chains(), st.data())
+    def test_zero_mode(self, spec, data):
+        pencil = tensor_monodromy(spec)
+        assert suites._zero_mode_failure(pencil) is None is coefforacle.zero_mode_failure(pencil)
+        bad = corrupted(pencil, data.draw)
+        assert suites._zero_mode_failure(bad) == coefforacle.zero_mode_failure(bad)
+

@@ -429,17 +429,30 @@ class TestJointEigenspaces:
             joint_generalized_eigenspaces([a, b], [[F(0), F(0)]])
 
     def test_pairs_with_a_scalar_are_not_multiplied(self, monkeypatch):
-        # only the pair of non-scalar operators is tested for commutation; a failing pair is still
-        # named by its positions in the whole family
+        # no pair is multiplied on its own: the whole family is tested at one Kronecker point, two
+        # products however many pairs it has, and a failing pair is named by its positions in it
         a = dense([[0, 1], [0, 0]])
         b = dense([[0, 0], [1, 0]])
-        pairs = []
-        real = ExactMatrix.commutes_with
-        monkeypatch.setattr(ExactMatrix, "commutes_with", lambda x, y: pairs.append(1) or real(x, y))
+        products = []
+        matmul = ExactMatrix.__matmul__
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
         family = [ExactMatrix.identity(2) * 3, a, ExactMatrix(2, 2), b]
         with pytest.raises(ValueError, match="family not commutative: operators 1 and 3"):
             joint_generalized_eigenspaces(family, [[F(3), F(0), F(0), F(0)]])
-        assert len(pairs) == 1
+        assert len(products) == 2
+
+    def test_a_family_with_one_non_scalar_is_not_multiplied(self, monkeypatch):
+        # fewer than two non-scalar operators always commute: no product is formed, and every shifted
+        # operator here is zero, so the eigenspaces need none either
+        products = []
+        matmul = ExactMatrix.__matmul__
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+        family = [ExactMatrix.identity(2) * 3, ExactMatrix(2, 2), ExactMatrix.identity(2)]
+        (eig, gen), = joint_generalized_eigenspaces(family, [[F(3), F(0), F(1)]])
+        assert len(eig) == len(gen) == 2 and products == []
+        a = dense([[1, 1], [0, 2]])
+        joint_generalized_eigenspaces([ExactMatrix.identity(2) * 3, a], [[F(3), F(5)]])
+        assert len(products) == 1  # the Fitting power of a - 5, and no commutator
 
     def test_generalized_dims_fill_space(self):
         # commuting family with split characteristic polynomials: the sum of

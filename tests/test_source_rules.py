@@ -41,6 +41,12 @@ A level's Bethe algebra has one object, the transfer family of bethe.py:
 no module defines `CoefficientFamily`, and bethealg.py defines no class and
 never names `laurent_expand`, so the operators B_r of the string-point
 expansion are built only by the tests' oracle, tests/bethealgoracle.py.
+Commutation has one decider: only linalg.py defines the Kronecker codec
+(`slot_width`, `kronecker_values`, `kronecker_slots`, `product_slots`) and
+`first_noncommuting`, and monodromy does not re-export them; no module
+defines or calls `commutes_with`; and the RTT sign table, the sigma and sgn
+expressions of the exchange relations, is written only in
+`monodromy.exchange_signs`.
 """
 
 import ast
@@ -613,4 +619,111 @@ def test_b_route_rule_catches_each_planted_violation():
     ]
     assert _b_route(ast.parse(code), bethealg=False) == [
         "line 2: defines class CoefficientFamily", "line 7: defines CoefficientFamily",
+    ]
+
+
+# The Kronecker codec and the one commutation decider, all defined in linalg.py.
+CODEC_NAMES = ("slot_width", "kronecker_values", "kronecker_slots", "product_slots", "first_noncommuting")
+
+
+def _codec_definitions(tree: ast.AST) -> list[str]:
+    """Every definition of a codec name and every call, name or definition of commutes_with, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in CODEC_NAMES + ("commutes_with",):
+            found.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, ast.Name) and node.id in CODEC_NAMES and isinstance(node.ctx, ast.Store):
+            found.append((node.lineno, f"defines {node.id}"))
+        elif isinstance(node, ast.Attribute) and node.attr == "commutes_with":
+            found.append((node.lineno, "names .commutes_with"))
+        elif isinstance(node, ast.Name) and node.id == "commutes_with":
+            found.append((node.lineno, "names commutes_with"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_commutator_decider(path):
+    found = [f.split(": ", 1)[1] for f in _codec_definitions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ([f"defines {name}" for name in CODEC_NAMES] if path.name == "linalg.py" else [])
+
+
+def test_monodromy_does_not_reexport_the_codec():
+    monodromy = importlib.import_module("gl11chain.monodromy")
+    assert [name for name in CODEC_NAMES if hasattr(monodromy, name)] == []
+
+
+def test_codec_rule_catches_each_planted_violation():
+    code = (
+        "def slot_width(bound):\n    return bound.bit_length() + 1\n"
+        "kronecker_values = linalg.kronecker_values\n"
+        "class ExactMatrix:\n    def commutes_with(self, other):\n        return True\n"
+        "ok = a.commutes_with(b)\n"
+        "check = commutes_with\n"
+        "w, vals = kronecker_values([m], 2)\n"
+    )
+    assert _codec_definitions(ast.parse(code)) == [
+        "line 1: defines slot_width", "line 3: defines kronecker_values", "line 5: defines commutes_with",
+        "line 7: names .commutes_with", "line 8: names commutes_with",
+    ]
+
+
+def _is_level_two_test(node) -> bool:
+    """A comparison `x == 2`."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], ast.Eq)
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 2)
+
+
+def _is_parity_test(node) -> bool:
+    """An odd-generator test: `E_PARITY[...]` or `(a + b) % 2`."""
+    if isinstance(node, ast.Subscript):
+        return getattr(node.value, "id", None) == "E_PARITY"
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and isinstance(node.left, ast.BinOp)
+
+
+def _addends(node) -> list:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _addends(node.left) + _addends(node.right)
+    return [node]
+
+
+def _rtt_sign_sites(tree: ast.AST) -> list[str]:
+    """Every sgn expression (a sum of three products of `== 2` tests) and every sigma expression (an `and`
+    of two parity tests), with the top-level definition around it."""
+    out = []
+    for top in getattr(tree, "body", []):
+        where = getattr(top, "name", f"line {top.lineno}")
+        for node in ast.walk(top):
+            terms = _addends(node) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) else []
+            if len(terms) >= 3 and all(isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+                                       and _is_level_two_test(t.left) and _is_level_two_test(t.right) for t in terms):
+                out.append(f"{where}: sgn at line {node.lineno}")
+            elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And) and len(node.values) == 2 and all(
+                    map(_is_parity_test, node.values)):
+                out.append(f"{where}: sigma at line {node.lineno}")
+    return out
+
+
+def test_rtt_sign_table_has_one_home():
+    for path in SOURCES:
+        sites = _rtt_sign_sites(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name == "monodromy.py":
+            assert [site.split(":")[0] for site in sites] == ["exchange_signs", "exchange_signs"]
+        else:
+            assert sites == [], path.name
+
+
+def test_sign_rule_catches_each_planted_copy():
+    code = (
+        "def exchange_signs(i, j, r, s):\n"
+        "    return (-1 if E_PARITY[(i, j)] and E_PARITY[(r, s)] else 1,\n"
+        "            -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1)\n"
+        "def _zero_mode_failure(pencil):\n"
+        "    sigma = -1 if (i + j) % 2 and (r + s) % 2 else 1\n"
+        "    sgn = -1 if ((i == 2) * (r == 2) + (s == 2) * (i == 2) + (s == 2) * (r == 2)) % 2 else 1\n"
+        "def iota_sign(i, j):\n"
+        "    return -1 if ((i == 2) * (j == 2) + (i == 2)) % 2 else 1\n"
+    )
+    assert sorted(_rtt_sign_sites(ast.parse(code))) == [
+        "_zero_mode_failure: sgn at line 6", "_zero_mode_failure: sigma at line 5",
+        "exchange_signs: sgn at line 3", "exchange_signs: sigma at line 2",
     ]

@@ -53,6 +53,13 @@ def test_weyl_suite_small_caps():
     assert not bad, bad
 
 
+def test_weyl_max_n_gates_the_n3_model_items():
+    # the n = 3 model checks join the n = 3 characters and specialization at max_n >= 3
+    labels = [it.label for it in run_suite("weyl", max_n=2, degree_cap=3)]
+    assert [label for label in labels if "n=3" in label] == []
+    assert "model n=2 l=2: overflow relation" in labels
+
+
 def test_specialization_items_carry_the_detail(monkeypatch):
     monkeypatch.setattr(weylspace, "specialization_check", lambda points: Check(False, witness="x"))
     items = {it.label: it for it in run_suite("weyl", max_n=3, degree_cap=0)}
