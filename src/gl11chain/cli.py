@@ -6,11 +6,18 @@ empties its output file before it computes.
 Reports are JSON with every number rendered as an exact "p/q" string; the
 same inputs always produce byte-identical report files (wall-clock timing
 goes to stderr only).
+A command process skips the interpreter's teardown collections: `main`
+registers `gc.freeze` to run at exit, so the collector leaves the objects
+the command built and every module's graph to the operating system.  An
+in-process `main()` caller is unaffected: nothing is frozen until the
+interpreter exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import random
 import sys
@@ -232,6 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At exit, freeze every object into the permanent generation, which the shutdown collections skip.
+    # Safe because no gl11chain module defines __del__ or a weakref finalizer, every output file is written
+    # under `with` and closed before main returns, and the interpreter flushes stdout and stderr before it
+    # tears down modules, whatever the collector does.  Unregistering first keeps one handler per process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

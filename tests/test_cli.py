@@ -1,5 +1,8 @@
+import atexit
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +326,18 @@ def test_spectral_survey_script():
     assert "equal=False" not in proc.stdout
 
 
+def test_phase_split_script():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "phase_split.py"), "--help", "--runs", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    head, row = proc.stdout.splitlines()
+    assert head == "command: gl11chain --help  runs: 2  exit code: 0"
+    assert re.fullmatch(r"median ms  start-up \d+\.\d  work \d+\.\d  exit \d+\.\d", row), row
+
+
 # --help runs the CLI alone.  random-spec adds the chain layer, every other command the polynomial
 # layer and the pencils as well, and verify the suites.
 CHAIN = {"chain", "rational"}
@@ -352,12 +367,17 @@ print(json.dumps([names, unloaded, defined]))
 """
 
 
-def _probe(code: str, *argv: str) -> list:
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this checkout's src/, from the repository root."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120, cwd=root
     )
+
+
+def _probe(code: str, *argv: str) -> list:
+    proc = _python(code, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -388,3 +408,61 @@ def test_lazy_modules_load_on_import():
     names, unloaded, defined = _probe(LAZY_PROBE)
     assert len(names) == 12 and unloaded == names
     assert all(defined[n] for n in names), defined
+
+
+# The console script's start (perfbench's CONSOLE_SCRIPT).
+CONSOLE_SCRIPT = "import sys; from gl11chain.cli import main; sys.exit(main())"
+# An exit handler registered before main runs after main's (atexit is last in, first out), so it sees
+# whether the collector was frozen before the interpreter's teardown.
+FREEZE_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("freeze count positive:", gc.get_freeze_count() > 0))
+from gl11chain.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["random-spec", "--seed", "1"], 0), (["random-spec", "--k", "2"], 2)],
+    ids=["help", "random-spec", "usage-error"],
+)
+def test_command_process_freezes_the_collector_at_exit(argv, code):
+    proc = _python(FREEZE_PROBE, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "freeze count positive: True"
+
+
+def test_in_process_main_freezes_nothing_and_registers_one_handler(monkeypatch, capsys):
+    handlers = []
+
+    def register(fn, *args, **kwargs):
+        handlers.append(fn)
+        return fn
+
+    def unregister(fn):
+        handlers[:] = [h for h in handlers if h != fn]
+
+    monkeypatch.setattr(atexit, "register", register)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    assert main(["random-spec", "--seed", "1"]) == 0
+    assert main(["random-spec", "--seed", "2"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert handlers == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["random-spec", "--seed", "1"], ["spectrum", "--spec", "perfbench/fixtures/k2.json"]],
+    ids=["random-spec", "spectrum"],
+)
+def test_command_process_stdout_matches_in_process(argv, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code = main(argv)
+    text = capsys.readouterr().out
+    proc = _python(CONSOLE_SCRIPT, *argv)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == text and text

@@ -47,6 +47,9 @@ Commutation has one decider: only linalg.py defines the Kronecker codec
 defines or calls `commutes_with`; and the RTT sign table, the sigma and sgn
 expressions of the exchange relations, is written only in
 `monodromy.exchange_signs`.
+The process policy has one home: only cli.py imports `gc` or `atexit`, and
+the one use of the collector is the `gc.freeze` that `main` hands to
+`atexit`, so no library module freezes, disables or forces a collection.
 """
 
 import ast
@@ -726,4 +729,50 @@ def test_sign_rule_catches_each_planted_copy():
     assert sorted(_rtt_sign_sites(ast.parse(code))) == [
         "_zero_mode_failure: sgn at line 6", "_zero_mode_failure: sigma at line 5",
         "exchange_signs: sgn at line 3", "exchange_signs: sigma at line 2",
+    ]
+
+
+# The modules of the process policy, imported by cli.py alone.
+POLICY_MODULES = ("gc", "atexit")
+
+
+def _collector_uses(tree: ast.AST) -> list[str]:
+    """Every import of gc or atexit and every `gc.<name>` other than an argument of atexit.register/unregister."""
+    handed = {
+        id(arg) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "atexit" and node.func.attr in ("register", "unregister")
+        for arg in node.args if isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "gc"
+        and arg.attr == "freeze"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"imports {a.name}") for a in node.names if a.name in POLICY_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module in POLICY_MODULES:
+            found.append((node.lineno, f"imports from {node.module}"))
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gc" and id(node) not in handed:
+            found.append((node.lineno, f"names gc.{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_collector_policy_only_in_cli(path):
+    found = [f.split(": ", 1)[1] for f in _collector_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == (["imports atexit", "imports gc"] if path.name == "cli.py" else [])
+
+
+def test_collector_rule_catches_each_planted_violation():
+    code = (
+        "import gc\n"
+        "from atexit import register\n"
+        "atexit.unregister(gc.freeze)\natexit.register(gc.freeze)\n"
+        "gc.disable()\n"
+        "gc.freeze()\n"
+        "atexit.register(gc.collect)\n"
+        "import os, atexit\n"
+    )
+    assert _collector_uses(ast.parse(code)) == [
+        "line 1: imports gc", "line 2: imports from atexit", "line 5: names gc.disable", "line 6: names gc.freeze",
+        "line 7: names gc.collect", "line 8: imports atexit",
     ]

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,11 +54,21 @@ def test_weyl_suite_small_caps():
     assert not bad, bad
 
 
-def test_weyl_max_n_gates_the_n3_model_items():
-    # the n = 3 model checks join the n = 3 characters and specialization at max_n >= 3
-    labels = [it.label for it in run_suite("weyl", max_n=2, degree_cap=3)]
-    assert [label for label in labels if "n=3" in label] == []
-    assert "model n=2 l=2: overflow relation" in labels
+# The n of each weyl item whose label does not name it.
+WEYL_ITEM_N = {
+    "entry action commutes with modified action": 2, "vacuum generates by degree": 2,
+    "specialization ordering rejected": 2,
+}
+
+
+@pytest.mark.parametrize("max_n, count", [(0, 0), (1, 1), (2, 23)], ids=["max-n-0", "max-n-1", "max-n-2"])
+def test_weyl_max_n_gates_each_item_on_its_n(max_n, count):
+    # every item runs from the max_n of its own n: no n = 2 item at max_n 1, no n = 3 item at max_n 2
+    labels = [it.label for it in run_suite("weyl", max_n=max_n, degree_cap=3)]
+    ns = [WEYL_ITEM_N.get(label) or int(re.search(r"\bn=(\d+)", label).group(1)) for label in labels]
+    assert len(labels) == count and max(ns, default=0) == max_n
+    assert ("specialization n=1" in labels) == (max_n >= 1)
+    assert ("model n=2 l=2: overflow relation" in labels) == (max_n >= 2)
 
 
 def test_specialization_items_carry_the_detail(monkeypatch):
