@@ -349,8 +349,9 @@ class TransferFamily:
 
     @functools.cached_property
     def divisors(self) -> tuple[Divisor, ...]:
-        levels = char_pair(self.spec).divisors
-        return levels[self.level] if self.level < len(levels) else ()
+        """The level's divisors of gamma; () when gamma does not split."""
+        cp = char_pair(self.spec)
+        return () if cp.roots is None or self.level >= len(cp.divisors) else cp.divisors[self.level]
 
     @functools.cached_property
     def eigenvalues(self) -> tuple[Poly, ...]:

@@ -8,7 +8,8 @@ padding, every coefficient of a one-dimensional level) add nothing to it and
 are left out of the generators.  This module analyzes that algebra:
 dimension, commutant, regular-representation structure and the
 symmetric-function presentation of its spectrum; the joint eigenspaces are
-the transfer family's.  Each family's algebra is built once (`algebra`);
+the transfer family's.  Each family's algebra (`algebra`) and its radical
+(`radical`), which decides cyclicity by one rank, are built once;
 commutativity is tested once, by the joint eigenspace solver.
 
 Remark: with astr the monic polynomial of the string points and
@@ -110,42 +111,46 @@ def double_commutant_check(fam: TransferFamily) -> Check:
     return Check(adim == cdim, witness="" if adim == cdim else f"{adim} vs {cdim}")
 
 
-def _generates(mats: Sequence[ExactMatrix], candidates: Sequence[Sequence[Fraction]], target: SpanBasis) -> bool:
-    """Some candidate whose images under the algebra basis, those inside the target span, span it."""
-    for cand in candidates:
-        span = SpanBasis()
-        for m in mats:
-            w = m.apply(list(cand))
-            if target.contains(w):
-                span.add(w)
-        if span.dim == target.dim:
-            return True
-    return False
+@functools.cache
+def radical(fam: TransferFamily) -> tuple[ExactMatrix, ...]:
+    """Matrix basis of the radical J of the family's algebra A, the kernel of its trace form; shared, must not be mutated.
+
+    Nilpotents have trace 0, so J lies in the kernel of G_ab = tr(a_a a_b).
+    The level V is faithful, so on A/J = prod k_i the form is
+    sum_i c_i Tr_{k_i/Q} with every c_i >= 1; in characteristic 0 that is
+    non-degenerate, so the kernel is J (Atiyah-Macdonald, 1969, Ch. 8).
+    """
+    mats = algebra(fam)
+    gram = [[sum((v * b.get(j, i) for i, j, v in a.entries()), Fraction(0)) for a in mats] for b in mats]
+    kernel = ExactMatrix.from_columns(gram, len(mats)).kernel()
+    return tuple(sum((m * c for c, m in zip(v, mats) if c), ExactMatrix(fam.dim, fam.dim)) for v in kernel)
+
+
+def _head_dim(fam: TransferFamily, vectors: Sequence[Sequence[Fraction]]) -> int:
+    """dim W/JW, W the span of the independent vectors, A-invariant; by Nakayama, W's generators per residue field."""
+    span = SpanBasis()
+    for j in radical(fam):
+        for v in vectors:
+            span.add(j.apply(v))
+    return len(vectors) - span.dim
 
 
 def regular_rep_check(fam: TransferFamily) -> Check:
-    """Search for a cyclic vector generating the subspace under the algebra.
+    """The level V is the algebra's regular representation: dim A = dim V and V is cyclic.
 
     Requires a cyclic chain; a non-cyclic one fails with the witness "chain
-    is not cyclic".  Deterministic candidates: coordinate vectors, then
-    small integer-weighted sums.  On failure the witness names the algebra
-    and subspace dimensions.
+    is not cyclic".  V is faithful, so dim V/JV >= dim A/J, with equality
+    exactly when V is cyclic; no divisor is read, so non-split chains are
+    decided too.  On failure the witness names dim A, dim V, dim J, dim JV.
     """
     cyclic, _ = cyclicity_and_irreducibility(fam.spec)
     if not cyclic:
         return Check(False, witness="chain is not cyclic")
-    mats = algebra(fam)
-    adim, d = len(mats), fam.dim
-    candidates = [[Fraction(i == j) for i in range(d)] for j in range(d)]
-    whole = SpanBasis()
-    for v in candidates:
-        whole.add(v)
-    candidates.append([Fraction(1)] * d)
-    candidates.append([Fraction(i + 1) for i in range(d)])
-    candidates.append([Fraction((i + 1) ** 2) for i in range(d)])
-    if adim == d and _generates(mats, candidates, whole):
+    adim, d, jdim = len(algebra(fam)), fam.dim, len(radical(fam))
+    head = _head_dim(fam, [[Fraction(i == j) for i in range(d)] for j in range(d)])
+    if adim == d and head == adim - jdim:
         return Check(True)
-    return Check(False, witness=f"algebra dim {adim}, subspace dim {d}")
+    return Check(False, witness=f"algebra dim {adim}, subspace dim {d}, radical dim {jdim}, J V dim {d - head}")
 
 
 def presentation_check(spec: ModuleSpec, level: int) -> Check:
@@ -191,9 +196,9 @@ def spectral_analysis(fam: TransferFamily) -> list[SpectralEntry]:
     """Joint eigen/generalized dimensions per divisor of the level, from the transfer family's spaces.
 
     The expected generalized dimension is the independent binomial-product
-    oracle over root multiplicities; each generalized eigenspace is also
-    checked to be cyclic over the algebra.  Raises ValueError when the
-    transfer family does not commute.
+    oracle over root multiplicities.  Each generalized eigenspace V_y is
+    cyclic exactly when V_y / J V_y is a line: J V_y = m_y V_y.  Empty when
+    gamma does not split; raises ValueError when the family does not commute.
     """
     roots = char_pair(fam.spec).roots or []
     out = []
@@ -201,16 +206,6 @@ def spectral_analysis(fam: TransferFamily) -> list[SpectralEntry]:
         expected = 1
         for r, m in roots:
             expected *= comb(m, dv.mult(r))
-        cyc = _generalized_cyclic(algebra(fam), gen)
+        cyc = not gen or _head_dim(fam, gen) == 1
         out.append(SpectralEntry(dv, len(eig), len(gen), expected, cyc))
     return out
-
-
-def _generalized_cyclic(algebra_mats: Sequence[ExactMatrix], gen_basis: Sequence[Sequence[Fraction]]) -> bool:
-    """A single vector of the generalized eigenspace generating it under the algebra."""
-    if not gen_basis:
-        return True
-    target = SpanBasis()
-    for v in gen_basis:
-        target.add(v)
-    return _generates(algebra_mats, [*gen_basis, [sum(col) for col in zip(*gen_basis)]], target)

@@ -1,8 +1,9 @@
 """Command line interface: spectral reports, verification suites, chain files.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad input,
-an output path that cannot be written included.  A command creates or
-empties its output file before it computes.
+an output path that cannot be written and caps under which a suite runs no
+item included.  A command creates or empties its output file before it
+computes.
 Reports are JSON with every number rendered as an exact "p/q" string; the
 same inputs always produce byte-identical report files (wall-clock timing
 goes to stderr only).
@@ -116,7 +117,7 @@ def cmd_verify(args) -> int:
     if not _write_output(args.json, ""):
         return 2
     summary = {}
-    failed = []
+    failed, empty = [], []
     for name in names:
         t0 = time.monotonic()
         items = suites.run_suite(
@@ -130,6 +131,8 @@ def cmd_verify(args) -> int:
         )
         dt = time.monotonic() - t0
         bad = [it for it in items if not it.ok]
+        if not items:
+            empty.append(name)
         summary[name] = {
             "passed": len(items) - len(bad),
             "failed": len(bad),
@@ -139,6 +142,10 @@ def cmd_verify(args) -> int:
         for it in bad:
             failed.append(f"{name}: {it.label}")
             print(f"  FAIL {it.label}: {it.witness}", file=sys.stderr)
+    # a suite with no item within the caps decides nothing, so it is refused rather than passed
+    if empty:
+        print(f"error: no item within the caps in suite {', '.join(empty)}", file=sys.stderr)
+        return 2
     doc = {"suites": summary, "ok": not failed}
     if "weyl" in names:
         tables = {}

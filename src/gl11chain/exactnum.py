@@ -475,9 +475,6 @@ class RatFun:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
     # -- field operations -------------------------------------------------
 
     def __add__(self, other):
@@ -550,7 +547,7 @@ class RatFun:
         return RatFun(self.num.shift(a), self.den.shift(a))
 
     def __repr__(self):
-        if self.is_polynomial():
+        if self.den.degree == 0:
             return f"RatFun({self.num!r})"
         return f"RatFun({self.num!r} / {self.den!r})"
 

@@ -334,9 +334,8 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
         tw = fusion.ber_twist_independence(spec)
         items.append(tw._replace(label=f"berezinian twist independence {name}"))
         order = tau_order if tau_order is not None else int(spec.n) + 2
-        universal = spec.k <= 2
         # the largest order asked for below first, so lower orders are read from it
-        fusion.generating_oper(spec, max(order, max_m) if universal else max_m)
+        fusion.generating_oper(spec, max(order, max_m))
         checks = fusion.expansion_matches_routes(spec, min(order, max_m))
         for per_m in fusion.transfer_relation_check(spec, max_m):
             checks += per_m
@@ -351,8 +350,7 @@ def run_fusion_suite(max_m: int = 3, max_n: int = 4, tau_order: Optional[int] = 
                     if any(m > 1 for _, m in dv.roots):
                         continue
                     checks += fusion.oper_action_check(spec, dv, max_m)
-        if universal:
-            checks += fusion.universal_oper_check(spec, order)
+        checks += fusion.universal_oper_check(spec, order)
         items += [c._replace(label=f"{name}: {c.label}") for c in checks]
     items += [fusion.symmetrizer_check(m)._replace(label=f"symmetrizer ranks m={m}") for m in range(1, 5)]
     return items

@@ -16,6 +16,7 @@ from gl11chain.bethealg import (
     double_commutant_check,
     generators,
     presentation_check,
+    radical,
     regular_rep_check,
     spectral_analysis,
 )
@@ -32,6 +33,14 @@ K4 = ModuleSpec.from_json('{"weights":[[1,0],[2,0],[1,0],[1,0]],"points":["5","4
 # five sites with a double root of gamma
 K5 = ModuleSpec.from_json(
     '{"weights":[[1,1],[1,0],[1,0],[1,1],[1,0]],"points":["1","0","-2","0","-3"],"twist":["1","1"]}'
+)
+# gamma does not split over Q: no level has a divisor
+NS3 = ModuleSpec.from_json('{"weights":[[1,0],[1,0],[1,0]],"points":["0","1/3","5"],"twist":["1","1"]}')
+NS4 = ModuleSpec.from_json(
+    '{"weights":[[1,0],[2,1],[1,0],[1,0]],"points":["0","1/3","5","-7/2"],"twist":["3","1"]}'
+)
+NS5 = ModuleSpec.from_json(
+    '{"weights":[[1,0],[2,1],[1,0],[1,0],[2,0]],"points":["0","1/3","5","-7/2","2/7"],"twist":["3","-1"]}'
 )
 
 
@@ -203,6 +212,38 @@ class TestCommutant:
         assert commutant_dimension(fam) == 1
 
 
+def _unit(d, i, j):
+    m = ExactMatrix(d, d)
+    m.put(i, j, F(1))
+    return m
+
+
+class TestRadical:
+    @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_SPECS))
+    def test_trace_form_rank_counts_divisors(self, name):
+        # on a split chain A/J is a product of copies of Q, one per divisor, repeated roots included
+        spec = _DIFFERENTIAL_SPECS[name]
+        for level in range(spec.k + 1):
+            fam = transfer_family(spec, level)
+            if fam.dim:
+                assert len(algebra(fam)) - len(radical(fam)) == len(fam.divisors)
+
+    def test_radical_is_nilpotent_ideal_built_once(self):
+        fam = coefficient_family(K5, 2)
+        rad = radical(fam)
+        assert rad is radical(fam) and len(rad) == 2
+        assert _same_span(algebra(fam), [*algebra(fam), *rad])
+        for j in rad:
+            assert _same_span(rad, [*rad, *(j @ a for a in algebra(fam))])
+            power = j
+            for _ in range(fam.dim):
+                power = power @ j
+            assert power.is_zero()
+
+    def test_semisimple_level_has_zero_radical(self):
+        assert radical(coefficient_family(E5, 1)) == ()
+
+
 class TestRegularRep:
     @pytest.mark.parametrize("spec", [E2, E3, E4, E5], ids=["E2", "E3", "E4", "E5"])
     def test_cyclic_vector_found(self, spec):
@@ -210,6 +251,31 @@ class TestRegularRep:
             fam = coefficient_family(spec, level)
             res = regular_rep_check(fam)
             assert res == (True, "", ""), res.witness
+
+    @pytest.mark.parametrize("spec", [NS3, NS4, NS5], ids=["ns3", "ns4", "ns5"])
+    def test_non_split_chain_decided(self, spec):
+        # no divisor is read: every non-empty level of a non-split chain (all but the untwisted top,
+        # whose singular part is 0) is its algebra's regular representation
+        assert char_pair(spec).roots is None
+        top = spec.k if spec.is_twisted() else spec.k - 1
+        for level in range(top + 1):
+            fam = coefficient_family(spec, level)
+            assert fam.divisors == ()
+            assert regular_rep_check(fam) == (True, "", "")
+
+    def test_dual_of_the_regular_module_fails(self):
+        # span{I, E_01, E_02} is k[x, y]/m^2 acting on its dual: dim A = dim V = 3 but no vector
+        # generates V, since J V = span{e_0} leaves a two-dimensional head
+        fam = coefficient_family(E5, 1)
+        dual = _with_ops(fam, [_unit(3, 0, 1), _unit(3, 0, 2)])
+        assert len(algebra(dual)) == 3 and len(radical(dual)) == 2
+        assert regular_rep_check(dual) == (False, "", "algebra dim 3, subspace dim 3, radical dim 2, J V dim 1")
+
+    def test_regular_module_passes(self):
+        # the transpose, span{I, E_10, E_20}, is the regular module: e_0 generates it
+        fam = coefficient_family(E5, 1)
+        regular = _with_ops(fam, [_unit(3, 1, 0), _unit(3, 2, 0)])
+        assert regular_rep_check(regular) == (True, "", "")
 
     def test_non_cyclic_flagged(self):
         bad = make_spec([(1, 0), (1, 0)], ["0", "1"], ("1", "1"))
@@ -253,6 +319,23 @@ class TestSpectral:
             fam = coefficient_family(E5, level)
             for entry in spectral_analysis(fam):
                 assert entry.eigen_dim == entry.generalized_dim == 1
+
+    def test_piece_needing_two_generators_is_not_cyclic(self):
+        # on a copy, every coefficient acts on E4's two-dimensional level 1 as the scalar of its
+        # first divisor's eigenvalue coefficient: the algebra is Q, its radical 0, the first
+        # generalized eigenspace is the whole level, which needs two generators, and the
+        # second is empty, which one vector (zero) generates
+        fam = coefficient_family(E4, 1)
+        ev = fam.eigenvalues[0]
+        scalars = _with_ops(fam, [ExactMatrix.identity(fam.dim) * ev.coeff(d) for d in range(len(fam.ops))])
+        first, second = spectral_analysis(scalars)
+        assert (first.eigen_dim, first.generalized_dim, first.cyclic_module) == (2, 2, False)
+        assert (second.eigen_dim, second.generalized_dim, second.cyclic_module) == (0, 0, True)
+
+    def test_non_split_level_has_no_entries(self):
+        fam = transfer_family(NS3, 1)
+        assert fam.divisors == () and fam.spaces == ()
+        assert spectral_analysis(fam) == []
 
     def test_sums_fill_subspace(self):
         for spec in (E3, E5, K3GEN):

@@ -190,6 +190,22 @@ class TestVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, empty",
+        [
+            (["--suite", "weyl", "--max-n", "0"], "weyl"),
+            (["--suite", "all", "--max-k", "0", "--max-n", "0"], "algebra, norms, weyl"),
+        ],
+        ids=["weyl-max-n-0", "all-max-k-0-max-n-0"],
+    )
+    def test_suite_with_no_item_exits_2(self, tmp_path, capsys, argv, empty):
+        # a suite that ran no item decides nothing; it is refused, not passed at 0/0
+        out = tmp_path / "verify.json"
+        assert main(["verify", *argv, "--json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: no item within the caps in suite {empty}\n")
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize(
         "argv, code",
         [
             (["--suite", "fusion", "--max-n", "2", "--max-m", "1"], 0),

@@ -516,6 +516,7 @@ def test_memoised_builders_found():
         "gl11chain.bethe._bethe_vector",
         "gl11chain.bethe.transfer_family",
         "gl11chain.bethealg.algebra",
+        "gl11chain.bethealg.radical",
         "gl11chain.shapoform.form_matrix",
         "gl11chain.fusion.berezinian",
         "gl11chain.fusion.higher_transfer",
