@@ -577,38 +577,6 @@ def eps_limit(v: Union[RatFun, Poly, ScalarLike]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Laurent expansion at infinity
-# ---------------------------------------------------------------------------
-
-
-def laurent_expand(f: Union[RatFun, Poly], order: int) -> list[Fraction]:
-    """Coefficients of x^0, x^-1, ..., x^-order in the expansion at infinity.
-
-    The input must be proper at infinity (deg num <= deg den); geometric
-    expansion of each 1/(x - z) style factor is exact.
-    """
-    f = _ratfun(f)
-    n, d = f.num, f.den
-    if n.degree > d.degree:
-        raise ValueError("not expandable at infinity")
-    big = d.degree
-    # substitute x = 1/u and clear u^big from both parts
-    rn = [n.coeff(big - i) for i in range(big + 1)]
-    rd = [d.coeff(big - i) for i in range(big + 1)]
-    out: list[Fraction] = []
-    lead = rd[0]
-    rem = list(rn) + [Fraction(0)] * (order + 1)
-    for i in range(order + 1):
-        c = rem[i] / lead
-        out.append(c)
-        if c:
-            for j, dc in enumerate(rd):
-                if i + j <= order:
-                    rem[i + j] -= c * dc
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Rational roots and the split test
 # ---------------------------------------------------------------------------
 

@@ -4,9 +4,9 @@ A chain is a chain.ModuleSpec.  The monodromy entries are kept pole-free:
 the pencil stores That_ij(x) = prod_s(x - b_s) T_ij(x) as one matrix with
 Poly entries, normalized so the x^k coefficient of That_ij is delta_ij
 times the identity.  coefficient_matrices gives the x^d
-coefficient matrices of such a matrix, for the checks that read them, and
-laurent_coefficients the Laurent coefficients at infinity of its product
-with a scalar rational function, from one scalar series.
+coefficient matrices of such a matrix, for the checks that read them.  The
+series T_ij(x) = That_ij(x) / N(x) is never expanded at infinity: N is
+monic, so zero_mode reads T_ij^(1) off two x-coefficients of That_ij.
 
 The exchange relations, their signs held by exchange_signs, are decided at
 one Kronecker point by the codec of linalg.py.
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Sequence
 
-from .exactnum import Poly, RatFun, laurent_expand, scalar
+from .exactnum import Poly, scalar
 from . import linalg
 from .chain import ModuleSpec, Weight
 from .superlin import E_PARITY, SuperSpace, leg_generator, leg_units
@@ -248,31 +248,17 @@ def chain_transfer_coefficients(spec: ModuleSpec) -> tuple[linalg.ExactMatrix, .
     return tuple(coefficient_matrices(chain_transfer_pencil(spec)))
 
 
-def laurent_coefficients(m: linalg.ExactMatrix, num: Poly, den: Poly, order: int) -> list[linalg.ExactMatrix]:
-    """Coefficients of x^0, x^-1, ..., x^-order at infinity of (num/den) * m.
+def zero_mode(pencil: MonodromyPencil, i: int, j: int) -> linalg.ExactMatrix:
+    """The zero mode T_ij^(1), the x^-1 coefficient at infinity of T_ij(x) = That_ij(x) / N(x).
 
-    m is a Poly-entry matrix with x^d coefficient matrices C_d.  With
-    num/den = sum_t g_t x^-t, the x^-r coefficient is sum_d g_(d+r) C_d, so
-    one scalar series serves every entry.  Raises
-    ValueError("not expandable at infinity") when an entry p of m has
-    deg(num * p) > deg den.
+    N = prod_s (x - b_s) = x^k - (b_1 + ... + b_k) x^(k-1) + ..., so
+    1/N = x^-k (1 + (b_1 + ... + b_k) x^-1 + O(x^-2)) and, with C_d the x^d
+    coefficient of That_ij, T_ij^(1) = C_(k-1) + (b_1 + ... + b_k) C_k: on a
+    normalized pencil C_(k-1) + (b_1 + ... + b_k) delta_ij I.  Raises
+    ValueError("not expandable at infinity") when That_ij has degree above k.
     """
-    cms = coefficient_matrices(m)
-    out = [linalg.ExactMatrix(m.nrows, m.ncols) for _ in range(order + 1)]
-    if not cms:
-        return out
-    if num.degree + len(cms) - 1 > den.degree:
+    k, m = pencil.normalizer.degree, pencil.entry(i, j)
+    if any(p.degree > k for _, _, p in m.entries()):
         raise ValueError("not expandable at infinity")
-    series = laurent_expand(RatFun(num, den), len(cms) - 1 + order)
-    for r, acc in enumerate(out):
-        for d, c in enumerate(cms):
-            g = series[d + r]
-            if g:
-                for a, b, v in c.entries():
-                    acc.add_to(a, b, g * v)
-    return out
-
-
-def t_coefficient(pencil: MonodromyPencil, i: int, j: int, r: int) -> linalg.ExactMatrix:
-    """Laurent coefficient T_ij^(r) of the unnormalized series at infinity."""
-    return laurent_coefficients(pencil.entry(i, j), Poly((1,)), pencil.normalizer, r)[r]
+    b_sum = -pencil.normalizer.coeff(k - 1)
+    return m.map_entries(lambda p: p.coeff(k - 1) + b_sum * p.coeff(k))

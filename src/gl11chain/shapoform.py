@@ -6,7 +6,9 @@ form (highest vector normalized to 1, lowering-image squared norm
 R is the ordered product of two-site R-matrices over pairs i < j, i running
 first.  Contravariance pins every sign: B(X w1, w2) equals
 (-1)^{|X||w1|} B(w1, iota(X) w2) with iota the transpose-with-signs
-anti-automorphism of the generating series.
+anti-automorphism of the generating series.  check_iota_contract decides
+it for the series coefficients on the pencil's own x-coefficients: the
+normalizer is monic, so no series is expanded.
 
 Norm bookkeeping: for every monic divisor y of degree l of
 gamma = q1*phi - q2*psi (exactly, as char_pair builds it), repeated roots
@@ -32,10 +34,10 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import Poly, format_scalar, scalar
+from .exactnum import format_scalar, scalar
 from .linalg import ExactMatrix, kronecker_values, product_slots
 from .chain import ModuleSpec, Weight
-from .monodromy import Check, laurent_coefficients, tensor_monodromy
+from .monodromy import Check, tensor_monodromy
 from .superlin import E_PARITY, SuperSpace, leg_units
 from .bethe import Divisor, bethe_vector, char_pair
 
@@ -106,30 +108,38 @@ def iota_sign(i: int, j: int) -> int:
 
 
 def check_iota_contract(spec: ModuleSpec) -> Check:
-    """Contravariance of the form for the series coefficients up to k+1.
+    """Contravariance of the form for every series coefficient.
 
-    Passes when every coefficient T_ij^(r), r = 1..k+1, satisfies
+    Passes when every coefficient T_ij^(r), r >= 0, satisfies
     T_ij^(r)^T G = iota_sign(i, j) S G T_ji^(r), with S = (-1)^{|a|} on
     row a when e_ij is odd and S = 1 otherwise; else the witness names the
     first failing (i, j, r), r before (i, j).
 
-    Each (i, j) is decided at one Kronecker point: with D the lcm of the
-    denominators of G and every T^(r) (linalg.kronecker_values),
-    X_ij = D sum_r T_ij^(r) 2^(w (r - 1)) and G' = D G are integer matrices,
-    and slot r - 1 of X_ij^T G' - iota_sign(i, j) S G' X_ji is D^2 times
-    the r-th difference, a sum of two products: w holds 2 dim M^2.
+    The check reads the pencil, not the series.  With
+    P_ij(x) = That_ij(x)^T G - iota_sign(i, j) S G That_ji(x), the series
+    T_ij = That_ij / N gives
+      sum_{r >= 0} (T_ij^(r)^T G - iota_sign(i, j) S G T_ji^(r)) x^-r = P_ij(x) / N(x).
+    On a normalized pencil the r = 0 term vanishes: T^(0) = delta_ij I and,
+    for i = j, iota_sign = +1 and S = 1.  N is monic of degree k, so when
+    P_ij != 0 has top nonzero x-degree e the first failing r is k - e, and
+    every r holds exactly when P_ij = 0.  r = 0 fails only when an x^k
+    coefficient is broken.
+
+    Each P_ij is read at one Kronecker point (linalg.kronecker_values):
+    with D the lcm of the denominators of G and the pencil, slot d of
+    D That_ij(2^w)^T D G - iota_sign(i, j) S D G D That_ji(2^w) is D^2 times
+    the x^d coefficient of P_ij, a sum of two products: w holds 2 dim M^2.
     """
     pencil = tensor_monodromy(spec)
     order = ((1, 1), (1, 2), (2, 1), (2, 2))
-    series = [laurent_coefficients(pencil.entry(*e), Poly((1,)), pencil.normalizer, spec.k + 1)[1:] for e in order]
-    w, ([*values, g],) = kronecker_values([*series, form_matrix(spec)], 2)
-    packed = dict(zip(order, values))
+    w, ([*values, g],) = kronecker_values([*(pencil.entry(*e) for e in order), form_matrix(spec)], 2)
+    at = dict(zip(order, values))
     signed = ExactMatrix(g.nrows, g.ncols, {a: {b: -v for b, v in row.items()} if pencil.space.parity(a) else row
                                             for a, row in g.rows.items()})
     # (r, i, j) sorts r first, then (i, j) in the order above
-    failures = [(r + 1, i, j) for i, j in order for r in product_slots([
-        (1, packed[(i, j)].transpose(), g), (-iota_sign(i, j), signed if E_PARITY[(i, j)] else g, packed[(j, i)]),
-    ], w)]
+    failures = [(spec.k - max(slots), i, j) for i, j in order if (slots := product_slots([
+        (1, at[(i, j)].transpose(), g), (-iota_sign(i, j), signed if E_PARITY[(i, j)] else g, at[(j, i)]),
+    ], w))]
     if failures:
         r, i, j = min(failures)
         return Check(False, witness=f"first failing (i, j, r) {(i, j, r)}")

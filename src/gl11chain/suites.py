@@ -128,7 +128,7 @@ def _zero_mode_failure(pencil) -> "str | None":
 
     (sigma, sgn) = monodromy.exchange_signs(i, j, r, s).  None when every relation holds, else the first
     failing generator, entry and degree."""
-    t1s = [monodromy.t_coefficient(pencil, *e, 1) for e in pencil.entries]
+    t1s = [monodromy.zero_mode(pencil, *e) for e in pencil.entries]
     w, ([one, *values],) = kronecker_values([ExactMatrix.identity(pencil.dim), *t1s, *pencil.entries.values()], 4)
     t1, at = dict(zip(pencil.entries, values)), dict(zip(pencil.entries, values[len(t1s):]))
     for i, j, r, s in product((1, 2), repeat=4):
@@ -144,9 +144,9 @@ def _zero_mode_failure(pencil) -> "str | None":
 
 def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
     items: list[Check] = []
-    for name, spec in suite_specs().items():
-        if spec.k > max_k or spec.n > max_n:
-            continue
+    # every item, the fixed ones too, runs only on chains within the caps
+    specs = {name: spec for name, spec in suite_specs().items() if spec.k <= max_k and spec.n <= max_n}
+    for name, spec in specs.items():
         cp = bethe.char_pair(spec)
         if cp.roots is None:
             continue
@@ -172,24 +172,27 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
             ok = rep.all_ok()
             items.append(_item(f"bethe basis {name}", ok, "" if ok else _incomplete_level(rep)))
     # regularized route agrees with the direct one
-    e2 = suite_specs()["E2"]
-    bd = bethe.bethe_vector(e2, [Fraction(-1, 4)])
-    be = bethe.bethe_vector_eps(e2, [Fraction(-1, 4)])
-    items.append(_vectors_item("regularized route agrees", bd, be))
-    e3 = suite_specs()["E3"]
-    bd3 = bethe.bethe_vector(e3, [Fraction(-1, 2), Fraction(-1, 2)])
-    be3 = bethe.bethe_vector_eps(e3, [Fraction(-1, 2), Fraction(-1, 2)])
-    if not any(bd3):
-        items.append(_item("regularized route agrees (double root)", False, "direct vector is zero"))
-    else:
-        items.append(_vectors_item("regularized route agrees (double root)", bd3, be3))
-    # both orders are pair-safe, so each is multiplied as given
-    perm = bethe.bethe_vector(e3, [Fraction(0), Fraction(2)])
-    perm2 = bethe.bethe_vector(e3, [Fraction(2), Fraction(0)])
-    items.append(_vectors_item("root permutation symmetry", perm, perm2))
+    if "E2" in specs:
+        bd = bethe.bethe_vector(specs["E2"], [Fraction(-1, 4)])
+        be = bethe.bethe_vector_eps(specs["E2"], [Fraction(-1, 4)])
+        items.append(_vectors_item("regularized route agrees", bd, be))
+    if "E3" in specs:
+        e3 = specs["E3"]
+        bd3 = bethe.bethe_vector(e3, [Fraction(-1, 2), Fraction(-1, 2)])
+        be3 = bethe.bethe_vector_eps(e3, [Fraction(-1, 2), Fraction(-1, 2)])
+        if not any(bd3):
+            items.append(_item("regularized route agrees (double root)", False, "direct vector is zero"))
+        else:
+            items.append(_vectors_item("regularized route agrees (double root)", bd3, be3))
+        # both orders are pair-safe, so each is multiplied as given
+        perm = bethe.bethe_vector(e3, [Fraction(0), Fraction(2)])
+        perm2 = bethe.bethe_vector(e3, [Fraction(2), Fraction(0)])
+        items.append(_vectors_item("root permutation symmetry", perm, perm2))
     # equal twist entries force singular on-shell vectors
     for name in ("E2", "E3", "E6"):
-        spec = suite_specs()[name]
+        if name not in specs:
+            continue
+        spec = specs[name]
         e12 = gl_generator(spec.space(), spec.weights, 1, 2)
         divisors = (dv for level in bethe.char_pair(spec).divisors for dv in level)
         vectors = ((dv, bethe.bethe_vector(spec, dv.root_list())) for dv in divisors)

@@ -382,14 +382,14 @@ def vacuum_vector(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_sn_relations(n: int, d: int, level: "int | None" = None) -> Check:
+def check_sn_relations(n: int, d: int) -> Check:
     """Involutivity, braid and distant-commutation for the modified action.
 
     On failure the witness names the first broken relation: involutivity of
     s_i, the braid relation at i, or the commutation of (i, j).
     """
     space = SuperSpace.tensor_power(n)
-    comps = level_components(n, level)
+    comps = level_components(n, None)
     keys = (key for delta in range(d + 1) for key in _monomial_keys(n, delta))
     position = {key: m for m, key in enumerate(keys)}
     mats = [_relation_matrix(space, comps, position, i) for i in range(n - 1)]

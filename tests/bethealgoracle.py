@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from gl11chain.bethe import char_pair, eigenvalue_pencil, level_subspace, restrict_operators
 from gl11chain.chain import ModuleSpec, Weight
-from gl11chain.exactnum import Poly, RatFun, laurent_expand
+from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
-from gl11chain.monodromy import chain_transfer_pencil, laurent_coefficients
+from gl11chain.monodromy import chain_transfer_pencil
+from coefforacle import laurent_coefficients, laurent_expand
 
 
 def reduce_lambda2(spec: ModuleSpec) -> tuple[ModuleSpec, RatFun]:

@@ -9,7 +9,14 @@ polynomial matrix at one integer point 2^w (`linalg.kronecker_values`,
 x-coefficient (or Laurent-coefficient) matrices at a time, as `ExactMatrix`
 products over Fractions, stopping at the first failure in the same order.
 `chains` draws small chains and `corrupted` spoils a pencil or one matrix,
-for the differentials against them.
+for the differentials against them; `corrupted_below_top` spoils a pencil
+below the x^k coefficients that the Laurent route reads as T^(0).
+
+The Laurent route at infinity lives here too: `laurent_expand` (the scalar
+series of a proper rational function), `laurent_coefficients` (a matrix of
+polynomials times one scalar series) and `t_coefficient` (T_ij^(r) of a
+pencil).  The package reads contravariance and the zero modes off the
+pencil's own x-coefficients, since its normalizer is monic.
 """
 
 from fractions import Fraction as F
@@ -19,11 +26,68 @@ from hypothesis import strategies as st
 
 from gl11chain import fusion
 from gl11chain.chain import make_spec
-from gl11chain.exactnum import Poly
+from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix
-from gl11chain.monodromy import Check, coefficient_matrices, laurent_coefficients, t_coefficient
+from gl11chain.monodromy import Check, coefficient_matrices
 from gl11chain.shapoform import iota_sign
 from gl11chain.superlin import E_PARITY, gl_generator
+
+
+def laurent_expand(f, order: int) -> list[F]:
+    """Coefficients of x^0, x^-1, ..., x^-order in the expansion at infinity.
+
+    The input (a RatFun or a Poly) must be proper at infinity (deg num <=
+    deg den); geometric expansion of each 1/(x - z) style factor is exact.
+    """
+    f = f if isinstance(f, RatFun) else RatFun(f)
+    n, d = f.num, f.den
+    if n.degree > d.degree:
+        raise ValueError("not expandable at infinity")
+    big = d.degree
+    # substitute x = 1/u and clear u^big from both parts
+    rn = [n.coeff(big - i) for i in range(big + 1)]
+    rd = [d.coeff(big - i) for i in range(big + 1)]
+    out: list[F] = []
+    lead = rd[0]
+    rem = list(rn) + [F(0)] * (order + 1)
+    for i in range(order + 1):
+        c = rem[i] / lead
+        out.append(c)
+        if c:
+            for j, dc in enumerate(rd):
+                if i + j <= order:
+                    rem[i + j] -= c * dc
+    return out
+
+
+def laurent_coefficients(m: ExactMatrix, num: Poly, den: Poly, order: int) -> list[ExactMatrix]:
+    """Coefficients of x^0, x^-1, ..., x^-order at infinity of (num/den) * m.
+
+    m is a Poly-entry matrix with x^d coefficient matrices C_d.  With
+    num/den = sum_t g_t x^-t, the x^-r coefficient is sum_d g_(d+r) C_d, so
+    one scalar series serves every entry.  Raises
+    ValueError("not expandable at infinity") when an entry p of m has
+    deg(num * p) > deg den.
+    """
+    cms = coefficient_matrices(m)
+    out = [ExactMatrix(m.nrows, m.ncols) for _ in range(order + 1)]
+    if not cms:
+        return out
+    if num.degree + len(cms) - 1 > den.degree:
+        raise ValueError("not expandable at infinity")
+    series = laurent_expand(RatFun(num, den), len(cms) - 1 + order)
+    for r, acc in enumerate(out):
+        for d, c in enumerate(cms):
+            g = series[d + r]
+            if g:
+                for a, b, v in c.entries():
+                    acc.add_to(a, b, g * v)
+    return out
+
+
+def t_coefficient(pencil, i: int, j: int, r: int) -> ExactMatrix:
+    """Laurent coefficient T_ij^(r) of the unnormalized series at infinity."""
+    return laurent_coefficients(pencil.entry(i, j), Poly((1,)), pencil.normalizer, r)[r]
 
 
 def commute(a, b) -> bool:
@@ -148,3 +212,13 @@ def corrupted(pencil, draw):
     """A copy of the pencil with one entry matrix corrupted as corrupted_matrix does."""
     e = draw(st.sampled_from(sorted(pencil.entries)))
     return pencil._replace(entries={**pencil.entries, e: corrupted_matrix(pencil.entries[e], draw)})
+
+
+def corrupted_below_top(pencil, draw):
+    """A copy of the pencil with c x^d added at one element of one entry, d below the normalizer's degree k."""
+    e = draw(st.sampled_from(sorted(pencil.entries)))
+    m = pencil.entries[e].copy()
+    a, b = draw(st.integers(0, m.nrows - 1)), draw(st.integers(0, m.ncols - 1))
+    d = draw(st.integers(0, pencil.normalizer.degree - 1))
+    m.put(a, b, m.get(a, b) + Poly([0] * d + [draw(st.sampled_from([F(1, 7), F(-3, 2)]))]))
+    return pencil._replace(entries={**pencil.entries, e: m})

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from gl11chain.exactnum import Poly, RatFun, elementary_symmetric, laurent_expand
+from gl11chain.exactnum import Poly, RatFun, elementary_symmetric
 from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from gl11chain.chain import ModuleSpec, make_spec
 from gl11chain.monodromy import tensor_monodromy, transfer_pencil
@@ -21,6 +21,7 @@ from gl11chain.bethealg import (
     spectral_analysis,
 )
 from gl11chain.suites import suite_specs
+from coefforacle import laurent_expand
 from bethealgoracle import b_operators, b_spaces, divisor_character, generated_algebra, reduce_lambda2, string_points
 from densemat import to_dense
 

@@ -193,9 +193,10 @@ class TestVerify:
         "argv, empty",
         [
             (["--suite", "weyl", "--max-n", "0"], "weyl"),
-            (["--suite", "all", "--max-k", "0", "--max-n", "0"], "algebra, norms, weyl"),
+            (["--suite", "bethe", "--max-k", "0", "--max-n", "0"], "bethe"),
+            (["--suite", "all", "--max-k", "0", "--max-n", "0"], "bethe, algebra, norms, weyl"),
         ],
-        ids=["weyl-max-n-0", "all-max-k-0-max-n-0"],
+        ids=["weyl-max-n-0", "bethe-max-k-0-max-n-0", "all-max-k-0-max-n-0"],
     )
     def test_suite_with_no_item_exits_2(self, tmp_path, capsys, argv, empty):
         # a suite that ran no item decides nothing; it is refused, not passed at 0/0

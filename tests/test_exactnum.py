@@ -15,12 +15,12 @@ from gl11chain.exactnum import (
     elementary_symmetric,
     eps_limit,
     format_scalar,
-    laurent_expand,
     parse_scalar,
     q_pochhammer_inverse,
     roots_with_multiplicity,
 )
 from gl11chain.rational import _SIEVE_PRIMES, _divisors, _root_count_mod, primitive, rational_roots
+from coefforacle import laurent_expand
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 small_polys = st.builds(Poly, st.lists(rationals, max_size=5))
@@ -458,6 +458,8 @@ class TestSplit:
 
 
 class TestLaurent:
+    """The oracle's scalar series at infinity (coefforacle.laurent_expand) on closed forms."""
+
     def test_geometric(self):
         a = F(5, 3)
         assert laurent_expand(RatFun(Poly((1,)), Poly((-a, 1))), 3) == [0, 1, a, a * a]

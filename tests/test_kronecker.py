@@ -31,7 +31,7 @@ from gl11chain.monodromy import Check, chain_transfer_pencil, coefficient_matric
 from gl11chain.shapoform import check_iota_contract, form_matrix
 from gl11chain.suites import suite_specs
 import coefforacle
-from coefforacle import chains, corrupted, corrupted_matrix
+from coefforacle import chains, corrupted, corrupted_below_top, corrupted_matrix
 
 
 def _pack(slots, w):
@@ -140,9 +140,11 @@ class TestPencilChecksMatchTheOracle:
     @settings(max_examples=25)
     @given(chains(), st.data())
     def test_contravariance(self, spec, data):
+        # below the top degree: the x^k coefficients are T^(0), which the series route never checks
         gram = _gram(spec)
         pencil = tensor_monodromy(spec)
-        cases = [(pencil, gram), (corrupted(pencil, data.draw), gram), (pencil, corrupted_matrix(gram, data.draw))]
+        cases = [(pencil, gram), (corrupted_below_top(pencil, data.draw), gram),
+                 (pencil, corrupted_matrix(gram, data.draw))]
         for p, g in cases:
             with patch.object(shapoform, "tensor_monodromy", lambda s: p), patch.object(shapoform, "form_matrix",
                                                                                           lambda s: g):
@@ -161,6 +163,17 @@ def test_corrupted_gram_contravariance_witness(name, entry):
     with patch.object(shapoform, "form_matrix", lambda s: gram):
         res = check_iota_contract(spec)
     assert not want.ok and tuple(res) == tuple(want)
+
+
+def test_broken_top_coefficient_fails_contravariance_at_r_zero():
+    # E_01 added to the x^k coefficient of That_11: P_11 has degree k, so the first failing r is 0
+    spec = suite_specs()["E2"]
+    pencil = tensor_monodromy(spec)
+    t11 = pencil.entry(1, 1).copy()
+    t11.put(0, 1, t11.get(0, 1) + Poly([0] * spec.k + [1]))
+    bad = pencil._replace(entries={**pencil.entries, (1, 1): t11})
+    with patch.object(shapoform, "tensor_monodromy", lambda s: bad):
+        assert check_iota_contract(spec) == (False, "", "first failing (i, j, r) (1, 1, 0)")
 
 
 def test_self_adjoint_reads_the_least_failing_degree():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl11chain.exactnum import Poly, RatFun, laurent_expand
+from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix
 from gl11chain.chain import ModuleSpec, Weight, cyclicity_and_irreducibility, make_spec, phi_psi
 from gl11chain.monodromy import (
@@ -13,17 +13,17 @@ from gl11chain.monodromy import (
     MonodromyPencil,
     coefficient_matrices,
     evaluation_monodromy,
-    laurent_coefficients,
     lax_monodromy,
-    t_coefficient,
     tensor_monodromy,
     transfer_pencil,
     verify_rtt,
+    zero_mode,
     _combine,
 )
+from gl11chain.suites import suite_specs
 from gl11chain.superlin import E_PARITY, SuperSpace
 from bethealgoracle import reduce_lambda2, string_points
-from coefforacle import chains, corrupted
+from coefforacle import chains, corrupted, laurent_coefficients, laurent_expand, t_coefficient
 from densemat import to_dense
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -321,6 +321,35 @@ class TestLaurentCoefficients:
             _laurent_oracle(raised.entry(1, 2), Poly((1,)), raised.normalizer, 1)
         with pytest.raises(ValueError, match="not expandable at infinity"):
             t_coefficient(raised, 1, 2, 1)
+        with pytest.raises(ValueError, match="not expandable at infinity"):
+            zero_mode(raised, 1, 2)
+
+
+# the suite chains, a five-site chain with a double root of gamma, and the Lax pencils n = 1..5
+ZERO_MODE_PENCILS = [*suite_specs(), "k5", *(f"lax n={n}" for n in range(1, 6))]
+
+
+def _zero_mode_pencil(name):
+    if name.startswith("lax"):
+        return lax_monodromy(["0", "1/2", "-1", "3", "-5/2"][:int(name[-1])])
+    spec = {**suite_specs(), "k5": make_spec([(1, 1), (1, 0), (1, 0), (1, 1), (1, 0)], ["1", "0", "-2", "0", "-3"])}
+    return tensor_monodromy(spec[name])
+
+
+class TestZeroMode:
+    @pytest.mark.parametrize("name", ZERO_MODE_PENCILS)
+    def test_matches_the_laurent_oracle(self, name):
+        pencil = _zero_mode_pencil(name)
+        for i, j in product((1, 2), repeat=2):
+            assert zero_mode(pencil, i, j) == t_coefficient(pencil, i, j, 1)
+
+    @settings(max_examples=25)
+    @given(chains(), st.data())
+    def test_matches_the_laurent_oracle_on_corrupted_pencils(self, spec, data):
+        # C_k enters with the sum of the points, so a broken top coefficient is read as the series reads it
+        bad = corrupted(tensor_monodromy(spec), data.draw)
+        for i, j in product((1, 2), repeat=2):
+            assert zero_mode(bad, i, j) == t_coefficient(bad, i, j, 1)
 
 
 class TestRttOracle:

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
+from unittest.mock import patch
+
 import pytest
 
+from gl11chain import shapoform
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.chain import ModuleSpec, Weight, make_spec
-from gl11chain.monodromy import tensor_monodromy, t_coefficient
+from gl11chain.monodromy import tensor_monodromy
 from gl11chain.superlin import E_PARITY, SuperSpace
 from gl11chain.bethe import Divisor, bethe_vector, char_pair, verify_on_shell
 from gl11chain.suites import suite_specs
@@ -20,6 +23,7 @@ from gl11chain.shapoform import (
     norm_check,
     orthogonality_check,
 )
+from coefforacle import iota_contract, t_coefficient
 from densemat import from_dense, to_dense
 from legspace import LegSpace, e_matrix, kron_signed
 from normoracle import assert_norm_matches_the_oracles, eps_norm, wronskian
@@ -294,6 +298,20 @@ FORM_CHAINS = _form_chains()
 def test_form_matrix_matches_the_two_step_embedding(name):
     spec = FORM_CHAINS[name]
     assert form_matrix(spec) == two_step_form_matrix(spec)
+
+
+@pytest.mark.parametrize("name", FORM_CHAINS)
+def test_contravariance_matches_the_laurent_oracle(name):
+    # the pencil as built, and with 1/7 added to the constant term of one That_11 element
+    spec = FORM_CHAINS[name]
+    pencil, gram = tensor_monodromy(spec), form_matrix(spec)
+    t11 = pencil.entry(1, 1).copy()
+    t11.put(0, pencil.dim - 1, t11.get(0, pencil.dim - 1) + Poly((F(1, 7),)))
+    for p in (pencil, pencil._replace(entries={**pencil.entries, (1, 1): t11})):
+        with patch.object(shapoform, "tensor_monodromy", lambda s: p):
+            got = check_iota_contract(spec)
+        assert tuple(got) == tuple(iota_contract(p, gram, spec.k))
+    assert got.witness.startswith("first failing (i, j, r) (")
 
 
 def test_r_matrix_matches_the_embedded_terms():

@@ -38,9 +38,12 @@ The package builds no dense coordinate chart: spans take sparse vectors, and
 no module defines `Coords`, `monomials_upto` or `to_vector`; the chart is the
 tests' oracle, in tests/actionoracle.py.
 A level's Bethe algebra has one object, the transfer family of bethe.py:
-no module defines `CoefficientFamily`, and bethealg.py defines no class and
-never names `laurent_expand`, so the operators B_r of the string-point
-expansion are built only by the tests' oracle, tests/bethealgoracle.py.
+no module defines `CoefficientFamily`, and bethealg.py defines no class, so
+the operators B_r of the string-point expansion are built only by the tests'
+oracle, tests/bethealgoracle.py.  Nothing in the package expands at
+infinity: no module defines, imports or names `laurent_expand`,
+`laurent_coefficients` or `t_coefficient`; that route is the tests' oracle,
+tests/coefforacle.py.
 Commutation has one decider: only linalg.py defines the Kronecker codec
 (`slot_width`, `kronecker_values`, `kronecker_slots`, `product_slots`) and
 `first_noncommuting`, and monodromy does not re-export them; no module
@@ -582,24 +585,29 @@ def test_chart_rule_catches_each_planted_definition():
     ]
 
 
-# The B-route to the Bethe algebra is a test oracle (tests/bethealgoracle.py), not package code.
+# The B-route to the Bethe algebra is a test oracle (tests/bethealgoracle.py), not package code, and so is
+# the Laurent route at infinity (tests/coefforacle.py).
 B_FAMILY = "CoefficientFamily"
+SERIES_NAMES = ("laurent_expand", "laurent_coefficients", "t_coefficient")
 
 
 def _b_route(tree: ast.AST, bethealg: bool) -> list[str]:
-    """Every definition of CoefficientFamily and, in bethealg.py, every class and every use of laurent_expand."""
+    """Every definition of CoefficientFamily, every use of a Laurent-route name and, in bethealg.py, every class."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and (bethealg or node.name == B_FAMILY):
             found.append((node.lineno, f"defines class {node.name}"))
-        elif isinstance(node, ast.FunctionDef) and node.name == B_FAMILY:
+        elif isinstance(node, ast.FunctionDef) and node.name in (B_FAMILY, *SERIES_NAMES):
             found.append((node.lineno, f"defines {node.name}"))
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == B_FAMILY:
-            found.append((node.lineno, f"defines {node.id}"))
-        elif bethealg and isinstance(node, (ast.Import, ast.ImportFrom)):
-            found += [(node.lineno, f"imports {a.name}") for a in node.names if a.name == "laurent_expand"]
-        elif bethealg and isinstance(node, ast.Attribute) and node.attr == "laurent_expand":
-            found.append((node.lineno, "names .laurent_expand"))
+        elif isinstance(node, ast.Name) and node.id in (B_FAMILY, *SERIES_NAMES):
+            if isinstance(node.ctx, ast.Store):
+                found.append((node.lineno, f"defines {node.id}"))
+            elif node.id in SERIES_NAMES:
+                found.append((node.lineno, f"names {node.id}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, f"imports {a.name}") for a in node.names if a.name.split(".")[-1] in SERIES_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in SERIES_NAMES:
+            found.append((node.lineno, f"names .{node.attr}"))
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
@@ -615,14 +623,25 @@ def test_b_route_rule_catches_each_planted_violation():
         "class SpectralEntry(NamedTuple):\n    ok: bool\n"
         "g = exactnum.laurent_expand(r, 3)\n"
         "CoefficientFamily = TransferFamily\n"
+        "def laurent_coefficients(m, num, den, order):\n    return t_coefficient(m, 1, 1, order)\n"
+        "from .monodromy import t_coefficient as tc\n"
+        "t_coefficient = monodromy.zero_mode\n"
     )
+    series = [
+        "line 8: defines laurent_coefficients", "line 9: names t_coefficient", "line 10: imports t_coefficient",
+        "line 11: defines t_coefficient",
+    ]
     assert _b_route(ast.parse(code), bethealg=True) == [
         "line 1: imports laurent_expand", "line 2: defines class CoefficientFamily",
         "line 4: defines class SpectralEntry", "line 6: names .laurent_expand", "line 7: defines CoefficientFamily",
+        *series,
     ]
     assert _b_route(ast.parse(code), bethealg=False) == [
-        "line 2: defines class CoefficientFamily", "line 7: defines CoefficientFamily",
+        "line 1: imports laurent_expand", "line 2: defines class CoefficientFamily", "line 6: names .laurent_expand",
+        "line 7: defines CoefficientFamily", *series,
     ]
+    # the package's one zero-mode reader names none of them
+    assert _b_route(ast.parse("t1 = monodromy.zero_mode(pencil, 2, 1)\n"), bethealg=False) == []
 
 
 # The Kronecker codec and the one commutation decider, all defined in linalg.py.

@@ -204,29 +204,29 @@ def test_coassociativity_item_names_the_entry(monkeypatch):
 
 
 def test_zero_mode_item_names_the_generator(monkeypatch):
-    real = monodromy.t_coefficient
+    # the zero modes are read from a copy of the pencil with That_21 doubled, so T_21^(1) alone is off
+    real = monodromy.zero_mode
 
-    def corrupted(pencil, i, j, r):
-        out = real(pencil, i, j, r)
-        return out * 2 if (i, j) == (2, 1) else out
+    def corrupted(pencil, i, j):
+        return real(pencil._replace(entries={**pencil.entries, (2, 1): pencil.entry(2, 1) * 2}), i, j)
 
-    monkeypatch.setattr(monodromy, "t_coefficient", corrupted)
+    monkeypatch.setattr(monodromy, "zero_mode", corrupted)
     bad = {it.label: it.witness for it in run_suite("rtt", max_k=3, max_n=4) if not it.ok}
     assert list(bad) == ["zero-mode exchange"]
     assert bad["zero-mode exchange"].startswith("generator T_21^(1) against That_")
 
 
 def test_zero_mode_computes_each_generator_once(monkeypatch):
-    real = monodromy.t_coefficient
+    real = monodromy.zero_mode
     calls = []
 
-    def counted(pencil, i, j, r):
-        calls.append((i, j, r))
-        return real(pencil, i, j, r)
+    def counted(pencil, i, j):
+        calls.append((i, j))
+        return real(pencil, i, j)
 
-    monkeypatch.setattr(monodromy, "t_coefficient", counted)
+    monkeypatch.setattr(monodromy, "zero_mode", counted)
     run_suite("rtt", max_k=1, max_n=1)
-    assert sorted(calls) == [(i, j, 1) for i in (1, 2) for j in (1, 2)]
+    assert sorted(calls) == [(i, j) for i in (1, 2) for j in (1, 2)]
 
 
 def _corrupted_gram(real):
@@ -240,14 +240,15 @@ def _corrupted_gram(real):
     return corrupted
 
 
-def _shifted_series(real):
-    """laurent_coefficients with 1 added at (0, 1) of every coefficient: breaks contravariance."""
+def _shifted_pencil(real):
+    """tensor_monodromy returning a copy of the pencil with 1 added at (0, 1) of every entry: breaks contravariance."""
 
-    def corrupted(m, num, den, order):
-        out = real(m, num, den, order)
-        for c in out:
-            c.put(0, 1, c.get(0, 1) + 1)
-        return out
+    def corrupted(spec):
+        pencil = real(spec)
+        entries = {e: m.copy() for e, m in pencil.entries.items()}
+        for m in entries.values():
+            m.put(0, 1, m.get(0, 1) + Poly((1,)))
+        return pencil._replace(entries=entries)
 
     return corrupted
 
@@ -293,7 +294,7 @@ def _zero_textbook_norm(real):
     "module, attr, corrupt, prefix, detail",
     [
         (shapoform, "form_matrix", _corrupted_gram, "gram symmetric", "first asymmetric entry (0, 1)"),
-        (shapoform, "laurent_coefficients", _shifted_series, "contravariance", "first failing (i, j, r) ("),
+        (shapoform, "tensor_monodromy", _shifted_pencil, "contravariance", "first failing (i, j, r) ("),
         (
             monodromy,
             "chain_transfer_pencil",
