@@ -17,6 +17,9 @@ independent oracle for the direct product, not a fallback: the suite compares
 the two.  Each (chain, level) has one memoised `transfer_family`: the transfer
 coefficients on the level subspace with their joint spaces at the divisors'
 eigenvalues, read by the completeness report and the Bethe algebra (bethealg).
+A level's basis (unit vectors, or the kernel of e_12 on the weight space) is
+in coordinate form, so a vector's coordinates are its entries at the basis's
+indices: no second elimination solves for them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .exactnum import (
     roots_with_multiplicity,
     scalar,
 )
-from .linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
+from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces, sparse_vector
 from .chain import ModuleSpec, Weight, cyclicity_and_irreducibility, phi_psi
 from .monodromy import Check, chain_transfer_coefficients, chain_transfer_pencil, tensor_monodromy
 from .superlin import level_weight, singular_subspace, weight_spaces
@@ -294,58 +297,82 @@ class CompletenessReport(NamedTuple):
 
 def restrict_operators(
     ms: Sequence[ExactMatrix], basis: Sequence[Sequence[Fraction]]
-) -> tuple[list[ExactMatrix], SpanCoordinates]:
-    """Matrices of each m in ms (at least one) on the invariant span of the basis vectors.
+) -> tuple[list[ExactMatrix], list[int]]:
+    """Matrices of each m in ms (at least one) on the invariant span of the basis vectors, and the basis's index.
 
-    Coordinates are taken w.r.t. the basis as given (not echelonized), by one
-    SpanCoordinates over it; that solver is returned too, for further
-    coordinate queries in the same basis.
+    The basis must be in coordinate form, as kernel vectors and unit vectors
+    are: vector c is 1 at index[c], its last nonzero index, and every other
+    vector is 0 there.  So a vector's coordinates are its entries at index,
+    and it lies in the span exactly when it equals that combination.  Each
+    image m v is summed from the columns of m at v's nonzero entries.
     """
-    span = SpanCoordinates(ms[0].nrows, basis)
+    cols = [sparse_vector(v) for v in basis]
+    index = [max(col, default=-1) for col in cols]
+    at = {i: c for c, i in enumerate(index)}
+    if any(col.get(index[c]) != 1 or any(at.get(j, c) != c for j in col) for c, col in enumerate(cols)):
+        raise ValueError("basis is not in coordinate form")
     ops = []
     for m in ms:
-        cols = []
-        for v in basis:
-            coords = span.coordinates(m.apply(list(v)))
+        columns, op = m.transpose().rows, ExactMatrix(len(basis), len(basis))
+        for c, col in enumerate(cols):
+            image: dict = {}
+            for j, a in col.items():
+                for i, b in columns.get(j, {}).items():
+                    image[i] = image[i] + b * a if i in image else b * a
+            coords = _coordinates(image, index, cols)
             if coords is None:
                 raise ValueError("subspace is not invariant under the operator")
-            cols.append(coords)
-        ops.append(ExactMatrix.from_columns(cols, len(basis)))
-    return ops, span
+            for r, x in enumerate(coords):
+                op.put(r, c, x)
+        ops.append(op)
+    return ops, index
+
+
+def _coordinates(vec: dict, index: Sequence[int], cols: Sequence[dict]) -> "list[Fraction] | None":
+    """The sparse vec's entries at index, or None when vec is not the combination of the sparse cols with them."""
+    rest = dict(vec)
+    for i, col in zip(index, cols):
+        for j, a in col.items() if i in vec else ():
+            rest[j] = rest[j] - vec[i] * a if j in rest else -vec[i] * a
+    return None if any(rest.values()) else [vec.get(i, Fraction(0)) for i in index]
 
 
 def level_subspace(spec: ModuleSpec, level: int) -> list[list[Fraction]]:
     """Basis of the level weight space; its singular part when the twist entries are equal."""
     space, weights = spec.space(), list(spec.weights)
-    wt = level_weight(weights, level)
+    idxs = dict(weight_spaces(space, weights)).get(level_weight(weights, level), [])
     if not spec.is_twisted():
-        return singular_subspace(space, weights, wt)
-    return [[Fraction(i == idx) for i in range(space.dim)] for idx in dict(weight_spaces(space, weights)).get(wt, [])]
+        return singular_subspace(space, weights, idxs)
+    return [[Fraction(i == idx) for i in range(space.dim)] for idx in idxs]
 
 
 class TransferFamily:
     """The transfer coefficients C_0..C_k of That_Q on one level subspace: the level's Bethe algebra.
 
     `ops` are C_0..C_k restricted to `basis` (zero past the pencil's degree)
-    and `coords` the coordinate solver of that basis.  The divisors of the
-    level, their transfer eigenvalues and the joint (eigen, generalized)
-    spaces of the C's at each eigenvalue's coefficients are built on first
-    use and shared.
+    and `index` the basis's coordinate indices, at which `coordinates` reads
+    a vector.  The divisors of the level, their transfer eigenvalues and the
+    joint (eigen, generalized) spaces of the C's at each eigenvalue's
+    coefficients are built on first use and shared.
     """
 
     def __init__(
         self, spec: ModuleSpec, level: int, basis: list[list[Fraction]],
-        coords: SpanCoordinates, ops: list[ExactMatrix],
+        index: list[int], ops: list[ExactMatrix],
     ):
         self.spec = spec
         self.level = level
         self.basis = basis
-        self.coords = coords
+        self.index = index
         self.ops = ops
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def coordinates(self, vec: Sequence[Fraction]) -> "list[Fraction] | None":
+        """The coordinates of vec in the basis, its entries at index; None when vec lies outside the span."""
+        return _coordinates(sparse_vector(vec), self.index, [sparse_vector(v) for v in self.basis])
 
     @functools.cached_property
     def divisors(self) -> tuple[Divisor, ...]:
@@ -373,8 +400,8 @@ def transfer_family(spec: ModuleSpec, level: int) -> TransferFamily:
     dim = spec.space().dim
     tq = list(tq) + [ExactMatrix(dim, dim)] * (spec.k + 1 - len(tq))
     basis = level_subspace(spec, level)
-    ops, coords = restrict_operators(tq, basis)
-    return TransferFamily(spec, level, basis, coords, ops)
+    ops, index = restrict_operators(tq, basis)
+    return TransferFamily(spec, level, basis, index, ops)
 
 
 def completeness_report(spec: ModuleSpec) -> CompletenessReport:
@@ -400,7 +427,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
             onshell = verify_on_shell(spec, dv).ok
             vec = bethe_vector(spec, dv.root_list())  # built by the on-shell check
             nonzero = any(vec)
-            bcoords = fam.coords.coordinates(vec)
+            bcoords = fam.coordinates(vec)
             spans = False
             if bcoords is not None and len(eig_basis) == 1 and nonzero:
                 span = SpanBasis()

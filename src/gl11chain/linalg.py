@@ -6,6 +6,8 @@ operator-valued pencils.  Row reduction, kernels, inverses, determinants and
 spans all run through SpanBasis, one sparse fraction-free elimination over a
 gcd domain: primitive integer rows for rational input, primitive Q[x] rows
 for Poly input (FracMatrix.inverse).  It touches only nonzero entries.
+A kernel basis is in coordinate form, so coordinates in it are read at its
+free columns (bethe.restrict_operators), not solved for.
 
 The Kronecker codec (D. Harvey, J. Symbolic Comput. 44 (2009)) decides an
 identity between products of polynomial matrices at one integer point, and
@@ -154,7 +156,7 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         out = ExactMatrix(self.ncols, self.nrows)
         for i, j, v in self.entries():
-            out.put(j, i, v)
+            out.rows.setdefault(j, {})[i] = v
         return out
 
     def map_entries(self, fn: Callable) -> "ExactMatrix":
@@ -219,7 +221,11 @@ class ExactMatrix:
         return self._span().dim
 
     def kernel(self) -> list[Vector]:
-        """Basis of the right kernel, in reduced echelon form."""
+        """Basis of the right kernel, in reduced echelon form.
+
+        Vector c is 1 at the c-th free column, its last nonzero index, where
+        every other vector is 0: the basis is in coordinate form.
+        """
         red, pivots = self.rref()
         pivset = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivset]
@@ -284,8 +290,8 @@ class SpanBasis:
     positive or monic pivot pivots[i], in echelon form.  A reduction visits
     pivots in increasing order, each step v <- b v - a row with a = v[p],
     b = row[p] and gcd(a, b) taken out; the denominator times the product of
-    the b's is its one scale s.  `rows`, `reduce`, coordinates and pivot
-    values divide by s or a pivot, so they take rational entries only.
+    the b's is its one scale s.  `rows`, `reduce` and pivot values divide by
+    s or a pivot, so they take rational entries only.
     """
 
     def __init__(self):
@@ -341,22 +347,22 @@ class SpanBasis:
 
     def reduce(self, vec: Sequence) -> Vector:
         """vec reduced against the rows; a sequence only, as the result is dense."""
-        w, s = self._reduced(_sparse(vec))
+        w, s = self._reduced(sparse_vector(vec))
         return [Fraction(w[j], s) if j in w else _ZERO for j in range(len(vec))]
 
     def add(self, vec: "Sequence | dict") -> bool:
         """Insert vec, a sequence or a sparse {column: value} dict; returns True when it was independent."""
-        return self._insert(_sparse(vec)) is not None
+        return self._insert(sparse_vector(vec)) is not None
 
     def contains(self, vec: "Sequence | dict") -> bool:
-        return not self._reduced(_sparse(vec))[0]
+        return not self._reduced(sparse_vector(vec))[0]
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
 
-def _sparse(vec: "Sequence | dict") -> dict:
+def sparse_vector(vec: "Sequence | dict") -> dict:
     """The nonzero entries of a sequence, or of a {column: value} dict, as a fresh dict."""
     return {j: a for j, a in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if a}
 
@@ -448,44 +454,6 @@ def _primitive_poly(w: dict) -> dict:
 
 _INTEGERS = _Ring(_clear_rational, gcd, _primitive_int)
 _POLYNOMIALS = _Ring(_clear_poly, Poly.gcd, _primitive_poly)
-
-
-class SpanCoordinates:
-    """Coordinates of vectors in the span of the vectors added so far.
-
-    The k-th added vector is stored as a SpanBasis row tagged with 1 in
-    column length + k, as ExactMatrix.augmented_span tags [A | 1], so each stored
-    row carries in its tags the combination of added vectors it equals.
-    Reducing w leaves 0 on the first `length` columns exactly when w lies in
-    the span, and then minus its coordinates in the tags.  A vector that
-    depends on earlier ones is not stored and keeps coordinate 0, so a
-    dependent family gets the solution whose dependent coordinates are 0.
-    More vectors may be added after any query.
-    """
-
-    def __init__(self, length: int, vectors: Sequence[Sequence] = ()):
-        self.length = length
-        self.count = 0
-        self._span = SpanBasis()
-        for vec in vectors:
-            self.add(vec)
-
-    def add(self, vec: Sequence) -> bool:
-        """Append vec, a sequence; returns True when it is independent of the vectors before it."""
-        row = _sparse(vec)
-        row[self.length + self.count] = Fraction(1)
-        self.count += 1
-        return self._span._insert(row, self.length) is not None
-
-    def coordinates(self, vec: Sequence) -> "Vector | None":
-        """x with sum_k x[k] * (k-th added vector) == vec, a sequence, or None when vec is outside the span."""
-        w, s = self._span._reduced(_sparse(vec))
-        if any(j < self.length for j in w):
-            return None
-        out = [_ZERO] * self.count
-        for j, a in w.items():
-            out[j - self.length] = Fraction(-a, s)
-        return out
 
 
 def slot_width(bound: int) -> int:

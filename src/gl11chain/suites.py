@@ -93,14 +93,16 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
         tn = monodromy.tensor_monodromy(make_spec([(1, 0)] * n, lax_points[:n], ("1", "1")))
         diff = _first_differing_entry(lx, tn)
         items.append(_item(f"lax equals coproduct n={n}", diff is None, f"first differing entry {diff}"))
-    # coassociativity on three factors
-    s3 = make_spec([(1, 0), (2, 0), (1, 1)], ["0", "3/2", "-1"], ("1", "1"))
-    p_all = monodromy.tensor_monodromy(s3)
-    left = reduce(monodromy._combine, map(monodromy.evaluation_monodromy, s3.weights, s3.points))
-    diff = _first_differing_entry(p_all, left)
-    items.append(_item("coassociativity", diff is None, f"first differing entry {diff}"))
-    # transfer family commutes and respects the diagonal symmetry
-    for name, spec in suite_specs().items():
+    # coassociativity on three factors; gated on k alone, so its n = 5 chain runs at the default caps
+    if max_k >= 3:
+        s3 = make_spec([(1, 0), (2, 0), (1, 1)], ["0", "3/2", "-1"], ("1", "1"))
+        p_all = monodromy.tensor_monodromy(s3)
+        left = reduce(monodromy._combine, map(monodromy.evaluation_monodromy, s3.weights, s3.points))
+        diff = _first_differing_entry(p_all, left)
+        items.append(_item("coassociativity", diff is None, f"first differing entry {diff}"))
+    # transfer family commutes and respects the diagonal symmetry, on the chains within the caps
+    specs = {name: spec for name, spec in suite_specs().items() if spec.k <= max_k and spec.n <= max_n}
+    for name, spec in specs.items():
         tq = monodromy.chain_transfer_pencil(spec)
         pair = first_noncommuting(tq, tq)  # the first pair a < b: [C_a, C_a] = 0, [C_b, C_a] = -[C_a, C_b]
         items.append(_item(f"transfer pencil commutes {name}", pair is None, f"coefficient pair {pair}"))
@@ -108,8 +110,9 @@ def run_rtt_suite(max_k: int = 3, max_n: int = 5, inject_sign_bug: bool = False)
         failure = _symmetry_failure(spec.space(), list(spec.weights), gens, tq)
         items.append(_item(f"transfer pencil symmetry {name}", failure is None, failure))
     # zero-mode exchange relation with the diagonal action
-    failure = _zero_mode_failure(monodromy.tensor_monodromy(suite_specs()["E2"]))
-    items.append(_item("zero-mode exchange", failure is None, failure))
+    if "E2" in specs:
+        failure = _zero_mode_failure(monodromy.tensor_monodromy(specs["E2"]))
+        items.append(_item("zero-mode exchange", failure is None, failure))
     return items
 
 

@@ -162,11 +162,6 @@ def level_weight(leg_weights: Sequence[Weight], level: int) -> Weight:
     return Weight(l1 - level, l2 + level)
 
 
-def basis_weights(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[Weight]:
-    """Weight of each basis vector, read off its level."""
-    return [level_weight(leg_weights, lv) for lv in space.levels]
-
-
 def weight_spaces(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[tuple[Weight, list[int]]]:
     """Weight decomposition as (weight, basis index list), one entry per level, highest weight first."""
     buckets: dict[int, list[int]] = {}
@@ -175,11 +170,11 @@ def weight_spaces(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[tupl
     return [(level_weight(leg_weights, lv), idxs) for lv, idxs in sorted(buckets.items())]
 
 
-def singular_subspace(
-    space: SuperSpace, leg_weights: Sequence[Weight], weight: Weight
-) -> list[list[Fraction]]:
-    """Basis of ker(e_12) inside the given weight space, as global vectors."""
-    idxs = [i for i, wt in enumerate(basis_weights(space, leg_weights)) if wt == weight]
+def singular_subspace(space: SuperSpace, leg_weights: Sequence[Weight], idxs: Sequence[int]) -> list[list[Fraction]]:
+    """Basis of ker(e_12) inside the span of the basis vectors at idxs (increasing), as global vectors.
+
+    It stays in coordinate form, as ExactMatrix.kernel gives it.
+    """
     if not idxs:
         return []
     e12 = gl_generator(space, leg_weights, 1, 2)

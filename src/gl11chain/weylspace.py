@@ -625,7 +625,10 @@ def current_model_checks(n: int, level: int, d: int) -> list[Check]:
     distinct points a = (0, 1, ..., n-1).  So a maximal minor of [g_w(z)] is
     a nonzero polynomial, the g_w are independent over Q(z) and, the sigma_i
     being algebraically independent, so are the products sigma^e g_w over Q.
-    No product is built.
+    No product is built.  The singular generators e12(0) e21(0) g_w, for the
+    words w in {1..n-1}, are decided the same way: each is nonzero and their
+    values at a are independent.  They are singular whatever g_w is, since
+    e12(0)^2 = 0, so that is the claim that can fail.
 
     A failed check's witness names the level of the vectors compared, the
     relation, and the first dependent generator or differing entry: the
@@ -635,14 +638,14 @@ def current_model_checks(n: int, level: int, d: int) -> list[Check]:
     results = []  # (level of the vectors compared, label, the first difference or None)
     v_plus = vacuum_vector(n)
 
-    # lowering-word generators, independent by their values at a
-    a = tuple(range(n))
+    # lowering-word generators, independent by their values at the point
+    point = tuple(range(n))
     values = SpanBasis()
     dependent = None
     for w in itertools.combinations(range(n), level):
         g = _apply_e21_word(space, w, v_plus)
-        if not values.add({c: p.evaluate(a) for c, p in g.items()}):
-            dependent = f"g_{w} at z = {a} depends on the earlier generators' values"
+        if not values.add({c: p.evaluate(point) for c, p in g.items()}):
+            dependent = f"g_{w} at z = {point} depends on the earlier generators' values"
             break
     results.append((level, f"free generators at level {level}", dependent))
 
@@ -664,19 +667,16 @@ def current_model_checks(n: int, level: int, d: int) -> list[Check]:
         b = current_action(space, 2, 1, 0, current_action(space, 2, 1, 1, v_plus))
         results.append((2, "lowering modes anticommute", _difference(a, {c: -p for c, p in b.items()})))
 
-    # singular generators: annihilated by the raising zero mode, eigenvalue n
+    # singular generators e12(0) e21(0) g_w, w in {1..n-1}: nonzero, with independent values at a
     if level <= n - 1:
-        diff = None
+        values, diff = SpanBasis(), None
         for w in itertools.combinations(range(1, n), level):
-            u = _apply_e21_word(space, w, v_plus)
-            wvec = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, u))
-            scaled = {c: MPoly.const(n, n) * p for c, p in wvec.items()}
-            back = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, wvec))
-            relation, diff = "raising mode", _difference(current_action(space, 1, 2, 0, wvec), {})
-            if diff is None:
-                relation, diff = f"eigenvalue {n}", _difference(back, scaled)
+            wvec = current_action(space, 1, 2, 0, current_action(space, 2, 1, 0, _apply_e21_word(space, w, v_plus)))
+            if not wvec:
+                diff = f"the generator of {w} is zero"
+            elif not values.add({c: p.evaluate(point) for c, p in wvec.items()}):
+                diff = f"the generator of {w} at z = {point} depends on the earlier generators' values"
             if diff is not None:
-                diff = f"{relation} on the generator of {w}, {diff}"
                 break
         results.append((level, "singular generators", diff))
     return [Check(diff is None, label, "" if diff is None else f"level {lv}, {label}: {diff}")

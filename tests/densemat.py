@@ -2,7 +2,8 @@
 
 Dense views are nested lists in and out, columns and integer powers.  The
 oracle is SpanBasis as it was before it went fraction-free: reduced echelon
-rows over any field, RatFun included, and the inverse it gives.
+rows over any field, RatFun included, the inverse it gives and, with tagged
+rows, coordinates in a family of vectors.
 `from_ratfun` turns a matrix of RatFun entries into the FracMatrix with the
 same entries, over the lcm of their denominators.
 """
@@ -82,9 +83,20 @@ class FieldSpanBasis:
         v = self._reduced({j: a for j, a in enumerate(vec) if a})
         return [v.get(j, Fraction(0)) for j in range(len(vec))]
 
+    def add_tagged(self, vec, count):
+        """Insert the sequence vec, as Fractions, tagged with 1 in column length + count; True when it is independent.
+
+        The count-th tagged vector carries in its tags the combination of
+        tagged vectors it equals, as field_inverse tags [A | 1]; a dependent
+        one is not stored and keeps coordinate 0.
+        """
+        row = {j: Fraction(a) for j, a in enumerate(vec) if a}
+        row[self.length + count] = Fraction(1)
+        return self._insert(row, self.length) is not None
+
     def coordinates(self, vec, count):
-        """Minus the tags of vec reduced, when the rows carry SpanCoordinates tags after column length."""
-        v = self._reduced({j: a for j, a in enumerate(vec) if a})
+        """x with sum_c x[c] * (c-th tagged vector) == vec, minus the tags of vec reduced; None outside the span."""
+        v = self._reduced({j: Fraction(a) for j, a in enumerate(vec) if a})
         if any(j < self.length for j in v):
             return None
         out = [Fraction(0)] * count

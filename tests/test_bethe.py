@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from gl11chain import bethe, linalg
 from gl11chain.exactnum import Poly, RootSearchTooLarge
 from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
-from gl11chain.chain import make_spec
-from gl11chain.monodromy import coefficient_matrices, tensor_monodromy, transfer_pencil
+from gl11chain.chain import ModuleSpec, make_spec
+from gl11chain.monodromy import chain_transfer_coefficients, coefficient_matrices, tensor_monodromy, transfer_pencil
 from gl11chain.suites import suite_specs
 from gl11chain.bethe import (
     CharPair,
@@ -22,8 +22,10 @@ from gl11chain.bethe import (
     eigenvalue_pencil,
     level_subspace,
     restrict_operators,
+    transfer_family,
     verify_on_shell,
 )
+from densemat import FieldSpanBasis
 
 E1 = make_spec([(1, 0)], ["0"], ("2", "1"))
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -286,3 +288,72 @@ def test_zero_shift_skip_keeps_the_joint_spaces(name):
         zero_shifts += sum((op - one * c).is_zero() for ch in chars for op, c in zip(fam.ops, ch))
     assert zero_shifts
 
+
+
+# chains past the suite caps: k4, k5 (double root of gamma), k6 (dimension 64), and ns3-ns5, whose gamma does not split
+RESTRICTION_CHAINS = {
+    **suite_specs(),
+    "k4": '{"weights":[[1,0],[2,0],[1,0],[1,0]],"points":["5","4","3","2"],"twist":["1","1"]}',
+    "k5": '{"weights":[[1,1],[1,0],[1,0],[1,1],[1,0]],"points":["1","0","-2","0","-3"],"twist":["1","1"]}',
+    "k6": '{"weights":[[1,0],[2,1],[1,0],[1,0],[1,0],[1,0]],"points":["2","0","-5/3","-7/2","1","-9/2"],'
+          '"twist":["1","1"]}',
+    "ns3": '{"weights":[[1,0],[1,0],[1,0]],"points":["0","1/3","5"],"twist":["1","1"]}',
+    "ns4": '{"weights":[[1,0],[2,1],[1,0],[1,0]],"points":["0","1/3","5","-7/2"],"twist":["3","1"]}',
+    "ns5": '{"weights":[[1,0],[2,1],[1,0],[1,0],[2,0]],"points":["0","1/3","5","-7/2","2/7"],"twist":["3","-1"]}',
+}
+
+
+def padded_coefficients(spec):
+    """C_0..C_k of the chain's transfer pencil, zero past its degree."""
+    tq = list(chain_transfer_coefficients(spec))
+    dim = spec.space().dim
+    return tq + [ExactMatrix(dim, dim)] * (spec.k + 1 - len(tq))
+
+
+class TestRestriction:
+    @pytest.mark.parametrize("name", list(RESTRICTION_CHAINS))
+    def test_coordinates_match_the_tag_oracle(self, name):
+        # differential: a level's coordinates read at its basis's indices against the
+        # field oracle's tag coordinates, at every level; a vector with every entry 1
+        # lies outside each level and gets None from both
+        spec = RESTRICTION_CHAINS[name]
+        spec = ModuleSpec.from_json(spec) if isinstance(spec, str) else spec
+        tq = padded_coefficients(spec)
+        dim = spec.space().dim
+        for level in range(spec.k + 1):
+            fam = transfer_family(spec, level)
+            basis = level_subspace(spec, level)
+            ops, index = restrict_operators(tq, basis)
+            assert (fam.basis, fam.index, fam.ops) == (basis, index, ops)
+            tagged = FieldSpanBasis(dim)
+            assert all(tagged.add_tagged(v, c) for c, v in enumerate(basis))
+            for m, op in zip(tq, ops):
+                for c, v in enumerate(basis):
+                    image = m.apply(v)
+                    want = tagged.coordinates(image, len(basis))
+                    assert want == [op.get(r, c) for r in range(len(basis))] == fam.coordinates(image)
+            outside = [F(1)] * dim
+            assert tagged.coordinates(outside, len(basis)) is None
+            assert fam.coordinates(outside) is None
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [[F(0), F(1), F(1), F(0)], [F(0), F(0), F(1), F(0)]],  # both vectors end at index 2
+            [[F(0), F(2), F(0), F(0)], [F(0), F(0), F(1), F(0)]],  # vector 0 is 2 at its last index
+            [[F(0), F(1), F(0), F(0)], [F(0), F(1), F(1), F(0)]],  # vector 1 is nonzero at vector 0's index
+            [[F(0)] * 4],  # the zero vector has no index
+        ],
+        ids=["shared-index", "not-one", "not-zero-elsewhere", "zero-vector"],
+    )
+    def test_basis_not_in_coordinate_form_raises(self, basis):
+        # each basis lies in E4's level 1, the span of the unit vectors at 1 and 2
+        with pytest.raises(ValueError, match="basis is not in coordinate form"):
+            restrict_operators(padded_coefficients(E4), basis)
+
+    def test_non_invariant_span_raises(self):
+        # the unit vector at 1 alone spans a part of E4's two-dimensional level 1 that some C_d does not keep
+        tq = padded_coefficients(E4)
+        assert any(m.get(2, 1) for m in tq)
+        with pytest.raises(ValueError, match="subspace is not invariant under the operator"):
+            restrict_operators(tq, [[F(0), F(1), F(0), F(0)]])

@@ -61,7 +61,7 @@ def _same_span(mats_a, mats_b) -> bool:
 
 def _with_ops(fam, ops):
     """A copy of the family with other operators; the shared family is left as it is."""
-    return TransferFamily(fam.spec, fam.level, fam.basis, fam.coords, ops)
+    return TransferFamily(fam.spec, fam.level, fam.basis, fam.index, ops)
 
 
 class TestCoefficientFamily:

@@ -194,9 +194,10 @@ class TestVerify:
         [
             (["--suite", "weyl", "--max-n", "0"], "weyl"),
             (["--suite", "bethe", "--max-k", "0", "--max-n", "0"], "bethe"),
-            (["--suite", "all", "--max-k", "0", "--max-n", "0"], "bethe, algebra, norms, weyl"),
+            (["--suite", "rtt", "--max-k", "0", "--max-n", "0"], "rtt"),
+            (["--suite", "all", "--max-k", "0", "--max-n", "0"], "rtt, bethe, algebra, norms, weyl"),
         ],
-        ids=["weyl-max-n-0", "bethe-max-k-0-max-n-0", "all-max-k-0-max-n-0"],
+        ids=["weyl-max-n-0", "bethe-max-k-0-max-n-0", "rtt-max-k-0-max-n-0", "all-max-k-0-max-n-0"],
     )
     def test_suite_with_no_item_exits_2(self, tmp_path, capsys, argv, empty):
         # a suite that ran no item decides nothing; it is refused, not passed at 0/0

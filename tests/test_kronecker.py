@@ -206,7 +206,7 @@ def commutator_cases(draw):
     Coefficients are zero, scalar, diagonal (so most pairs commute), dense with entries up to +-M, or
     extreme, every entry +-M, so that a commutator entry can reach the slot bound 2 dim M^2; planted is
     the (a, b) at which an off-diagonal entry was added to P_a against a Q_b whose first two diagonal
-    entries differ, or None.
+    entries differ, when [P_a, Q_b] is then nonzero, or None.
     """
     dim = draw(st.integers(0, 3))
     big = draw(st.sampled_from([1, 7, 2**20, 2**64 + 3]))
@@ -230,6 +230,9 @@ def commutator_cases(draw):
         coeffs[0][a].add_to(0, 1, draw(values) or 1)
         if coeffs[1][b].get(0, 0) == coeffs[1][b].get(1, 1):
             coeffs[1][b].add_to(0, 0, 1)
+        # the added entry can cancel one a dense P_a already had, or Q_b's off-diagonal part can cancel it
+        if (coeffs[0][a] @ coeffs[1][b] - coeffs[1][b] @ coeffs[0][a]).is_zero():
+            planted = None
     return (*(_as_form(form, cs, dim) for form, cs in zip(forms, coeffs)), planted)
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.fusion import FracMatrix
-from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates, joint_generalized_eigenspaces
-from densemat import FieldSpanBasis, column, field_inverse, from_dense, matrix_power, to_dense
+from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
+from densemat import FieldSpanBasis, field_inverse, from_dense, matrix_power, to_dense
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 
@@ -193,11 +193,6 @@ class TestSpanBasis:
             red = ref.reduce(w)
             assert sparse.reduce(w) == red
             assert sparse.contains(w) == (not any(red))
-            coords = SpanCoordinates(length, vecs).coordinates(w)
-            if any(red):
-                assert coords is None
-            else:
-                assert [sum(c * v[j] for c, v in zip(coords, vecs)) for j in range(length)] == w
 
     def test_add_and_contains(self):
         s = SpanBasis()
@@ -252,31 +247,6 @@ class TestSparseInput:
         assert not s.contains({10**6 + 1: 1})
 
 
-class TestSpanCoordinates:
-    def test_coordinates(self):
-        s = SpanCoordinates(2, [[F(1), F(1)], [F(1), F(-1)]])
-        assert s.coordinates([F(3), F(1)]) == [F(2), F(1)]
-
-    def test_dependent_vector_keeps_coordinate_zero(self):
-        s = SpanCoordinates(3)
-        assert s.add([F(1), F(0), F(1)])
-        assert not s.add([F(2), F(0), F(2)])
-        assert s.add([F(0), F(1), F(0)])
-        assert s.coordinates([F(3), F(5), F(3)]) == [F(3), F(0), F(5)]
-        assert s.coordinates([F(0), F(0), F(1)]) is None
-
-    def test_empty_basis(self):
-        s = SpanCoordinates(3)
-        assert s.coordinates([F(0)] * 3) == []
-        assert s.coordinates([F(0), F(2), F(0)]) is None
-
-    def test_vectors_added_after_a_query(self):
-        s = SpanCoordinates(2, [[F(1), F(1)]])
-        assert s.coordinates([F(1), F(0)]) is None
-        assert s.add([F(0), F(2)])
-        assert s.coordinates([F(1), F(0)]) == [F(1), F(-1, 2)]
-
-
 @st.composite
 def fraction_matrices(draw, square=False):
     """0-5 rows and columns; zero rows and combinations of earlier rows make rank deficiency."""
@@ -314,7 +284,7 @@ class TestSympyDifferential:
     @given(fraction_matrices(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_rref_rank_kernel_solve(self, m, data):
-        """rref, rank, kernel; coordinates in m's columns, added in two batches with queries after each."""
+        """rref, rank, kernel; a kernel vector's coordinates, read at the free columns, against sympy's solve."""
         sympy = pytest.importorskip("sympy")
         sm = to_sympy(sympy, m)
         red, pivots = m.rref()
@@ -323,30 +293,20 @@ class TestSympyDifferential:
         assert to_dense(red) == from_sympy(sred.tolist())
         assert m.rank() == sm.rank()
         assert m.kernel() == from_sympy([list(v) for v in sm.nullspace()])
-        cols = [column(m, j) for j in range(m.ncols)]
-        first = data.draw(st.integers(0, m.ncols))
-        span = SpanCoordinates(m.nrows, cols[:first])
-        for stop in (first, m.ncols):
-            for col in cols[span.count:stop]:
-                span.add(col)
-            sub = m.submatrix(range(m.nrows), range(stop))
-            ssub = to_sympy(sympy, sub)
-            inside = sub.apply(data.draw(st.lists(rationals, min_size=stop, max_size=stop)))
-            outside = data.draw(st.lists(rationals, min_size=m.nrows, max_size=m.nrows))
-            for vec in (inside, outside):
-                coords = span.coordinates(vec)
-                svec = sympy.Matrix(m.nrows, 1, [sympy.Rational(v.numerator, v.denominator) for v in vec])
-                if ssub.row_join(svec).rank() > ssub.rank():
-                    assert coords is None
-                else:
-                    assert coords is not None and sub.apply(coords) == vec
-                    if stop:
-                        # dependent columns are sympy's free parameters, set to 0
-                        sol, params = ssub.gauss_jordan_solve(svec)
-                        sol = sol.subs({p: 0 for p in params})
-                        assert coords == from_sympy(sol.T.tolist())[0]
-                    else:
-                        assert coords == []
+        # the kernel basis is in coordinate form: vector c is 1 at free column c, its last nonzero index, and
+        # every other vector is 0 there, so sympy's solution of K x = v is v at the free columns
+        kernel = m.kernel()
+        free = [c for c in range(m.ncols) if c not in pivots]
+        for c, v in enumerate(kernel):
+            assert max(j for j, a in enumerate(v) if a) == free[c]
+            assert [u[free[c]] for u in kernel] == [F(d == c) for d in range(len(kernel))]
+        if kernel:
+            x = data.draw(st.lists(rationals, min_size=len(kernel), max_size=len(kernel)))
+            vec = [sum((a * v[j] for a, v in zip(x, kernel)), F(0)) for j in range(m.ncols)]
+            sk = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in v] for v in kernel]).T
+            sol, params = sk.gauss_jordan_solve(sympy.Matrix(vec))
+            assert not params
+            assert from_sympy(sol.T.tolist())[0] == [vec[c] for c in free] == x
 
     @given(fraction_matrices(square=True))
     @settings(max_examples=150, deadline=None)
@@ -604,14 +564,11 @@ class TestIntegerRowsAgainstFieldOracle:
     def test_spans_and_coordinates(self, case):
         length, ops = case
         span, oracle = SpanBasis(), FieldSpanBasis(length)
-        crd, tagged = SpanCoordinates(length), FieldSpanBasis(length)
         queries = []
         for kind, v in ops:
             if kind == "add":
                 sparse = {j: a for j, a in enumerate(v) if a}
                 assert pivot_value(span._insert(dict(sparse))) == oracle._insert(dict(sparse))
-                sparse[length + crd.count] = F(1)
-                assert crd.add(v) == (tagged._insert(sparse, length) is not None)
             else:
                 queries.append(v)
             assert span.pivots == oracle.pivots
@@ -620,7 +577,10 @@ class TestIntegerRowsAgainstFieldOracle:
             for w in queries:
                 assert span.reduce(w) == oracle.reduce(w)
                 assert span.contains(w) == (not any(oracle.reduce(w)))
-                assert crd.coordinates(w) == tagged.coordinates(w, crd.count)
+                # the reduced rows are in coordinate form at their pivots: w in the span is sum w[p] row_p
+                if span.contains(w):
+                    assert [sum(w[p] * row.get(j, 0) for p, row in zip(span.pivots, span.rows))
+                            for j in range(length)] == w
 
     @given(mixed_matrices())
     @settings(max_examples=150, deadline=None)

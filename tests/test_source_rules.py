@@ -37,6 +37,10 @@ calls `.swap(` or `.divided_difference(`, and every weyl path reads the table.
 The package builds no dense coordinate chart: spans take sparse vectors, and
 no module defines `Coords`, `monomials_upto` or `to_vector`; the chart is the
 tests' oracle, in tests/actionoracle.py.
+A level's coordinates are read at its basis's own indices: no module
+defines or names `SpanCoordinates` or `basis_weights`, so no second
+elimination solves for coordinates; the tag coordinates are the tests' field
+oracle, tests/densemat.py.
 A level's Bethe algebra has one object, the transfer family of bethe.py:
 no module defines `CoefficientFamily`, and bethealg.py defines no class, so
 the operators B_r of the string-point expansion are built only by the tests'
@@ -583,6 +587,49 @@ def test_chart_rule_catches_each_planted_definition():
     assert _chart_definitions(ast.parse(code)) == [
         "line 1: defines Coords", "line 2: defines to_vector", "line 4: defines monomials_upto",
     ]
+
+
+# A level's coordinates are read at its basis's own indices (bethe.restrict_operators): no second elimination solves
+# for them, so no module defines or names SpanCoordinates, and a basis vector's weight is read off weight_spaces,
+# so none defines or names basis_weights.  The tag coordinates are the tests' field oracle (tests/densemat.py).
+SOLVER_NAMES = ("SpanCoordinates", "basis_weights")
+
+
+def _solver_names(tree: ast.AST) -> list[str]:
+    """Every definition, import or use of SpanCoordinates or basis_weights, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in SOLVER_NAMES:
+            found.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, ast.Name) and node.id in SOLVER_NAMES:
+            found.append((node.lineno, f"{'defines' if isinstance(node.ctx, ast.Store) else 'names'} {node.id}"))
+        elif isinstance(node, ast.Attribute) and node.attr in SOLVER_NAMES:
+            found.append((node.lineno, f"names .{node.attr}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, f"imports {a.name}") for a in node.names if a.name.split(".")[-1] in SOLVER_NAMES]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_coordinate_solver(path):
+    assert _solver_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_solver_rule_catches_each_planted_violation():
+    code = (
+        "from .linalg import ExactMatrix, SpanCoordinates\n"
+        "class SpanCoordinates:\n    pass\n"
+        "span = linalg.SpanCoordinates(4, basis)\n"
+        "def basis_weights(space, leg_weights):\n    return []\n"
+        "weights = basis_weights(space, legs)\n"
+        "basis_weights = weight_spaces\n"
+    )
+    assert _solver_names(ast.parse(code)) == [
+        "line 1: imports SpanCoordinates", "line 2: defines SpanCoordinates", "line 4: names .SpanCoordinates",
+        "line 5: defines basis_weights", "line 7: names basis_weights", "line 8: defines basis_weights",
+    ]
+    # the index reading names neither
+    assert _solver_names(ast.parse("ops, index = bethe.restrict_operators(tq, basis)\n")) == []
 
 
 # The B-route to the Bethe algebra is a test oracle (tests/bethealgoracle.py), not package code, and so is

@@ -216,6 +216,23 @@ def test_zero_mode_item_names_the_generator(monkeypatch):
     assert bad["zero-mode exchange"].startswith("generator T_21^(1) against That_")
 
 
+def test_rtt_items_run_within_the_caps():
+    # every per-chain item runs on chains within the caps; coassociativity (n = 5) is gated on k alone
+    def labels(max_k, max_n):
+        return [it.label for it in run_suite("rtt", max_k=max_k, max_n=max_n)]
+
+    assert labels(0, 0) == []
+    small = labels(2, 2)
+    inside = [name for name, spec in suite_specs().items() if spec.k <= 2 and spec.n <= 2]
+    assert inside == ["E1", "E2", "E4"]
+    assert [label for label in small if label.startswith("transfer pencil commutes")] == [
+        f"transfer pencil commutes {name}" for name in inside
+    ]
+    assert "zero-mode exchange" in small and "coassociativity" not in small
+    assert "zero-mode exchange" not in labels(1, 1)
+    assert "coassociativity" in labels(3, 4)
+
+
 def test_zero_mode_computes_each_generator_once(monkeypatch):
     real = monodromy.zero_mode
     calls = []
@@ -225,7 +242,7 @@ def test_zero_mode_computes_each_generator_once(monkeypatch):
         return real(pencil, i, j)
 
     monkeypatch.setattr(monodromy, "zero_mode", counted)
-    run_suite("rtt", max_k=1, max_n=1)
+    run_suite("rtt", max_k=2, max_n=2)  # E2's caps, where the zero-mode item runs
     assert sorted(calls) == [(i, j) for i in (1, 2) for j in (1, 2)]
 
 
@@ -660,7 +677,7 @@ def _corrupted_c1(real, target):
             return fam
         c1 = fam.ops[1].copy()
         c1.put(0, 1, c1.get(0, 1) + 1)
-        return bethe.TransferFamily(fam.spec, fam.level, fam.basis, fam.coords, [fam.ops[0], c1, *fam.ops[2:]])
+        return bethe.TransferFamily(fam.spec, fam.level, fam.basis, fam.index, [fam.ops[0], c1, *fam.ops[2:]])
 
     return corrupted
 

@@ -13,7 +13,6 @@ from gl11chain.superlin import (
     EVEN,
     SuperSpace,
     adjacent_flip,
-    basis_weights,
     gl_generator,
     leg_generator,
     leg_units,
@@ -114,21 +113,31 @@ class TestWeightSpaces:
         assert sum(len(idx) for _, idx in ws) == space.dim
 
 
+def singular_basis(space, leg_weights, wt):
+    """singular_subspace of the weight space of wt, its indices read off weight_spaces."""
+    return singular_subspace(space, leg_weights, dict(weight_spaces(space, leg_weights)).get(wt, []))
+
+
+def index_weights(space, leg_weights):
+    """The weight of each basis vector, read off weight_spaces."""
+    return {idx: wt for wt, idxs in weight_spaces(space, leg_weights) for idx in idxs}
+
+
 class TestSingular:
     def test_tensor_square_middle(self):
         space = SuperSpace.tensor_power(2)
-        basis = singular_subspace(space, [W10, W10], Weight(F(1), F(1)))
+        basis = singular_basis(space, [W10, W10], Weight(F(1), F(1)))
         assert len(basis) == 1
 
     def test_highest(self):
         for n in (1, 2, 3):
             space = SuperSpace.tensor_power(n)
-            basis = singular_subspace(space, [W10] * n, Weight(F(n), F(0)))
+            basis = singular_basis(space, [W10] * n, Weight(F(n), F(0)))
             assert len(basis) == 1
 
     def test_binomial_count(self):
         space = SuperSpace.tensor_power(3)
-        basis = singular_subspace(space, [W10] * 3, Weight(F(2), F(1)))
+        basis = singular_basis(space, [W10] * 3, Weight(F(2), F(1)))
         assert len(basis) == 2
 
 
@@ -183,7 +192,7 @@ class TestOperators:
     def test_gl_generators_on_two_sites(self):
         space = SuperSpace.tensor_power(2)
         e11 = gl_generator(space, [W10, W10], 1, 1)
-        weights = basis_weights(space, [W10, W10])
+        weights = index_weights(space, [W10, W10])
         for idx in range(space.dim):
             assert e11.get(idx, idx) == weights[idx].l1
 
@@ -233,7 +242,7 @@ def leg_ids(space):
 
 
 def per_leg_basis_weights(space, leg_weights):
-    """Basis weights by the per-leg loop basis_weights ran before SuperSpace.level (oracle)."""
+    """Basis weights by the per-leg loop the package ran before SuperSpace.level (oracle)."""
     out = []
     for idx in range(space.dim):
         l1, l2 = F(0), F(0)
@@ -276,7 +285,11 @@ def kron_unit_column(n, idx, s, i, j):
 def test_level_matches_the_per_leg_weights(space):
     weights = LEG_WEIGHTS[: space.n]
     oracle = per_leg_basis_weights(space, weights)
-    assert basis_weights(space, weights) == oracle
+    # weight_spaces groups the indices by weight, highest weight (level 0) first
+    want: dict = {}
+    for idx, wt in enumerate(oracle):
+        want.setdefault(wt, []).append(idx)
+    assert weight_spaces(space, weights) == sorted(want.items(), key=lambda item: -item[0].l1)
     total = sum(wt.l1 for wt in weights)
     for idx in range(space.dim):
         assert space.level(idx) == total - oracle[idx].l1
@@ -344,9 +357,9 @@ def test_gl_generator_matches_the_kron_signed_sum(leg_weights):
 def test_diagonal_generators_act_by_the_basis_weights(leg_weights):
     # the premise of weight_spaces: the tensor basis diagonalises e_11 and e_22
     space = SuperSpace.tensor_power(len(leg_weights))
-    weights = basis_weights(space, leg_weights)
+    weights = index_weights(space, leg_weights)
     for gen, part in (((1, 1), 0), ((2, 2), 1)):
         want = ExactMatrix(space.dim, space.dim)
-        for idx, wt in enumerate(weights):
+        for idx, wt in weights.items():
             want.put(idx, idx, tuple(wt)[part])
         assert gl_generator(space, leg_weights, *gen) == want

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gl11chain import superlin, weylspace
 from gl11chain.exactnum import elementary_symmetric
-from gl11chain.linalg import ExactMatrix, SpanBasis, SpanCoordinates
+from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.chain import make_spec
 from gl11chain.monodromy import coefficient_matrices, tensor_monodromy
 from gl11chain.superlin import SuperSpace
@@ -30,7 +30,7 @@ from gl11chain.weylspace import (
     specialization_check,
 )
 from actionoracle import Coords, composed_modified_action, matrix_into, matrix_of, monomials_upto
-from densemat import column
+from densemat import FieldSpanBasis, column
 from symgroup import permutation_closure
 from tuplepoly import TupleMPoly
 
@@ -637,6 +637,38 @@ class TestCurrentModel:
         )
         assert not elimination_free_generators(3, 1, 2)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "corrupt, failure",
+        [
+            (
+                lambda n, f: {c: MPoly.var(n, 0) * p for c, p in f.items()},
+                "at z = {point} depends on the earlier generators' values",
+            ),
+            (lambda n, f: {}, "is zero"),
+        ],
+        ids=["zero-at-the-point", "zero"],
+    )
+    def test_dependent_top_singular_generator_names_its_level(self, monkeypatch, n, corrupt, failure):
+        # negative control: e12(0) on the top level n of the model is corrupted, to a vector that vanishes at
+        # a = (0, ..., n-1) or to 0; only the singular generator of level n - 1 passes through level n
+        real = weylspace.current_action
+
+        def corrupted(space, i, j, r, f):
+            out = real(space, i, j, r, f)
+            if (i, j, r) == (1, 2, 0) and f and space.level(next(iter(f))) == space.n:
+                return corrupt(space.n, out)
+            return out
+
+        monkeypatch.setattr(weylspace, "current_action", corrupted)
+        for level in range(n):
+            checks = current_model_checks(n, level, 3)
+            assert [c.label for c in checks if not c.ok] == (["singular generators"] if level == n - 1 else [])
+        word, point = tuple(range(1, n)), tuple(range(n))
+        assert checks[-1].witness == (
+            f"level {n - 1}, singular generators: the generator of {word} " + failure.format(point=point)
+        )
+
     def test_raising_lowering_scalar(self):
         # raise-lower plus lower-raise equals the site count on every vector
         n = 3
@@ -672,6 +704,19 @@ class TestGammaInteraction:
 
     def test_vacuum_generates_three_sites(self):
         assert cyclicity_by_degree(3, 3)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_top_level_miscount_names_the_level(self, monkeypatch, n):
+        # negative control: one invariant too many at the top level n alone; every level is compared
+        real = weylspace.invariant_dimensions
+        want = sum(real(n, n, 3, False))
+        monkeypatch.setattr(
+            weylspace, "invariant_dimensions",
+            lambda n_, level, d, singular_only: real(n_, level, d, singular_only) + [1] * (level == n_),
+        )
+        res = cyclicity_by_degree(n, 3)
+        assert not res.ok
+        assert res.witness == f"level {n}: spanned dimension {want}, invariant count {want + 1}"
 
 
 def _span_of(coords, vectors):
@@ -756,21 +801,35 @@ def elimination_specialization_check(points):
                     images.append((key, lv, k, tgt, img))
                     caps[tgt] = max(caps[tgt], weylspace._degree(img))
     coords = [Coords.build(n, lv, caps[lv]) for lv in range(n + 1)]
+    # coordinates by the field oracle's tags on the chart positions S where the products are independent
+    # (the echelon pivots), then checked as a combination on the whole chart
     products, labels = [], []
     for lv, level in enumerate(gens):
         prods = _products(n, [g for _, g in level], caps[lv])
-        span = SpanCoordinates(coords[lv].dim)
-        if not all(span.add(coords[lv].to_vector(f)) for _, _, f in prods):
+        vecs = [coords[lv].to_vector(f) for _, _, f in prods]
+        echelon = SpanBasis()
+        if not all(echelon.add(v) for v in vecs) or len(vecs) != sum(invariant_dimensions(n, lv, caps[lv], False)):
             return False
-        if span.count != sum(invariant_dimensions(n, lv, caps[lv], False)):
+        positions = sorted(echelon.pivots)
+        span = FieldSpanBasis(len(positions))
+        if not all(span.add_tagged([v[j] for j in positions], count) for count, v in enumerate(vecs)):
             return False
-        products.append(span)
+        products.append((span, positions, vecs))
         labels.append([(k, prod((s**m for s, m in zip(sig_vals, e)), start=F(1))) for k, e, _ in prods])
     offsets = [sum(comb(n, lv) for lv in range(top)) for top in range(n + 1)]
     qmats = {key: ExactMatrix(2**n, 2**n) for key in keys}
     for key, lv, k, tgt, img in images:
-        x = products[tgt].coordinates(coords[tgt].to_vector(img))
+        span, positions, vecs = products[tgt]
+        vec = coords[tgt].to_vector(img)
+        x = span.coordinates([vec[j] for j in positions], len(vecs))
         if x is None:
+            return False
+        rest = {j: a for j, a in enumerate(vec) if a}
+        for c, v in zip(x, vecs):
+            for j, a in enumerate(v) if c else ():
+                if a:
+                    rest[j] = rest.get(j, 0) - c * a
+        if any(rest.values()):
             return False
         for pos, c in enumerate(x):
             if c:
