@@ -17,6 +17,8 @@ independent oracle for the direct product, not a fallback: the suite compares
 the two.  Each (chain, level) has one memoised `transfer_family`: the transfer
 coefficients on the level subspace with their joint spaces at the divisors'
 eigenvalues, read by the completeness report and the Bethe algebra (bethealg).
+The levels' basis indices and the columns of the coefficients are taken
+once per chain (`level_indices`, `transfer_columns`) and shared by the levels.
 A level's basis (unit vectors, or the kernel of e_12 on the weight space) is
 in coordinate form, so a vector's coordinates are its entries at the basis's
 indices: no second elimination solves for them.
@@ -296,15 +298,17 @@ class CompletenessReport(NamedTuple):
 
 
 def restrict_operators(
-    ms: Sequence[ExactMatrix], basis: Sequence[Sequence[Fraction]]
+    columns: Sequence[dict], basis: Sequence[Sequence[Fraction]]
 ) -> tuple[list[ExactMatrix], list[int]]:
-    """Matrices of each m in ms (at least one) on the invariant span of the basis vectors, and the basis's index.
+    """Matrices of each operator on the invariant span of the basis vectors, and the basis's index.
 
-    The basis must be in coordinate form, as kernel vectors and unit vectors
-    are: vector c is 1 at index[c], its last nonzero index, and every other
-    vector is 0 there.  So a vector's coordinates are its entries at index,
-    and it lies in the span exactly when it equals that combination.  Each
-    image m v is summed from the columns of m at v's nonzero entries.
+    Each operator is given by its columns {j: {i: m_ij}}, as `m.transpose().rows`
+    reads them, and there is at least one.  The basis must be in coordinate
+    form, as kernel vectors and unit vectors are: vector c is 1 at index[c],
+    its last nonzero index, and every other vector is 0 there.  So a vector's
+    coordinates are its entries at index, and it lies in the span exactly
+    when it equals that combination.  Each image m v is summed from the
+    columns of m at v's nonzero entries.
     """
     cols = [sparse_vector(v) for v in basis]
     index = [max(col, default=-1) for col in cols]
@@ -312,12 +316,12 @@ def restrict_operators(
     if any(col.get(index[c]) != 1 or any(at.get(j, c) != c for j in col) for c, col in enumerate(cols)):
         raise ValueError("basis is not in coordinate form")
     ops = []
-    for m in ms:
-        columns, op = m.transpose().rows, ExactMatrix(len(basis), len(basis))
+    for mcols in columns:
+        op = ExactMatrix(len(basis), len(basis))
         for c, col in enumerate(cols):
             image: dict = {}
             for j, a in col.items():
-                for i, b in columns.get(j, {}).items():
+                for i, b in mcols.get(j, {}).items():
                     image[i] = image[i] + b * a if i in image else b * a
             coords = _coordinates(image, index, cols)
             if coords is None:
@@ -337,12 +341,22 @@ def _coordinates(vec: dict, index: Sequence[int], cols: Sequence[dict]) -> "list
     return None if any(rest.values()) else [vec.get(i, Fraction(0)) for i in index]
 
 
+@functools.cache
+def level_indices(spec: ModuleSpec) -> dict[int, list[int]]:
+    """Level l -> the basis indices of its weight space, grouped once per chain: shared, must not be mutated.
+
+    weight_spaces lists one entry per level, level 0 first, and every level
+    0..k of the chain's space is nonempty.
+    """
+    return dict(enumerate(idxs for _, idxs in weight_spaces(spec.space(), list(spec.weights))))
+
+
 def level_subspace(spec: ModuleSpec, level: int) -> list[list[Fraction]]:
     """Basis of the level weight space; its singular part when the twist entries are equal."""
-    space, weights = spec.space(), list(spec.weights)
-    idxs = dict(weight_spaces(space, weights)).get(level_weight(weights, level), [])
+    space = spec.space()
+    idxs = level_indices(spec).get(level, [])
     if not spec.is_twisted():
-        return singular_subspace(space, weights, idxs)
+        return singular_subspace(space, list(spec.weights), idxs)
     return [[Fraction(i == idx) for i in range(space.dim)] for idx in idxs]
 
 
@@ -394,13 +408,17 @@ class TransferFamily:
 
 
 @functools.cache
+def transfer_columns(spec: ModuleSpec) -> tuple[dict, ...]:
+    """The columns {j: {i: entry}} of That_Q's C_0..C_k (empty past its degree), taken once per chain: shared."""
+    cols = [m.transpose().rows for m in chain_transfer_coefficients(spec)]
+    return tuple(cols + [{}] * (spec.k + 1 - len(cols)))
+
+
+@functools.cache
 def transfer_family(spec: ModuleSpec, level: int) -> TransferFamily:
     """Memoised per (chain, level): the family is shared and must not be mutated."""
-    tq = chain_transfer_coefficients(spec)
-    dim = spec.space().dim
-    tq = list(tq) + [ExactMatrix(dim, dim)] * (spec.k + 1 - len(tq))
     basis = level_subspace(spec, level)
-    ops, index = restrict_operators(tq, basis)
+    ops, index = restrict_operators(transfer_columns(spec), basis)
     return TransferFamily(spec, level, basis, index, ops)
 
 

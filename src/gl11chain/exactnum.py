@@ -10,7 +10,8 @@ Representation conventions:
            numerators (a tuple of int, lowest degree first, no trailing
            zero) over one positive int denominator coprime to them.  The
            zero polynomial is ((), 1) and has degree -1.  Every operation
-           runs on the ints; `coeffs` is a read-only Fraction view.
+           runs on the ints, and a product by one returns the other factor
+           itself; `coeffs` is a read-only Fraction view.
   RatFun   quotient of two Polys kept in canonical form: denominator monic
            and coprime to the numerator.  Equality is decidable.  A RatFun
            in an auxiliary regularization variable eps is evaluated at 0 by
@@ -196,13 +197,21 @@ class Poly:
         return other._plus(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other or not self.nums:
-                return _ZERO
-            return self._scaled(other.numerator, other.denominator)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        """The product; a factor equal to one returns the other factor itself, as a Poly is immutable."""
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                if other == 1:
+                    return self
+                if not other or not self.nums:
+                    return _ZERO
+                return self._scaled(other.numerator, other.denominator)
+            if not isinstance(other, Poly):
+                return NotImplemented
         a, b = self.nums, other.nums
+        if b == (1,) and other.denom == 1:
+            return self
+        if a == (1,) and self.denom == 1:
+            return other
         if not a or not b:
             return _ZERO
         if len(a) < len(b):

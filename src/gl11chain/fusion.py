@@ -9,8 +9,10 @@ the lcm of the denominators, equality cross-multiplies, and only
 FracMatrix.inverse canonicalises entries: it eliminates fraction-free on the
 Poly rows of [num | 1] (SpanBasis over Q[x]) and divides each row by one gcd.
 A DiffOp is a finite dict {tau power: FracMatrix} under the twisted product
-tau f(x) = f(x - 1) tau.  Inverses are exact for a single-term operator and
-truncated geometric series when the tau^0 part is invertible.
+tau f(x) = f(x - 1) tau.  Inverses are exact for a single-term operator;
+when the tau^0 part c_0 is invertible, the inverse up to tau^hi is solved
+coefficient by coefficient from D U = 1, u_r = -c_0^-1 sum_{p=1..r} c_p
+u_(r-p)(x - p), with O(hi^2) products and none by an identity c_0.
 
 The Manin-matrix entries of the generating operator are K_ij = q_j T_ji(x) tau,
 so that the Berezinian K_11 (K_22 - K_21 K_11^{-1} K_12)^{-1} collapses to a
@@ -343,22 +345,30 @@ class DiffOp:
         return DiffOp(self.dim, {-p: a.inverse().shift(-p)})
 
     def inverse_series(self, hi: int) -> "DiffOp":
-        """Inverse up to tau^hi of c0 + (positive tau powers), c0 invertible."""
+        """Inverse up to tau^hi of c_0 + (positive tau powers), c_0 invertible, by its coefficient recurrence.
+
+        Under the twisted product the tau^r coefficient of D U = 1 is
+        sum_{p<=r} c_p u_(r-p)(x - p), so u_0 = c_0^-1 and
+        u_r = -c_0^-1 sum_{p=1..r} c_p u_(r-p)(x - p): O(hi^2) products.
+        The truncated inverse is unique, so it is the Neumann series'.  An
+        identity c_0 is neither inverted nor multiplied by.
+        """
         if any(p < 0 for p in self.coeffs):
             raise ValueError("inverse_series expects nonnegative powers")
         if 0 not in self.coeffs:
             raise ValueError("non-invertible constant term")
-        c0inv = DiffOp(self.dim, {0: self.coeffs[0].inverse()})
-        rest = DiffOp(self.dim, {p: c for p, c in self.coeffs.items() if p > 0})
-        nil = c0inv.mul(rest, hi=hi)
-        out = DiffOp.one(self.dim)
-        power = DiffOp.one(self.dim)
-        for _ in range(hi):
-            power = nil.mul(power, hi=hi).scale(Fraction(-1))
-            if not power.coeffs:
-                break
-            out = out + power
-        return out.mul(c0inv, hi=hi)
+        c0 = self.coeffs[0]
+        unit = c0.num.is_scalar() and c0.num.get(0, 0) == c0.den
+        lead = None if unit else -c0.inverse()  # -c_0^-1
+        out = {0: FracMatrix.identity(self.dim) if unit else -lead}
+        for r in range(1, hi + 1):
+            terms = [c @ out[r - p].shift(p) for p, c in self.coeffs.items() if 0 < p <= r and r - p in out]
+            if not terms:
+                continue
+            total = functools.reduce(FracMatrix.__add__, terms)
+            if not total.is_zero():
+                out[r] = -total if lead is None else lead @ total
+        return DiffOp(self.dim, out)
 
     def first_difference(self, other: "DiffOp") -> "tuple[int, int, int] | None":
         """(tau power, i, j) of the first differing coefficient entry, or None."""

@@ -2,10 +2,15 @@
 
 ExactMatrix stores a dict-of-rows {row: {col: entry}} and never stores zero
 entries.  Entries are duck-typed: Fraction for numeric operators, Poly for
-operator-valued pencils.  Row reduction, kernels, inverses, determinants and
-spans all run through SpanBasis, one sparse fraction-free elimination over a
-gcd domain: primitive integer rows for rational input, primitive Q[x] rows
-for Poly input (FracMatrix.inverse).  It touches only nonzero entries.
+operator-valued pencils.  Sums, negations, scalings and products are built
+row by row, with no call per entry.  Every entry type (int, Fraction, Poly,
+weylspace's MPoly) is a domain, so the product of two stored entries, or of
+one and a nonzero scalar, is never zero: @ filters zeros only in a row where
+two terms met at one column, and + only where two entries met.  Row
+reduction, kernels, inverses, determinants and spans all run through
+SpanBasis, one sparse fraction-free elimination over a gcd domain: primitive
+integer rows for rational input, primitive Q[x] rows for Poly input
+(FracMatrix.inverse).  It touches only nonzero entries.
 A kernel basis is in coordinate form, so coordinates in it are read at its
 free columns (bethe.restrict_operators), not solved for.
 
@@ -107,16 +112,28 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
-        out = self.copy()
-        for i, j, v in other.entries():
-            out.add_to(i, j, v)
-        return out
+        rows = {i: dict(r) for i, r in self.rows.items()}
+        for i, orow in other.rows.items():
+            row = rows.get(i)
+            if row is None:
+                rows[i] = dict(orow)
+                continue
+            for j, v in orow.items():
+                if j in row:
+                    v = row[j] + v
+                    if not v:
+                        del row[j]
+                        continue
+                row[j] = v
+            if not row:
+                del rows[i]
+        return ExactMatrix(self.nrows, self.ncols, rows)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
 
     def __neg__(self) -> "ExactMatrix":
-        return self.map_entries(lambda v: -v)
+        return ExactMatrix(self.nrows, self.ncols, {i: {j: -v for j, v in r.items()} for i, r in self.rows.items()})
 
     def __mul__(self, c) -> "ExactMatrix":
         if isinstance(c, ExactMatrix):
@@ -125,7 +142,9 @@ class ExactMatrix:
             c = Fraction(c)
         if not c:
             return ExactMatrix(self.nrows, self.ncols)
-        return self.map_entries(lambda v: v * c)
+        if c == 1:
+            return self.copy()
+        return ExactMatrix(self.nrows, self.ncols, {i: {j: v * c for j, v in r.items()} for i, r in self.rows.items()})
 
     __rmul__ = __mul__
 
@@ -136,17 +155,19 @@ class ExactMatrix:
         orows = other.rows
         for i, row in self.rows.items():
             acc: dict[int, object] = {}
+            met = False  # two terms met at one column, so the row may hold a zero sum
             for k, a in row.items():
                 brow = orows.get(k)
                 if not brow:
                     continue
                 for j, b in brow.items():
-                    p = a * b
                     if j in acc:
-                        acc[j] = acc[j] + p
+                        acc[j] += a * b
+                        met = True
                     else:
-                        acc[j] = p
-            acc = {j: v for j, v in acc.items() if v}
+                        acc[j] = a * b
+            if met:
+                acc = {j: v for j, v in acc.items() if v}
             if acc:
                 out.rows[i] = acc
         return out
@@ -160,10 +181,13 @@ class ExactMatrix:
         return out
 
     def map_entries(self, fn: Callable) -> "ExactMatrix":
-        out = ExactMatrix(self.nrows, self.ncols)
-        for i, j, v in self.entries():
-            out.put(i, j, fn(v))
-        return out
+        """The matrix of fn(v) over the stored entries v; the zero values are not stored."""
+        rows = {}
+        for i, r in self.rows.items():
+            row = {j: w for j, v in r.items() if (w := fn(v))}
+            if row:
+                rows[i] = row
+        return ExactMatrix(self.nrows, self.ncols, rows)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ExactMatrix":
         rpos = {r: i for i, r in enumerate(rows)}

@@ -59,7 +59,7 @@ def b_operators(spec: ModuleSpec, level: int) -> list:
     strings = string_points(reduce_lambda2(spec)[0])
     n = len(strings)
     bmats = laurent_coefficients(chain_transfer_pencil(spec), Poly.from_roots(strings), _denominator(spec, n), n)
-    ops, _ = restrict_operators(bmats[1:], level_subspace(spec, level))
+    ops, _ = restrict_operators([m.transpose().rows for m in bmats[1:]], level_subspace(spec, level))
     return ops
 
 

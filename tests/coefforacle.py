@@ -17,6 +17,10 @@ series of a proper rational function), `laurent_coefficients` (a matrix of
 polynomials times one scalar series) and `t_coefficient` (T_ij^(r) of a
 pencil).  The package reads contravariance and the zero modes off the
 pencil's own x-coefficients, since its normalizer is monic.
+
+`neumann_inverse_series` is the truncated geometric series that
+`fusion.DiffOp.inverse_series` summed before it solved the coefficient
+recurrence: the powers of c_0^-1 times the positive tau part, by `DiffOp.mul`.
 """
 
 from fractions import Fraction as F
@@ -174,6 +178,25 @@ def iota_contract(pencil, gram, k) -> Check:
             if lhs != rhs:
                 return Check(False, witness=f"first failing (i, j, r) {(i, j, r)}")
     return Check(True)
+
+
+def neumann_inverse_series(d, hi: int):
+    """Inverse up to tau^hi of c0 + (positive tau powers), c0 invertible, as a truncated geometric series."""
+    if any(p < 0 for p in d.coeffs):
+        raise ValueError("inverse_series expects nonnegative powers")
+    if 0 not in d.coeffs:
+        raise ValueError("non-invertible constant term")
+    c0inv = fusion.DiffOp(d.dim, {0: d.coeffs[0].inverse()})
+    rest = fusion.DiffOp(d.dim, {p: c for p, c in d.coeffs.items() if p > 0})
+    nil = c0inv.mul(rest, hi=hi)
+    out = fusion.DiffOp.one(d.dim)
+    power = fusion.DiffOp.one(d.dim)
+    for _ in range(hi):
+        power = nil.mul(power, hi=hi).scale(F(-1))
+        if not power.coeffs:
+            break
+        out = out + power
+    return out.mul(c0inv, hi=hi)
 
 
 @st.composite

@@ -1,6 +1,9 @@
-"""Test helpers: dense views of ExactMatrix, and the field elimination oracle.
+"""Test helpers: dense views of ExactMatrix, the entry-wise arithmetic and the field elimination oracle.
 
 Dense views are nested lists in and out, columns and integer powers.  The
+entry-wise sum, negation, scaling, product and entry map are ExactMatrix's
+as they were before it went row by row: one put or add_to per entry, each
+dropping a zero, and a product that filters every row.  The
 oracle is SpanBasis as it was before it went fraction-free: reduced echelon
 rows over any field, RatFun included, the inverse it gives and, with tagged
 rows, coordinates in a family of vectors.
@@ -44,6 +47,45 @@ def matrix_power(m: ExactMatrix, n: int) -> ExactMatrix:
     return out
 
 
+def entrywise_map(m: ExactMatrix, fn) -> ExactMatrix:
+    out = ExactMatrix(m.nrows, m.ncols)
+    for i, j, v in m.entries():
+        out.put(i, j, fn(v))
+    return out
+
+
+def entrywise_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    out = a.copy()
+    for i, j, v in b.entries():
+        out.add_to(i, j, v)
+    return out
+
+
+def entrywise_neg(m: ExactMatrix) -> ExactMatrix:
+    return entrywise_map(m, lambda v: -v)
+
+
+def entrywise_scale(m: ExactMatrix, c) -> ExactMatrix:
+    if isinstance(c, int):
+        c = Fraction(c)
+    if not c:
+        return ExactMatrix(m.nrows, m.ncols)
+    return entrywise_map(m, lambda v: v * c)
+
+
+def entrywise_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    out = ExactMatrix(a.nrows, b.ncols)
+    for i, row in a.rows.items():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b.rows.get(k, {}).items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out.rows[i] = acc
+    return out
+
+
 class FieldSpanBasis:
     """SpanBasis on field entries, as it was before it went fraction-free (oracle).
 
@@ -58,6 +100,8 @@ class FieldSpanBasis:
         self._row_at = {}
 
     def _reduced(self, v):
+        """v reduced against the rows; int entries enter as Fractions, so no division leaves the field."""
+        v = {j: Fraction(a) if isinstance(a, int) else a for j, a in v.items()}
         for p in [j for j in v if j in self._row_at]:
             field_eliminate(v, self._row_at[p], p)
         return v
@@ -84,19 +128,19 @@ class FieldSpanBasis:
         return [v.get(j, Fraction(0)) for j in range(len(vec))]
 
     def add_tagged(self, vec, count):
-        """Insert the sequence vec, as Fractions, tagged with 1 in column length + count; True when it is independent.
+        """Insert the sequence vec tagged with 1 in column length + count; True when it is independent.
 
         The count-th tagged vector carries in its tags the combination of
         tagged vectors it equals, as field_inverse tags [A | 1]; a dependent
         one is not stored and keeps coordinate 0.
         """
-        row = {j: Fraction(a) for j, a in enumerate(vec) if a}
-        row[self.length + count] = Fraction(1)
+        row = {j: a for j, a in enumerate(vec) if a}
+        row[self.length + count] = 1
         return self._insert(row, self.length) is not None
 
     def coordinates(self, vec, count):
         """x with sum_c x[c] * (c-th tagged vector) == vec, minus the tags of vec reduced; None outside the span."""
-        v = self._reduced({j: Fraction(a) for j, a in enumerate(vec) if a})
+        v = self._reduced({j: a for j, a in enumerate(vec) if a})
         if any(j < self.length for j in v):
             return None
         out = [Fraction(0)] * count

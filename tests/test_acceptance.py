@@ -104,7 +104,7 @@ def test_criterion_02_transfer_eigenvalues():
         cp = char_pair(spec)
         for level in range(cp.gamma.degree + 1):
             basis = level_subspace(spec, level)
-            ops, _ = restrict_operators(tq, basis)
+            ops, _ = restrict_operators([m.transpose().rows for m in tq], basis)
             for dv in cp.divisors[level]:
                 ev = eigenvalue_pencil(dv, spec)
                 (eig, _), = joint_generalized_eigenspaces(

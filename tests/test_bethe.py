@@ -206,7 +206,7 @@ class TestOnShell:
             cp = char_pair(spec)
             for level in range(cp.gamma.degree + 1):
                 basis = level_subspace(spec, level)
-                ops, _ = restrict_operators(tq, basis)
+                ops, _ = restrict_operators([m.transpose().rows for m in tq], basis)
                 for dv in cp.divisors[level]:
                     ev = eigenvalue_pencil(dv, spec)
                     chars = [[ev.coeff(d) for d in range(spec.k + 1)]]
@@ -323,7 +323,7 @@ class TestRestriction:
         for level in range(spec.k + 1):
             fam = transfer_family(spec, level)
             basis = level_subspace(spec, level)
-            ops, index = restrict_operators(tq, basis)
+            ops, index = restrict_operators([m.transpose().rows for m in tq], basis)
             assert (fam.basis, fam.index, fam.ops) == (basis, index, ops)
             tagged = FieldSpanBasis(dim)
             assert all(tagged.add_tagged(v, c) for c, v in enumerate(basis))
@@ -349,11 +349,11 @@ class TestRestriction:
     def test_basis_not_in_coordinate_form_raises(self, basis):
         # each basis lies in E4's level 1, the span of the unit vectors at 1 and 2
         with pytest.raises(ValueError, match="basis is not in coordinate form"):
-            restrict_operators(padded_coefficients(E4), basis)
+            restrict_operators([m.transpose().rows for m in padded_coefficients(E4)], basis)
 
     def test_non_invariant_span_raises(self):
         # the unit vector at 1 alone spans a part of E4's two-dimensional level 1 that some C_d does not keep
         tq = padded_coefficients(E4)
         assert any(m.get(2, 1) for m in tq)
         with pytest.raises(ValueError, match="subspace is not invariant under the operator"):
-            restrict_operators(tq, [[F(0), F(1), F(0), F(0)]])
+            restrict_operators([m.transpose().rows for m in tq], [[F(0), F(1), F(0), F(0)]])

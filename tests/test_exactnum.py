@@ -54,6 +54,16 @@ class TestPoly:
     def test_mul_commutes(self, p, q):
         assert p * q == q * p
 
+    @given(small_polys.filter(lambda p: p != 1))
+    def test_product_by_one_returns_the_other_factor(self, p):
+        # a Poly is immutable, so the factor itself is the product
+        one = Poly((1,))
+        assert all(got is p for got in (p * 1, 1 * p, p * one, one * p, F(1) * p, p * F(1)))
+        assert p * -1 == -p and p * Poly((2,)) == p * F(2) == p + p
+        # a constant with numerator 1 is one only over denominator 1
+        half = Poly((F(1, 2),))
+        assert p * half == half * p == p / 2
+
     @given(small_polys, small_polys, small_polys)
     def test_distributive(self, p, q, r):
         assert p * (q + r) == p * q + p * r

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gl11chain.exactnum import Poly, RatFun, scalar
@@ -12,7 +12,7 @@ from gl11chain.monodromy import tensor_monodromy
 from gl11chain.superlin import E_PARITY, EVEN, SuperSpace
 from gl11chain import fusion
 from gl11chain.bethe import char_pair
-from gl11chain.suites import run_suite
+from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import (
     BerezinianValue,
     DiffOp,
@@ -37,6 +37,7 @@ from gl11chain.fusion import (
     universal_oper_check,
 )
 from conftest import clear_builder_caches
+from coefforacle import neumann_inverse_series
 from densemat import column, field_inverse, from_dense, from_ratfun, ratfun_inverse
 from legspace import STANDARD, LegSpace, e_matrix, kron_signed
 from symgroup import group_average_symmetrizers
@@ -531,6 +532,73 @@ class TestDiffOp:
         assert d.mul(inv, hi=3) == DiffOp.one(dim)
         # geometric coefficients x(x-1)...(x-m+1)
         assert ratfuns(inv.frac_coeff(2)).get(0, 0) == rat(Poly((0, 1)) * Poly((-1, 1)))
+
+
+def _square(draw, dim: int) -> FracMatrix:
+    """A dim x dim num / den with entries from _entries, some of them empty."""
+    num = ExactMatrix(dim, dim)
+    for i in range(dim):
+        for j in range(dim):
+            if draw(st.booleans()):
+                num.put(i, j, draw(_entries))
+    return FracMatrix(num, draw(_dens))
+
+
+@st.composite
+def series_operators(draw):
+    """c_0 + (a tail of one to three positive tau powers), c_0 the identity (over 1 or over a
+    denominator), a nonzero scalar or a general invertible matrix; and an order hi in 0..6."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["identity", "identity over a denominator", "scalar", "general"]))
+    if kind == "identity":
+        c0 = FracMatrix.identity(dim)
+    elif kind == "identity over a denominator":
+        den = draw(_dens)
+        c0 = FracMatrix(ExactMatrix.identity(dim, den), den)
+    elif kind == "scalar":
+        c0 = FracMatrix.identity(dim).scale(draw(_ratfuns.filter(bool)))
+    else:
+        c0 = _square(draw, dim)
+        try:
+            c0.inverse()
+        except ZeroDivisionError:
+            assume(False)
+    powers = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    return DiffOp(dim, {0: c0, **{p: _square(draw, dim) for p in powers}}), draw(st.integers(0, 6))
+
+
+class TestInverseSeries:
+    """The coefficient recurrence of DiffOp.inverse_series against the truncated geometric series it replaced."""
+
+    @given(series_operators())
+    @settings(max_examples=80)
+    def test_matches_the_neumann_series(self, case):
+        d, hi = case
+        inv = d.inverse_series(hi)
+        assert inv == neumann_inverse_series(d, hi)
+        assert d.mul(inv, hi=hi) == DiffOp.one(d.dim) == inv.mul(d, hi=hi)
+
+    @pytest.mark.parametrize("name", ["E1", "E2", "E4", "E6"])
+    def test_suite_chains_match_the_neumann_series(self, monkeypatch, name):
+        # each fusion-suite chain's generating operator at its suite order, max(n + 2, 3)
+        spec = suite_specs()[name]
+        order = max(int(spec.n) + 2, 3)
+        oper = _generating_oper.__wrapped__(spec, order)
+        assert oper.inverse_series(order) == neumann_inverse_series(oper, order)
+        # the operator's construction inverts two series itself
+        monkeypatch.setattr(DiffOp, "inverse_series", neumann_inverse_series)
+        assert _generating_oper.__wrapped__(spec, order) == oper
+
+    def test_identity_constant_term_is_neither_inverted_nor_multiplied(self, monkeypatch):
+        x = Poly((0, 1))
+        d = DiffOp.one(2) - DiffOp.scalar_term(2, 1, rat(x))
+        calls = []
+        real_inverse, real_matmul = FracMatrix.inverse, FracMatrix.__matmul__
+        monkeypatch.setattr(FracMatrix, "inverse", lambda self: calls.append("inverse") or real_inverse(self))
+        monkeypatch.setattr(FracMatrix, "__matmul__", lambda self, o: calls.append("@") or real_matmul(self, o))
+        d.inverse_series(3)
+        # one product c_1 u_(r-1)(x - 1) per order r, none by c_0^-1
+        assert calls == ["@"] * 3
 
 
 class TestGeneratingOper:

@@ -12,7 +12,18 @@ from hypothesis import strategies as st
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.fusion import FracMatrix
 from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
-from densemat import FieldSpanBasis, field_inverse, from_dense, matrix_power, to_dense
+from densemat import (
+    FieldSpanBasis,
+    entrywise_add,
+    entrywise_map,
+    entrywise_matmul,
+    entrywise_neg,
+    entrywise_scale,
+    field_inverse,
+    from_dense,
+    matrix_power,
+    to_dense,
+)
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 
@@ -122,6 +133,94 @@ class TestExactMatrix:
         e = Unsummable()
         m.add_to(1, 0, e)
         assert m.get(1, 0) is e
+
+
+ENTRIES = {
+    "int": st.integers(-2, 2),
+    "Fraction": st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2, 3])),
+    "Poly": st.builds(Poly, st.lists(st.integers(-1, 1), max_size=3)),
+}
+
+
+@st.composite
+def row_by_row_cases(draw):
+    """(a, b, c, s): a and b of one shape, c with as many rows as a has columns, all of one entry kind, and a scalar s.
+
+    Entries are small, so sums and products cancel; b is fresh, -a, or -a with some entries
+    replaced; rows may be empty and shapes 0.
+    """
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        rows = {}
+        for i in range(nrows):
+            row = {j: v for j in range(ncols) if (v := draw(entry))}
+            if row:
+                rows[i] = row
+        return ExactMatrix(nrows, ncols, rows)
+
+    a = matrix(n, k)
+    b = draw(st.sampled_from(["fresh", "negated", "partly negated"]))
+    if b == "fresh":
+        b = matrix(n, k)
+    else:
+        b = entrywise_neg(a)
+        if b == "partly negated":
+            b = entrywise_add(b, matrix(n, k))
+    s = draw(st.sampled_from([1, -1, 0, 2, F(1), F(-1, 2), Poly((1,)), Poly((0, 1))]))
+    return a, b, matrix(k, m), s
+
+
+def stores_no_zero(m: ExactMatrix) -> bool:
+    return all(m.rows.values()) and all(v for _, _, v in m.entries())
+
+
+class TestRowByRowArithmetic:
+    """Sums, negations, scalings, products and entry maps built row by row against the entry-wise oracle."""
+
+    @given(row_by_row_cases())
+    @settings(max_examples=300)
+    def test_against_entrywise(self, case):
+        a, b, c, s = case
+        first = next((v for _, _, v in a.entries()), None)
+
+        def fn(v):
+            """Zero at the first stored entry's value, so the map has zeros to drop."""
+            return v - v if v == first else v * 2
+
+        pairs = [
+            (a + b, entrywise_add(a, b)),
+            (a - b, entrywise_add(a, entrywise_neg(b))),
+            (-a, entrywise_neg(a)),
+            (a * s, entrywise_scale(a, s)),
+            (s * a, entrywise_scale(a, s)),
+            (a @ c, entrywise_matmul(a, c)),
+            (a.map_entries(fn), entrywise_map(a, fn)),
+        ]
+        for got, want in pairs:
+            assert got == want
+            assert stores_no_zero(got)
+
+    @given(row_by_row_cases())
+    @settings(max_examples=50)
+    def test_scaling_by_one_copies(self, case):
+        a = case[0]
+        before = a.copy()
+        for one in (1, F(1), Poly((1,))):
+            scaled = a * one
+            assert scaled == a and scaled.rows is not a.rows
+            for row in scaled.rows.values():
+                row[0] = 7
+            assert a == before
+        assert a * -1 == -a
+
+    def test_cancelling_sum_and_product_leave_no_row(self):
+        a = dense([[1, 2], [0, 3]])
+        assert (a + -a).rows == {} and (a - a).rows == {}
+        # row 0 of the product meets 1 * 1 and 1 * -1 at column 0; row 1 holds no meeting
+        b = dense([[1, 5], [-1, 0]])
+        assert (dense([[1, 1], [0, 2]]) @ b).rows == {0: {1: F(5)}, 1: {0: F(-2)}}
 
 
 class DenseEchelon:
@@ -581,6 +680,14 @@ class TestIntegerRowsAgainstFieldOracle:
                 if span.contains(w):
                     assert [sum(w[p] * row.get(j, 0) for p, row in zip(span.pivots, span.rows))
                             for j in range(length)] == w
+
+    def test_oracle_reduces_int_vectors_exactly(self):
+        # int entries enter the field oracle as Fractions, so a pivot 3 divides exactly
+        oracle = FieldSpanBasis(3)
+        assert oracle._insert({0: 3, 1: 1}) == 3
+        reduced = oracle.reduce([1, 0, 1])
+        assert reduced == [0, F(-1, 3), 1]
+        assert all(type(a) is F for a in reduced + [a for row in oracle.rows for a in row.values()])
 
     @given(mixed_matrices())
     @settings(max_examples=150, deadline=None)

@@ -54,6 +54,9 @@ Commutation has one decider: only linalg.py defines the Kronecker codec
 defines or calls `commutes_with`; and the RTT sign table, the sigma and sgn
 expressions of the exchange relations, is written only in
 `monodromy.exchange_signs`.
+The inverse tau-series has one route in the package, its coefficient
+recurrence: no `inverse_series` calls `.mul(`, so the Neumann powers are
+the tests' oracle, tests/coefforacle.py.
 The process policy has one home: only cli.py imports `gc` or `atexit`, and
 the one use of the collector is the `gc.freeze` that `main` hands to
 `atexit`, so no library module freezes, disables or forces a collection.
@@ -842,3 +845,40 @@ def test_collector_rule_catches_each_planted_violation():
         "line 1: imports gc", "line 2: imports from atexit", "line 5: names gc.disable", "line 6: names gc.freeze",
         "line 7: names gc.collect", "line 8: imports atexit",
     ]
+
+
+# The inverse tau-series is solved by its coefficient recurrence: no inverse_series in the package multiplies whole
+# operators with DiffOp.mul, so the Neumann powers live only in the tests' oracle (tests/coefforacle.py).
+def _series_products(tree: ast.AST) -> list[str]:
+    """Every .mul( call inside a function named inverse_series, in line order."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "inverse_series":
+            found |= {
+                node.lineno for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "mul"
+            }
+    return [f"line {line}: inverse_series calls .mul(" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_inverse_series_multiplies_no_operators(path):
+    assert _series_products(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_series_rule_catches_each_planted_product():
+    code = (
+        "class DiffOp:\n"
+        "    def inverse_series(self, hi):\n"
+        "        nil = c0inv.mul(rest, hi=hi)\n"
+        "        return out.mul(c0inv, hi=hi)\n"
+        "    def mul(self, other, hi=None):\n"
+        "        return self.mul(other)\n"
+        "def inverse_series(d, hi):\n"
+        "    return [power.mul(nil) for _ in range(hi)]\n"
+    )
+    assert _series_products(ast.parse(code)) == [
+        "line 3: inverse_series calls .mul(", "line 4: inverse_series calls .mul(", "line 8: inverse_series calls .mul(",
+    ]
+    # the recurrence's products are FracMatrix @, not DiffOp.mul
+    assert _series_products(ast.parse("def inverse_series(self, hi):\n    return c @ u.shift(p)\n")) == []

@@ -8,9 +8,9 @@ import pytest
 from gl11chain import bethe, bethealg, cli, exactnum, fusion, monodromy, shapoform, suites, superlin, weylspace
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import FracMatrix, berezinian, higher_transfer
-from gl11chain.chain import cyclicity_and_irreducibility
+from gl11chain.chain import ModuleSpec, cyclicity_and_irreducibility
 from gl11chain.monodromy import Check, tensor_monodromy
-from gl11chain.bethe import char_pair
+from gl11chain.bethe import char_pair, completeness_report
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.shapoform import form_matrix
@@ -533,6 +533,8 @@ def test_memoised_builders_found():
         "gl11chain.bethe.char_pair",
         "gl11chain.bethe._bethe_vector",
         "gl11chain.bethe.transfer_family",
+        "gl11chain.bethe.transfer_columns",
+        "gl11chain.bethe.level_indices",
         "gl11chain.bethealg.algebra",
         "gl11chain.bethealg.radical",
         "gl11chain.shapoform.form_matrix",
@@ -761,6 +763,58 @@ def test_suite_matrix_products(monkeypatch, name, products):
     monkeypatch.setattr(ExactMatrix, "__matmul__", lambda self, other: calls.append(1) or matmul(self, other))
     assert all(run_suite(name))
     assert len(calls) == products
+
+
+def _count_fraction_products(monkeypatch) -> dict:
+    """Count FracMatrix products and inverses from here on."""
+    counts = {"@": 0, "inverse": 0}
+    real_matmul, real_inverse = FracMatrix.__matmul__, FracMatrix.inverse
+
+    def matmul(self, other):
+        counts["@"] += 1
+        return real_matmul(self, other)
+
+    def inverse(self):
+        counts["inverse"] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(FracMatrix, "__matmul__", matmul)
+    monkeypatch.setattr(FracMatrix, "inverse", inverse)
+    return counts
+
+
+def test_fusion_suite_fraction_products(monkeypatch):
+    # from empty caches: the inverse tau-series by its coefficient recurrence, an identity tau^0 term
+    # neither inverted nor multiplied by (576 products and 52 inverses by the Neumann series)
+    clear_builder_caches()
+    counts = _count_fraction_products(monkeypatch)
+    assert all(run_suite("fusion"))
+    assert counts["@"] <= 419 and counts["inverse"] <= 36
+
+
+def test_spectrum_fraction_products_on_k3(monkeypatch):
+    # the k3 fixture's spectrum phases: 70 products and 7 inverses by the Neumann series
+    clear_builder_caches()
+    spec = ModuleSpec.from_json((Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "k3.json").read_text())
+    counts = _count_fraction_products(monkeypatch)
+    assert completeness_report(spec).all_ok() and berezinian(spec)
+    assert all(c.ok for per_m in fusion.transfer_relation_check(spec, 3) for c in per_m)
+    assert counts["@"] <= 49 and counts["inverse"] <= 4
+
+
+def test_level_data_built_once_per_chain(monkeypatch):
+    # over every level of k5, each coefficient C_d is transposed once and the weight spaces are grouped once
+    clear_builder_caches()
+    spec = ModuleSpec.from_json(K5)
+    coefficients = monodromy.chain_transfer_coefficients(spec)
+    transposed, grouped = [], []
+    real_transpose, real_group = ExactMatrix.transpose, bethe.weight_spaces
+    monkeypatch.setattr(ExactMatrix, "transpose", lambda self: transposed.append(id(self)) or real_transpose(self))
+    monkeypatch.setattr(bethe, "weight_spaces", lambda *args: grouped.append(args) or real_group(*args))
+    families = [bethe.transfer_family(spec, level) for level in range(spec.k + 1)]
+    assert sum(fam.dim for fam in families) > 0
+    assert [transposed.count(id(m)) for m in coefficients] == [1] * len(coefficients)
+    assert len(transposed) == len(coefficients) and len(grouped) == 1
 
 
 def test_bethe_and_algebra_suites_share_one_family_per_level(monkeypatch):
