@@ -19,9 +19,10 @@ coefficients on the level subspace with their joint spaces at the divisors'
 eigenvalues, read by the completeness report and the Bethe algebra (bethealg).
 The levels' basis indices and the columns of the coefficients are taken
 once per chain (`level_indices`, `transfer_columns`) and shared by the levels.
-A level's basis (unit vectors, or the kernel of e_12 on the weight space) is
-in coordinate form, so a vector's coordinates are its entries at the basis's
-indices: no second elimination solves for them.
+A vector is a sparse {basis index: nonzero entry} dict, the Bethe vector
+included.  A level's basis (unit vectors, or the kernel of e_12 on the
+weight space) is in coordinate form, so a vector's coordinates are its
+entries at the basis's indices: no second elimination solves for them.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ from .exactnum import (
     roots_with_multiplicity,
     scalar,
 )
-from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces, sparse_vector
+from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from .chain import ModuleSpec, Weight, cyclicity_and_irreducibility, phi_psi
 from .monodromy import Check, chain_transfer_coefficients, chain_transfer_pencil, tensor_monodromy
 from .superlin import level_weight, singular_subspace, weight_spaces
+
+_ZERO = Fraction(0)
 
 
 class CharPair:
@@ -146,43 +149,35 @@ def _pair_factors_ok(order: Sequence[Fraction]) -> bool:
     )
 
 
-def _vacuum(dim: int) -> list[Fraction]:
-    v = [Fraction(0)] * dim
-    v[0] = Fraction(1)
-    return v
+def bethe_vector(spec: ModuleSpec, roots: Sequence) -> dict:
+    """Normalized Bhat at the given root configuration, from the vacuum {0: 1}.
 
-
-def bethe_vector(spec: ModuleSpec, roots: Sequence) -> tuple[Fraction, ...]:
-    """Normalized Bethe vector Bhat at the given root configuration.
-
-    Memoised per (chain, roots in the given order): the tuple is shared.
+    Memoised per (chain, roots in the given order): the dict is shared and must not be mutated.
     """
     return _bethe_vector(spec, tuple(scalar(v) for v in roots))
 
 
 @functools.cache
-def _bethe_vector(spec: ModuleSpec, t: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _bethe_vector(spec: ModuleSpec, t: tuple[Fraction, ...]) -> dict:
     if len(t) > spec.k:
         raise ValueError("level exceeds the number of chain sites")
     order = t if _pair_factors_ok(t) else sorted(t)
-    pencil = tensor_monodromy(spec)
-    t12 = pencil.entry(1, 2)
-    vec = _vacuum(pencil.dim)
+    t12 = tensor_monodromy(spec).entry(1, 2)
+    vec = {0: Fraction(1)}
     for ti in reversed(order):
         vec = t12.map_entries(lambda p: p(ti)).apply(vec)
     pref = Fraction(1)
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
             pref /= order[j] - order[i] + 1
-    return tuple(v * pref for v in vec)
+    return {j: v * pref for j, v in vec.items()}
 
 
-def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> tuple[Fraction, ...]:
+def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> dict:
     """Bhat via the regularization extension t_i -> t_i + i*eps at eps -> 0."""
     t = [scalar(v) for v in roots]
-    pencil = tensor_monodromy(spec)
-    t12 = pencil.entry(1, 2)
-    vec: list = _vacuum(pencil.dim)
+    t12 = tensor_monodromy(spec).entry(1, 2)
+    vec = {0: Fraction(1)}
     # perturbation directions c_i = i, distinct integers for reproducibility
     for i in reversed(range(len(t))):
         pt = Poly((t[i], i + 1))
@@ -192,7 +187,7 @@ def bethe_vector_eps(spec: ModuleSpec, roots: Sequence) -> tuple[Fraction, ...]:
         for j in range(i + 1, len(t)):
             pref = pref / RatFun(Poly((t[j] - t[i] + 1, j - i)))
     try:
-        return tuple(eps_limit(pref * comp) for comp in vec)
+        return {j: x for j, comp in vec.items() if (x := eps_limit(pref * comp))}
     except NonRemovableSingularity as exc:
         raise ValueError("Bethe vector undefined at this configuration") from exc
 
@@ -211,10 +206,11 @@ def verify_on_shell(spec: ModuleSpec, y: Union[Divisor, Sequence]) -> Check:
     roots = y.root_list() if isinstance(y, Divisor) else tuple(scalar(v) for v in y)
     ypoly = y.poly if isinstance(y, Divisor) else Poly.from_roots(roots)
     vec = bethe_vector(spec, roots)
+    lhs = chain_transfer_pencil(spec).apply(vec)
     rhs = ypoly.shift(1) * char_pair(spec).gamma
-    # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side
-    diffs = [ypoly * a - rhs * v for a, v in zip(chain_transfer_pencil(spec).apply(vec), vec)]
-    bad = [(min(d for d, c in enumerate(p.nums) if c), comp) for comp, p in enumerate(diffs) if p]
+    # component polynomials of y(x) That_Q(x) Bhat minus the right-hand side, a missing entry read as 0
+    diffs = {c: ypoly * lhs.get(c, _ZERO) - rhs * vec.get(c, _ZERO) for c in lhs.keys() | vec.keys()}
+    bad = [(min(d for d, x in enumerate(p.nums) if x), c) for c, p in diffs.items() if p]
     return Check(not bad, witness=str(min(bad)) if bad else "")
 
 
@@ -297,9 +293,7 @@ class CompletenessReport(NamedTuple):
         return self.split and all(lv.complete for lv in self.levels)
 
 
-def restrict_operators(
-    columns: Sequence[dict], basis: Sequence[Sequence[Fraction]]
-) -> tuple[list[ExactMatrix], list[int]]:
+def restrict_operators(columns: Sequence[dict], basis: Sequence[dict]) -> tuple[list[ExactMatrix], list[int]]:
     """Matrices of each operator on the invariant span of the basis vectors, and the basis's index.
 
     Each operator is given by its columns {j: {i: m_ij}}, as `m.transpose().rows`
@@ -310,35 +304,34 @@ def restrict_operators(
     when it equals that combination.  Each image m v is summed from the
     columns of m at v's nonzero entries.
     """
-    cols = [sparse_vector(v) for v in basis]
-    index = [max(col, default=-1) for col in cols]
+    index = [max(col, default=-1) for col in basis]
     at = {i: c for c, i in enumerate(index)}
-    if any(col.get(index[c]) != 1 or any(at.get(j, c) != c for j in col) for c, col in enumerate(cols)):
+    if any(col.get(index[c]) != 1 or any(at.get(j, c) != c for j in col) for c, col in enumerate(basis)):
         raise ValueError("basis is not in coordinate form")
     ops = []
     for mcols in columns:
         op = ExactMatrix(len(basis), len(basis))
-        for c, col in enumerate(cols):
+        for c, col in enumerate(basis):
             image: dict = {}
             for j, a in col.items():
                 for i, b in mcols.get(j, {}).items():
                     image[i] = image[i] + b * a if i in image else b * a
-            coords = _coordinates(image, index, cols)
+            coords = _coordinates(image, index, basis)
             if coords is None:
                 raise ValueError("subspace is not invariant under the operator")
-            for r, x in enumerate(coords):
+            for r, x in coords.items():
                 op.put(r, c, x)
         ops.append(op)
     return ops, index
 
 
-def _coordinates(vec: dict, index: Sequence[int], cols: Sequence[dict]) -> "list[Fraction] | None":
-    """The sparse vec's entries at index, or None when vec is not the combination of the sparse cols with them."""
+def _coordinates(vec: dict, index: Sequence[int], cols: Sequence[dict]) -> "dict | None":
+    """vec's nonzero entries at index, keyed by position, or None when vec is not the combination of cols with them."""
     rest = dict(vec)
     for i, col in zip(index, cols):
         for j, a in col.items() if i in vec else ():
             rest[j] = rest[j] - vec[i] * a if j in rest else -vec[i] * a
-    return None if any(rest.values()) else [vec.get(i, Fraction(0)) for i in index]
+    return None if any(rest.values()) else {c: x for c, i in enumerate(index) if (x := vec.get(i))}
 
 
 @functools.cache
@@ -351,13 +344,12 @@ def level_indices(spec: ModuleSpec) -> dict[int, list[int]]:
     return dict(enumerate(idxs for _, idxs in weight_spaces(spec.space(), list(spec.weights))))
 
 
-def level_subspace(spec: ModuleSpec, level: int) -> list[list[Fraction]]:
+def level_subspace(spec: ModuleSpec, level: int) -> list[dict]:
     """Basis of the level weight space; its singular part when the twist entries are equal."""
-    space = spec.space()
     idxs = level_indices(spec).get(level, [])
     if not spec.is_twisted():
-        return singular_subspace(space, list(spec.weights), idxs)
-    return [[Fraction(i == idx) for i in range(space.dim)] for idx in idxs]
+        return singular_subspace(spec.space(), list(spec.weights), idxs)
+    return [{idx: Fraction(1)} for idx in idxs]
 
 
 class TransferFamily:
@@ -370,10 +362,7 @@ class TransferFamily:
     coefficients are built on first use and shared.
     """
 
-    def __init__(
-        self, spec: ModuleSpec, level: int, basis: list[list[Fraction]],
-        index: list[int], ops: list[ExactMatrix],
-    ):
+    def __init__(self, spec: ModuleSpec, level: int, basis: list[dict], index: list[int], ops: list[ExactMatrix]):
         self.spec = spec
         self.level = level
         self.basis = basis
@@ -384,9 +373,9 @@ class TransferFamily:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, vec: Sequence[Fraction]) -> "list[Fraction] | None":
+    def coordinates(self, vec: dict) -> "dict | None":
         """The coordinates of vec in the basis, its entries at index; None when vec lies outside the span."""
-        return _coordinates(sparse_vector(vec), self.index, [sparse_vector(v) for v in self.basis])
+        return _coordinates(vec, self.index, self.basis)
 
     @functools.cached_property
     def divisors(self) -> tuple[Divisor, ...]:
@@ -444,7 +433,7 @@ def completeness_report(spec: ModuleSpec) -> CompletenessReport:
         for dv, ev, (eig_basis, gen_basis) in zip(fam.divisors, fam.eigenvalues, fam.spaces):
             onshell = verify_on_shell(spec, dv).ok
             vec = bethe_vector(spec, dv.root_list())  # built by the on-shell check
-            nonzero = any(vec)
+            nonzero = bool(vec)
             bcoords = fam.coordinates(vec)
             spans = False
             if bcoords is not None and len(eig_basis) == 1 and nonzero:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactnum import Poly, elementary_symmetric
+from .exactnum import Poly
 from .linalg import ExactMatrix, SpanBasis
 from .chain import ModuleSpec, cyclicity_and_irreducibility
 from .monodromy import Check
@@ -121,12 +121,14 @@ def radical(fam: TransferFamily) -> tuple[ExactMatrix, ...]:
     non-degenerate, so the kernel is J (Atiyah-Macdonald, 1969, Ch. 8).
     """
     mats = algebra(fam)
-    gram = [[sum((v * b.get(j, i) for i, j, v in a.entries()), Fraction(0)) for a in mats] for b in mats]
-    kernel = ExactMatrix.from_columns(gram, len(mats)).kernel()
-    return tuple(sum((m * c for c, m in zip(v, mats) if c), ExactMatrix(fam.dim, fam.dim)) for v in kernel)
+    gram = ExactMatrix(len(mats), len(mats))
+    for r, a in enumerate(mats):
+        for c, b in enumerate(mats):
+            gram.put(r, c, sum((v * b.get(j, i) for i, j, v in a.entries()), Fraction(0)))
+    return tuple(sum((mats[c] * x for c, x in v.items()), ExactMatrix(fam.dim, fam.dim)) for v in gram.kernel())
 
 
-def _head_dim(fam: TransferFamily, vectors: Sequence[Sequence[Fraction]]) -> int:
+def _head_dim(fam: TransferFamily, vectors: Sequence[dict]) -> int:
     """dim W/JW, W the span of the independent vectors, A-invariant; by Nakayama, W's generators per residue field."""
     span = SpanBasis()
     for j in radical(fam):
@@ -147,7 +149,7 @@ def regular_rep_check(fam: TransferFamily) -> Check:
     if not cyclic:
         return Check(False, witness="chain is not cyclic")
     adim, d, jdim = len(algebra(fam)), fam.dim, len(radical(fam))
-    head = _head_dim(fam, [[Fraction(i == j) for i in range(d)] for j in range(d)])
+    head = _head_dim(fam, [{j: Fraction(1)} for j in range(d)])
     if adim == d and head == adim - jdim:
         return Check(True)
     return Check(False, witness=f"algebra dim {adim}, subspace dim {d}, radical dim {jdim}, J V dim {d - head}")
@@ -171,12 +173,7 @@ def presentation_check(spec: ModuleSpec, level: int) -> Check:
     for r, m in cp.roots:
         all_roots.extend([r] * m)
     # Vieta identity pinning the epsilon parameters of the presentation
-    sig = elementary_symmetric(all_roots)
-    kk = len(all_roots)
-    recon = Poly([0] * kk + [1])
-    for i, e in enumerate(sig, start=1):
-        recon = recon + Poly([0] * (kk - i) + [1]) * (e if i % 2 == 0 else -e)
-    if recon * lead != cp.gamma:
+    if Poly.from_roots(all_roots) * lead != cp.gamma:
         return Check(False, witness="epsilon parameters do not reproduce gamma")
     for dv in divisors:
         complement = list(all_roots)

@@ -604,15 +604,6 @@ def roots_with_multiplicity(p: Poly) -> "list[tuple[Fraction, int]] | None":
     return rational_roots(primitive(p.nums))
 
 
-def elementary_symmetric(values: Sequence[Fraction]) -> list[Fraction]:
-    """e_1..e_n of the given values (e_0 omitted)."""
-    es = [Fraction(1)] + [Fraction(0)] * len(values)
-    for k, v in enumerate(values, start=1):
-        for i in range(k, 0, -1):
-            es[i] += v * es[i - 1]
-    return es[1:]
-
-
 def q_pochhammer_inverse(m: int, order: int) -> list[int]:
     """Truncated series coefficients of 1/((1-q)(1-q^2)...(1-q^m))."""
     series = [1] + [0] * order

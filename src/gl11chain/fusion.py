@@ -113,6 +113,11 @@ class FracMatrix:
         return self.num.is_zero()
 
     def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
+        """The product; by a factor whose numerator is scalar (zero included) it is a scaling, not a matrix product."""
+        if self.num.is_scalar():
+            return FracMatrix(other.num * self.num.get(0, 0), self.den * other.den)
+        if other.num.is_scalar():
+            return FracMatrix(self.num * other.num.get(0, 0), self.den * other.den)
         return FracMatrix(self.num @ other.num, self.den * other.den)
 
     def __add__(self, other: "FracMatrix") -> "FracMatrix":
@@ -351,7 +356,7 @@ class DiffOp:
         sum_{p<=r} c_p u_(r-p)(x - p), so u_0 = c_0^-1 and
         u_r = -c_0^-1 sum_{p=1..r} c_p u_(r-p)(x - p): O(hi^2) products.
         The truncated inverse is unique, so it is the Neumann series'.  An
-        identity c_0 is neither inverted nor multiplied by.
+        identity c_0 is not inverted, and a product by it is a scaling.
         """
         if any(p < 0 for p in self.coeffs):
             raise ValueError("inverse_series expects nonnegative powers")
@@ -359,15 +364,15 @@ class DiffOp:
             raise ValueError("non-invertible constant term")
         c0 = self.coeffs[0]
         unit = c0.num.is_scalar() and c0.num.get(0, 0) == c0.den
-        lead = None if unit else -c0.inverse()  # -c_0^-1
-        out = {0: FracMatrix.identity(self.dim) if unit else -lead}
+        lead = -(FracMatrix.identity(self.dim) if unit else c0.inverse())  # -c_0^-1
+        out = {0: -lead}
         for r in range(1, hi + 1):
             terms = [c @ out[r - p].shift(p) for p, c in self.coeffs.items() if 0 < p <= r and r - p in out]
             if not terms:
                 continue
             total = functools.reduce(FracMatrix.__add__, terms)
             if not total.is_zero():
-                out[r] = -total if lead is None else lead @ total
+                out[r] = lead @ total
         return DiffOp(self.dim, out)
 
     def first_difference(self, other: "DiffOp") -> "tuple[int, int, int] | None":
@@ -578,6 +583,7 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[Check]:
     if order < 2:
         raise ValueError("order must be at least 2")
     vec = bethe_vector(spec, y.root_list())
+    zero = Fraction(0)
     out = []
     for m in range(1, order + 1):
         rc = higher_transfer(spec, m)
@@ -586,8 +592,9 @@ def oper_action_check(spec: ModuleSpec, y: Divisor, order: int) -> list[Check]:
             continue
         lhs, den = rc.matrix.num.apply(vec), rc.matrix.den
         s = dy_coefficient(spec, y, m) * (Fraction(-1) ** m)
-        # lhs_i / den == s v_i, cross-multiplied
-        bad = next((i for i, (a, v) in enumerate(zip(lhs, vec)) if a * s.den != s.num * v * den), None)
+        # lhs_i / den == s v_i, cross-multiplied, a missing entry read as 0
+        bad = min((i for i in lhs.keys() | vec.keys() if lhs.get(i, zero) * s.den != s.num * vec.get(i, zero) * den),
+                  default=None)
         out.append(Check(bad is None, f"oper action tau^{m} on divisor {y.label()}", "" if bad is None else str(bad)))
     return out
 

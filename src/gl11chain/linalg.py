@@ -11,8 +11,10 @@ reduction, kernels, inverses, determinants and spans all run through
 SpanBasis, one sparse fraction-free elimination over a gcd domain: primitive
 integer rows for rational input, primitive Q[x] rows for Poly input
 (FracMatrix.inverse).  It touches only nonzero entries.
-A kernel basis is in coordinate form, so coordinates in it are read at its
-free columns (bethe.restrict_operators), not solved for.
+A vector is a sparse {index: nonzero entry} dict, in and out: `apply` drops
+the sums that cancel, and a kernel basis is in coordinate form, so
+coordinates in it are read at its free columns (bethe.restrict_operators),
+not solved for.
 
 The Kronecker codec (D. Harvey, J. Symbolic Comput. 44 (2009)) decides an
 identity between products of polynomial matrices at one integer point, and
@@ -29,7 +31,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .exactnum import Poly, Scalar
 
-Vector = list
 _ZERO = Fraction(0)
 
 
@@ -46,15 +47,6 @@ class ExactMatrix:
     @staticmethod
     def identity(n: int, one=Fraction(1)) -> "ExactMatrix":
         return ExactMatrix(n, n, {i: {i: one} for i in range(n)})
-
-    @staticmethod
-    def from_columns(cols: Sequence[Vector], nrows: int) -> "ExactMatrix":
-        m = ExactMatrix(nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v:
-                    m.put(i, j, v)
-        return m
 
     def copy(self) -> "ExactMatrix":
         return ExactMatrix(self.nrows, self.ncols, {i: dict(r) for i, r in self.rows.items()})
@@ -211,15 +203,15 @@ class ExactMatrix:
             base += b.nrows
         return out
 
-    def apply(self, vec: Sequence) -> Vector:
-        out = [Fraction(0)] * self.nrows
+    def apply(self, vec: dict) -> dict:
+        """The vector self vec: {row: sum}, a sum that cancels not stored."""
+        out = {}
         for i, row in self.rows.items():
             acc = None
             for j, a in row.items():
-                v = vec[j]
-                if v:
-                    acc = a * v if acc is None else acc + a * v
-            if acc is not None:
+                if j in vec:
+                    acc = a * vec[j] if acc is None else acc + a * vec[j]
+            if acc:
                 out[i] = acc
         return out
 
@@ -231,7 +223,7 @@ class ExactMatrix:
     def _span(self) -> "SpanBasis":
         span = SpanBasis()
         for row in self.rows.values():
-            span._insert(dict(row))
+            span._insert(row)
         return span
 
     def rref(self) -> tuple["ExactMatrix", list[int]]:
@@ -244,22 +236,20 @@ class ExactMatrix:
     def rank(self) -> int:
         return self._span().dim
 
-    def kernel(self) -> list[Vector]:
+    def kernel(self) -> list[dict]:
         """Basis of the right kernel, in reduced echelon form.
 
         Vector c is 1 at the c-th free column, its last nonzero index, where
-        every other vector is 0: the basis is in coordinate form.
+        every other vector has no entry: the basis is in coordinate form.
         """
         red, pivots = self.rref()
         pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
         basis = []
-        for fc in free:
-            v = [_ZERO] * self.ncols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.get(r, fc)
-            basis.append(v)
+        for fc in range(self.ncols):
+            if fc not in pivset:
+                v = {pc: -a for r, pc in enumerate(pivots) if (a := red.get(r, fc))}
+                v[fc] = Fraction(1)
+                basis.append(v)
         return basis
 
     def augmented_span(self, one=Fraction(1)) -> "SpanBasis":
@@ -288,7 +278,7 @@ class ExactMatrix:
         span = SpanBasis()
         det = Fraction(1)
         for i in range(self.nrows):
-            found = span._insert(dict(self.rows.get(i, ())))
+            found = span._insert(self.rows.get(i, {}))
             if found is None:
                 return _ZERO
             det = Fraction(*found) * det
@@ -342,7 +332,11 @@ class SpanBasis:
         return [{j: Fraction(a, done[p][p]) for j, a in done[p].items()} for p in self.pivots]
 
     def _reduced(self, v: dict) -> tuple[dict, object]:
-        """(w, s) with w / s the sparse vector v reduced against the rows, w and s over the span's ring."""
+        """(w, s) with w / s the sparse vector v reduced against the rows, w and s over the span's ring.
+
+        v is left as it is; its zero entries are dropped (a value at a point, as weylspace takes them, can be 0).
+        """
+        v = {j: a for j, a in v.items() if a}
         if self._ring is None:
             if not v:
                 return v, 1
@@ -369,26 +363,21 @@ class SpanBasis:
         self._echelon = None
         return lead, s
 
-    def reduce(self, vec: Sequence) -> Vector:
-        """vec reduced against the rows; a sequence only, as the result is dense."""
-        w, s = self._reduced(sparse_vector(vec))
-        return [Fraction(w[j], s) if j in w else _ZERO for j in range(len(vec))]
+    def reduce(self, vec: dict) -> dict:
+        """vec reduced against the rows."""
+        w, s = self._reduced(vec)
+        return {j: Fraction(a, s) for j, a in w.items()}
 
-    def add(self, vec: "Sequence | dict") -> bool:
-        """Insert vec, a sequence or a sparse {column: value} dict; returns True when it was independent."""
-        return self._insert(sparse_vector(vec)) is not None
+    def add(self, vec: dict) -> bool:
+        """Insert vec; returns True when it was independent."""
+        return self._insert(vec) is not None
 
-    def contains(self, vec: "Sequence | dict") -> bool:
-        return not self._reduced(sparse_vector(vec))[0]
+    def contains(self, vec: dict) -> bool:
+        return not self._reduced(vec)[0]
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-
-def sparse_vector(vec: "Sequence | dict") -> dict:
-    """The nonzero entries of a sequence, or of a {column: value} dict, as a fresh dict."""
-    return {j: a for j, a in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if a}
 
 
 def _reduce(v: dict, row_at: dict, gcd: Callable):
@@ -553,7 +542,7 @@ def first_noncommuting(p, q) -> "tuple[int, int] | None":
 def joint_generalized_eigenspaces(
     ops: Sequence[ExactMatrix],
     chars: Sequence[Sequence[Scalar]],
-) -> list[tuple[list[Vector], list[Vector]]]:
+) -> list[tuple[list[dict], list[dict]]]:
     """Per character: (eigenspace basis, generalized eigenspace basis).
 
     Operators must commute pairwise and be square on a common space; that

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .exactnum import format_scalar, scalar
 from .linalg import ExactMatrix, kronecker_values, product_slots
@@ -98,8 +98,10 @@ def form_matrix(spec: ModuleSpec) -> ExactMatrix:
     return _tensor_form(spec) @ r_product(spec)
 
 
-def form_value(gram: ExactMatrix, u: Sequence, w: Sequence):
-    return sum((u[i] * g * w[j] for i, row in gram.rows.items() if u[i] for j, g in row.items() if w[j]), Fraction(0))
+def form_value(gram: ExactMatrix, u: dict, w: dict):
+    """B(u, w) = u^T G w for the vectors u and w."""
+    terms = (u[i] * g * w[j] for i, row in gram.rows.items() if i in u for j, g in row.items() if j in w)
+    return sum(terms, Fraction(0))
 
 
 def iota_sign(i: int, j: int) -> int:

@@ -48,12 +48,14 @@ def _item(name: str, ok: bool, witness: str = "") -> Check:
     return Check(bool(ok), name, witness if not ok else "")
 
 
-def _vectors_item(name: str, a, b) -> Check:
-    """Item for the equality of two vectors; on failure, the first differing index."""
+def _vectors_item(name: str, a: dict, b: dict) -> Check:
+    """Item for the equality of two vectors; on failure, the first differing index, a missing entry read as 0."""
     if a == b:
         return _item(name, True)
-    i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    return _item(name, False, f"first differing index {i}: {format_scalar(a[i])} vs {format_scalar(b[i])}")
+    zero = Fraction(0)
+    i = min(i for i in a.keys() | b.keys() if a.get(i, zero) != b.get(i, zero))
+    x, y = a.get(i, zero), b.get(i, zero)
+    return _item(name, False, f"first differing index {i}: {format_scalar(x)} vs {format_scalar(y)}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         e3 = specs["E3"]
         bd3 = bethe.bethe_vector(e3, [Fraction(-1, 2), Fraction(-1, 2)])
         be3 = bethe.bethe_vector_eps(e3, [Fraction(-1, 2), Fraction(-1, 2)])
-        if not any(bd3):
+        if not bd3:
             items.append(_item("regularized route agrees (double root)", False, "direct vector is zero"))
         else:
             items.append(_vectors_item("regularized route agrees (double root)", bd3, be3))
@@ -199,7 +201,7 @@ def run_bethe_suite(max_k: int = 3, max_n: int = 4) -> list[Check]:
         e12 = gl_generator(spec.space(), spec.weights, 1, 2)
         divisors = (dv for level in bethe.char_pair(spec).divisors for dv in level)
         vectors = ((dv, bethe.bethe_vector(spec, dv.root_list())) for dv in divisors)
-        moved = next((dv for dv, vec in vectors if any(e12.apply(vec))), None)
+        moved = next((dv for dv, vec in vectors if e12.apply(vec)), None)
         witness = "" if moved is None else f"E12 does not kill y={moved.label()}"
         items.append(_item(f"on-shell vectors singular {name}", moved is None, witness))
     return items

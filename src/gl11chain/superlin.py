@@ -170,7 +170,7 @@ def weight_spaces(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[tupl
     return [(level_weight(leg_weights, lv), idxs) for lv, idxs in sorted(buckets.items())]
 
 
-def singular_subspace(space: SuperSpace, leg_weights: Sequence[Weight], idxs: Sequence[int]) -> list[list[Fraction]]:
+def singular_subspace(space: SuperSpace, leg_weights: Sequence[Weight], idxs: Sequence[int]) -> list[dict]:
     """Basis of ker(e_12) inside the span of the basis vectors at idxs (increasing), as global vectors.
 
     It stays in coordinate form, as ExactMatrix.kernel gives it.
@@ -179,13 +179,7 @@ def singular_subspace(space: SuperSpace, leg_weights: Sequence[Weight], idxs: Se
         return []
     e12 = gl_generator(space, leg_weights, 1, 2)
     block = e12.submatrix(list(range(space.dim)), idxs)
-    basis = []
-    for vec in block.kernel():
-        full = [Fraction(0)] * space.dim
-        for local, v in enumerate(vec):
-            full[idxs[local]] = v
-        basis.append(full)
-    return basis
+    return [{idxs[j]: v for j, v in vec.items()} for vec in block.kernel()]
 
 
 def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], linalg.ExactMatrix]:

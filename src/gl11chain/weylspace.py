@@ -700,7 +700,11 @@ def gamma_coefficient_ops(n: int) -> dict[tuple[int, int], list[ExactMatrix]]:
 
 
 def _mpoly_apply(mat: ExactMatrix, f: dict, n: int) -> dict:
-    """The vector mat f, for a matrix of MPoly or scalar entries."""
+    """The vector mat f, for a matrix of MPoly or scalar entries: ExactMatrix.apply's vector, summed in one packed dict.
+
+    apply sums MPolys, copying the partial sum at every term; on the n = 5
+    specialization that is about a tenth slower.
+    """
     tops = {j: max(p._packed) for j, p in f.items() if p._packed}
     out: dict = {}
     for i, row in mat.rows.items():

@@ -18,6 +18,10 @@ polynomials times one scalar series) and `t_coefficient` (T_ij^(r) of a
 pencil).  The package reads contravariance and the zero modes off the
 pencil's own x-coefficients, since its normalizer is monic.
 
+`elementary_symmetric` gives e_1..e_n of a list of values, the Vieta
+coefficients; `bethealg.presentation_check` checks gamma's against
+`Poly.from_roots`.
+
 `neumann_inverse_series` is the truncated geometric series that
 `fusion.DiffOp.inverse_series` summed before it solved the coefficient
 recurrence: the powers of c_0^-1 times the positive tau part, by `DiffOp.mul`.
@@ -35,6 +39,15 @@ from gl11chain.linalg import ExactMatrix
 from gl11chain.monodromy import Check, coefficient_matrices
 from gl11chain.shapoform import iota_sign
 from gl11chain.superlin import E_PARITY, gl_generator
+
+
+def elementary_symmetric(values) -> list[F]:
+    """e_1..e_n of the given values (e_0 omitted)."""
+    es = [F(1)] + [F(0)] * len(values)
+    for k, v in enumerate(values, start=1):
+        for i in range(k, 0, -1):
+            es[i] += v * es[i - 1]
+    return es[1:]
 
 
 def laurent_expand(f, order: int) -> list[F]:

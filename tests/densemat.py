@@ -1,6 +1,9 @@
 """Test helpers: dense views of ExactMatrix, the entry-wise arithmetic and the field elimination oracle.
 
-Dense views are nested lists in and out, columns and integer powers.  The
+Dense views are nested lists in and out, columns and integer powers, the
+dense list of a {index: entry} vector and back (`vec_list`, `vec_dict`),
+the matrix with given vectors as columns (`from_columns`), and `apply` and
+`kernel` as they were on dense lists (`dense_apply`, `dense_kernel`).  The
 entry-wise sum, negation, scaling, product and entry map are ExactMatrix's
 as they were before it went row by row: one put or add_to per entry, each
 dropping a zero, and a product that filters every row.  The
@@ -18,6 +21,42 @@ from gl11chain.fusion import FracMatrix
 from gl11chain.linalg import ExactMatrix
 
 
+def vec_dict(vec) -> dict:
+    """The nonzero entries of the sequence vec by index: the package's vector format."""
+    return {j: a for j, a in enumerate(vec) if a}
+
+
+def vec_list(vec: dict, length: int) -> list:
+    """The vector as a list of the given length, a missing entry read as 0."""
+    return [vec.get(j, Fraction(0)) for j in range(length)]
+
+
+def dense_apply(m: ExactMatrix, vec) -> list:
+    """m vec on dense lists, as ExactMatrix.apply was before vectors became dicts: a row with no term is 0."""
+    out = [Fraction(0)] * m.nrows
+    for i, row in m.rows.items():
+        acc = None
+        for j, a in row.items():
+            if vec[j]:
+                acc = a * vec[j] if acc is None else acc + a * vec[j]
+        if acc is not None:
+            out[i] = acc
+    return out
+
+
+def dense_kernel(m: ExactMatrix) -> list[list]:
+    """The kernel basis as dense lists, as kernel built it: 1 at a free column, minus its rref column at the pivots."""
+    red, pivots = m.rref()
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.get(r, fc)
+        basis.append(v)
+    return basis
+
+
 def from_dense(data) -> ExactMatrix:
     """The matrix with these rows; int entries become Fractions, zeros are not stored."""
     nrows = len(data)
@@ -25,6 +64,15 @@ def from_dense(data) -> ExactMatrix:
     for i, row in enumerate(data):
         for j, v in enumerate(row):
             m.put(i, j, Fraction(v) if isinstance(v, int) else v)
+    return m
+
+
+def from_columns(cols, nrows: int) -> ExactMatrix:
+    """The nrows-row matrix whose columns are the {index: entry} vectors cols."""
+    m = ExactMatrix(nrows, len(cols))
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            m.put(i, j, v)
     return m
 
 

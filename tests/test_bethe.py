@@ -10,7 +10,13 @@ from gl11chain import bethe, linalg
 from gl11chain.exactnum import Poly, RootSearchTooLarge
 from gl11chain.linalg import ExactMatrix, joint_generalized_eigenspaces
 from gl11chain.chain import ModuleSpec, make_spec
-from gl11chain.monodromy import chain_transfer_coefficients, coefficient_matrices, tensor_monodromy, transfer_pencil
+from gl11chain.monodromy import (
+    chain_transfer_coefficients,
+    chain_transfer_pencil,
+    coefficient_matrices,
+    tensor_monodromy,
+    transfer_pencil,
+)
 from gl11chain.suites import suite_specs
 from gl11chain.bethe import (
     CharPair,
@@ -25,7 +31,7 @@ from gl11chain.bethe import (
     transfer_family,
     verify_on_shell,
 )
-from densemat import FieldSpanBasis
+from densemat import FieldSpanBasis, vec_list
 
 E1 = make_spec([(1, 0)], ["0"], ("2", "1"))
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
@@ -112,11 +118,10 @@ class TestDivisors:
 
 class TestBetheVector:
     def test_level_zero_is_vacuum(self):
-        vec = bethe_vector(E2, [])
-        assert vec[0] == 1 and not any(vec[1:])
+        assert bethe_vector(E2, []) == {0: 1}
 
     def test_e1_direction(self):
-        assert bethe_vector(E1, [F(-2)]) == (0, -1)  # proportional to the lowered vector
+        assert bethe_vector(E1, [F(-2)]) == {1: -1}  # proportional to the lowered vector
 
     def test_symmetric_in_roots(self):
         vals = [F(3), F(-1)]
@@ -129,7 +134,7 @@ class TestBetheVector:
             assert bethe_vector(E3, roots) == bethe_vector_eps(E3, roots)
 
     def test_double_root_nonzero(self):
-        assert any(bethe_vector_eps(E3, [F(-1, 2), F(-1, 2)]))
+        assert bethe_vector_eps(E3, [F(-1, 2), F(-1, 2)])
 
     def test_hazard_ordering_handled(self):
         # consecutive roots differing by 1 hit the pair-factor pole in one
@@ -195,6 +200,18 @@ class TestOnShell:
         check = verify_on_shell(E2, [F(7)])
         assert not check.ok and check.witness
 
+    def test_off_shell_witness_is_degree_and_component(self):
+        # at the off-shell root 7 the residual's lowest nonzero term is x^0, first in component 2
+        assert verify_on_shell(E2, [F(7)]).witness == "(0, 2)"
+
+    def test_corrupted_pencil_witness_reads_a_component_outside_the_support(self, monkeypatch):
+        # an x^2 entry at (0, 1) carries the level-1 vector into component 0, where Bhat has no entry
+        bad = chain_transfer_pencil(E2).copy()
+        bad.add_to(0, 1, Poly((0, 0, 1)))
+        monkeypatch.setattr(bethe, "chain_transfer_pencil", lambda spec: bad)
+        (dv,) = char_pair(E2).divisors[1]
+        assert verify_on_shell(E2, dv).witness == "(2, 0)"
+
     def test_joint_eigenvalue_oracle(self):
         # independent re-derivation: restrict the transfer family to the
         # relevant subspace and ask for the joint eigenspace of the expected
@@ -215,11 +232,10 @@ class TestOnShell:
                     bv = bethe_vector(spec, dv.root_list())
                     # embed the eigenvector and compare up to scale
                     emb = [F(0)] * pen.dim
-                    for coef, vec in zip(eig[0], basis):
-                        if coef:
-                            emb = [a + coef * b for a, b in zip(emb, vec)]
+                    for c, coef in eig[0].items():
+                        emb = [a + coef * b for a, b in zip(emb, vec_list(basis[c], pen.dim))]
                     ratio = None
-                    for a, b in zip(bv, emb):
+                    for a, b in zip(vec_list(bv, pen.dim), emb):
                         if (a == 0) != (b == 0):
                             pytest.fail("support mismatch")
                         if a != 0:
@@ -326,23 +342,24 @@ class TestRestriction:
             ops, index = restrict_operators([m.transpose().rows for m in tq], basis)
             assert (fam.basis, fam.index, fam.ops) == (basis, index, ops)
             tagged = FieldSpanBasis(dim)
-            assert all(tagged.add_tagged(v, c) for c, v in enumerate(basis))
+            assert all(tagged.add_tagged(vec_list(v, dim), c) for c, v in enumerate(basis))
             for m, op in zip(tq, ops):
                 for c, v in enumerate(basis):
                     image = m.apply(v)
-                    want = tagged.coordinates(image, len(basis))
-                    assert want == [op.get(r, c) for r in range(len(basis))] == fam.coordinates(image)
-            outside = [F(1)] * dim
-            assert tagged.coordinates(outside, len(basis)) is None
+                    want = tagged.coordinates(vec_list(image, dim), len(basis))
+                    got = vec_list(fam.coordinates(image), len(basis))
+                    assert want == [op.get(r, c) for r in range(len(basis))] == got
+            outside = {j: F(1) for j in range(dim)}
+            assert tagged.coordinates(vec_list(outside, dim), len(basis)) is None
             assert fam.coordinates(outside) is None
 
     @pytest.mark.parametrize(
         "basis",
         [
-            [[F(0), F(1), F(1), F(0)], [F(0), F(0), F(1), F(0)]],  # both vectors end at index 2
-            [[F(0), F(2), F(0), F(0)], [F(0), F(0), F(1), F(0)]],  # vector 0 is 2 at its last index
-            [[F(0), F(1), F(0), F(0)], [F(0), F(1), F(1), F(0)]],  # vector 1 is nonzero at vector 0's index
-            [[F(0)] * 4],  # the zero vector has no index
+            [{1: F(1), 2: F(1)}, {2: F(1)}],  # both vectors end at index 2
+            [{1: F(2)}, {2: F(1)}],  # vector 0 is 2 at its last index
+            [{1: F(1)}, {1: F(1), 2: F(1)}],  # vector 1 is nonzero at vector 0's index
+            [{}],  # the zero vector has no index
         ],
         ids=["shared-index", "not-one", "not-zero-elsewhere", "zero-vector"],
     )
@@ -356,4 +373,4 @@ class TestRestriction:
         tq = padded_coefficients(E4)
         assert any(m.get(2, 1) for m in tq)
         with pytest.raises(ValueError, match="subspace is not invariant under the operator"):
-            restrict_operators([m.transpose().rows for m in tq], [[F(0), F(1), F(0), F(0)]])
+            restrict_operators([m.transpose().rows for m in tq], [{1: F(1)}])

@@ -12,7 +12,6 @@ from gl11chain.exactnum import (
     Poly,
     RatFun,
     RootSearchTooLarge,
-    elementary_symmetric,
     eps_limit,
     format_scalar,
     parse_scalar,
@@ -20,7 +19,7 @@ from gl11chain.exactnum import (
     roots_with_multiplicity,
 )
 from gl11chain.rational import _SIEVE_PRIMES, _divisors, _root_count_mod, primitive, rational_roots
-from coefforacle import laurent_expand
+from coefforacle import elementary_symmetric, laurent_expand
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 small_polys = st.builds(Poly, st.lists(rationals, max_size=5))

@@ -11,7 +11,7 @@ from gl11chain.chain import make_spec
 from gl11chain.monodromy import tensor_monodromy
 from gl11chain.superlin import E_PARITY, EVEN, SuperSpace
 from gl11chain import fusion
-from gl11chain.bethe import char_pair
+from gl11chain.bethe import Divisor, char_pair
 from gl11chain.suites import run_suite, suite_specs
 from gl11chain.fusion import (
     BerezinianValue,
@@ -38,7 +38,7 @@ from gl11chain.fusion import (
 )
 from conftest import clear_builder_caches
 from coefforacle import neumann_inverse_series
-from densemat import column, field_inverse, from_dense, from_ratfun, ratfun_inverse
+from densemat import column, field_inverse, from_dense, from_ratfun, ratfun_inverse, vec_dict
 from legspace import STANDARD, LegSpace, e_matrix, kron_signed
 from symgroup import group_average_symmetrizers
 
@@ -69,7 +69,7 @@ class TestSymmetrizers:
         # image of the antisymmetrizer: doubly-odd and the odd combination
         span = SpanBasis()
         for j in range(4):
-            span.add(column(a2, j))
+            span.add(vec_dict(column(a2, j)))
         assert span.dim == 2
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -231,6 +231,28 @@ def frac_matrices(draw):
         for j, x in enumerate(row):
             num.put(i, j, x)
     return FracMatrix(num, draw(_dens))
+
+
+@st.composite
+def scalar_frac_matrices(draw, dim):
+    """An identity (num equal to den), another scalar or a zero matrix over a denominator from _dens."""
+    den = draw(_dens)
+    kind = draw(st.sampled_from(["identity", "scalar", "zero"]))
+    if kind == "zero":
+        return FracMatrix(ExactMatrix(dim, dim), den)
+    return FracMatrix(ExactMatrix.identity(dim, den if kind == "identity" else draw(_entries.filter(bool))), den)
+
+
+class TestScalarFactorProducts:
+    @given(frac_matrices(), st.data())
+    @settings(max_examples=80)
+    def test_scaling_is_the_plain_product(self, other, data):
+        # differential: a product with a scalar factor, on either side, has the numerator and the
+        # denominator of the plain product num @ num over den * den
+        scalar = data.draw(scalar_frac_matrices(other.num.nrows))
+        for a, b in ((scalar, other), (other, scalar), (scalar, scalar)):
+            got = a @ b
+            assert (got.num, got.den) == (a.num @ b.num, a.den * b.den)
 
 
 class TestFracMatrixInverse:
@@ -590,15 +612,19 @@ class TestInverseSeries:
         assert _generating_oper.__wrapped__(spec, order) == oper
 
     def test_identity_constant_term_is_neither_inverted_nor_multiplied(self, monkeypatch):
+        # c_1 = -[[0, x], [1, 0]]: no u_r is scalar past u_0, as c_1(x) c_1(x - 1) = diag(x, x - 1)
         x = Poly((0, 1))
-        d = DiffOp.one(2) - DiffOp.scalar_term(2, 1, rat(x))
+        d = DiffOp.one(2) - DiffOp(2, {1: FracMatrix(ExactMatrix(2, 2, {0: {1: x}, 1: {0: Poly((1,))}}))})
         calls = []
-        real_inverse, real_matmul = FracMatrix.inverse, FracMatrix.__matmul__
+        real_inverse, real_matmul = FracMatrix.inverse, ExactMatrix.__matmul__
         monkeypatch.setattr(FracMatrix, "inverse", lambda self: calls.append("inverse") or real_inverse(self))
-        monkeypatch.setattr(FracMatrix, "__matmul__", lambda self, o: calls.append("@") or real_matmul(self, o))
-        d.inverse_series(3)
-        # one product c_1 u_(r-1)(x - 1) per order r, none by c_0^-1
-        assert calls == ["@"] * 3
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda self, o: calls.append("@") or real_matmul(self, o))
+        inv = d.inverse_series(3)
+        # one matrix product c_1 u_(r-1)(x - 1) per order r >= 2; c_1 u_0 and every product by
+        # c_0^-1 = 1 are scalings, and c_0 is not inverted
+        assert calls == ["@"] * 2
+        monkeypatch.undo()
+        assert inv == neumann_inverse_series(d, 3)
 
 
 class TestGeneratingOper:
@@ -714,6 +740,27 @@ class TestOperAction:
         for c in oper_action_check(E2, dv, 3):
             assert c.ok, c.label
 
+    def test_scaled_divisor_operator_names_the_first_nonzero_component(self, monkeypatch):
+        # Bhat(-1) on E4 has entries at components 1 and 2 only; a doubled scalar fails first at 1
+        real = dy_coefficient
+        monkeypatch.setattr(fusion, "dy_coefficient", lambda spec, y, m: real(spec, y, m) * 2)
+        dv = Divisor.from_roots([(F(-1), 1)])
+        assert [c.witness for c in oper_action_check(E4, dv, 2)] == ["1", "1"]
+
+    def test_corrupted_matrix_names_a_component_outside_the_support(self, monkeypatch):
+        # a den entry at (0, 1) of T_m puts lhs at component 0, where Bhat(-1) on E4 is 0
+        real = higher_transfer
+
+        def corrupted(spec, m):
+            rc = real(spec, m)
+            num = rc.matrix.num.copy()
+            num.add_to(0, 1, rc.matrix.den)
+            return rc._replace(matrix=FracMatrix(num, rc.matrix.den))
+
+        monkeypatch.setattr(fusion, "higher_transfer", corrupted)
+        dv = Divisor.from_roots([(F(-1), 1)])
+        assert [c.witness for c in oper_action_check(E4, dv, 2)] == ["0", "0"]
+
     def test_repeated_roots_rejected(self):
         e3 = make_spec([(1, 0), (1, 0), (1, 0)], ["0", "1/2", "-1/2"], ("1", "1"))
         cp = char_pair(e3)
@@ -750,8 +797,8 @@ class TestUniversalOper:
             for dv in cp.divisors[level]:
                 if any(m > 1 for _, m in dv.roots):
                     continue
-                vec = [RatFun(Poly((v,))) for v in bethe_vector(spec, dv.root_list())]
+                vec = {j: RatFun(Poly((v,))) for j, v in bethe_vector(spec, dv.root_list()).items()}
                 for m in range(4):
                     got = ratfuns(oper.frac_coeff(m)).apply(vec)
-                    want = [dy_coefficient(spec, dv, m) * v for v in vec]
+                    want = {j: w for j, v in vec.items() if (w := dy_coefficient(spec, dv, m) * v)}
                     assert got == want

@@ -14,6 +14,8 @@ from gl11chain.fusion import FracMatrix
 from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from densemat import (
     FieldSpanBasis,
+    dense_apply,
+    dense_kernel,
     entrywise_add,
     entrywise_map,
     entrywise_matmul,
@@ -23,6 +25,8 @@ from densemat import (
     from_dense,
     matrix_power,
     to_dense,
+    vec_dict,
+    vec_list,
 )
 
 rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
@@ -66,14 +70,14 @@ class TestExactMatrix:
         a = dense([[1, 2], [3, 4]])
         b = dense([[0, 1], [1, 0]])
         assert to_dense(a @ b) == [[2, 1], [4, 3]]
-        assert a.apply([F(1), F(1)]) == [3, 7]
+        assert a.apply({0: F(1), 1: F(1)}) == {0: 3, 1: 7}
 
     def test_rank_nullity(self):
         m = dense([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
         assert m.rank() == 2
         assert len(m.kernel()) == 1
         v = m.kernel()[0]
-        assert m.apply(v) == [0, 0, 0]
+        assert m.apply(v) == {}
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=2, max_size=4))
     @settings(max_examples=40)
@@ -87,8 +91,8 @@ class TestExactMatrix:
         # free coordinates carry unit entries (reduced form)
         frees = [2, 1, 3]
         for v in basis:
-            assert sum(1 for x in v if x == 1) >= 1
-        recon = dense([basis[i] for i in range(len(basis))])
+            assert sum(1 for x in v.values() if x == 1) >= 1
+        recon = dense([vec_list(basis[i], 4) for i in range(len(basis))])
         assert recon.rank() == len(basis)
 
     def test_inverse_det(self):
@@ -284,22 +288,22 @@ class TestSpanBasis:
         length, vecs, probes = stream
         sparse, ref = SpanBasis(), DenseEchelon()
         for v in vecs:
-            assert sparse.add(v) == ref.add(v)
+            assert sparse.add(vec_dict(v)) == ref.add(v)
             assert sparse.dim == len(ref.rows)
             assert sparse.pivots == ref.pivots
             assert [[r.get(j, 0) for j in range(length)] for r in sparse.rows] == ref.rows
         for w in vecs + probes:
             red = ref.reduce(w)
-            assert sparse.reduce(w) == red
-            assert sparse.contains(w) == (not any(red))
+            assert sparse.reduce(vec_dict(w)) == vec_dict(red)
+            assert sparse.contains(vec_dict(w)) == (not any(red))
 
     def test_add_and_contains(self):
         s = SpanBasis()
-        assert s.add([F(1), F(0), F(1)])
-        assert not s.add([F(2), F(0), F(2)])
-        assert s.add([F(0), F(1), F(0)])
-        assert s.contains([F(3), F(5), F(3)])
-        assert not s.contains([F(0), F(0), F(1)])
+        assert s.add({0: F(1), 2: F(1)})
+        assert not s.add({0: F(2), 2: F(2)})
+        assert s.add({1: F(1)})
+        assert s.contains({0: F(3), 1: F(5), 2: F(3)})
+        assert not s.contains({2: F(1)})
 
 
 
@@ -324,16 +328,17 @@ class TestSparseInput:
     @given(scattered_streams())
     @settings(max_examples=200)
     def test_dict_matches_its_dense_sequence(self, stream):
-        # differential: a {column: value} dict and its dense sequence give the
-        # same add results, dimension, rows and contains verdicts
+        # differential: a {column: value} dict that keeps its zeros and the nonzero
+        # entries of its dense sequence give the same add results, dimension, rows
+        # and contains verdicts
         length, vecs, probes = stream
         given_vecs = [dict(v) for v in vecs + probes]
         sparse, dense_span = SpanBasis(), SpanBasis()
         for v in vecs:
-            assert sparse.add(v) == dense_span.add([v.get(j, 0) for j in range(length)])
+            assert sparse.add(v) == dense_span.add(vec_dict(vec_list(v, length)))
             assert sparse.dim == dense_span.dim
         for w in vecs + probes:
-            assert sparse.contains(w) == dense_span.contains([w.get(j, 0) for j in range(length)])
+            assert sparse.contains(w) == dense_span.contains(vec_dict(vec_list(w, length)))
         assert sparse.pivots == dense_span.pivots and sparse.rows == dense_span.rows
         assert vecs + probes == given_vecs  # the dicts are read, not changed
 
@@ -369,6 +374,59 @@ def fraction_matrices(draw, square=False):
     return m
 
 
+_apply_entries = {
+    "Fraction": st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-1, 2)]),
+    "Poly": st.sampled_from([Poly(), Poly(), Poly((1,)), Poly((0, 1)), Poly((-1, 1)), Poly((0, -2))]),
+}
+
+
+@st.composite
+def apply_cases(draw):
+    """(m, vec, cancelled): an entry kind's matrix and dict vector, the zero entries dropped, often empty.
+
+    When vec has two entries, a last row u with u . vec = 0 is added, its index `cancelled`: its two terms
+    vec[k] vec[j] - vec[j] vec[k] cancel, so apply must drop the sum.
+    """
+    entries = _apply_entries[draw(st.sampled_from(sorted(_apply_entries)))]
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    m = from_dense(rows) if rows else ExactMatrix(0, ncols)
+    vec = vec_dict(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    if len(vec) < 2:
+        return m, vec, None
+    j, k = draw(st.permutations(sorted(vec)))[:2]
+    m.rows[m.nrows] = {j: vec[k], k: -vec[j]}
+    m.nrows += 1
+    return m, vec, m.nrows - 1
+
+
+class TestDictVectors:
+    """The dict vectors of apply and kernel against their dense versions (densemat.dense_apply, dense_kernel)."""
+
+    @given(apply_cases())
+    @settings(max_examples=200)
+    def test_apply_matches_the_dense_product(self, case):
+        m, vec, cancelled = case
+        got = m.apply(vec)
+        assert got == vec_dict(dense_apply(m, vec_list(vec, m.ncols)))
+        assert all(got.values()) and cancelled not in got
+        assert vec == vec_dict(vec_list(vec, m.ncols))  # the vector is read, not changed
+
+    def test_apply_to_the_empty_vector(self):
+        assert dense([[1, 2], [3, 4]]).apply({}) == {}
+
+    @given(fraction_matrices())
+    @settings(max_examples=150)
+    def test_kernel_matches_the_dense_kernel(self, m):
+        kernel = m.kernel()
+        assert kernel == [vec_dict(v) for v in dense_kernel(m)]
+        # coordinate form: vector c is 1 at its last index, where no other vector has an entry
+        index = [max(v) for v in kernel]
+        for c, v in enumerate(kernel):
+            assert v[index[c]] == 1 and all(index[d] not in v for d in range(len(kernel)) if d != c)
+            assert all(v.values()) and not m.apply(v)
+
+
 def to_sympy(sympy, m):
     return sympy.Matrix(m.nrows, m.ncols, [sympy.Rational(v.numerator, v.denominator) for row in to_dense(m) for v in row])
 
@@ -391,18 +449,19 @@ class TestSympyDifferential:
         assert pivots == list(spivots)
         assert to_dense(red) == from_sympy(sred.tolist())
         assert m.rank() == sm.rank()
-        assert m.kernel() == from_sympy([list(v) for v in sm.nullspace()])
+        assert m.kernel() == [vec_dict(v) for v in from_sympy([list(v) for v in sm.nullspace()])]
         # the kernel basis is in coordinate form: vector c is 1 at free column c, its last nonzero index, and
         # every other vector is 0 there, so sympy's solution of K x = v is v at the free columns
         kernel = m.kernel()
         free = [c for c in range(m.ncols) if c not in pivots]
         for c, v in enumerate(kernel):
-            assert max(j for j, a in enumerate(v) if a) == free[c]
-            assert [u[free[c]] for u in kernel] == [F(d == c) for d in range(len(kernel))]
+            assert max(j for j, a in v.items() if a) == free[c]
+            assert [u.get(free[c], 0) for u in kernel] == [F(d == c) for d in range(len(kernel))]
         if kernel:
             x = data.draw(st.lists(rationals, min_size=len(kernel), max_size=len(kernel)))
-            vec = [sum((a * v[j] for a, v in zip(x, kernel)), F(0)) for j in range(m.ncols)]
-            sk = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in v] for v in kernel]).T
+            vec = [sum((a * v.get(j, 0) for a, v in zip(x, kernel)), F(0)) for j in range(m.ncols)]
+            sk = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in vec_list(v, m.ncols)]
+                               for v in kernel]).T
             sol, params = sk.gauss_jordan_solve(sympy.Matrix(vec))
             assert not params
             assert from_sympy(sol.T.tolist())[0] == [vec[c] for c in free] == x
@@ -674,10 +733,10 @@ class TestIntegerRowsAgainstFieldOracle:
             assert span.rows == oracle.rows
             # every query so far, again after each further add
             for w in queries:
-                assert span.reduce(w) == oracle.reduce(w)
-                assert span.contains(w) == (not any(oracle.reduce(w)))
+                assert span.reduce(vec_dict(w)) == vec_dict(oracle.reduce(w))
+                assert span.contains(vec_dict(w)) == (not any(oracle.reduce(w)))
                 # the reduced rows are in coordinate form at their pivots: w in the span is sum w[p] row_p
-                if span.contains(w):
+                if span.contains(vec_dict(w)):
                     assert [sum(w[p] * row.get(j, 0) for p, row in zip(span.pivots, span.rows))
                             for j in range(length)] == w
 
@@ -700,8 +759,8 @@ class TestIntegerRowsAgainstFieldOracle:
         kernel = m.kernel()
         assert len(kernel) == m.ncols - len(pivots)
         for v in kernel:
-            assert not any(m.apply(v))
-            assert [v[p] for p in range(m.ncols) if p not in pivots].count(1) == 1
+            assert not m.apply(v)
+            assert [v.get(p, 0) for p in range(m.ncols) if p not in pivots].count(1) == 1
 
     @given(mixed_matrices(square=True))
     @settings(max_examples=150, deadline=None)
@@ -742,11 +801,11 @@ class TestFractionFree:
         basis = [[F(rng.randint(-9, 9)) for _ in range(40)] for _ in range(30)]
         span = SpanBasis()
         for v in basis:
-            span.add(v)
+            span.add(vec_dict(v))
         assert span.dim == 30
         coefs = [rng.randint(-5, 5) for _ in basis]
-        inside = [sum((c * v[j] for c, v in zip(coefs, basis)), F(0)) for j in range(40)]
-        outside = [F(rng.randint(-9, 9)) for _ in range(40)]
+        inside = vec_dict(sum((c * v[j] for c, v in zip(coefs, basis)), F(0)) for j in range(40))
+        outside = vec_dict(F(rng.randint(-9, 9)) for _ in range(40))
         built = self.count_fractions(monkeypatch)
         for call, vec, want in ((span.contains, inside, True), (span.contains, outside, False), (span.add, outside, True)):
             before = built[0]
@@ -778,19 +837,19 @@ class TestMixedEntries:
     def test_ring_is_fixed_by_the_first_entry(self):
         x = Poly((0, 1))
         span = SpanBasis()
-        assert not span.add([F(0), F(0)])  # a zero vector fixes nothing
-        assert span.add([x, x + 1])
+        assert not span.add({0: F(0), 1: F(0)})  # a zero vector fixes nothing
+        assert span.add({0: x, 1: x + 1})
         with pytest.raises(TypeError, match="Poly entries only"):
-            span.add([F(1), F(0)])
-        assert span.contains([x * x, x * x + x]) and span.add([F(0), Poly((2,))])
+            span.add({0: F(1)})
+        assert span.contains({0: x * x, 1: x * x + x}) and span.add({1: Poly((2,))})
         # back-substituted rows over Q[x]: primitive, monic pivots, 0 at the other pivot
         assert span.echelon_rows() == {0: {0: Poly((1,))}, 1: {1: Poly((1,))}}
         with pytest.raises(TypeError):
             span.rows  # dividing by the pivot is rational-only
         rational = SpanBasis()
-        assert rational.add([F(1, 2), F(0)])
+        assert rational.add({0: F(1, 2)})
         with pytest.raises(TypeError, match="rational entries only"):
-            rational.add([x, F(1)])
+            rational.add({0: x, 1: F(1)})
 
     @pytest.mark.parametrize("empty", [0, 1])
     def test_fracmatrix_with_an_empty_row_is_not_invertible(self, empty):

@@ -24,15 +24,9 @@ from gl11chain.suites import suite_specs
 from gl11chain.superlin import E_PARITY, SuperSpace
 from bethealgoracle import reduce_lambda2, string_points
 from coefforacle import chains, corrupted, laurent_coefficients, laurent_expand, t_coefficient
-from densemat import to_dense
+from densemat import to_dense, vec_list
 
 E2 = make_spec([(1, 0), (1, 0)], ["0", "1/2"], ("1", "1"))
-
-
-def vac(pencil):
-    v = [F(0)] * pencil.dim
-    v[0] = F(1)
-    return v
 
 
 class TestModuleSpec:
@@ -114,11 +108,11 @@ class TestTensor:
     def test_vacuum_diagonal(self):
         pen = tensor_monodromy(E2)
         phi, psi = phi_psi(E2)
-        v = vac(pen)
+        v = {0: F(1)}  # the vacuum
         c11, c22 = coefficient_matrices(pen.entry(1, 1)), coefficient_matrices(pen.entry(2, 2))
         for d in range(3):
-            got11 = c11[d].apply(v)
-            got22 = c22[d].apply(v)
+            got11 = vec_list(c11[d].apply(v), pen.dim)
+            got22 = vec_list(c22[d].apply(v), pen.dim)
             assert got11[0] == phi.coeff(d) and all(x == 0 for x in got11[1:])
             assert got22[0] == psi.coeff(d) and all(x == 0 for x in got22[1:])
 
@@ -385,8 +379,8 @@ class TestTransfer:
 
     def test_vacuum_gamma(self):
         tq = coefficient_matrices(transfer_pencil(tensor_monodromy(E2), E2.twist))
-        v = vac(tensor_monodromy(E2))
-        assert [tq[d].apply(v)[0] for d in range(2)] == [F(1, 2), F(2)]
+        v = {0: F(1)}  # the vacuum
+        assert [tq[d].apply(v).get(0, 0) for d in range(2)] == [F(1, 2), F(2)]
 
     def test_bivariate_commutativity(self):
         spec = make_spec([(2, 1), (1, 0)], ["0", "3"], ("3", "1"))

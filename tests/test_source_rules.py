@@ -60,6 +60,9 @@ the tests' oracle, tests/coefforacle.py.
 The process policy has one home: only cli.py imports `gc` or `atexit`, and
 the one use of the collector is the `gc.freeze` that `main` hands to
 `atexit`, so no library module freezes, disables or forces a collection.
+A vector has one format, a sparse {index: nonzero entry} dict: no module
+defines or calls `sparse_vector` or keys a sequence's entries by their
+enumerate index, and none builds a dense zero vector.
 """
 
 import ast
@@ -882,3 +885,80 @@ def test_series_rule_catches_each_planted_product():
     ]
     # the recurrence's products are FracMatrix @, not DiffOp.mul
     assert _series_products(ast.parse("def inverse_series(self, hi):\n    return c @ u.shift(p)\n")) == []
+
+
+# One vector format: every vector of the package is a sparse {index: nonzero entry} dict, in and out, so no module
+# defines or calls a sequence-to-dict converter (`sparse_vector`, or a dict comprehension that keys a sequence's
+# entries by their enumerate index) and none builds a dense zero vector ([Fraction(0)] * n, [_ZERO] * n).
+def _is_zero_vector_entry(node) -> bool:
+    """A one-element list literal holding Fraction(0) or _ZERO."""
+    if not (isinstance(node, ast.List) and len(node.elts) == 1):
+        return False
+    (elt,) = node.elts
+    if isinstance(elt, ast.Name):
+        return elt.id == "_ZERO"
+    return (
+        isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name) and elt.func.id == "Fraction"
+        and len(elt.args) == 1 and isinstance(elt.args[0], ast.Constant) and elt.args[0].value == 0
+    )
+
+
+def _keys_entries_by_index(node: ast.DictComp) -> bool:
+    """{j: a for j, a in enumerate(seq) ...}: the key is the enumerate index and the value its entry."""
+    gen = node.generators[0]
+    return (
+        isinstance(gen.iter, ast.Call) and isinstance(gen.iter.func, ast.Name) and gen.iter.func.id == "enumerate"
+        and isinstance(gen.target, ast.Tuple) and len(gen.target.elts) == 2
+        and all(isinstance(t, ast.Name) for t in gen.target.elts)
+        and isinstance(node.key, ast.Name) and node.key.id == gen.target.elts[0].id
+        and isinstance(node.value, ast.Name) and node.value.id == gen.target.elts[1].id
+    )
+
+
+def _vector_conversions(tree: ast.AST) -> list[str]:
+    """Every sequence-to-dict vector converter and dense zero vector, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "sparse_vector":
+            found.append((node.lineno, "defines sparse_vector"))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "sparse_vector":
+            found.append((node.lineno, "calls sparse_vector"))
+        elif isinstance(node, ast.DictComp) and _keys_entries_by_index(node):
+            found.append((node.lineno, "keys a sequence's entries by their enumerate index"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (
+            _is_zero_vector_entry(node.left) or _is_zero_vector_entry(node.right)
+        ):
+            found.append((node.lineno, "builds a dense zero vector"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_vector_format(path):
+    assert _vector_conversions(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_vector_rule_catches_each_planted_conversion():
+    code = (
+        "def sparse_vector(vec):\n"
+        "    return {j: a for j, a in enumerate(vec) if a}\n"
+        "cols = [linalg.sparse_vector(v) for v in basis]\n"
+        "w = sparse_vector(vec)\n"
+        "row = {i: x for i, x in enumerate(dense)}\n"
+        "out = [Fraction(0)] * self.nrows\n"
+        "v = [_ZERO] * n\n"
+        "u = n * [Fraction(0)]\n"
+    )
+    assert _vector_conversions(ast.parse(code)) == [
+        "line 1: defines sparse_vector", "line 2: keys a sequence's entries by their enumerate index",
+        "line 3: calls sparse_vector", "line 4: calls sparse_vector",
+        "line 5: keys a sequence's entries by their enumerate index", "line 6: builds a dense zero vector",
+        "line 7: builds a dense zero vector", "line 8: builds a dense zero vector",
+    ]
+    # an index inverted to positions, entries read at positions, a coefficient list and the vacuum convert no vector
+    fine = (
+        "at = {i: c for c, i in enumerate(index)}\n"
+        "coords = {c: x for c, i in enumerate(index) if (x := vec.get(i))}\n"
+        "quot = [0] * (len(a) - nb)\n"
+        "vec = {0: Fraction(1)}\n"
+    )
+    assert _vector_conversions(ast.parse(fine)) == []

@@ -20,7 +20,7 @@ from gl11chain.superlin import (
     symmetric_group_action,
     weight_spaces,
 )
-from densemat import from_dense
+from densemat import from_dense, vec_list
 from legspace import LegSpace, e_matrix, kron_signed
 from symgroup import permutation_closure
 
@@ -49,9 +49,7 @@ def basis_label(space, idx):
 
 
 def unit(space, multi):
-    v = [F(0)] * space.dim
-    v[space.index(multi)] = F(1)
-    return v
+    return {space.index(multi): F(1)}
 
 
 class TestWeight:
@@ -72,7 +70,7 @@ class TestKoszul:
         space = SuperSpace.tensor_power(2)
         v = unit(space, (1, 0))
         out = leg_units(space, ((1, 2, 1),), F(1)).apply(v)
-        assert out == [F(0) if i != space.index((1, 1)) else F(-1) for i in range(4)]
+        assert vec_list(out, 4) == [F(0) if i != space.index((1, 1)) else F(-1) for i in range(4)]
 
     def test_even_first_leg(self):
         space = SuperSpace.tensor_power(2)
@@ -87,7 +85,7 @@ class TestKoszul:
         v = unit(space, (1, 1))
         t1 = leg_units(space, ((0, 1, 2),), F(1)).apply(v)
         t2 = leg_units(space, ((1, 1, 2),), F(1)).apply(v)
-        out = [a + b for a, b in zip(t1, t2)]
+        out = [a + b for a, b in zip(vec_list(t1, 4), vec_list(t2, 4))]
         want = [F(0)] * 4
         want[space.index((0, 1))] = F(1)
         want[space.index((1, 0))] = F(-1)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl11chain import superlin, weylspace
-from gl11chain.exactnum import elementary_symmetric
 from gl11chain.linalg import ExactMatrix, SpanBasis
 from gl11chain.chain import make_spec
 from gl11chain.monodromy import coefficient_matrices, tensor_monodromy
@@ -30,7 +29,8 @@ from gl11chain.weylspace import (
     specialization_check,
 )
 from actionoracle import Coords, composed_modified_action, matrix_into, matrix_of, monomials_upto
-from densemat import FieldSpanBasis, column
+from coefforacle import elementary_symmetric
+from densemat import FieldSpanBasis, column, from_columns, vec_dict
 from symgroup import permutation_closure
 from tuplepoly import TupleMPoly
 
@@ -105,10 +105,9 @@ def from_vector(coords, v):
     """The vector {component: MPoly} with coordinates v in the chart."""
     nm = len(coords.monomials)
     out = {}
-    for pos, coef in enumerate(v):
-        if coef:
-            c = coords.components[pos // nm]
-            out[c] = out.get(c, MPoly(coords.n, {})) + MPoly(coords.n, {coords.monomials[pos % nm]: coef})
+    for pos, coef in v.items():
+        c = coords.components[pos // nm]
+        out[c] = out.get(c, MPoly(coords.n, {})) + MPoly(coords.n, {coords.monomials[pos % nm]: coef})
     return out
 
 
@@ -141,8 +140,8 @@ def averaging_invariant_basis(n, level, d):
     span = SpanBasis()
     out = []
     for j in range(coords.dim):
-        col = column(av, j)
-        if any(col) and span.add(col):
+        col = vec_dict(column(av, j))
+        if col and span.add(col):
             out.append(from_vector(coords, col))
             if len(out) == target:
                 break
@@ -517,9 +516,9 @@ class TestInvariantDimensions:
             crd = Coords.build(n, l, d)
             span = SpanBasis()
             for w in b:
-                span.add(crd.to_vector(w))
+                span.add(vec_dict(crd.to_vector(w)))
             assert len(a) == len(b)
-            assert all(span.contains(crd.to_vector(w)) for w in a)
+            assert all(span.contains(vec_dict(crd.to_vector(w))) for w in a)
 
 
 def elimination_free_generators(n, level, d):
@@ -534,7 +533,7 @@ def elimination_free_generators(n, level, d):
     for w in combinations(range(n), level):
         g = weylspace._apply_e21_word(space, w, weylspace.vacuum_vector(n))
         for sym in _symmetric_monomials(n, d).values():
-            if not span.add(coords.to_vector({c: sym * p for c, p in g.items()})):
+            if not span.add(vec_dict(coords.to_vector({c: sym * p for c, p in g.items()}))):
                 return False
     return True
 
@@ -722,7 +721,7 @@ class TestGammaInteraction:
 def _span_of(coords, vectors):
     span = SpanBasis()
     for f in vectors:
-        span.add(coords.to_vector(f))
+        span.add(vec_dict(coords.to_vector(f)))
     return span
 
 
@@ -808,7 +807,9 @@ def elimination_specialization_check(points):
         prods = _products(n, [g for _, g in level], caps[lv])
         vecs = [coords[lv].to_vector(f) for _, _, f in prods]
         echelon = SpanBasis()
-        if not all(echelon.add(v) for v in vecs) or len(vecs) != sum(invariant_dimensions(n, lv, caps[lv], False)):
+        if not all(echelon.add(vec_dict(v)) for v in vecs):
+            return False
+        if len(vecs) != sum(invariant_dimensions(n, lv, caps[lv], False)):
             return False
         positions = sorted(echelon.pivots)
         span = FieldSpanBasis(len(positions))
@@ -838,11 +839,11 @@ def elimination_specialization_check(points):
     partners = []
     for level in gens:
         for word, _ in level:
-            v = [F(int(c == 0)) for c in range(2**n)]
+            v = {0: F(1)}
             for d in reversed(word):
                 v = vmats[(1, 2, d)].apply(v)
             partners.append(v)
-    mmat = ExactMatrix.from_columns(partners, 2**n)
+    mmat = from_columns(partners, 2**n)
     return mmat.rank() == 2**n and all(mmat @ qmats[key] == vmats[key] @ mmat for key in keys)
 
 
@@ -883,7 +884,7 @@ class TestSpecialization:
                 for oracle in (averaging_invariant_basis, kernel_invariant_basis):
                     basis = oracle(n, level, d)
                     assert len(basis) == span.dim
-                    assert all(span.contains(coords.to_vector(w)) for w in basis)
+                    assert all(span.contains(vec_dict(coords.to_vector(w))) for w in basis)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_product_count_matches_the_symmetric_monomials(self, n):
