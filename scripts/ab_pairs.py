@@ -17,6 +17,11 @@ medians, both quartiles and the number of pairs the change won (ties count
 for neither side).  A gain holds when the change won at least nine tenths of
 the pairs and the medians differ by more than the parent's quartile
 distance.  Exits 1 when a run fails or reports an incorrect output.
+
+Before any pair runs, it exits 2 when the src tree of either checkout holds a
+`__pycache__` directory, and names the first: compiled bytecode makes that
+side's commands about 30 % faster, since each benchmark command compiles the
+package afresh.  It deletes nothing; remove the caches and rerun.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: "float | None") 
     if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}: {proc.stderr[-400:]}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def bytecode_cache(checkout: Path) -> "Path | None":
+    """The first `__pycache__` directory under checkout/src, in path order; None when there is none."""
+    return next((path for path in sorted((checkout / "src").rglob("__pycache__")) if path.is_dir()), None)
 
 
 def summarise(name: str, better: str, parent: list[float], change: list[float]) -> str:
@@ -63,6 +73,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
+    for checkout in (args.parent, args.change):
+        cache = bytecode_cache(checkout)
+        if cache is not None:
+            print(f"error: {cache} holds compiled bytecode, which would speed that side up; remove it and rerun",
+                  file=sys.stderr)
+            return 2
 
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     bad = 0

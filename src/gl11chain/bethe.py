@@ -17,8 +17,9 @@ independent oracle for the direct product, not a fallback: the suite compares
 the two.  Each (chain, level) has one memoised `transfer_family`: the transfer
 coefficients on the level subspace with their joint spaces at the divisors'
 eigenvalues, read by the completeness report and the Bethe algebra (bethealg).
-The levels' basis indices and the columns of the coefficients are taken
-once per chain (`level_indices`, `transfer_columns`) and shared by the levels.
+The columns of the coefficients are taken once per chain
+(`transfer_columns`) and shared by the levels; a level's basis indices are
+read off the space's level table (`SuperSpace.level_indices`).
 A vector is a sparse {basis index: nonzero entry} dict, the Bethe vector
 included.  A level's basis (unit vectors, or the kernel of e_12 on the
 weight space) is in coordinate form, so a vector's coordinates are its
@@ -44,7 +45,7 @@ from .exactnum import (
 from .linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from .chain import ModuleSpec, Weight, cyclicity_and_irreducibility, phi_psi
 from .monodromy import Check, chain_transfer_coefficients, chain_transfer_pencil, tensor_monodromy
-from .superlin import level_weight, singular_subspace, weight_spaces
+from .superlin import level_weight, singular_subspace
 
 _ZERO = Fraction(0)
 
@@ -334,19 +335,9 @@ def _coordinates(vec: dict, index: Sequence[int], cols: Sequence[dict]) -> "dict
     return None if any(rest.values()) else {c: x for c, i in enumerate(index) if (x := vec.get(i))}
 
 
-@functools.cache
-def level_indices(spec: ModuleSpec) -> dict[int, list[int]]:
-    """Level l -> the basis indices of its weight space, grouped once per chain: shared, must not be mutated.
-
-    weight_spaces lists one entry per level, level 0 first, and every level
-    0..k of the chain's space is nonempty.
-    """
-    return dict(enumerate(idxs for _, idxs in weight_spaces(spec.space(), list(spec.weights))))
-
-
 def level_subspace(spec: ModuleSpec, level: int) -> list[dict]:
     """Basis of the level weight space; its singular part when the twist entries are equal."""
-    idxs = level_indices(spec).get(level, [])
+    idxs = spec.space().level_indices[level]
     if not spec.is_twisted():
         return singular_subspace(spec.space(), list(spec.weights), idxs)
     return [{idx: Fraction(1)} for idx in idxs]

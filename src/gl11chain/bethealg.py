@@ -164,11 +164,7 @@ def presentation_check(spec: ModuleSpec, level: int) -> Check:
     """
     cp = char_pair(spec)
     divisors = cp.divisors[level] if level in range(len(cp.divisors)) else ()
-    lead = cp.gamma.leading()
-    q1, q2 = spec.twist
-    expected_lead = (q1 - q2) if spec.is_twisted() else q1 * spec.n
-    if lead != expected_lead:
-        return Check(False, witness="leading coefficient mismatch")
+    lead = cp.gamma.leading()  # char_pair has checked it: q1 - q2 when twisted, q1 n when not
     all_roots: list[Fraction] = []
     for r, m in cp.roots:
         all_roots.extend([r] * m)

@@ -45,7 +45,7 @@ from .exactnum import Poly, RatFun, scalar
 from .linalg import ExactMatrix, first_noncommuting
 from .chain import ModuleSpec
 from .monodromy import Check, MonodromyPencil, chain_transfer_pencil, tensor_monodromy
-from .superlin import EVEN, ODD, SuperSpace, adjacent_flip
+from .superlin import EVEN, ODD, SuperSpace, graded_flip
 from .bethe import Divisor, bethe_vector, char_pair
 
 
@@ -77,7 +77,7 @@ def symmetrizer_check(m: int) -> Check:
     """The flip argument of the module docstring on symmetrizers(m); the witness names m, P and what failed."""
     space = SuperSpace.tensor_power(m)
     ident = ExactMatrix.identity(space.dim)
-    flips = [adjacent_flip(space, i) for i in range(m - 1)]
+    flips = [graded_flip(space, i, i + 1) for i in range(m - 1)]
     for (name, s), proj in zip((("A", -1), ("H", 1)), symmetrizers(m)):
         bad = next((i for i, f in enumerate(flips) if not f @ proj == proj * s == proj @ f), None)
         if bad is not None:

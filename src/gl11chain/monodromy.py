@@ -19,14 +19,13 @@ item is a Check whose label is the item name.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Sequence
 
 from .exactnum import Poly, scalar
 from . import linalg
 from .chain import ModuleSpec, Weight
-from .superlin import E_PARITY, SuperSpace, leg_generator, leg_units
+from .superlin import E_PARITY, SuperSpace, graded_flip, leg_generator
 
 # Also bound here because perfbench reads them under this module's name: run.py parses
 # chain files with monodromy.ModuleSpec, and tracer.py wraps monodromy.cyclicity_and_irreducibility.
@@ -127,14 +126,10 @@ def lax_product(points: Sequence) -> tuple[list[linalg.ExactMatrix], SuperSpace]
     n = len(points)
     vspace = SuperSpace.tensor_power(n)
     full = SuperSpace.tensor_power(n + 1)
-    dim_full = full.dim
-    ident = linalg.ExactMatrix.identity(dim_full)
+    ident = linalg.ExactMatrix.identity(full.dim)
     lax = [ident]
     for site in range(n, 0, -1):
-        flip = linalg.ExactMatrix(dim_full, dim_full)
-        for h, j in product((1, 2), repeat=2):
-            flip = flip + leg_units(full, ((0, h, j), (site, j, h)), Fraction(-1 if j == 2 else 1))
-        const = flip + ident * (-points[site - 1])
+        const = graded_flip(full, 0, site) + ident * (-points[site - 1])
         # times (const + x): the x^d coefficient is lax_{d-1} + lax_d const
         lax = [lax[0] @ const] + [lax[d - 1] + lax[d] @ const for d in range(1, len(lax))] + [lax[-1]]
     return lax, vspace

@@ -56,11 +56,7 @@ def _embedded_r_matrix(space: SuperSpace, i: int, j: int, wt_i: Weight, wt_j: We
         ((1, 2), (2, 1), -(wt_i.l1 + wt_i.l2) / den),
         ((2, 1), (1, 2), (wt_j.l1 + wt_j.l2) / den),
     ]
-    out = ExactMatrix(space.dim, space.dim)
-    for (a, b), (c, d), coef in terms:
-        if coef:
-            out = out + leg_units(space, ((i, a, b), (j, c, d)), coef)
-    return out
+    return leg_units(space, ((((i, a, b), (j, c, d)), coef) for (a, b), (c, d), coef in terms if coef))
 
 
 def _tensor_form(spec: ModuleSpec) -> ExactMatrix:

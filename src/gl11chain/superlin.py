@@ -14,10 +14,12 @@ all vector factors it moves past.
 SuperSpace states the leg rules, each once, on the bits of one basis index:
 `level` counts the legs in their odd state, `flip` is the graded flip of two
 adjacent legs and `leg_unit` the matrix unit E_ij on one leg with its Koszul
-sign, the one statement of the rule above.  Every signed leg operator of the
-package, a sum of products of matrix units on chosen legs, is built from
-`leg_unit`: `leg_units` for one product, `gl_generator` for the diagonal
-action.
+sign, the one statement of the rule above.  The space also holds the level
+table, `level_indices`: each level's basis indices, grouped once per n.
+Every signed leg operator of the package, a sum of products of matrix units
+on chosen legs, is built by one `leg_units` call, in one pass: the diagonal
+action `gl_generator`, the graded flip `graded_flip` of any two legs, the
+R-matrix of shapoform and the current algebra of weylspace.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .chain import Weight
 from . import linalg
@@ -39,12 +41,16 @@ class SuperSpace:
     An immutable value, so tensor_power shares one space per n.
     """
 
-    __slots__ = ("n", "dim", "levels", "parities")
+    __slots__ = ("n", "dim", "levels", "level_indices", "parities")
 
     def __init__(self, n: int):
         self.n = n
         self.dim = 1 << n
         self.levels = tuple(idx.bit_count() for idx in range(self.dim))
+        # level l -> its basis indices, increasing
+        self.level_indices = tuple(
+            tuple(idx for idx in range(self.dim) if self.levels[idx] == lv) for lv in range(n + 1)
+        )
         self.parities = tuple(lv % 2 for lv in self.levels)
 
     @staticmethod
@@ -94,24 +100,35 @@ class SuperSpace:
         return SuperSpace.tensor_power(self.n + other.n)
 
 
-def leg_units(space: SuperSpace, units: Sequence[tuple[int, int, int]], coef) -> linalg.ExactMatrix:
-    """coef times the product of the units E_ij on distinct legs, each unit given as (leg, i, j).
+def leg_units(space: SuperSpace, terms: Iterable[tuple[Sequence[tuple[int, int, int]], object]]) -> linalg.ExactMatrix:
+    """The sum of coef times the product of the units over the (units, coef) terms; a unit E_ij is (leg, i, j).
 
-    The units act from the highest leg down, so each leg_unit sign reads the
-    source states of the legs before it: (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw.
+    The units of a term act from the highest leg down, so each leg_unit sign
+    reads the source states of the legs before it:
+    (A (x) B)(v (x) w) = (-1)^{|B||v|} Av (x) Bw.  The terms are summed in
+    one pass into one row dict; an entry whose terms cancel is not stored.
     """
-    units = sorted(units, reverse=True)
-    out = linalg.ExactMatrix(space.dim, space.dim)
-    for idx in range(space.dim):
-        image, sign = idx, 1
-        for s, i, j in units:
-            hit = space.leg_unit(image, s, i, j)
-            if hit is None:
-                break
-            image, sign = hit[0], sign * hit[1]
-        else:
-            out.put(image, idx, coef if sign > 0 else -coef)
-    return out
+    rows: dict[int, dict] = {}
+    for units, coef in terms:
+        units = sorted(units, reverse=True)
+        for idx in range(space.dim):
+            image, sign = idx, 1
+            for s, i, j in units:
+                hit = space.leg_unit(image, s, i, j)
+                if hit is None:
+                    break
+                image, sign = hit[0], sign * hit[1]
+            else:
+                row = rows.setdefault(image, {})
+                v = coef if sign > 0 else -coef
+                row[idx] = row[idx] + v if idx in row else v
+    rows = {i: kept for i, row in rows.items() if (kept := {j: v for j, v in row.items() if v})}
+    return linalg.ExactMatrix(space.dim, space.dim, rows)
+
+
+def graded_flip(space: SuperSpace, a: int, b: int) -> linalg.ExactMatrix:
+    """The graded flip of legs a and b: the sum over h, j of (-1)^|j| E_hj on leg a times E_jh on leg b."""
+    return leg_units(space, ((((a, h, j), (b, j, h)), Fraction(-1 if j == 2 else 1)) for h in (1, 2) for j in (1, 2)))
 
 
 E_PARITY = {(1, 1): EVEN, (1, 2): ODD, (2, 1): ODD, (2, 2): EVEN}
@@ -148,11 +165,10 @@ def gl_generator(space: SuperSpace, leg_weights: Sequence[Weight], i: int, j: in
 def _gl_generator(space: SuperSpace, leg_weights: tuple[Weight, ...], i: int, j: int) -> linalg.ExactMatrix:
     if len(leg_weights) != space.n:
         raise ValueError(f"{len(leg_weights)} leg weights for {space.n} legs")
-    total = linalg.ExactMatrix(space.dim, space.dim)
-    for s, wt in enumerate(leg_weights):
-        for a, b, v in leg_generator(wt, i, j).entries():
-            total = total + leg_units(space, ((s, a + 1, b + 1),), v)
-    return total
+    terms = (
+        (((s, a + 1, b + 1),), v) for s, wt in enumerate(leg_weights) for a, b, v in leg_generator(wt, i, j).entries()
+    )
+    return leg_units(space, terms)
 
 
 def level_weight(leg_weights: Sequence[Weight], level: int) -> Weight:
@@ -163,11 +179,11 @@ def level_weight(leg_weights: Sequence[Weight], level: int) -> Weight:
 
 
 def weight_spaces(space: SuperSpace, leg_weights: Sequence[Weight]) -> list[tuple[Weight, list[int]]]:
-    """Weight decomposition as (weight, basis index list), one entry per level, highest weight first."""
-    buckets: dict[int, list[int]] = {}
-    for idx, lv in enumerate(space.levels):
-        buckets.setdefault(lv, []).append(idx)
-    return [(level_weight(leg_weights, lv), idxs) for lv, idxs in sorted(buckets.items())]
+    """Weight decomposition as (weight, basis index list), one entry per level, highest weight first.
+
+    No module calls it: it stays as a named target of the per-layer benchmark.
+    """
+    return [(level_weight(leg_weights, lv), list(idxs)) for lv, idxs in enumerate(space.level_indices)]
 
 
 def singular_subspace(space: SuperSpace, leg_weights: Sequence[Weight], idxs: Sequence[int]) -> list[dict]:
@@ -199,13 +215,4 @@ def symmetric_group_action(space: SuperSpace) -> dict[tuple[int, ...], linalg.Ex
             odd = [i for i in range(n) if multi[i]]
             image = space.index([multi[perm.index(i)] for i in range(n)])
             mat.put(image, idx, Fraction(-1) ** sum(perm[a] > perm[b] for a in odd for b in odd if a < b))
-    return out
-
-
-def adjacent_flip(space: SuperSpace, i: int) -> linalg.ExactMatrix:
-    """Graded flip of legs i and i+1 inside a tensor power of standard legs."""
-    out = linalg.ExactMatrix(space.dim, space.dim)
-    for idx in range(space.dim):
-        image, sign = space.flip(idx, i)
-        out.add_to(image, idx, Fraction(sign))
     return out

@@ -22,8 +22,10 @@ Two symmetric-group actions matter:
   standard   s_i = graded flip composed with the z_i <-> z_{i+1} swap;
   modified   shat_i = standard + divided difference (exact, degree-lowering).
 
-The graded flip, the level of a component and the site action of e_ij are
-SuperSpace.flip, level and leg_unit; this module never reads the legs.
+The graded flip and each level's components are SuperSpace.flip and
+level_indices.  The current e_ij[r] is one leg operator, memoised: the
+superlin.leg_units sum over the sites s of E_ij on leg s with coefficient
+z_s^r, applied to a vector by _mpoly_apply.  This module never reads the legs.
 
 The divided difference (f - f^swap)/(z_i - z_{i+1}) is computed termwise
 from the factored geometric sum, so no generic polynomial division occurs.
@@ -71,7 +73,7 @@ from .exactnum import q_pochhammer_inverse, scalar, series_mul
 from .linalg import ExactMatrix, SpanBasis
 from .chain import make_spec
 from .monodromy import Check, coefficient_matrices, lax_blocks, lax_product, tensor_monodromy
-from .superlin import SuperSpace
+from .superlin import SuperSpace, leg_units
 
 
 # Slot width of a packed key (see the module docstring).  At 16 bits no
@@ -302,12 +304,6 @@ def _monomial_keys(n: int, delta: int):
         yield _pack([b - a - 1 for a, b in zip((-1, *bars), (*bars, delta + n - 1))])
 
 
-def level_components(n: int, level: "int | None") -> list[int]:
-    """Components of the n-fold vector power at the given level; all of them for None."""
-    space = SuperSpace.tensor_power(n)
-    return [c for c in range(space.dim) if level is None or space.level(c) == level]
-
-
 # ---------------------------------------------------------------------------
 # the modified symmetric-group action and the current-algebra action
 # ---------------------------------------------------------------------------
@@ -360,17 +356,15 @@ def modified_action(space: SuperSpace, i: int, f: dict) -> dict:
     return {c: MPoly._raw(n, t) for c, t in out.items() if t}
 
 
+@functools.cache
+def _current_operator(space: SuperSpace, i: int, j: int, r: int) -> ExactMatrix:
+    """e_ij[r] as a matrix of MPoly entries.  Memoised per (space, i, j, r): shared, must not be mutated."""
+    return leg_units(space, ((((s, i, j),), MPoly.var(space.n, s, r)) for s in range(space.n)))
+
+
 def current_action(space: SuperSpace, i: int, j: int, r: int, f: dict) -> dict:
     """e_ij[r]: sum over sites s of E_ij on leg s, with its Koszul sign, times z_s^r."""
-    out: dict = {}
-    for c, p in f.items():
-        for s in range(space.n):
-            hit = space.leg_unit(c, s, i, j)
-            if hit is not None:
-                cc, sign = hit
-                term = p * MPoly.var(p.n, s, r) if r else p
-                out[cc] = out.get(cc, MPoly(p.n, {})) + (term if sign == 1 else -term)
-    return {c: p for c, p in out.items() if p}
+    return _mpoly_apply(_current_operator(space, i, j, r), f, space.n)
 
 
 def vacuum_vector(n: int) -> dict:
@@ -389,7 +383,7 @@ def check_sn_relations(n: int, d: int) -> Check:
     s_i, the braid relation at i, or the commutation of (i, j).
     """
     space = SuperSpace.tensor_power(n)
-    comps = level_components(n, None)
+    comps = range(space.dim)
     keys = (key for delta in range(d + 1) for key in _monomial_keys(n, delta))
     position = {key: m for m, key in enumerate(keys)}
     mats = [_relation_matrix(space, comps, position, i) for i in range(n - 1)]
@@ -542,12 +536,12 @@ def invariant_dimensions(n: int, level: int, d: int, singular_only: bool) -> lis
     raises ArithmeticError, as does a total that n! does not divide.
     """
     space = SuperSpace.tensor_power(n)
-    comps = level_components(n, level)
+    comps = space.level_indices[level]
     for delta in range(d + 1):
         _check_degree_drop(n, delta)
     if singular_only:
         raise_map = _zero_mode_map(space, 2, 1, comps)
-        lower_map = _zero_mode_map(space, 1, 2, level_components(n, level + 1))
+        lower_map = _zero_mode_map(space, 1, 2, space.level_indices[level + 1] if level < n else ())
     totals = [0] * (d + 1)
     for word, size in _class_words(n):
         trace = 0

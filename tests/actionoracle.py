@@ -14,7 +14,7 @@ time, by applying the map to it.
 from typing import NamedTuple
 
 from gl11chain.linalg import ExactMatrix
-from gl11chain.weylspace import MPoly, _pack, level_components
+from gl11chain.weylspace import MPoly, _pack
 
 
 def monomials_upto(n, d):
@@ -48,7 +48,7 @@ class Coords(NamedTuple):
 
     @staticmethod
     def build(n, level, d):
-        comps = level_components(n, level)
+        comps = [c for c in range(1 << n) if level is None or c.bit_count() == level]
         monos = monomials_upto(n, d)
         keys = [_pack(m) for m in monos]
         index = {(c, key): ci * len(monos) + mi for ci, c in enumerate(comps) for mi, key in enumerate(keys)}

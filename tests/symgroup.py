@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from gl11chain.linalg import ExactMatrix
-from gl11chain.superlin import SuperSpace, adjacent_flip
+from gl11chain.superlin import SuperSpace, graded_flip
 
 
 def permutation_closure(adjacent: Sequence[ExactMatrix], dim: int) -> dict[tuple[int, ...], ExactMatrix]:
@@ -62,7 +62,7 @@ def permutation_sign(perm: Sequence[int]) -> int:
 def group_average_symmetrizers(m: int) -> tuple[ExactMatrix, ExactMatrix]:
     """(A_m, H_m) as the signed and the plain average of the graded flips' group."""
     space = SuperSpace.tensor_power(m)
-    action = permutation_closure([adjacent_flip(space, i) for i in range(m - 1)], space.dim)
+    action = permutation_closure([graded_flip(space, i, i + 1) for i in range(m - 1)], space.dim)
     a = h = ExactMatrix(space.dim, space.dim)
     for perm, mat in action.items():
         h = h + mat

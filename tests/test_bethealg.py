@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from gl11chain import bethe, bethealg
 from gl11chain.exactnum import Poly, RatFun
 from gl11chain.linalg import ExactMatrix, SpanBasis, joint_generalized_eigenspaces
 from gl11chain.chain import ModuleSpec, make_spec
@@ -301,6 +302,25 @@ class TestPresentation:
         top = char_pair(spec).gamma.degree
         for level in range(top + 1):
             assert presentation_check(spec, level).ok
+
+    def test_gamma_with_a_wrong_lead_is_refused_by_char_pair(self, monkeypatch, fresh_caches):
+        # the check reads gamma's lead unchecked: char_pair raises before it when the lead is not q1 n
+        real = bethe.phi_psi
+        monkeypatch.setattr(bethe, "phi_psi", lambda spec: tuple(p * 2 for p in real(spec)))
+        with pytest.raises(ArithmeticError, match=r"expected degree 1 and lead 2$"):
+            presentation_check(E2, 1)
+
+    def test_changed_root_list_breaks_the_vieta_identity(self, monkeypatch, fresh_caches):
+        cp = char_pair(E2)
+        assert cp.divisors  # built from the true roots first
+        monkeypatch.setattr(cp, "roots", [(F(-1, 2), 1)])
+        assert presentation_check(E2, 1) == (False, "", "epsilon parameters do not reproduce gamma")
+
+    def test_wrong_eigenvalue_names_the_divisor(self, monkeypatch):
+        real = bethealg.eigenvalue_pencil
+        monkeypatch.setattr(bethealg, "eigenvalue_pencil", lambda y, spec: real(y, spec) + Poly((1,)))
+        assert presentation_check(E2, 0) == (False, "", "divisor (empty)")
+        assert presentation_check(E2, 1) == (False, "", "divisor -1/4")
 
 
 class TestSpectral:

@@ -63,6 +63,11 @@ the one use of the collector is the `gc.freeze` that `main` hands to
 A vector has one format, a sparse {index: nonzero entry} dict: no module
 defines or calls `sparse_vector` or keys a sequence's entries by their
 enumerate index, and none builds a dense zero vector.
+The leg space has one home, superlin.py: only it calls `.leg_unit(`, so every
+signed leg operator is one `leg_units` sum; the level table is
+`SuperSpace.level_indices` and the graded-flip matrix `graded_flip`, so no
+module defines `level_components`, `adjacent_flip` or a function named
+`level_indices`.
 """
 
 import ast
@@ -962,3 +967,46 @@ def test_vector_rule_catches_each_planted_conversion():
         "vec = {0: Fraction(1)}\n"
     )
     assert _vector_conversions(ast.parse(fine)) == []
+
+
+# The leg space has one home: superlin.py turns the leg rules into index sets and operators.
+LEG_COPIES = ("level_components", "adjacent_flip")
+
+
+def _leg_space_copies(tree: ast.AST, superlin: bool) -> list[str]:
+    """Every definition of a level grouper or a flip matrix and, outside superlin.py, every `.leg_unit(` call."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in (*LEG_COPIES, "level_indices"):
+            found.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in LEG_COPIES:
+            found.append((node.lineno, f"defines {node.id}"))
+        elif not superlin and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "leg_unit":
+            found.append((node.lineno, "calls .leg_unit("))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_leg_space_has_one_home(path):
+    assert _leg_space_copies(ast.parse(path.read_text(encoding="utf-8")), path.name == "superlin.py") == []
+
+
+def test_leg_space_rule_catches_each_planted_copy():
+    code = (
+        "def level_components(n, level):\n    return []\n"
+        "@functools.cache\ndef level_indices(spec):\n    return {}\n"
+        "adjacent_flip = graded_flip\n"
+        "def current_action(space, c, s):\n    return space.leg_unit(c, s, 2, 1)\n"
+    )
+    assert _leg_space_copies(ast.parse(code), superlin=False) == [
+        "line 1: defines level_components", "line 4: defines level_indices", "line 6: defines adjacent_flip",
+        "line 8: calls .leg_unit(",
+    ]
+    # superlin.py states the rule; the table is an attribute, read and stored, and leg_units is not leg_unit
+    assert _leg_space_copies(ast.parse("hit = space.leg_unit(image, s, i, j)\n"), superlin=True) == []
+    fine = (
+        "self.level_indices = tuple(buckets)\nidxs = spec.space().level_indices[level]\n"
+        "m = leg_units(space, terms)\n"
+    )
+    assert _leg_space_copies(ast.parse(fine), superlin=False) == []

@@ -14,6 +14,7 @@ from gl11chain.bethe import char_pair, completeness_report
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.shapoform import form_matrix
+from gl11chain.superlin import SuperSpace
 from conftest import clear_builder_caches, memoised_builders
 
 # five sites with a double root of gamma
@@ -543,7 +544,6 @@ def test_memoised_builders_found():
         "gl11chain.bethe._bethe_vector",
         "gl11chain.bethe.transfer_family",
         "gl11chain.bethe.transfer_columns",
-        "gl11chain.bethe.level_indices",
         "gl11chain.bethealg.algebra",
         "gl11chain.bethealg.radical",
         "gl11chain.shapoform.form_matrix",
@@ -552,6 +552,7 @@ def test_memoised_builders_found():
         "gl11chain.fusion._generating_oper",
         "gl11chain.fusion.symmetrizers",
         "gl11chain.weylspace._check_degree_drop",
+        "gl11chain.weylspace._current_operator",
         "gl11chain.weylspace._monomial_image",
         "gl11chain.weylspace.gamma_coefficient_ops",
     }
@@ -825,18 +826,19 @@ def test_spectrum_fraction_products_on_k3(monkeypatch):
 
 
 def test_level_data_built_once_per_chain(monkeypatch):
-    # over every level of k5, each coefficient C_d is transposed once and the weight spaces are grouped once
+    # over every level of k5, each coefficient C_d is transposed once and the levels read the level table
+    # of the chain's space, which the pencil's build made: no space, so no table, is built again
     clear_builder_caches()
     spec = ModuleSpec.from_json(K5)
     coefficients = monodromy.chain_transfer_coefficients(spec)
-    transposed, grouped = [], []
-    real_transpose, real_group = ExactMatrix.transpose, bethe.weight_spaces
+    transposed, built = [], []
+    real_transpose, real_init = ExactMatrix.transpose, SuperSpace.__init__
     monkeypatch.setattr(ExactMatrix, "transpose", lambda self: transposed.append(id(self)) or real_transpose(self))
-    monkeypatch.setattr(bethe, "weight_spaces", lambda *args: grouped.append(args) or real_group(*args))
+    monkeypatch.setattr(SuperSpace, "__init__", lambda self, n: built.append(n) or real_init(self, n))
     families = [bethe.transfer_family(spec, level) for level in range(spec.k + 1)]
     assert sum(fam.dim for fam in families) > 0
     assert [transposed.count(id(m)) for m in coefficients] == [1] * len(coefficients)
-    assert len(transposed) == len(coefficients) and len(grouped) == 1
+    assert len(transposed) == len(coefficients) and built == []
 
 
 def test_bethe_and_algebra_suites_share_one_family_per_level(monkeypatch):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from gl11chain.exactnum import Poly
 from gl11chain.linalg import ExactMatrix
 from gl11chain.chain import Weight
+from gl11chain.weylspace import MPoly
 from gl11chain.superlin import (
     E_PARITY,
     EVEN,
     SuperSpace,
-    adjacent_flip,
     gl_generator,
+    graded_flip,
     leg_generator,
     leg_units,
     singular_subspace,
@@ -69,13 +70,13 @@ class TestKoszul:
         # (1 (x) e21)(v2 (x) v1) = -(v2 (x) v2): e21 is odd, |v2| odd
         space = SuperSpace.tensor_power(2)
         v = unit(space, (1, 0))
-        out = leg_units(space, ((1, 2, 1),), F(1)).apply(v)
+        out = leg_units(space, [(((1, 2, 1),), F(1))]).apply(v)
         assert vec_list(out, 4) == [F(0) if i != space.index((1, 1)) else F(-1) for i in range(4)]
 
     def test_even_first_leg(self):
         space = SuperSpace.tensor_power(2)
         v = unit(space, (0, 0))
-        out = leg_units(space, ((0, 2, 1),), F(1)).apply(v)
+        out = leg_units(space, [(((0, 2, 1),), F(1))]).apply(v)
         assert out[space.index((1, 0))] == 1
 
     def test_coproduct_on_odd_odd(self):
@@ -83,8 +84,8 @@ class TestKoszul:
         # hand expansion of the diagonal action on the doubly-odd vector
         space = SuperSpace.tensor_power(2)
         v = unit(space, (1, 1))
-        t1 = leg_units(space, ((0, 1, 2),), F(1)).apply(v)
-        t2 = leg_units(space, ((1, 1, 2),), F(1)).apply(v)
+        t1 = leg_units(space, [(((0, 1, 2),), F(1))]).apply(v)
+        t2 = leg_units(space, [(((1, 1, 2),), F(1))]).apply(v)
         out = [a + b for a, b in zip(vec_list(t1, 4), vec_list(t2, 4))]
         want = [F(0)] * 4
         want[space.index((0, 1))] = F(1)
@@ -148,7 +149,7 @@ class TestTraceTranspose:
 
     def test_flip_traceless(self):
         space = SuperSpace.tensor_power(2)
-        flip = adjacent_flip(space, 0)
+        flip = graded_flip(space, 0, 1)
         assert flip == GRADED_FLIP
         assert supertrace(flip, space) == 0
 
@@ -182,7 +183,7 @@ class TestTraceTranspose:
 
     def test_transpose_preserves_trace(self):
         space = SuperSpace.tensor_power(2)
-        m = leg_units(space, ((0, 1, 1), (1, 2, 2)), F(1))
+        m = leg_units(space, [(((0, 1, 1), (1, 2, 2)), F(1))])
         assert supertrace(m, space) == supertrace(supertranspose(m, space), space)
 
 
@@ -223,7 +224,7 @@ def test_symmetric_group_action_is_homomorphism():
 def test_symmetric_group_action_matches_the_closure_of_the_flips(n):
     # the Koszul sign of each permutation against the products of the graded flips
     space = SuperSpace.tensor_power(n)
-    flips = [adjacent_flip(space, i) for i in range(n - 1)]
+    flips = [graded_flip(space, i, i + 1) for i in range(n - 1)]
     assert symmetric_group_action(space) == permutation_closure(flips, space.dim)
 
 
@@ -316,7 +317,10 @@ def test_leg_unit_matches_the_ladder_and_kron_signed(space):
 # ---------------------------------------------------------------------------
 
 _FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-_COEFFICIENTS = st.one_of(_FRACTIONS, st.lists(_FRACTIONS, min_size=1, max_size=3).map(Poly))
+_POLYS = st.lists(_FRACTIONS, min_size=1, max_size=3).map(Poly)
+_MPOLYS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3).map(
+    lambda terms: MPoly(2, terms)
+)
 _WEIGHTS = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)).map(lambda w: Weight(*w)), min_size=1, max_size=4)
 
 
@@ -329,17 +333,55 @@ def kron_gl_generator(leg_weights, i, j):
     return total
 
 
-@settings(max_examples=80)
-@given(data=st.data())
-def test_leg_units_match_kron_signed(data):
-    n = data.draw(st.integers(1, 4), label="n")
-    legs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True), label="legs")
-    units = [(s, *data.draw(st.sampled_from(sorted(E_PARITY)), label=f"unit on leg {s}")) for s in legs]
-    coef = data.draw(_COEFFICIENTS, label="coef")
+def kron_term(n, units, coef):
+    """coef times the product of the units, built by kron_signed with coef folded into the first unit (oracle)."""
     slot_ops = {s: (e_matrix(i, j), E_PARITY[(i, j)]) for s, i, j in units}
     s0 = units[0][0]
     slot_ops[s0] = (slot_ops[s0][0] * coef, slot_ops[s0][1])
-    assert leg_units(SuperSpace.tensor_power(n), units, coef) == kron_signed(LegSpace.tensor_power(n), slot_ops)
+    return kron_signed(LegSpace.tensor_power(n), slot_ops)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_leg_units_match_kron_signed(data):
+    # many terms in one pass against the sum of one-term oracles; one coefficient ring per example,
+    # and sometimes a term's negation, so that entries cancel
+    n = data.draw(st.integers(1, 4), label="n")
+    coefficients = data.draw(st.sampled_from([_FRACTIONS, _POLYS, _MPOLYS]), label="ring")
+    terms = []
+    for t in range(data.draw(st.integers(1, 4), label="terms")):
+        legs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True), label=f"legs {t}")
+        units = [(s, *data.draw(st.sampled_from(sorted(E_PARITY)), label=f"unit {t} on leg {s}")) for s in legs]
+        terms.append((units, data.draw(coefficients, label=f"coef {t}")))
+    if data.draw(st.booleans(), label="negated"):
+        units, coef = data.draw(st.sampled_from(terms), label="negated term")
+        terms.append((units, -coef))
+    got = leg_units(SuperSpace.tensor_power(n), terms)
+    want = ExactMatrix(1 << n, 1 << n)
+    for units, coef in terms:
+        want = want + kron_term(n, units, coef)
+    assert got == want
+    assert all(row and all(row.values()) for row in got.rows.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_graded_flip_is_the_bit_rule(n):
+    # the one graded-flip matrix against SuperSpace.flip, the rule the index-level actions read
+    space = SuperSpace.tensor_power(n)
+    for i in range(n - 1):
+        want = ExactMatrix(space.dim, space.dim)
+        for idx in range(space.dim):
+            image, sign = space.flip(idx, i)
+            want.put(image, idx, F(sign))
+        assert graded_flip(space, i, i + 1) == want
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_level_table_holds_the_indices_by_bits_set(n):
+    space = SuperSpace.tensor_power(n)
+    assert space.level_indices == tuple(
+        tuple(idx for idx in range(1 << n) if bin(idx).count("1") == lv) for lv in range(n + 1)
+    )
 
 
 @settings(max_examples=40)
